@@ -9,7 +9,6 @@
 //	       [-userdir-base /home -userdir-suffix public_html]
 //	       [-access-log access.log]
 //	       [-conn-engine goroutine|epoll]
-//	       [-cache-engine heap|mmap]
 //	       [-cache-path-entries 6000] [-cache-header-entries 6000]
 //	       [-cache-map-mb 64] [-cache-chunk-kb 64] [-cache-l1-kb 0]
 //	       [-cache-no-coalesce] [-cache-no-replicate]
@@ -27,9 +26,10 @@
 // "overload" line reports the reject/shed/reap counters.
 //
 // The cache knobs mirror flash.Config.Cache: budgets are server-wide
-// (the store owns them; shard count no longer divides the effective
-// cache size). -path-cache and -map-cache-mb remain as deprecated
-// aliases for -cache-path-entries and -cache-map-mb.
+// (the store owns them; shard count does not divide the effective
+// cache size). Cached file chunks are mmap(2) views of the files, so
+// replace served files by rename: an in-place overwrite shows through
+// live mappings, an in-place truncation fails the fill that meets it.
 //
 // -upstream turns flashd into a caching reverse proxy: requests under
 // -upstream-prefix (default "/") that miss the local docroot routes are
@@ -41,8 +41,7 @@
 // -demo mounts three dynamic routes that exercise the Handler v2 API:
 //
 //	POST /echo    a native flash.Handler that streams the request body
-//	              straight back (Content-Type preserved) — the target
-//	              for `loadgen -post-frac`
+//	              straight back (Content-Type preserved)
 //	POST /upload  an unmodified net/http handler behind
 //	              flashhttp.Adapter that counts the uploaded bytes and
 //	              reports them as JSON
@@ -82,7 +81,6 @@ func main() {
 		helpers    = flag.Int("helpers", 8, "disk helper goroutines per shard")
 		connEng    = flag.String("conn-engine", "goroutine", "connection engine: goroutine (portable, 3 goroutines/conn) or epoll (Linux readiness loop, zero goroutines per idle conn)")
 		idleTO     = flag.Duration("idle-timeout", 0, "keep-alive idle timeout (0 = built-in default; idle-conn soaks raise this)")
-		cacheEng   = flag.String("cache-engine", "heap", "chunk cache engine: heap (copied buffers) or mmap (refcounted mmap(2) views; heap fallback off Linux)")
 		cachePaths = flag.Int("cache-path-entries", 6000, "pathname cache entries (server-wide)")
 		cacheHdrs  = flag.Int("cache-header-entries", 0, "header cache entries (0 = same as -cache-path-entries)")
 		cacheMapMB = flag.Int64("cache-map-mb", 64, "chunk cache byte budget (MB, server-wide — the store owns it, shards share it)")
@@ -90,8 +88,6 @@ func main() {
 		cacheL1    = flag.Int64("cache-l1-kb", 0, "per-shard L1 replica budget in KiB (0 = auto-size, negative disables the L1)")
 		noCoalesce = flag.Bool("cache-no-coalesce", false, "disable single-flight miss coalescing (v1 per-chunk reads)")
 		noReplica  = flag.Bool("cache-no-replicate", false, "disable per-shard L1 hot-set replication")
-		pathCache  = flag.Int("path-cache", 6000, "deprecated alias for -cache-path-entries")
-		mapCacheMB = flag.Int64("map-cache-mb", 64, "deprecated alias for -cache-map-mb")
 		userBase   = flag.String("userdir-base", "", "base directory for /~user/ translation")
 		userSuffix = flag.String("userdir-suffix", "public_html", "suffix for /~user/ translation")
 		accessLog  = flag.String("access-log", "", "Common Log Format access log file")
@@ -117,21 +113,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The deprecated flat aliases win only when set explicitly and the
-	// grouped flag is not.
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	pathEntries := *cachePaths
-	if set["path-cache"] && !set["cache-path-entries"] {
-		pathEntries = *pathCache
-	}
-	mapMB := *cacheMapMB
-	if set["map-cache-mb"] && !set["cache-map-mb"] {
-		mapMB = *mapCacheMB
-	}
 	hdrEntries := *cacheHdrs
 	if hdrEntries == 0 {
-		hdrEntries = pathEntries
+		hdrEntries = *cachePaths
 	}
 	l1Bytes := *cacheL1 << 10
 	if *cacheL1 < 0 {
@@ -145,10 +129,9 @@ func main() {
 		ConnEngine:  *connEng,
 		IdleTimeout: *idleTO,
 		Cache: flash.CacheConfig{
-			Engine:             *cacheEng,
-			PathEntries:        pathEntries,
+			PathEntries:        *cachePaths,
 			HeaderEntries:      hdrEntries,
-			MapBytes:           mapMB << 20,
+			MapBytes:           *cacheMapMB << 20,
 			ChunkBytes:         *cacheChunk << 10,
 			L1Bytes:            l1Bytes,
 			DisableCoalescing:  *noCoalesce,

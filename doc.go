@@ -47,7 +47,11 @@
 //     bodies ship zero-copy from the pathname cache's refcounted file
 //     descriptor via sendfile(2) on Linux — never entering userspace
 //     or double-buffering in the map cache — with a portable
-//     pread+write fallback on other platforms. Stats.BytesSendfile
+//     pread+write fallback on other platforms. Cached chunks are the
+//     paper's mapped files: refcounted views over mmap(2) regions that
+//     the disk helpers map and touch, unmapped when the last response
+//     lets go (a helper that cannot map a file reads it instead), so
+//     served files should be replaced by rename. Stats.BytesSendfile
 //     and Stats.BytesCopied split the traffic by transport, and a
 //     byte-for-byte equivalence suite holds the two to identical wire
 //     output.
@@ -58,10 +62,10 @@
 //     zero-copy request parsing into a recycled per-connection
 //     Request, pooled response sources, typed loop messages instead
 //     of closures, cached entity tags and 304 headers, and
-//     coarse-clock deadline arming. AllocsPerRun guard tests and the
-//     CI bench-guard job (BenchmarkSteadyState vs the committed
-//     BENCH_5.json baseline) enforce the invariant; see README
-//     "Performance" for the per-path budgets.
+//     coarse-clock deadline arming. AllocsPerRun guard tests (the CI
+//     alloc-guard job) enforce the invariant; see README "Performance"
+//     for the per-path budgets and bench/README.md for the benchmark
+//     every measured claim rests on.
 //
 //   - A deterministic simulation of the paper's 1999 testbed
 //     (internal/sim*, internal/arch, internal/experiments) that rebuilds

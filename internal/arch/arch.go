@@ -117,7 +117,7 @@ type Options struct {
 	// Cache configuration.
 	PathCacheEntries   int
 	HeaderCacheEntries int
-	MapCacheBytes      int64
+	MapBytes           int64
 	ChunkBytes         int64
 	UsePathCache       bool
 	UseRespCache       bool
@@ -188,7 +188,7 @@ func (s *Server) newCacheSet() *cacheSet {
 	return &cacheSet{
 		path: cache.NewPathCache(s.o.PathCacheEntries),
 		hdr:  cache.NewHeaderCache(s.o.HeaderCacheEntries),
-		mc:   cache.NewMapCache(s.o.MapCacheBytes, s.o.ChunkBytes),
+		mc:   cache.NewMapCache(s.o.MapBytes, s.o.ChunkBytes),
 	}
 }
 

@@ -27,7 +27,7 @@ func FlashOptions() Options {
 		MaxHelpers:         32,
 		PathCacheEntries:   sharedPathEntries,
 		HeaderCacheEntries: sharedPathEntries,
-		MapCacheBytes:      sharedMapBytes,
+		MapBytes:           sharedMapBytes,
 		UsePathCache:       true,
 		UseRespCache:       true,
 		UseMapCache:        true,
@@ -54,7 +54,7 @@ func FlashSMPOptions(n int) Options {
 	o.MaxHelpers = max(32/n, 1)
 	o.PathCacheEntries = max(sharedPathEntries/n, 1)
 	o.HeaderCacheEntries = max(sharedPathEntries/n, 1)
-	o.MapCacheBytes = max(sharedMapBytes/int64(n), 1)
+	o.MapBytes = max(sharedMapBytes/int64(n), 1)
 	return o
 }
 
@@ -76,7 +76,7 @@ func MPOptions() Options {
 	o.NumProcs = defaultProcs
 	o.PathCacheEntries = perProcPathEntries
 	o.HeaderCacheEntries = perProcPathEntries
-	o.MapCacheBytes = perProcMapBytes
+	o.MapBytes = perProcMapBytes
 	return o
 }
 

@@ -289,7 +289,7 @@ func TestMapCacheInvalidateFile(t *testing.T) {
 	b := m.Insert(ChunkKey{Path: "/f", Index: 1}, nil, 64)
 	m.Release(a)
 	// a inactive, b pinned.
-	m.InvalidateFile("/f", 2)
+	m.InvalidateFile("/f", 0, 2)
 	if m.Contains(ChunkKey{Path: "/f", Index: 0}) || m.Contains(ChunkKey{Path: "/f", Index: 1}) {
 		t.Fatal("invalidated chunks still indexed")
 	}

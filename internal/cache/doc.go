@@ -3,19 +3,23 @@
 //
 // # API
 //
-// [Store] is the engine: it owns the byte budget, the shared chunk
-// tier, and the fill registry. [View] is one event-loop shard's handle
-// onto the store; every per-request operation (path lookup, header
-// lookup, chunk pin/release, fill subscription) goes through the
-// shard's own View, so the hot path stays shard-local. The server
-// consumes only these interfaces. Two engines implement them over the
-// same two-tier topology: [NewShardedStore], the default, fills
-// chunks by reading into heap buffers; [NewMmapStore] serves chunks
-// as refcounted views ([MmapRef]) over mmap(2)-mapped file regions —
-// the budget then counts mapped bytes, a mapping is never unmapped
-// while any response, fill subscriber, or writev gather references
-// its bytes, and off Linux the engine falls back to heap reads behind
-// the same lifetime contract.
+// [Store] owns the byte budget, the shared chunk tier, and the fill
+// registry. [View] is one event-loop shard's handle onto the store;
+// every per-request operation (path lookup, header lookup, chunk
+// pin/release, fill subscription) goes through the shard's own View,
+// so the hot path stays shard-local. [NewShardedStore] is the one
+// implementation. Its chunk tier is the paper's mapped-file cache:
+// disk helpers map file regions ([MapChunk]) and hand the refcounted
+// mapping ([MmapRef]) to the store, the budget counts mapped bytes,
+// and a mapping is never unmapped while any response, fill
+// subscriber, or writev gather references its bytes. A producer that
+// cannot map — a platform without mmap, a filesystem that refuses, a
+// reverse-proxy refill with no file at all — reads into a heap buffer
+// and inserts that instead; the tiers do not tell the two apart.
+//
+// Files are expected to be replaced by rename. An in-place overwrite
+// is visible through live mappings; an in-place truncation fails the
+// fill that touches the missing pages ([ErrMapFault]).
 //
 // The underlying structures are the paper's three caches:
 //

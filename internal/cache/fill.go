@@ -128,7 +128,7 @@ func (f *Fill) ChunkAt(index int, notify func()) (c *Chunk, pending bool, err er
 // subscribers), or a fill already ended.
 func (f *Fill) Publish(data []byte) bool { return f.publish(data, nil) }
 
-// PublishMapped is Publish for the mmap engine: the published chunk
+// PublishMapped is Publish for a mapped chunk: the published chunk
 // adopts m's reference. On every branch that does not insert — a fill
 // already ended, doomed, or overrun — the reference is released here,
 // so the producer's contract is identical to Publish: hand the

@@ -10,10 +10,10 @@ type ChunkKey struct {
 }
 
 // Chunk is a cached file mapping. In the real server Data holds the
-// file bytes, immutable once inserted: a heap buffer under the
-// default engine (the garbage collector plays the role of munmap) or
-// a view over a refcounted mmap region under the mmap engine (see
-// mapping). In the simulator Data is nil and only Size is used.
+// file bytes, immutable once inserted: a view over a refcounted mmap
+// region (see mapping) or, where the producer read instead of mapping,
+// a heap buffer (the garbage collector plays the role of munmap). In
+// the simulator Data is nil and only Size is used.
 type Chunk struct {
 	Key  ChunkKey
 	Data []byte
@@ -37,11 +37,11 @@ type Chunk struct {
 	prev, next *Chunk
 	onFree     bool
 	dead       bool // detached by InvalidateFile while pinned
-	// mapping, when non-nil, owns the chunk's backing mmap region (the
-	// mmap engine): Data is a view into it, and the chunk holds one
-	// reference, released only when the cache discards the chunk for
-	// good — never while writers or replicas still hold theirs.
-	// Immutable once inserted, like Data.
+	// mapping, when non-nil, owns the chunk's backing mmap region: Data
+	// is a view into it, and the chunk holds one reference, released
+	// only when the cache discards the chunk for good — never while
+	// writers or replicas still hold theirs. Immutable once inserted,
+	// like Data.
 	mapping *MmapRef
 }
 
@@ -200,8 +200,8 @@ func (m *MapCache) Insert(key ChunkKey, data []byte, size int64) *Chunk {
 	return m.insertNew(key, data, size)
 }
 
-// InsertMapped is Insert for a chunk backed by an engine-owned mmap
-// region: the chunk adopts mr's reference. Inserting over an existing
+// InsertMapped is Insert for a chunk backed by an mmap region: the
+// chunk adopts mr's reference. Inserting over an existing
 // key returns the existing chunk pinned and releases the incoming
 // reference — the resident bytes win, exactly as Insert discards the
 // incoming buffer on a merged concurrent load.
@@ -276,37 +276,37 @@ func (m *MapCache) evictOver() {
 	}
 }
 
-// InvalidateFile drops all inactive chunks of a path (used when a file
-// changed). Pinned chunks survive until released; they are marked so
-// they are dropped rather than recycled.
-func (m *MapCache) InvalidateFile(path string, maxChunks int) {
+// InvalidateFile drops the chunks of a path recorded under modTime
+// (used when a file changed): one generation of the file retires, a
+// newer one already loading under the same path stays. Bare MapCache
+// users that leave Chunk.ModTime zero pass zero. Pinned chunks survive
+// until released; they are marked so they are dropped rather than
+// recycled.
+func (m *MapCache) InvalidateFile(path string, modTime int64, maxChunks int) {
 	for i := 0; i < maxChunks; i++ {
-		key := ChunkKey{Path: path, Index: i}
-		c, ok := m.chunks[key]
-		if !ok {
-			continue
-		}
-		if c.refs == 0 {
-			m.freeRemove(c)
-			delete(m.chunks, key)
-			m.used -= c.Size
-			m.stats.Evictions++
-			m.stats.BytesUnmapped += c.Size
-			if m.OnEvict != nil {
-				m.OnEvict(c)
-			}
-			c.dropMapping()
-		} else {
-			// Detach from the index so new lookups miss; the pinned
-			// chunk is dropped (mapping and all) when its last holder
-			// releases it.
-			delete(m.chunks, key)
-			m.used -= c.Size
-			m.stats.Evictions++
-			m.stats.BytesUnmapped += c.Size
-			c.dead = true
+		if c, ok := m.chunks[ChunkKey{Path: path, Index: i}]; ok && c.ModTime == modTime {
+			m.detach(c)
 		}
 	}
+}
+
+// detach removes c from the index and the byte accounting. An
+// inactive chunk is dropped on the spot; a pinned one is marked dead
+// and dropped (mapping and all) when its last holder releases it.
+func (m *MapCache) detach(c *Chunk) {
+	delete(m.chunks, c.Key)
+	m.used -= c.Size
+	m.stats.Evictions++
+	m.stats.BytesUnmapped += c.Size
+	if c.refs > 0 {
+		c.dead = true
+		return
+	}
+	m.freeRemove(c)
+	if m.OnEvict != nil {
+		m.OnEvict(c)
+	}
+	c.dropMapping()
 }
 
 // Used returns the total bytes currently mapped.

@@ -7,11 +7,6 @@ import (
 	"syscall"
 )
 
-// mmapSupported reports whether the mmap engine maps real file
-// regions on this platform (false = the portable pread fallback in
-// mmap_other.go).
-const mmapSupported = true
-
 // mapFileRegion maps [off, off+n) of f read-only. mmap requires a
 // page-aligned offset, so the mapping starts at the containing page
 // boundary and the returned ref's view skips the slack (zero for the

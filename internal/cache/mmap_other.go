@@ -3,28 +3,17 @@
 package cache
 
 import (
-	"io"
+	"errors"
 	"os"
 )
 
-// mmapSupported reports whether the mmap engine maps real file
-// regions on this platform.
-const mmapSupported = false
-
-// mapFileRegion is the portable fallback, mirroring the sendfile
-// split: without mmap(2) the engine preads the chunk into a heap
-// buffer behind the same MmapRef lifetime contract, so
-// Engine="mmap" runs (and tests) identically on every platform —
-// it just stops being zero-copy against the page cache.
-func mapFileRegion(f *os.File, off, n int64, sequential bool) (*MmapRef, error) {
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(io.NewSectionReader(f, off, n), buf); err != nil {
-		return nil, err
-	}
-	return newHeapRef(buf), nil
+// mapFileRegion reports that this platform has no mmap support, which
+// sends every producer down its read path (heap chunks via Insert and
+// Fill.Publish) — the sendfile split, mirrored.
+func mapFileRegion(*os.File, int64, int64, bool) (*MmapRef, error) {
+	return nil, errors.ErrUnsupported
 }
 
-// munmapRegion has nothing to unmap off Linux (heap-backed refs never
-// carry a raw region, so this is unreachable; it exists to keep the
-// platform surface identical).
+// munmapRegion is unreachable off Linux (no ref ever carries a raw
+// region); it exists to keep the platform surface identical.
 func munmapRegion([]byte) {}

@@ -1,26 +1,14 @@
+//go:build linux
+
 package cache
 
 import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"testing"
 )
-
-func testMmapStore(t *testing.T, shards int, mapBytes int64, opts ...func(*StoreOptions)) *ShardedStore {
-	t.Helper()
-	o := StoreOptions{
-		Shards:        shards,
-		PathEntries:   64,
-		HeaderEntries: 64,
-		MapBytes:      mapBytes,
-		ChunkBytes:    1024,
-	}
-	for _, fn := range opts {
-		fn(&o)
-	}
-	return NewMmapStore(o)
-}
 
 // writeTempFile creates a file whose chunk contents the mmap tests
 // can verify against.
@@ -38,18 +26,18 @@ func writeTempFile(t *testing.T, data []byte) *os.File {
 	return f
 }
 
-// The mmap engine's end-to-end chunk lifecycle: map, insert, look up
+// A mapped chunk's end-to-end lifecycle: map, insert, look up
 // the real file bytes, and verify the mapping's reference count at
 // every stage — the cache chunk and its L1 replica each hold one, and
 // invalidation drops both without touching the observer's hold.
 func TestMmapChunkLifecycleRefcounts(t *testing.T) {
 	content := bytes.Repeat([]byte("mmap-engine!"), 200) // > 1 chunk
 	f := writeTempFile(t, content)
-	st := testMmapStore(t, 1, 1<<20)
-	v := st.View(0).(MappedView)
+	st := testStore(1, 1<<20)
+	v := st.View(0)
 
 	off, n := st.ChunkRange(int64(len(content)), 0)
-	mr, err := st.MapChunk(f, off, n, false)
+	mr, err := MapChunk(f, off, n, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +71,12 @@ func TestMmapChunkLifecycleRefcounts(t *testing.T) {
 	// Invalidation drops the segment chunk and the L1 replica: both
 	// holds go, only the observer's remains — and the pages stay
 	// mapped until it releases.
-	v.InvalidateFile("/f", st.NumChunks(int64(len(content))))
+	v.InvalidateFile("/f", 7, st.NumChunks(int64(len(content))))
 	if got := hold.Refs(); got != 1 {
 		t.Fatalf("refs after invalidate = %d, want 1 (observer only)", got)
 	}
-	if hold.Mapped() != mmapSupported {
-		t.Fatalf("Mapped() = %v before final release, want %v", hold.Mapped(), mmapSupported)
+	if !hold.Mapped() {
+		t.Fatal("region unmapped before the final release")
 	}
 	hold.Release()
 }
@@ -100,10 +88,10 @@ func TestMmapEvictionKeepsSharedMappingAlive(t *testing.T) {
 	content := bytes.Repeat([]byte("x"), 1024)
 	f := writeTempFile(t, content)
 	// One-chunk budget: every insert evicts the previous chunk.
-	st := testMmapStore(t, 1, 1024)
-	v := st.View(0).(MappedView)
+	st := testStore(1, 1024)
+	v := st.View(0)
 
-	mr, err := st.MapChunk(f, 0, 1024, false)
+	mr, err := MapChunk(f, 0, 1024, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +101,7 @@ func TestMmapEvictionKeepsSharedMappingAlive(t *testing.T) {
 	// Reader keeps its pin on /a while /b storms the budget.
 	for i := 0; i < 4; i++ {
 		f2 := writeTempFile(t, content)
-		mr2, err := st.MapChunk(f2, 0, 1024, false)
+		mr2, err := MapChunk(f2, 0, 1024, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,14 +124,14 @@ func TestMmapEvictionKeepsSharedMappingAlive(t *testing.T) {
 func TestFillPublishMappedConsumesRef(t *testing.T) {
 	content := bytes.Repeat([]byte("y"), 2048)
 	f := writeTempFile(t, content)
-	st := testMmapStore(t, 1, 1<<20)
-	v := st.View(0).(MappedView)
+	st := testStore(1, 1<<20)
+	v := st.View(0)
 
 	fill, started := v.JoinFill("/f", 2048, 1)
 	if !started {
 		t.Fatal("JoinFill did not start")
 	}
-	mr, _ := st.MapChunk(f, 0, 1024, true)
+	mr, _ := MapChunk(f, 0, 1024, true)
 	hold := mr.Acquire()
 	if !fill.PublishMapped(mr) {
 		t.Fatal("PublishMapped(0) said stop")
@@ -154,8 +142,8 @@ func TestFillPublishMappedConsumesRef(t *testing.T) {
 
 	// Invalidate mid-fill: the next publish must fail the fill and
 	// release the incoming mapping rather than leaking it.
-	v.InvalidateFile("/f", 2)
-	mr2, _ := st.MapChunk(f, 1024, 1024, true)
+	v.InvalidateFile("/f", 1, 2)
+	mr2, _ := MapChunk(f, 1024, 1024, true)
 	hold2 := mr2.Acquire()
 	if fill.PublishMapped(mr2) {
 		t.Fatal("doomed fill accepted a publish")
@@ -175,12 +163,11 @@ func TestFillPublishMappedConsumesRef(t *testing.T) {
 	hold2.Release()
 }
 
-// Zero-length chunks (empty files) cannot be mmapped; the engine must
-// hand back an empty heap-backed ref instead of an mmap error.
+// Zero-length chunks (empty files) cannot be mmapped; MapChunk must
+// hand back an empty unmapped ref instead of an mmap error.
 func TestMapChunkZeroLength(t *testing.T) {
 	f := writeTempFile(t, nil)
-	st := testMmapStore(t, 1, 1<<20)
-	mr, err := st.MapChunk(f, 0, 0, false)
+	mr, err := MapChunk(f, 0, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,33 +177,28 @@ func TestMapChunkZeroLength(t *testing.T) {
 	mr.Release()
 }
 
-// Regression: auto-sized L1 must floor at one chunk. With a small
-// shared budget, MapBytes/(8*Shards) rounds below the chunk size —
-// the old code handed the L1 a zero byte budget, silently disabling
-// replica retention (auto conflated with "off"), and every warm
-// lookup went back to the shared tier's locks.
-func TestAutoL1SizeFloorsAtOneChunk(t *testing.T) {
-	// 4096/(8*4) = 128 bytes < the 1024-byte chunk.
-	st := testStore(4, 4096)
-	v := st.View(0)
-	key := ChunkKey{Path: "/a", Index: 0}
-	v.Release(v.Insert(key, chunkData('x', 1024), 1024, 1))
-	c := v.Lookup(key, 1)
-	if c == nil {
-		t.Fatal("lookup missed")
+// Truncating a file under a live mapping makes its pages fault; Touch
+// must report that as ErrMapFault on the calling goroutine instead of
+// letting SIGBUS kill the process, and leave the goroutine's fault
+// mode as it found it.
+func TestTouchRecoversTruncationFault(t *testing.T) {
+	content := bytes.Repeat([]byte("z"), 4*os.Getpagesize())
+	f := writeTempFile(t, content)
+	mr, err := MapChunk(f, 0, int64(len(content)), true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	v.Release(c)
-	if hits := v.LocalStats().Chunks.Hits; hits != 1 {
-		t.Fatalf("L1 hits = %d, want 1 — auto-sized L1 retained nothing", hits)
+	defer mr.Release()
+	if err := mr.Touch(); err != nil {
+		t.Fatalf("Touch of an intact file: %v", err)
 	}
-	// The explicit sentinel still disables retention.
-	st2 := testStore(4, 4096, func(o *StoreOptions) { o.L1Bytes = -1 })
-	v2 := st2.View(0)
-	v2.Release(v2.Insert(key, chunkData('x', 1024), 1024, 1))
-	if c := v2.Lookup(key, 1); c != nil {
-		v2.Release(c)
+	if err := os.Truncate(f.Name(), 0); err != nil {
+		t.Fatal(err)
 	}
-	if hits := v2.LocalStats().Chunks.Hits; hits != 0 {
-		t.Fatalf("L1 hits with retention disabled = %d, want 0", hits)
+	if err := mr.Touch(); err != ErrMapFault {
+		t.Fatalf("Touch after truncation = %v, want ErrMapFault", err)
+	}
+	if was := debug.SetPanicOnFault(false); was {
+		t.Fatal("Touch left panic-on-fault enabled on the caller's goroutine")
 	}
 }

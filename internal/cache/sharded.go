@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"os"
 	"sync"
 	"sync/atomic"
 )
@@ -54,15 +53,15 @@ type StoreOptions struct {
 // hot chunks) over a shared chunk tier of hash-partitioned,
 // mutex-guarded segments with single-flight fills. Chunk bytes live
 // once, in the segment keyed by hash(path); shards replicate only the
-// hot set into their L1s.
+// hot set into their L1s. A chunk's bytes are either a view over a
+// refcounted mapping (MapChunk, then InsertMapped or
+// Fill.PublishMapped — what disk helpers produce) or a heap buffer
+// (Insert, Fill.Publish — proxy refills, and the helpers' read
+// fallback where a file cannot be mapped); the tiers treat both alike.
 type ShardedStore struct {
 	chunkSize int64
 	segments  []*segment
 	views     []*storeView
-	// mmapBacked marks the mmap engine (NewMmapStore): chunks inserted
-	// through MapChunk/InsertMapped/PublishMapped are views over
-	// refcounted mmap regions instead of heap buffers.
-	mmapBacked bool
 
 	fillsStarted   atomic.Uint64
 	fillsJoined    atomic.Uint64
@@ -91,9 +90,7 @@ type storeView struct {
 }
 
 var _ Store = (*ShardedStore)(nil)
-var _ ChunkMapper = (*ShardedStore)(nil)
 var _ View = (*storeView)(nil)
-var _ MappedView = (*storeView)(nil)
 
 // NewShardedStore builds the v2 store. It is also the v1
 // compatibility constructor: with replication and coalescing left on,
@@ -145,45 +142,6 @@ func NewShardedStore(o StoreOptions) *ShardedStore {
 		st.views = append(st.views, v)
 	}
 	return st
-}
-
-// NewMmapStore builds the mmap chunk engine: the same sharded
-// geometry, budgets, and fill machinery as NewShardedStore, but with
-// the chunk tier's bytes served as views over mmap(2)-mapped file
-// regions — the paper's own transport, and the regime its Figure 6
-// targets: a docroot larger than RAM, where heap chunks double-buffer
-// against the page cache while mapped chunks ARE the page cache.
-//
-// Producers (the server's disk helpers) call MapChunk instead of
-// reading, then hand the mapping to InsertMapped (per-chunk loads) or
-// Fill.PublishMapped (single-flight fills); every other Store/View
-// method is identical, so the engines are interchangeable behind the
-// interfaces. The byte budget counts mapped bytes: chunk size equals
-// mapping length (the default 64 KiB chunks are page multiples, so
-// alignment slack is zero). Generation tags, invalidation, and
-// doomed-fill semantics are shared with the heap engine unchanged.
-//
-// On platforms without mmap (mmap_other.go) MapChunk preads into heap
-// buffers behind the same refcounted lifetime, so Engine="mmap"
-// remains portable.
-func NewMmapStore(o StoreOptions) *ShardedStore {
-	st := NewShardedStore(o)
-	st.mmapBacked = true
-	return st
-}
-
-// MmapBacked reports whether this store is the mmap engine.
-func (st *ShardedStore) MmapBacked() bool { return st.mmapBacked }
-
-// MapChunk maps [off, off+n) of f for insertion via InsertMapped or
-// Fill.PublishMapped (mmap engine only). sequential hints a fill's
-// one-pass read (madvise MADV_SEQUENTIAL). The region is touched on
-// the calling goroutine — run it on a disk helper, not an event loop.
-func (st *ShardedStore) MapChunk(f *os.File, off, n int64, sequential bool) (*MmapRef, error) {
-	if !st.mmapBacked {
-		panic("cache: MapChunk on a heap-engine store")
-	}
-	return mapChunk(f, off, n, sequential)
 }
 
 func maxInt(a, b int) int {
@@ -380,9 +338,9 @@ func (v *storeView) Insert(key ChunkKey, data []byte, size, modTime int64) *Chun
 	return v.replicate(seg, c)
 }
 
-// InsertMapped is Insert for an mmap-backed chunk (MappedView): the
-// chunk adopts m's reference; on a merge with an already-resident
-// chunk the incoming mapping is released and the resident bytes win.
+// InsertMapped is Insert for a chunk backed by a mapping: the chunk
+// adopts m's reference; on a merge with an already-resident chunk the
+// incoming mapping is released and the resident bytes win.
 func (v *storeView) InsertMapped(key ChunkKey, m *MmapRef, size, modTime int64) *Chunk {
 	seg := v.store.segmentFor(key.Path)
 	seg.mu.Lock()
@@ -414,16 +372,17 @@ func (v *storeView) Release(c *Chunk) {
 	}
 }
 
-// InvalidateFile drops path's chunks from this view's L1 and the
-// owner segment, and dooms any in-flight fill.
-func (v *storeView) InvalidateFile(path string, maxChunks int) {
+// InvalidateFile drops the chunks of path recorded under modTime from
+// this view's L1 and the owner segment, and dooms the in-flight fill
+// if it is loading that generation.
+func (v *storeView) InvalidateFile(path string, modTime int64, maxChunks int) {
 	if v.l1 != nil {
-		v.l1.InvalidateFile(path, maxChunks)
+		v.l1.InvalidateFile(path, modTime, maxChunks)
 	}
 	seg := v.store.segmentFor(path)
 	seg.mu.Lock()
-	seg.chunks.InvalidateFile(path, maxChunks)
-	if f := seg.fills[path]; f != nil {
+	seg.chunks.InvalidateFile(path, modTime, maxChunks)
+	if f := seg.fills[path]; f != nil && f.modTime == modTime {
 		f.doomed = true
 	}
 	seg.mu.Unlock()

@@ -1,13 +1,10 @@
 package cache
 
-import "os"
-
 // Store is the unified cache layer of the v2 architecture: one object
 // subsuming the pathname, response-header, and mapped-chunk caches
 // (the §5 trio), carved into per-event-loop Views plus a shared chunk
-// tier with single-flight fills. The server consumes only this
-// interface, so cache engines stay pluggable (Config.Cache.Engine);
-// NewShardedStore is the production implementation.
+// tier with single-flight fills. NewShardedStore is the one
+// implementation.
 //
 // Concurrency contract: methods on Store itself are safe from any
 // goroutine. A View is owned by exactly one event loop — its methods
@@ -65,18 +62,25 @@ type View interface {
 	// it is absent or belongs to a different file generation than
 	// modTime. A hit in the shared tier is replicated into the L1 so
 	// the next lookup is loop-local and lock-free. Insert records a
-	// chunk read under the given identity and returns it pinned.
-	// Release unpins a chunk obtained from Lookup, Insert, or
-	// Fill.ChunkAt, whichever tier owns it.
+	// chunk read into a heap buffer under the given identity and
+	// returns it pinned; InsertMapped does the same for a chunk whose
+	// bytes are a mapping from MapChunk (the chunk adopts m's
+	// reference). Release unpins a chunk obtained from Lookup, Insert,
+	// InsertMapped, or Fill.ChunkAt, whichever tier owns it.
 	Lookup(key ChunkKey, modTime int64) *Chunk
 	Insert(key ChunkKey, data []byte, size, modTime int64) *Chunk
+	InsertMapped(key ChunkKey, m *MmapRef, size, modTime int64) *Chunk
 	Release(c *Chunk)
-	// InvalidateFile drops every chunk of path from the L1 and the
-	// owner segment, and dooms any in-flight fill for it (its next
-	// publish fails with ErrFillStale). Other loops' L1 replicas are
-	// untouched — each loop retires its own on revalidation, exactly
-	// the per-shard staleness window v1 had.
-	InvalidateFile(path string, maxChunks int)
+	// InvalidateFile retires one generation of path: it drops the
+	// chunks recorded under modTime from the L1 and the owner segment,
+	// and dooms the in-flight fill if it is loading that generation
+	// (its next publish fails with ErrFillStale). Chunks and a fill of
+	// any other generation survive, so a late invalidation by a reader
+	// of the stale generation cannot undo the replacement already
+	// loading. Other loops' L1 replicas are untouched — each loop
+	// retires its own on revalidation, exactly the per-shard staleness
+	// window v1 had.
+	InvalidateFile(path string, modTime int64, maxChunks int)
 
 	// JoinFill coalesces a cold miss: it returns the in-flight fill
 	// for path, registering this caller as one more subscriber, or
@@ -88,30 +92,6 @@ type View interface {
 
 	// LocalStats snapshots this view's loop-private counters.
 	LocalStats() ViewStats
-}
-
-// ChunkMapper is the optional Store capability of the mmap engine:
-// producers map file regions through the store (which owns the
-// madvise policy) instead of reading them, and hand the refcounted
-// mapping to MappedView.InsertMapped or Fill.PublishMapped. Consumers
-// type-assert it and check MmapBacked before switching transports; a
-// plain heap store implements neither.
-type ChunkMapper interface {
-	// MmapBacked reports whether the chunk tier adopts mmap regions.
-	MmapBacked() bool
-	// MapChunk maps [off, off+n) of f, pinned with one reference that
-	// the eventual InsertMapped/PublishMapped call adopts. It may
-	// fault the region in (blocking), so call it from a disk helper.
-	MapChunk(f *os.File, off, n int64, sequential bool) (*MmapRef, error)
-}
-
-// MappedView is the View extension the mmap engine's views implement:
-// InsertMapped records a chunk whose bytes are an engine-owned
-// mapping (the chunk adopts the reference), with the same tiering —
-// owner segment plus L1 replica — as Insert.
-type MappedView interface {
-	View
-	InsertMapped(key ChunkKey, m *MmapRef, size, modTime int64) *Chunk
 }
 
 // ViewStats are one view's loop-private counters. Chunks covers the

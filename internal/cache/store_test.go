@@ -231,7 +231,7 @@ func TestFillDoomedByInvalidate(t *testing.T) {
 	v := st.View(0)
 	f, _ := v.JoinFill("/f", 2*1024, 1)
 	f.Publish(chunkData('a', 1024))
-	v.InvalidateFile("/f", 2)
+	v.InvalidateFile("/f", 1, 2)
 	if f.Publish(chunkData('b', 1024)) {
 		t.Fatal("doomed fill accepted a publish")
 	}
@@ -240,6 +240,69 @@ func TestFillDoomedByInvalidate(t *testing.T) {
 	}
 	if c := v.Lookup(ChunkKey{Path: "/f", Index: 0}, 1); c != nil {
 		t.Fatal("invalidated chunk still cached")
+	}
+}
+
+// Invalidation retires one generation: a late InvalidateFile for the
+// stale identity must leave the replacement's chunks cached and its
+// in-flight fill healthy (a stale waiter used to doom the fill that
+// replaced the one it was parked on).
+func TestInvalidateFileSparesOtherGenerations(t *testing.T) {
+	st := testStore(1, 1<<20)
+	v := st.View(0)
+	key := ChunkKey{Path: "/f", Index: 0}
+	v.Release(v.Insert(key, chunkData('o', 1024), 1024, 1)) // generation 1, cached
+	v.InvalidateFile("/f", 1, 2)
+	f, started := v.JoinFill("/f", 2*1024, 2) // generation 2 starts loading
+	if !started {
+		t.Fatal("JoinFill did not start")
+	}
+	f.Publish(chunkData('n', 1024))
+
+	v.InvalidateFile("/f", 1, 2) // the stale generation's second waiter
+
+	f.Publish(chunkData('n', 1024)) // the final chunk: a doomed fill would fail here
+	if _, _, err := f.ChunkAt(1, nil); err != nil {
+		t.Fatalf("generation-2 fill doomed by a generation-1 invalidation: %v", err)
+	}
+	c := v.Lookup(key, 2)
+	if c == nil || c.Data[0] != 'n' {
+		t.Fatal("generation-2 chunk dropped by a generation-1 invalidation")
+	}
+	v.Release(c)
+	if fs := st.SharedStats().Fills; fs.Completed != 1 || fs.Failed != 0 {
+		t.Fatalf("fill stats = %+v, want one completed fill", fs)
+	}
+}
+
+// Regression: auto-sized L1 must floor at one chunk. With a small
+// shared budget, MapBytes/(8*Shards) rounds below the chunk size —
+// the old code handed the L1 a zero byte budget, silently disabling
+// replica retention (auto conflated with "off"), and every warm
+// lookup went back to the shared tier's locks.
+func TestAutoL1SizeFloorsAtOneChunk(t *testing.T) {
+	// 4096/(8*4) = 128 bytes < the 1024-byte chunk.
+	st := testStore(4, 4096)
+	v := st.View(0)
+	key := ChunkKey{Path: "/a", Index: 0}
+	v.Release(v.Insert(key, chunkData('x', 1024), 1024, 1))
+	c := v.Lookup(key, 1)
+	if c == nil {
+		t.Fatal("lookup missed")
+	}
+	v.Release(c)
+	if hits := v.LocalStats().Chunks.Hits; hits != 1 {
+		t.Fatalf("L1 hits = %d, want 1 — auto-sized L1 retained nothing", hits)
+	}
+	// The explicit sentinel still disables retention.
+	st2 := testStore(4, 4096, func(o *StoreOptions) { o.L1Bytes = -1 })
+	v2 := st2.View(0)
+	v2.Release(v2.Insert(key, chunkData('x', 1024), 1024, 1))
+	if c := v2.Lookup(key, 1); c != nil {
+		v2.Release(c)
+	}
+	if hits := v2.LocalStats().Chunks.Hits; hits != 0 {
+		t.Fatalf("L1 hits with retention disabled = %d, want 0", hits)
 	}
 }
 

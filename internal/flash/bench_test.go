@@ -144,7 +144,7 @@ func benchLargeFile(b *testing.B, threshold int64) {
 		EventLoops: 1,
 		// The copy path must serve from warm chunks, not re-read disk:
 		// the comparison is userspace copying vs kernel sendfile.
-		MapCacheBytes: 2 * fileSize,
+		Cache: CacheConfig{MapBytes: 2 * fileSize},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -7,6 +7,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -22,19 +25,20 @@ import (
 // the fault lifts. CI runs it under -race with `-run 'Chaos'`, which
 // the flattened matrix labels below keep selectable.
 
-// forEachChaosMatrix runs fn once per (conn engine × cache engine)
+// forEachChaosMatrix runs fn once per (conn engine × chunk path)
 // combination, like forEachProxyMatrix but labeled "chaos-" so the CI
-// chaos step selects the suite while the per-engine steps still cover
-// it via the engine names in the label.
-func forEachChaosMatrix(t *testing.T, fn func(t *testing.T, engine string)) {
+// chaos step selects the suite while the epoll step still covers it
+// via the engine name in the label.
+func forEachChaosMatrix(t *testing.T, fn func(t *testing.T)) {
 	for _, ce := range connEngines() {
-		for _, eng := range []string{EngineHeap, EngineMmap} {
-			t.Run(fmt.Sprintf("chaos-connengine=%s-engine=%s", ce, eng), func(t *testing.T) {
+		for _, path := range chunkPaths {
+			t.Run(fmt.Sprintf("chaos-connengine=%s-engine=%s", ce, path), func(t *testing.T) {
 				prev := testConnEngine
 				testConnEngine = ce
 				defer func() { testConnEngine = prev }()
 				t.Cleanup(failpoint.DisarmAll)
-				fn(t, eng)
+				useChunkPath(t, path)
+				fn(t)
 			})
 		}
 	}
@@ -79,8 +83,8 @@ func waitFor200(t *testing.T, client *http.Client, url string, wait time.Duratio
 // keep serving 200 throughout, and the same paths serve their correct
 // bytes once the fault lifts.
 func TestChaosDiskFaultsDuringLoad(t *testing.T) {
-	forEachChaosMatrix(t, func(t *testing.T, engine string) {
-		s, base := newTestServer(t, func(c *Config) { c.Cache.Engine = engine })
+	forEachChaosMatrix(t, func(t *testing.T) {
+		s, base := newTestServer(t, nil)
 		client := &http.Client{}
 		t.Cleanup(client.CloseIdleConnections)
 
@@ -152,18 +156,84 @@ func TestChaosDiskFaultsDuringLoad(t *testing.T) {
 	})
 }
 
+// TestChaosTruncateUnderLiveMapping defines the corner mmap-backed
+// chunks open: a file truncated in place while a fill holds it mapped.
+// The pages past the new EOF raise SIGBUS when the helper touches
+// them; that must fail the fill — never the process. Reader A streams
+// chunk 0 of a fill gated before chunk 1 (the gate sits after the
+// chunk's identity check, so only the touch can notice), reader B
+// parks on chunk 3, the file is truncated to zero under the mapping
+// and the gate released: the fill fails, A is cut short, B is cut or
+// restarted against the empty file — no stale bytes either way — and
+// the same server process then answers the next requests 200.
+func TestChaosTruncateUnderLiveMapping(t *testing.T) {
+	const (
+		chunk  = 8192
+		chunks = 4
+	)
+	gate := make(chan struct{})
+	installDiskHook(t, func(fsPath string, off int64) {
+		if strings.HasSuffix(fsPath, "trunc.bin") && off == chunk {
+			<-gate
+		}
+	})
+	s, base := newTestServer(t, func(cfg *Config) {
+		cfg.EventLoops = 1
+		cfg.SendfileThreshold = -1
+		cfg.Cache.ChunkBytes = chunk
+	})
+	content := pattern(chunk * chunks)
+	fsPath := filepath.Join(s.cfg.DocRoot, "trunc.bin")
+	mustWrite(t, s.cfg.DocRoot, "trunc.bin", string(content))
+
+	connA := dialRaw(t, base)
+	fmt.Fprintf(connA, "GET /trunc.bin HTTP/1.0\r\n\r\n")
+	brA := bufio.NewReader(connA)
+	if first := readThroughFirstByte(t, brA); first != content[0] {
+		t.Fatalf("reader A first byte = %d, want %d", first, content[0])
+	}
+	connB := dialRaw(t, base)
+	fmt.Fprintf(connB, "GET /trunc.bin HTTP/1.1\r\nHost: t\r\nRange: bytes=%d-\r\nConnection: close\r\n\r\n", 3*chunk)
+	brB := bufio.NewReader(connB)
+	waitFor(t, "range reader to join the fill", func() bool { return s.Stats().Fills.Joined == 1 })
+
+	if err := os.Truncate(fsPath, 0); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	waitFor(t, "fill failure", func() bool { return s.Stats().Fills.Failed == 1 })
+
+	restA, _ := io.ReadAll(brA) // read to the cut; any error is the cut itself
+	if got := 1 + len(restA); got >= chunk*chunks {
+		t.Fatalf("mid-stream reader got %d bytes of a truncated %d-byte file", got, chunk*chunks)
+	}
+	if respB, err := readResponse(brB, "GET"); err == nil && len(respB.body) != 0 {
+		t.Fatalf("parked reader got status %d with %d body bytes of a file truncated to zero",
+			respB.status, len(respB.body))
+	}
+
+	// Still the same process, still serving — including the truncated
+	// path, under its new (empty) identity.
+	if resp, body := get(t, base+"/hello.txt"); resp.StatusCode != 200 || string(body) != "hello, world\n" {
+		t.Fatalf("after the fault: /hello.txt status=%d body=%q", resp.StatusCode, body)
+	}
+	if resp, body := get(t, base+"/trunc.bin"); resp.StatusCode != 200 || len(body) != 0 {
+		t.Fatalf("after the fault: /trunc.bin status=%d with %d bytes, want an empty 200", resp.StatusCode, len(body))
+	}
+}
+
 // TestChaosOriginDeathStaleIfError kills the origin leg (dial faults)
 // under an expired entry with an explicit stale-if-error window: the
 // proxy serves the stale copy byte-identically instead of a 502,
 // counts it, and revalidates normally once the origin returns.
 func TestChaosOriginDeathStaleIfError(t *testing.T) {
-	forEachChaosMatrix(t, func(t *testing.T, engine string) {
+	forEachChaosMatrix(t, func(t *testing.T) {
 		want := pattern(120 << 10)
 		origin := newTestOrigin(t, nil)
 		// max-age=0: every hit revalidates. stale-if-error=600: origin
 		// failures inside ten minutes serve the stale copy.
 		origin.setHandler(origin.cachedOrigin(func(string) []byte { return want }, "max-age=0, stale-if-error=600"))
-		srv, base, client := newProxyServer(t, engine, testPoolFor(t, origin.addr))
+		srv, base, client := newProxyServer(t, testPoolFor(t, origin.addr))
 
 		if status, body, err := getStatus(client, base+"/up/data"); err != nil || status != 200 || string(body) != string(want) {
 			t.Fatalf("cold GET: status=%d len=%d err=%v", status, len(body), err)
@@ -213,7 +283,7 @@ func TestChaosOrigin5xxStaleIfError(t *testing.T) {
 	want := []byte("stale-but-served body\n")
 	origin := newTestOrigin(t, nil)
 	origin.setHandler(origin.cachedOrigin(func(string) []byte { return want }, "max-age=0, stale-if-error=600"))
-	srv, base, client := newProxyServer(t, EngineHeap, testPoolFor(t, origin.addr))
+	srv, base, client := newProxyServer(t, testPoolFor(t, origin.addr))
 
 	if status, body, err := getStatus(client, base+"/up/doc"); err != nil || status != 200 || string(body) != string(want) {
 		t.Fatalf("cold GET: status=%d err=%v", status, err)

@@ -101,9 +101,9 @@ func readThroughFirstByte(t *testing.T, br *bufio.Reader) byte {
 // A miss storm — K cold connections racing for the same uncached file —
 // must coalesce onto one fill: exactly one disk pass (one read per
 // chunk), no matter how many requests arrived.
-func TestMissStormCoalesces(t *testing.T) { forEachEngine(t, testMissStormCoalesces) }
+func TestMissStormCoalesces(t *testing.T) { forEachChunkPath(t, testMissStormCoalesces) }
 
-func testMissStormCoalesces(t *testing.T, engine string) {
+func testMissStormCoalesces(t *testing.T) {
 	const (
 		chunk  = 8192
 		chunks = 4
@@ -124,7 +124,6 @@ func testMissStormCoalesces(t *testing.T, engine string) {
 		cfg.EventLoops = 4
 		cfg.SendfileThreshold = -1 // force every body through the chunk cache
 		cfg.Cache.ChunkBytes = chunk
-		cfg.Cache.Engine = engine
 	})
 	content := pattern(chunk * chunks)
 	mustWrite(t, root, "storm.bin", string(content))
@@ -171,10 +170,10 @@ func testMissStormCoalesces(t *testing.T, engine string) {
 // body bytes as chunks land, before the fill completes — they are not
 // parked until the whole file is in cache.
 func TestServeWhileFillFirstByteBeforeCompletion(t *testing.T) {
-	forEachEngine(t, testServeWhileFillFirstByteBeforeCompletion)
+	forEachChunkPath(t, testServeWhileFillFirstByteBeforeCompletion)
 }
 
-func testServeWhileFillFirstByteBeforeCompletion(t *testing.T, engine string) {
+func testServeWhileFillFirstByteBeforeCompletion(t *testing.T) {
 	const (
 		chunk  = 8192
 		chunks = 4
@@ -193,7 +192,6 @@ func testServeWhileFillFirstByteBeforeCompletion(t *testing.T, engine string) {
 		cfg.EventLoops = 1 // both connections land on the same shard
 		cfg.SendfileThreshold = -1
 		cfg.Cache.ChunkBytes = chunk
-		cfg.Cache.Engine = engine
 	})
 	content := pattern(chunk * chunks)
 	mustWrite(t, root, "swf.bin", string(content))
@@ -246,10 +244,10 @@ func testServeWhileFillFirstByteBeforeCompletion(t *testing.T, engine string) {
 // to completion, the chunks stay cached, and the next request is served
 // warm without touching the disk again.
 func TestClientAbortMidFillLeavesFillRunning(t *testing.T) {
-	forEachEngine(t, testClientAbortMidFillLeavesFillRunning)
+	forEachChunkPath(t, testClientAbortMidFillLeavesFillRunning)
 }
 
-func testClientAbortMidFillLeavesFillRunning(t *testing.T, engine string) {
+func testClientAbortMidFillLeavesFillRunning(t *testing.T) {
 	const (
 		chunk  = 8192
 		chunks = 4
@@ -271,7 +269,6 @@ func testClientAbortMidFillLeavesFillRunning(t *testing.T, engine string) {
 		cfg.EventLoops = 1
 		cfg.SendfileThreshold = -1
 		cfg.Cache.ChunkBytes = chunk
-		cfg.Cache.Engine = engine
 	})
 	content := pattern(chunk * chunks)
 	mustWrite(t, root, "abort.bin", string(content))
@@ -307,10 +304,10 @@ func testClientAbortMidFillLeavesFillRunning(t *testing.T, engine string) {
 // Config.Cache.DisableCoalescing reverts to v1 behaviour: every cold
 // request performs its own per-chunk read, and no fills ever start.
 func TestDisableCoalescingFallsBackToPerChunkReads(t *testing.T) {
-	forEachEngine(t, testDisableCoalescingFallsBackToPerChunkReads)
+	forEachChunkPath(t, testDisableCoalescingFallsBackToPerChunkReads)
 }
 
-func testDisableCoalescingFallsBackToPerChunkReads(t *testing.T, engine string) {
+func testDisableCoalescingFallsBackToPerChunkReads(t *testing.T) {
 	const k = 6
 	var reads atomic.Int32
 	gate := make(chan struct{})
@@ -328,7 +325,6 @@ func testDisableCoalescingFallsBackToPerChunkReads(t *testing.T, engine string) 
 		cfg.SendfileThreshold = -1
 		cfg.Cache.ChunkBytes = 8192
 		cfg.Cache.DisableCoalescing = true
-		cfg.Cache.Engine = engine
 	})
 	content := pattern(1000) // one chunk
 	mustWrite(t, root, "solo.bin", string(content))
@@ -366,9 +362,9 @@ func testDisableCoalescingFallsBackToPerChunkReads(t *testing.T, engine string) 
 // Torture: a trickling disk, a chunk budget far smaller than any file
 // (so active fills pin past the byte limit), fast and slow readers, and
 // clients aborting mid-body — run under -race in CI.
-func TestServeWhileFillTorture(t *testing.T) { forEachEngine(t, testServeWhileFillTorture) }
+func TestServeWhileFillTorture(t *testing.T) { forEachChunkPath(t, testServeWhileFillTorture) }
 
-func testServeWhileFillTorture(t *testing.T, engine string) {
+func testServeWhileFillTorture(t *testing.T) {
 	installDiskHook(t, func(fsPath string, off int64) {
 		if strings.Contains(fsPath, "torture") {
 			time.Sleep(200 * time.Microsecond) // trickle the fill
@@ -382,7 +378,6 @@ func testServeWhileFillTorture(t *testing.T, engine string) {
 		cfg.SendfileThreshold = -1
 		cfg.Cache.ChunkBytes = 4096
 		cfg.Cache.MapBytes = 8192 // two chunks of budget: constant eviction pressure
-		cfg.Cache.Engine = engine
 	})
 	files := []string{"torture0.bin", "torture1.bin", "torture2.bin"}
 	sizes := []int{40000, 65536, 100000}

@@ -45,9 +45,16 @@
 //     engines feed the same parser/cache/transport pipeline and are
 //     byte-identical on the wire.
 //
-//   - File chunks are immutable []byte buffers; cache eviction drops
-//     the reference while in-flight writers keep theirs, so the garbage
-//     collector plays the role of munmap.
+//   - File chunks are refcounted views over mmap(2)-mapped file
+//     regions, mapped and touched by the disk helpers (the paper's
+//     "mmap + touch"): cache eviction drops the cache's reference
+//     while in-flight writers keep theirs, and the region is unmapped
+//     when the last one lets go. Where a file cannot be mapped — a
+//     platform without mmap, a filesystem that refuses — the helper
+//     reads it into a heap buffer instead and the garbage collector
+//     plays the role of munmap. Files are expected to be replaced by
+//     rename: an in-place overwrite is visible through live mappings,
+//     an in-place truncation fails the fill that runs into it.
 //
 //   - The steady-state request path is allocation-free: requests parse
 //     zero-copy into a per-connection recycled httpmsg.Request (views
@@ -142,37 +149,8 @@ type Config struct {
 	UserDirBase   string
 	UserDirSuffix string
 
-	// Cache groups every cache-layer knob (see CacheConfig). The flat
-	// fields below it are the v1 names, kept as back-compat shims: a
-	// non-zero flat field fills the matching Cache field when that one
-	// is unset, and withDefaults mirrors the resolved values back so
-	// old readers of either spelling agree.
+	// Cache groups every cache-layer knob (see CacheConfig).
 	Cache CacheConfig
-
-	// PathCacheEntries bounds the pathname translation cache across the
-	// whole server (default 6000, the reconstructed paper
-	// configuration). Each shard owns an equal share, at least one
-	// entry; entries hold open file descriptors, so the bound is also
-	// the server's descriptor-cache budget.
-	//
-	// Deprecated: set Cache.PathEntries.
-	PathCacheEntries int
-	// HeaderCacheEntries bounds the response header cache across the
-	// whole server (default 6000), split evenly across shards.
-	//
-	// Deprecated: set Cache.HeaderEntries.
-	HeaderCacheEntries int
-	// MapCacheBytes bounds the shared chunk tier (default 64 MB). The
-	// budget is configured once for the store — it is NOT divided by
-	// EventLoops, so changing the shard count no longer changes the
-	// effective cache size.
-	//
-	// Deprecated: set Cache.MapBytes.
-	MapCacheBytes int64
-	// ChunkBytes is the mapping granularity (default 64 KB).
-	//
-	// Deprecated: set Cache.ChunkBytes.
-	ChunkBytes int64
 
 	// ConnEngine selects the per-connection I/O engine. The default,
 	// ConnEngineGoroutine, runs a reader and a writer goroutine per
@@ -282,8 +260,8 @@ type Config struct {
 	ShedQueueDepth int
 
 	// RetryAfter is the hint, in seconds, sent on shed responses as
-	// the Retry-After header (default 1). Well-behaved clients
-	// (loadgen -honor-retry-after) back off by it.
+	// the Retry-After header (default 1). Well-behaved clients back
+	// off by it.
 	RetryAfter int
 
 	// StaleIfError is the default stale-if-error window for proxied
@@ -327,8 +305,7 @@ type Config struct {
 
 // CacheConfig groups the cache-layer knobs under Config.Cache: the
 // capacities of the translation/header/chunk tiers plus the v2
-// coalescing and replication toggles. Zero values take defaults (or
-// the matching deprecated flat Config field, when set).
+// coalescing and replication toggles. Zero values take defaults.
 type CacheConfig struct {
 	// PathEntries bounds the pathname translation cache across the
 	// whole server (default 6000); each shard owns an equal share.
@@ -354,26 +331,7 @@ type CacheConfig struct {
 	// DisableReplication turns off the per-shard L1: every chunk
 	// lookup goes to the shared tier and takes a segment lock.
 	DisableReplication bool
-	// Engine selects the chunk-tier backing: "" or EngineHeap for the
-	// default heap-buffer engine, EngineMmap for chunks served as
-	// views over refcounted mmap(2) regions — the paper's own
-	// transport, which stops double-buffering file bytes against the
-	// page cache and wins when the docroot dwarfs the budget. Off
-	// Linux the mmap engine reads into heap buffers behind the same
-	// lifetime contract (mmap_other.go), so the setting is portable.
-	Engine string
-	// Store, if non-nil, replaces the built-in store entirely (Engine
-	// is then ignored). It must have been built with at least
-	// EventLoops shards. The remaining Cache fields (except
-	// DisableCoalescing) are ignored.
-	Store cache.Store
 }
-
-// Cache engine names for CacheConfig.Engine and flashd -cache-engine.
-const (
-	EngineHeap = "heap"
-	EngineMmap = "mmap"
-)
 
 // Connection engine names for Config.ConnEngine and flashd
 // -conn-engine.
@@ -395,8 +353,6 @@ const DefaultMaxBodyBytes = 8 << 20
 var (
 	ErrNoDocRoot  = errors.New("flash: Config.DocRoot is required")
 	ErrBadDocRoot = errors.New("flash: Config.DocRoot is not a directory")
-	// ErrBadCacheEngine reports an unknown Cache.Engine name.
-	ErrBadCacheEngine = errors.New(`flash: Cache.Engine must be "", "heap", or "mmap"`)
 	// ErrBadConnEngine reports an unknown ConnEngine name.
 	ErrBadConnEngine = errors.New(`flash: ConnEngine must be "", "goroutine", or "epoll"`)
 	// ErrConnEngineUnsupported reports ConnEngineEpoll on a platform
@@ -405,12 +361,6 @@ var (
 	// ErrBadUpstreamPrefix reports an UpstreamPrefix that does not
 	// start with "/".
 	ErrBadUpstreamPrefix = errors.New(`flash: Config.UpstreamPrefix must start with "/"`)
-	// ErrCacheConfigConflict reports a deprecated flat cache field and
-	// its grouped Cache counterpart set to different non-zero values.
-	// The grouped spelling wins by contract, but a disagreement is
-	// almost always a half-finished migration — refuse it rather than
-	// silently overriding the caller's flat value.
-	ErrCacheConfigConflict = errors.New("flash: conflicting cache configuration")
 )
 
 // withDefaults validates cfg and fills defaults.
@@ -430,11 +380,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.IndexFile == "" {
 		cfg.IndexFile = "index.html"
 	}
-	switch cfg.Cache.Engine {
-	case "", EngineHeap, EngineMmap:
-	default:
-		return cfg, fmt.Errorf("%w (got %q)", ErrBadCacheEngine, cfg.Cache.Engine)
-	}
 	switch cfg.ConnEngine {
 	case "":
 		cfg.ConnEngine = ConnEngineGoroutine
@@ -445,36 +390,6 @@ func (cfg Config) withDefaults() (Config, error) {
 		}
 	default:
 		return cfg, fmt.Errorf("%w (got %q)", ErrBadConnEngine, cfg.ConnEngine)
-	}
-	// Merge the deprecated flat cache fields into the grouped struct,
-	// fill defaults, then mirror the resolved values back so readers
-	// of either spelling agree. Both spellings set to different
-	// non-zero values is a conflict, not a precedence question.
-	for _, pair := range []struct {
-		name        string
-		flat, group int64
-	}{
-		{"PathCacheEntries vs Cache.PathEntries", int64(cfg.PathCacheEntries), int64(cfg.Cache.PathEntries)},
-		{"HeaderCacheEntries vs Cache.HeaderEntries", int64(cfg.HeaderCacheEntries), int64(cfg.Cache.HeaderEntries)},
-		{"MapCacheBytes vs Cache.MapBytes", cfg.MapCacheBytes, cfg.Cache.MapBytes},
-		{"ChunkBytes vs Cache.ChunkBytes", cfg.ChunkBytes, cfg.Cache.ChunkBytes},
-	} {
-		if pair.flat != 0 && pair.group != 0 && pair.flat != pair.group {
-			return cfg, fmt.Errorf("%w: Config.%s (%d vs %d) — set one spelling, or make them agree",
-				ErrCacheConfigConflict, pair.name, pair.flat, pair.group)
-		}
-	}
-	if cfg.Cache.PathEntries == 0 {
-		cfg.Cache.PathEntries = cfg.PathCacheEntries
-	}
-	if cfg.Cache.HeaderEntries == 0 {
-		cfg.Cache.HeaderEntries = cfg.HeaderCacheEntries
-	}
-	if cfg.Cache.MapBytes == 0 {
-		cfg.Cache.MapBytes = cfg.MapCacheBytes
-	}
-	if cfg.Cache.ChunkBytes == 0 {
-		cfg.Cache.ChunkBytes = cfg.ChunkBytes
 	}
 	if cfg.Cache.PathEntries == 0 {
 		cfg.Cache.PathEntries = 6000
@@ -488,10 +403,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Cache.ChunkBytes == 0 {
 		cfg.Cache.ChunkBytes = cache.DefaultChunkSize
 	}
-	cfg.PathCacheEntries = cfg.Cache.PathEntries
-	cfg.HeaderCacheEntries = cfg.Cache.HeaderEntries
-	cfg.MapCacheBytes = cfg.Cache.MapBytes
-	cfg.ChunkBytes = cfg.Cache.ChunkBytes
 	if len(cfg.Upstream) > 0 {
 		if cfg.UpstreamPrefix == "" {
 			cfg.UpstreamPrefix = "/"

@@ -27,7 +27,7 @@ func connEngines() []string {
 }
 
 // forEachConnEngine runs a test body once per available connection
-// engine — the conn-level mirror of forEachEngine. Every suite routed
+// engine — the conn-level mirror of forEachChunkPath. Every suite routed
 // through it asserts the engines are byte-identical on the wire: the
 // readiness state machine may never change protocol behavior.
 func forEachConnEngine(t *testing.T, fn func(t *testing.T)) {
@@ -270,9 +270,8 @@ func TestEpollIdleConnsNoGoroutines(t *testing.T) {
 }
 
 // TestIdleConnFootprint logs the per-idle-conn heap+stack cost of each
-// engine — the soak in scripts/soak_idle_conns.sh, miniaturized so CI
-// prints the comparison on every run. Informational: no assertion, the
-// committed BENCH_8.json carries the gated numbers.
+// engine, so CI prints the comparison on every run. Informational: no
+// assertion — absolute bytes swing with the Go version's stack sizing.
 func TestIdleConnFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("footprint sampling")

@@ -12,6 +12,7 @@ package flash
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -20,19 +21,59 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/failpoint"
 )
 
-// forEachEngine runs a test body once per cache engine. The engines
-// differ only in chunk transport (heap copies vs refcounted mmap
-// views), so every suite run through this helper is an equivalence
-// statement: engine choice can never change wire bytes.
-func forEachEngine(t *testing.T, fn func(t *testing.T, engine string)) {
-	for _, engine := range []string{EngineHeap, EngineMmap} {
-		t.Run("engine="+engine, func(t *testing.T) { fn(t, engine) })
+// chunkPaths are the two ways a disk helper loads a chunk: "mmap",
+// what every Linux server runs, and "heap", the read fallback — the
+// only path a platform without mmap has — reached here by failing the
+// flash/map-file failpoint. The labels are the ones the two carried as
+// selectable cache engines, so test IDs stay comparable across that
+// change.
+var chunkPaths = []string{"heap", "mmap"}
+
+// testChunkPath is the chunk path the running subtest is on (see
+// useChunkPath); mapRefusals counts the map attempts the "heap" path's
+// failpoint turned away, so a suite can prove it ran on the fallback.
+var (
+	testChunkPath = "mmap"
+	mapRefusals   atomic.Int64
+)
+
+// useChunkPath puts the calling subtest on the named chunk path. Call
+// it before starting a server: cleanup is LIFO, so the failpoint then
+// disarms only after the helpers have stopped.
+func useChunkPath(t *testing.T, path string) {
+	t.Helper()
+	prev := testChunkPath
+	testChunkPath = path
+	t.Cleanup(func() { testChunkPath = prev })
+	if path != "heap" {
+		return
+	}
+	refused := errors.New("test: map refused")
+	failpoint.Arm(fpMapFile.Name(), func(...any) error {
+		mapRefusals.Add(1)
+		return refused
+	})
+	t.Cleanup(func() { failpoint.Disarm(fpMapFile.Name()) })
+}
+
+// forEachChunkPath runs a test body once per chunk path. The paths
+// differ only in chunk transport (refcounted mmap views vs heap
+// copies), so every suite run through this helper is an equivalence
+// statement: how a chunk was loaded can never change wire bytes.
+func forEachChunkPath(t *testing.T, fn func(t *testing.T)) {
+	for _, path := range chunkPaths {
+		t.Run("engine="+path, func(t *testing.T) {
+			useChunkPath(t, path)
+			fn(t)
+		})
 	}
 }
 
@@ -47,8 +88,8 @@ func pattern(n int) []byte {
 }
 
 // newEquivPair builds one docroot and serves it through both
-// transports on the given cache engine.
-func newEquivPair(t *testing.T, engine string) (sf, cp *Server, sfBase, cpBase string) {
+// transports.
+func newEquivPair(t *testing.T) (sf, cp *Server, sfBase, cpBase string) {
 	t.Helper()
 	root := t.TempDir()
 	files := map[string][]byte{
@@ -65,7 +106,7 @@ func newEquivPair(t *testing.T, engine string) (sf, cp *Server, sfBase, cpBase s
 	}
 	start := func(threshold int64) (*Server, string) {
 		s, err := New(Config{DocRoot: root, SendfileThreshold: threshold,
-			ConnEngine: testConnEngine, Cache: CacheConfig{Engine: engine}})
+			ConnEngine: testConnEngine})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,11 +164,12 @@ func assertSameResponse(t *testing.T, label string, a, b *rawResponse) {
 }
 
 func TestTransportEquivalence(t *testing.T) {
-	forEachConnEngine(t, func(t *testing.T) { forEachEngine(t, testTransportEquivalence) })
+	forEachConnEngine(t, func(t *testing.T) { forEachChunkPath(t, testTransportEquivalence) })
 }
 
-func testTransportEquivalence(t *testing.T, engine string) {
-	sf, _, sfBase, cpBase := newEquivPair(t, engine)
+func testTransportEquivalence(t *testing.T) {
+	refused := mapRefusals.Load()
+	sf, _, sfBase, cpBase := newEquivPair(t)
 	etag := fileETag(t, sf, "small.txt")
 
 	cases := []struct {
@@ -169,6 +211,11 @@ func testTransportEquivalence(t *testing.T, engine string) {
 			t.Fatalf("all-sendfile server reported zero sendfile bytes: %+v", st)
 		}
 	}
+	// Nor mapped chunks against mapped chunks: on the fallback path the
+	// copy server must have had its map attempts refused and read.
+	if testChunkPath == "heap" && mapRefusals.Load() == refused {
+		t.Fatal("read-fallback leg never reached the flash/map-file failpoint")
+	}
 }
 
 // TestTransportEquivalencePipelined replays one pipelined keep-alive
@@ -176,11 +223,11 @@ func testTransportEquivalence(t *testing.T, engine string) {
 // threshold, small below it on a default-threshold server) and asserts
 // the two framings agree exchange by exchange.
 func TestTransportEquivalencePipelined(t *testing.T) {
-	forEachConnEngine(t, func(t *testing.T) { forEachEngine(t, testTransportEquivalencePipelined) })
+	forEachConnEngine(t, func(t *testing.T) { forEachChunkPath(t, testTransportEquivalencePipelined) })
 }
 
-func testTransportEquivalencePipelined(t *testing.T, engine string) {
-	_, _, sfBase, cpBase := newEquivPair(t, engine)
+func testTransportEquivalencePipelined(t *testing.T) {
+	_, _, sfBase, cpBase := newEquivPair(t)
 	script := "" +
 		"GET /large.bin HTTP/1.1\r\nHost: t\r\n\r\n" +
 		"GET /small.txt HTTP/1.1\r\nHost: t\r\n\r\n" +
@@ -233,14 +280,14 @@ func TestFDLifetimeUnderEviction(t *testing.T) {
 		{"sendfile", 1},
 	} {
 		t.Run("transport="+tc.name, func(t *testing.T) {
-			forEachEngine(t, func(t *testing.T, engine string) {
-				testFDLifetimeUnderEviction(t, tc.threshold, engine)
+			forEachChunkPath(t, func(t *testing.T) {
+				testFDLifetimeUnderEviction(t, tc.threshold)
 			})
 		})
 	}
 }
 
-func testFDLifetimeUnderEviction(t *testing.T, threshold int64, engine string) {
+func testFDLifetimeUnderEviction(t *testing.T, threshold int64) {
 	root := t.TempDir()
 	const nfiles, fileSize = 6, 192 << 10
 	want := make([][]byte, nfiles)
@@ -254,10 +301,11 @@ func testFDLifetimeUnderEviction(t *testing.T, threshold int64, engine string) {
 	s, err := New(Config{
 		DocRoot:           root,
 		EventLoops:        1,
-		PathCacheEntries:  2, // working set is 6: constant eviction
-		MapCacheBytes:     1, // chunks are transient: every read hits the fd
 		SendfileThreshold: threshold,
-		Cache:             CacheConfig{Engine: engine},
+		Cache: CacheConfig{
+			PathEntries: 2, // working set is 6: constant eviction
+			MapBytes:    1, // chunks are transient: every read hits the fd
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -74,6 +74,20 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 	return resp, body
 }
 
+// waitStats is the barrier for assertions on loop-owned counters: the
+// loop bumps them after the write completes, so a client that already
+// holds the bytes can still read the old value. It polls the merged
+// snapshot until done accepts it and returns that snapshot.
+func waitStats(t *testing.T, s *Server, what string, done func(Stats) bool) Stats {
+	t.Helper()
+	var st Stats
+	waitFor(t, what, func() bool {
+		st = s.Stats()
+		return done(st)
+	})
+	return st
+}
+
 func TestServeSmallFile(t *testing.T) {
 	_, base := newTestServer(t, nil)
 	resp, body := get(t, base+"/hello.txt")
@@ -538,8 +552,8 @@ func TestConfigValidation(t *testing.T) {
 func TestStatsSnapshot(t *testing.T) {
 	s, base := newTestServer(t, nil)
 	get(t, base+"/hello.txt")
-	st := s.Stats()
-	if st.Responses != 1 || st.Accepted != 1 {
+	st := waitStats(t, s, "1 response", func(st Stats) bool { return st.Responses == 1 })
+	if st.Accepted != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.BytesSent < 13 {
@@ -549,7 +563,7 @@ func TestStatsSnapshot(t *testing.T) {
 
 func TestTinyMapCacheStillServes(t *testing.T) {
 	// A map cache smaller than one chunk forces transient pins only.
-	_, base := newTestServer(t, func(c *Config) { c.MapCacheBytes = 1 })
+	_, base := newTestServer(t, func(c *Config) { c.Cache.MapBytes = 1 })
 	resp, body := get(t, base+"/big.bin")
 	if resp.StatusCode != 200 || len(body) != 300<<10 {
 		t.Fatalf("status=%d len=%d", resp.StatusCode, len(body))

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/failpoint"
@@ -17,9 +18,8 @@ const (
 	// jobStat resolves a path: stat, directory/index handling,
 	// permission checks — the pathname translation helper of §5.2.
 	jobStat jobKind = iota
-	// jobChunk reads one chunk of file data into memory — the
-	// disk-read helper of §3.4 (mmap + touch in the paper; an explicit
-	// read here, since Go buffers stand in for mappings).
+	// jobChunk brings one chunk of file data into memory — the
+	// disk-read helper of §3.4: mmap + touch, as in the paper.
 	jobChunk
 	// jobFill streams an entire file through a single-flight
 	// cache.Fill: one sequential disk pass publishing chunk after
@@ -32,16 +32,21 @@ const (
 	jobProxy
 )
 
-// fpDiskRead intercepts every chunk-sized disk read (per-chunk preads
-// and fill passes alike) before it happens, with args (fsPath string,
-// off int64). A nil-returning hook observes reads — counting them to
-// prove miss storms coalesce, or gating a fill's progress — while an
-// error-returning hook injects a read failure: the per-chunk path
-// answers 500, a fill fails with the error (waking every coalesced
-// subscriber). Latency hooks model a slow disk; they run on the
-// helper goroutine, never the loop. This generalizes the old
-// testDiskRead test hook into the failpoint registry.
+// fpDiskRead intercepts every chunk-sized disk load (per-chunk jobs
+// and fill passes alike, mapped or read) before it happens, with args
+// (fsPath string, off int64). A nil-returning hook observes loads —
+// counting them to prove miss storms coalesce, or gating a fill's
+// progress — while an error-returning hook injects a read failure: the
+// per-chunk path answers 500, a fill fails with the error (waking
+// every coalesced subscriber). Latency hooks model a slow disk; they
+// run on the helper goroutine, never the loop.
 var fpDiskRead = failpoint.New("flash/disk-read")
+
+// fpMapFile is evaluated before a disk helper maps a file, with args
+// (fsPath string). An error return stands in for mmap(2) refusing the
+// file: the helper takes the read path for that job instead — which is
+// how the suites reach, on Linux, the only path other platforms have.
+var fpMapFile = failpoint.New("flash/map-file")
 
 // helperJob is one unit of potentially blocking filesystem work.
 type helperJob struct {
@@ -54,7 +59,7 @@ type helperJob struct {
 	// jobChunk and jobFill (nil = open fsPath instead). The submitter
 	// pins it; the helper releases the pin once the read is done, so
 	// path-cache eviction can never close the descriptor under the
-	// pread.
+	// load.
 	file *cache.FileRef
 	// fill is the jobFill target; results flow through it directly.
 	fill *cache.Fill
@@ -78,11 +83,11 @@ type helperResult struct {
 	// of Flash keeping file mappings between requests) and closes it on
 	// invalidation or eviction.
 	file *os.File
-	// mapped carries a chunk job's mmap region under the mmap engine
-	// (data is its byte view). The helper hands the reference to the
-	// done callback, which either adopts it into the cache
-	// (insertChunk) or releases it (releaseMapped) on the paths that
-	// discard the result.
+	// mapped carries a chunk job's mmap region (data is its byte view);
+	// nil when the helper had to read instead. The helper hands the
+	// reference to the done callback, which either adopts it into the
+	// cache (insertChunk) or releases it (releaseMapped) on the paths
+	// that discard the result.
 	mapped *cache.MmapRef
 	// isListing marks data as a generated directory listing.
 	isListing bool
@@ -104,6 +109,9 @@ type helperPool struct {
 	mu sync.Mutex
 	cv *sync.Cond
 	q  []helperJob
+	// jobs counts submissions. Atomic because fills are submitted from
+	// other shards' loops; folded into Stats.HelperJobs at snapshot.
+	jobs atomic.Uint64
 
 	stopped bool
 	wg      sync.WaitGroup
@@ -119,9 +127,9 @@ func newHelperPool(sh *shard, n int) *helperPool {
 	return p
 }
 
-// submit queues a job. Safe from the event loop (never blocks).
+// submit queues a job. Safe from any event loop (never blocks).
 func (p *helperPool) submit(job helperJob) {
-	p.sh.post(func() { p.sh.stats.HelperJobs++ })
+	p.jobs.Add(1)
 	p.mu.Lock()
 	p.q = append(p.q, job)
 	p.mu.Unlock()
@@ -178,9 +186,9 @@ func (p *helperPool) execute(job helperJob) helperResult {
 	case jobStat:
 		return statJob(job.fsPath, job.index, job.listings)
 	case jobChunk:
-		return chunkJob(job.fsPath, job.file, job.off, job.n, p.sh.srv.mapper)
+		return chunkJob(job.fsPath, job.file, job.off, job.n)
 	case jobFill:
-		fillJob(job.fsPath, job.file, job.fill, p.sh.srv.mapper)
+		fillJob(job.fsPath, job.file, job.fill)
 		return helperResult{}
 	case jobProxy:
 		job.fn()
@@ -234,18 +242,32 @@ func statJob(fsPath, index string, listings bool) helperResult {
 	return helperResult{err: err, status: status}
 }
 
-// chunkJob reads [off, off+n) of the file through the cached descriptor
+// mapFile maps [off, off+n) of f for a disk helper. nil means the file
+// cannot be mapped here — no mmap on this platform, a filesystem that
+// refuses, the process out of map slots — and the caller reads it.
+func mapFile(fsPath string, f *os.File, off, n int64, sequential bool) *cache.MmapRef {
+	if failpoint.Armed() && fpMapFile.Eval(fsPath) != nil {
+		return nil
+	}
+	mr, err := cache.MapChunk(f, off, n, sequential)
+	if err != nil {
+		return nil
+	}
+	return mr
+}
+
+// chunkJob loads [off, off+n) of the file through the cached descriptor
 // (opening one only if the cache had none), re-checking identity so the
-// caches can detect modified files (§5.3). ReadAt is safe for
-// concurrent use of one descriptor across helpers. The submitter's
-// descriptor pin is released here, once the read is done.
+// caches can detect modified files (§5.3). The submitter's descriptor
+// pin is released here, once the load is done.
 //
-// Under the mmap engine (mapper non-nil) the chunk is mapped instead
-// of read — the paper's "mmap + touch", with the faults taken here on
-// the helper — and the result carries the mapping reference for the
-// loop to adopt. A map failure (an exotic filesystem, say) falls back
-// to the plain read; the engines differ in transport, never in bytes.
-func chunkJob(fsPath string, ref *cache.FileRef, off, n int64, mapper cache.ChunkMapper) helperResult {
+// The chunk is mapped — the paper's "mmap + touch", with the faults
+// taken here on the helper — and the result carries the mapping
+// reference for the loop to adopt. A file that cannot be mapped is
+// read into a heap buffer instead (ReadAt is safe for concurrent use
+// of one descriptor across helpers); the two differ in transport,
+// never in bytes.
+func chunkJob(fsPath string, ref *cache.FileRef, off, n int64) helperResult {
 	var f *os.File
 	if ref != nil {
 		defer ref.Release()
@@ -268,28 +290,21 @@ func chunkJob(fsPath string, ref *cache.FileRef, off, n int64, mapper cache.Chun
 			return helperResult{err: err, status: 500}
 		}
 	}
-	if mapper != nil {
-		if mr, err := mapper.MapChunk(f, off, n, false); err == nil {
-			return helperResult{
-				fsPath:  fsPath,
-				size:    st.Size(),
-				modTime: st.ModTime().Unix(),
-				data:    mr.Bytes(),
-				mapped:  mr,
-			}
+	res := helperResult{fsPath: fsPath, size: st.Size(), modTime: st.ModTime().Unix()}
+	if mr := mapFile(fsPath, f, off, n, false); mr != nil {
+		if err := mr.Touch(); err != nil {
+			mr.Release()
+			return helperResult{err: err, status: 500}
 		}
+		res.data, res.mapped = mr.Bytes(), mr
+		return res
 	}
 	buf := make([]byte, n)
-	got, err := io.ReadFull(io.NewSectionReader(f, off, n), buf)
-	if err != nil {
+	if _, err := io.ReadFull(io.NewSectionReader(f, off, n), buf); err != nil {
 		return helperResult{err: err, status: 500}
 	}
-	return helperResult{
-		fsPath:  fsPath,
-		size:    st.Size(),
-		modTime: st.ModTime().Unix(),
-		data:    buf[:got],
-	}
+	res.data = buf
+	return res
 }
 
 // fillJob is the producer of one single-flight fill: a sequential
@@ -297,19 +312,21 @@ func chunkJob(fsPath string, ref *cache.FileRef, off, n int64, mapper cache.Chun
 // inserts it pinned into the shared tier and wakes the parked
 // subscribers) — serve-while-fill, the paper's helper process married
 // to the PackageReader append-and-wake idiom. Identity is re-checked
-// before every read, exactly as often as the per-chunk path stats, so
+// before every chunk, exactly as often as the per-chunk path stats, so
 // a file swapped mid-fill fails the fill (ErrFillStale) instead of
 // publishing bytes from two generations.
-// Under the mmap engine the producer maps the WHOLE file once
-// (lazily, madvise SEQUENTIAL — this is the engine's one-pass read)
-// and publishes each chunk as a refcounted view into that one
-// mapping, touched just before it goes out so the faults land here on
-// the helper: a multi-chunk file costs one mmap/munmap pair, not one
-// per chunk. PublishMapped consumes each view's reference on every
-// branch, so the producer's control flow is unchanged; the mapping
-// itself unmaps when the last chunk view (cache chunk, L1 replica,
-// in-flight response) lets go.
-func fillJob(fsPath string, ref *cache.FileRef, fill *cache.Fill, mapper cache.ChunkMapper) {
+//
+// The producer maps the WHOLE file once (lazily, madvise SEQUENTIAL —
+// this is the one-pass read) and publishes each chunk as a refcounted
+// view into that one mapping, touched just before it goes out so the
+// faults land here on the helper: a multi-chunk file costs one
+// mmap/munmap pair, not one per chunk. A touch that faults — the file
+// was truncated under the mapping since the identity check — fails the
+// fill. PublishMapped consumes each view's reference on every branch;
+// the mapping itself unmaps when the last chunk view (cache chunk, L1
+// replica, in-flight response) lets go. A file that cannot be mapped
+// is read chunk by chunk into heap buffers instead.
+func fillJob(fsPath string, ref *cache.FileRef, fill *cache.Fill) {
 	var f *os.File
 	if ref != nil {
 		defer ref.Release()
@@ -324,15 +341,9 @@ func fillJob(fsPath string, ref *cache.FileRef, fill *cache.Fill, mapper cache.C
 		defer opened.Close()
 		f = opened
 	}
-	var mapping *cache.MmapRef
-	if mapper != nil {
-		// A map failure (an exotic filesystem, say) leaves mapping nil
-		// and the loop below falls back to plain reads — the engines
-		// differ in transport, never in bytes.
-		if mr, err := mapper.MapChunk(f, 0, fill.Size(), true); err == nil {
-			mapping = mr
-			defer mapping.Release()
-		}
+	mapping := mapFile(fsPath, f, 0, fill.Size(), true)
+	if mapping != nil {
+		defer mapping.Release()
 	}
 	for i := 0; i < fill.NumChunks(); i++ {
 		st, err := f.Stat()
@@ -353,7 +364,11 @@ func fillJob(fsPath string, ref *cache.FileRef, fill *cache.Fill, mapper cache.C
 		}
 		if mapping != nil {
 			sub := mapping.Slice(off, n)
-			sub.Touch() // fault this chunk's pages here, not on a writer
+			if err := sub.Touch(); err != nil {
+				sub.Release()
+				fill.Fail(err)
+				return
+			}
 			if !fill.PublishMapped(sub) {
 				return
 			}

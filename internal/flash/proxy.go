@@ -292,7 +292,7 @@ func (s *shard) adoptProxyEntry(key string, pe, old cache.PathEntry, haveOld boo
 		for _, slot := range nmSlots {
 			s.view.GetHeader(key, slot, -1)
 		}
-		s.view.InvalidateFile(key, s.store.NumChunks(old.Size))
+		s.view.InvalidateFile(key, old.ModTime, s.store.NumChunks(old.Size))
 	}
 	s.putEntry(key, pe)
 }

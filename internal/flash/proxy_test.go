@@ -14,19 +14,22 @@ import (
 	"repro/internal/upstream"
 )
 
-// forEachProxyMatrix runs fn once per (conn engine × cache engine)
+// forEachProxyMatrix runs fn once per (conn engine × chunk path)
 // combination. The flattened subtest name keeps "proxy" at the second
 // level, so CI's `-run '/proxy'` race step selects exactly this suite
-// — and the engine names stay in the label, so the per-engine steps
-// (`/engine=mmap`, `/connengine=epoll`) cover it too.
-func forEachProxyMatrix(t *testing.T, fn func(t *testing.T, engine string)) {
+// — and the engine name stays in the label, so the epoll step
+// (`/connengine=epoll`) covers it too. Origin refills publish heap
+// chunks on either chunk path, so the pair differs in nothing this
+// suite exercises; it stays only because its labels are test IDs.
+func forEachProxyMatrix(t *testing.T, fn func(t *testing.T)) {
 	for _, ce := range connEngines() {
-		for _, eng := range []string{EngineHeap, EngineMmap} {
-			t.Run(fmt.Sprintf("proxy-connengine=%s-engine=%s", ce, eng), func(t *testing.T) {
+		for _, path := range chunkPaths {
+			t.Run(fmt.Sprintf("proxy-connengine=%s-engine=%s", ce, path), func(t *testing.T) {
 				prev := testConnEngine
 				testConnEngine = ce
 				defer func() { testConnEngine = prev }()
-				fn(t, eng)
+				useChunkPath(t, path)
+				fn(t)
 			})
 		}
 	}
@@ -105,11 +108,10 @@ func (o *testOriginServer) cachedOrigin(bodyFor func(path string) []byte, cacheC
 
 // newProxyServer starts a flash server with pool mounted at /up/ via
 // HandleProxy, plus a dedicated keep-alive HTTP client.
-func newProxyServer(t *testing.T, engine string, pool *upstream.Pool) (*Server, string, *http.Client) {
+func newProxyServer(t *testing.T, pool *upstream.Pool) (*Server, string, *http.Client) {
 	t.Helper()
 	srv, base := newTestServer(t, func(cfg *Config) {
 		cfg.EventLoops = 4
-		cfg.Cache.Engine = engine
 	}, func(s *Server) {
 		s.HandleProxy("/up/", pool)
 	})
@@ -150,11 +152,11 @@ func clientGet(t *testing.T, client *http.Client, url string) (*http.Response, [
 // serves many client requests (including HEAD and client-side 304s)
 // while the entry is fresh.
 func TestProxyWarmHit(t *testing.T) {
-	forEachProxyMatrix(t, func(t *testing.T, engine string) {
+	forEachProxyMatrix(t, func(t *testing.T) {
 		want := pattern(150 << 10) // 3 chunks: exercises the chunk walk
 		origin := newTestOrigin(t, nil)
 		origin.setHandler(origin.cachedOrigin(func(string) []byte { return want }, "max-age=60"))
-		srv, base, client := newProxyServer(t, engine, testPoolFor(t, origin.addr))
+		srv, base, client := newProxyServer(t, testPoolFor(t, origin.addr))
 
 		var etag string
 		for i := 0; i < 6; i++ {
@@ -208,7 +210,7 @@ func TestProxyWarmHit(t *testing.T) {
 // concurrent cold requests — spread across shards — cost exactly one
 // origin fetch, with every client serving while the fill streams.
 func TestProxyCoalescing(t *testing.T) {
-	forEachProxyMatrix(t, func(t *testing.T, engine string) {
+	forEachProxyMatrix(t, func(t *testing.T) {
 		want := pattern(150 << 10)
 		origin := newTestOrigin(t, nil)
 		inner := origin.cachedOrigin(func(string) []byte { return want }, "max-age=60")
@@ -218,7 +220,7 @@ func TestProxyCoalescing(t *testing.T) {
 			time.Sleep(150 * time.Millisecond)
 			inner(w, r)
 		})
-		_, base, client := newProxyServer(t, engine, testPoolFor(t, origin.addr))
+		_, base, client := newProxyServer(t, testPoolFor(t, origin.addr))
 
 		const n = 20
 		var wg sync.WaitGroup
@@ -258,12 +260,12 @@ func TestProxyCoalescing(t *testing.T) {
 // revalidates with If-None-Match, a 304 refreshes it without moving
 // the body, and a changed origin answer replaces it.
 func TestProxyRevalidate(t *testing.T) {
-	forEachProxyMatrix(t, func(t *testing.T, engine string) {
+	forEachProxyMatrix(t, func(t *testing.T) {
 		v1 := []byte("first version of the resource\n")
 		origin := newTestOrigin(t, nil)
 		// no-cache: storable, but every hit revalidates.
 		origin.setHandler(origin.cachedOrigin(func(string) []byte { return v1 }, "no-cache"))
-		srv, base, client := newProxyServer(t, engine, testPoolFor(t, origin.addr))
+		srv, base, client := newProxyServer(t, testPoolFor(t, origin.addr))
 
 		if _, body := clientGet(t, client, base+"/up/doc"); string(body) != string(v1) {
 			t.Fatalf("cold GET: %q", body)
@@ -308,7 +310,7 @@ func TestProxyRevalidate(t *testing.T) {
 // (retry-on-idempotent bridges the window until the breaker opens),
 // and the dead backend's breaker is open in the stats.
 func TestProxyBreakerFailover(t *testing.T) {
-	forEachProxyMatrix(t, func(t *testing.T, engine string) {
+	forEachProxyMatrix(t, func(t *testing.T) {
 		body := []byte("served by a survivor\n")
 		mk := func() *testOriginServer {
 			o := newTestOrigin(t, nil)
@@ -317,7 +319,7 @@ func TestProxyBreakerFailover(t *testing.T) {
 		}
 		a, b := mk(), mk()
 		pool := testPoolFor(t, a.addr, b.addr)
-		srv, base, client := newProxyServer(t, engine, pool)
+		srv, base, client := newProxyServer(t, pool)
 
 		// Warm both backends, then kill one.
 		for i := 0; i < 4; i++ {
@@ -397,7 +399,7 @@ func TestProxyPassThrough(t *testing.T) {
 			w.Write([]byte(" and part two"))
 		}
 	})
-	srv, base, client := newProxyServer(t, EngineHeap, testPoolFor(t, origin.addr))
+	srv, base, client := newProxyServer(t, testPoolFor(t, origin.addr))
 
 	// no-store: correct bytes, never cached (origin hit every time).
 	for i := 0; i < 2; i++ {
@@ -443,7 +445,7 @@ func TestProxyAllBackendsDown(t *testing.T) {
 	deadAddr := l.Addr().String()
 	l.Close()
 
-	srv, base, client := newProxyServer(t, EngineHeap, testPoolFor(t, deadAddr))
+	srv, base, client := newProxyServer(t, testPoolFor(t, deadAddr))
 	for i := 0; i < 3; i++ {
 		resp, _ := clientGet(t, client, fmt.Sprintf("%s/up/x-%d", base, i))
 		if resp.StatusCode != 502 {
@@ -472,7 +474,7 @@ func TestProxyUncacheableConcurrent(t *testing.T) {
 		w.Header().Set("Content-Length", "9")
 		w.Write([]byte("ephemeral"))
 	})
-	_, base, client := newProxyServer(t, EngineHeap, testPoolFor(t, origin.addr))
+	_, base, client := newProxyServer(t, testPoolFor(t, origin.addr))
 
 	const n = 6
 	var wg sync.WaitGroup

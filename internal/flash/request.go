@@ -537,11 +537,12 @@ func (s *shard) connEnd(c *conn) {
 // responses of one path (the entry's Variant field names the window).
 const rangeVariantSlot = "range"
 
-// invalidateFile drops every cache entry derived from a file. The
-// pathname entry — and the cache's reference to its descriptor — is
-// only dropped if pe is still the cached identity: a concurrent
-// response may already have invalidated it and a fresh entry (with a
-// fresh descriptor) taken its place, which must survive.
+// invalidateFile drops every cache entry derived from one generation
+// of a file. The pathname entry — and the cache's reference to its
+// descriptor — is only dropped if pe is still the cached identity: a
+// concurrent response may already have invalidated it and a fresh
+// entry (with a fresh descriptor) taken its place, which must survive,
+// as must the fresh generation's chunks and the fill loading them.
 func (s *shard) invalidateFile(reqPath string, pe cache.PathEntry) {
 	if cur, ok := s.view.PeekPath(reqPath); ok && cur.File == pe.File {
 		s.view.InvalidatePath(reqPath)
@@ -553,7 +554,7 @@ func (s *shard) invalidateFile(reqPath string, pe cache.PathEntry) {
 	for _, slot := range nmSlots {
 		s.view.GetHeader(pe.Translated, slot, -1)
 	}
-	s.view.InvalidateFile(pe.Translated, s.store.NumChunks(pe.Size))
+	s.view.InvalidateFile(pe.Translated, pe.ModTime, s.store.NumChunks(pe.Size))
 }
 
 // putEntry records a translation, dropping the cache's reference to

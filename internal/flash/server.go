@@ -142,10 +142,6 @@ type Server struct {
 	cfg    Config
 	store  cache.Store // the unified cache layer; shards hold Views of it
 	shards []*shard
-	// mapper is the store's mmap capability (Cache.Engine="mmap"):
-	// helpers map chunks through it instead of reading them. Nil for
-	// the heap engine, and for custom stores without the capability.
-	mapper cache.ChunkMapper
 
 	// routes is the v2 handler table. It is mutable only before the
 	// server starts (Handle panics afterwards), so shards and
@@ -209,9 +205,6 @@ type shard struct {
 	// shared chunk tier behind them. Only this loop may call it.
 	view  cache.View
 	store cache.Store // the store's shared geometry and tiers
-	// mview is view's mapped-insert extension; non-nil exactly when
-	// srv.mapper is (the mmap engine).
-	mview cache.MappedView
 
 	// Event-loop-owned state (never touched by other goroutines).
 	stats    Stats
@@ -283,37 +276,24 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	store := cfg.Cache.Store
-	if store == nil {
-		// The built-in store: loop-private path/header caches and L1
-		// chunk replicas per shard, over one shared chunk tier whose
-		// byte budget is configured once — NOT divided by EventLoops.
-		// Cache.Engine picks the chunk backing: heap buffers, or
-		// refcounted mmap regions (NewMmapStore).
-		opts := cache.StoreOptions{
-			Shards:             cfg.EventLoops,
-			PathEntries:        cfg.Cache.PathEntries,
-			HeaderEntries:      cfg.Cache.HeaderEntries,
-			MapBytes:           cfg.Cache.MapBytes,
-			ChunkBytes:         cfg.Cache.ChunkBytes,
-			L1Bytes:            cfg.Cache.L1Bytes,
-			DisableReplication: cfg.Cache.DisableReplication,
-			OnPathEvict: func(_ string, e cache.PathEntry) {
-				// Drop the cache's descriptor reference; helpers or
-				// writers still reading through it hold their own, so
-				// the file closes only when the last one finishes.
-				releaseEntryFile(e.File)
-			},
-		}
-		if cfg.Cache.Engine == EngineMmap {
-			store = cache.NewMmapStore(opts)
-		} else {
-			store = cache.NewShardedStore(opts)
-		}
-	} else if store.Shards() < cfg.EventLoops {
-		return nil, fmt.Errorf("flash: Cache.Store has %d shards, need %d",
-			store.Shards(), cfg.EventLoops)
-	}
+	// Loop-private path/header caches and L1 chunk replicas per shard,
+	// over one shared chunk tier whose byte budget is configured once —
+	// NOT divided by EventLoops.
+	store := cache.NewShardedStore(cache.StoreOptions{
+		Shards:             cfg.EventLoops,
+		PathEntries:        cfg.Cache.PathEntries,
+		HeaderEntries:      cfg.Cache.HeaderEntries,
+		MapBytes:           cfg.Cache.MapBytes,
+		ChunkBytes:         cfg.Cache.ChunkBytes,
+		L1Bytes:            cfg.Cache.L1Bytes,
+		DisableReplication: cfg.Cache.DisableReplication,
+		OnPathEvict: func(_ string, e cache.PathEntry) {
+			// Drop the cache's descriptor reference; helpers or
+			// writers still reading through it hold their own, so
+			// the file closes only when the last one finishes.
+			releaseEntryFile(e.File)
+		},
+	})
 	s := &Server{
 		cfg:       cfg,
 		store:     store,
@@ -330,13 +310,6 @@ func New(cfg Config) (*Server, error) {
 		"Connection: close\r\n\r\n")
 	if f, err := os.Open(os.DevNull); err == nil {
 		s.reserve = f // spare fd for EMFILE recovery; nil is tolerated
-	}
-	if cm, ok := store.(cache.ChunkMapper); ok && cm.MmapBacked() {
-		// Mapped inserts need MappedView on every shard's view; a
-		// store advertising the mapper without it stays on reads.
-		if _, ok := store.View(0).(cache.MappedView); ok {
-			s.mapper = cm
-		}
 	}
 	if len(cfg.Upstream) > 0 {
 		pool, err := upstream.New(upstream.Config{Backends: cfg.Upstream})
@@ -378,9 +351,6 @@ func newShard(srv *Server, id int) (*shard, error) {
 		msgs:      make(chan loopMsg, 512),
 		loopDone:  make(chan struct{}),
 		clockStop: make(chan struct{}),
-	}
-	if srv.mapper != nil {
-		sh.mview = sh.view.(cache.MappedView)
 	}
 	if cfg.ConnEngine == ConnEngineEpoll {
 		np, err := newNpShard()
@@ -501,6 +471,7 @@ func (s *shard) snapshot() Stats {
 	var out Stats
 	s.call(func() {
 		out = s.stats
+		out.HelperJobs = s.helpers.jobs.Load()
 		if idle := out.OpenConns - s.busyConns; idle > 0 {
 			out.IdleConns = idle
 		}

@@ -123,7 +123,8 @@ func TestMergedStatsEqualSumOfShardStats(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			client := &http.Client{}
+			client := &http.Client{Transport: &http.Transport{}}
+			defer client.CloseIdleConnections()
 			for j := 0; j < 10; j++ {
 				resp, err := client.Get(base + "/hello.txt")
 				if err != nil {
@@ -141,7 +142,12 @@ func TestMergedStatsEqualSumOfShardStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	merged := s.Stats()
+	// Quiesce first: the two snapshots below are taken one after the
+	// other, so they only agree once every response is counted and
+	// every connection's close has reached its loop.
+	merged := waitStats(t, s, "80 responses and no open conns", func(st Stats) bool {
+		return st.Responses == 80 && st.OpenConns == 0 && st.Active == 0
+	})
 	var sum Stats
 	for _, ss := range s.ShardStats() {
 		sum = sum.Add(ss)
@@ -156,9 +162,6 @@ func TestMergedStatsEqualSumOfShardStats(t *testing.T) {
 	sum.Fills = merged.Fills
 	if merged != sum {
 		t.Fatalf("merged stats != sum of shard stats\nmerged: %+v\nsum:    %+v", merged, sum)
-	}
-	if merged.Responses != 80 {
-		t.Fatalf("Responses = %d, want 80", merged.Responses)
 	}
 }
 
@@ -181,6 +184,7 @@ func TestKeepAliveStaysOnOneShard(t *testing.T) {
 	}
 	// All six responses came from the single shard that accepted the
 	// connection; its private caches served every repeat request.
+	waitStats(t, s, "6 responses", func(st Stats) bool { return st.Responses == 6 })
 	var serving int
 	for _, ss := range s.ShardStats() {
 		if ss.Responses > 0 {

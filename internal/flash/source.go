@@ -69,7 +69,7 @@ func (f *fixedSource) abort(*shard, *conn) {}
 // streams chunks as the fill publishes them — parked on a chunk that
 // has not landed yet, the source resumes via a posted loop message,
 // never a blocked goroutine. With coalescing disabled (or a fill it
-// cannot join), each miss dispatches its own helper pread, as in v1.
+// cannot join), each miss dispatches its own helper load, as in v1.
 // The first item gathers the response header with the first chunk
 // window in a single writev (§5.5). The source holds one acquired
 // reference to the entry descriptor for the whole walk — chunk loads
@@ -227,7 +227,7 @@ func (cs *chunkSource) fillError(s *shard, c *conn, err error) {
 	s.failConn(c)
 }
 
-// loadChunk dispatches one helper pread for chunk idx — the v1
+// loadChunk dispatches one helper load for chunk idx — the v1
 // per-chunk miss path, used when coalescing is off or the in-flight
 // fill has a different identity. The loop never touches the disk.
 func (cs *chunkSource) loadChunk(s *shard, c *conn, idx int, last bool) {
@@ -298,13 +298,13 @@ func (cs *chunkSource) loadChunk(s *shard, c *conn, idx int, last bool) {
 }
 
 // insertChunk records a helper's chunk result through the view: the
-// plain insert on the heap engine, or the mapped insert — the cache
-// chunk adopts the result's mmap reference — under the mmap engine.
+// mapped insert — the cache chunk adopts the result's mmap reference —
+// or the plain insert when the helper had to read.
 func (s *shard) insertChunk(key cache.ChunkKey, res *helperResult, modTime int64) *cache.Chunk {
 	if res.mapped != nil {
 		m := res.mapped
 		res.mapped = nil // ownership moves to the chunk
-		return s.mview.InsertMapped(key, m, int64(len(res.data)), modTime)
+		return s.view.InsertMapped(key, m, int64(len(res.data)), modTime)
 	}
 	return s.view.Insert(key, res.data, int64(len(res.data)), modTime)
 }

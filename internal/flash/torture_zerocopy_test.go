@@ -43,7 +43,7 @@ func zcServer(t *testing.T) (addr string) {
 	s, err := New(Config{
 		DocRoot:            root,
 		EventLoops:         1,
-		ChunkBytes:         256,
+		Cache:              CacheConfig{ChunkBytes: 256},
 		RevalidateInterval: -1,
 		ConnEngine:         testConnEngine,
 		Clock:              func() time.Time { return fixed },

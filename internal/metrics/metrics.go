@@ -2,6 +2,11 @@
 // by the experiment harness: throughput summaries, log-scale latency
 // histograms, and the series/table structures that render each paper
 // figure as text or CSV.
+//
+// It serves only the simulator. The log2 histogram reports every
+// percentile as a power-of-two bucket edge, which is enough to compare
+// simulated architectures and too coarse for a real server: flashd is
+// measured by the benchmark under bench/, which records exact samples.
 package metrics
 
 import (

@@ -10,8 +10,7 @@
 //
 // A Trace is a concrete request sequence over a concrete file set; the
 // simulator materializes the file set into its virtual filesystem and
-// replays the sequence through closed-loop clients, and cmd/loadgen can
-// replay the same trace against a real server.
+// replays the sequence through closed-loop clients.
 package workload
 
 import (
