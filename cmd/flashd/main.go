@@ -79,7 +79,7 @@ func main() {
 		root       = flag.String("root", "", "document root (required)")
 		loops      = flag.Int("loops", 0, "event-loop shards (0 = one per CPU)")
 		helpers    = flag.Int("helpers", 8, "disk helper goroutines per shard")
-		connEng    = flag.String("conn-engine", "goroutine", "connection engine: goroutine (portable, 3 goroutines/conn) or epoll (Linux readiness loop, zero goroutines per idle conn)")
+		connEng    = flag.String("conn-engine", "goroutine", "connection engine: goroutine (portable, 1 goroutine/conn) or epoll (Linux readiness loop, zero goroutines per idle conn)")
 		idleTO     = flag.Duration("idle-timeout", 0, "keep-alive idle timeout (0 = built-in default; idle-conn soaks raise this)")
 		cachePaths = flag.Int("cache-path-entries", 6000, "pathname cache entries (server-wide)")
 		cacheHdrs  = flag.Int("cache-header-entries", 0, "header cache entries (0 = same as -cache-path-entries)")
@@ -288,6 +288,11 @@ func main() {
 				fmt.Fprintf(&b, "errors:        %d\n", st.Errors)
 				fmt.Fprintf(&b, "bytes sent:    %d (sendfile: %d, copied: %d)\n",
 					st.BytesSent, st.BytesSendfile, st.BytesCopied)
+				perResp := 0.0
+				if st.Responses > 0 {
+					perResp = float64(st.GatherWrites) / float64(st.Responses)
+				}
+				fmt.Fprintf(&b, "gather writes: %d (%.2f socket writes per response)\n", st.GatherWrites, perResp)
 				fmt.Fprintf(&b, "helper jobs:   %d\n", st.HelperJobs)
 				fmt.Fprintf(&b, "dynamic calls: %d\n", st.DynamicCalls)
 				fmt.Fprintf(&b, "path cache:    %.1f%% hit (%d/%d)\n",

@@ -16,7 +16,10 @@
 //
 //     On top of the 1.0-era core sits an HTTP/1.1 conformance layer:
 //     default persistent connections with request pipelining (strict
-//     in-order responses through each connection's single writer),
+//     in-order responses: one goroutine per connection owns the socket
+//     in both directions, and the responses of a pipelined burst leave
+//     gathered into few writev calls — Stats.GatherWrites over
+//     Stats.Responses is the server-side writes-per-response),
 //     single-range Range/If-Range requests answered 206/416 by
 //     clamping the chunk-cache walk to the byte window, strong
 //     (size, mtime) ETags with If-None-Match handling alongside
@@ -58,7 +61,8 @@
 //
 //     The steady-state hot path is allocation-free: a warm keep-alive
 //     static cache hit (and a 304 revalidation) performs zero heap
-//     allocations per request across reader, event loop, and writer —
+//     allocations per request across connection goroutine and event
+//     loop, a gathered 16-deep pipelined burst included —
 //     zero-copy request parsing into a recycled per-connection
 //     Request, pooled response sources, typed loop messages instead
 //     of closures, cached entity tags and 304 headers, and

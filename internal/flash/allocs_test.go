@@ -15,8 +15,8 @@ import (
 // These tests are the tentpole's machine-checked invariant: a
 // steady-state keep-alive exchange on the static cache-hit and
 // 304-revalidation paths performs ZERO heap allocations per request —
-// across the whole pipeline (reader goroutine, event loop, writer
-// goroutine). testing.AllocsPerRun counts mallocs process-wide, so the
+// across the whole pipeline (connection goroutine and event loop).
+// testing.AllocsPerRun counts mallocs process-wide, so the
 // client below is written to be allocation-free too; the integer
 // division inside AllocsPerRun absorbs stray background allocations as
 // long as they stay below one per run.
@@ -80,6 +80,22 @@ func TestAllocsStaticHit(t *testing.T) {
 	const depth = 8
 	if n := measureAllocs(t, addr, bytes.Repeat(get, depth), depth); n > 0 {
 		t.Errorf("pipelined static cache hit: %.2f allocs/burst of %d, want 0", n, depth)
+	}
+}
+
+// TestAllocsPipelinedBurst holds the gathered path to the same bar: a
+// warm 16-deep burst — committed on the loop, corked on the connection,
+// flushed in a few writev calls — allocates nothing, because the
+// gather list, the header arena, the writev scratch and the pin FIFO
+// are connection-owned and reused.
+func TestAllocsPipelinedBurst(t *testing.T) {
+	addr, stop := allocGuardServer(t, nil)
+	defer stop()
+
+	const depth = 16
+	get := []byte("GET /f.html HTTP/1.1\r\nHost: alloc\r\n\r\n")
+	if n := measureAllocs(t, addr, bytes.Repeat(get, depth), depth); n > 0 {
+		t.Errorf("pipelined burst: %.2f allocs/burst of %d, want 0", n, depth)
 	}
 }
 

@@ -18,9 +18,9 @@ var (
 )
 
 // bodyReader streams one request's body to its handler. It is created
-// by the connection's reader goroutine, read by the handler goroutine
-// while the reader is parked waiting for the response, and drained by
-// the reader afterwards — never two goroutines at once, so it needs no
+// by the connection's goroutine, read by the handler goroutine while
+// the conn goroutine is parked waiting for the response, and drained
+// by the conn goroutine afterwards — never two at once, so it needs no
 // locks. Raw bytes come from the connection's pipelining carry-over
 // buffer first, then the socket; for chunked bodies, bytes past the
 // terminator are pushed back into the carry-over for the next request.
@@ -100,9 +100,10 @@ func (br *bodyReader) Read(p []byte) (int, error) {
 			// The client is (possibly) waiting for permission to send
 			// the body: grant it directly on the socket. No response
 			// bytes are in flight yet — the handler triggers this read
-			// before its first write, and the previous exchange fully
-			// drained before this one began — so the write cannot
-			// interleave with pipeline output.
+			// before its first write, and every earlier response was
+			// written before this exchange began (conn.serve flushes
+			// what it has corked before it posts a bodied exchange) —
+			// so the write cannot interleave with pipeline output.
 			br.c.nc.SetWriteDeadline(time.Now().Add(br.c.sh.cfg.WriteTimeout))
 			if _, err := br.c.nc.Write(httpmsg.Continue100); err != nil {
 				br.err = err

@@ -617,17 +617,48 @@ func TestChaosMaxConnsPerIP(t *testing.T) {
 	})
 }
 
-// TestRecoverClosedChannelNarrowed is the satellite regression test for
-// the narrowed panic guard: exactly the double-close panic is
-// swallowed, anything else propagates.
+// closeStub is a net.Conn whose Close counts, or panics.
+type closeStub struct {
+	net.Conn
+	closes atomic.Int32
+	boom   bool
+}
+
+func (s *closeStub) Close() error {
+	if s.boom {
+		panic("unrelated failure")
+	}
+	s.closes.Add(1)
+	return nil
+}
+
+// TestRecoverClosedChannelNarrowed is named for the recover-based guard
+// conn.abort once had; the guard is a sync.Once now, and the two
+// properties it was held to still are: closing done twice — from
+// racing goroutines — is harmless, and nothing on the close path
+// swallows a panic.
 func TestRecoverClosedChannelNarrowed(t *testing.T) {
 	t.Run("double-close-swallowed", func(t *testing.T) {
-		func() {
-			defer recoverClosedChannel()
-			ch := make(chan struct{})
-			close(ch)
-			close(ch)
-		}()
+		stub := &closeStub{}
+		c := &conn{nc: stub, done: make(chan struct{})}
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c.abort()
+				c.closeDone()
+			}()
+		}
+		wg.Wait()
+		select {
+		case <-c.done:
+		default:
+			t.Fatal("done still open after abort")
+		}
+		if n := stub.closes.Load(); n != 8 {
+			t.Fatalf("socket closed %d times, want 8 (once per abort)", n)
+		}
 	})
 	t.Run("other-panics-propagate", func(t *testing.T) {
 		defer func() {
@@ -635,9 +666,7 @@ func TestRecoverClosedChannelNarrowed(t *testing.T) {
 				t.Fatal("unrelated panic was swallowed")
 			}
 		}()
-		func() {
-			defer recoverClosedChannel()
-			panic("unrelated failure")
-		}()
+		c := &conn{nc: &closeStub{boom: true}, done: make(chan struct{})}
+		c.abort()
 	})
 }

@@ -34,9 +34,14 @@
 //     helper processes notifying the server over a pipe.
 //
 //   - Two connection engines drive sockets (Config.ConnEngine). The
-//     portable default parks per-connection reader and writer
-//     goroutines on Go's netpoller, standing in for select-driven
-//     non-blocking socket code. The Linux-only epoll engine is the
+//     portable default runs one goroutine per connection, parked on
+//     Go's netpoller, standing in for select-driven non-blocking
+//     socket code: it reads and parses requests, and writes what the
+//     loop hands back, so a slow client blocks only its own goroutine.
+//     A response that is a single item — every warm small-file hit,
+//     304 and error — is settled on the loop the moment it is queued,
+//     and the responses of a pipelined burst leave gathered into one
+//     writev (conn.serve). The Linux-only epoll engine is the
 //     literal reading: connections are accepted with
 //     accept4(SOCK_NONBLOCK), multiplexed by a raw edge-triggered
 //     epoll loop per shard, advanced by an explicit per-connection
@@ -59,17 +64,17 @@
 //   - The steady-state request path is allocation-free: requests parse
 //     zero-copy into a per-connection recycled httpmsg.Request (views
 //     over a reusable head buffer), the carry-over read buffer shifts
-//     ring-style instead of reallocating, exchange starts and item
-//     completions travel to the loop as typed mailbox messages rather
-//     than closures, response sources and header scratch are pooled on
-//     the connection, entity tags and 304 headers are cached alongside
+//     ring-style instead of reallocating, exchange starts, item
+//     completions and flush reports travel to the loop as typed
+//     mailbox messages rather than closures, response sources, header
+//     scratch and the gather list are pooled on the connection, entity tags and 304 headers are cached alongside
 //     200 headers, and read/write deadlines are re-armed through a
 //     per-shard coarse clock only when they drift. AllocsPerRun guard
 //     tests pin the budget: 0 allocs/request on warm static-hit and
 //     revalidation paths.
 //
 //   - Every response is produced by one bodySource — the unified
-//     pipeline the loop drives and the writer consumes. Static bodies
+//     pipeline the loop drives and the socket's owner consumes. Static bodies
 //     pick a transport per response (Config.SendfileThreshold): below
 //     the threshold the chunk-cache walk with header-gathering writev,
 //     at or above it the zero-copy sendfile(2) path straight from the
@@ -153,9 +158,10 @@ type Config struct {
 	Cache CacheConfig
 
 	// ConnEngine selects the per-connection I/O engine. The default,
-	// ConnEngineGoroutine, runs a reader and a writer goroutine per
-	// connection parked on Go's netpoller — portable everywhere and
-	// friendly to blocking handlers. ConnEngineEpoll (Linux only) runs
+	// ConnEngineGoroutine, runs one goroutine per connection parked on
+	// Go's netpoller — portable everywhere, friendly to blocking
+	// handlers, and the one that gathers a pipelined burst's responses
+	// into few writev calls. ConnEngineEpoll (Linux only) runs
 	// a readiness-driven state machine on a raw epoll loop per shard —
 	// the paper's select()-loop heart — so an idle keep-alive
 	// connection costs an fd in an interest set plus a few hundred

@@ -3,6 +3,7 @@ package flash
 import (
 	"net"
 	"os"
+	"sync"
 	"time"
 
 	"repro/internal/cache"
@@ -11,7 +12,7 @@ import (
 )
 
 // fpConnWrite injects into response transmission (args: remote addr).
-// Under the goroutine engine a latency hook stalls the conn's writer
+// Under the goroutine engine a latency hook stalls the connection's
 // goroutine — a simulated slow client — while an error hook fails the
 // write. The epoll engine transmits on the shard loop, so only error
 // hooks are sensible there (a sleeping hook would stall the shard, by
@@ -19,15 +20,16 @@ import (
 var fpConnWrite = failpoint.New("flash/conn-write")
 
 // writeItem is the pipeline's wire format: one unit of work handed
-// from a response's bodySource to the connection's writer goroutine.
-// The writer transmits, in order, the inline bytes (header, error
-// body, dynamic data), then the chunk window — the two gathered into a
-// single writev, the §5.5 pattern — and then, for the zero-copy
-// transport, the descriptor window [sfOff, sfOff+sfLen) shipped with
-// sendfile(2) (or the portable copy loop). Sources produce items one
-// at a time; `last` marks the response's final item. Items travel by
-// value — through the writer channel and back through the loop's
-// typed itemDone message — so the per-item traffic allocates nothing.
+// from a response's bodySource to whoever owns the socket (the
+// connection's goroutine, or the shard loop under epoll). It is
+// transmitted in order: the inline bytes (header, error body, dynamic
+// data), then the chunk window — the two gathered into a single
+// writev, the §5.5 pattern — and then, for the zero-copy transport,
+// the descriptor window [sfOff, sfOff+sfLen) shipped with sendfile(2)
+// (or the portable copy loop). Sources produce items one at a time;
+// `last` marks the response's final item. Items travel by value —
+// through the reply channel and back through the loop's typed itemDone
+// message — so the per-item traffic allocates nothing.
 type writeItem struct {
 	data  []byte
 	chunk *cache.Chunk
@@ -39,10 +41,58 @@ type writeItem struct {
 	sf           *cache.FileRef
 	sfOff, sfLen int64
 	last         bool // response ends after this item
+	// whole marks an item that is its response's only one (set by the
+	// source together with last): the goroutine engine commits such a
+	// response the moment it is queued (shard.commit).
+	whole bool
+}
+
+// connReply is one message from the event loop to the connection's
+// goroutine. Every post the goroutine makes — an exchange, or the
+// itemDone report of a written item — is answered by exactly one
+// reply, which the goroutine consumes before it posts again; that is
+// what keeps the loop's send on the capacity-1 channel from ever
+// blocking.
+type connReply struct {
+	item writeItem // replyItem, replyCommitted
+	kind uint8
+	keep bool // replyCommitted, replyEnd: the connection persists
+}
+
+const (
+	// replyItem: write the item, report itemDone, wait for the next
+	// reply.
+	replyItem = iota
+	// replyCommitted: the item is the whole response and the loop has
+	// already settled the exchange; cork it and go on to the next head.
+	replyCommitted
+	// replyEnd: the exchange is over (its items, if any, were all
+	// written and reported).
+	replyEnd
+)
+
+// gatherCap bounds the response bytes a connection holds corked: a
+// response that would take the gather list past it flushes the list
+// first, so a pipelined burst leaves in writev calls of at most this
+// size (one response alone may be larger). Chosen by measurement on
+// hot_pipelined (16 deep, 512 B–32 KiB files, ~196 KiB of responses
+// per burst): 32, 64 and 128 KiB read 114 k, 160 k and 174 k req/s —
+// the rows are in CHANGES.md.
+const gatherCap = 128 << 10
+
+// corked is one committed response waiting in a connection's gather
+// list. Its inline bytes were copied into the conn's arena (the
+// original may alias header scratch the next exchange overwrites) and
+// are addressed by offset, so the arena can grow under them; the chunk
+// window is never copied — the loop's pin FIFO keeps it alive until
+// the flush is reported.
+type corked struct {
+	off, n int
+	body   []byte
 }
 
 // loopState is the per-response state owned by the event loop. It is
-// reset at the start of every exchange; writer-channel state that must
+// reset at the start of every exchange; write-side state that must
 // survive mid-exchange resets (request restarts, reader rejections)
 // lives on conn instead.
 type loopState struct {
@@ -52,12 +102,12 @@ type loopState struct {
 	bytesSent int64
 }
 
-// conn is one client connection: a reader goroutine (the serve method),
-// a writer goroutine, and loop-owned state. Everything a steady-state
-// exchange needs — read buffer, head buffer, parsed request, response
-// sources, header scratch, writev scratch — is owned by the connection
-// and recycled across exchanges, so a warm keep-alive request touches
-// no allocator at all.
+// conn is one client connection: one goroutine (the serve method) that
+// owns the socket in both directions, and loop-owned state. Everything
+// a steady-state exchange needs — read buffer, head buffer, parsed
+// request, response sources, header scratch, gather list — is owned by
+// the connection and recycled across exchanges, so a warm keep-alive
+// request touches no allocator at all.
 type conn struct {
 	sh     *shard
 	nc     net.Conn
@@ -67,14 +117,14 @@ type conn struct {
 	// registry.
 	ipKey string
 
-	writeCh chan writeItem
-	nextCh  chan bool // loop → reader: response done; proceed if true
-	done    chan struct{}
+	reply    chan connReply // loop → conn goroutine (see connReply)
+	done     chan struct{}  // closed on forced teardown (closeDone)
+	doneOnce sync.Once
 
 	// rb[rs:re] is the pipelining carry-over window: bytes read past
-	// the current request head. It is owned by the reader goroutine
+	// the current request head. It is owned by the conn goroutine
 	// between exchanges and by the request's bodyReader during one (the
-	// reader is parked in waitResponse then), never both at once. The
+	// conn goroutine is parked in await then), never both at once. The
 	// backing array is reused ring-style: the window shifts to the
 	// front in place when the tail runs out, and consumed-region bytes
 	// ahead of rs absorb body pushbacks without reallocating.
@@ -97,67 +147,70 @@ type conn struct {
 	sfSrc    sendfileSource
 	hdrBuf   []byte // scratch for per-request header patches
 
-	// Writer-goroutine scratch: the gather array and Buffers header
-	// live on the conn so writev gathers allocate nothing per item.
-	wb   [2][]byte
-	bufs net.Buffers
+	// Gather state, owned by the conn goroutine: committed responses
+	// not yet written (gather, their inline bytes in arena, gatherBytes
+	// in total), the writev scratch, and the socket write calls made
+	// since the last report to the loop. wfailed latches the first
+	// write error; later items are reported back unwritten.
+	gather      []corked
+	arena       []byte
+	gatherBytes int
+	wb          [][]byte
+	bufs        net.Buffers
+	writes      int32
+	wfailed     bool
 
 	// Armed deadlines in unix nanos, for the coarse-clock skip logic
-	// (readArm: reader/body goroutine; writeArm: writer goroutine).
+	// (readArm: conn/body goroutine; writeArm: conn goroutine).
 	readArm  int64
 	writeArm int64
 
-	// Writer-channel state, also loop-owned but connection-scoped: a
-	// response restarted mid-exchange must still see that the writer
-	// already failed or that the channel is closed.
-	inFlight   bool
-	failed     bool
-	writeDone  bool // writeCh has been closed
-	endPending bool // close writeCh when the in-flight item completes
+	// Write-side state, also loop-owned but connection-scoped: a
+	// response restarted mid-exchange must still see that a write
+	// already failed or that the write side is finished.
+	inFlight  bool
+	failed    bool
+	writeDone bool // no further item will be accepted
+
+	// pins (loop-owned) is the FIFO of committed responses whose bytes
+	// the conn goroutine has not yet reported written: one entry each,
+	// the response's pinned chunk or nil, oldest at pinHead. A released
+	// message pops from the front; connEnd drains the rest.
+	pins    []*cache.Chunk
+	pinHead int
 
 	// busy (loop-owned) marks an exchange in flight for the idle gauge:
-	// set at exchange start, cleared at signalNext/teardown.
+	// set at exchange start, cleared at commit/signalNext/teardown.
 	busy bool
 
 	// np is the connection's epoll-engine state (ConnEngineEpoll);
-	// nil under the goroutine engine. When set, writeCh/nextCh are nil
-	// and no reader or writer goroutine exists: the shard's readiness
-	// loop drives the exchange instead (netpoll_linux.go).
+	// nil under the goroutine engine. When set, reply is nil and no
+	// goroutine exists: the shard's readiness loop drives the exchange
+	// instead (netpoll_linux.go).
 	np *npConn
 }
 
 func newConn(sh *shard, nc net.Conn) *conn {
 	return &conn{
-		sh:      sh,
-		nc:      nc,
-		remote:  nc.RemoteAddr().String(),
-		writeCh: make(chan writeItem, 1),
-		nextCh:  make(chan bool, 1),
-		done:    make(chan struct{}),
-		rb:      make([]byte, 4096),
+		sh:     sh,
+		nc:     nc,
+		remote: nc.RemoteAddr().String(),
+		reply:  make(chan connReply, 1),
+		done:   make(chan struct{}),
+		rb:     make([]byte, 4096),
 	}
 }
 
-// abort force-closes the connection (server shutdown).
+// abort force-closes the connection (server shutdown, idle reaping).
 func (c *conn) abort() {
-	defer recoverClosedChannel() // double close(done) race on shutdown
-	close(c.done)
+	c.closeDone()
 	c.nc.Close()
 }
 
-// recoverClosedChannel swallows exactly the panic a racing double
-// close(done) raises — the one race abort/closeDone tolerate by
-// design — and re-panics on anything else, so a real bug inside the
-// guarded close path is never silently dropped.
-func recoverClosedChannel() {
-	r := recover()
-	if r == nil {
-		return
-	}
-	if err, ok := r.(error); ok && err.Error() == "close of closed channel" {
-		return
-	}
-	panic(r)
+// closeDone closes c.done exactly once: abort (any goroutine) and the
+// epoll loop's teardown may both get there.
+func (c *conn) closeDone() {
+	c.doneOnce.Do(func() { close(c.done) })
 }
 
 // window returns the unread carry-over bytes.
@@ -212,7 +265,7 @@ func (c *conn) armRead(d time.Duration) {
 	}
 }
 
-// armWrite is armRead for the writer goroutine's deadline.
+// armWrite is armRead for the write deadline.
 func (c *conn) armWrite(d time.Duration) {
 	if d < coarseMinTimeout {
 		dl := time.Now().Add(d)
@@ -288,32 +341,35 @@ type exchangePlan struct {
 	allow  string      // Allow header value for a 405 rejection
 }
 
-// serve is the reader goroutine: parse requests, hand them to the event
-// loop, and wait for each response to finish before parsing the next.
-// Bytes read beyond one request's header block are kept, so a pipelined
-// burst is consumed request by request without touching the socket —
-// responses leave through the single writer in arrival order, which is
-// exactly the in-order guarantee HTTP/1.1 pipelining requires. Request
-// bodies are consumed by the handler (through the plan's bodyReader)
-// while the reader is parked; whatever is left unread is drained here
-// before the next head is parsed, keeping pipelined framing intact.
+// serve is the connection's goroutine, the only owner of the socket in
+// both directions: it parses a request head, hands the exchange to the
+// event loop, writes what the loop hands back (await), and goes on to
+// the next head. Bytes read beyond one request's header block are
+// kept, so a pipelined burst is consumed request by request without
+// touching the socket, and responses leave in arrival order — exactly
+// the in-order guarantee HTTP/1.1 pipelining requires. A blocked write
+// blocks this goroutine and nothing else.
+//
+// Responses the loop committed whole (replyCommitted) are corked on
+// the gather list and leave in one writev when no complete next head is
+// buffered — always before the socket read that could block — when the
+// next one would take the list past gatherCap, when the connection
+// ends, or ahead of anything that is not a committed response. Nothing may overtake or
+// strand them: a handler exchange (whose 100 Continue and interim
+// responses go straight to the socket) is posted only after a flush,
+// and so is the body drain that follows one.
+//
+// Request bodies are consumed by the handler (through the plan's
+// bodyReader) while this goroutine is parked in await; whatever is
+// left unread is drained here before the next head is parsed, keeping
+// pipelined framing intact.
 //
 // Each head is copied from the carry-over into the connection's
 // reusable head buffer and parsed zero-copy into the recycled request:
 // the views stay valid for the whole exchange because nothing touches
 // headBuf until the next head is copied in — which happens only after
-// the response completes.
+// the loop has settled the response.
 func (c *conn) serve() {
-	// The writer joins the server's WaitGroup (the serve goroutine
-	// already holds it, so the count cannot be zero here): Close waits
-	// for writers before shutting the shard mailboxes, so a final
-	// itemDone post — and the descriptor release it carries — is never
-	// dropped on the floor during shutdown.
-	c.sh.srv.wg.Add(1)
-	go func() {
-		defer c.sh.srv.wg.Done()
-		c.writeLoop()
-	}()
 	defer func() {
 		c.nc.Close()
 		c.sh.post(func() { c.sh.connEnd(c) })
@@ -328,12 +384,19 @@ func (c *conn) serve() {
 		c.skipBlank(&preamble)
 		// Accumulate one complete request head (a terminated header
 		// block, or an HTTP/0.9 simple request) at the head of the
-		// carry-over window.
-		c.armRead(c.sh.cfg.IdleTimeout)
-		for httpmsg.RequestEnd(c.window()) < 0 {
+		// carry-over window. When it takes the socket to get one, what
+		// is corked leaves first: the read may block.
+		end := httpmsg.RequestEnd(c.window())
+		if end < 0 {
+			if !c.flush() {
+				return
+			}
+			c.armRead(c.sh.cfg.IdleTimeout)
+		}
+		for end < 0 {
 			if c.re-c.rs+preamble > c.sh.cfg.MaxHeaderBytes {
 				c.sh.post(func() { c.sh.rejectRequest(c, nil, 400) })
-				c.waitResponse()
+				c.await()
 				return
 			}
 			n, err := c.nc.Read(c.fillSpace())
@@ -345,8 +408,8 @@ func (c *conn) serve() {
 			if err != nil {
 				return // EOF or timeout between requests
 			}
+			end = httpmsg.RequestEnd(c.window())
 		}
-		end := httpmsg.RequestEnd(c.window())
 		// Copy the head out of the carry-over so the zero-copy views
 		// survive any buffer traffic the exchange causes, then parse
 		// into the recycled request.
@@ -361,17 +424,20 @@ func (c *conn) serve() {
 				status = 501
 			}
 			c.sh.post(func() { c.sh.rejectRequest(c, nil, status) })
-			c.waitResponse()
+			c.await()
 			return
 		}
 
 		plan := c.planExchange(&c.req)
+		if (plan.rt != nil || plan.body != nil) && !c.flush() {
+			return
+		}
 		c.sh.postExchange(c, plan)
-		keep := c.waitResponse()
+		keep := c.await()
 		if plan.body != nil && keep {
 			// The handler may have left body bytes on the wire; the next
 			// head cannot be parsed until they are gone.
-			keep = plan.body.drain()
+			keep = c.flush() && plan.body.drain()
 		}
 		if !keep {
 			return
@@ -393,7 +459,7 @@ func (c *conn) skipBlank(preamble *int) {
 
 // planExchange classifies one parsed request: body framing, Expect
 // handling, route lookup, and size limits, producing either a
-// rejection or a dispatch plan. Runs on the reader goroutine; the
+// rejection or a dispatch plan. Runs on the conn goroutine; the
 // route table is immutable once the server starts, so the lookup is
 // lock-free.
 func (c *conn) planExchange(req *httpmsg.Request) exchangePlan {
@@ -492,97 +558,151 @@ func methodRequiresLength(method string) bool {
 	return false
 }
 
-// waitResponse blocks until the loop reports the response finished,
-// returning whether the connection persists.
-func (c *conn) waitResponse() bool {
-	select {
-	case keep := <-c.nextCh:
-		return keep
-	case <-c.done:
-		return false
+// await serves the loop's replies to the post just made — writing the
+// items of a response the loop is still driving, corking one it has
+// committed — until the exchange is over, and reports whether the
+// connection persists.
+func (c *conn) await() bool {
+	for {
+		var r connReply
+		select {
+		case r = <-c.reply:
+		case <-c.done:
+			return false
+		}
+		switch r.kind {
+		case replyCommitted:
+			return c.cork(&r.item, r.keep)
+		case replyEnd:
+			if !r.keep {
+				c.flush() // earlier responses still leave before the close
+			}
+			return r.keep
+		}
+		wrote, sfWrote, ok := c.transmit(&r.item)
+		c.sh.postItemDone(c, r.item, wrote, sfWrote, c.takeWrites(), ok)
 	}
 }
 
-// writeLoop is the writer goroutine: it performs the (potentially
-// blocking) socket transmission — writev for inline bytes and chunk
-// windows, sendfile or the copy loop for descriptor windows — so the
-// event loop never does. After a write error it keeps draining items,
-// reporting them back so their sources release the pins, until the
-// loop closes the channel. The gather scratch and the completion
-// message are connection-owned and value-typed: a steady-state item
-// costs the writer no allocations.
-func (c *conn) writeLoop() {
-	failed := false
-	for {
-		var item writeItem
-		var open bool
-		select {
-		case item, open = <-c.writeCh:
-			if !open {
-				return
-			}
-		case <-c.done:
-			// Forced shutdown; the caches die with the server, so
-			// chunk pins need no release — but a queued descriptor
-			// reference is shared with the path cache and refcounted,
-			// so drop it (FileRef is goroutine-safe).
-			select {
-			case it, ok := <-c.writeCh:
-				if ok && it.sf != nil {
-					it.sf.Release()
-				}
-			default:
-			}
-			return
-		}
-		var wrote, sfWrote int64
-		if !failed && failpoint.Armed() {
-			if err := fpConnWrite.Eval(c.remote); err != nil {
-				failed = true
-			}
-		}
-		if !failed {
-			if item.sf != nil {
-				// Transport item: header first, then the descriptor
-				// window — zero-copy where the platform supports it.
-				n, sfn, err := transportSend(c.nc, item.data, item.sf.File(),
-					item.sfOff, item.sfLen, c.sh.cfg.WriteTimeout)
-				wrote, sfWrote = n, sfn
-				if err != nil {
-					failed = true
-				}
-			} else {
-				c.armWrite(c.sh.cfg.WriteTimeout)
-				// Gather header and chunk into one writev (the §5.5
-				// pattern: aligned header followed by file data in a
-				// single call), through the conn-owned scratch.
-				nb := 0
-				if len(item.data) > 0 {
-					c.wb[nb] = item.data
-					nb++
-				}
-				if len(item.body) > 0 {
-					c.wb[nb] = item.body
-					nb++
-				}
-				switch nb {
-				case 1:
-					n, err := c.nc.Write(c.wb[0])
-					wrote += int64(n)
-					if err != nil {
-						failed = true
-					}
-				case 2:
-					c.bufs = net.Buffers(c.wb[:2])
-					n, err := c.bufs.WriteTo(c.nc)
-					wrote += n
-					if err != nil {
-						failed = true
-					}
-				}
-				c.wb[0], c.wb[1] = nil, nil
-			}
-		}
-		c.sh.postItemDone(c, item, wrote, sfWrote, !failed)
+// cork appends a committed response to the gather list — after
+// flushing what is already there when the two together would pass
+// gatherCap — and flushes the list when the connection ends with this
+// response. It reports whether the connection goes on.
+func (c *conn) cork(item *writeItem, keep bool) bool {
+	n := len(item.data) + len(item.body)
+	if c.gatherBytes > 0 && c.gatherBytes+n > gatherCap && !c.flush() {
+		return false
 	}
+	c.gather = append(c.gather, corked{off: len(c.arena), n: len(item.data), body: item.body})
+	c.arena = append(c.arena, item.data...)
+	c.gatherBytes += n
+	if !keep {
+		c.flush()
+	}
+	return keep
+}
+
+// flush writes the gather list, if any; false means the connection's
+// write side has failed.
+func (c *conn) flush() bool {
+	if len(c.gather) == 0 {
+		return !c.wfailed
+	}
+	_, _, ok := c.transmit(nil)
+	return ok
+}
+
+// takeWrites returns the socket write calls made since the last report
+// to the loop (folded into Stats.GatherWrites there).
+func (c *conn) takeWrites() int32 {
+	n := c.writes
+	c.writes = 0
+	return n
+}
+
+// transmit performs the (potentially blocking) socket transmission, so
+// the event loop never does: every corked response, then — riding
+// behind them in the same writev — item's inline bytes and chunk
+// window, then item's descriptor window by sendfile or the copy loop.
+// The flushed responses are reported to the loop in one released
+// message (it drops their pins; a shortfall against the byte counts
+// they were committed with fails the connection there), and item's own
+// byte counts are returned for its itemDone. After a write error
+// nothing more is written: items are still reported back, unwritten,
+// so their sources release what they carry. The gather array is
+// conn-owned scratch: a steady-state flush allocates nothing.
+func (c *conn) transmit(item *writeItem) (wrote, sfWrote int64, ok bool) {
+	wb := c.wb[:0]
+	for i := range c.gather {
+		e := &c.gather[i]
+		if e.n > 0 {
+			wb = append(wb, c.arena[e.off:e.off+e.n])
+		}
+		if len(e.body) > 0 {
+			wb = append(wb, e.body)
+		}
+	}
+	if item != nil {
+		if len(item.data) > 0 {
+			wb = append(wb, item.data)
+		}
+		if len(item.body) > 0 {
+			wb = append(wb, item.body)
+		}
+	}
+	if !c.wfailed && failpoint.Armed() {
+		if err := fpConnWrite.Eval(c.remote); err != nil {
+			c.wfailed = true
+		}
+	}
+	if !c.wfailed && len(wb) > 0 {
+		c.armWrite(c.sh.cfg.WriteTimeout)
+		c.writes++
+		var err error
+		if len(wb) == 1 {
+			var n int
+			n, err = c.nc.Write(wb[0])
+			wrote = int64(n)
+		} else {
+			c.bufs = net.Buffers(wb)
+			wrote, err = c.bufs.WriteTo(c.nc)
+		}
+		if err != nil {
+			c.wfailed = true
+		}
+	}
+	clear(wb) // drop the chunk and arena references
+	c.wb = wb[:0]
+
+	if n := len(c.gather); n > 0 {
+		// The corked responses come first on the wire: what was written
+		// counts against them before it counts for item.
+		short := int64(c.gatherBytes)
+		if wrote < short {
+			short, wrote = short-wrote, 0
+		} else {
+			short, wrote = 0, wrote-short
+		}
+		c.sh.send(loopMsg{kind: msgReleased, c: c, n: int32(n), short: short,
+			writes: c.takeWrites(), ok: !c.wfailed})
+		clear(c.gather)
+		c.gather, c.gatherBytes = c.gather[:0], 0
+		if cap(c.arena) > gatherCap {
+			c.arena = nil // one oversized inline body must not stay allocated
+		}
+		c.arena = c.arena[:0]
+	}
+
+	if item != nil && item.sf != nil && !c.wfailed {
+		// Transport item: the header went out above; now the descriptor
+		// window — zero-copy where the platform supports it.
+		c.writes++
+		n, sfn, err := transportSend(c.nc, item.sf.File(),
+			item.sfOff, item.sfLen, c.sh.cfg.WriteTimeout)
+		wrote, sfWrote = wrote+n, sfn
+		if err != nil {
+			c.wfailed = true
+		}
+	}
+	return wrote, sfWrote, !c.wfailed
 }

@@ -135,8 +135,8 @@ var headerOwned = map[string]bool{
 // responseWriter is the ResponseWriter implementation: it runs on the
 // handler's goroutine and pushes buffers through the connection's
 // streamSource, one in flight at a time (the §5.6 pipe). All fields
-// are owned by the handler goroutine; the loop and writer see only the
-// posted items.
+// are owned by the handler goroutine; the loop and the conn goroutine
+// see only the posted items.
 type responseWriter struct {
 	sh  *shard
 	c   *conn
@@ -199,10 +199,11 @@ func (w *responseWriter) WriteHeader(status int) {
 }
 
 // writeInterim sends a 1xx response ahead of the real one. Only legal
-// before any final-response bytes: the previous exchange has fully
-// drained and this one has queued nothing, so the direct socket write
-// cannot interleave with pipeline output (same argument as the
-// automatic 100 Continue).
+// before any final-response bytes: every earlier response is on the
+// wire (conn.serve flushes before it posts a handler exchange) and
+// this one has queued nothing, so the direct socket write cannot
+// interleave with pipeline output (same argument as the automatic 100
+// Continue).
 func (w *responseWriter) writeInterim(status int) {
 	if w.started || w.req.Major != 1 || w.req.Minor < 1 {
 		return
@@ -318,8 +319,8 @@ func (w *responseWriter) Write(p []byte) (int, error) {
 	// dynBufSize bytes). The copy into buf exists for chunked framing
 	// (AppendChunk prefixes and suffixes the span anyway) and for
 	// sub-buffer coalescing; identity-framed full windows post slices
-	// of p directly — safe, because send blocks until the writer has
-	// transmitted the item, so p is pinned only until Write returns.
+	// of p directly — safe, because send blocks until the item has
+	// been transmitted, so p is pinned only until Write returns.
 	total := len(p)
 	for len(p) > 0 {
 		if !w.chunked && w.pendingHdr == nil && len(w.buf) == 0 && len(p) >= dynBufSize {
@@ -390,7 +391,7 @@ func (w *responseWriter) send(data []byte, last bool) bool {
 	w.started = true
 	keep, status, req, c := w.keep, w.status, w.req, w.c
 	w.sh.post(func() {
-		req.KeepAlive = keep // finishResponse decides persistence from this
+		req.KeepAlive = keep // settle decides persistence from this
 		c.ls.status = status
 		c.ls.req = req
 		w.sh.queueItem(c, writeItem{data: data, last: last})

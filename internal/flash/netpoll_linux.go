@@ -7,16 +7,17 @@ package flash
 // This file is the paper's heart transplanted: one readiness loop per
 // shard (epoll standing in for 1999's select), every connection a
 // non-blocking fd plus a small state machine, no goroutines parked per
-// connection. The goroutine engine keeps three stacks alive for an
-// idle keep-alive conn (reader, writer, and — transiently — handler);
-// here an idle conn costs its fd in the interest set, a *conn already
-// sized for the zero-alloc steady state, and a link in a timer wheel.
+// connection. The goroutine engine keeps one stack alive for an idle
+// keep-alive conn (plus, transiently, a handler's); here an idle conn
+// costs its fd in the interest set, a *conn already sized for the
+// zero-alloc steady state, and a link in a timer wheel.
 //
 // The state machine reuses the whole existing exchange pipeline
 // unchanged: head parsing runs over the same carry-over ring
 // (npAdvance mirrors conn.serve), responses flow through the same
-// bodySource items (queueItem stages them on the conn instead of a
-// writer channel; npPump pushes bytes until EAGAIN), and handlers —
+// bodySource items (queueItem stages them on the conn instead of
+// handing them to a goroutine; npPump pushes bytes until EAGAIN), and
+// handlers —
 // which may legitimately block — still run on their own transient
 // goroutines, reading request bodies through npSock, a net.Conn shim
 // over the raw fd that parks on readiness tokens forwarded by the
@@ -99,8 +100,8 @@ type npConn struct {
 	closed     bool
 
 	// The staged write item and its transmit cursor. queueItem stages
-	// exactly one (the same at-most-one-in-flight contract the writer
-	// channel's capacity enforced); npPump advances it.
+	// exactly one (the at-most-one-in-flight contract both engines
+	// share); npPump advances it.
 	cur         writeItem
 	hasCur      bool
 	dataOff     int
@@ -177,13 +178,14 @@ func (s *shard) npWake() {
 
 // npLoop is the epoll engine's event loop body: drain the mailbox,
 // wait for readiness, dispatch, sweep timers. It replaces the blocking
-// channel range of shard.loop while keeping identical mailbox
-// semantics (close(msgs) still terminates it).
+// channel select of shard.loop while keeping identical mailbox
+// semantics (a stop message still ends it, after a last drain).
 func (s *shard) npLoop() {
 	defer close(s.loopDone)
 	ns := s.np
 	for {
-		if !s.npDrainMsgs() {
+		s.drainMsgs()
+		if s.stopped {
 			break
 		}
 		ns.sleeping.Store(true)
@@ -215,8 +217,8 @@ func (s *shard) npLoop() {
 		}
 		s.npSweep(time.Now().UnixNano())
 	}
-	// Mailbox closed: the server is going down. Close every remaining
-	// conn (releasing staged pins) before the descriptors go away.
+	// The server is going down. Close every remaining conn (releasing
+	// staged pins) before the descriptors go away.
 	for _, c := range ns.conns {
 		if c != nil {
 			s.npClose(c)
@@ -225,22 +227,6 @@ func (s *shard) npLoop() {
 	syscall.Close(ns.epfd)
 	syscall.Close(ns.wakeR)
 	syscall.Close(ns.wakeW)
-}
-
-// npDrainMsgs runs every queued mailbox message; false once the
-// mailbox closes.
-func (s *shard) npDrainMsgs() bool {
-	for {
-		select {
-		case m, ok := <-s.msgs:
-			if !ok {
-				return false
-			}
-			s.dispatch(m)
-		default:
-			return true
-		}
-	}
 }
 
 // npEvent applies one readiness event to a conn's state machine.
@@ -291,7 +277,7 @@ func (s *shard) npAdopt(c *conn) {
 	}
 	if err := syscall.EpollCtl(s.np.epfd, syscall.EPOLL_CTL_ADD, np.fd, &ev); err != nil {
 		np.closed = true
-		closeDone(c)
+		c.closeDone()
 		syscall.Close(np.fd)
 		s.srv.unregisterConn(c)
 		return
@@ -468,6 +454,7 @@ func (s *shard) npTransmit(c *conn) error {
 			iov[n].SetLen(len(b))
 			n++
 		}
+		s.stats.GatherWrites++
 		wn, err := npWritev(np.fd, iov[:n])
 		if wn > 0 {
 			np.itemWrote += int64(wn)
@@ -501,6 +488,7 @@ func (s *shard) npTransmit(c *conn) error {
 			batch = sendfileMaxPerCall
 		}
 		pos := item.sfOff + np.sfSent
+		s.stats.GatherWrites++
 		wn, err := syscall.Sendfile(np.fd, int(f.Fd()), &pos, int(batch))
 		if wn > 0 {
 			np.sfSent += int64(wn)
@@ -553,6 +541,7 @@ func (s *shard) npSendfileFallback(c *conn, f *os.File) error {
 		np.sfBufOff, np.sfBufLen = 0, rn
 	}
 	for np.sfBufOff < np.sfBufLen {
+		s.stats.GatherWrites++
 		wn, err := syscall.Write(np.fd, np.sfBuf[np.sfBufOff:np.sfBufLen])
 		if wn > 0 {
 			np.sfBufOff += wn
@@ -641,10 +630,7 @@ func (s *shard) npClose(c *conn) {
 	}
 	np.closed = true
 	s.wheelUnlink(c)
-	if c.busy {
-		c.busy = false
-		s.busyConns--
-	}
+	s.markIdle(c)
 	if src := c.ls.src; src != nil {
 		src.abort(s, c)
 	}
@@ -661,7 +647,7 @@ func (s *shard) npClose(c *conn) {
 	}
 	c.writeDone = true
 	np.exBody = nil
-	closeDone(c)
+	c.closeDone()
 	np.ioMu.Lock()
 	np.ioClosed = true
 	syscall.Close(np.fd)
@@ -897,7 +883,7 @@ func (s *Server) serveEpoll(l net.Listener) (err error, handled bool) {
 
 // newNpConnState builds an epoll-engine conn over a raw fd. The conn
 // reuses every shared field (ring, head buffer, pooled sources); the
-// writer/reader channels stay nil — no goroutines are spawned.
+// reply channel stays nil — no goroutine is spawned.
 func newNpConnState(sh *shard, fd int, remote string) *conn {
 	c := &conn{
 		sh:     sh,
@@ -924,12 +910,6 @@ func sockaddrString(sa syscall.Sockaddr) string {
 		return net.JoinHostPort(net.IP(a.Addr[:]).String(), strconv.Itoa(a.Port))
 	}
 	return "unknown"
-}
-
-// closeDone closes c.done exactly once (abort may race shutdown).
-func closeDone(c *conn) {
-	defer recoverClosedChannel()
-	close(c.done)
 }
 
 // rejectFd is rejectConn for a raw accepted fd: best-effort write of

@@ -369,34 +369,93 @@ func (s *shard) fixPersistence(c *conn, hdr []byte, req *httpmsg.Request) []byte
 	return buf
 }
 
-// queueItem hands an item to the writer. The writer holds at most one
-// item (channel capacity 1) and the loop sends only when idle, so this
-// never blocks the loop.
+// queueItem hands an item to whoever owns the socket: the shard's own
+// readiness engine under epoll; otherwise the connection's goroutine,
+// through the reply channel — the goroutine is parked on it whenever
+// an exchange is in flight and the loop sends only when no item is
+// outstanding, so this never blocks the loop. An item that is its
+// response's whole is committed here instead of being tracked. An item
+// for a connection that already failed is dropped, and the exchange
+// ended with it.
 func (s *shard) queueItem(c *conn, item writeItem) {
 	if c.failed || c.writeDone {
-		// Connection already failing: drop, letting the source release
-		// any pins the item carries (and ack its producer, if any).
+		// Let the source release any pins the item carries (and ack its
+		// producer, if any).
 		if src := c.ls.src; src != nil {
 			src.release(s, c, item, false)
 		}
+		s.signalNext(c, false)
 		return
 	}
 	if c.inFlight {
 		panic("flash: queueItem while an item is in flight")
 	}
-	c.inFlight = true
-	if c.np != nil {
-		// Epoll engine: no writer goroutine. Stage the item on the
-		// conn's netpoll state and push bytes while the socket accepts
-		// them; EAGAIN parks the conn on EPOLLOUT (netpoll_linux.go).
+	switch {
+	case c.np != nil:
+		// Stage the item on the conn's netpoll state and push bytes
+		// while the socket accepts them; EAGAIN parks the conn on
+		// EPOLLOUT (netpoll_linux.go).
+		c.inFlight = true
 		s.npQueue(c, item)
-		return
+	case item.whole:
+		s.commit(c, item)
+	default:
+		c.inFlight = true
+		c.reply <- connReply{kind: replyItem, item: item}
 	}
-	c.writeCh <- item
 }
 
-// itemDone runs after the writer finishes (or discards) an item:
-// byte accounting, the source's release hook (unpinning chunks and
+// commit ends an exchange at queue time: the response is this one item,
+// so nothing about it needs the loop again — the counters, the access
+// log line (with the byte count the response will carry), the busy
+// gauge and the source are settled now, and the item travels to the
+// conn goroutine together with the persistence verdict. That makes the
+// exchange two blocking hops (post, reply) instead of four. The one
+// thing that must outlive the write, the chunk pin, moves to the
+// connection's FIFO until a released message reports the flush; a
+// flush that falls short takes the byte counts back and fails the
+// connection there.
+func (s *shard) commit(c *conn, item writeItem) {
+	n := int64(len(item.data) + len(item.body))
+	c.ls.bytesSent += n
+	s.stats.BytesSent += n
+	s.stats.BytesCopied += n
+	c.pins = append(c.pins, item.chunk)
+	if src := c.ls.src; src != nil {
+		rel := item
+		rel.chunk = nil // the pin is the FIFO's now
+		src.release(s, c, rel, true)
+	}
+	keep := s.settle(c)
+	c.reply <- connReply{kind: replyCommitted, item: item, keep: keep}
+}
+
+// released runs when the conn goroutine reports a flush of n committed
+// responses: their pins come off the FIFO, oldest first. A flush that
+// fell short of the committed byte counts (ok false) gives the missing
+// bytes back and fails the connection, which its goroutine is already
+// leaving.
+func (s *shard) released(c *conn, n int, short int64, ok bool) {
+	for ; n > 0 && c.pinHead < len(c.pins); n-- {
+		if ch := c.pins[c.pinHead]; ch != nil {
+			s.view.Release(ch)
+			c.pins[c.pinHead] = nil
+		}
+		c.pinHead++
+	}
+	if c.pinHead == len(c.pins) {
+		c.pins, c.pinHead = c.pins[:0], 0
+	}
+	if !ok {
+		s.stats.BytesSent -= short
+		s.stats.BytesCopied -= short
+		s.markFailed(c)
+		c.writeDone = true
+	}
+}
+
+// itemDone runs after an item was transmitted (or discarded): byte
+// accounting, the source's release hook (unpinning chunks and
 // descriptors, acking producers), then either the next pull from the
 // source or the end of the response.
 func (s *shard) itemDone(c *conn, item writeItem, wrote, sfWrote int64, ok bool) {
@@ -419,12 +478,10 @@ func (s *shard) itemDone(c *conn, item writeItem, wrote, sfWrote int64, ok bool)
 		if src != nil {
 			src.abort(s, c)
 		}
-		s.closeWrite(c)
+		c.writeDone = true
 		s.signalNext(c, false)
 	case item.last:
 		s.finishResponse(c)
-	case c.endPending:
-		s.closeWrite(c)
 	default:
 		if src != nil {
 			src.next(s, c)
@@ -432,11 +489,12 @@ func (s *shard) itemDone(c *conn, item writeItem, wrote, sfWrote int64, ok bool)
 	}
 }
 
-// finishResponse completes one request/response exchange. Persistence
-// is decided by the request's (possibly downgraded) keep-alive flag:
-// 4xx responses are correctly framed, so the connection survives them —
-// a pipelined burst keeps its in-order framing across a mid-burst 404.
-func (s *shard) finishResponse(c *conn) {
+// settle closes the books on a response whose last item is written or
+// committed, and returns the persistence verdict. Persistence is
+// decided by the request's (possibly downgraded) keep-alive flag: 4xx
+// responses are correctly framed, so the connection survives them — a
+// pipelined burst keeps its in-order framing across a mid-burst 404.
+func (s *shard) settle(c *conn) bool {
 	ls := &c.ls
 	s.stats.Responses++
 	keep := ls.req != nil && ls.req.KeepAlive && !s.shutdown
@@ -444,27 +502,33 @@ func (s *shard) finishResponse(c *conn) {
 		s.logAccess(c.remote, ls.req, ls.status, ls.bytesSent)
 	}
 	if !keep {
-		s.closeWrite(c)
+		c.writeDone = true
 	}
-	s.signalNext(c, keep)
+	ls.src = nil
+	s.markIdle(c)
+	return keep
 }
 
-// signalNext ends the exchange: under the goroutine engine it releases
-// the parked reader for the next request; under epoll it advances the
-// conn's state machine (drain leftover body bytes, then parse the next
-// head or park idle). Both engines clear the busy gauge here — the one
-// funnel every completed or failed response passes through.
+// finishResponse completes an exchange whose items the loop tracked.
+func (s *shard) finishResponse(c *conn) {
+	s.signalNext(c, s.settle(c))
+}
+
+// signalNext ends the exchange: under the goroutine engine it answers
+// the parked conn goroutine; under epoll it advances the conn's state
+// machine (drain leftover body bytes, then parse the next head or park
+// idle). Both engines clear the busy gauge here — the one funnel every
+// completed or failed tracked response passes through. The send does
+// not block: a reply is already waiting only when the connection has
+// failed, and then the goroutine is leaving anyway.
 func (s *shard) signalNext(c *conn, keep bool) {
-	if c.busy {
-		c.busy = false
-		s.busyConns--
-	}
+	s.markIdle(c)
 	if c.np != nil {
 		s.npNext(c, keep)
 		return
 	}
 	select {
-	case c.nextCh <- keep:
+	case c.reply <- connReply{kind: replyEnd, keep: keep}:
 	default:
 	}
 }
@@ -474,6 +538,14 @@ func (s *shard) markBusy(c *conn) {
 	if !c.busy {
 		c.busy = true
 		s.busyConns++
+	}
+}
+
+// markIdle is markBusy's inverse.
+func (s *shard) markIdle(c *conn) {
+	if c.busy {
+		c.busy = false
+		s.busyConns--
 	}
 }
 
@@ -489,48 +561,47 @@ func (s *shard) markFailed(c *conn) {
 }
 
 // failConn aborts a connection mid-response (Content-Length already
-// committed, so the only correct signal is a close).
+// committed, so the only correct signal is a close). With an item in
+// flight, its itemDone ends the exchange.
 func (s *shard) failConn(c *conn) {
 	s.markFailed(c)
 	if src := c.ls.src; src != nil {
 		src.abort(s, c)
 	}
 	if !c.inFlight {
-		s.closeWrite(c)
+		c.writeDone = true
 		s.signalNext(c, false)
 	}
 }
 
-// closeWrite closes the writer channel exactly once (epoll conns have
-// no channel; the flag alone marks the write side dead).
-func (s *shard) closeWrite(c *conn) {
-	if c.writeDone {
-		return
-	}
-	if c.inFlight {
-		c.endPending = true
-		return
-	}
-	c.writeDone = true
-	if c.np == nil {
-		close(c.writeCh)
-	}
-}
-
-// connEnd runs when the reader goroutine exits: the response pipeline
+// connEnd runs after the conn goroutine exited: the response pipeline
 // (if one is still installed) is aborted so it drops any resources it
-// holds outside queued items — sources tolerate the abort arriving
-// after a completed response.
+// holds outside queued items, an item the goroutine never took is
+// released, and so is every pin still on the FIFO (responses it left
+// corked, or never received).
 func (s *shard) connEnd(c *conn) {
 	s.stats.OpenConns--
-	if c.busy {
-		c.busy = false
-		s.busyConns--
-	}
-	if src := c.ls.src; src != nil {
+	s.markIdle(c)
+	src := c.ls.src
+	if src != nil {
 		src.abort(s, c)
 	}
-	s.closeWrite(c)
+	c.writeDone = true
+	if c.inFlight {
+		// Every item the goroutine takes is reported before it exits, so
+		// this one is still in the channel (nothing else fits beside it).
+		c.inFlight = false
+		select {
+		case r := <-c.reply:
+			if src != nil {
+				src.release(s, c, r.item, false)
+			} else if r.item.sf != nil {
+				r.item.sf.Release()
+			}
+		default:
+		}
+	}
+	s.released(c, len(c.pins)-c.pinHead, 0, true)
 }
 
 // rangeVariantSlot is the header-cache variant shared by all 206

@@ -18,35 +18,27 @@ const sendfileSupported = true
 // renewal stays responsive (the kernel caps a call near 2 GiB anyway).
 const sendfileMaxPerCall = 4 << 20
 
-// transportSend ships hdr plus file[off, off+n): the header with a
-// plain write, then the body with a sendfile(2) loop — file bytes go
-// socket-ward inside the kernel, never through userspace. The
+// transportSend ships file[off, off+n) with a sendfile(2) loop — file
+// bytes go socket-ward inside the kernel, never through userspace (the
+// response header has already left with the caller's writev). The
 // explicit-offset form of the syscall is used so the shared cached
 // descriptor's file position is never touched (concurrent responses
 // stream from the same fd). The write deadline is renewed whenever a
 // call makes progress, so WriteTimeout bounds each kernel transfer
-// rather than the whole body; EAGAIN parks the writer on the netpoller
+// rather than the whole body; EAGAIN parks the caller on the netpoller
 // via RawConn.Write. Returns total bytes written and how many of them
 // the kernel moved with sendfile.
-func transportSend(nc net.Conn, hdr []byte, f *os.File, off, n int64, timeout time.Duration) (wrote, sent int64, err error) {
+func transportSend(nc net.Conn, f *os.File, off, n int64, timeout time.Duration) (wrote, sent int64, err error) {
 	tc, ok := nc.(*net.TCPConn)
 	if !ok {
 		// Not a kernel TCP socket (a wrapped or test transport): copy.
-		wrote, err = copySend(nc, hdr, f, off, n, timeout)
+		wrote, err = copySend(nc, f, off, n, timeout)
 		return wrote, 0, err
 	}
 	raw, rerr := tc.SyscallConn()
 	if rerr != nil {
-		wrote, err = copySend(nc, hdr, f, off, n, timeout)
+		wrote, err = copySend(nc, f, off, n, timeout)
 		return wrote, 0, err
-	}
-	if len(hdr) > 0 {
-		nc.SetWriteDeadline(time.Now().Add(timeout))
-		w, werr := nc.Write(hdr)
-		wrote += int64(w)
-		if werr != nil {
-			return wrote, 0, werr
-		}
 	}
 	infd := int(f.Fd())
 	pos, remain := off, n
@@ -84,14 +76,14 @@ func transportSend(nc net.Conn, hdr []byte, f *os.File, off, n int64, timeout ti
 		}
 		return true
 	})
-	wrote += sent
+	wrote = sent
 	if werr != nil {
 		return wrote, sent, werr
 	}
 	if (sferr == syscall.EINVAL || sferr == syscall.ENOSYS) && sent == 0 {
 		// The filesystem (or socket state) refused sendfile outright;
 		// serve the window through the portable copy loop instead.
-		w, cerr := copySend(nc, nil, f, pos, remain, timeout)
+		w, cerr := copySend(nc, f, pos, remain, timeout)
 		return wrote + w, 0, cerr
 	}
 	return wrote, sent, sferr

@@ -15,9 +15,9 @@ import (
 // userspace once on the way out.
 const sendfileSupported = false
 
-// transportSend ships hdr plus file[off, off+n) — portable copy build.
-// The sendfile byte count is always zero here.
-func transportSend(nc net.Conn, hdr []byte, f *os.File, off, n int64, timeout time.Duration) (wrote, sent int64, err error) {
-	wrote, err = copySend(nc, hdr, f, off, n, timeout)
+// transportSend ships file[off, off+n) — portable copy build. The
+// sendfile byte count is always zero here.
+func transportSend(nc net.Conn, f *os.File, off, n int64, timeout time.Duration) (wrote, sent int64, err error) {
+	wrote, err = copySend(nc, f, off, n, timeout)
 	return wrote, 0, err
 }

@@ -44,6 +44,14 @@ type Stats struct {
 	// portable fallback on platforms without sendfile).
 	BytesSendfile int64
 	BytesCopied   int64
+	// GatherWrites counts the socket write calls issued for responses —
+	// write, writev and each sendfile transfer — so GatherWrites over
+	// Responses is the server-side "writes per response": 1 for a
+	// client that waits for each reply, well under 1 for a pipelined
+	// burst whose responses the goroutine engine gathers. The goroutine
+	// engine counts a call the kernel splits under backpressure once;
+	// the epoll engine counts every syscall.
+	GatherWrites uint64
 	// OpenConns and IdleConns are point-in-time gauges of the shard's
 	// connections: open counts every adopted conn, idle the subset
 	// parked between exchanges waiting for a request head. Maintained
@@ -108,6 +116,7 @@ func (s Stats) Add(o Stats) Stats {
 	s.BytesSent += o.BytesSent
 	s.BytesSendfile += o.BytesSendfile
 	s.BytesCopied += o.BytesCopied
+	s.GatherWrites += o.GatherWrites
 	s.OpenConns += o.OpenConns
 	s.IdleConns += o.IdleConns
 	s.HelperJobs += o.HelperJobs
@@ -223,9 +232,16 @@ type shard struct {
 	// Linux); nil under the portable goroutine engine.
 	np *npShard
 
-	msgs     chan loopMsg // the loop's mailbox
+	// msgs is the loop's mailbox. It is never closed: Close posts a
+	// stop message, the loop runs what is queued behind it and exits
+	// (stopped is its loop-owned note of that), and late senders see
+	// loopDone rather than a closed channel. The buffer only has to
+	// absorb bursts from the shard's connections and helpers without
+	// parking them; a full mailbox blocks the sender, never the loop.
+	msgs     chan loopMsg
+	stopped  bool
 	helpers  *helperPool
-	loopDone chan struct{}
+	loopDone chan struct{} // closed when the loop has exited
 
 	// retryHdr is the preformatted Retry-After extra-header line for
 	// shed 503s (built once from Config.RetryAfter).
@@ -241,16 +257,20 @@ type shard struct {
 }
 
 // loopMsg is one message to a shard's event loop. The per-request and
-// per-chunk kinds (exchange start, write-item completion) carry their
-// arguments in value fields rather than closures, so the steady-state
-// loop traffic allocates nothing; everything else rides in fn.
+// per-chunk kinds (exchange start, write-item completion, flush
+// report) carry their arguments in value fields rather than closures,
+// so the steady-state loop traffic allocates nothing; everything else
+// rides in fn.
 type loopMsg struct {
 	fn             func()       // msgFn
-	c              *conn        // msgExchange, msgItemDone
+	c              *conn        // msgExchange, msgItemDone, msgReleased
 	plan           exchangePlan // msgExchange
 	item           writeItem    // msgItemDone
 	wrote, sfWrote int64        // msgItemDone
-	ok             bool         // msgItemDone
+	short          int64        // msgReleased: committed bytes the flush did not write
+	n              int32        // msgReleased: committed responses flushed
+	writes         int32        // msgItemDone, msgReleased: socket write calls since the last report
+	ok             bool         // msgItemDone, msgReleased
 	kind           uint8
 }
 
@@ -258,6 +278,8 @@ const (
 	msgFn = iota
 	msgExchange
 	msgItemDone
+	msgReleased
+	msgStop
 )
 
 // Coarse-clock parameters. Timeouts shorter than coarseMinTimeout are
@@ -402,9 +424,30 @@ func (s *shard) loop() {
 		return
 	}
 	defer close(s.loopDone)
-	for m := range s.msgs {
-		s.dispatch(m)
+	for !s.stopped {
+		s.dispatch(<-s.msgs)
 	}
+	s.drainMsgs()
+}
+
+// drainMsgs runs every message already in the mailbox.
+func (s *shard) drainMsgs() {
+	for {
+		select {
+		case m := <-s.msgs:
+			s.dispatch(m)
+		default:
+			return
+		}
+	}
+}
+
+// stopLoop ends the shard's loop once it has run what is queued, and
+// waits for it (Close, after every connection and helper has stopped).
+func (s *shard) stopLoop() {
+	s.send(loopMsg{kind: msgStop})
+	<-s.loopDone
+	close(s.clockStop)
 }
 
 // dispatch runs one mailbox message on the loop (shared by both
@@ -414,23 +457,39 @@ func (s *shard) dispatch(m loopMsg) {
 	case msgExchange:
 		s.handleExchange(m.c, m.plan)
 	case msgItemDone:
+		s.stats.GatherWrites += uint64(m.writes)
 		s.itemDone(m.c, m.item, m.wrote, m.sfWrote, m.ok)
+	case msgReleased:
+		s.stats.GatherWrites += uint64(m.writes)
+		s.released(m.c, int(m.n), m.short, m.ok)
+	case msgStop:
+		s.stopped = true
 	default:
 		m.fn()
 	}
 }
 
 // send delivers a message to the shard's event loop. It reports false
-// after shutdown (the mailbox is closed and the message dropped).
-// Under the epoll engine the loop may be parked in EpollWait rather
-// than on the channel, so every send also tickles the wake pipe.
-func (s *shard) send(m loopMsg) (ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false // send on closed channel during shutdown
+// once the loop has exited (the message is dropped). The usual case is
+// one non-blocking channel send; a full mailbox parks the sender until
+// there is room or the loop is gone. Under the epoll engine the loop
+// may be parked in EpollWait rather than on the channel, so every send
+// also tickles the wake pipe.
+func (s *shard) send(m loopMsg) bool {
+	select {
+	case <-s.loopDone:
+		return false
+	default:
+	}
+	select {
+	case s.msgs <- m:
+	default:
+		select {
+		case s.msgs <- m:
+		case <-s.loopDone:
+			return false
 		}
-	}()
-	s.msgs <- m
+	}
 	s.npWake()
 	return true
 }
@@ -448,13 +507,13 @@ func (s *shard) postExchange(c *conn, plan exchangePlan) bool {
 
 // postItemDone reports a transmitted (or discarded) write item to the
 // loop without allocating.
-func (s *shard) postItemDone(c *conn, item writeItem, wrote, sfWrote int64, ok bool) bool {
+func (s *shard) postItemDone(c *conn, item writeItem, wrote, sfWrote int64, writes int32, ok bool) bool {
 	return s.send(loopMsg{kind: msgItemDone, c: c, item: item,
-		wrote: wrote, sfWrote: sfWrote, ok: ok})
+		wrote: wrote, sfWrote: sfWrote, writes: writes, ok: ok})
 }
 
 // call runs fn on the shard's loop and waits for it (for Stats and
-// tests).
+// tests); it returns without running fn when the loop has stopped.
 func (s *shard) call(fn func()) {
 	done := make(chan struct{})
 	if !s.post(func() {
@@ -463,7 +522,10 @@ func (s *shard) call(fn func()) {
 	}) {
 		return
 	}
-	<-done
+	select {
+	case <-done:
+	case <-s.loopDone:
+	}
 }
 
 // snapshot returns a consistent view of one shard's counters.
@@ -776,9 +838,10 @@ func (s *Server) reapIdle(max int) {
 	for _, c := range conns {
 		c := c
 		c.sh.post(func() {
-			// busy is loop-owned: an exchange is in flight. Reap only
-			// conns parked between requests.
-			if budget.Load() <= 0 || c.busy {
+			// busy and pins are loop-owned: an exchange is in flight, or
+			// a committed response is not yet reported written. Reap
+			// only conns parked between requests.
+			if budget.Load() <= 0 || c.busy || len(c.pins) > c.pinHead {
 				return
 			}
 			budget.Add(-1)
@@ -790,7 +853,7 @@ func (s *Server) reapIdle(max int) {
 
 // unregisterConn removes c from the connection registry and signals the
 // Shutdown drain waiter when the last one leaves. Called by the
-// goroutine engine's reader on exit and by the epoll engine's npClose —
+// goroutine engine's conn goroutine on exit and by the epoll engine's npClose —
 // the one funnel both engines share, so the drain channel covers epoll
 // conns too.
 func (s *Server) unregisterConn(c *conn) {
@@ -854,9 +917,7 @@ func (s *Server) Close() error {
 			})
 			sh.view.ClearPaths()
 		})
-		close(sh.msgs)
-		<-sh.loopDone
-		close(sh.clockStop)
+		sh.stopLoop()
 	}
 	if s.ownedPool != nil {
 		s.ownedPool.Close()
@@ -897,7 +958,7 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	empty := len(s.conns) == 0
 	s.mu.Unlock()
 
-	// Stop extending keep-alive: finishResponse consults this flag, so
+	// Stop extending keep-alive: settle consults this flag, so
 	// every connection closes after its current response. Epoll shards
 	// additionally close their idle conns right away — with no reader
 	// goroutine to notice the flag, an idle keep-alive conn would

@@ -6,22 +6,33 @@ import (
 
 // bodySource is the unified response pipeline: every response —
 // static, dynamic, or fixed-buffer — is produced by one source, which
-// the event loop drives and the connection's writer goroutine
-// consumes, one writeItem at a time.
+// the event loop drives and the socket's owner (the connection's
+// goroutine, or the loop itself under epoll) consumes, one writeItem
+// at a time.
 //
 // Contract (every method runs on the event loop):
 //
-//   - next is invoked when the writer can accept an item: once when
-//     the response starts, and again after each non-final item
+//   - next is invoked when the socket's owner can accept an item: once
+//     when the response starts, and again after each non-final item
 //     completes. The source must eventually hand exactly one item per
 //     invocation to shard.queueItem — synchronously or from a posted
 //     completion (a helper load, a dynamic producer) — or end the
 //     response via shard.failConn. Push-style sources whose producer
-//     queues items on its own may treat next as a no-op.
-//   - release is invoked exactly once per queued item, after the
-//     writer transmits it or the pipeline discards it (ok reports
-//     which). The source drops the resources the item carried — chunk
-//     pins, descriptor references — and acks its producer, if any.
+//     queues items on its own may treat next as a no-op. A source
+//     whose response is a single item marks it whole.
+//   - release is invoked exactly once per queued item, by the loop:
+//     from itemDone after the item was transmitted, or when the
+//     pipeline discards it (ok reports which). The source drops the
+//     resources the item carried — chunk pins, descriptor references —
+//     and acks its producer, if any. The one exception is timing: a
+//     whole item under the goroutine engine is committed when queued
+//     (shard.commit), so release runs right there, before the bytes
+//     are written, with item.chunk nil — the chunk pin has moved to
+//     the connection's FIFO, which the loop unpins when the conn
+//     goroutine reports the flush (shard.released) or the connection
+//     ends (shard.connEnd). Everything else an item carries must be
+//     safe to drop at that point; descriptor-window (sf) items are
+//     therefore never whole.
 //   - abort is invoked when the response dies before its final item
 //     completes (write failure, connection teardown). It may fire more
 //     than once, and connection teardown also fires it after a
@@ -52,7 +63,7 @@ type fixedSource struct {
 }
 
 func (f *fixedSource) next(s *shard, c *conn) {
-	s.queueItem(c, writeItem{data: f.data, last: true})
+	s.queueItem(c, writeItem{data: f.data, last: true, whole: true})
 }
 
 func (f *fixedSource) release(*shard, *conn, writeItem, bool) {}
@@ -354,13 +365,16 @@ func (cs *chunkSource) queueChunk(s *shard, c *conn, ch *cache.Chunk, last bool)
 	item := writeItem{chunk: ch, body: ch.Data[a:b], last: last}
 	if idx == cs.firstChunk {
 		item.data = cs.hdr
+		item.whole = last
 	}
 	cs.nextChunk++
 	s.queueItem(c, item)
 }
 
-// release unpins the item's chunk once the writer is done with it; the
-// final item also ends the walk's descriptor pin.
+// release unpins the item's chunk (unless the connection's FIFO took
+// the pin over); the final item also ends the walk's descriptor pin —
+// a whole item needs no further chunk load, so dropping it at commit
+// is safe.
 func (cs *chunkSource) release(s *shard, c *conn, item writeItem, ok bool) {
 	if item.chunk != nil {
 		s.view.Release(item.chunk)
@@ -376,7 +390,7 @@ func (cs *chunkSource) abort(*shard, *conn) { cs.dropRef() }
 
 // sendfileSource is the zero-copy transport for static bodies: a
 // single item carrying the response header plus the cached
-// descriptor's byte window, which the writer ships with sendfile(2) on
+// descriptor's byte window, which is shipped with sendfile(2) on
 // Linux — file bytes never enter userspace or the map cache — or the
 // portable pread+writev loop elsewhere. The source holds one acquired
 // descriptor reference from creation until the item's release, so

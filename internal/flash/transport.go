@@ -23,12 +23,12 @@ var copyBufPool = sync.Pool{
 // copySend is the portable transport: pread the byte window through
 // the shared descriptor — never the fd's file offset, which concurrent
 // responses on the same cached descriptor would corrupt — and write it
-// out, gathering the response header with the first buffer in one
-// writev (§5.5). It backs non-Linux builds and the cases sendfile
+// out (the response header has already left with whatever was corked
+// ahead of it). It backs non-Linux builds and the cases sendfile
 // cannot take (non-TCP sockets, filesystems without support). The
 // write deadline is renewed per operation, so WriteTimeout bounds each
 // write, not the whole body.
-func copySend(nc net.Conn, hdr []byte, f *os.File, off, n int64, timeout time.Duration) (wrote int64, err error) {
+func copySend(nc net.Conn, f *os.File, off, n int64, timeout time.Duration) (wrote int64, err error) {
 	bufp := copyBufPool.Get().(*[]byte)
 	defer copyBufPool.Put(bufp)
 	buf := *bufp
@@ -49,21 +49,7 @@ func copySend(nc net.Conn, hdr []byte, f *os.File, off, n int64, timeout time.Du
 		}
 		pos += int64(got)
 		nc.SetWriteDeadline(time.Now().Add(timeout))
-		var bufs net.Buffers
-		if len(hdr) > 0 {
-			bufs = append(bufs, hdr)
-			hdr = nil
-		}
-		bufs = append(bufs, buf[:got])
-		w, werr := bufs.WriteTo(nc)
-		wrote += w
-		if werr != nil {
-			return wrote, werr
-		}
-	}
-	if len(hdr) > 0 { // empty window: still deliver the header
-		nc.SetWriteDeadline(time.Now().Add(timeout))
-		w, werr := nc.Write(hdr)
+		w, werr := nc.Write(buf[:got])
 		wrote += int64(w)
 		if werr != nil {
 			return wrote, werr
