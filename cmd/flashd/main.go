@@ -27,9 +27,13 @@
 //
 // The cache knobs mirror flash.Config.Cache: budgets are server-wide
 // (the store owns them; shard count does not divide the effective
-// cache size). Cached file chunks are mmap(2) views of the files, so
-// replace served files by rename: an in-place overwrite shows through
-// live mappings, an in-place truncation fails the fill that meets it.
+// cache size). Cached file chunks are views of one mmap(2) mapping per
+// file, kept for as long as the file's pathname-cache entry: evicting a
+// chunk drops its pages, not the mapping, so -cache-map-mb bounds the
+// resident bytes and -cache-path-entries the files kept mapped
+// (/server-status: "file maps:"). Replace served files by rename: an
+// in-place overwrite shows through live mappings, an in-place
+// truncation fails the fill that meets it.
 //
 // -upstream turns flashd into a caching reverse proxy: requests under
 // -upstream-prefix (default "/") that miss the local docroot routes are
@@ -294,6 +298,8 @@ func main() {
 				}
 				fmt.Fprintf(&b, "gather writes: %d (%.2f socket writes per response)\n", st.GatherWrites, perResp)
 				fmt.Fprintf(&b, "helper jobs:   %d\n", st.HelperJobs)
+				fmt.Fprintf(&b, "file maps:     mmap=%d munmap=%d read-fallbacks=%d\n",
+					st.FileMaps, st.FileUnmaps, st.MapFallbacks)
 				fmt.Fprintf(&b, "dynamic calls: %d\n", st.DynamicCalls)
 				fmt.Fprintf(&b, "path cache:    %.1f%% hit (%d/%d)\n",
 					100*st.PathCache.HitRate(), st.PathCache.Hits, st.PathCache.Hits+st.PathCache.Misses)

@@ -415,7 +415,7 @@ func TestFileRefClosesOnLastRelease(t *testing.T) {
 	if _, err := f.WriteString("payload"); err != nil {
 		t.Fatal(err)
 	}
-	r := NewFileRef(f)
+	r := NewFileRef(f, new(MapStats))
 	r.Acquire() // a concurrent reader
 	r.Release() // cache entry evicted: descriptor must survive
 	buf := make([]byte, 7)
@@ -442,7 +442,7 @@ func TestFileRefConcurrentAcquireRelease(t *testing.T) {
 	if _, err := f.WriteString("0123456789"); err != nil {
 		t.Fatal(err)
 	}
-	r := NewFileRef(f)
+	r := NewFileRef(f, new(MapStats))
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		r.Acquire() // handed out by the owner before the workers start

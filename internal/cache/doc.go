@@ -8,24 +8,39 @@
 // every per-request operation (path lookup, header lookup, chunk
 // pin/release, fill subscription) goes through the shard's own View,
 // so the hot path stays shard-local. [NewShardedStore] is the one
-// implementation. Its chunk tier is the paper's mapped-file cache:
-// disk helpers map file regions ([MapChunk]) and hand the refcounted
-// mapping ([MmapRef]) to the store, the budget counts mapped bytes,
-// and a mapping is never unmapped while any response, fill
-// subscriber, or writev gather references its bytes. A producer that
-// cannot map — a platform without mmap, a filesystem that refuses, a
-// reverse-proxy refill with no file at all — reads into a heap buffer
-// and inserts that instead; the tiers do not tell the two apart.
+// implementation. Its chunk tier is the paper's mapped-file cache: a
+// served file is mapped once, whole, by the first disk helper that
+// needs its bytes, and the mapping is parked on the file's [FileRef]
+// ([FileRef.Map]); chunks are refcounted views of it ([MmapRef.Slice])
+// that the helpers touch and hand to the store, the budget counts the
+// bytes in view, and a mapping is never unmapped while any response,
+// fill subscriber, or writev gather references its bytes. A producer
+// that cannot map — a platform without mmap, a filesystem that
+// refuses, a reverse-proxy refill with no file at all — reads into a
+// heap buffer and inserts that instead; the tiers do not tell the two
+// apart.
+//
+// Descriptor and mapping share one lifetime, the FileRef's: both live
+// as long as the path entry (or anything that acquired a reference
+// from it) does. Evicting a chunk zaps its pages (MADV_DONTNEED) and
+// keeps the address range, so a refill after eviction costs page
+// faults, not an mmap/munmap pair — §5.4's point that map/unmap is the
+// expensive part. The death of the entry closes the descriptor and
+// gives the mapping up; it unmaps when the last chunk view cut from it
+// has gone. Mapped files are thereby bounded by the path entries the
+// caches hold, mapped pages by the chunk budget.
 //
 // Files are expected to be replaced by rename. An in-place overwrite
-// is visible through live mappings; an in-place truncation fails the
-// fill that touches the missing pages ([ErrMapFault]).
+// is visible through live mappings (the helpers check a file's
+// identity after they took a chunk's bytes, so a rewrite they can see
+// fails the fill); an in-place truncation fails the fill that touches
+// the missing pages ([ErrMapFault]).
 //
 // The underlying structures are the paper's three caches:
 //
 //   - [PathCache]: pathname translation cache (requested name → file),
-//     holding a refcounted descriptor ([FileRef]) so eviction can never
-//     close a file under an in-flight read
+//     holding a refcounted descriptor-and-mapping ([FileRef]) so
+//     eviction can never close or unmap a file under an in-flight read
 //   - [HeaderCache]: precomputed HTTP response headers, invalidated
 //     when the underlying file changes
 //   - [MapCache]: file chunks with reference counting and a lazy-unmap

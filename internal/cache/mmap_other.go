@@ -10,10 +10,13 @@ import (
 // mapFileRegion reports that this platform has no mmap support, which
 // sends every producer down its read path (heap chunks via Insert and
 // Fill.Publish) — the sendfile split, mirrored.
-func mapFileRegion(*os.File, int64, int64, bool) (*MmapRef, error) {
+func mapFileRegion(*os.File, int64, int64) (*MmapRef, error) {
 	return nil, errors.ErrUnsupported
 }
 
-// munmapRegion is unreachable off Linux (no ref ever carries a raw
-// region); it exists to keep the platform surface identical.
+// munmapRegion and zapRegion are unreachable off Linux (no ref ever
+// carries a raw region); they exist to keep the platform surface
+// identical.
 func munmapRegion([]byte) {}
+
+func zapRegion([]byte) {}

@@ -37,7 +37,7 @@ func TestMmapChunkLifecycleRefcounts(t *testing.T) {
 	v := st.View(0)
 
 	off, n := st.ChunkRange(int64(len(content)), 0)
-	mr, err := MapChunk(f, off, n, false)
+	mr, err := MapChunk(f, off, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestMmapEvictionKeepsSharedMappingAlive(t *testing.T) {
 	st := testStore(1, 1024)
 	v := st.View(0)
 
-	mr, err := MapChunk(f, 0, 1024, false)
+	mr, err := MapChunk(f, 0, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestMmapEvictionKeepsSharedMappingAlive(t *testing.T) {
 	// Reader keeps its pin on /a while /b storms the budget.
 	for i := 0; i < 4; i++ {
 		f2 := writeTempFile(t, content)
-		mr2, err := MapChunk(f2, 0, 1024, false)
+		mr2, err := MapChunk(f2, 0, 1024)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestFillPublishMappedConsumesRef(t *testing.T) {
 	if !started {
 		t.Fatal("JoinFill did not start")
 	}
-	mr, _ := MapChunk(f, 0, 1024, true)
+	mr, _ := MapChunk(f, 0, 1024)
 	hold := mr.Acquire()
 	if !fill.PublishMapped(mr) {
 		t.Fatal("PublishMapped(0) said stop")
@@ -143,7 +143,7 @@ func TestFillPublishMappedConsumesRef(t *testing.T) {
 	// Invalidate mid-fill: the next publish must fail the fill and
 	// release the incoming mapping rather than leaking it.
 	v.InvalidateFile("/f", 1, 2)
-	mr2, _ := MapChunk(f, 1024, 1024, true)
+	mr2, _ := MapChunk(f, 1024, 1024)
 	hold2 := mr2.Acquire()
 	if fill.PublishMapped(mr2) {
 		t.Fatal("doomed fill accepted a publish")
@@ -167,7 +167,7 @@ func TestFillPublishMappedConsumesRef(t *testing.T) {
 // hand back an empty unmapped ref instead of an mmap error.
 func TestMapChunkZeroLength(t *testing.T) {
 	f := writeTempFile(t, nil)
-	mr, err := MapChunk(f, 0, 0, false)
+	mr, err := MapChunk(f, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestMapChunkZeroLength(t *testing.T) {
 func TestTouchRecoversTruncationFault(t *testing.T) {
 	content := bytes.Repeat([]byte("z"), 4*os.Getpagesize())
 	f := writeTempFile(t, content)
-	mr, err := MapChunk(f, 0, int64(len(content)), true)
+	mr, err := MapChunk(f, 0, int64(len(content)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,5 +200,178 @@ func TestTouchRecoversTruncationFault(t *testing.T) {
 	}
 	if was := debug.SetPanicOnFault(false); was {
 		t.Fatal("Touch left panic-on-fault enabled on the caller's goroutine")
+	}
+}
+
+// mappedFile writes a file of n pattern bytes and adopts it into a
+// FileRef counted in the returned MapStats.
+func mappedFile(t *testing.T, n int) (*FileRef, []byte, *MapStats) {
+	t.Helper()
+	content := make([]byte, n)
+	for i := range content {
+		content[i] = byte(i*13 + i>>9)
+	}
+	name := filepath.Join(t.TempDir(), "f.bin")
+	if err := os.WriteFile(name, content, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := new(MapStats)
+	return NewFileRef(f, stats), content, stats
+}
+
+// publishFile maps ref's file and inserts its chunks, unpinned, the way
+// a fill does: each chunk a touched view of the parked mapping.
+func publishFile(t *testing.T, st *ShardedStore, v View, ref *FileRef, path string, size int) {
+	t.Helper()
+	m, err := ref.Map(int64(size))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < st.NumChunks(int64(size)); i++ {
+		off, n := st.ChunkRange(int64(size), i)
+		sub := m.Slice(off, n)
+		if err := sub.Touch(); err != nil {
+			t.Fatal(err)
+		}
+		v.Release(v.InsertMapped(ChunkKey{Path: path, Index: i}, sub, n, 1))
+	}
+}
+
+// TestParkedMappingLifetime pins the lifetime rule: the mapping is made
+// once per FileRef, survives the eviction (and zapping) of every chunk
+// cut from it, serves the refill byte-exact, outlives the FileRef for
+// as long as a chunk view holds it, and is unmapped exactly once.
+func TestParkedMappingLifetime(t *testing.T) {
+	pg := os.Getpagesize()
+	size := 3*4*pg + 100 // three chunks and a ragged tail
+	ref, content, stats := mappedFile(t, size)
+	// One segment, a budget of two chunks, no L1 retention: publishing
+	// the file's four chunks evicts its first ones again.
+	st := testStore(1, int64(2*4*pg), func(o *StoreOptions) {
+		o.ChunkBytes, o.Segments, o.L1Bytes = int64(4*pg), 1, -1
+	})
+	v := st.View(0)
+
+	publishFile(t, st, v, ref, "/f", size)
+	if ev := st.SharedStats().Chunks.Evictions; ev < 2 {
+		t.Fatalf("%d evictions while publishing four chunks into a two-chunk budget", ev)
+	}
+	if got := stats.Maps.Load(); got != 1 {
+		t.Fatalf("maps after the first fill = %d, want 1", got)
+	}
+	// Refill: the same mapping, sliced again; zapped pages fault back in.
+	publishFile(t, st, v, ref, "/f", size)
+	if maps, unmaps := stats.Maps.Load(), stats.Unmaps.Load(); maps != 1 || unmaps != 0 {
+		t.Fatalf("after a refill: maps=%d unmaps=%d, want 1 and 0", maps, unmaps)
+	}
+	last := st.NumChunks(int64(size)) - 1
+	c := v.Lookup(ChunkKey{Path: "/f", Index: last}, 1)
+	if c == nil {
+		t.Fatal("the last chunk published is not resident")
+	}
+	off, n := st.ChunkRange(int64(size), last)
+	if !bytes.Equal(c.Data, content[off:off+n]) {
+		t.Fatal("refilled chunk differs from the file")
+	}
+	if got := ref.MapRefs(); got < 2 {
+		t.Fatalf("mapping refs = %d with a chunk pinned, want the FileRef's and the chunk's", got)
+	}
+
+	// The path entry dies with a chunk still out: the descriptor closes,
+	// the mapping stays until the chunk's view lets go.
+	ref.Release()
+	if ref.Refs() != 0 || stats.Unmaps.Load() != 0 {
+		t.Fatalf("after the last FileRef release: refs=%d unmaps=%d, want 0 and 0", ref.Refs(), stats.Unmaps.Load())
+	}
+	if !bytes.Equal(c.Data, content[off:off+n]) {
+		t.Fatal("pinned chunk unreadable after its FileRef died")
+	}
+	v.Release(c)
+	v.InvalidateFile("/f", 1, st.NumChunks(int64(size)))
+	if got := stats.Unmaps.Load(); got != 1 {
+		t.Fatalf("unmaps after the last view went = %d, want 1", got)
+	}
+}
+
+// TestParkedMappingSizeMismatch: a mapping parked under one size is not
+// handed to a caller whose identity states another — that job reads.
+func TestParkedMappingSizeMismatch(t *testing.T) {
+	ref, _, _ := mappedFile(t, 5000)
+	defer ref.Release()
+	if _, err := ref.Map(5000); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := ref.Map(4000); err == nil {
+		t.Fatalf("Map(4000) of a file parked at 5000 bytes returned %d bytes", len(m.Bytes()))
+	}
+}
+
+// TestEvictionZapsAdjacentViewsTogether: when the LRU victim's
+// neighbours on the free list are the adjacent views of the same
+// mapping, they leave in the same pass (one madvise for the file), and
+// a replica that still holds the zapped bytes reads them back intact.
+func TestEvictionZapsAdjacentViewsTogether(t *testing.T) {
+	pg := os.Getpagesize()
+	chunk := 4 * pg
+	refA, contentA, _ := mappedFile(t, 3*chunk)
+	refB, _, _ := mappedFile(t, chunk)
+	defer refA.Release()
+	defer refB.Release()
+	// Room for A's three chunks exactly; an L1 big enough to keep a
+	// replica of everything.
+	st := testStore(1, int64(3*chunk), func(o *StoreOptions) {
+		o.ChunkBytes, o.Segments, o.L1Bytes = int64(chunk), 1, int64(8*chunk)
+	})
+	v := st.View(0)
+	publishFile(t, st, v, refA, "/a", 3*chunk)
+	rep := v.Lookup(ChunkKey{Path: "/a", Index: 1}, 1) // the L1 replica of A's middle chunk
+	if rep == nil {
+		t.Fatal("/a chunk 1 not resident")
+	}
+	before := st.SharedStats().Chunks.Evictions
+	publishFile(t, st, v, refB, "/b", chunk) // one chunk over: A's chunk 0 is the victim
+	if got := st.SharedStats().Chunks.Evictions - before; got != 3 {
+		t.Fatalf("%d chunks evicted by one insert, want /a's three adjacent views together", got)
+	}
+	if !bytes.Equal(rep.Data, contentA[chunk:2*chunk]) {
+		t.Fatal("replica of a zapped chunk reads different bytes")
+	}
+	v.Release(rep)
+}
+
+// TestZapRunMerges checks the coalescing itself: adjacent views of one
+// mapping extend the run in either direction, anything else starts a
+// new one.
+func TestZapRunMerges(t *testing.T) {
+	pg := os.Getpagesize()
+	ref, _, _ := mappedFile(t, 8*pg)
+	other, _, _ := mappedFile(t, 8*pg)
+	defer ref.Release()
+	defer other.Release()
+	m, _ := ref.Map(int64(8 * pg))
+	o, _ := other.Map(int64(8 * pg))
+	var z zapRun
+	z.add(m.Slice(int64(2*pg), int64(pg)))
+	z.add(m.Slice(int64(3*pg), int64(pg))) // after
+	z.add(m.Slice(int64(pg), int64(pg)))   // before
+	if z.lo != pg || z.hi != 4*pg {
+		t.Fatalf("run covers [%d,%d), want [%d,%d)", z.lo, z.hi, pg, 4*pg)
+	}
+	gap := m.Slice(int64(6*pg), int64(pg))
+	if z.extends(gap) {
+		t.Fatal("a view with a gap before it extended the run")
+	}
+	gap.Release()
+	z.add(o.Slice(int64(4*pg), int64(pg))) // same offsets, another mapping
+	if z.lo != 4*pg || z.hi != 5*pg || z.ref.root() != o.root() {
+		t.Fatal("a view of another mapping did not start a new run")
+	}
+	z.flush()
+	if got := ref.MapRefs(); got != 1 {
+		t.Fatalf("mapping refs after flush = %d, want only the FileRef's", got)
 	}
 }

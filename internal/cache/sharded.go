@@ -54,7 +54,7 @@ type StoreOptions struct {
 // mutex-guarded segments with single-flight fills. Chunk bytes live
 // once, in the segment keyed by hash(path); shards replicate only the
 // hot set into their L1s. A chunk's bytes are either a view over a
-// refcounted mapping (MapChunk, then InsertMapped or
+// refcounted mapping (a Slice of FileRef.Map, then InsertMapped or
 // Fill.PublishMapped — what disk helpers produce) or a heap buffer
 // (Insert, Fill.Publish — proxy refills, and the helpers' read
 // fallback where a file cannot be mapped); the tiers treat both alike.
@@ -122,10 +122,12 @@ func NewShardedStore(o StoreOptions) *ShardedStore {
 	}
 	st := &ShardedStore{chunkSize: o.ChunkBytes}
 	for i := 0; i < o.Segments; i++ {
+		chunks := NewMapCache(max64(o.MapBytes/int64(o.Segments), 1), o.ChunkBytes)
+		chunks.zapOnEvict = true // the segment owns the bytes
 		st.segments = append(st.segments, &segment{
 			store:  st,
 			tag:    int32(i) + 1,
-			chunks: NewMapCache(max64(o.MapBytes/int64(o.Segments), 1), o.ChunkBytes),
+			chunks: chunks,
 			fills:  make(map[string]*Fill),
 		})
 	}
@@ -295,7 +297,7 @@ func (v *storeView) Lookup(key ChunkKey, modTime int64) *Chunk {
 	if v.l1 == nil {
 		return c
 	}
-	return v.replicate(seg, c)
+	return v.replicate(seg, c, modTime)
 }
 
 // replicate copies a segment hit into the L1 (sharing the immutable
@@ -303,17 +305,20 @@ func (v *storeView) Lookup(key ChunkKey, modTime int64) *Chunk {
 // the replica pinned, and drops the segment pin. An mmap-backed chunk
 // is shared by reference: the replica acquires its own hold on the
 // mapping, so the L1 and the segment can evict in either order
-// without unmapping pages the other still serves. (Reading c.mapping
-// outside the segment lock is safe — the field is immutable and the
-// caller's pin keeps the chunk alive.)
-func (v *storeView) replicate(seg *segment, c *Chunk) *Chunk {
+// without unmapping pages the other still serves. The generation comes
+// from the caller, who matched or wrote it under the segment lock:
+// c.ModTime is rewritten by every insert and publish that merges into
+// the chunk, so it may not be read here, outside the lock. (Key, Size,
+// Data and mapping are immutable once inserted, and the caller's pin
+// keeps the chunk alive.)
+func (v *storeView) replicate(seg *segment, c *Chunk, modTime int64) *Chunk {
 	var rep *Chunk
 	if m := c.mapping; m != nil {
 		rep = v.l1.InsertMapped(c.Key, m.Acquire(), c.Size)
 	} else {
 		rep = v.l1.Insert(c.Key, c.Data, c.Size)
 	}
-	rep.ModTime = c.ModTime
+	rep.ModTime = modTime
 	rep.home = -(int32(v.id) + 1)
 	seg.mu.Lock()
 	seg.chunks.Release(c)
@@ -335,7 +340,7 @@ func (v *storeView) Insert(key ChunkKey, data []byte, size, modTime int64) *Chun
 	if v.l1 == nil {
 		return c
 	}
-	return v.replicate(seg, c)
+	return v.replicate(seg, c, modTime)
 }
 
 // InsertMapped is Insert for a chunk backed by a mapping: the chunk
@@ -353,7 +358,7 @@ func (v *storeView) InsertMapped(key ChunkKey, m *MmapRef, size, modTime int64) 
 	if v.l1 == nil {
 		return c
 	}
-	return v.replicate(seg, c)
+	return v.replicate(seg, c, modTime)
 }
 
 // Release unpins a chunk, dispatching on which tier owns it.

@@ -64,8 +64,7 @@ type View interface {
 	// the next lookup is loop-local and lock-free. Insert records a
 	// chunk read into a heap buffer under the given identity and
 	// returns it pinned; InsertMapped does the same for a chunk whose
-	// bytes are a mapping from MapChunk (the chunk adopts m's
-	// reference). Release unpins a chunk obtained from Lookup, Insert,
+	// bytes are a view of a mapping (the chunk adopts m's reference). Release unpins a chunk obtained from Lookup, Insert,
 	// InsertMapped, or Fill.ChunkAt, whichever tier owns it.
 	Lookup(key ChunkKey, modTime int64) *Chunk
 	Insert(key ChunkKey, data []byte, size, modTime int64) *Chunk

@@ -36,6 +36,9 @@ func allocGuardServer(t testing.TB, register func(*Server)) (addr string, stop f
 		bytes.Repeat([]byte("x"), 1024), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(filepath.Join(root, "multi.bin"), pattern(160<<10), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	s, err := New(Config{
 		DocRoot:            root,
 		EventLoops:         1,
@@ -96,6 +99,23 @@ func TestAllocsPipelinedBurst(t *testing.T) {
 	get := []byte("GET /f.html HTTP/1.1\r\nHost: alloc\r\n\r\n")
 	if n := measureAllocs(t, addr, bytes.Repeat(get, depth), depth); n > 0 {
 		t.Errorf("pipelined burst: %.2f allocs/burst of %d, want 0", n, depth)
+	}
+}
+
+// TestAllocsMultiChunkHit: a warm three-chunk response is one run — its
+// chunks and windows travel in connection-owned scratch, its pins on
+// the connection's FIFO — and allocates nothing, serial or pipelined.
+func TestAllocsMultiChunkHit(t *testing.T) {
+	addr, stop := allocGuardServer(t, nil)
+	defer stop()
+
+	get := []byte("GET /multi.bin HTTP/1.1\r\nHost: alloc\r\n\r\n")
+	if n := measureAllocs(t, addr, get, 1); n > 0 {
+		t.Errorf("three-chunk cache hit: %.2f allocs/request, want 0", n)
+	}
+	const depth = 4
+	if n := measureAllocs(t, addr, bytes.Repeat(get, depth), depth); n > 0 {
+		t.Errorf("pipelined three-chunk cache hit: %.2f allocs/burst of %d, want 0", n, depth)
 	}
 }
 
@@ -210,7 +230,7 @@ func newSteadyClient(b testing.TB, addr string, req []byte, depth int) *steadyCl
 		b.Fatal(err)
 	}
 	conn.SetDeadline(time.Now().Add(5 * time.Minute))
-	c := &steadyClient{conn: conn, req: req, buf: make([]byte, 64<<10)}
+	c := &steadyClient{conn: conn, req: req, buf: make([]byte, 256<<10)} // holds any one response
 
 	// First exchange: measure one response, scraping Content-Length and
 	// ETag from the header block.

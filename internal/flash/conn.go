@@ -23,19 +23,23 @@ var fpConnWrite = failpoint.New("flash/conn-write")
 // from a response's bodySource to whoever owns the socket (the
 // connection's goroutine, or the shard loop under epoll). It is
 // transmitted in order: the inline bytes (header, error body, dynamic
-// data), then the chunk window — the two gathered into a single
-// writev, the §5.5 pattern — and then, for the zero-copy transport,
-// the descriptor window [sfOff, sfOff+sfLen) shipped with sendfile(2)
-// (or the portable copy loop). Sources produce items one at a time;
-// `last` marks the response's final item. Items travel by value —
-// through the reply channel and back through the loop's typed itemDone
-// message — so the per-item traffic allocates nothing.
+// data), then the chunk windows — all gathered into a single writev,
+// the §5.5 pattern — and then, for the zero-copy transport, the
+// descriptor window [sfOff, sfOff+sfLen) shipped with sendfile(2) (or
+// the portable copy loop). Sources produce items one at a time; `last`
+// marks the response's final item. Items travel by value — through the
+// reply channel and back through the loop's typed itemDone message —
+// so the per-item traffic allocates nothing.
 type writeItem struct {
-	data  []byte
-	chunk *cache.Chunk
-	// body is the chunk bytes to transmit — a sub-slice of chunk.Data
-	// when a Range request clamps the window, else the whole chunk.
-	body []byte
+	data []byte
+	// chunks is the run of consecutive pinned chunks the item carries
+	// and bodies[i] the bytes of chunks[i] to transmit — a sub-slice of
+	// its Data where a Range request clamps the window. Both live in
+	// the connection's loop-written scratch (conn.runChunks/runBodies),
+	// which the source does not touch again before the item is
+	// released: whoever receives the item copies out what it keeps.
+	chunks []*cache.Chunk
+	bodies [][]byte
 	// sf, when non-nil, is an acquired descriptor reference whose
 	// [sfOff, sfOff+sfLen) byte window the writer ships after data.
 	sf           *cache.FileRef
@@ -45,6 +49,23 @@ type writeItem struct {
 	// source together with last): the goroutine engine commits such a
 	// response the moment it is queued (shard.commit).
 	whole bool
+}
+
+// wireLen is the byte count of the item's gathered part (everything
+// but a descriptor window).
+func (it *writeItem) wireLen() int {
+	n := len(it.data)
+	for _, b := range it.bodies {
+		n += len(b)
+	}
+	return n
+}
+
+// pins is how many entries a committed item puts on the connection's
+// pin FIFO: one per chunk, and one empty entry for a response that
+// pins nothing, so that an unreported response always shows there.
+func (it *writeItem) pins() int {
+	return max(len(it.chunks), 1)
 }
 
 // connReply is one message from the event loop to the connection's
@@ -71,25 +92,28 @@ const (
 	replyEnd
 )
 
-// gatherCap bounds the response bytes a connection holds corked: a
-// response that would take the gather list past it flushes the list
-// first, so a pipelined burst leaves in writev calls of at most this
-// size (one response alone may be larger). Chosen by measurement on
-// hot_pipelined (16 deep, 512 B–32 KiB files, ~196 KiB of responses
-// per burst): 32, 64 and 128 KiB read 114 k, 160 k and 174 k req/s —
-// the rows are in CHANGES.md.
-const gatherCap = 128 << 10
-
-// corked is one committed response waiting in a connection's gather
-// list. Its inline bytes were copied into the conn's arena (the
-// original may alias header scratch the next exchange overwrites) and
-// are addressed by offset, so the arena can grow under them; the chunk
-// window is never copied — the loop's pin FIFO keeps it alive until
-// the flush is reported.
-type corked struct {
-	off, n int
-	body   []byte
-}
+// gatherCap bounds the response bytes one writev carries, from both
+// sides: a chunk run stops before its windows would pass it
+// (chunkSource.walk), and a response that would take a connection's
+// gather list past it flushes the list first. A pipelined burst
+// therefore leaves in calls of at most this size (plus one response's
+// header bytes).
+//
+// It also bounds what a client that stops reading can keep pinned: the
+// corked list (at most the cap) plus the one response committed behind
+// it while the list's flush is blocked (one run: at most the cap again,
+// and under the default SendfileThreshold at most 256 KiB) — cap + one
+// response of chunk bytes per stalled connection, until WriteTimeout
+// closes it.
+//
+// Chosen by measurement, three runs per cap on each workload; the rows
+// are in CHANGES.md. PR 20, one chunk per item: 32 / 64 / 128 KiB read
+// 114 k / 160 k / 174 k req/s on hot_pipelined. PR 23, whole-response
+// runs: 128 / 256 / 512 KiB read 232–237 k / 239–248 k / 245–252 k
+// req/s on hot_pipelined (a 16-deep burst is ~196 KiB, so 128 KiB
+// splits it) and 26.5–27.1 k / 27.6–29.3 k / 29.0–30.4 k req/s on
+// cold_zipf (four pipelined responses of up to 160 KiB each).
+const gatherCap = 512 << 10
 
 // loopState is the per-response state owned by the event loop. It is
 // reset at the start of every exchange; write-side state that must
@@ -147,15 +171,26 @@ type conn struct {
 	sfSrc    sendfileSource
 	hdrBuf   []byte // scratch for per-request header patches
 
-	// Gather state, owned by the conn goroutine: committed responses
-	// not yet written (gather, their inline bytes in arena, gatherBytes
-	// in total), the writev scratch, and the socket write calls made
-	// since the last report to the loop. wfailed latches the first
+	// runChunks and runBodies back the chunks and bodies of the one
+	// item the connection's chunkSource has out (see writeItem).
+	runChunks []*cache.Chunk
+	runBodies [][]byte
+
+	// Gather state, owned by the conn goroutine. wb is the gather list:
+	// the iovecs, in wire order, of the committed responses not yet
+	// written — gatherBytes in total, gatherPins entries on the loop's
+	// pin FIFO. Their inline bytes were copied into arena (the original
+	// may alias header scratch the next exchange overwrites; a wb entry
+	// keeps pointing at the right bytes when the arena grows, because a
+	// grown arena is a new array and the old one is not written again);
+	// chunk windows are never copied — the pin FIFO keeps them alive
+	// until the flush is reported. writes counts the socket write calls
+	// made since the last report to the loop. wfailed latches the first
 	// write error; later items are reported back unwritten.
-	gather      []corked
+	wb          [][]byte
 	arena       []byte
 	gatherBytes int
-	wb          [][]byte
+	gatherPins  int32
 	bufs        net.Buffers
 	writes      int32
 	wfailed     bool
@@ -172,10 +207,11 @@ type conn struct {
 	failed    bool
 	writeDone bool // no further item will be accepted
 
-	// pins (loop-owned) is the FIFO of committed responses whose bytes
-	// the conn goroutine has not yet reported written: one entry each,
-	// the response's pinned chunk or nil, oldest at pinHead. A released
-	// message pops from the front; connEnd drains the rest.
+	// pins (loop-owned) is the FIFO of what committed responses whose
+	// bytes the conn goroutine has not yet reported written still pin:
+	// every chunk of each response's run, or one nil entry for a
+	// response without chunks, oldest at pinHead. A released message
+	// pops from the front; connEnd drains the rest.
 	pins    []*cache.Chunk
 	pinHead int
 
@@ -589,23 +625,44 @@ func (c *conn) await() bool {
 // gatherCap — and flushes the list when the connection ends with this
 // response. It reports whether the connection goes on.
 func (c *conn) cork(item *writeItem, keep bool) bool {
-	n := len(item.data) + len(item.body)
+	n := item.wireLen()
 	if c.gatherBytes > 0 && c.gatherBytes+n > gatherCap && !c.flush() {
 		return false
 	}
-	c.gather = append(c.gather, corked{off: len(c.arena), n: len(item.data), body: item.body})
-	c.arena = append(c.arena, item.data...)
+	c.wb = appendIovecs(c.wb, c.arenaCopy(item.data), item.bodies)
 	c.gatherBytes += n
+	c.gatherPins += int32(item.pins())
 	if !keep {
 		c.flush()
 	}
 	return keep
 }
 
+// arenaCopy copies a corked response's inline bytes into the arena and
+// returns the copy.
+func (c *conn) arenaCopy(data []byte) []byte {
+	off := len(c.arena)
+	c.arena = append(c.arena, data...)
+	return c.arena[off:len(c.arena):len(c.arena)]
+}
+
+// appendIovecs appends an item's non-empty pieces in wire order.
+func appendIovecs(wb [][]byte, data []byte, bodies [][]byte) [][]byte {
+	if len(data) > 0 {
+		wb = append(wb, data)
+	}
+	for _, b := range bodies {
+		if len(b) > 0 {
+			wb = append(wb, b)
+		}
+	}
+	return wb
+}
+
 // flush writes the gather list, if any; false means the connection's
 // write side has failed.
 func (c *conn) flush() bool {
-	if len(c.gather) == 0 {
+	if c.gatherPins == 0 {
 		return !c.wfailed
 	}
 	_, _, ok := c.transmit(nil)
@@ -623,32 +680,18 @@ func (c *conn) takeWrites() int32 {
 // transmit performs the (potentially blocking) socket transmission, so
 // the event loop never does: every corked response, then — riding
 // behind them in the same writev — item's inline bytes and chunk
-// window, then item's descriptor window by sendfile or the copy loop.
+// windows, then item's descriptor window by sendfile or the copy loop.
 // The flushed responses are reported to the loop in one released
 // message (it drops their pins; a shortfall against the byte counts
 // they were committed with fails the connection there), and item's own
 // byte counts are returned for its itemDone. After a write error
 // nothing more is written: items are still reported back, unwritten,
-// so their sources release what they carry. The gather array is
+// so their sources release what they carry. The gather list is
 // conn-owned scratch: a steady-state flush allocates nothing.
 func (c *conn) transmit(item *writeItem) (wrote, sfWrote int64, ok bool) {
-	wb := c.wb[:0]
-	for i := range c.gather {
-		e := &c.gather[i]
-		if e.n > 0 {
-			wb = append(wb, c.arena[e.off:e.off+e.n])
-		}
-		if len(e.body) > 0 {
-			wb = append(wb, e.body)
-		}
-	}
+	wb := c.wb
 	if item != nil {
-		if len(item.data) > 0 {
-			wb = append(wb, item.data)
-		}
-		if len(item.body) > 0 {
-			wb = append(wb, item.body)
-		}
+		wb = appendIovecs(wb, item.data, item.bodies)
 	}
 	if !c.wfailed && failpoint.Armed() {
 		if err := fpConnWrite.Eval(c.remote); err != nil {
@@ -674,7 +717,7 @@ func (c *conn) transmit(item *writeItem) (wrote, sfWrote int64, ok bool) {
 	clear(wb) // drop the chunk and arena references
 	c.wb = wb[:0]
 
-	if n := len(c.gather); n > 0 {
+	if c.gatherPins > 0 {
 		// The corked responses come first on the wire: what was written
 		// counts against them before it counts for item.
 		short := int64(c.gatherBytes)
@@ -683,10 +726,9 @@ func (c *conn) transmit(item *writeItem) (wrote, sfWrote int64, ok bool) {
 		} else {
 			short, wrote = 0, wrote-short
 		}
-		c.sh.send(loopMsg{kind: msgReleased, c: c, n: int32(n), short: short,
+		c.sh.send(loopMsg{kind: msgReleased, c: c, n: c.gatherPins, short: short,
 			writes: c.takeWrites(), ok: !c.wfailed})
-		clear(c.gather)
-		c.gather, c.gatherBytes = c.gather[:0], 0
+		c.gatherBytes, c.gatherPins = 0, 0
 		if cap(c.arena) > gatherCap {
 			c.arena = nil // one oversized inline body must not stay allocated
 		}

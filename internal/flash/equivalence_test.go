@@ -303,8 +303,9 @@ func testFDLifetimeUnderEviction(t *testing.T, threshold int64) {
 		EventLoops:        1,
 		SendfileThreshold: threshold,
 		Cache: CacheConfig{
-			PathEntries: 2, // working set is 6: constant eviction
-			MapBytes:    1, // chunks are transient: every read hits the fd
+			PathEntries: 2,  // working set is 6: constant eviction
+			MapBytes:    1,  // chunks are transient: every read hits the fd
+			L1Bytes:     -1, // ... or the file's mapping: no replica outlives its response
 		},
 	})
 	if err != nil {
@@ -355,23 +356,33 @@ func testFDLifetimeUnderEviction(t *testing.T, threshold int64) {
 		t.Fatal(err)
 	}
 
-	// Quiesced: no pin may outlive its response — every cached
-	// entry holds exactly the cache's own reference.
+	// Quiesced: no pin may outlive its response — every cached entry
+	// holds exactly the cache's own reference, and the parked mappings
+	// (where a helper made one) exactly their entry's plus one per chunk
+	// still resident in the shared tier (the one-byte budget keeps
+	// f1.bin's one-byte tail chunk).
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		leaked := 0
+		leaked, views := 0, 0
 		s.shards[0].call(func() {
 			s.shards[0].view.EachPath(func(_ string, e cache.PathEntry) {
-				if r := entryRef(e); r != nil && r.Refs() != 1 {
-					leaked++
+				if r := entryRef(e); r != nil {
+					if r.Refs() != 1 {
+						leaked++
+					}
+					views += max(r.MapRefs()-1, 0)
 				}
 			})
 		})
+		shared := s.store.SharedStats().Chunks
+		if resident := int(shared.Inserts - shared.Evictions); views > resident {
+			leaked += views - resident
+		}
 		if leaked == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d cached descriptors still pinned after quiesce", leaked)
+			t.Fatalf("%d cached descriptors or mappings still pinned after quiesce", leaked)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

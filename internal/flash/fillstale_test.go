@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -134,5 +135,76 @@ func testDoomedFillWakesParkedRangeReader(t *testing.T) {
 	f := s.Stats().Fills
 	if f.Started != 2 || f.Failed != 1 || f.Completed != 1 {
 		t.Fatalf("fill stats = %+v, want Started=2 Failed=1 Completed=1", f)
+	}
+}
+
+// TestFillIdentityAfterTouch pins the order "take the bytes, then check
+// the identity, then publish". The disk-read hook runs before a chunk
+// is loaded; here it rewrites the file in place — same size, new bytes,
+// new mtime — while it holds the helper. A producer that checked
+// identity first would now load new-generation bytes and publish them
+// under the old tag. Checked after the load, the fill fails stale, the
+// request (nothing sent yet) restarts against the new identity, and
+// the body is new-generation from the first byte to the last — on the
+// mapped path, where the rewrite shows through the live mapping, and
+// on the read path alike.
+func TestFillIdentityAfterTouch(t *testing.T) {
+	forEachChunkPath(t, func(t *testing.T) {
+		for _, coalesce := range []bool{true, false} {
+			t.Run(fmt.Sprintf("coalesce=%v", coalesce), func(t *testing.T) {
+				testFillIdentityAfterTouch(t, coalesce)
+			})
+		}
+	})
+}
+
+func testFillIdentityAfterTouch(t *testing.T, coalesce bool) {
+	const size = 3 * 8192
+	oldContent := pattern(size)
+	newContent := bytes.ToUpper(bytes.Repeat([]byte("fresh-generation-"), size/17+1))[:size]
+	oldTime := time.Now().Add(-10 * time.Second)
+
+	var fsPath string
+	var rewritten atomic.Bool
+	installDiskHook(t, func(path string, off int64) {
+		if path != fsPath || !rewritten.CompareAndSwap(false, true) {
+			return
+		}
+		if err := os.WriteFile(path, newContent, 0o644); err != nil {
+			t.Error(err)
+		}
+		if err := os.Chtimes(path, oldTime.Add(5*time.Second), oldTime.Add(5*time.Second)); err != nil {
+			t.Error(err)
+		}
+	})
+	s, base := newTestServer(t, func(cfg *Config) {
+		cfg.EventLoops = 1
+		cfg.SendfileThreshold = -1
+		cfg.Cache.ChunkBytes = 8192
+		cfg.Cache.DisableCoalescing = !coalesce
+		fsPath = filepath.Join(cfg.DocRoot, "rewrite.bin")
+	})
+	if err := os.WriteFile(fsPath, oldContent, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(fsPath, oldTime, oldTime); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, body := get(t, base+"/rewrite.bin")
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if !bytes.Equal(body, newContent) {
+		i := 0
+		for i < len(body) && i < size && body[i] == newContent[i] {
+			i++
+		}
+		t.Fatalf("body is not the new generation: %d bytes, first difference at %d", len(body), i)
+	}
+	if coalesce {
+		if f := s.Stats().Fills; f.Started != 2 || f.Failed != 1 || f.Completed != 1 {
+			t.Fatalf("fill stats = %+v, want the stale fill failed and one replacement completed", f)
+		}
 	}
 }

@@ -28,20 +28,25 @@ import (
 )
 
 // gatherServer starts a deterministic single-shard server for stream
-// comparison: fixed clock (Date headers repeat), revalidation off, and
-// files from 512 B to 160 KiB (multi.bin is a three-chunk walk).
+// comparison: fixed clock (Date headers repeat), fixed file times (so
+// do Last-Modified and ETag, across servers), revalidation off, and
+// files from 512 B to 160 KiB (two.bin is a two-chunk walk, multi.bin a
+// three-chunk one).
 func gatherServer(t *testing.T, mutate func(*Config), register ...func(*Server)) (*Server, string) {
 	t.Helper()
 	root := t.TempDir()
+	fixed := time.Date(1999, 6, 1, 0, 0, 0, 0, time.UTC)
 	for name, size := range map[string]int{
 		"s512.bin": 512, "s4k.bin": 4 << 10, "s12k.bin": 12 << 10,
-		"s32k.bin": 32 << 10, "s60k.bin": 60 << 10, "multi.bin": 160 << 10,
+		"s32k.bin": 32 << 10, "s60k.bin": 60 << 10, "two.bin": 100 << 10, "multi.bin": 160 << 10,
 	} {
 		if err := os.WriteFile(filepath.Join(root, name), pattern(size), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		if err := os.Chtimes(filepath.Join(root, name), fixed, fixed); err != nil {
+			t.Fatal(err)
+		}
 	}
-	fixed := time.Date(1999, 6, 1, 0, 0, 0, 0, time.UTC)
 	cfg := Config{
 		DocRoot:            root,
 		EventLoops:         1,
@@ -386,8 +391,9 @@ func TestGatherEarlierResponsesSurviveClose(t *testing.T) {
 	})
 }
 
-// pinsOutstanding reports, from the loop, how many committed responses
-// the server's (single) connection has not yet reported written.
+// pinsOutstanding reports, from the loop, how many pin FIFO entries the
+// server's (single) connection holds for committed responses it has
+// not yet reported written: one per chunk of each.
 func pinsOutstanding(s *Server) (n int) {
 	s.mu.Lock()
 	var c *conn
@@ -406,6 +412,12 @@ func pinsOutstanding(s *Server) (n int) {
 // handle for reading its pin count later.
 func chunkOf(t *testing.T, s *Server, rel string) *cache.Chunk {
 	t.Helper()
+	return chunkAt(t, s, rel, 0)
+}
+
+// chunkAt is chunkOf for chunk idx.
+func chunkAt(t *testing.T, s *Server, rel string, idx int) *cache.Chunk {
+	t.Helper()
 	var ch *cache.Chunk
 	sh := s.shards[0]
 	sh.call(func() {
@@ -413,28 +425,42 @@ func chunkOf(t *testing.T, s *Server, rel string) *cache.Chunk {
 		if !ok {
 			return
 		}
-		key := cache.ChunkKey{Path: pe.Translated, Index: 0}
+		key := cache.ChunkKey{Path: pe.Translated, Index: idx}
 		if ch = sh.view.Lookup(key, pe.ModTime); ch != nil {
 			sh.view.Release(ch)
 		}
 	})
 	if ch == nil {
-		t.Fatalf("%s: chunk 0 not cached", rel)
+		t.Fatalf("%s: chunk %d not cached", rel, idx)
 	}
 	return ch
 }
 
 // TestGatherStalledClientReleasesPins: a client that pipelines far more
 // than the socket buffers hold and never reads. The connection may
-// cork no more than gatherCap, WriteTimeout must close it, and every
-// chunk pin and descriptor reference must come back.
+// keep pinned no more than gatherCap's bound — what is corked plus the
+// one response committed behind it — WriteTimeout must close it, and
+// every chunk pin of every run and the descriptor reference must come
+// back.
 func TestGatherStalledClientReleasesPins(t *testing.T) {
+	for _, tc := range []struct {
+		file         string
+		size, chunks int
+	}{
+		{"s60k.bin", 60 << 10, 1},
+		{"multi.bin", 160 << 10, 3},
+	} {
+		t.Run(tc.file, func(t *testing.T) { testGatherStalledClient(t, tc.file, tc.size, tc.chunks) })
+	}
+}
+
+func testGatherStalledClient(t *testing.T, file string, size, chunks int) {
 	s, addr := gatherServer(t, func(cfg *Config) {
 		cfg.ConnEngine = ConnEngineGoroutine
 		cfg.WriteTimeout = 300 * time.Millisecond
 	})
-	serialTranscript(t, addr, []wireReq{wreq("GET", "/s60k.bin", "HTTP/1.1", "Connection: close")})
-	ch := chunkOf(t, s, "s60k.bin")
+	serialTranscript(t, addr, []wireReq{wreq("GET", "/"+file, "HTTP/1.1", "Connection: close")})
+	ch := chunkOf(t, s, file)
 	waitFor(t, "warm-up pin released", func() bool {
 		refs := -1
 		s.shards[0].call(func() { refs = ch.Refs() })
@@ -448,13 +474,14 @@ func TestGatherStalledClientReleasesPins(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.(*net.TCPConn).SetReadBuffer(4 << 10)
-	const depth = 1000 // 60 MB of responses: no socket buffer takes that
-	if _, err := conn.Write(bytes.Repeat(wreq("GET", "/s60k.bin", "HTTP/1.1").wire, depth)); err != nil {
+	const depth = 1000 // 60 MB of responses and more: no socket buffer takes that
+	if _, err := conn.Write(bytes.Repeat(wreq("GET", "/"+file, "HTTP/1.1").wire, depth)); err != nil {
 		t.Fatal(err)
 	}
-	// While the writev is parked: what is corked, plus the one reply
-	// the goroutine has not taken yet, stays within the cap.
-	const most = gatherCap/(60<<10) + 1
+	// While the writev is parked, the pin FIFO holds the corked list —
+	// as many responses as fit under the cap, at least one — plus the
+	// one reply committed behind it, each with one entry per chunk.
+	most := (max(gatherCap/size, 1) + 1) * chunks
 	maxSeen := 0
 	waitFor(t, "the connection to be adopted", func() bool { return s.Active() == 1 })
 	waitFor(t, "WriteTimeout to close the stalled connection", func() bool {
@@ -464,7 +491,7 @@ func TestGatherStalledClientReleasesPins(t *testing.T) {
 		return s.Active() == 0
 	})
 	if maxSeen == 0 || maxSeen > most {
-		t.Fatalf("saw up to %d responses corked, want 1..%d (gatherCap %d)", maxSeen, most, gatherCap)
+		t.Fatalf("saw up to %d chunks pinned by unwritten responses, want 1..%d (gatherCap %d)", maxSeen, most, gatherCap)
 	}
 	st := waitStats(t, s, "the failed flush to be counted", func(st Stats) bool {
 		return st.Errors == before.Errors+1 && st.OpenConns == 0
@@ -474,10 +501,18 @@ func TestGatherStalledClientReleasesPins(t *testing.T) {
 	}
 	sh := s.shards[0]
 	sh.call(func() {
-		if refs := ch.Refs(); refs != 0 {
-			t.Errorf("chunk still pinned %d times after the connection closed", refs)
+		pe, _ := sh.view.PeekPath("/" + file)
+		for i := 0; i < chunks; i++ {
+			c := sh.view.Lookup(cache.ChunkKey{Path: pe.Translated, Index: i}, pe.ModTime)
+			if c == nil {
+				t.Errorf("chunk %d no longer cached", i)
+				continue
+			}
+			if refs := c.Refs(); refs != 1 {
+				t.Errorf("chunk %d still pinned %d times after the connection closed", i, refs-1)
+			}
+			sh.view.Release(c)
 		}
-		pe, _ := sh.view.PeekPath("/s60k.bin")
 		if r := entryRef(pe); r == nil || r.Refs() != 1 {
 			t.Errorf("descriptor refs = %v, want only the cache's own", r)
 		}
@@ -507,11 +542,13 @@ func TestGatherCloseWithCorkedResponses(t *testing.T) {
 	})
 	s, addr := gatherServer(t, func(cfg *Config) { cfg.ConnEngine = ConnEngineGoroutine })
 	srv.Store(s)
-	serialTranscript(t, addr, []wireReq{wreq("GET", "/s4k.bin", "HTTP/1.1", "Connection: close")})
-	ch := chunkOf(t, s, "s4k.bin")
+	// two.bin is two chunks: each corked response is a run holding two
+	// pins, and two of them fit under the cap.
+	serialTranscript(t, addr, []wireReq{wreq("GET", "/two.bin", "HTTP/1.1", "Connection: close")})
+	chs := []*cache.Chunk{chunkAt(t, s, "two.bin", 0), chunkAt(t, s, "two.bin", 1)}
 	var ref *cache.FileRef
 	s.shards[0].call(func() {
-		pe, _ := s.shards[0].view.PeekPath("/s4k.bin")
+		pe, _ := s.shards[0].view.PeekPath("/two.bin")
 		ref = entryRef(pe)
 	})
 
@@ -520,22 +557,26 @@ func TestGatherCloseWithCorkedResponses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	burst := bytes.Repeat(wreq("GET", "/s4k.bin", "HTTP/1.1").wire, 2)
+	burst := bytes.Repeat(wreq("GET", "/two.bin", "HTTP/1.1").wire, 2)
 	burst = append(burst, wreq("GET", "/s12k.bin", "HTTP/1.1").wire...)
 	if _, err := conn.Write(burst); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "two responses corked behind the gated miss", func() bool {
-		return pinsOutstanding(s) == 2
+	waitFor(t, "two two-chunk responses corked behind the gated miss", func() bool {
+		return pinsOutstanding(s) == 4
 	})
 	s.shards[0].call(func() {
-		if refs := ch.Refs(); refs != 2 {
-			t.Errorf("chunk pinned %d times with two responses corked, want 2", refs)
+		for i, ch := range chs {
+			if refs := ch.Refs(); refs != 2 {
+				t.Errorf("chunk %d pinned %d times with two responses corked, want 2", i, refs)
+			}
 		}
 	})
 	s.Close()
-	if refs := ch.Refs(); refs != 0 {
-		t.Fatalf("chunk still pinned %d times after Close", refs)
+	for i, ch := range chs {
+		if refs := ch.Refs(); refs != 0 {
+			t.Fatalf("chunk %d still pinned %d times after Close", i, refs)
+		}
 	}
 	if refs := ref.Refs(); refs != 0 {
 		t.Fatalf("descriptor refs = %d after Close, want 0", refs)
@@ -601,4 +642,160 @@ func TestGatherWrites(t *testing.T) {
 			}
 		})
 	})
+}
+
+// TestGatherRunWholeResponse: a resident multi-chunk file is one run —
+// one committed response, one socket write — and the bytes are the
+// same under both connection engines.
+func TestGatherRunWholeResponse(t *testing.T) {
+	get := wreq("GET", "/multi.bin", "HTTP/1.1")
+	script := []wireReq{get, get, wreq("GET", "/multi.bin", "HTTP/1.1", "Connection: close")}
+	var streams [][]byte
+	forEachConnEngine(t, func(t *testing.T) {
+		s, addr := gatherServer(t, nil)
+		serialTranscript(t, addr, script[2:]) // warm: the file is resident from here on
+		before := waitStats(t, s, "the warm-up connection to end", func(st Stats) bool { return st.OpenConns == 0 })
+		got := serialTranscript(t, addr, script)
+		after := waitStats(t, s, "the connection to end", func(st Stats) bool {
+			return st.OpenConns == 0 && st.Responses == before.Responses+3
+		})
+		if testConnEngine == ConnEngineGoroutine {
+			if w := after.GatherWrites - before.GatherWrites; w != 3 {
+				t.Errorf("three resident 160 KiB responses left in %d socket writes, want 3", w)
+			}
+			if f := after.Fills.Started - before.Fills.Started; f != 0 {
+				t.Errorf("%d fills for a resident file", f)
+			}
+		}
+		br := bufio.NewReader(bytes.NewReader(got))
+		for i := range script {
+			resp, err := readResponse(br, "GET")
+			if err != nil || resp.status != 200 || !bytes.Equal(resp.body, pattern(160<<10)) {
+				t.Fatalf("response %d: %v err=%v", i, resp, err)
+			}
+		}
+		streams = append(streams, got)
+	})
+	for _, other := range streams[1:] {
+		diffStreams(t, "epoll vs goroutine", streams[0], other)
+	}
+}
+
+// TestGatherRunRangeAndPatchedHeader: a 206 whose window starts inside
+// chunk 0 and ends inside chunk 2, and an HTTP/1.0 keep-alive request
+// whose header is a patched copy of the cached one, ride their runs
+// byte-exact — alone and in one pipelined burst, on both engines.
+func TestGatherRunRangeAndPatchedHeader(t *testing.T) {
+	const lo, hi = 60000, 140000
+	script := []wireReq{
+		wreq("GET", "/multi.bin", "HTTP/1.1"), // builds the cached header
+		wreq("GET", "/multi.bin", "HTTP/1.1", fmt.Sprintf("Range: bytes=%d-%d", lo, hi)),
+		wreq("GET", "/multi.bin", "HTTP/1.0", "Connection: keep-alive"),
+		wreq("GET", "/multi.bin", "HTTP/1.1", fmt.Sprintf("Range: bytes=%d-%d", lo, hi)),
+		wreq("GET", "/two.bin", "HTTP/1.0"),
+	}
+	want := pattern(160 << 10)
+	var streams [][]byte
+	forEachConnEngine(t, func(t *testing.T) {
+		_, addr := gatherServer(t, nil)
+		serial := serialTranscript(t, addr, script)
+		br := bufio.NewReader(bytes.NewReader(serial))
+		for i, wantBody := range [][]byte{want, want[lo : hi+1], want, want[lo : hi+1], pattern(100 << 10)} {
+			resp, err := readResponse(br, "GET")
+			if err != nil || !bytes.Equal(resp.body, wantBody) {
+				t.Fatalf("response %d: err=%v, body %d bytes, want %d", i, err, len(resp.body), len(wantBody))
+			}
+			if i == 1 && (resp.status != 206 || resp.headers["content-range"] != fmt.Sprintf("bytes %d-%d/%d", lo, hi, 160<<10)) {
+				t.Fatalf("range response: status %d, Content-Range %q", resp.status, resp.headers["content-range"])
+			}
+			if i == 2 && (resp.proto != "HTTP/1.0" || !strings.EqualFold(resp.headers["connection"], "keep-alive")) {
+				t.Fatalf("patched header: proto %s, Connection %q", resp.proto, resp.headers["connection"])
+			}
+		}
+		var stream []byte
+		for _, r := range script {
+			stream = append(stream, r.wire...)
+		}
+		diffStreams(t, "one pipelined burst", serial, segmentedTranscript(t, addr, stream, nil))
+		streams = append(streams, serial)
+	})
+	for _, other := range streams[1:] {
+		diffStreams(t, "epoll vs goroutine", streams[0], other)
+	}
+}
+
+// TestGatherRunServeWhileFill: the first byte is not hostage to the
+// last. With the disk pass of a cold three-chunk file held before its
+// third chunk, the first two reach the client; the third follows when
+// the pass goes on.
+func TestGatherRunServeWhileFill(t *testing.T) {
+	forEachConnEngine(t, func(t *testing.T) {
+		const chunk = 64 << 10
+		gate := make(chan struct{})
+		installDiskHook(t, func(fsPath string, off int64) {
+			if strings.HasSuffix(fsPath, "multi.bin") && off == 2*chunk {
+				<-gate
+			}
+		})
+		_, addr := gatherServer(t, nil)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			close(gate)
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := conn.Write(wreq("GET", "/multi.bin", "HTTP/1.1", "Connection: close").wire); err != nil {
+			close(gate)
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(conn)
+		if first := readThroughFirstByte(t, br); first != pattern(1)[0] {
+			close(gate)
+			t.Fatalf("first body byte = %d", first)
+		}
+		head := make([]byte, 2*chunk-1)
+		_, err = io.ReadFull(br, head) // chunks 0 and 1, while chunk 2 is held
+		close(gate)
+		if err != nil {
+			t.Fatalf("reading the first two chunks with the third held: %v", err)
+		}
+		rest, err := io.ReadAll(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := pattern(160 << 10)
+		if got := append(head, rest...); !bytes.Equal(got, want[1:]) {
+			t.Fatalf("body differs: %d bytes after the first, want %d", len(got), len(want)-1)
+		}
+	})
+}
+
+// TestGatherRunSplitsAtCap: a response larger than gatherCap leaves in
+// runs of at most the cap — in order, byte-exact, one socket write per
+// run.
+func TestGatherRunSplitsAtCap(t *testing.T) {
+	const chunk = 64 << 10
+	size := 2*gatherCap + 3*chunk/2 // two full runs and a ragged third
+	s, addr := gatherServer(t, func(cfg *Config) {
+		cfg.ConnEngine = ConnEngineGoroutine
+		cfg.SendfileThreshold = -1
+		if err := os.WriteFile(filepath.Join(cfg.DocRoot, "huge.bin"), pattern(size), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
+	get := wreq("GET", "/huge.bin", "HTTP/1.1", "Connection: close")
+	serialTranscript(t, addr, []wireReq{get}) // warm
+	before := waitStats(t, s, "the warm-up connection to end", func(st Stats) bool { return st.OpenConns == 0 })
+	got := serialTranscript(t, addr, []wireReq{get})
+	after := waitStats(t, s, "the connection to end", func(st Stats) bool {
+		return st.OpenConns == 0 && st.Responses == before.Responses+1
+	})
+	resp, err := readResponse(bufio.NewReader(bytes.NewReader(got)), "GET")
+	if err != nil || resp.status != 200 || !bytes.Equal(resp.body, pattern(size)) {
+		t.Fatalf("response: %v err=%v", resp, err)
+	}
+	if w := after.GatherWrites - before.GatherWrites; w != 3 {
+		t.Fatalf("%d bytes left in %d socket writes, want 3 runs (gatherCap %d)", size, w, gatherCap)
+	}
 }

@@ -19,7 +19,8 @@ const (
 	// permission checks — the pathname translation helper of §5.2.
 	jobStat jobKind = iota
 	// jobChunk brings one chunk of file data into memory — the
-	// disk-read helper of §3.4: mmap + touch, as in the paper.
+	// disk-read helper of §3.4: touch a view of the file's mapping, as
+	// in the paper.
 	jobChunk
 	// jobFill streams an entire file through a single-flight
 	// cache.Fill: one sequential disk pass publishing chunk after
@@ -42,10 +43,11 @@ const (
 // run on the helper goroutine, never the loop.
 var fpDiskRead = failpoint.New("flash/disk-read")
 
-// fpMapFile is evaluated before a disk helper maps a file, with args
-// (fsPath string). An error return stands in for mmap(2) refusing the
-// file: the helper takes the read path for that job instead — which is
-// how the suites reach, on Linux, the only path other platforms have.
+// fpMapFile is evaluated before a disk helper asks for a file's
+// mapping, with args (fsPath string). An error return stands in for
+// mmap(2) refusing the file: the helper takes the read path for that
+// job instead — which is how the suites reach, on Linux, the only path
+// other platforms have.
 var fpMapFile = failpoint.New("flash/map-file")
 
 // helperJob is one unit of potentially blocking filesystem work.
@@ -55,6 +57,7 @@ type helperJob struct {
 	index    string // index file name for directory requests (jobStat)
 	listings bool   // generate a listing when the index is missing
 	off, n   int64  // chunk range (jobChunk)
+	size     int64  // file size under the submitter's identity (jobChunk): the extent to map
 	// file is an acquired reference to the cached descriptor for
 	// jobChunk and jobFill (nil = open fsPath instead). The submitter
 	// pins it; the helper releases the pin once the read is done, so
@@ -83,11 +86,11 @@ type helperResult struct {
 	// of Flash keeping file mappings between requests) and closes it on
 	// invalidation or eviction.
 	file *os.File
-	// mapped carries a chunk job's mmap region (data is its byte view);
-	// nil when the helper had to read instead. The helper hands the
-	// reference to the done callback, which either adopts it into the
-	// cache (insertChunk) or releases it (releaseMapped) on the paths
-	// that discard the result.
+	// mapped carries a chunk job's view of the file's mapping (data is
+	// its bytes); nil when the helper had to read instead. The helper
+	// hands the view's reference to the done callback, which either
+	// adopts it into the cache (insertChunk) or releases it
+	// (releaseMapped) on the paths that discard the result.
 	mapped *cache.MmapRef
 	// isListing marks data as a generated directory listing.
 	isListing bool
@@ -112,6 +115,9 @@ type helperPool struct {
 	// jobs counts submissions. Atomic because fills are submitted from
 	// other shards' loops; folded into Stats.HelperJobs at snapshot.
 	jobs atomic.Uint64
+	// mapFallbacks counts chunk and fill jobs that had to read because
+	// the file could not be mapped (Stats.MapFallbacks).
+	mapFallbacks atomic.Uint64
 
 	stopped bool
 	wg      sync.WaitGroup
@@ -186,9 +192,9 @@ func (p *helperPool) execute(job helperJob) helperResult {
 	case jobStat:
 		return statJob(job.fsPath, job.index, job.listings)
 	case jobChunk:
-		return chunkJob(job.fsPath, job.file, job.off, job.n)
+		return p.chunkJob(job)
 	case jobFill:
-		fillJob(job.fsPath, job.file, job.fill)
+		p.fillJob(job)
 		return helperResult{}
 	case jobProxy:
 		job.fn()
@@ -242,68 +248,99 @@ func statJob(fsPath, index string, listings bool) helperResult {
 	return helperResult{err: err, status: status}
 }
 
-// mapFile maps [off, off+n) of f for a disk helper. nil means the file
-// cannot be mapped here — no mmap on this platform, a filesystem that
-// refuses, the process out of map slots — and the caller reads it.
-func mapFile(fsPath string, f *os.File, off, n int64, sequential bool) *cache.MmapRef {
-	if failpoint.Armed() && fpMapFile.Eval(fsPath) != nil {
-		return nil
+// openRef returns an acquired reference to the job's file: the cached
+// descriptor the submitter pinned, or — the cache had none — a private
+// one opened here, which lives (with anything mapped through it) until
+// the job and the chunks it produced let go. Either way the caller
+// releases it when the load is done.
+func (p *helperPool) openRef(fsPath string, ref *cache.FileRef) (*cache.FileRef, error) {
+	if ref != nil {
+		return ref, nil
 	}
-	mr, err := cache.MapChunk(f, off, n, sequential)
+	f, err := os.Open(fsPath)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	return mr
+	return cache.NewFileRef(f, &p.sh.srv.mapStats), nil
 }
 
-// chunkJob loads [off, off+n) of the file through the cached descriptor
-// (opening one only if the cache had none), re-checking identity so the
-// caches can detect modified files (§5.3). The submitter's descriptor
-// pin is released here, once the load is done.
-//
-// The chunk is mapped — the paper's "mmap + touch", with the faults
-// taken here on the helper — and the result carries the mapping
-// reference for the loop to adopt. A file that cannot be mapped is
-// read into a heap buffer instead (ReadAt is safe for concurrent use
-// of one descriptor across helpers); the two differ in transport,
-// never in bytes.
-func chunkJob(fsPath string, ref *cache.FileRef, off, n int64) helperResult {
-	var f *os.File
-	if ref != nil {
-		defer ref.Release()
-		f = ref.File()
-	}
-	if f == nil {
-		opened, err := os.Open(fsPath)
-		if err != nil {
-			return helperResult{err: err, status: 404}
+// mapping returns the file's parked whole-file mapping for a disk
+// helper to slice. nil means the file cannot be mapped here — no mmap
+// on this platform, a filesystem that refuses, the process out of map
+// slots — and this job reads its bytes instead (counted in
+// Stats.MapFallbacks; never an error to the client).
+func (p *helperPool) mapping(fsPath string, ref *cache.FileRef, size int64) *cache.MmapRef {
+	if !failpoint.Armed() || fpMapFile.Eval(fsPath) == nil {
+		if m, err := ref.Map(size); err == nil {
+			return m
 		}
-		defer opened.Close()
-		f = opened
 	}
+	p.mapFallbacks.Add(1)
+	return nil
+}
+
+// checkIdentity returns cache.ErrFillStale unless f still is the file
+// generation (size, modTime) a fill was started under. The producer
+// asks after it has touched or read a chunk's bytes and before it
+// publishes them: a rewrite that lands between the two then fails the
+// fill instead of putting new-generation bytes under the old tag,
+// which a check made before the bytes were taken cannot promise.
+func checkIdentity(f *os.File, size, modTime int64) error {
 	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	if st.ModTime().Unix() != modTime || st.Size() != size {
+		return cache.ErrFillStale
+	}
+	return nil
+}
+
+// chunkJob loads [off, off+n) of a file of the given size through the
+// cached descriptor (opening one only if the cache had none) and
+// reports the identity the file has once the bytes were touched or
+// read — not before: a rewrite between the two must show — so the
+// caches can detect modified files (§5.3). The submitter's descriptor pin is
+// released here, once the load is done.
+//
+// The chunk is a view of the file's parked mapping, touched here — the
+// paper's "mmap + touch", with the faults taken on the helper — and
+// the result carries the view's reference for the loop to adopt. A
+// file that cannot be mapped is read into a heap buffer instead
+// (ReadAt is safe for concurrent use of one descriptor across
+// helpers); the two differ in transport, never in bytes.
+func (p *helperPool) chunkJob(job helperJob) helperResult {
+	ref, err := p.openRef(job.fsPath, job.file)
 	if err != nil {
 		return helperResult{err: err, status: 404}
 	}
+	defer ref.Release()
+	f := ref.File()
 	if failpoint.Armed() {
-		if err := fpDiskRead.Eval(fsPath, off); err != nil {
+		if err := fpDiskRead.Eval(job.fsPath, job.off); err != nil {
 			return helperResult{err: err, status: 500}
 		}
 	}
-	res := helperResult{fsPath: fsPath, size: st.Size(), modTime: st.ModTime().Unix()}
-	if mr := mapFile(fsPath, f, off, n, false); mr != nil {
-		if err := mr.Touch(); err != nil {
-			mr.Release()
+	res := helperResult{fsPath: job.fsPath}
+	if m := p.mapping(job.fsPath, ref, job.size); m != nil {
+		res.mapped = m.Slice(job.off, job.n)
+		if err := res.mapped.Touch(); err != nil {
+			res.releaseMapped()
 			return helperResult{err: err, status: 500}
 		}
-		res.data, res.mapped = mr.Bytes(), mr
-		return res
+		res.data = res.mapped.Bytes()
+	} else {
+		res.data = make([]byte, job.n)
+		if _, err := io.ReadFull(io.NewSectionReader(f, job.off, job.n), res.data); err != nil {
+			return helperResult{err: err, status: 500}
+		}
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(io.NewSectionReader(f, off, n), buf); err != nil {
-		return helperResult{err: err, status: 500}
+	st, err := f.Stat()
+	if err != nil {
+		res.releaseMapped()
+		return helperResult{err: err, status: 404}
 	}
-	res.data = buf
+	res.size, res.modTime = st.Size(), st.ModTime().Unix()
 	return res
 }
 
@@ -312,74 +349,62 @@ func chunkJob(fsPath string, ref *cache.FileRef, off, n int64) helperResult {
 // inserts it pinned into the shared tier and wakes the parked
 // subscribers) — serve-while-fill, the paper's helper process married
 // to the PackageReader append-and-wake idiom. Identity is re-checked
-// before every chunk, exactly as often as the per-chunk path stats, so
-// a file swapped mid-fill fails the fill (ErrFillStale) instead of
-// publishing bytes from two generations.
+// for every chunk, after its bytes were touched or read and before
+// they are published, so a file swapped or rewritten mid-fill fails
+// the fill (ErrFillStale) instead of publishing bytes from two
+// generations.
 //
-// The producer maps the WHOLE file once (lazily, madvise SEQUENTIAL —
-// this is the one-pass read) and publishes each chunk as a refcounted
-// view into that one mapping, touched just before it goes out so the
-// faults land here on the helper: a multi-chunk file costs one
-// mmap/munmap pair, not one per chunk. A touch that faults — the file
-// was truncated under the mapping since the identity check — fails the
-// fill. PublishMapped consumes each view's reference on every branch;
-// the mapping itself unmaps when the last chunk view (cache chunk, L1
-// replica, in-flight response) lets go. A file that cannot be mapped
-// is read chunk by chunk into heap buffers instead.
-func fillJob(fsPath string, ref *cache.FileRef, fill *cache.Fill) {
-	var f *os.File
-	if ref != nil {
-		defer ref.Release()
-		f = ref.File()
+// The producer owns no mapping. It slices the one parked on the file's
+// FileRef — mapped by whichever helper needed it first, kept for as
+// long as the descriptor — and publishes each chunk as a refcounted
+// view of it, touched just before it goes out so the faults land here
+// on the helper: a refill after eviction costs the page faults and
+// nothing else. A touch that faults — the file was truncated under the
+// mapping — fails the fill. PublishMapped consumes each view's
+// reference on every branch. A file that cannot be mapped is read
+// chunk by chunk into heap buffers instead.
+func (p *helperPool) fillJob(job helperJob) {
+	fill := job.fill
+	ref, err := p.openRef(job.fsPath, job.file)
+	if err != nil {
+		fill.Fail(err)
+		return
 	}
-	if f == nil {
-		opened, err := os.Open(fsPath)
-		if err != nil {
-			fill.Fail(err)
-			return
-		}
-		defer opened.Close()
-		f = opened
-	}
-	mapping := mapFile(fsPath, f, 0, fill.Size(), true)
-	if mapping != nil {
-		defer mapping.Release()
-	}
+	defer ref.Release()
+	f := ref.File()
+	mapping := p.mapping(job.fsPath, ref, fill.Size())
 	for i := 0; i < fill.NumChunks(); i++ {
-		st, err := f.Stat()
-		if err != nil {
-			fill.Fail(err)
-			return
-		}
-		if st.ModTime().Unix() != fill.ModTime() || st.Size() != fill.Size() {
-			fill.Fail(cache.ErrFillStale)
-			return
-		}
 		off, n := fill.ChunkRange(i)
 		if failpoint.Armed() {
-			if err := fpDiskRead.Eval(fsPath, off); err != nil {
+			if err := fpDiskRead.Eval(job.fsPath, off); err != nil {
 				fill.Fail(err)
 				return
 			}
 		}
+		var sub *cache.MmapRef
+		var buf []byte
 		if mapping != nil {
-			sub := mapping.Slice(off, n)
-			if err := sub.Touch(); err != nil {
+			sub = mapping.Slice(off, n)
+			err = sub.Touch()
+		} else {
+			buf = make([]byte, n)
+			_, err = io.ReadFull(io.NewSectionReader(f, off, n), buf)
+		}
+		if err == nil {
+			err = checkIdentity(f, fill.Size(), fill.ModTime())
+		}
+		if err != nil {
+			if sub != nil {
 				sub.Release()
-				fill.Fail(err)
-				return
 			}
+			fill.Fail(err)
+			return
+		}
+		if sub != nil {
 			if !fill.PublishMapped(sub) {
 				return
 			}
-			continue
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(io.NewSectionReader(f, off, n), buf); err != nil {
-			fill.Fail(err)
-			return
-		}
-		if !fill.Publish(buf) {
+		} else if !fill.Publish(buf) {
 			return
 		}
 	}

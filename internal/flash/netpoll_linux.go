@@ -441,7 +441,11 @@ func (s *shard) npTransmit(c *conn) error {
 			return err
 		}
 	}
-	for np.dataOff < len(item.data) || np.bodyOff < len(item.body) {
+	var body []byte // this engine is handed chunk runs of one
+	if len(item.bodies) > 0 {
+		body = item.bodies[0]
+	}
+	for np.dataOff < len(item.data) || np.bodyOff < len(body) {
 		var iov [2]syscall.Iovec
 		n := 0
 		if d := item.data[np.dataOff:]; len(d) > 0 {
@@ -449,7 +453,7 @@ func (s *shard) npTransmit(c *conn) error {
 			iov[n].SetLen(len(d))
 			n++
 		}
-		if b := item.body[np.bodyOff:]; len(b) > 0 {
+		if b := body[np.bodyOff:]; len(b) > 0 {
 			iov[n].Base = &b[0]
 			iov[n].SetLen(len(b))
 			n++

@@ -127,7 +127,7 @@ func (s *shard) handleRequest(c *conn, req *httpmsg.Request) {
 			}
 			pe := cache.PathEntry{
 				Translated: res.fsPath,
-				File:       adoptFile(res.file),
+				File:       s.adoptFile(res.file),
 				Size:       res.size,
 				ModTime:    res.modTime,
 				CheckedAt:  s.cfg.Clock().UnixNano(),
@@ -179,7 +179,7 @@ func (s *shard) revalidateEntry(c *conn, req *httpmsg.Request, pe cache.PathEntr
 			s.invalidateFile(req.Path, pe)
 			fresh := cache.PathEntry{
 				Translated: res.fsPath,
-				File:       adoptFile(res.file),
+				File:       s.adoptFile(res.file),
 				Size:       res.size,
 				ModTime:    res.modTime,
 				CheckedAt:  s.cfg.Clock().UnixNano(),
@@ -411,30 +411,33 @@ func (s *shard) queueItem(c *conn, item writeItem) {
 // gauge and the source are settled now, and the item travels to the
 // conn goroutine together with the persistence verdict. That makes the
 // exchange two blocking hops (post, reply) instead of four. The one
-// thing that must outlive the write, the chunk pin, moves to the
-// connection's FIFO until a released message reports the flush; a
-// flush that falls short takes the byte counts back and fails the
-// connection there.
+// thing that must outlive the write, the pins on the item's chunks,
+// moves to the connection's FIFO until a released message reports the
+// flush; a flush that falls short takes the byte counts back and fails
+// the connection there.
 func (s *shard) commit(c *conn, item writeItem) {
-	n := int64(len(item.data) + len(item.body))
+	n := int64(item.wireLen())
 	c.ls.bytesSent += n
 	s.stats.BytesSent += n
 	s.stats.BytesCopied += n
-	c.pins = append(c.pins, item.chunk)
+	if len(item.chunks) == 0 {
+		c.pins = append(c.pins, nil) // item.pins() counts this entry
+	}
+	c.pins = append(c.pins, item.chunks...)
 	if src := c.ls.src; src != nil {
 		rel := item
-		rel.chunk = nil // the pin is the FIFO's now
+		rel.chunks = nil // the pins are the FIFO's now
 		src.release(s, c, rel, true)
 	}
 	keep := s.settle(c)
 	c.reply <- connReply{kind: replyCommitted, item: item, keep: keep}
 }
 
-// released runs when the conn goroutine reports a flush of n committed
-// responses: their pins come off the FIFO, oldest first. A flush that
-// fell short of the committed byte counts (ok false) gives the missing
-// bytes back and fails the connection, which its goroutine is already
-// leaving.
+// released runs when the conn goroutine reports a flush of committed
+// responses holding n FIFO entries between them: their pins come off,
+// oldest first. A flush that fell short of the committed byte counts
+// (ok false) gives the missing bytes back and fails the connection,
+// which its goroutine is already leaving.
 func (s *shard) released(c *conn, n int, short int64, ok bool) {
 	for ; n > 0 && c.pinHead < len(c.pins); n-- {
 		if ch := c.pins[c.pinHead]; ch != nil {
@@ -655,12 +658,13 @@ func entryRef(pe cache.PathEntry) *cache.FileRef {
 
 // adoptFile wraps a descriptor freshly opened by a stat helper into
 // the refcounted handle a path entry carries (the count starts at one:
-// the cache's reference).
-func adoptFile(f *os.File) any {
+// the cache's reference). The file's mapping, once a disk helper makes
+// it, is parked on the same handle and shares its lifetime.
+func (s *shard) adoptFile(f *os.File) any {
 	if f == nil {
 		return nil
 	}
-	return cache.NewFileRef(f)
+	return cache.NewFileRef(f, &s.srv.mapStats)
 }
 
 // releaseEntryFile drops the cache's reference to an entry descriptor;

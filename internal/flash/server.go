@@ -56,11 +56,21 @@ type Stats struct {
 	// connections: open counts every adopted conn, idle the subset
 	// parked between exchanges waiting for a request head. Maintained
 	// by both connection engines (see Config.ConnEngine).
-	OpenConns   int
-	IdleConns   int
-	HelperJobs  uint64
-	PathCache   cache.Stats
-	HeaderCache cache.Stats
+	OpenConns  int
+	IdleConns  int
+	HelperJobs uint64
+	// FileMaps and FileUnmaps count the mmap(2) and munmap(2) calls made
+	// for served files (server-wide Stats only): one pair per file
+	// generation that was ever filled — the mapping is parked on the
+	// path entry's descriptor, so neither moves while a working set
+	// churns through the chunk budget. MapFallbacks counts chunk and
+	// fill jobs that read their bytes because the file could not be
+	// mapped (always, off Linux).
+	FileMaps     uint64
+	FileUnmaps   uint64
+	MapFallbacks uint64
+	PathCache    cache.Stats
+	HeaderCache  cache.Stats
 	// MapCache is the chunk-cache view: in a per-shard snapshot it is
 	// that shard's loop-private L1 replica tier; in the server-wide
 	// Stats it additionally folds in the shared segment tier, so it
@@ -120,6 +130,9 @@ func (s Stats) Add(o Stats) Stats {
 	s.OpenConns += o.OpenConns
 	s.IdleConns += o.IdleConns
 	s.HelperJobs += o.HelperJobs
+	s.FileMaps += o.FileMaps
+	s.FileUnmaps += o.FileUnmaps
+	s.MapFallbacks += o.MapFallbacks
 	s.DynamicCalls += o.DynamicCalls
 	s.ProxyRequests += o.ProxyRequests
 	s.ProxyHits += o.ProxyHits
@@ -151,6 +164,9 @@ type Server struct {
 	cfg    Config
 	store  cache.Store // the unified cache layer; shards hold Views of it
 	shards []*shard
+	// mapStats counts the mmap/munmap calls of every FileRef this server
+	// creates (Stats.FileMaps, Stats.FileUnmaps).
+	mapStats cache.MapStats
 
 	// routes is the v2 handler table. It is mutable only before the
 	// server starts (Handle panics afterwards), so shards and
@@ -268,7 +284,7 @@ type loopMsg struct {
 	item           writeItem    // msgItemDone
 	wrote, sfWrote int64        // msgItemDone
 	short          int64        // msgReleased: committed bytes the flush did not write
-	n              int32        // msgReleased: committed responses flushed
+	n              int32        // msgReleased: pin FIFO entries of the responses flushed
 	writes         int32        // msgItemDone, msgReleased: socket write calls since the last report
 	ok             bool         // msgItemDone, msgReleased
 	kind           uint8
@@ -534,6 +550,7 @@ func (s *shard) snapshot() Stats {
 	s.call(func() {
 		out = s.stats
 		out.HelperJobs = s.helpers.jobs.Load()
+		out.MapFallbacks = s.helpers.mapFallbacks.Load()
 		if idle := out.OpenConns - s.busyConns; idle > 0 {
 			out.IdleConns = idle
 		}
@@ -560,6 +577,8 @@ func (s *Server) Stats() Stats {
 	out.MapCache = out.MapCache.Add(shared.Chunks)
 	out.SharedChunks = shared.Chunks
 	out.Fills = shared.Fills
+	out.FileMaps = s.mapStats.Maps.Load()
+	out.FileUnmaps = s.mapStats.Unmaps.Load()
 	out.Active = s.Active()
 	out.FdPressure += s.fdPressure.Load()
 	out.ConnsRejected += s.connsRejected.Load()

@@ -160,6 +160,8 @@ func TestMergedStatsEqualSumOfShardStats(t *testing.T) {
 	sum.MapCache = sum.MapCache.Add(merged.SharedChunks)
 	sum.SharedChunks = merged.SharedChunks
 	sum.Fills = merged.Fills
+	// So are the mmap/munmap counts: FileRefs belong to no shard.
+	sum.FileMaps, sum.FileUnmaps = merged.FileMaps, merged.FileUnmaps
 	if merged != sum {
 		t.Fatalf("merged stats != sum of shard stats\nmerged: %+v\nsum:    %+v", merged, sum)
 	}

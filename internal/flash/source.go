@@ -27,12 +27,13 @@ import (
 //     and acks its producer, if any. The one exception is timing: a
 //     whole item under the goroutine engine is committed when queued
 //     (shard.commit), so release runs right there, before the bytes
-//     are written, with item.chunk nil — the chunk pin has moved to
-//     the connection's FIFO, which the loop unpins when the conn
-//     goroutine reports the flush (shard.released) or the connection
-//     ends (shard.connEnd). Everything else an item carries must be
-//     safe to drop at that point; descriptor-window (sf) items are
-//     therefore never whole.
+//     are written, with item.chunks nil — the pins on its chunks have
+//     moved to the connection's FIFO, which the loop unpins when the
+//     conn goroutine reports the flush (shard.released) or the
+//     connection ends (shard.connEnd). So a tracked item's pins are
+//     the source's to release, a whole item's never are. Everything
+//     else an item carries must be safe to drop at commit;
+//     descriptor-window (sf) items are therefore never whole.
 //   - abort is invoked when the response dies before its final item
 //     completes (write failure, connection teardown). It may fire more
 //     than once, and connection teardown also fires it after a
@@ -74,18 +75,34 @@ func (f *fixedSource) abort(*shard, *conn) {}
 
 // chunkSource is the copy transport for static bodies: it walks the
 // chunk tier of the cache store (§5.4) across the response's byte
-// window, one pinned chunk per item. A warm walk stays on the
-// loop-private L1; a cold one subscribes to the single-flight fill
-// for the file (coalescing concurrent misses into one disk pass) and
-// streams chunks as the fill publishes them — parked on a chunk that
-// has not landed yet, the source resumes via a posted loop message,
-// never a blocked goroutine. With coalescing disabled (or a fill it
+// window and hands it over in runs. A run is the stretch of
+// consecutive chunks, from the walk's position, that are there without
+// waiting — cache hits, and chunks the walk's fill has already
+// published — cut off at the window's end, at the first chunk that is
+// missing or still loading, or before its bytes would pass gatherCap.
+// One run is one writeItem: the header (on the first) and every chunk
+// window leave in a single writev (§5.5), and every chunk stays pinned
+// until the item is released. A run that covers the whole window is
+// the whole response and is marked so; anything shorter is a tracked
+// item, and the walk goes on from where it stopped when that item
+// completes. The epoll engine, which transmits one chunk window per
+// item, is handed runs of one.
+//
+// A warm walk stays on the loop-private L1; a cold one subscribes to
+// the single-flight fill for the file (coalescing concurrent misses
+// into one disk pass) and streams chunks as the fill publishes them —
+// parked on a chunk that has not landed yet, the source resumes via a
+// posted loop message, never a blocked goroutine, so chunk i is on the
+// wire before chunk i+1 is read, while a fill that outruns its reader
+// is answered in one write. With coalescing disabled (or a fill it
 // cannot join), each miss dispatches its own helper load, as in v1.
-// The first item gathers the response header with the first chunk
-// window in a single writev (§5.5). The source holds one acquired
-// reference to the entry descriptor for the whole walk — chunk loads
-// between items must not find a descriptor that eviction closed — and
-// drops it when the final item releases or the response aborts.
+// Each chunk is looked up exactly once per visit — the walk's arrival,
+// and again on every fill wake — whatever the run lengths: the cache's
+// hit ratio does not depend on how the bytes are batched. The source
+// holds one acquired reference to the entry descriptor for the whole
+// walk — chunk loads between items must not find a descriptor that
+// eviction closed — and drops it when the final item releases or the
+// response aborts.
 type chunkSource struct {
 	pe   cache.PathEntry
 	ref  *cache.FileRef // the walk's pin on the entry descriptor; may be nil
@@ -105,6 +122,11 @@ type chunkSource struct {
 	nextChunk  int
 	rangeOff   int64
 	rangeEnd   int64
+	// missed notes that the lookup of nextChunk already missed and the
+	// walk subscribed to the fill for it — the previous run ended there
+	// — so the walk resumes at the fill rather than counting the same
+	// lookup twice.
+	missed bool
 }
 
 // init re-arms the walker for the byte window [off, off+n). Chunk
@@ -139,63 +161,127 @@ func (cs *chunkSource) dropRef() {
 	}
 }
 
-// next ensures the next chunk is available and queues its write: L1
-// or shared-tier hit first, then the single-flight fill, then (fills
-// disabled or unjoinable) a per-chunk helper read.
-func (cs *chunkSource) next(s *shard, c *conn) {
-	pe := cs.pe
-	idx := cs.nextChunk
-	key := cache.ChunkKey{Path: pe.Translated, Index: idx}
-	last := idx == cs.endChunk-1
+func (cs *chunkSource) next(s *shard, c *conn) { cs.walk(s, c, nil) }
 
-	if ch := s.view.Lookup(key, pe.ModTime); ch != nil {
-		// "mincore says resident": send directly.
-		cs.queueChunk(s, c, ch, last)
-		return
-	}
-	// Proxied entries always coalesce: their only per-chunk fallback is
-	// a full origin refetch, so an unjoinable fill must converge onto a
-	// joinable one rather than fan out round trips.
-	if !s.cfg.Cache.DisableCoalescing || cs.proxy != nil {
-		if cs.fill == nil {
-			if f, started := s.view.JoinFill(pe.Translated, pe.Size, pe.ModTime); f != nil {
-				cs.fill = f
-				if started {
-					s.startFill(f, pe)
-				}
+// walk collects the run that starts at nextChunk into the connection's
+// scratch and queues it as one item. ch, when non-nil, is nextChunk
+// itself, already pinned (a helper load's result).
+func (cs *chunkSource) walk(s *shard, c *conn, ch *cache.Chunk) {
+	c.runChunks, c.runBodies = c.runChunks[:0], c.runBodies[:0]
+	size := int64(0)
+	idx := cs.nextChunk
+	for {
+		if ch == nil && !cs.missed {
+			// "mincore says resident": send directly.
+			ch = s.view.Lookup(cache.ChunkKey{Path: cs.pe.Translated, Index: idx}, cs.pe.ModTime)
+		}
+		if ch == nil {
+			if len(c.runChunks) > 0 {
+				// What is in hand leaves first. The fill is joined now, not
+				// on resume: one that finishes while the run is written
+				// would be gone by then, and started a second time.
+				cs.missed = cs.joinFill(s)
+				break
+			}
+			cs.missed = false
+			if ch = cs.miss(s, c, idx); ch == nil {
+				return // parked on the fill, waiting on a helper, or over
 			}
 		}
-		if f := cs.fill; f != nil {
-			gen := cs.gen
-			ch, pending, err := f.ChunkAt(idx, func() {
-				// Publish/fail notification, possibly from another
-				// shard's helper: re-enter this walk on our loop.
-				s.post(func() { cs.fillWake(s, c, gen) })
-			})
-			switch {
-			case err != nil:
-				cs.fillError(s, c, err)
-			case ch != nil:
-				cs.queueChunk(s, c, ch, last)
-			case pending:
-				// Parked: fillWake resumes the walk when the chunk
-				// publishes (serve-while-fill — earlier chunks are
-				// already on the wire).
-			default:
-				// The fill ended without holding the chunk (finished
-				// and released its pins): it is in the cache, or the
-				// per-chunk path reloads it.
-				cs.fill = nil
-				if ch := s.view.Lookup(key, pe.ModTime); ch != nil {
-					cs.queueChunk(s, c, ch, last)
-					return
-				}
-				cs.loadChunk(s, c, idx, last)
+		lo, hi := cs.window(s, idx)
+		if hi > int64(len(ch.Data)) {
+			// The chunk no longer covers the promised window (file shrank
+			// between identity checks): the response cannot be completed.
+			s.view.Release(ch)
+			for _, held := range c.runChunks {
+				s.view.Release(held)
 			}
+			s.failConn(c)
 			return
 		}
+		c.runChunks = append(c.runChunks, ch)
+		c.runBodies = append(c.runBodies, ch.Data[lo:hi])
+		size += hi - lo
+		ch = nil
+		idx++
+		if idx == cs.endChunk || c.np != nil {
+			break
+		}
+		if lo, hi := cs.window(s, idx); size+hi-lo > gatherCap {
+			break
+		}
 	}
-	cs.loadChunk(s, c, idx, last)
+	item := writeItem{chunks: c.runChunks, bodies: c.runBodies, last: idx == cs.endChunk}
+	if cs.nextChunk == cs.firstChunk {
+		item.data = cs.hdr
+		item.whole = item.last
+	}
+	cs.nextChunk = idx
+	s.queueItem(c, item)
+}
+
+// window returns the part of chunk idx the response transmits, as
+// offsets into the chunk: all of it, clamped to the response's byte
+// window (which never reaches past the file's size).
+func (cs *chunkSource) window(s *shard, idx int) (lo, hi int64) {
+	base := int64(idx) * s.store.ChunkSize()
+	return max(cs.rangeOff, base) - base, min(cs.rangeEnd, base+s.store.ChunkSize()) - base
+}
+
+// miss brings in chunk idx after its lookup missed: through the
+// single-flight fill, then (fills disabled or unjoinable) a per-chunk
+// helper read. It returns the chunk, pinned, when the fill already
+// holds it; nil means the walk is parked on the fill (fillWake resumes
+// it), waiting for the helper (whose completion resumes it), or over.
+func (cs *chunkSource) miss(s *shard, c *conn, idx int) *cache.Chunk {
+	if cs.joinFill(s) {
+		gen := cs.gen
+		ch, pending, err := cs.fill.ChunkAt(idx, func() {
+			// Publish/fail notification, possibly from another
+			// shard's helper: re-enter this walk on our loop.
+			s.post(func() { cs.fillWake(s, c, gen) })
+		})
+		switch {
+		case err != nil:
+			cs.fillError(s, c, err)
+			return nil
+		case ch != nil:
+			return ch
+		case pending:
+			// Parked: fillWake resumes the walk when the chunk
+			// publishes (serve-while-fill — earlier chunks are
+			// already on the wire).
+			return nil
+		}
+		// The fill ended without holding the chunk (finished and
+		// released its pins): it is in the cache, or the per-chunk
+		// path reloads it.
+		cs.fill = nil
+		key := cache.ChunkKey{Path: cs.pe.Translated, Index: idx}
+		if ch := s.view.Lookup(key, cs.pe.ModTime); ch != nil {
+			return ch
+		}
+	}
+	cs.loadChunk(s, c, idx)
+	return nil
+}
+
+// joinFill subscribes the walk to the single-flight fill for its file,
+// starting one if none is in flight, and reports whether the walk is
+// on a fill. Proxied entries always coalesce: their only per-chunk
+// fallback is a full origin refetch, so an unjoinable fill must
+// converge onto a joinable one rather than fan out round trips.
+func (cs *chunkSource) joinFill(s *shard) bool {
+	if cs.fill == nil && (!s.cfg.Cache.DisableCoalescing || cs.proxy != nil) {
+		pe := cs.pe
+		if f, started := s.view.JoinFill(pe.Translated, pe.Size, pe.ModTime); f != nil {
+			cs.fill = f
+			if started {
+				s.startFill(f, pe)
+			}
+		}
+	}
+	return cs.fill != nil
 }
 
 // fillWake re-enters the walk after a fill published the chunk it was
@@ -207,7 +293,7 @@ func (cs *chunkSource) fillWake(s *shard, c *conn, gen uint32) {
 		c.failed || c.writeDone || c.inFlight {
 		return
 	}
-	cs.next(s, c)
+	cs.walk(s, c, nil)
 }
 
 // fillError ends the walk on a failed fill. A stale-fill failure on
@@ -240,8 +326,9 @@ func (cs *chunkSource) fillError(s *shard, c *conn, err error) {
 
 // loadChunk dispatches one helper load for chunk idx — the v1
 // per-chunk miss path, used when coalescing is off or the in-flight
-// fill has a different identity. The loop never touches the disk.
-func (cs *chunkSource) loadChunk(s *shard, c *conn, idx int, last bool) {
+// fill has a different identity. The loop never touches the disk; the
+// walk goes on, from the loaded chunk, when the helper reports.
+func (cs *chunkSource) loadChunk(s *shard, c *conn, idx int) {
 	pe := cs.pe
 	if cs.proxy != nil {
 		// No per-chunk origin read exists. Before the first byte the
@@ -279,6 +366,7 @@ func (cs *chunkSource) loadChunk(s *shard, c *conn, idx int, last bool) {
 		file:   ref,
 		off:    off,
 		n:      n,
+		size:   pe.Size,
 		done: func(res helperResult) {
 			if res.err != nil {
 				// The file vanished or changed size mid-response; the
@@ -302,15 +390,14 @@ func (cs *chunkSource) loadChunk(s *shard, c *conn, idx int, last bool) {
 				s.failConn(c)
 				return
 			}
-			ch := s.insertChunk(key, &res, pe.ModTime)
-			cs.queueChunk(s, c, ch, last)
+			cs.walk(s, c, s.insertChunk(key, &res, pe.ModTime))
 		},
 	})
 }
 
 // insertChunk records a helper's chunk result through the view: the
-// mapped insert — the cache chunk adopts the result's mmap reference —
-// or the plain insert when the helper had to read.
+// mapped insert — the cache chunk adopts the result's view of the
+// file's mapping — or the plain insert when the helper had to read.
 func (s *shard) insertChunk(key cache.ChunkKey, res *helperResult, modTime int64) *cache.Chunk {
 	if res.mapped != nil {
 		m := res.mapped
@@ -343,41 +430,13 @@ func (s *shard) startFill(f *cache.Fill, pe cache.PathEntry) {
 	})
 }
 
-// queueChunk queues one pinned chunk (plus the header, on the first),
-// clamping the transmitted bytes to the response's byte window.
-func (cs *chunkSource) queueChunk(s *shard, c *conn, ch *cache.Chunk, last bool) {
-	idx := cs.nextChunk
-	base := int64(idx) * s.store.ChunkSize()
-	a, b := int64(0), int64(len(ch.Data))
-	if cs.rangeOff > base {
-		a = cs.rangeOff - base
-	}
-	if cs.rangeEnd < base+b {
-		b = cs.rangeEnd - base
-	}
-	if a < 0 || a > b || b > int64(len(ch.Data)) {
-		// The chunk no longer covers the promised window (file shrank
-		// between identity checks): the response cannot be completed.
-		s.view.Release(ch)
-		s.failConn(c)
-		return
-	}
-	item := writeItem{chunk: ch, body: ch.Data[a:b], last: last}
-	if idx == cs.firstChunk {
-		item.data = cs.hdr
-		item.whole = last
-	}
-	cs.nextChunk++
-	s.queueItem(c, item)
-}
-
-// release unpins the item's chunk (unless the connection's FIFO took
-// the pin over); the final item also ends the walk's descriptor pin —
-// a whole item needs no further chunk load, so dropping it at commit
-// is safe.
+// release unpins the item's chunks (none when the connection's FIFO
+// took the pins over); the final item also ends the walk's descriptor
+// pin — a whole item needs no further chunk load, so dropping it at
+// commit is safe.
 func (cs *chunkSource) release(s *shard, c *conn, item writeItem, ok bool) {
-	if item.chunk != nil {
-		s.view.Release(item.chunk)
+	for _, ch := range item.chunks {
+		s.view.Release(ch)
 	}
 	if item.last {
 		cs.dropRef()
