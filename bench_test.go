@@ -2,9 +2,9 @@ package repro
 
 // One benchmark per evaluation figure of the paper (6-12), each running
 // the corresponding experiment in quick mode and reporting its headline
-// metric, plus ablation benchmarks for the design decisions DESIGN.md
-// calls out (disk scheduling, helper concurrency, header alignment,
-// per-process cache splitting).
+// metric, plus ablation benchmarks for the simulator's design decisions (disk
+// scheduling, helper concurrency, header alignment, per-process cache
+// splitting).
 //
 // Full-fidelity figure data comes from `go run ./cmd/flashbench`; these
 // benches keep the whole suite runnable in minutes while exercising the

@@ -11,7 +11,6 @@
 //	       [-conn-engine goroutine|epoll]
 //	       [-cache-path-entries 6000] [-cache-header-entries 6000]
 //	       [-cache-map-mb 64] [-cache-chunk-kb 64] [-cache-l1-kb 0]
-//	       [-cache-no-coalesce] [-cache-no-replicate]
 //	       [-sendfile-threshold 262144] [-max-body 8388608] [-demo]
 //	       [-upstream host:port,host:port -upstream-prefix /]
 //	       [-max-conns N] [-max-conns-per-ip N] [-shed-queue N]
@@ -27,7 +26,10 @@
 //
 // The cache knobs mirror flash.Config.Cache: budgets are server-wide
 // (the store owns them; shard count does not divide the effective
-// cache size). Cached file chunks are views of one mmap(2) mapping per
+// cache size), and -cache-l1-kb -1 turns the per-shard replica tier
+// off. Every chunk miss joins its file's single-flight fill (the
+// "fills:" line of /server-status); there is no other miss path to
+// select. Cached file chunks are views of one mmap(2) mapping per
 // file, kept for as long as the file's pathname-cache entry: evicting a
 // chunk drops its pages, not the mapping, so -cache-map-mb bounds the
 // resident bytes and -cache-path-entries the files kept mapped
@@ -74,7 +76,6 @@ import (
 
 	"repro/internal/flash"
 	"repro/internal/flashhttp"
-	"repro/internal/httpmsg"
 )
 
 func main() {
@@ -90,13 +91,10 @@ func main() {
 		cacheMapMB = flag.Int64("cache-map-mb", 64, "chunk cache byte budget (MB, server-wide — the store owns it, shards share it)")
 		cacheChunk = flag.Int64("cache-chunk-kb", 0, "chunk size in KiB (0 = built-in default)")
 		cacheL1    = flag.Int64("cache-l1-kb", 0, "per-shard L1 replica budget in KiB (0 = auto-size, negative disables the L1)")
-		noCoalesce = flag.Bool("cache-no-coalesce", false, "disable single-flight miss coalescing (v1 per-chunk reads)")
-		noReplica  = flag.Bool("cache-no-replicate", false, "disable per-shard L1 hot-set replication")
 		userBase   = flag.String("userdir-base", "", "base directory for /~user/ translation")
 		userSuffix = flag.String("userdir-suffix", "public_html", "suffix for /~user/ translation")
 		accessLog  = flag.String("access-log", "", "Common Log Format access log file")
 		status     = flag.Bool("status", false, "serve live statistics at /server-status")
-		noAlign    = flag.Bool("no-align", false, "disable 32-byte response header alignment")
 		sfThresh   = flag.Int64("sendfile-threshold", flash.DefaultSendfileThreshold,
 			"minimum body bytes for the zero-copy sendfile transport (0 disables)")
 		maxBody = flag.Int64("max-body", flash.DefaultMaxBodyBytes,
@@ -133,24 +131,21 @@ func main() {
 		ConnEngine:  *connEng,
 		IdleTimeout: *idleTO,
 		Cache: flash.CacheConfig{
-			PathEntries:        *cachePaths,
-			HeaderEntries:      hdrEntries,
-			MapBytes:           *cacheMapMB << 20,
-			ChunkBytes:         *cacheChunk << 10,
-			L1Bytes:            l1Bytes,
-			DisableCoalescing:  *noCoalesce,
-			DisableReplication: *noReplica,
+			PathEntries:   *cachePaths,
+			HeaderEntries: hdrEntries,
+			MapBytes:      *cacheMapMB << 20,
+			ChunkBytes:    *cacheChunk << 10,
+			L1Bytes:       l1Bytes,
 		},
-		UserDirBase:        *userBase,
-		UserDirSuffix:      *userSuffix,
-		DisableHeaderAlign: *noAlign,
-		SendfileThreshold:  *sfThresh,
-		MaxBodyBytes:       *maxBody,
-		MaxConns:           *maxConns,
-		MaxConnsPerIP:      *maxConnsIP,
-		ShedQueueDepth:     *shedQueue,
-		RetryAfter:         *retryAfter,
-		StaleIfError:       *staleIfError,
+		UserDirBase:       *userBase,
+		UserDirSuffix:     *userSuffix,
+		SendfileThreshold: *sfThresh,
+		MaxBodyBytes:      *maxBody,
+		MaxConns:          *maxConns,
+		MaxConnsPerIP:     *maxConnsIP,
+		ShedQueueDepth:    *shedQueue,
+		RetryAfter:        *retryAfter,
+		StaleIfError:      *staleIfError,
 	}
 	if *sfThresh == 0 {
 		// The flag's "0 = off" maps to the config's negative sentinel
@@ -261,79 +256,84 @@ func main() {
 		})
 	}
 	if *status {
-		srv.HandleDynamic("/server-status", flash.DynamicFunc(
-			func(req *httpmsg.Request) (int, string, io.ReadCloser, error) {
-				// Stats() folds the per-shard snapshots with the
-				// store-wide state (shared chunk tier, fill counters)
-				// that no single shard owns; the per-shard breakdown
-				// below is a separate snapshot round.
-				st := srv.Stats()
-				shards := srv.ShardStats()
-				if parseQuery(req.Query)["format"] == "json" {
-					js, err := json.MarshalIndent(statusJSON{
-						ConnEngine: srv.ConnEngine(),
-						Stats:      st,
-						Shards:     shards,
-						Proxy:      srv.ProxyStats(),
-					}, "", "  ")
-					if err != nil {
-						return 500, "text/plain", io.NopCloser(strings.NewReader(err.Error())), nil
+		srv.HandleFunc("GET", "/server-status", func(w flash.ResponseWriter, r *flash.Request) {
+			// Stats() folds the per-shard snapshots with the store-wide
+			// state (shared chunk tier, fill counters) that no single
+			// shard owns; the per-shard breakdown below is a separate
+			// snapshot round.
+			st := srv.Stats()
+			shards := srv.ShardStats()
+			if parseQuery(r.Query)["format"] == "json" {
+				js, err := json.MarshalIndent(statusJSON{
+					ConnEngine: srv.ConnEngine(),
+					Stats:      st,
+					Shards:     shards,
+					Proxy:      srv.ProxyStats(),
+				}, "", "  ")
+				if err != nil {
+					w.Header().Set("Content-Type", "text/plain")
+					w.WriteHeader(500)
+					io.WriteString(w, err.Error())
+					return
+				}
+				w.Header().Set("Content-Type", "application/json")
+				w.Write(append(js, '\n'))
+				return
+			}
+			var b strings.Builder
+			fmt.Fprintf(&b, "flashd status\n=============\n")
+			fmt.Fprintf(&b, "conn engine:   %s\n", srv.ConnEngine())
+			fmt.Fprintf(&b, "accepted:      %d\n", st.Accepted)
+			fmt.Fprintf(&b, "active:        %d\n", st.Active)
+			fmt.Fprintf(&b, "open conns:    %d (idle: %d)\n", st.OpenConns, st.IdleConns)
+			fmt.Fprintf(&b, "responses:     %d\n", st.Responses)
+			fmt.Fprintf(&b, "not found:     %d\n", st.NotFound)
+			fmt.Fprintf(&b, "errors:        %d\n", st.Errors)
+			fmt.Fprintf(&b, "bytes sent:    %d (sendfile: %d, copied: %d)\n",
+				st.BytesSent, st.BytesSendfile, st.BytesCopied)
+			perResp := 0.0
+			if st.Responses > 0 {
+				perResp = float64(st.GatherWrites) / float64(st.Responses)
+			}
+			fmt.Fprintf(&b, "gather writes: %d (%.2f socket writes per response)\n", st.GatherWrites, perResp)
+			fmt.Fprintf(&b, "helper jobs:   %d\n", st.HelperJobs)
+			fmt.Fprintf(&b, "file maps:     mmap=%d munmap=%d read-fallbacks=%d\n",
+				st.FileMaps, st.FileUnmaps, st.MapFallbacks)
+			fmt.Fprintf(&b, "dynamic calls: %d\n", st.DynamicCalls)
+			fmt.Fprintf(&b, "path cache:    %.1f%% hit (%d/%d)\n",
+				100*st.PathCache.HitRate(), st.PathCache.Hits, st.PathCache.Hits+st.PathCache.Misses)
+			fmt.Fprintf(&b, "header cache:  %.1f%% hit\n", 100*st.HeaderCache.HitRate())
+			fmt.Fprintf(&b, "map cache:     %.1f%% hit, %d bytes mapped (L1 + shared tier)\n",
+				100*st.MapCache.HitRate(), st.MapCache.BytesMapped-st.MapCache.BytesUnmapped)
+			fmt.Fprintf(&b, "shared tier:   %.1f%% hit, %d bytes resident\n",
+				100*st.SharedChunks.HitRate(), st.SharedChunks.BytesMapped-st.SharedChunks.BytesUnmapped)
+			fmt.Fprintf(&b, "fills:         started=%d joined=%d completed=%d failed=%d\n",
+				st.Fills.Started, st.Fills.Joined, st.Fills.Completed, st.Fills.Failed)
+			fmt.Fprintf(&b, "overload:      rejected=%d shed=%d shed-reval=%d fd-pressure=%d idle-reaped=%d\n",
+				st.ConnsRejected, st.ShedRequests, st.ShedRevalidates,
+				st.FdPressure, st.IdleReaped)
+			if proxies := srv.ProxyStats(); len(proxies) > 0 {
+				fmt.Fprintf(&b, "\nreverse proxy\n")
+				fmt.Fprintf(&b, "requests:      %d (hits: %d, fills: %d, revalidated: %d, pass-through: %d, errors: %d, stale-served: %d)\n",
+					st.ProxyRequests, st.ProxyHits, st.ProxyFills,
+					st.ProxyRevalidated, st.ProxyPassThrough, st.ProxyErrors,
+					st.ProxyStale)
+				for _, p := range proxies {
+					for _, bk := range p.Pool.Backends {
+						fmt.Fprintf(&b, "%s %s: breaker=%s reqs=%d fail=%d dials=%d reuses=%d retries=%d idle=%d\n",
+							p.Prefix, bk.Addr, bk.Breaker, bk.Requests, bk.Failures,
+							bk.Dials, bk.Reuses, bk.Retries, bk.IdleConns)
 					}
-					return 200, "application/json", io.NopCloser(strings.NewReader(string(js) + "\n")), nil
 				}
-				var b strings.Builder
-				fmt.Fprintf(&b, "flashd status\n=============\n")
-				fmt.Fprintf(&b, "conn engine:   %s\n", srv.ConnEngine())
-				fmt.Fprintf(&b, "accepted:      %d\n", st.Accepted)
-				fmt.Fprintf(&b, "active:        %d\n", st.Active)
-				fmt.Fprintf(&b, "open conns:    %d (idle: %d)\n", st.OpenConns, st.IdleConns)
-				fmt.Fprintf(&b, "responses:     %d\n", st.Responses)
-				fmt.Fprintf(&b, "not found:     %d\n", st.NotFound)
-				fmt.Fprintf(&b, "errors:        %d\n", st.Errors)
-				fmt.Fprintf(&b, "bytes sent:    %d (sendfile: %d, copied: %d)\n",
-					st.BytesSent, st.BytesSendfile, st.BytesCopied)
-				perResp := 0.0
-				if st.Responses > 0 {
-					perResp = float64(st.GatherWrites) / float64(st.Responses)
-				}
-				fmt.Fprintf(&b, "gather writes: %d (%.2f socket writes per response)\n", st.GatherWrites, perResp)
-				fmt.Fprintf(&b, "helper jobs:   %d\n", st.HelperJobs)
-				fmt.Fprintf(&b, "file maps:     mmap=%d munmap=%d read-fallbacks=%d\n",
-					st.FileMaps, st.FileUnmaps, st.MapFallbacks)
-				fmt.Fprintf(&b, "dynamic calls: %d\n", st.DynamicCalls)
-				fmt.Fprintf(&b, "path cache:    %.1f%% hit (%d/%d)\n",
-					100*st.PathCache.HitRate(), st.PathCache.Hits, st.PathCache.Hits+st.PathCache.Misses)
-				fmt.Fprintf(&b, "header cache:  %.1f%% hit\n", 100*st.HeaderCache.HitRate())
-				fmt.Fprintf(&b, "map cache:     %.1f%% hit, %d bytes mapped (L1 + shared tier)\n",
-					100*st.MapCache.HitRate(), st.MapCache.BytesMapped-st.MapCache.BytesUnmapped)
-				fmt.Fprintf(&b, "shared tier:   %.1f%% hit, %d bytes resident\n",
-					100*st.SharedChunks.HitRate(), st.SharedChunks.BytesMapped-st.SharedChunks.BytesUnmapped)
-				fmt.Fprintf(&b, "fills:         started=%d joined=%d completed=%d failed=%d\n",
-					st.Fills.Started, st.Fills.Joined, st.Fills.Completed, st.Fills.Failed)
-				fmt.Fprintf(&b, "overload:      rejected=%d shed=%d shed-reval=%d fd-pressure=%d idle-reaped=%d\n",
-					st.ConnsRejected, st.ShedRequests, st.ShedRevalidates,
-					st.FdPressure, st.IdleReaped)
-				if proxies := srv.ProxyStats(); len(proxies) > 0 {
-					fmt.Fprintf(&b, "\nreverse proxy\n")
-					fmt.Fprintf(&b, "requests:      %d (hits: %d, fills: %d, revalidated: %d, pass-through: %d, errors: %d, stale-served: %d)\n",
-						st.ProxyRequests, st.ProxyHits, st.ProxyFills,
-						st.ProxyRevalidated, st.ProxyPassThrough, st.ProxyErrors,
-						st.ProxyStale)
-					for _, p := range proxies {
-						for _, bk := range p.Pool.Backends {
-							fmt.Fprintf(&b, "%s %s: breaker=%s reqs=%d fail=%d dials=%d reuses=%d retries=%d idle=%d\n",
-								p.Prefix, bk.Addr, bk.Breaker, bk.Requests, bk.Failures,
-								bk.Dials, bk.Reuses, bk.Retries, bk.IdleConns)
-						}
-					}
-				}
-				fmt.Fprintf(&b, "\nper-shard (%d event loops)\n", srv.NumShards())
-				for i, ss := range shards {
-					fmt.Fprintf(&b, "shard %2d: accepted=%d open=%d idle=%d responses=%d bytes=%d path-hit=%.1f%%\n",
-						i, ss.Accepted, ss.OpenConns, ss.IdleConns, ss.Responses, ss.BytesSent, 100*ss.PathCache.HitRate())
-				}
-				return 200, "text/plain", io.NopCloser(strings.NewReader(b.String())), nil
-			}))
+			}
+			fmt.Fprintf(&b, "\nper-shard (%d event loops)\n", srv.NumShards())
+			for i, ss := range shards {
+				fmt.Fprintf(&b, "shard %2d: accepted=%d open=%d idle=%d responses=%d bytes=%d path-hit=%.1f%%\n",
+					i, ss.Accepted, ss.OpenConns, ss.IdleConns, ss.Responses, ss.BytesSent, 100*ss.PathCache.HitRate())
+			}
+			w.Header().Set("Content-Type", "text/plain")
+			io.WriteString(w, b.String())
+		})
 	}
 
 	// Graceful shutdown on SIGINT/SIGTERM.

@@ -26,9 +26,7 @@
 //     If-Modified-Since, and chunked transfer-encoding for dynamic
 //     handlers so 1.1 responses persist without a pre-known
 //     Content-Length. A raw-socket torture suite and parser fuzzing
-//     (FuzzParseRequest) lock the behaviour down; Config knobs
-//     (DisableRanges, DisableETags, DisableChunked) restore the
-//     paper-faithful subset.
+//     (FuzzParseRequest) lock the behaviour down.
 //
 //     Dynamic content goes through the Handler v2 API — the full-peer
 //     analogue of the paper's §5.6 CGI processes: a Handler runs on
@@ -39,9 +37,8 @@
 //     request), and writes through a ResponseWriter whose output
 //     flows through the event loop one pipe buffer at a time. Routing
 //     is method + longest-prefix with 405/Allow on method misses,
-//     registered before Serve. The v1 DynamicHandler interface
-//     remains as a byte-equivalent adapter, and internal/flashhttp
-//     mounts any unmodified net/http.Handler on the same surface.
+//     registered before Serve. internal/flashhttp mounts any
+//     unmodified net/http.Handler on the same surface.
 //
 //     The response data path is one body-source pipeline with two
 //     static transports, chosen per response by
@@ -54,7 +51,9 @@
 //     paper's mapped files: refcounted views over mmap(2) regions that
 //     the disk helpers map and touch, unmapped when the last response
 //     lets go (a helper that cannot map a file reads it instead), so
-//     served files should be replaced by rename. Stats.BytesSendfile
+//     served files should be replaced by rename. Every chunk miss joins
+//     the one single-flight fill of its file; nothing else reads file
+//     bytes into the cache. Stats.BytesSendfile
 //     and Stats.BytesCopied split the traffic by transport, and a
 //     byte-for-byte equivalence suite holds the two to identical wire
 //     output.
@@ -85,9 +84,8 @@
 //	if err != nil { ... }
 //	log.Fatal(srv.ListenAndServe(":8080"))
 //
-// See README.md for the architecture overview, DESIGN.md for the system
-// inventory and experiment index, and EXPERIMENTS.md for the
-// paper-vs-measured results.
+// See README.md for the architecture overview and bench/README.md for
+// the benchmark and its results.
 package repro
 
 import "repro/internal/flash"
@@ -123,13 +121,6 @@ type Header = flash.Header
 // Route is one handler registration: method, path prefix, handler,
 // and an optional per-route body cap (see flash.Route).
 type Route = flash.Route
-
-// DynamicHandler is the v1 dynamic-content interface, kept as a thin
-// adapter over Handler (see flash.DynamicHandler).
-type DynamicHandler = flash.DynamicHandler
-
-// DynamicFunc adapts a function to DynamicHandler.
-type DynamicFunc = flash.DynamicFunc
 
 // ErrServerClosed is returned by Serve after Close or Shutdown.
 var ErrServerClosed = flash.ErrServerClosed

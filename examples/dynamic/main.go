@@ -5,10 +5,10 @@
 // it reads the request body, sets arbitrary response headers, and
 // streams its output through the loop's flow-control pipe.
 //
-// The walkthrough mounts the same workload three ways:
+// The walkthrough mounts three handlers:
 //
-//	v2 native    repro.HandlerFunc       POST /echo (reads the body)
-//	v1 legacy    repro.DynamicFunc       GET /cgi-bin/slow (adapter-backed)
+//	native       repro.HandlerFunc       POST /echo (reads the body)
+//	native       repro.HandlerFunc       GET /cgi-bin/slow (blocks 500ms)
 //	net/http     flashhttp.Adapter       GET /std/... (http.FileServer)
 package main
 
@@ -25,7 +25,6 @@ import (
 
 	"repro"
 	"repro/internal/flashhttp"
-	"repro/internal/httpmsg"
 )
 
 func main() {
@@ -45,8 +44,8 @@ func main() {
 	}
 	defer srv.Close()
 
-	// v2 native: a POST handler that reads the request body — something
-	// the v1 API could not express at all.
+	// A POST handler that reads the request body and sets its own
+	// response headers.
 	srv.HandleFunc("POST", "/echo", func(w repro.ResponseWriter, r *repro.Request) {
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
@@ -58,14 +57,14 @@ func main() {
 		fmt.Fprintf(w, "you posted %d bytes: %q\n", len(body), body)
 	})
 
-	// v1 legacy: the old four-value interface still works, now riding
-	// on a v2 adapter. Deliberately slow, to show the §5.6 isolation:
-	// static requests keep flowing while it sleeps.
-	srv.HandleDynamic("/cgi-bin/slow", repro.DynamicFunc(
-		func(req *httpmsg.Request) (int, string, io.ReadCloser, error) {
-			time.Sleep(500 * time.Millisecond)
-			return 200, "text/plain", io.NopCloser(strings.NewReader("finally done\n")), nil
-		}))
+	// Deliberately slow, to show the §5.6 isolation: the handler blocks
+	// its own goroutine, and static requests keep flowing while it
+	// sleeps.
+	srv.HandleFunc("GET", "/cgi-bin/slow", func(w repro.ResponseWriter, r *repro.Request) {
+		time.Sleep(500 * time.Millisecond)
+		w.Header().Set("Content-Type", "text/plain")
+		io.WriteString(w, "finally done\n")
+	})
 
 	// The Go ecosystem: an unmodified net/http handler on the flash core.
 	srv.Handle("", "/std/", flashhttp.Adapter(
@@ -78,7 +77,7 @@ func main() {
 	go srv.Serve(l)
 	base := "http://" + l.Addr().String()
 
-	// Kick off the slow v1 request...
+	// Kick off the slow request...
 	slowDone := make(chan string, 1)
 	go func() {
 		resp, err := http.Get(base + "/cgi-bin/slow")
@@ -104,16 +103,16 @@ func main() {
 		served++
 	}
 	fmt.Printf("served %d static requests while /cgi-bin/slow was blocked\n", served)
-	fmt.Printf("slow v1 handler said: %s\n", <-slowDone)
+	fmt.Printf("slow handler said: %s\n", <-slowDone)
 
-	// POST a body to the v2 handler.
+	// POST a body to the echo handler.
 	resp, err := http.Post(base+"/echo", "text/plain", strings.NewReader("hello, handler v2"))
 	if err != nil {
 		log.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	fmt.Printf("v2 echo (%s): %s", resp.Header.Get("X-Handler"), body)
+	fmt.Printf("echo (%s): %s", resp.Header.Get("X-Handler"), body)
 
 	// And fetch through the mounted net/http file server.
 	resp, err = http.Get(base + "/std/ecosystem.txt")

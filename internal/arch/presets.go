@@ -6,8 +6,8 @@ import "time"
 // processes and Flash-MT uses 32 threads. Both Flash-MT and Flash use a
 // memory-mapped file cache and a pathname cache; each Flash-MP process
 // has [smaller] limits since the caches are replicated in each process."
-// The scanned copy lost the exact numerals; the values below are the
-// documented reconstruction (see DESIGN.md §5).
+// The scanned copy lost the exact numerals; the values below are a
+// reconstruction, not the paper's figures.
 const (
 	defaultProcs = 32
 

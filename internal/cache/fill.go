@@ -97,9 +97,13 @@ func (f *Fill) ChunkRange(index int) (off, n int64) {
 // (release through the View). pending=true means the chunk has not
 // published yet: notify will be invoked exactly once — when the chunk
 // publishes, or when the fill ends without it — and the caller calls
-// ChunkAt again. A non-nil err means the fill failed. The all-zero
-// return (nil, false, nil) means the fill is over and no longer holds
-// the chunk: fall back to a cache lookup or a direct read.
+// ChunkAt again. A publish runs notify on the producer's goroutine
+// while the fill still pins the chunk — the final publish too, whose
+// fill is already done by then — so a ChunkAt made inside notify takes
+// the chunk however soon eviction would drop it. A non-nil err means
+// the fill failed. The all-zero return (nil, false, nil) means the fill
+// is over and no longer holds the chunk: look it up in the cache, and
+// join a fresh fill if it is gone.
 func (f *Fill) ChunkAt(index int, notify func()) (c *Chunk, pending bool, err error) {
 	seg := f.seg
 	seg.mu.Lock()
@@ -107,12 +111,12 @@ func (f *Fill) ChunkAt(index int, notify func()) (c *Chunk, pending bool, err er
 	switch {
 	case f.state == fillFailed:
 		return nil, false, f.err
-	case f.state == fillDone:
-		return nil, false, nil
 	case index < len(f.pins):
 		c := f.pins[index]
 		seg.chunks.pin(c)
 		return c, false, nil
+	case f.state == fillDone:
+		return nil, false, nil
 	default:
 		f.waiters = append(f.waiters, fillWaiter{index: index, notify: notify})
 		return nil, true, nil
@@ -122,7 +126,8 @@ func (f *Fill) ChunkAt(index int, notify func()) (c *Chunk, pending bool, err er
 // Publish appends the next chunk's bytes (chunks land strictly in
 // order), inserts it pinned into the owner segment, and wakes the
 // subscribers parked on it. Publishing the final chunk finishes the
-// fill: its pins are released and the fill record retires. The return
+// fill: the fill record retires, and its pins are released once the
+// subscribers are notified. The return
 // reports whether the producer should keep going — false after the
 // final chunk, a doomed fill (ErrFillStale is delivered to the
 // subscribers), or a fill already ended.
@@ -138,7 +143,7 @@ func (f *Fill) PublishMapped(m *MmapRef) bool { return f.publish(m.Bytes(), m) }
 func (f *Fill) publish(data []byte, m *MmapRef) bool {
 	seg := f.seg
 	var wake []func()
-	more := false
+	more, done := false, false
 	consumed := m == nil
 	seg.mu.Lock()
 	switch {
@@ -152,25 +157,18 @@ func (f *Fill) publish(data []byte, m *MmapRef) bool {
 		// size.
 	default:
 		idx := len(f.pins)
-		var c *Chunk
-		if m != nil {
-			// InsertMapped consumes the reference on both branches
-			// (adopted by a new chunk, or released on a merge).
-			c = seg.chunks.InsertMapped(ChunkKey{Path: f.path, Index: idx}, m, int64(len(data)))
-			consumed = true
-		} else {
-			c = seg.chunks.Insert(ChunkKey{Path: f.path, Index: idx}, data, int64(len(data)))
-		}
+		// insert consumes m on both branches (adopted by a new chunk, or
+		// released on a merge).
+		c := seg.chunks.insert(ChunkKey{Path: f.path, Index: idx}, data, m, int64(len(data)), f.modTime)
+		consumed = true
 		if c.home == 0 {
 			c.home = f.seg.tag
 		}
-		c.ModTime = f.modTime
 		f.pins = append(f.pins, c)
 		wake = f.takeWaitersLocked(idx)
-		if len(f.pins) == f.numChunks {
+		if more = len(f.pins) < f.numChunks; !more {
 			wake = append(wake, f.finishLocked()...)
-		} else {
-			more = true
+			done = true
 		}
 	}
 	seg.mu.Unlock()
@@ -179,6 +177,16 @@ func (f *Fill) publish(data []byte, m *MmapRef) bool {
 	}
 	for _, fn := range wake {
 		fn()
+	}
+	if done {
+		// The finished fill kept its pins through the wakes, so every
+		// woken subscriber could take its chunk; now they go.
+		seg.mu.Lock()
+		for _, c := range f.pins {
+			seg.chunks.Release(c)
+		}
+		f.pins = nil
+		seg.mu.Unlock()
 	}
 	return more
 }
@@ -215,15 +223,11 @@ func (f *Fill) takeWaitersLocked(published int) []func() {
 }
 
 // finishLocked completes the fill: the record retires from the
-// segment, the fill's pins drop (subscribers hold their own), and any
-// stragglers are woken to fall back to plain lookups.
+// segment and any stragglers are woken to fall back to plain lookups.
+// The fill's pins are the caller's to drop, after the wakes.
 func (f *Fill) finishLocked() []func() {
 	f.state = fillDone
 	delete(f.seg.fills, f.path)
-	for _, c := range f.pins {
-		f.seg.chunks.Release(c)
-	}
-	f.pins = nil
 	wake := make([]func(), 0, len(f.waiters))
 	for _, w := range f.waiters {
 		wake = append(wake, w.notify)

@@ -19,9 +19,9 @@ type Chunk struct {
 	Data []byte
 	Size int64
 	// ModTime is the file modification time (unix seconds) the chunk's
-	// bytes were read under. Store implementations record it so lookups
-	// can reject chunks from a different generation of the file; bare
-	// MapCache users may leave it zero.
+	// bytes were read under, fixed at insert. Store implementations
+	// record it so lookups can reject chunks from a different generation
+	// of the file; bare MapCache users leave it zero.
 	ModTime int64
 
 	refs int
@@ -236,31 +236,28 @@ func (m *MapCache) Contains(key ChunkKey) bool {
 // pinned instead (merged concurrent loads). Inactive chunks are evicted
 // as needed to respect the byte limit.
 func (m *MapCache) Insert(key ChunkKey, data []byte, size int64) *Chunk {
-	if c, ok := m.chunks[key]; ok {
-		m.pin(c)
-		return c
-	}
-	return m.insertNew(key, data, size)
+	return m.insert(key, data, nil, size, 0)
 }
 
-// InsertMapped is Insert for a chunk backed by an mmap region: the
-// chunk adopts mr's reference. Inserting over an existing
-// key returns the existing chunk pinned and releases the incoming
-// reference — the resident bytes win, exactly as Insert discards the
-// incoming buffer on a merged concurrent load.
-func (m *MapCache) InsertMapped(key ChunkKey, mr *MmapRef, size int64) *Chunk {
+// insert is Insert under a file generation, for the tiers of a store.
+// A resident chunk of the same generation wins (a merged concurrent
+// load: the incoming buffer is dropped, the incoming view released). A
+// resident chunk of another generation is detached and replaced — never
+// retagged, which would serve its bytes as the new generation's. mr,
+// when non-nil, is a view of a mapping that backs data; the new chunk
+// adopts its reference.
+func (m *MapCache) insert(key ChunkKey, data []byte, mr *MmapRef, size, modTime int64) *Chunk {
 	if c, ok := m.chunks[key]; ok {
-		m.pin(c)
-		mr.Release()
-		return c
+		if c.ModTime == modTime {
+			m.pin(c)
+			if mr != nil {
+				mr.Release()
+			}
+			return c
+		}
+		m.detach(c)
 	}
-	c := m.insertNew(key, mr.Bytes(), size)
-	c.mapping = mr
-	return c
-}
-
-func (m *MapCache) insertNew(key ChunkKey, data []byte, size int64) *Chunk {
-	c := &Chunk{Key: key, Data: data, Size: size, refs: 1}
+	c := &Chunk{Key: key, Data: data, Size: size, ModTime: modTime, mapping: mr, refs: 1}
 	m.chunks[key] = c
 	m.used += size
 	m.stats.Inserts++

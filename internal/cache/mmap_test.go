@@ -4,6 +4,7 @@ package cache
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -26,35 +27,47 @@ func writeTempFile(t *testing.T, data []byte) *os.File {
 	return f
 }
 
-// A mapped chunk's end-to-end lifecycle: map, insert, look up
-// the real file bytes, and verify the mapping's reference count at
-// every stage — the cache chunk and its L1 replica each hold one, and
-// invalidation drops both without touching the observer's hold.
+// A mapped chunk's end-to-end lifecycle: map, publish through a fill,
+// look up the real file bytes, and verify the mapping's reference count
+// at every stage — the cache chunk and its L1 replica each hold one,
+// and invalidation drops both without touching the observer's hold.
 func TestMmapChunkLifecycleRefcounts(t *testing.T) {
 	content := bytes.Repeat([]byte("mmap-engine!"), 200) // > 1 chunk
 	f := writeTempFile(t, content)
 	st := testStore(1, 1<<20)
 	v := st.View(0)
 
-	off, n := st.ChunkRange(int64(len(content)), 0)
-	mr, err := MapChunk(f, off, n)
-	if err != nil {
-		t.Fatal(err)
+	fill, _ := v.JoinFill("/f", int64(len(content)), 7)
+	off, n := fill.ChunkRange(0)
+	var hold *MmapRef
+	for i := 0; i < fill.NumChunks(); i++ {
+		o, m := fill.ChunkRange(i)
+		mr, err := MapChunk(f, o, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if !bytes.Equal(mr.Bytes(), content[off:off+n]) {
+				t.Fatal("mapped bytes differ from file bytes")
+			}
+			hold = mr.Acquire() // observer's hold, so Refs stays readable
+		}
+		fill.PublishMapped(mr) // the chunk adopts the mapped ref
 	}
-	if !bytes.Equal(mr.Bytes(), content[off:off+n]) {
-		t.Fatal("mapped bytes differ from file bytes")
+	// Ours + the segment chunk's; the finished fill dropped its pin.
+	if got := hold.Refs(); got != 2 {
+		t.Fatalf("refs after the fill = %d, want 2 (observer + segment)", got)
 	}
-	hold := mr.Acquire() // observer's hold, so Refs stays readable
 
+	// The first lookup replicates into the L1: the segment copy and the
+	// replica share the mapping with separate holds.
 	key := ChunkKey{Path: "/f", Index: 0}
-	c := v.InsertMapped(key, mr, n, 7) // chunk adopts the mapped ref
-	if !bytes.Equal(c.Data, content[off:off+n]) {
+	c := v.Lookup(key, 7)
+	if c == nil || !bytes.Equal(c.Data, content[off:off+n]) {
 		t.Fatal("chunk bytes differ from file bytes")
 	}
-	// Ours + the L1 replica's (InsertMapped replicates; the segment
-	// copy and the replica share the mapping with separate holds).
 	if got := hold.Refs(); got != 3 {
-		t.Fatalf("refs after insert = %d, want 3 (observer + segment + L1)", got)
+		t.Fatalf("refs after the first lookup = %d, want 3 (observer + segment + L1)", got)
 	}
 	v.Release(c)
 
@@ -87,25 +100,29 @@ func TestMmapChunkLifecycleRefcounts(t *testing.T) {
 func TestMmapEvictionKeepsSharedMappingAlive(t *testing.T) {
 	content := bytes.Repeat([]byte("x"), 1024)
 	f := writeTempFile(t, content)
-	// One-chunk budget: every insert evicts the previous chunk.
-	st := testStore(1, 1024)
+	// One segment with a one-chunk budget: every insert evicts the
+	// previous chunk.
+	st := testStore(1, 1024, func(o *StoreOptions) { o.Segments = 1 })
 	v := st.View(0)
 
-	mr, err := MapChunk(f, 0, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hold := mr.Acquire()
-	defer hold.Release()
-	c := v.InsertMapped(ChunkKey{Path: "/a", Index: 0}, mr, 1024, 1)
-	// Reader keeps its pin on /a while /b storms the budget.
-	for i := 0; i < 4; i++ {
-		f2 := writeTempFile(t, content)
-		mr2, err := MapChunk(f2, 0, 1024)
+	// fill publishes one mapped chunk as file path.
+	fill := func(f *os.File, path string) {
+		mr, err := MapChunk(f, 0, 1024)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v.Release(v.InsertMapped(ChunkKey{Path: "/b", Index: i}, mr2, 1024, 1))
+		fl, _ := v.JoinFill(path, 1024, 1)
+		fl.PublishMapped(mr)
+	}
+	fill(f, "/a")
+	// The reader's lookup is an L1 replica of /a; it keeps its pin while
+	// /b0../b3 storm the budget and evict /a's segment copy.
+	c := v.Lookup(ChunkKey{Path: "/a", Index: 0}, 1)
+	if c == nil {
+		t.Fatal("/a not resident after its fill")
+	}
+	for i := 0; i < 4; i++ {
+		fill(writeTempFile(t, content), fmt.Sprintf("/b%d", i))
 	}
 	// The pinned chunk's bytes must still be readable (on Linux this
 	// faults if the region were unmapped).
@@ -223,21 +240,31 @@ func mappedFile(t *testing.T, n int) (*FileRef, []byte, *MapStats) {
 	return NewFileRef(f, stats), content, stats
 }
 
-// publishFile maps ref's file and inserts its chunks, unpinned, the way
-// a fill does: each chunk a touched view of the parked mapping.
+// publishFile streams ref's file through a fill the way a fill job
+// does — each chunk a touched view of the parked mapping — then reads
+// every chunk still resident back once, in order, as the fill's
+// subscribers would.
 func publishFile(t *testing.T, st *ShardedStore, v View, ref *FileRef, path string, size int) {
 	t.Helper()
 	m, err := ref.Map(int64(size))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < st.NumChunks(int64(size)); i++ {
-		off, n := st.ChunkRange(int64(size), i)
-		sub := m.Slice(off, n)
+	fill, started := v.JoinFill(path, int64(size), 1)
+	if !started {
+		t.Fatal("JoinFill joined a fill in flight")
+	}
+	for i := 0; i < fill.NumChunks(); i++ {
+		sub := m.Slice(fill.ChunkRange(i))
 		if err := sub.Touch(); err != nil {
 			t.Fatal(err)
 		}
-		v.Release(v.InsertMapped(ChunkKey{Path: path, Index: i}, sub, n, 1))
+		fill.PublishMapped(sub)
+	}
+	for i := 0; i < st.NumChunks(int64(size)); i++ {
+		if c := v.Lookup(ChunkKey{Path: path, Index: i}, 1); c != nil {
+			v.Release(c)
+		}
 	}
 }
 

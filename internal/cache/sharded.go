@@ -31,17 +31,14 @@ type StoreOptions struct {
 	// L1Bytes bounds each shard's loop-private replica cache of hot
 	// chunks (the lock-free warm hit path). Zero defaults to
 	// MapBytes/(8*Shards) — one eighth of the shared tier in total,
-	// regardless of shard count. Negative disables replication's
-	// retention (replicas are dropped as soon as released).
+	// regardless of shard count. Negative means no L1: no replica is
+	// made, and every chunk lookup goes to the owner segment (and takes
+	// its lock).
 	L1Bytes int64
 
 	// Segments is the shared tier's partition count (default
 	// DefaultSegments).
 	Segments int
-
-	// DisableReplication turns the L1 tier off entirely: every chunk
-	// lookup goes to the owner segment (and takes its lock).
-	DisableReplication bool
 
 	// OnPathEvict observes path entries dropped by LRU pressure, per
 	// view (owners release descriptor references here).
@@ -54,10 +51,10 @@ type StoreOptions struct {
 // mutex-guarded segments with single-flight fills. Chunk bytes live
 // once, in the segment keyed by hash(path); shards replicate only the
 // hot set into their L1s. A chunk's bytes are either a view over a
-// refcounted mapping (a Slice of FileRef.Map, then InsertMapped or
-// Fill.PublishMapped — what disk helpers produce) or a heap buffer
-// (Insert, Fill.Publish — proxy refills, and the helpers' read
-// fallback where a file cannot be mapped); the tiers treat both alike.
+// refcounted mapping (a Slice of FileRef.Map, then Fill.PublishMapped —
+// what disk helpers produce) or a heap buffer (Fill.Publish — proxy
+// refills, and the helpers' read fallback where a file cannot be
+// mapped); the tiers treat both alike.
 type ShardedStore struct {
 	chunkSize int64
 	segments  []*segment
@@ -86,16 +83,14 @@ type storeView struct {
 	id    int
 	paths *PathCache
 	hdrs  *HeaderCache
-	l1    *MapCache // nil when replication is disabled
+	l1    *MapCache // nil when StoreOptions.L1Bytes is negative
 }
 
 var _ Store = (*ShardedStore)(nil)
 var _ View = (*storeView)(nil)
 
-// NewShardedStore builds the v2 store. It is also the v1
-// compatibility constructor: with replication and coalescing left on,
-// a single-shard store behaves like the original trio with a shared
-// chunk budget.
+// NewShardedStore builds the v2 store. A single-shard store behaves
+// like the original trio with a shared chunk budget.
 func NewShardedStore(o StoreOptions) *ShardedStore {
 	if o.Shards <= 0 {
 		o.Shards = 1
@@ -117,9 +112,6 @@ func NewShardedStore(o StoreOptions) *ShardedStore {
 			o.L1Bytes = o.ChunkBytes
 		}
 	}
-	if o.L1Bytes < 0 {
-		o.L1Bytes = 0
-	}
 	st := &ShardedStore{chunkSize: o.ChunkBytes}
 	for i := 0; i < o.Segments; i++ {
 		chunks := NewMapCache(max64(o.MapBytes/int64(o.Segments), 1), o.ChunkBytes)
@@ -138,7 +130,7 @@ func NewShardedStore(o StoreOptions) *ShardedStore {
 			paths: NewPathCacheEvict(maxInt(o.PathEntries/o.Shards, 1), o.OnPathEvict),
 			hdrs:  NewHeaderCache(maxInt(o.HeaderEntries/o.Shards, 1)),
 		}
-		if !o.DisableReplication {
+		if o.L1Bytes >= 0 {
 			v.l1 = NewMapCache(o.L1Bytes, o.ChunkBytes)
 		}
 		st.views = append(st.views, v)
@@ -271,16 +263,19 @@ func (v *storeView) HeaderLen() int { return v.hdrs.Len() }
 // Lookup probes the loop-private L1 first (the lock-free warm path),
 // then the owner segment; a segment hit is replicated into the L1 so
 // the path stays hot and shard-local next time. A chunk recorded
-// under a different modTime is a miss — the caller's per-chunk read
-// will notice the changed file and restart, as in v1.
+// under a different modTime is a miss — the caller's fill verifies the
+// file's identity. A replica of another generation is dropped on the
+// spot and the segment probed behind it: a stale replica must not
+// shadow a current segment chunk, or every request on this shard would
+// start a fill until the replica aged out.
 func (v *storeView) Lookup(key ChunkKey, modTime int64) *Chunk {
 	if v.l1 != nil {
 		if c := v.l1.Lookup(key); c != nil {
 			if c.ModTime == modTime {
 				return c
 			}
+			v.l1.detach(c)
 			v.l1.Release(c)
-			return nil
 		}
 	}
 	seg := v.store.segmentFor(key.Path)
@@ -305,20 +300,17 @@ func (v *storeView) Lookup(key ChunkKey, modTime int64) *Chunk {
 // the replica pinned, and drops the segment pin. An mmap-backed chunk
 // is shared by reference: the replica acquires its own hold on the
 // mapping, so the L1 and the segment can evict in either order
-// without unmapping pages the other still serves. The generation comes
-// from the caller, who matched or wrote it under the segment lock:
-// c.ModTime is rewritten by every insert and publish that merges into
-// the chunk, so it may not be read here, outside the lock. (Key, Size,
-// Data and mapping are immutable once inserted, and the caller's pin
-// keeps the chunk alive.)
+// without unmapping pages the other still serves. A replica of another
+// generation is replaced, like a segment chunk. The generation comes
+// from the caller, who matched or wrote it under the segment lock.
+// (Key, Size, Data, ModTime and mapping are immutable once inserted,
+// and the caller's pin keeps the chunk alive.)
 func (v *storeView) replicate(seg *segment, c *Chunk, modTime int64) *Chunk {
-	var rep *Chunk
-	if m := c.mapping; m != nil {
-		rep = v.l1.InsertMapped(c.Key, m.Acquire(), c.Size)
-	} else {
-		rep = v.l1.Insert(c.Key, c.Data, c.Size)
+	m := c.mapping
+	if m != nil {
+		m.Acquire()
 	}
-	rep.ModTime = modTime
+	rep := v.l1.insert(c.Key, c.Data, m, c.Size, modTime)
 	rep.home = -(int32(v.id) + 1)
 	seg.mu.Lock()
 	seg.chunks.Release(c)
@@ -327,33 +319,15 @@ func (v *storeView) replicate(seg *segment, c *Chunk, modTime int64) *Chunk {
 }
 
 // Insert records a freshly read chunk in the owner segment (so every
-// shard can hit it) and replicates it into the L1.
+// shard can hit it) and replicates it into the L1. A resident chunk of
+// the same generation wins; one of another generation is replaced.
 func (v *storeView) Insert(key ChunkKey, data []byte, size, modTime int64) *Chunk {
 	seg := v.store.segmentFor(key.Path)
 	seg.mu.Lock()
-	c := seg.chunks.Insert(key, data, size)
+	c := seg.chunks.insert(key, data, nil, size, modTime)
 	if c.home == 0 {
 		c.home = seg.tag
 	}
-	c.ModTime = modTime
-	seg.mu.Unlock()
-	if v.l1 == nil {
-		return c
-	}
-	return v.replicate(seg, c, modTime)
-}
-
-// InsertMapped is Insert for a chunk backed by a mapping: the chunk
-// adopts m's reference; on a merge with an already-resident chunk the
-// incoming mapping is released and the resident bytes win.
-func (v *storeView) InsertMapped(key ChunkKey, m *MmapRef, size, modTime int64) *Chunk {
-	seg := v.store.segmentFor(key.Path)
-	seg.mu.Lock()
-	c := seg.chunks.InsertMapped(key, m, size)
-	if c.home == 0 {
-		c.home = seg.tag
-	}
-	c.ModTime = modTime
 	seg.mu.Unlock()
 	if v.l1 == nil {
 		return c
@@ -394,24 +368,43 @@ func (v *storeView) InvalidateFile(path string, modTime int64, maxChunks int) {
 }
 
 // JoinFill subscribes to the in-flight fill for path, or registers a
-// new one (started=true: the caller owns arranging its producer).
+// new one (started=true: the caller owns arranging its producer). An
+// in-flight fill of another identity is returned as it is, not counted
+// as a join: the caller waits for it to end and joins again. A file
+// that is resident whole gets no fill: the caller's lookup missed just
+// before a fill published the chunk and retired, and a finished fill is
+// returned, whose ChunkAt sends the caller back to the cache.
 func (v *storeView) JoinFill(path string, size, modTime int64) (*Fill, bool) {
 	seg := v.store.segmentFor(path)
 	seg.mu.Lock()
 	if f := seg.fills[path]; f != nil {
-		same := f.size == size && f.modTime == modTime
 		seg.mu.Unlock()
-		if !same {
-			return nil, false
+		if f.size == size && f.modTime == modTime {
+			v.store.fillsJoined.Add(1)
 		}
-		v.store.fillsJoined.Add(1)
 		return f, false
 	}
 	f := newFill(seg, path, size, modTime, v.store.chunkSize)
+	if seg.resident(f) {
+		f.state = fillDone
+		seg.mu.Unlock()
+		return f, false
+	}
 	seg.fills[path] = f
 	seg.mu.Unlock()
 	v.store.fillsStarted.Add(1)
 	return f, true
+}
+
+// resident reports whether every chunk of f's file is in the segment
+// under f's generation. The caller holds seg.mu.
+func (seg *segment) resident(f *Fill) bool {
+	for i := 0; i < f.numChunks; i++ {
+		if c := seg.chunks.chunks[ChunkKey{Path: f.path, Index: i}]; c == nil || c.ModTime != f.modTime {
+			return false
+		}
+	}
+	return true
 }
 
 // LocalStats snapshots the loop-private counters (owner loop only).

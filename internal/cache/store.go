@@ -63,12 +63,13 @@ type View interface {
 	// modTime. A hit in the shared tier is replicated into the L1 so
 	// the next lookup is loop-local and lock-free. Insert records a
 	// chunk read into a heap buffer under the given identity and
-	// returns it pinned; InsertMapped does the same for a chunk whose
-	// bytes are a view of a mapping (the chunk adopts m's reference). Release unpins a chunk obtained from Lookup, Insert,
-	// InsertMapped, or Fill.ChunkAt, whichever tier owns it.
+	// returns it pinned; a resident chunk of another generation is
+	// replaced, never retagged. (The server's producers are fills;
+	// Insert serves tools that replay the store.) Release unpins a chunk
+	// obtained from Lookup, Insert, or Fill.ChunkAt, whichever tier owns
+	// it.
 	Lookup(key ChunkKey, modTime int64) *Chunk
 	Insert(key ChunkKey, data []byte, size, modTime int64) *Chunk
-	InsertMapped(key ChunkKey, m *MmapRef, size, modTime int64) *Chunk
 	Release(c *Chunk)
 	// InvalidateFile retires one generation of path: it drops the
 	// chunks recorded under modTime from the L1 and the owner segment,
@@ -84,9 +85,14 @@ type View interface {
 	// JoinFill coalesces a cold miss: it returns the in-flight fill
 	// for path, registering this caller as one more subscriber, or
 	// creates one (started=true — the caller must arrange for a
-	// producer to Publish into it). A nil fill means an in-flight fill
-	// exists but for a different (size, modTime) identity; the caller
-	// falls back to per-chunk reads, which re-verify identity anyway.
+	// producer to Publish into it). The fill is never nil. One of a
+	// different (size, modTime) identity is returned with started=false
+	// and not counted as a join: the path has one fill at a time, so
+	// the caller waits for that one to end (ChunkAt on its last chunk)
+	// and joins again. When every chunk of the file is already resident
+	// — a fill finished since the caller's lookup missed — no fill
+	// starts: the one returned is over, and its ChunkAt sends the
+	// caller back to the cache.
 	JoinFill(path string, size, modTime int64) (f *Fill, started bool)
 
 	// LocalStats snapshots this view's loop-private counters.
@@ -117,8 +123,8 @@ type SharedStats struct {
 type FillStats struct {
 	// Started counts fills created (each is at most one disk pass).
 	Started uint64
-	// Joined counts requests that coalesced onto an existing fill
-	// instead of dispatching their own reads.
+	// Joined counts requests that coalesced onto an existing fill of
+	// their own generation instead of starting one.
 	Joined uint64
 	// Completed and Failed split finished fills by outcome.
 	Completed uint64

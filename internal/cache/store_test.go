@@ -87,7 +87,7 @@ func TestStoreLookupRejectsWrongGeneration(t *testing.T) {
 func TestStoreBudgetIndependentOfShardCount(t *testing.T) {
 	const mapBytes = 64 << 10 // 64 chunks of 1 KiB
 	for _, shards := range []int{1, 4} {
-		st := testStore(shards, mapBytes, func(o *StoreOptions) { o.DisableReplication = true })
+		st := testStore(shards, mapBytes, func(o *StoreOptions) { o.L1Bytes = -1 })
 		v := st.View(0)
 		for i := 0; i < 128; i++ {
 			key := ChunkKey{Path: fmt.Sprintf("/f%d", i), Index: 0}
@@ -133,12 +133,18 @@ func TestFillPublishWakeFinish(t *testing.T) {
 		t.Fatalf("NumChunks = %d, want 3", f.NumChunks())
 	}
 
-	// Same identity joins; different identity is refused.
+	// Same identity joins. A different identity gets the in-flight fill
+	// too — the path has one fill at a time, and the caller waits for
+	// its end — but neither starts one nor counts as a join.
 	if f2, started := v.JoinFill("/f", size, mod); f2 != f || started {
 		t.Fatalf("second JoinFill = %v, %v; want join of first", f2, started)
 	}
-	if f3, _ := v.JoinFill("/f", size, mod+1); f3 != nil {
-		t.Fatal("JoinFill with mismatched identity returned the in-flight fill")
+	joined := st.SharedStats().Fills.Joined
+	if f3, started := v.JoinFill("/f", size, mod+1); f3 != f || started {
+		t.Fatalf("JoinFill with mismatched identity = %v, %v; want the in-flight fill, not started", f3, started)
+	}
+	if got := st.SharedStats().Fills.Joined; got != joined {
+		t.Fatalf("Joined = %d after a mismatched JoinFill, want %d", got, joined)
 	}
 
 	// Park on chunk 1, then publish chunks one at a time.
@@ -186,8 +192,20 @@ func TestFillPublishWakeFinish(t *testing.T) {
 		}
 		v.Release(c)
 	}
+	if n := st.SharedStats().ActiveFills; n != 0 {
+		t.Fatalf("%d fill records after finish, want the record retired", n)
+	}
+	// The file is resident whole: a late miss gets a finished fill that
+	// sends it back to the cache, not a second disk pass.
+	if f2, started := v.JoinFill("/f", size, mod); started || f2 == f {
+		t.Fatalf("JoinFill of a resident file = %v, %v; want a fresh, finished fill", f2, started)
+	} else if c, pending, err := f2.ChunkAt(0, nil); c != nil || pending || err != nil {
+		t.Fatalf("ChunkAt of the finished fill = %v, %v, %v; want all-zero", c, pending, err)
+	}
+	// Once a chunk is gone, the next cold pass starts fresh.
+	v.InvalidateFile("/f", mod, 3)
 	if _, started := v.JoinFill("/f", size, mod); !started {
-		t.Fatal("fill record did not retire at finish")
+		t.Fatal("JoinFill after the chunks went did not start a fill")
 	}
 	fs := st.SharedStats().Fills
 	if fs.Started != 2 || fs.Joined != 1 || fs.Completed != 1 {
@@ -275,6 +293,96 @@ func TestInvalidateFileSparesOtherGenerations(t *testing.T) {
 	}
 }
 
+// fillFile streams a file of chunks*1024 bytes of b through a fresh
+// fill on v, under generation mod, to completion.
+func fillFile(t *testing.T, v View, path string, chunks int, mod int64, b byte) {
+	t.Helper()
+	f, started := v.JoinFill(path, int64(chunks*1024), mod)
+	if !started {
+		t.Fatalf("JoinFill(%s, gen %d) joined a fill in flight", path, mod)
+	}
+	for i := 0; i < chunks; i++ {
+		f.Publish(chunkData(b, 1024))
+	}
+}
+
+// wantChunk asserts that v holds chunk i of path under generation mod
+// with bytes b.
+func wantChunk(t *testing.T, v View, path string, i int, mod int64, b byte) {
+	t.Helper()
+	c := v.Lookup(ChunkKey{Path: path, Index: i}, mod)
+	if c == nil {
+		t.Fatalf("chunk %d of generation %d missed", i, mod)
+	}
+	defer v.Release(c)
+	if c.Data[0] != b || c.ModTime != mod {
+		t.Fatalf("chunk %d looked up as generation %d holds %q of generation %d, want %q",
+			i, mod, c.Data[0], c.ModTime, b)
+	}
+}
+
+// A fill of a new generation must replace the chunks a completed fill
+// of the old one left resident, not adopt them under the new tag (two
+// shards, one still on the old identity, can publish both).
+func TestGenerationFillReplacesChunk(t *testing.T) {
+	st := testStore(2, 1<<20)
+	v0, v1 := st.View(0), st.View(1)
+	fillFile(t, v0, "/f", 2, 1, 'o')
+	fillFile(t, v1, "/f", 2, 2, 'n')
+	for i := 0; i < 2; i++ {
+		wantChunk(t, v1, "/f", i, 2, 'n')
+		if c := v0.Lookup(ChunkKey{Path: "/f", Index: i}, 1); c != nil {
+			t.Fatalf("chunk %d of the replaced generation still resident", i)
+		}
+	}
+}
+
+// The same through the L1: an insert of a new generation on a shard
+// whose L1 holds a replica of the old one must leave the new bytes in
+// both tiers.
+func TestGenerationInsertReplacesReplica(t *testing.T) {
+	st := testStore(2, 1<<20)
+	v0, v1 := st.View(0), st.View(1)
+	key := ChunkKey{Path: "/f", Index: 0}
+	v0.Release(v0.Insert(key, chunkData('o', 1024), 1024, 1))
+	v1.Release(v1.Lookup(key, 1)) // v1's L1 now replicates generation 1
+
+	c := v1.Insert(key, chunkData('n', 1024), 1024, 2)
+	if c.Data[0] != 'n' || c.ModTime != 2 {
+		t.Fatalf("Insert of generation 2 returned %q of generation %d", c.Data[0], c.ModTime)
+	}
+	v1.Release(c)
+	wantChunk(t, v1, "/f", 0, 2, 'n')
+	wantChunk(t, v0, "/f", 0, 2, 'n')
+}
+
+// A stale L1 replica must not shadow a current chunk in the segment: the
+// lookup drops the replica and falls through, rather than missing — and
+// starting a fill — on every request until the replica ages out.
+func TestGenerationStaleReplicaFallsThrough(t *testing.T) {
+	st := testStore(2, 1<<20)
+	v0, v1 := st.View(0), st.View(1)
+	key := ChunkKey{Path: "/f", Index: 0}
+	v0.Release(v0.Insert(key, chunkData('o', 1024), 1024, 1))
+	v1.Release(v1.Lookup(key, 1)) // v1's L1 now replicates generation 1
+	// v0 retires generation 1 — its own tiers only — and loads 2.
+	v0.InvalidateFile("/f", 1, 1)
+	fillFile(t, v0, "/f", 1, 2, 'n')
+
+	sharedHits := st.SharedStats().Chunks.Hits
+	wantChunk(t, v1, "/f", 0, 2, 'n')
+	if got := st.SharedStats().Chunks.Hits; got != sharedHits+1 {
+		t.Fatalf("shared-tier hits %d -> %d: the lookup did not reach the segment", sharedHits, got)
+	}
+	// The stale replica is gone and the current one took its place: the
+	// next lookup stays in the L1.
+	l1Hits := v1.LocalStats().Chunks.Hits
+	wantChunk(t, v1, "/f", 0, 2, 'n')
+	if got := v1.LocalStats().Chunks.Hits; got != l1Hits+1 {
+		t.Fatalf("L1 hits %d -> %d: the current generation was not replicated", l1Hits, got)
+	}
+}
+
 // Regression: auto-sized L1 must floor at one chunk. With a small
 // shared budget, MapBytes/(8*Shards) rounds below the chunk size —
 // the old code handed the L1 a zero byte budget, silently disabling
@@ -310,7 +418,7 @@ func TestAutoL1SizeFloorsAtOneChunk(t *testing.T) {
 // when they blow the byte budget (the cache tolerates pinned overflow
 // and reclaims at release — here, at fill finish).
 func TestFillPinsSurviveEviction(t *testing.T) {
-	st := testStore(1, 1024, func(o *StoreOptions) { o.DisableReplication = true }) // one chunk of budget
+	st := testStore(1, 1024, func(o *StoreOptions) { o.L1Bytes = -1 }) // one chunk of budget
 	v := st.View(0)
 	f, _ := v.JoinFill("/big", 4*1024, 1)
 	for i := 0; i < 3; i++ {

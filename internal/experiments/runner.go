@@ -4,8 +4,7 @@
 // warmup/measurement windows.
 //
 // Each experiment returns metrics.Tables whose series mirror the
-// figure's curves; cmd/flashbench renders them and EXPERIMENTS.md
-// records paper-vs-measured shape checks.
+// figure's curves; cmd/flashbench renders them.
 package experiments
 
 import (
@@ -128,8 +127,8 @@ func PrewarmCache(m *simos.Machine, tr *workload.Trace) {
 type Experiment struct {
 	ID    string
 	Title string
-	// Expect summarizes the shape the paper reports, for EXPERIMENTS.md
-	// and eyeball checks.
+	// Expect summarizes the shape the paper reports, for eyeball
+	// checks.
 	Expect string
 	Run    func(q Quality) []*metrics.Table
 }

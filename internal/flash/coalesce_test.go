@@ -301,13 +301,17 @@ func testClientAbortMidFillLeavesFillRunning(t *testing.T) {
 	}
 }
 
-// Config.Cache.DisableCoalescing reverts to v1 behaviour: every cold
-// request performs its own per-chunk read, and no fills ever start.
+// TestDisableCoalescingFallsBackToPerChunkReads keeps the name of a
+// switch that is gone: there is no per-chunk miss path left to fall
+// back to. It runs the shape that switch used to change — two loops, a
+// one-chunk file, K cold requests — in the one build there is, and
+// pins what it does: one read, through one fill that the other K-1
+// requests join.
 func TestDisableCoalescingFallsBackToPerChunkReads(t *testing.T) {
-	forEachChunkPath(t, testDisableCoalescingFallsBackToPerChunkReads)
+	forEachChunkPath(t, testOneChunkStormCoalesces)
 }
 
-func testDisableCoalescingFallsBackToPerChunkReads(t *testing.T) {
+func testOneChunkStormCoalesces(t *testing.T) {
 	const k = 6
 	var reads atomic.Int32
 	gate := make(chan struct{})
@@ -324,7 +328,6 @@ func testDisableCoalescingFallsBackToPerChunkReads(t *testing.T) {
 		cfg.EventLoops = 2
 		cfg.SendfileThreshold = -1
 		cfg.Cache.ChunkBytes = 8192
-		cfg.Cache.DisableCoalescing = true
 	})
 	content := pattern(1000) // one chunk
 	mustWrite(t, root, "solo.bin", string(content))
@@ -340,9 +343,12 @@ func testDisableCoalescingFallsBackToPerChunkReads(t *testing.T) {
 			bodies[i], errs[i] = rawGet(addr, "/solo.bin")
 		}(i)
 	}
-	// Without coalescing, every one of the K requests dispatches its own
-	// read before any can complete and populate the cache.
-	waitFor(t, "one read per request", func() bool { return reads.Load() == k })
+	// Every one of the K requests, on either loop, is on the one fill
+	// before its single read is let through.
+	waitFor(t, "all requests on one fill", func() bool {
+		f := s.Stats().Fills
+		return f.Started == 1 && f.Joined == k-1
+	})
 	close(gate)
 	wg.Wait()
 
@@ -354,8 +360,11 @@ func testDisableCoalescingFallsBackToPerChunkReads(t *testing.T) {
 			t.Fatalf("request %d: body mismatch", i)
 		}
 	}
-	if f := s.Stats().Fills; f.Started != 0 || f.Joined != 0 {
-		t.Fatalf("fills ran with coalescing disabled: %+v", f)
+	if got := reads.Load(); got != 1 {
+		t.Fatalf("disk reads = %d, want 1 for %d requests", got, k)
+	}
+	if f := s.Stats().Fills; f.Started != 1 || f.Joined != k-1 || f.Completed != 1 {
+		t.Fatalf("fill stats = %+v", f)
 	}
 }
 

@@ -15,23 +15,28 @@
 //     v2): chunk bytes live once, in a hash-partitioned owner segment
 //     keyed by hash(path), so the configured byte budget is not split
 //     (or duplicated) per shard and the working set a server holds is
-//     the same at any EventLoops. Cold misses are coalesced
-//     single-flight — concurrent requests for a cold path subscribe to
-//     one in-flight fill owned by whichever shard hashes the path —
-//     and fills publish chunks as they land (serve-while-fill):
-//     subscribers get a loop message per published chunk and stream
-//     the file in lockstep with the disk, first byte out before the
-//     last byte is read.
+//     the same at any EventLoops. Every chunk miss has one path: it
+//     joins the single-flight fill for its path — concurrent requests
+//     for a cold path subscribe to one in-flight fill owned by
+//     whichever shard hashes the path, and a request that meets the
+//     fill of another file generation waits for it to end and joins
+//     the next — and fills publish chunks as they land
+//     (serve-while-fill): subscribers get a loop message per published
+//     chunk and stream the file in lockstep with the disk, first byte
+//     out before the last byte is read. A chunk of one generation is
+//     replaced by another's, never relabelled, so no response mixes
+//     two generations of a file.
 //
 //   - An acceptor distributes incoming connections round-robin across
 //     the shards; a connection lives on one shard for its whole life,
 //     so keep-alive requests always see that shard's warm caches.
 //
 //   - Each shard has a pool of helper goroutines performing every
-//     filesystem operation (stat, open, chunk reads). The loop never
-//     blocks on disk: misses are dispatched to helpers and the request
-//     parks until the completion message arrives, like the paper's
-//     helper processes notifying the server over a pipe.
+//     filesystem operation (stat, open, the fill passes that bring file
+//     bytes in). The loop never blocks on disk: misses are dispatched
+//     to helpers and the request parks until the completion message
+//     arrives, like the paper's helper processes notifying the server
+//     over a pipe.
 //
 //   - Two connection engines drive sockets (Config.ConnEngine). The
 //     portable default runs one goroutine per connection, parked on
@@ -115,8 +120,10 @@
 //     refuse relay pass-through on the dynamic pipeline.
 //
 // The three caches and the 32-byte response-header alignment are the
-// paper's §5 optimizations, byte-for-byte the same data structures the
-// simulator benchmarks. Server.Stats merges the per-shard counters into
+// paper's §5 optimizations, always on, byte-for-byte the same data
+// structures the simulator benchmarks. The HTTP/1.1 layer — ranges,
+// entity tags, chunked dynamic responses — is likewise not
+// switchable. Server.Stats merges the per-shard counters into
 // one view; Server.ShardStats exposes them individually.
 package flash
 
@@ -194,24 +201,6 @@ type Config struct {
 	// per shard).
 	NumHelpers int
 
-	// AlignHeaders pads response headers to 32-byte boundaries (§5.5;
-	// default on — set DisableHeaderAlign to turn off).
-	DisableHeaderAlign bool
-
-	// DisableRanges ignores Range headers (every request gets the full
-	// body with a 200). Default off: single-range requests get 206/416.
-	DisableRanges bool
-
-	// DisableETags suppresses ETag generation and If-None-Match
-	// handling, leaving If-Modified-Since as the only validator (the
-	// paper's 1999 behaviour).
-	DisableETags bool
-
-	// DisableChunked makes dynamic HTTP/1.1 responses close-delimited
-	// instead of chunked (chunking is what lets dynamic responses keep
-	// the connection alive without a pre-known Content-Length).
-	DisableChunked bool
-
 	// ServerName is the Server header token.
 	ServerName string
 
@@ -284,7 +273,7 @@ type Config struct {
 	// be before the next request re-stats the file (detecting size and
 	// mtime changes). Zero defaults to 2s; negative disables
 	// revalidation entirely (the paper's semantics: cached identities
-	// are trusted until chunk reloads notice a change).
+	// are trusted until a fill's identity check notices a change).
 	RevalidateInterval time.Duration
 
 	// Upstream lists origin backends ("host:port") for the built-in
@@ -310,8 +299,8 @@ type Config struct {
 }
 
 // CacheConfig groups the cache-layer knobs under Config.Cache: the
-// capacities of the translation/header/chunk tiers plus the v2
-// coalescing and replication toggles. Zero values take defaults.
+// capacities of the translation/header/chunk tiers. Zero values take
+// defaults.
 type CacheConfig struct {
 	// PathEntries bounds the pathname translation cache across the
 	// whole server (default 6000); each shard owns an equal share.
@@ -328,15 +317,9 @@ type CacheConfig struct {
 	ChunkBytes int64
 	// L1Bytes bounds each shard's loop-private replica cache of hot
 	// chunks — the lock-free warm hit path over the shared tier. Zero
-	// defaults to MapBytes/(8*EventLoops); negative disables replica
-	// retention.
+	// defaults to MapBytes/(8*EventLoops); negative means no L1: every
+	// chunk lookup goes to the shared tier and takes a segment lock.
 	L1Bytes int64
-	// DisableCoalescing turns off single-flight fills: every cold
-	// chunk miss dispatches its own helper read, as in v1.
-	DisableCoalescing bool
-	// DisableReplication turns off the per-shard L1: every chunk
-	// lookup goes to the shared tier and takes a segment lock.
-	DisableReplication bool
 }
 
 // Connection engine names for Config.ConnEngine and flashd

@@ -147,18 +147,18 @@ func testDoomedFillWakesParkedRangeReader(t *testing.T) {
 // request (nothing sent yet) restarts against the new identity, and
 // the body is new-generation from the first byte to the last — on the
 // mapped path, where the rewrite shows through the live mapping, and
-// on the read path alike.
+// on the read path alike. (The coalesce= labels name a switch between
+// the fill and a per-chunk loader that no longer exists; both run the
+// fill, the one producer.)
 func TestFillIdentityAfterTouch(t *testing.T) {
 	forEachChunkPath(t, func(t *testing.T) {
-		for _, coalesce := range []bool{true, false} {
-			t.Run(fmt.Sprintf("coalesce=%v", coalesce), func(t *testing.T) {
-				testFillIdentityAfterTouch(t, coalesce)
-			})
+		for _, label := range []string{"coalesce=true", "coalesce=false"} {
+			t.Run(label, testFillIdentityAfterTouch)
 		}
 	})
 }
 
-func testFillIdentityAfterTouch(t *testing.T, coalesce bool) {
+func testFillIdentityAfterTouch(t *testing.T) {
 	const size = 3 * 8192
 	oldContent := pattern(size)
 	newContent := bytes.ToUpper(bytes.Repeat([]byte("fresh-generation-"), size/17+1))[:size]
@@ -181,7 +181,6 @@ func testFillIdentityAfterTouch(t *testing.T, coalesce bool) {
 		cfg.EventLoops = 1
 		cfg.SendfileThreshold = -1
 		cfg.Cache.ChunkBytes = 8192
-		cfg.Cache.DisableCoalescing = !coalesce
 		fsPath = filepath.Join(cfg.DocRoot, "rewrite.bin")
 	})
 	if err := os.WriteFile(fsPath, oldContent, 0o644); err != nil {
@@ -202,9 +201,7 @@ func testFillIdentityAfterTouch(t *testing.T, coalesce bool) {
 		}
 		t.Fatalf("body is not the new generation: %d bytes, first difference at %d", len(body), i)
 	}
-	if coalesce {
-		if f := s.Stats().Fills; f.Started != 2 || f.Failed != 1 || f.Completed != 1 {
-			t.Fatalf("fill stats = %+v, want the stale fill failed and one replacement completed", f)
-		}
+	if f := s.Stats().Fills; f.Started != 2 || f.Failed != 1 || f.Completed != 1 {
+		t.Fatalf("fill stats = %+v, want the stale fill failed and one replacement completed", f)
 	}
 }

@@ -359,11 +359,10 @@ func mustWriteAbs(t *testing.T, path, content string) {
 
 func TestDynamicHandler(t *testing.T) {
 	s, base := newTestServer(t, nil, func(s *Server) {
-		s.HandleDynamic("/cgi-bin/", DynamicFunc(
-			func(req *httpmsg.Request) (int, string, io.ReadCloser, error) {
-				body := fmt.Sprintf("query=%s", req.Query)
-				return 200, "text/plain", io.NopCloser(strings.NewReader(body)), nil
-			}))
+		s.HandleFunc("GET", "/cgi-bin/", func(w ResponseWriter, r *Request) {
+			w.Header().Set("Content-Type", "text/plain")
+			fmt.Fprintf(w, "query=%s", r.Query)
+		})
 	})
 	resp, body := get(t, base+"/cgi-bin/echo?a=1")
 	if resp.StatusCode != 200 {
@@ -380,11 +379,10 @@ func TestDynamicHandler(t *testing.T) {
 func TestDynamicHandlerStreamsLargeBody(t *testing.T) {
 	const n = 256 << 10
 	_, base := newTestServer(t, nil, func(s *Server) {
-		s.HandleDynamic("/stream", DynamicFunc(
-			func(req *httpmsg.Request) (int, string, io.ReadCloser, error) {
-				return 200, "application/octet-stream",
-					io.NopCloser(io.LimitReader(repeatReader('z'), n)), nil
-			}))
+		s.HandleFunc("GET", "/stream", func(w ResponseWriter, r *Request) {
+			w.Header().Set("Content-Type", "application/octet-stream")
+			io.Copy(w, io.LimitReader(repeatReader('z'), n))
+		})
 	})
 	resp, body := get(t, base+"/stream")
 	if resp.StatusCode != 200 || len(body) != n {
@@ -394,10 +392,9 @@ func TestDynamicHandlerStreamsLargeBody(t *testing.T) {
 
 func TestDynamicHandlerError(t *testing.T) {
 	_, base := newTestServer(t, nil, func(s *Server) {
-		s.HandleDynamic("/fail", DynamicFunc(
-			func(req *httpmsg.Request) (int, string, io.ReadCloser, error) {
-				return 0, "", nil, fmt.Errorf("boom")
-			}))
+		s.HandleFunc("GET", "/fail", func(w ResponseWriter, r *Request) {
+			w.WriteHeader(500)
+		})
 	})
 	resp, _ := get(t, base+"/fail")
 	if resp.StatusCode != 500 {

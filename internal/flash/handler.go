@@ -245,7 +245,7 @@ func (w *responseWriter) assemble() {
 	// bytes as the next response's status line).
 	w.noBody = w.isHead || bodyless
 	w.chunked = w.declaredCL < 0 && !w.isHead && !bodyless &&
-		req.Major == 1 && req.Minor >= 1 && !w.sh.cfg.DisableChunked
+		req.Major == 1 && req.Minor >= 1
 	// Persistence requires framing the client can see the end of:
 	// chunked, an explicit length, or a response with no body at all.
 	framed := w.chunked || w.declaredCL >= 0 || w.isHead || bodyless
@@ -265,7 +265,7 @@ func (w *responseWriter) assemble() {
 	if !w.chunked && w.declaredCL >= 0 {
 		meta.ContentLength = w.declaredCL
 	}
-	w.pendingHdr = headerFor(req, httpmsg.BuildHeader(meta, !w.sh.cfg.DisableHeaderAlign))
+	w.pendingHdr = headerFor(req, httpmsg.BuildHeader(meta, true))
 }
 
 // extraHeaders renders the handler's header map (minus the fields the
@@ -445,8 +445,8 @@ func (w *responseWriter) fail() {
 }
 
 // hijackError routes the exchange to the loop's fixed error responder
-// (used by the v1 adapter's 500 path and the panic recovery). Only
-// legal before any response bytes started.
+// (the panic recovery's 500). Only legal before any response bytes
+// started.
 func (w *responseWriter) hijackError(status int) {
 	if w.err != nil || w.started {
 		w.fail()
@@ -455,6 +455,39 @@ func (w *responseWriter) hijackError(status int) {
 	w.err = ErrResponseAborted
 	c := w.c
 	w.sh.post(func() { w.sh.errorResponse(c, status, false) })
+}
+
+// dynBufSize is the pipe buffer between a dynamic producer and the
+// connection writer.
+const dynBufSize = 32 << 10
+
+// streamSource is the handler-output implementation of bodySource: the
+// handler goroutine (the "CGI process") posts each buffer to the loop
+// as one item, then blocks until the pipeline acks it — so at most one
+// buffer is ever in flight, the paper's pipe acting as flow control.
+// The roles invert relative to the pull sources: release (and abort)
+// ack the producer over the flow-control channel, and next has nothing
+// to do because the producer pushes as acks arrive.
+type streamSource struct {
+	ack chan bool // pipeline → producer: item done; true = keep going
+}
+
+func (st *streamSource) next(*shard, *conn) {}
+
+func (st *streamSource) release(s *shard, c *conn, item writeItem, ok bool) {
+	select {
+	case st.ack <- ok:
+	default:
+	}
+}
+
+func (st *streamSource) abort(s *shard, c *conn) {
+	// Unblock a producer waiting on an ack that will never come; any
+	// later items it posts are dropped (and acked false) by queueItem.
+	select {
+	case st.ack <- false:
+	default:
+	}
 }
 
 // startHandler launches a v2 handler for one exchange. Runs on the

@@ -117,10 +117,9 @@ func TestRegistrationAfterServePanics(t *testing.T) {
 	// loudly.
 	get(t, base+"/hello.txt")
 	for name, reg := range map[string]func(){
-		"Handle":        func() { s.Handle("GET", "/late", HandlerFunc(func(ResponseWriter, *Request) {})) },
-		"HandleFunc":    func() { s.HandleFunc("GET", "/late", func(ResponseWriter, *Request) {}) },
-		"HandleRoute":   func() { s.HandleRoute(Route{Prefix: "/late", Handler: HandlerFunc(func(ResponseWriter, *Request) {})}) },
-		"HandleDynamic": func() { s.HandleDynamic("/late", DynamicFunc(nil)) },
+		"Handle":      func() { s.Handle("GET", "/late", HandlerFunc(func(ResponseWriter, *Request) {})) },
+		"HandleFunc":  func() { s.HandleFunc("GET", "/late", func(ResponseWriter, *Request) {}) },
+		"HandleRoute": func() { s.HandleRoute(Route{Prefix: "/late", Handler: HandlerFunc(func(ResponseWriter, *Request) {})}) },
 	} {
 		func() {
 			defer func() {

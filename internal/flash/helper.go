@@ -18,14 +18,12 @@ const (
 	// jobStat resolves a path: stat, directory/index handling,
 	// permission checks — the pathname translation helper of §5.2.
 	jobStat jobKind = iota
-	// jobChunk brings one chunk of file data into memory — the
-	// disk-read helper of §3.4: touch a view of the file's mapping, as
-	// in the paper.
-	jobChunk
-	// jobFill streams an entire file through a single-flight
-	// cache.Fill: one sequential disk pass publishing chunk after
-	// chunk, no matter how many requests coalesced onto it. The job
-	// reports through the fill, not a done callback.
+	// jobFill is the disk-read helper of §3.4: it streams an entire file
+	// through a single-flight cache.Fill — one sequential pass touching
+	// views of the file's mapping, as in the paper, publishing chunk
+	// after chunk no matter how many requests coalesced onto it. It is
+	// the only producer of file chunks. The job reports through the
+	// fill, not a done callback.
 	jobFill
 	// jobProxy runs a reverse-proxy origin round trip (metadata fetch
 	// or body refill); the closure reports through its own loop posts
@@ -33,14 +31,13 @@ const (
 	jobProxy
 )
 
-// fpDiskRead intercepts every chunk-sized disk load (per-chunk jobs
-// and fill passes alike, mapped or read) before it happens, with args
-// (fsPath string, off int64). A nil-returning hook observes loads —
-// counting them to prove miss storms coalesce, or gating a fill's
-// progress — while an error-returning hook injects a read failure: the
-// per-chunk path answers 500, a fill fails with the error (waking
-// every coalesced subscriber). Latency hooks model a slow disk; they
-// run on the helper goroutine, never the loop.
+// fpDiskRead intercepts every chunk-sized disk load of a fill pass
+// (mapped or read) before it happens, with args (fsPath string, off
+// int64). A nil-returning hook observes loads — counting them to prove
+// miss storms coalesce, or gating a fill's progress — while an
+// error-returning hook injects a read failure: the fill fails with the
+// error, waking every coalesced subscriber. Latency hooks model a slow
+// disk; they run on the helper goroutine, never the loop.
 var fpDiskRead = failpoint.New("flash/disk-read")
 
 // fpMapFile is evaluated before a disk helper asks for a file's
@@ -56,13 +53,10 @@ type helperJob struct {
 	fsPath   string
 	index    string // index file name for directory requests (jobStat)
 	listings bool   // generate a listing when the index is missing
-	off, n   int64  // chunk range (jobChunk)
-	size     int64  // file size under the submitter's identity (jobChunk): the extent to map
 	// file is an acquired reference to the cached descriptor for
-	// jobChunk and jobFill (nil = open fsPath instead). The submitter
-	// pins it; the helper releases the pin once the read is done, so
-	// path-cache eviction can never close the descriptor under the
-	// load.
+	// jobFill (nil = open fsPath instead). The submitter pins it; the
+	// helper releases the pin once the pass is done, so path-cache
+	// eviction can never close the descriptor under the load.
 	file *cache.FileRef
 	// fill is the jobFill target; results flow through it directly.
 	fill *cache.Fill
@@ -86,23 +80,8 @@ type helperResult struct {
 	// of Flash keeping file mappings between requests) and closes it on
 	// invalidation or eviction.
 	file *os.File
-	// mapped carries a chunk job's view of the file's mapping (data is
-	// its bytes); nil when the helper had to read instead. The helper
-	// hands the view's reference to the done callback, which either
-	// adopts it into the cache (insertChunk) or releases it
-	// (releaseMapped) on the paths that discard the result.
-	mapped *cache.MmapRef
 	// isListing marks data as a generated directory listing.
 	isListing bool
-}
-
-// releaseMapped drops the result's mapping reference on paths that
-// discard the result instead of inserting it (error, stale identity).
-func (r *helperResult) releaseMapped() {
-	if r.mapped != nil {
-		r.mapped.Release()
-		r.mapped = nil
-	}
 }
 
 // helperPool runs the blocking-work goroutines. Jobs queue without
@@ -115,8 +94,8 @@ type helperPool struct {
 	// jobs counts submissions. Atomic because fills are submitted from
 	// other shards' loops; folded into Stats.HelperJobs at snapshot.
 	jobs atomic.Uint64
-	// mapFallbacks counts chunk and fill jobs that had to read because
-	// the file could not be mapped (Stats.MapFallbacks).
+	// mapFallbacks counts fill jobs that had to read because the file
+	// could not be mapped (Stats.MapFallbacks).
 	mapFallbacks atomic.Uint64
 
 	stopped bool
@@ -191,8 +170,6 @@ func (p *helperPool) execute(job helperJob) helperResult {
 	switch job.kind {
 	case jobStat:
 		return statJob(job.fsPath, job.index, job.listings)
-	case jobChunk:
-		return p.chunkJob(job)
 	case jobFill:
 		p.fillJob(job)
 		return helperResult{}
@@ -294,54 +271,6 @@ func checkIdentity(f *os.File, size, modTime int64) error {
 		return cache.ErrFillStale
 	}
 	return nil
-}
-
-// chunkJob loads [off, off+n) of a file of the given size through the
-// cached descriptor (opening one only if the cache had none) and
-// reports the identity the file has once the bytes were touched or
-// read — not before: a rewrite between the two must show — so the
-// caches can detect modified files (§5.3). The submitter's descriptor pin is
-// released here, once the load is done.
-//
-// The chunk is a view of the file's parked mapping, touched here — the
-// paper's "mmap + touch", with the faults taken on the helper — and
-// the result carries the view's reference for the loop to adopt. A
-// file that cannot be mapped is read into a heap buffer instead
-// (ReadAt is safe for concurrent use of one descriptor across
-// helpers); the two differ in transport, never in bytes.
-func (p *helperPool) chunkJob(job helperJob) helperResult {
-	ref, err := p.openRef(job.fsPath, job.file)
-	if err != nil {
-		return helperResult{err: err, status: 404}
-	}
-	defer ref.Release()
-	f := ref.File()
-	if failpoint.Armed() {
-		if err := fpDiskRead.Eval(job.fsPath, job.off); err != nil {
-			return helperResult{err: err, status: 500}
-		}
-	}
-	res := helperResult{fsPath: job.fsPath}
-	if m := p.mapping(job.fsPath, ref, job.size); m != nil {
-		res.mapped = m.Slice(job.off, job.n)
-		if err := res.mapped.Touch(); err != nil {
-			res.releaseMapped()
-			return helperResult{err: err, status: 500}
-		}
-		res.data = res.mapped.Bytes()
-	} else {
-		res.data = make([]byte, job.n)
-		if _, err := io.ReadFull(io.NewSectionReader(f, job.off, job.n), res.data); err != nil {
-			return helperResult{err: err, status: 500}
-		}
-	}
-	st, err := f.Stat()
-	if err != nil {
-		res.releaseMapped()
-		return helperResult{err: err, status: 404}
-	}
-	res.size, res.modTime = st.Size(), st.ModTime().Unix()
-	return res
 }
 
 // fillJob is the producer of one single-flight fill: a sequential

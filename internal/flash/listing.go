@@ -71,7 +71,7 @@ func (s *shard) serveListing(c *conn, body []byte) {
 		Date:          s.cfg.Clock(),
 		KeepAlive:     req.KeepAlive,
 		ServerName:    s.cfg.ServerName,
-	}, !s.cfg.DisableHeaderAlign)
+	}, true)
 	hdr = headerFor(req, hdr)
 	s.respondFixed(c, append(append([]byte{}, hdr...), body...))
 }

@@ -228,11 +228,15 @@ func TestParkedMappingTruncateThenNewGeneration(t *testing.T) {
 }
 
 // TestParkedMappingZapUnderCorkedResponse: the owner tier evicts — and
-// zaps — a chunk while committed responses that carry its bytes have
-// not been written. The pages fault back in under the writev.
+// zaps — a chunk while committed responses that carry its bytes, through
+// an L1 replica, have not been written. The pages fault back in under
+// the writev.
 func TestParkedMappingZapUnderCorkedResponse(t *testing.T) {
 	s, base := newTestServer(t, func(cfg *Config) {
 		transientChunks(cfg)
+		// A one-byte L1: the responses pin a replica, which leaves with
+		// them, and the owner tier's copy is free to go at once.
+		cfg.Cache.L1Bytes = 1
 		cfg.ConnEngine = ConnEngineGoroutine
 		cfg.RevalidateInterval = -1
 	})
@@ -249,8 +253,8 @@ func TestParkedMappingZapUnderCorkedResponse(t *testing.T) {
 	st := waitStats(t, s, "both responses committed and the chunk evicted", func(st Stats) bool {
 		return st.Responses == 2 && st.SharedChunks.BytesMapped == st.SharedChunks.BytesUnmapped
 	})
-	if st.SharedChunks.Evictions < 2 || st.FileMaps != 1 {
-		t.Fatalf("evictions=%d maps=%d, want the chunk zapped at least once per response, from one mapping",
+	if st.SharedChunks.Evictions < 1 || st.FileMaps != 1 {
+		t.Fatalf("evictions=%d maps=%d, want the chunk zapped, from one mapping",
 			st.SharedChunks.Evictions, st.FileMaps)
 	}
 	release()

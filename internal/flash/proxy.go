@@ -262,7 +262,7 @@ func (s *shard) serveProxyEntry(c *conn, ph *proxyHandler, pe cache.PathEntry) {
 		if pe.LastModified != "" {
 			meta.ModTime = time.Unix(pe.ModTime, 0)
 		}
-		hdr = httpmsg.BuildHeader(meta, !s.cfg.DisableHeaderAlign)
+		hdr = httpmsg.BuildHeader(meta, true)
 		s.view.PutHeader(pe.Translated, "", cache.HeaderEntry{
 			Header: hdr, Size: pe.Size, ModTime: pe.ModTime, Variant: "",
 		})
@@ -476,8 +476,9 @@ func (ph *proxyHandler) fetch(owner *shard, key string, old cache.PathEntry, hav
 			f, started := owner.view.JoinFill(key, pe.Size, pe.ModTime)
 			if !started {
 				// A conflicting fill is in flight (stale identity, about
-				// to fail) or someone else is already producing: this
-				// response has no fill to feed.
+				// to fail), someone else is already producing, or the
+				// body is cached whole: this response has no fill to
+				// feed.
 				f = nil
 			}
 			fillCh <- f

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/failpoint"
 	"repro/internal/upstream"
 )
 
@@ -208,19 +209,26 @@ func TestProxyWarmHit(t *testing.T) {
 
 // TestProxyCoalescing is the counting-origin acceptance test: N
 // concurrent cold requests — spread across shards — cost exactly one
-// origin fetch, with every client serving while the fill streams.
+// origin fetch, with every client serving while the fill streams. The
+// first origin exchange is held at upstream/read-head until all N
+// requests have reached the proxy, so no timing decides whether they
+// coalesce. A failure says which fetch was extra, from the proxy's own
+// counters: each metadata fetch that stores a body is a ProxyFill and
+// starts one fill, and every other fill is a body refill of a chunk
+// walk.
 func TestProxyCoalescing(t *testing.T) {
 	forEachProxyMatrix(t, func(t *testing.T) {
 		want := pattern(150 << 10)
 		origin := newTestOrigin(t, nil)
-		inner := origin.cachedOrigin(func(string) []byte { return want }, "max-age=60")
-		origin.setHandler(func(w http.ResponseWriter, r *http.Request) {
-			// Hold the response long enough for every concurrent miss to
-			// arrive and park on the single-flight fetch.
-			time.Sleep(150 * time.Millisecond)
-			inner(w, r)
+		origin.setHandler(origin.cachedOrigin(func(string) []byte { return want }, "max-age=60"))
+		hold, _, release := gateOnce(t)
+		failpoint.Arm("upstream/read-head", func(...any) error {
+			hold()
+			return nil
 		})
-		_, base, client := newProxyServer(t, testPoolFor(t, origin.addr))
+		t.Cleanup(func() { failpoint.Disarm("upstream/read-head") })
+		srv, base, client := newProxyServer(t, testPoolFor(t, origin.addr))
+		t.Cleanup(release) // before Close: a held helper would wedge it
 
 		const n = 20
 		var wg sync.WaitGroup
@@ -245,13 +253,18 @@ func TestProxyCoalescing(t *testing.T) {
 				}
 			}()
 		}
+		waitFor(t, "every request at the proxy", func() bool { return srv.Stats().ProxyRequests == n })
+		release()
 		wg.Wait()
 		close(errs)
 		for err := range errs {
 			t.Fatal(err)
 		}
-		if n := origin.fetches.Load(); n != 1 {
-			t.Fatalf("origin fetches = %d, want exactly 1 for %d concurrent misses", n, 20)
+		st := srv.Stats()
+		metadata, refills := st.ProxyFills, st.Fills.Started-st.ProxyFills
+		if f := origin.fetches.Load(); f != 1 || metadata != 1 || refills != 0 {
+			t.Fatalf("origin fetches = %d (metadata %d, body refills %d), want exactly 1 metadata fetch for %d concurrent misses",
+				f, metadata, refills, n)
 		}
 	})
 }

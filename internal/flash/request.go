@@ -131,7 +131,7 @@ func (s *shard) handleRequest(c *conn, req *httpmsg.Request) {
 				Size:       res.size,
 				ModTime:    res.modTime,
 				CheckedAt:  s.cfg.Clock().UnixNano(),
-				ETag:       s.makeETag(res.size, res.modTime),
+				ETag:       httpmsg.MakeETag(res.size, res.modTime),
 			}
 			s.putEntry(req.Path, pe)
 			s.afterTranslate(c, pe)
@@ -183,7 +183,7 @@ func (s *shard) revalidateEntry(c *conn, req *httpmsg.Request, pe cache.PathEntr
 				Size:       res.size,
 				ModTime:    res.modTime,
 				CheckedAt:  s.cfg.Clock().UnixNano(),
-				ETag:       s.makeETag(res.size, res.modTime),
+				ETag:       httpmsg.MakeETag(res.size, res.modTime),
 			}
 			s.putEntry(req.Path, fresh)
 			s.afterTranslate(c, fresh)
@@ -220,8 +220,8 @@ func (s *shard) translate(reqPath string) (string, bool) {
 func (s *shard) afterTranslate(c *conn, pe cache.PathEntry) {
 	req := c.ls.req
 
-	// The entity tag is precomputed at path-entry insertion (makeETag),
-	// so the per-request conditional checks never build strings.
+	// The entity tag is precomputed at path-entry insertion, so the
+	// per-request conditional checks never build strings.
 	etag := pe.ETag
 
 	// Conditional GET: If-None-Match takes precedence over
@@ -240,7 +240,7 @@ func (s *shard) afterTranslate(c *conn, pe cache.PathEntry) {
 	// validator mismatch falls back to the full body.
 	status, off, length := 200, int64(0), pe.Size
 	contentRange := ""
-	if req.Range != nil && req.Method == "GET" && !s.cfg.DisableRanges &&
+	if req.Range != nil && req.Method == "GET" &&
 		(req.IfRange == "" || httpmsg.MatchIfRange(req.IfRange, etag, pe.ModTime)) {
 		o, n, ok := req.Range.Resolve(pe.Size)
 		if !ok {
@@ -278,7 +278,7 @@ func (s *shard) afterTranslate(c *conn, pe cache.PathEntry) {
 			ServerName:    s.cfg.ServerName,
 			ETag:          etag,
 			ContentRange:  contentRange,
-		}, !s.cfg.DisableHeaderAlign)
+		}, true)
 		s.view.PutHeader(pe.Translated, slot, cache.HeaderEntry{
 			Header: hdr, Size: pe.Size, ModTime: pe.ModTime, Variant: contentRange,
 		})
@@ -302,15 +302,6 @@ func (s *shard) afterTranslate(c *conn, pe cache.PathEntry) {
 	src := &c.chunkSrc
 	src.init(s, pe, hdr, off, length)
 	s.respond(c, src)
-}
-
-// makeETag builds the entity tag stored in a path entry ("" when
-// entity tags are disabled).
-func (s *shard) makeETag(size, modTime int64) string {
-	if s.cfg.DisableETags {
-		return ""
-	}
-	return httpmsg.MakeETag(size, modTime)
 }
 
 // respondFixed starts a fixed-buffer response through the connection's
@@ -736,7 +727,7 @@ func (s *shard) notModified(c *conn, pe cache.PathEntry, etag string) {
 		KeepAlive:     req.KeepAlive,
 		ServerName:    s.cfg.ServerName,
 		ETag:          etag,
-	}, !s.cfg.DisableHeaderAlign)
+	}, true)
 	if slot != "" {
 		s.view.PutHeader(pe.Translated, slot, cache.HeaderEntry{
 			Header: hdr, Size: pe.Size, ModTime: pe.ModTime, Variant: etag,
@@ -760,7 +751,7 @@ func (s *shard) rangeNotSatisfiable(c *conn, size int64) {
 		Date:          s.cfg.Clock(),
 		KeepAlive:     req.KeepAlive,
 		ServerName:    s.cfg.ServerName,
-	}, !s.cfg.DisableHeaderAlign)
+	}, true)
 	s.respondFixed(c, append(append([]byte{}, hdr...), body...))
 }
 
@@ -837,7 +828,7 @@ func (s *shard) errorResponseExtra(c *conn, status int, keepAlive bool, extra []
 		KeepAlive:     keepAlive && status < 500,
 		ServerName:    s.cfg.ServerName,
 		ExtraHeaders:  extra,
-	}, !s.cfg.DisableHeaderAlign)
+	}, true)
 	if ls.req != nil {
 		ls.req.KeepAlive = keepAlive && status < 500
 	}

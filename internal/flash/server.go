@@ -318,13 +318,12 @@ func New(cfg Config) (*Server, error) {
 	// over one shared chunk tier whose byte budget is configured once —
 	// NOT divided by EventLoops.
 	store := cache.NewShardedStore(cache.StoreOptions{
-		Shards:             cfg.EventLoops,
-		PathEntries:        cfg.Cache.PathEntries,
-		HeaderEntries:      cfg.Cache.HeaderEntries,
-		MapBytes:           cfg.Cache.MapBytes,
-		ChunkBytes:         cfg.Cache.ChunkBytes,
-		L1Bytes:            cfg.Cache.L1Bytes,
-		DisableReplication: cfg.Cache.DisableReplication,
+		Shards:        cfg.EventLoops,
+		PathEntries:   cfg.Cache.PathEntries,
+		HeaderEntries: cfg.Cache.HeaderEntries,
+		MapBytes:      cfg.Cache.MapBytes,
+		ChunkBytes:    cfg.Cache.ChunkBytes,
+		L1Bytes:       cfg.Cache.L1Bytes,
 		OnPathEvict: func(_ string, e cache.PathEntry) {
 			// Drop the cache's descriptor reference; helpers or
 			// writers still reading through it hold their own, so
@@ -630,14 +629,6 @@ func (s *Server) Handle(method, prefix string, h Handler) {
 // HandleFunc registers a handler function; see Handle.
 func (s *Server) HandleFunc(method, prefix string, f func(ResponseWriter, *Request)) {
 	s.Handle(method, prefix, HandlerFunc(f))
-}
-
-// HandleDynamic registers a v1 dynamic content handler for a path
-// prefix (e.g. "/cgi-bin/"), adapted onto the v2 route table for GET
-// and HEAD (the only methods the v1 server ever dispatched). Longest
-// prefix wins. Must be called before Serve; panics afterwards.
-func (s *Server) HandleDynamic(prefix string, h DynamicHandler) {
-	s.Handle("GET", prefix, dynamicAdapter{h: h})
 }
 
 // ListenAndServe listens on addr ("host:port") and serves until the

@@ -10,8 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/httpmsg"
 )
 
 // newShardedServer starts a server with a fixed shard count over a
@@ -207,10 +205,10 @@ func TestKeepAliveStaysOnOneShard(t *testing.T) {
 func TestDynamicHandlerRegisteredOnEveryShard(t *testing.T) {
 	const loops = 4
 	s, addr := newShardedServer(t, loops, func(s *Server) {
-		s.HandleDynamic("/api/", DynamicFunc(
-			func(req *httpmsg.Request) (int, string, io.ReadCloser, error) {
-				return 200, "text/plain", io.NopCloser(strings.NewReader("ok")), nil
-			}))
+		s.HandleFunc("GET", "/api/", func(w ResponseWriter, r *Request) {
+			w.Header().Set("Content-Type", "text/plain")
+			io.WriteString(w, "ok")
+		})
 	})
 	// One connection per shard; round-robin guarantees every shard sees
 	// one, so the handler must be registered on all of them.

@@ -16,7 +16,7 @@ import (
 //     when the response starts, and again after each non-final item
 //     completes. The source must eventually hand exactly one item per
 //     invocation to shard.queueItem — synchronously or from a posted
-//     completion (a helper load, a dynamic producer) — or end the
+//     completion (a fill wake, a dynamic producer) — or end the
 //     response via shard.failConn. Push-style sources whose producer
 //     queues items on its own may treat next as a no-op. A source
 //     whose response is a single item marks it whole.
@@ -94,15 +94,16 @@ func (f *fixedSource) abort(*shard, *conn) {}
 // parked on a chunk that has not landed yet, the source resumes via a
 // posted loop message, never a blocked goroutine, so chunk i is on the
 // wire before chunk i+1 is read, while a fill that outruns its reader
-// is answered in one write. With coalescing disabled (or a fill it
-// cannot join), each miss dispatches its own helper load, as in v1.
-// Each chunk is looked up exactly once per visit — the walk's arrival,
-// and again on every fill wake — whatever the run lengths: the cache's
-// hit ratio does not depend on how the bytes are batched. The source
-// holds one acquired reference to the entry descriptor for the whole
-// walk — chunk loads between items must not find a descriptor that
-// eviction closed — and drops it when the final item releases or the
-// response aborts.
+// is answered in one write. The fill is the only way a missing chunk
+// is produced: a walk whose fill ended without the chunk, or that met
+// the fill of another file generation, waits for that fill to end and
+// joins the next one. Each chunk is looked up exactly once per visit —
+// the walk's arrival, and again on every fill wake — whatever the run
+// lengths: the cache's hit ratio does not depend on how the bytes are
+// batched. The source holds one acquired reference to the entry
+// descriptor for the whole walk — a fill it starts between items must
+// not find a descriptor that eviction closed — and drops it when the
+// final item releases or the response aborts.
 type chunkSource struct {
 	pe   cache.PathEntry
 	ref  *cache.FileRef // the walk's pin on the entry descriptor; may be nil
@@ -122,10 +123,10 @@ type chunkSource struct {
 	nextChunk  int
 	rangeOff   int64
 	rangeEnd   int64
-	// missed notes that the lookup of nextChunk already missed and the
-	// walk subscribed to the fill for it — the previous run ended there
-	// — so the walk resumes at the fill rather than counting the same
-	// lookup twice.
+	// missed notes that the lookup of nextChunk already missed — the
+	// previous run ended there, or the walk is about to join a fresh
+	// fill — so the walk resumes at the fill rather than counting the
+	// same lookup twice.
 	missed bool
 }
 
@@ -164,28 +165,40 @@ func (cs *chunkSource) dropRef() {
 func (cs *chunkSource) next(s *shard, c *conn) { cs.walk(s, c, nil) }
 
 // walk collects the run that starts at nextChunk into the connection's
-// scratch and queues it as one item. ch, when non-nil, is nextChunk
-// itself, already pinned (a helper load's result).
-func (cs *chunkSource) walk(s *shard, c *conn, ch *cache.Chunk) {
+// scratch and queues it as one item. held, when non-nil, is nextChunk
+// pinned by the fill wake that resumed the walk. The visit still looks
+// the chunk up, so the hit accounting is the same however the walk got
+// here; held stands in only if the lookup misses.
+func (cs *chunkSource) walk(s *shard, c *conn, held *cache.Chunk) {
 	c.runChunks, c.runBodies = c.runChunks[:0], c.runBodies[:0]
 	size := int64(0)
 	idx := cs.nextChunk
 	for {
-		if ch == nil && !cs.missed {
+		var ch *cache.Chunk
+		if !cs.missed {
 			// "mincore says resident": send directly.
 			ch = s.view.Lookup(cache.ChunkKey{Path: cs.pe.Translated, Index: idx}, cs.pe.ModTime)
+		}
+		if held != nil {
+			if ch == nil {
+				ch = held
+			} else {
+				s.view.Release(held)
+			}
+			held = nil
 		}
 		if ch == nil {
 			if len(c.runChunks) > 0 {
 				// What is in hand leaves first. The fill is joined now, not
 				// on resume: one that finishes while the run is written
 				// would be gone by then, and started a second time.
-				cs.missed = cs.joinFill(s)
+				cs.joinFill(s)
+				cs.missed = true
 				break
 			}
 			cs.missed = false
 			if ch = cs.miss(s, c, idx); ch == nil {
-				return // parked on the fill, waiting on a helper, or over
+				return // parked on a fill, rejoining one, or over
 			}
 		}
 		lo, hi := cs.window(s, idx)
@@ -193,8 +206,8 @@ func (cs *chunkSource) walk(s *shard, c *conn, ch *cache.Chunk) {
 			// The chunk no longer covers the promised window (file shrank
 			// between identity checks): the response cannot be completed.
 			s.view.Release(ch)
-			for _, held := range c.runChunks {
-				s.view.Release(held)
+			for _, run := range c.runChunks {
+				s.view.Release(run)
 			}
 			s.failConn(c)
 			return
@@ -202,7 +215,6 @@ func (cs *chunkSource) walk(s *shard, c *conn, ch *cache.Chunk) {
 		c.runChunks = append(c.runChunks, ch)
 		c.runBodies = append(c.runBodies, ch.Data[lo:hi])
 		size += hi - lo
-		ch = nil
 		idx++
 		if idx == cs.endChunk || c.np != nil {
 			break
@@ -228,72 +240,98 @@ func (cs *chunkSource) window(s *shard, idx int) (lo, hi int64) {
 	return max(cs.rangeOff, base) - base, min(cs.rangeEnd, base+s.store.ChunkSize()) - base
 }
 
-// miss brings in chunk idx after its lookup missed: through the
-// single-flight fill, then (fills disabled or unjoinable) a per-chunk
-// helper read. It returns the chunk, pinned, when the fill already
-// holds it; nil means the walk is parked on the fill (fillWake resumes
-// it), waiting for the helper (whose completion resumes it), or over.
+// miss brings in chunk idx after its lookup missed, through the
+// single-flight fill for the file — the one way a missing chunk is
+// produced, for files and proxied entries alike. It returns the chunk,
+// pinned, when the fill already holds it; nil means the walk is parked
+// on a fill (fillWake resumes it), is about to join a fresh one, or is
+// over.
+//
+// The path has one fill at a time. When the one in flight loads another
+// generation of the file, the walk parks on its last chunk — a failure,
+// which is what a doom becomes, wakes it too — and joins again once it
+// has ended. The fill that follows runs under the walk's own identity,
+// and the producer's check after it took the bytes decides whether that
+// generation is still current; a stale walk ends in fillError.
 func (cs *chunkSource) miss(s *shard, c *conn, idx int) *cache.Chunk {
-	if cs.joinFill(s) {
-		gen := cs.gen
-		ch, pending, err := cs.fill.ChunkAt(idx, func() {
-			// Publish/fail notification, possibly from another
-			// shard's helper: re-enter this walk on our loop.
-			s.post(func() { cs.fillWake(s, c, gen) })
-		})
-		switch {
-		case err != nil:
-			cs.fillError(s, c, err)
-			return nil
-		case ch != nil:
-			return ch
-		case pending:
-			// Parked: fillWake resumes the walk when the chunk
-			// publishes (serve-while-fill — earlier chunks are
-			// already on the wire).
-			return nil
+	cs.joinFill(s)
+	f, want := cs.fill, idx
+	other := f.Size() != cs.pe.Size || f.ModTime() != cs.pe.ModTime
+	if other {
+		want = f.NumChunks() - 1
+	}
+	gen := cs.gen
+	ch, pending, err := f.ChunkAt(want, func() {
+		// Publish/fail notification, possibly from another shard's
+		// helper: re-enter this walk on our loop. A published chunk of
+		// the walk's own generation is taken here, while the fill still
+		// pins it — by the time the loop runs the wake, the fill may be
+		// over and eviction may have dropped the chunk.
+		var held *cache.Chunk
+		if !other {
+			held, _, _ = f.ChunkAt(want, nil)
 		}
+		s.post(func() { cs.fillWake(s, c, gen, held) })
+	})
+	switch {
+	case pending:
+		// Parked: fillWake resumes the walk when the chunk publishes or
+		// the fill ends (serve-while-fill — earlier chunks are already
+		// on the wire).
+		return nil
+	case other:
+		// The other generation's fill is over, however it ended.
+	case err != nil:
+		cs.fillError(s, c, err)
+		return nil
+	case ch != nil:
+		return ch
+	default:
 		// The fill ended without holding the chunk (finished and
-		// released its pins): it is in the cache, or the per-chunk
-		// path reloads it.
-		cs.fill = nil
+		// released its pins): it is in the cache, or it was evicted
+		// since and a fresh fill brings it back.
 		key := cache.ChunkKey{Path: cs.pe.Translated, Index: idx}
 		if ch := s.view.Lookup(key, cs.pe.ModTime); ch != nil {
+			cs.fill = nil
 			return ch
 		}
 	}
-	cs.loadChunk(s, c, idx)
+	// Join again from a posted re-entry rather than by recursion: the
+	// next fill, too, may be over before the walk asks it for the chunk.
+	cs.fill = nil
+	cs.missed = true
+	s.post(func() { cs.fillWake(s, c, gen, nil) })
 	return nil
 }
 
 // joinFill subscribes the walk to the single-flight fill for its file,
-// starting one if none is in flight, and reports whether the walk is
-// on a fill. Proxied entries always coalesce: their only per-chunk
-// fallback is a full origin refetch, so an unjoinable fill must
-// converge onto a joinable one rather than fan out round trips.
-func (cs *chunkSource) joinFill(s *shard) bool {
-	if cs.fill == nil && (!s.cfg.Cache.DisableCoalescing || cs.proxy != nil) {
-		pe := cs.pe
-		if f, started := s.view.JoinFill(pe.Translated, pe.Size, pe.ModTime); f != nil {
-			cs.fill = f
-			if started {
-				s.startFill(f, pe)
-			}
-		}
+// starting one if none is in flight.
+func (cs *chunkSource) joinFill(s *shard) {
+	if cs.fill != nil {
+		return
 	}
-	return cs.fill != nil
+	pe := cs.pe
+	f, started := s.view.JoinFill(pe.Translated, pe.Size, pe.ModTime)
+	cs.fill = f
+	if started {
+		s.startFill(f, pe)
+	}
 }
 
 // fillWake re-enters the walk after a fill published the chunk it was
-// parked on (or ended). Posted wakes can outlive the response that
-// registered them — the generation, source identity, and connection
-// state checks drop stale ones.
-func (cs *chunkSource) fillWake(s *shard, c *conn, gen uint32) {
+// parked on (held, pinned) or ended, or to join a fresh fill. Posted
+// wakes can outlive the response that registered them — the
+// generation, source identity, and connection state checks drop stale
+// ones, and their pin with them.
+func (cs *chunkSource) fillWake(s *shard, c *conn, gen uint32, held *cache.Chunk) {
 	if cs.gen != gen || c.ls.src != bodySource(cs) ||
 		c.failed || c.writeDone || c.inFlight {
+		if held != nil {
+			s.view.Release(held)
+		}
 		return
 	}
-	cs.walk(s, c, nil)
+	cs.walk(s, c, held)
 }
 
 // fillError ends the walk on a failed fill. A stale-fill failure on
@@ -324,89 +362,6 @@ func (cs *chunkSource) fillError(s *shard, c *conn, err error) {
 	s.failConn(c)
 }
 
-// loadChunk dispatches one helper load for chunk idx — the v1
-// per-chunk miss path, used when coalescing is off or the in-flight
-// fill has a different identity. The loop never touches the disk; the
-// walk goes on, from the loaded chunk, when the helper reports.
-func (cs *chunkSource) loadChunk(s *shard, c *conn, idx int) {
-	pe := cs.pe
-	if cs.proxy != nil {
-		// No per-chunk origin read exists. Before the first byte the
-		// walk can restart cleanly — the posted re-entry re-joins (or
-		// restarts) a fill; posting rather than recursing keeps a
-		// conflicting in-flight fill (about to fail stale) from turning
-		// the restart into unbounded recursion. Mid-walk, the committed
-		// Content-Length is unmeetable.
-		if idx == cs.firstChunk && !c.inFlight && !c.failed &&
-			!c.writeDone && c.ls.src == bodySource(cs) {
-			ph := cs.proxy
-			cs.dropRef()
-			s.post(func() {
-				if c.failed || c.writeDone || c.ls.src != bodySource(cs) {
-					return
-				}
-				s.handleProxy(c, c.ls.req, ph)
-			})
-			return
-		}
-		s.failConn(c)
-		return
-	}
-	key := cache.ChunkKey{Path: pe.Translated, Index: idx}
-	off, n := s.store.ChunkRange(pe.Size, idx)
-	ref := cs.ref
-	if ref != nil {
-		// The helper's own pin (from the walk's live one): the read
-		// survives even if the walk aborts while the job is queued.
-		ref.Acquire()
-	}
-	s.helpers.submit(helperJob{
-		kind:   jobChunk,
-		fsPath: pe.Translated,
-		file:   ref,
-		off:    off,
-		n:      n,
-		size:   pe.Size,
-		done: func(res helperResult) {
-			if res.err != nil {
-				// The file vanished or changed size mid-response; the
-				// stated Content-Length can no longer be honored.
-				res.releaseMapped()
-				s.invalidateFile(c.ls.req.Path, pe)
-				s.failConn(c)
-				return
-			}
-			if res.modTime != pe.ModTime {
-				// Stale caches detected by the mapping layer (§5.3-5.4):
-				// invalidate and restart this request against the new file.
-				res.releaseMapped()
-				s.invalidateFile(c.ls.req.Path, pe)
-				if idx == cs.firstChunk && !c.inFlight && !c.failed &&
-					!c.writeDone && c.ls.src == bodySource(cs) {
-					cs.dropRef() // the restart builds its own pipeline
-					s.handleRequest(c, c.ls.req)
-					return
-				}
-				s.failConn(c)
-				return
-			}
-			cs.walk(s, c, s.insertChunk(key, &res, pe.ModTime))
-		},
-	})
-}
-
-// insertChunk records a helper's chunk result through the view: the
-// mapped insert — the cache chunk adopts the result's view of the
-// file's mapping — or the plain insert when the helper had to read.
-func (s *shard) insertChunk(key cache.ChunkKey, res *helperResult, modTime int64) *cache.Chunk {
-	if res.mapped != nil {
-		m := res.mapped
-		res.mapped = nil // ownership moves to the chunk
-		return s.view.InsertMapped(key, m, int64(len(res.data)), modTime)
-	}
-	return s.view.Insert(key, res.data, int64(len(res.data)), modTime)
-}
-
 // startFill hands a freshly registered fill to its producer: one
 // jobFill on the helper pool of the shard that owns the path (by
 // hash), so every shard agrees on who performs the single disk pass.
@@ -432,7 +387,7 @@ func (s *shard) startFill(f *cache.Fill, pe cache.PathEntry) {
 
 // release unpins the item's chunks (none when the connection's FIFO
 // took the pins over); the final item also ends the walk's descriptor
-// pin — a whole item needs no further chunk load, so dropping it at
+// pin — a whole item starts no further fill, so dropping it at
 // commit is safe.
 func (cs *chunkSource) release(s *shard, c *conn, item writeItem, ok bool) {
 	for _, ch := range item.chunks {

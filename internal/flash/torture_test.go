@@ -543,10 +543,10 @@ func TestTortureChunkedDynamic(t *testing.T) { forEachConnEngine(t, testTortureC
 
 func testTortureChunkedDynamic(t *testing.T) {
 	_, base := newTestServer(t, nil, func(s *Server) {
-		s.HandleDynamic("/dyn", DynamicFunc(
-			func(req *httpmsg.Request) (int, string, io.ReadCloser, error) {
-				return 200, "text/plain", io.NopCloser(strings.NewReader("dynamic body")), nil
-			}))
+		s.HandleFunc("GET", "/dyn", func(w ResponseWriter, r *Request) {
+			w.Header().Set("Content-Type", "text/plain")
+			io.WriteString(w, "dynamic body")
+		})
 	})
 
 	conn := dialRaw(t, base)
@@ -761,7 +761,9 @@ func testTortureRangeVariantSlotBounded(t *testing.T) {
 			t.Fatalf("window %d: %v status=%d", i, err, resp.status)
 		}
 	}
-	if n := s.shards[0].view.HeaderLen(); n > 2 {
+	var n int
+	s.shards[0].call(func() { n = s.shards[0].view.HeaderLen() }) // the view is loop-private
+	if n > 2 {
 		t.Fatalf("header cache holds %d entries for one path, want <= 2 (base + one range slot)", n)
 	}
 	// Identical repeated windows hit the slot.

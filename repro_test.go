@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/httpmsg"
 )
 
 // TestFacadeEndToEnd exercises the re-exported public API exactly as
@@ -27,10 +25,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	defer srv.Close()
 
-	srv.HandleDynamic("/api/", DynamicFunc(
-		func(req *httpmsg.Request) (int, string, io.ReadCloser, error) {
-			return 200, "text/plain", io.NopCloser(strings.NewReader("dynamic")), nil
-		}))
+	srv.HandleFunc("GET", "/api/", func(w ResponseWriter, r *Request) {
+		w.Header().Set("Content-Type", "text/plain")
+		io.WriteString(w, "dynamic")
+	})
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
