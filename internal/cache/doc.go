@@ -74,13 +74,13 @@
 // The fill is the one producer of chunks: a server never reads a
 // single missing chunk on its own. A path has one fill at a time; a
 // reader of another generation of the file gets the fill in flight,
-// waits for its end and joins again, and a file already resident whole
-// gets no fill. Invalidation dooms an in-flight fill of the invalidated
-// generation ([ErrFillStale]). Every chunk carries the generation it
-// was read under, fixed at insert: a chunk of another generation is
-// replaced, never relabelled, and a stale L1 replica is dropped at
-// lookup, so bytes from two generations of a file never meet in one
-// response.
+// waits for its end and joins again, and a reader whose missed chunk is
+// resident after all starts no fill (JoinFillAt). Invalidation dooms an
+// in-flight fill of the invalidated generation ([ErrFillStale]). Every
+// chunk carries the generation it was read under, fixed at insert: a
+// chunk of another generation is replaced, never relabelled, and a
+// stale L1 replica is dropped at lookup, so bytes from two generations
+// of a file never meet in one response.
 //
 // The same data structures serve both the real Flash server (where
 // chunks hold file bytes) and the simulated architectures (where

@@ -370,11 +370,19 @@ func (v *storeView) InvalidateFile(path string, modTime int64, maxChunks int) {
 // JoinFill subscribes to the in-flight fill for path, or registers a
 // new one (started=true: the caller owns arranging its producer). An
 // in-flight fill of another identity is returned as it is, not counted
-// as a join: the caller waits for it to end and joins again. A file
-// that is resident whole gets no fill: the caller's lookup missed just
-// before a fill published the chunk and retired, and a finished fill is
-// returned, whose ChunkAt sends the caller back to the cache.
+// as a join: the caller waits for it to end and joins again. (No chunk
+// has index -1, so JoinFillAt's probe never finds one resident.)
 func (v *storeView) JoinFill(path string, size, modTime int64) (*Fill, bool) {
+	return v.JoinFillAt(ChunkKey{Path: path, Index: -1}, size, modTime)
+}
+
+// JoinFillAt is JoinFill for a caller whose lookup of key missed: when
+// no fill is in flight and key is resident under modTime — a fill
+// published it and retired since the lookup — no fill starts, and a
+// finished one is returned, whose ChunkAt sends the caller back to the
+// cache.
+func (v *storeView) JoinFillAt(key ChunkKey, size, modTime int64) (*Fill, bool) {
+	path := key.Path
 	seg := v.store.segmentFor(path)
 	seg.mu.Lock()
 	if f := seg.fills[path]; f != nil {
@@ -385,7 +393,7 @@ func (v *storeView) JoinFill(path string, size, modTime int64) (*Fill, bool) {
 		return f, false
 	}
 	f := newFill(seg, path, size, modTime, v.store.chunkSize)
-	if seg.resident(f) {
+	if c := seg.chunks.chunks[key]; c != nil && c.ModTime == modTime {
 		f.state = fillDone
 		seg.mu.Unlock()
 		return f, false
@@ -394,17 +402,6 @@ func (v *storeView) JoinFill(path string, size, modTime int64) (*Fill, bool) {
 	seg.mu.Unlock()
 	v.store.fillsStarted.Add(1)
 	return f, true
-}
-
-// resident reports whether every chunk of f's file is in the segment
-// under f's generation. The caller holds seg.mu.
-func (seg *segment) resident(f *Fill) bool {
-	for i := 0; i < f.numChunks; i++ {
-		if c := seg.chunks.chunks[ChunkKey{Path: f.path, Index: i}]; c == nil || c.ModTime != f.modTime {
-			return false
-		}
-	}
-	return true
 }
 
 // LocalStats snapshots the loop-private counters (owner loop only).

@@ -89,11 +89,14 @@ type View interface {
 	// different (size, modTime) identity is returned with started=false
 	// and not counted as a join: the path has one fill at a time, so
 	// the caller waits for that one to end (ChunkAt on its last chunk)
-	// and joins again. When every chunk of the file is already resident
-	// — a fill finished since the caller's lookup missed — no fill
+	// and joins again.
+	JoinFill(path string, size, modTime int64) (f *Fill, started bool)
+	// JoinFillAt is JoinFill for a caller whose lookup of key missed.
+	// When no fill is in flight and key is resident under modTime after
+	// all — a fill published it and retired since the lookup — no fill
 	// starts: the one returned is over, and its ChunkAt sends the
 	// caller back to the cache.
-	JoinFill(path string, size, modTime int64) (f *Fill, started bool)
+	JoinFillAt(key ChunkKey, size, modTime int64) (f *Fill, started bool)
 
 	// LocalStats snapshots this view's loop-private counters.
 	LocalStats() ViewStats

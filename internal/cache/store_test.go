@@ -195,17 +195,17 @@ func TestFillPublishWakeFinish(t *testing.T) {
 	if n := st.SharedStats().ActiveFills; n != 0 {
 		t.Fatalf("%d fill records after finish, want the record retired", n)
 	}
-	// The file is resident whole: a late miss gets a finished fill that
-	// sends it back to the cache, not a second disk pass.
-	if f2, started := v.JoinFill("/f", size, mod); started || f2 == f {
-		t.Fatalf("JoinFill of a resident file = %v, %v; want a fresh, finished fill", f2, started)
-	} else if c, pending, err := f2.ChunkAt(0, nil); c != nil || pending || err != nil {
+	// A late miss on a chunk that is resident after all gets a finished
+	// fill that sends it back to the cache, not a second disk pass.
+	if f2, started := v.JoinFillAt(ChunkKey{Path: "/f", Index: 1}, size, mod); started || f2 == f {
+		t.Fatalf("JoinFillAt of a resident chunk = %v, %v; want a fresh, finished fill", f2, started)
+	} else if c, pending, err := f2.ChunkAt(1, nil); c != nil || pending || err != nil {
 		t.Fatalf("ChunkAt of the finished fill = %v, %v, %v; want all-zero", c, pending, err)
 	}
-	// Once a chunk is gone, the next cold pass starts fresh.
+	// Once the chunk is gone, the next cold pass starts fresh.
 	v.InvalidateFile("/f", mod, 3)
-	if _, started := v.JoinFill("/f", size, mod); !started {
-		t.Fatal("JoinFill after the chunks went did not start a fill")
+	if _, started := v.JoinFillAt(ChunkKey{Path: "/f", Index: 1}, size, mod); !started {
+		t.Fatal("JoinFillAt after the chunks went did not start a fill")
 	}
 	fs := st.SharedStats().Fills
 	if fs.Started != 2 || fs.Joined != 1 || fs.Completed != 1 {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/failpoint"
 )
 
@@ -141,6 +143,133 @@ func testMissPathWaitsOutOtherGeneration(t *testing.T) {
 	}
 	if got := reads.Load(); got != 1+chunks {
 		t.Fatalf("disk loads = %d, want %d: the held one, then one pass", got, 1+chunks)
+	}
+}
+
+// TestMissPathWaitsOutCompletedOtherGeneration: the other generation's
+// fill finishes instead of failing. Two loops see one file under two
+// identities and nothing revalidates, so nothing dooms the older fill:
+// request A (loop a) asks for the last chunk of generation 1, three
+// chunks long, and starts its fill, held by the disk hook; the file is
+// replaced by rename with a one-chunk generation 2; request B (loop b)
+// stats it fresh and parks on the generation-1 fill's last chunk, whose
+// producer still reads the old inode and completes. The test parks on
+// that chunk behind B and, from its wake, drains loop b: B's wake runs
+// while the final publish is still waking its subscribers, so B meets a
+// finished fill that still pins its chunks. B must take nothing from
+// it: it joins a generation-2 fill, and once both responses are read no
+// chunk stays pinned — the one-byte budget leaves the shared tier
+// empty. (Generation 2 never publishes under chunk 2's key, so nothing
+// replaces a generation-1 chunk B might have kept.)
+func TestMissPathWaitsOutCompletedOtherGeneration(t *testing.T) {
+	forEachChunkPath(t, testMissPathWaitsOutCompletedOtherGeneration)
+}
+
+func testMissPathWaitsOutCompletedOtherGeneration(t *testing.T) {
+	const chunk, chunks = 8192, 3
+	hold, _, release := gateOnce(t)
+	var reads atomic.Int32
+	installDiskHook(t, func(fsPath string, off int64) {
+		if strings.HasSuffix(fsPath, "gen.bin") {
+			reads.Add(1)
+			hold()
+		}
+	})
+	var root string
+	s, base := newTestServer(t, func(cfg *Config) {
+		root = cfg.DocRoot
+		cfg.EventLoops = 2
+		cfg.SendfileThreshold = -1
+		cfg.Cache.ChunkBytes = chunk
+		cfg.Cache.MapBytes = 1 // a chunk leaves the cache with its last pin
+	})
+	t.Cleanup(release) // before Close: a held helper would wedge it
+
+	fsPath := filepath.Join(root, "gen.bin")
+	oldContent := pattern(chunk * chunks)
+	newContent := bytes.ToUpper(bytes.Repeat([]byte("second-generation-"), chunk/18+1))[:chunk]
+	oldTime := time.Now().Add(-10 * time.Second)
+	if err := os.WriteFile(fsPath, oldContent, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(fsPath, oldTime, oldTime); err != nil {
+		t.Fatal(err)
+	}
+
+	// Accepts alternate between the loops: A's loop is the one that took
+	// the first connection, and B must land on the other.
+	connA := dialRaw(t, base)
+	waitFor(t, "A's accept", func() bool { return s.Stats().Accepted == 1 })
+	a := 0
+	if s.ShardStats()[1].Accepted == 1 {
+		a = 1
+	}
+	b := 1 - a
+	const last = (chunks - 1) * chunk
+	fmt.Fprintf(connA, "GET /gen.bin HTTP/1.0\r\nRange: bytes=%d-\r\n\r\n", last)
+	waitFor(t, "the generation-1 fill", func() bool { return s.Stats().Fills.Started == 1 })
+
+	tmp := filepath.Join(root, "gen.tmp")
+	if err := os.WriteFile(tmp, newContent, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	newTime := oldTime.Add(5 * time.Second)
+	if err := os.Chtimes(tmp, newTime, newTime); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, fsPath); err != nil {
+		t.Fatal(err)
+	}
+
+	connB := dialRaw(t, base)
+	waitFor(t, "B's accept", func() bool { return s.Stats().Accepted == 2 })
+	if s.ShardStats()[b].Accepted != 1 {
+		t.Fatal("request B landed on request A's loop")
+	}
+	fmt.Fprintf(connB, "GET /gen.bin HTTP/1.0\r\n\r\n")
+	// B's chunk lookup is loop b's first L1 miss; the snapshot runs on
+	// the loop, so once it shows the miss B is parked.
+	waitFor(t, "request B's walk", func() bool { return s.ShardStats()[b].MapCache.Misses == 1 })
+
+	var gen1 *cache.Fill
+	s.shards[a].call(func() {
+		gen1, _ = s.shards[a].view.JoinFill(fsPath, chunk*chunks, oldTime.Unix())
+	})
+	if gen1.ModTime() != oldTime.Unix() || s.Stats().Fills.Started != 1 {
+		t.Fatal("the test's join did not find the generation-1 fill")
+	}
+	drained := make(chan struct{})
+	if _, pending, _ := gen1.ChunkAt(chunks-1, func() {
+		s.shards[b].call(func() {}) // B's wake, posted just before, runs first
+		close(drained)
+	}); !pending {
+		t.Fatal("the generation-1 fill published before it was released")
+	}
+
+	release()
+	<-drained
+	for _, tc := range []struct {
+		name   string
+		conn   net.Conn
+		status int
+		want   []byte
+	}{{"A", connA, 206, oldContent[last:]}, {"B", connB, 200, newContent}} {
+		resp, err := readResponse(bufio.NewReader(tc.conn), "GET")
+		if err != nil {
+			t.Fatalf("request %s: %v", tc.name, err)
+		}
+		if resp.status != tc.status || !bytes.Equal(resp.body, tc.want) {
+			t.Fatalf("request %s: status %d, %d body bytes; want %d and its own generation's bytes",
+				tc.name, resp.status, len(resp.body), tc.status)
+		}
+	}
+
+	waitFor(t, "every chunk unpinned", func() bool { return s.store.SharedStats().UsedBytes == 0 })
+	if f := s.Stats().Fills; f.Started != 2 || f.Completed != 2 || f.Failed != 0 || f.Joined != 1 {
+		t.Fatalf("fill stats = %+v, want one fill per generation (and the test's join)", f)
+	}
+	if got := reads.Load(); got != chunks+1 {
+		t.Fatalf("disk loads = %d, want %d: one pass per generation", got, chunks+1)
 	}
 }
 

@@ -247,15 +247,16 @@ func TestParkedMappingZapUnderCorkedResponse(t *testing.T) {
 	conn := dialRaw(t, base)
 	get := "GET /zapped.bin HTTP/1.1\r\nHost: t\r\n\r\n"
 	fmt.Fprint(conn, get+get)
-	// Both responses committed and corked; with a one-byte budget the
-	// owner tier has dropped the chunk — each time it was loaded — by
-	// the time its last pin there went.
+	// Both responses committed and corked: the first one's fill loaded
+	// the chunk once, the second response hit the first one's replica,
+	// and with a one-byte budget the owner tier dropped its copy as soon
+	// as the replica was made.
 	st := waitStats(t, s, "both responses committed and the chunk evicted", func(st Stats) bool {
 		return st.Responses == 2 && st.SharedChunks.BytesMapped == st.SharedChunks.BytesUnmapped
 	})
-	if st.SharedChunks.Evictions < 1 || st.FileMaps != 1 {
-		t.Fatalf("evictions=%d maps=%d, want the chunk zapped, from one mapping",
-			st.SharedChunks.Evictions, st.FileMaps)
+	if st.Fills.Started != 1 || st.SharedChunks.Evictions != 1 || st.FileMaps != 1 {
+		t.Fatalf("fills=%d evictions=%d maps=%d, want one fill whose chunk was zapped once, from one mapping",
+			st.Fills.Started, st.SharedChunks.Evictions, st.FileMaps)
 	}
 	release()
 	br := bufio.NewReader(conn)

@@ -476,9 +476,8 @@ func (ph *proxyHandler) fetch(owner *shard, key string, old cache.PathEntry, hav
 			f, started := owner.view.JoinFill(key, pe.Size, pe.ModTime)
 			if !started {
 				// A conflicting fill is in flight (stale identity, about
-				// to fail), someone else is already producing, or the
-				// body is cached whole: this response has no fill to
-				// feed.
+				// to fail) or someone else is already producing: this
+				// response has no fill to feed.
 				f = nil
 			}
 			fillCh <- f

@@ -192,7 +192,9 @@ func (cs *chunkSource) walk(s *shard, c *conn, held *cache.Chunk) {
 				// What is in hand leaves first. The fill is joined now, not
 				// on resume: one that finishes while the run is written
 				// would be gone by then, and started a second time.
-				cs.joinFill(s)
+				if cs.joinFill(s, idx) {
+					s.startFill(cs.fill, cs.pe)
+				}
 				cs.missed = true
 				break
 			}
@@ -254,7 +256,7 @@ func (cs *chunkSource) window(s *shard, idx int) (lo, hi int64) {
 // and the producer's check after it took the bytes decides whether that
 // generation is still current; a stale walk ends in fillError.
 func (cs *chunkSource) miss(s *shard, c *conn, idx int) *cache.Chunk {
-	cs.joinFill(s)
+	started := cs.joinFill(s, idx)
 	f, want := cs.fill, idx
 	other := f.Size() != cs.pe.Size || f.ModTime() != cs.pe.ModTime
 	if other {
@@ -273,6 +275,12 @@ func (cs *chunkSource) miss(s *shard, c *conn, idx int) *cache.Chunk {
 		}
 		s.post(func() { cs.fillWake(s, c, gen, held) })
 	})
+	if started {
+		// Parked before the producer runs: one that outran the loop could
+		// otherwise finish, and a small budget drop the chunk, before the
+		// walk that started the fill asked for it.
+		s.startFill(f, cs.pe)
+	}
 	switch {
 	case pending:
 		// Parked: fillWake resumes the walk when the chunk publishes or
@@ -280,7 +288,12 @@ func (cs *chunkSource) miss(s *shard, c *conn, idx int) *cache.Chunk {
 		// on the wire).
 		return nil
 	case other:
-		// The other generation's fill is over, however it ended.
+		// The other generation's fill is over, however it ended. One that
+		// finished may still be waking its subscribers, and so still hand
+		// out its chunk, pinned: not the walk's bytes.
+		if ch != nil {
+			s.view.Release(ch)
+		}
 	case err != nil:
 		cs.fillError(s, c, err)
 		return nil
@@ -305,17 +318,17 @@ func (cs *chunkSource) miss(s *shard, c *conn, idx int) *cache.Chunk {
 }
 
 // joinFill subscribes the walk to the single-flight fill for its file,
-// starting one if none is in flight.
-func (cs *chunkSource) joinFill(s *shard) {
+// registering one if none is in flight and chunk idx, whose lookup
+// missed, is still not resident. It reports whether it registered one,
+// whose producer the caller starts (startFill).
+func (cs *chunkSource) joinFill(s *shard, idx int) bool {
 	if cs.fill != nil {
-		return
+		return false
 	}
 	pe := cs.pe
-	f, started := s.view.JoinFill(pe.Translated, pe.Size, pe.ModTime)
+	f, started := s.view.JoinFillAt(cache.ChunkKey{Path: pe.Translated, Index: idx}, pe.Size, pe.ModTime)
 	cs.fill = f
-	if started {
-		s.startFill(f, pe)
-	}
+	return started
 }
 
 // fillWake re-enters the walk after a fill published the chunk it was
