@@ -10,7 +10,7 @@
 //	       [-access-log access.log]
 //	       [-conn-engine goroutine|epoll]
 //	       [-cache-path-entries 6000] [-cache-header-entries 6000]
-//	       [-cache-map-mb 64] [-cache-chunk-kb 64] [-cache-l1-kb 0]
+//	       [-cache-map-mb 64] [-cache-chunk-kb 64]
 //	       [-sendfile-threshold 262144] [-max-body 8388608] [-demo]
 //	       [-upstream host:port,host:port -upstream-prefix /]
 //	       [-max-conns N] [-max-conns-per-ip N] [-shed-queue N]
@@ -26,10 +26,10 @@
 //
 // The cache knobs mirror flash.Config.Cache: budgets are server-wide
 // (the store owns them; shard count does not divide the effective
-// cache size), and -cache-l1-kb -1 turns the per-shard replica tier
-// off. Every chunk miss joins its file's single-flight fill (the
-// "fills:" line of /server-status); there is no other miss path to
-// select. Cached file chunks are views of one mmap(2) mapping per
+// cache size), and every chunk lookup goes to the one shared segment
+// that indexes the chunk (the "map cache:" line of /server-status).
+// Every chunk miss joins its file's single-flight fill (the "fills:"
+// line); there is no other miss path to select. Cached file chunks are views of one mmap(2) mapping per
 // file, kept for as long as the file's pathname-cache entry: evicting a
 // chunk drops its pages, not the mapping, so -cache-map-mb bounds the
 // resident bytes and -cache-path-entries the files kept mapped
@@ -90,7 +90,6 @@ func main() {
 		cacheHdrs  = flag.Int("cache-header-entries", 0, "header cache entries (0 = same as -cache-path-entries)")
 		cacheMapMB = flag.Int64("cache-map-mb", 64, "chunk cache byte budget (MB, server-wide — the store owns it, shards share it)")
 		cacheChunk = flag.Int64("cache-chunk-kb", 0, "chunk size in KiB (0 = built-in default)")
-		cacheL1    = flag.Int64("cache-l1-kb", 0, "per-shard L1 replica budget in KiB (0 = auto-size, negative disables the L1)")
 		userBase   = flag.String("userdir-base", "", "base directory for /~user/ translation")
 		userSuffix = flag.String("userdir-suffix", "public_html", "suffix for /~user/ translation")
 		accessLog  = flag.String("access-log", "", "Common Log Format access log file")
@@ -119,10 +118,6 @@ func main() {
 	if hdrEntries == 0 {
 		hdrEntries = *cachePaths
 	}
-	l1Bytes := *cacheL1 << 10
-	if *cacheL1 < 0 {
-		l1Bytes = -1 // flag's "negative = off" → config's negative sentinel
-	}
 
 	cfg := flash.Config{
 		DocRoot:     *root,
@@ -135,7 +130,6 @@ func main() {
 			HeaderEntries: hdrEntries,
 			MapBytes:      *cacheMapMB << 20,
 			ChunkBytes:    *cacheChunk << 10,
-			L1Bytes:       l1Bytes,
 		},
 		UserDirBase:       *userBase,
 		UserDirSuffix:     *userSuffix,
@@ -303,8 +297,13 @@ func main() {
 			fmt.Fprintf(&b, "path cache:    %.1f%% hit (%d/%d)\n",
 				100*st.PathCache.HitRate(), st.PathCache.Hits, st.PathCache.Hits+st.PathCache.Misses)
 			fmt.Fprintf(&b, "header cache:  %.1f%% hit\n", 100*st.HeaderCache.HitRate())
-			fmt.Fprintf(&b, "map cache:     %.1f%% hit, %d bytes mapped (L1 + shared tier)\n",
-				100*st.MapCache.HitRate(), st.MapCache.BytesMapped-st.MapCache.BytesUnmapped)
+			// MapCache adds the shared tier's counters to the loops'
+			// lookup counts; the difference is the lookups alone.
+			lookups := st.MapCache.Stats
+			lookups.Hits -= st.SharedChunks.Hits
+			lookups.Misses -= st.SharedChunks.Misses
+			fmt.Fprintf(&b, "map cache:     %.1f%% of %d chunk lookups hit\n",
+				100*lookups.HitRate(), lookups.Hits+lookups.Misses)
 			fmt.Fprintf(&b, "shared tier:   %.1f%% hit, %d bytes resident\n",
 				100*st.SharedChunks.HitRate(), st.SharedChunks.BytesMapped-st.SharedChunks.BytesUnmapped)
 			fmt.Fprintf(&b, "fills:         started=%d joined=%d completed=%d failed=%d\n",

@@ -3,12 +3,11 @@
 //
 // # API
 //
-// [Store] owns the byte budget, the shared chunk tier, and the fill
-// registry. [View] is one event-loop shard's handle onto the store;
-// every per-request operation (path lookup, header lookup, chunk
-// pin/release, fill subscription) goes through the shard's own View,
-// so the hot path stays shard-local. [NewShardedStore] is the one
-// implementation. Its chunk tier is the paper's mapped-file cache: a
+// [ShardedStore] owns the byte budget, the shared chunk tier, and the
+// fill registry. [View] is one event-loop shard's handle onto the
+// store; every per-request operation (path lookup, header lookup,
+// chunk pin/release, fill subscription) goes through the shard's own
+// View. Its chunk tier is the paper's mapped-file cache: a
 // served file is mapped once, whole, by the first disk helper that
 // needs its bytes, and the mapping is parked on the file's [FileRef]
 // ([FileRef.Map]); chunks are refcounted views of it ([MmapRef.Slice])
@@ -46,17 +45,17 @@
 //   - [MapCache]: file chunks with reference counting and a lazy-unmap
 //     LRU free list
 //
-// # Two-tier chunk store
+// # One chunk index
 //
 // [NewShardedStore] keeps pathname and header caches private per shard
-// (their per-shard revalidation is the staleness mechanism) and splits
-// chunk storage into two tiers: a small lock-free L1 of replicated hot
-// entries per shard, over a set of hash-partitioned, mutex-guarded
-// owner segments shared by all shards. Chunk bytes live once, in the
-// owner segment keyed by hash(path); an L1 replica shares the same
-// immutable byte slice. The byte budget belongs to the store, not the
-// shards — changing the shard count does not change the effective
-// cache size.
+// (their per-shard revalidation is the staleness mechanism) and keeps
+// chunks in a set of hash-partitioned, mutex-guarded owner segments
+// shared by all shards. Each chunk has one index entry, in the owner
+// segment keyed by hash(path), and every lookup, insert, release and
+// invalidation goes there: a warm hit takes one short hold of that
+// segment's lock to pin the chunk and one to release it. The byte
+// budget belongs to the store, not the shards — changing the shard
+// count does not change the effective cache size.
 //
 // # Single-flight fills and serve-while-fill
 //
@@ -78,9 +77,9 @@
 // resident after all starts no fill (JoinFillAt). Invalidation dooms an
 // in-flight fill of the invalidated generation ([ErrFillStale]). Every
 // chunk carries the generation it was read under, fixed at insert: a
-// chunk of another generation is replaced, never relabelled, and a
-// stale L1 replica is dropped at lookup, so bytes from two generations
-// of a file never meet in one response.
+// chunk of another generation is a miss at lookup and is replaced,
+// never relabelled, at insert, so bytes from two generations of a file
+// never meet in one response.
 //
 // The same data structures serve both the real Flash server (where
 // chunks hold file bytes) and the simulated architectures (where
@@ -89,6 +88,6 @@
 //
 // The underlying caches are not safe for concurrent use — in the AMPED
 // design each View belongs to a single event-loop goroutine (§4.2).
-// Only the shared tier, reached on L1 misses and through fills,
+// Only the shared tier, reached by chunk operations and fills,
 // synchronizes (one short mutex hold per segment touch).
 package cache

@@ -159,11 +159,8 @@ func (f *Fill) publish(data []byte, m *MmapRef) bool {
 		idx := len(f.pins)
 		// insert consumes m on both branches (adopted by a new chunk, or
 		// released on a merge).
-		c := seg.chunks.insert(ChunkKey{Path: f.path, Index: idx}, data, m, int64(len(data)), f.modTime)
+		c := seg.insert(ChunkKey{Path: f.path, Index: idx}, data, m, int64(len(data)), f.modTime)
 		consumed = true
-		if c.home == 0 {
-			c.home = f.seg.tag
-		}
 		f.pins = append(f.pins, c)
 		wake = f.takeWaitersLocked(idx)
 		if more = len(f.pins) < f.numChunks; !more {

@@ -19,16 +19,14 @@ type Chunk struct {
 	Data []byte
 	Size int64
 	// ModTime is the file modification time (unix seconds) the chunk's
-	// bytes were read under, fixed at insert. Store implementations
+	// bytes were read under, fixed at insert. The store's segments
 	// record it so lookups can reject chunks from a different generation
 	// of the file; bare MapCache users leave it zero.
 	ModTime int64
 
 	refs int
-	// home tags which tier of a sharded Store owns the chunk: zero for
-	// a bare MapCache, seg+1 for owner segment seg, -(shard+1) for a
-	// shard's L1 replica tier. Release dispatch in the store keys off
-	// it; a bare MapCache ignores it.
+	// home names the ShardedStore segment that owns the chunk (seg+1),
+	// for the store's Release; zero for a bare MapCache.
 	home int32
 	// prev/next link the chunk into the cache's intrusive free list
 	// while refs == 0 (onFree reports membership). An intrusive list —
@@ -39,9 +37,8 @@ type Chunk struct {
 	dead       bool // detached by InvalidateFile while pinned
 	// mapping, when non-nil, owns the chunk's backing mmap region: Data
 	// is a view into it, and the chunk holds one reference, released
-	// only when the cache discards the chunk for good — never while
-	// writers or replicas still hold theirs. Immutable once inserted,
-	// like Data.
+	// only when the cache discards the chunk for good — never while the
+	// chunk is pinned. Immutable once inserted, like Data.
 	mapping *MmapRef
 }
 
@@ -92,10 +89,6 @@ type MapCache struct {
 	// OnEvict, if set, observes evictions (the simulator charges munmap
 	// costs; the real server lets the GC reclaim).
 	OnEvict func(*Chunk)
-	// zapOnEvict makes budget eviction give a mapped chunk's pages back
-	// to the kernel. Set on the tier that owns the bytes (the store's
-	// segments); a replica tier leaves the pages to its owner.
-	zapOnEvict bool
 }
 
 // zapRun coalesces the page drops of one eviction pass: views of one
@@ -214,9 +207,14 @@ func (m *MapCache) ChunkRange(size int64, index int) (off, n int64) {
 
 // Lookup returns the chunk for key, pinned, or nil on miss. A chunk on
 // the free list is removed from it (it is active again).
-func (m *MapCache) Lookup(key ChunkKey) *Chunk {
+func (m *MapCache) Lookup(key ChunkKey) *Chunk { return m.lookup(key, 0) }
+
+// lookup is Lookup under a file generation, for the store's segments:
+// a chunk recorded under another modTime is a miss, and stays where it
+// is on the free list.
+func (m *MapCache) lookup(key ChunkKey, modTime int64) *Chunk {
 	c, ok := m.chunks[key]
-	if !ok {
+	if !ok || c.ModTime != modTime {
 		m.stats.Misses++
 		return nil
 	}
@@ -297,11 +295,11 @@ func (m *MapCache) pin(c *Chunk) {
 	c.refs++
 }
 
-// evictOver discards LRU inactive chunks until within the limit. On
-// the owner tier a mapped chunk's pages are dropped with it (holders
-// of the same bytes elsewhere fault them back in from the page cache),
-// and the pass goes on past the limit for as long as the next victim
-// is the adjacent view of the mapping being zapped: the chunks of a
+// evictOver discards LRU inactive chunks until within the limit. A
+// mapped chunk's pages are dropped with it — nothing pins the chunk, so
+// nothing reads them; the next fill faults them back in from the page
+// cache — and the pass goes on past the limit for as long as the next
+// victim is the adjacent view of the mapping being zapped: the chunks of a
 // file are released together and age out together, its first chunk
 // gone means the next request refills the file anyway, and one
 // madvise over the whole stretch costs a fraction of one per chunk
@@ -321,11 +319,9 @@ func (m *MapCache) evictOver() {
 		if m.OnEvict != nil {
 			m.OnEvict(c)
 		}
-		if m.zapOnEvict && c.mapping != nil {
+		if c.mapping != nil {
 			zaps.add(c.mapping)
 			c.mapping = nil
-		} else {
-			c.dropMapping()
 		}
 	}
 	zaps.flush()

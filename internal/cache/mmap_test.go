@@ -29,8 +29,8 @@ func writeTempFile(t *testing.T, data []byte) *os.File {
 
 // A mapped chunk's end-to-end lifecycle: map, publish through a fill,
 // look up the real file bytes, and verify the mapping's reference count
-// at every stage — the cache chunk and its L1 replica each hold one,
-// and invalidation drops both without touching the observer's hold.
+// at every stage — the cache chunk holds one, lookups add none, and
+// invalidation drops it without touching the observer's hold.
 func TestMmapChunkLifecycleRefcounts(t *testing.T) {
 	content := bytes.Repeat([]byte("mmap-engine!"), 200) // > 1 chunk
 	f := writeTempFile(t, content)
@@ -59,15 +59,14 @@ func TestMmapChunkLifecycleRefcounts(t *testing.T) {
 		t.Fatalf("refs after the fill = %d, want 2 (observer + segment)", got)
 	}
 
-	// The first lookup replicates into the L1: the segment copy and the
-	// replica share the mapping with separate holds.
+	// A lookup pins the segment's chunk: its bytes, no new reference.
 	key := ChunkKey{Path: "/f", Index: 0}
 	c := v.Lookup(key, 7)
 	if c == nil || !bytes.Equal(c.Data, content[off:off+n]) {
 		t.Fatal("chunk bytes differ from file bytes")
 	}
-	if got := hold.Refs(); got != 3 {
-		t.Fatalf("refs after the first lookup = %d, want 3 (observer + segment + L1)", got)
+	if got := hold.Refs(); got != 2 {
+		t.Fatalf("refs after the first lookup = %d, want 2 (observer + segment)", got)
 	}
 	v.Release(c)
 
@@ -77,13 +76,12 @@ func TestMmapChunkLifecycleRefcounts(t *testing.T) {
 		t.Fatal("lookup did not return the shared mapped bytes")
 	}
 	v.Release(c2)
-	if got := hold.Refs(); got != 3 {
-		t.Fatalf("refs after warm lookup = %d, want 3", got)
+	if got := hold.Refs(); got != 2 {
+		t.Fatalf("refs after warm lookup = %d, want 2", got)
 	}
 
-	// Invalidation drops the segment chunk and the L1 replica: both
-	// holds go, only the observer's remains — and the pages stay
-	// mapped until it releases.
+	// Invalidation drops the segment chunk: its hold goes, only the
+	// observer's remains — and the pages stay mapped until it releases.
 	v.InvalidateFile("/f", 7, st.NumChunks(int64(len(content))))
 	if got := hold.Refs(); got != 1 {
 		t.Fatalf("refs after invalidate = %d, want 1 (observer only)", got)
@@ -95,8 +93,8 @@ func TestMmapChunkLifecycleRefcounts(t *testing.T) {
 }
 
 // A mapping may not be unmapped while any holder still references its
-// bytes: evicting the segment copy under budget pressure must leave
-// an L1 replica's (and a pinned reader's) bytes valid.
+// bytes: budget pressure must leave a pinned reader's chunk resident
+// and its bytes valid, and reclaim the budget once it lets go.
 func TestMmapEvictionKeepsSharedMappingAlive(t *testing.T) {
 	content := bytes.Repeat([]byte("x"), 1024)
 	f := writeTempFile(t, content)
@@ -115,8 +113,8 @@ func TestMmapEvictionKeepsSharedMappingAlive(t *testing.T) {
 		fl.PublishMapped(mr)
 	}
 	fill(f, "/a")
-	// The reader's lookup is an L1 replica of /a; it keeps its pin while
-	// /b0../b3 storm the budget and evict /a's segment copy.
+	// The reader keeps its pin on /a while /b0../b3 storm the budget and
+	// evict one another.
 	c := v.Lookup(ChunkKey{Path: "/a", Index: 0}, 1)
 	if c == nil {
 		t.Fatal("/a not resident after its fill")
@@ -129,6 +127,10 @@ func TestMmapEvictionKeepsSharedMappingAlive(t *testing.T) {
 	if c.Data[0] != 'x' || c.Data[1023] != 'x' {
 		t.Fatal("pinned mapped chunk corrupted by eviction pressure")
 	}
+	if c2 := v.Lookup(ChunkKey{Path: "/a", Index: 0}, 1); c2 != c {
+		t.Fatalf("the pinned chunk was evicted: a lookup returned %v", c2)
+	}
+	v.Release(c)
 	v.Release(c)
 	if got := st.SharedStats().UsedBytes; got > 1024 {
 		t.Fatalf("budget not reclaimed: used %d, limit 1024", got)
@@ -276,10 +278,10 @@ func TestParkedMappingLifetime(t *testing.T) {
 	pg := os.Getpagesize()
 	size := 3*4*pg + 100 // three chunks and a ragged tail
 	ref, content, stats := mappedFile(t, size)
-	// One segment, a budget of two chunks, no L1 retention: publishing
-	// the file's four chunks evicts its first ones again.
+	// One segment, a budget of two chunks: publishing the file's four
+	// chunks evicts its first ones again.
 	st := testStore(1, int64(2*4*pg), func(o *StoreOptions) {
-		o.ChunkBytes, o.Segments, o.L1Bytes = int64(4*pg), 1, -1
+		o.ChunkBytes, o.Segments = int64(4*pg), 1
 	})
 	v := st.View(0)
 
@@ -340,7 +342,8 @@ func TestParkedMappingSizeMismatch(t *testing.T) {
 // TestEvictionZapsAdjacentViewsTogether: when the LRU victim's
 // neighbours on the free list are the adjacent views of the same
 // mapping, they leave in the same pass (one madvise for the file), and
-// a replica that still holds the zapped bytes reads them back intact.
+// the zapped bytes read back intact through a fresh view of the parked
+// mapping.
 func TestEvictionZapsAdjacentViewsTogether(t *testing.T) {
 	pg := os.Getpagesize()
 	chunk := 4 * pg
@@ -348,26 +351,26 @@ func TestEvictionZapsAdjacentViewsTogether(t *testing.T) {
 	refB, _, _ := mappedFile(t, chunk)
 	defer refA.Release()
 	defer refB.Release()
-	// Room for A's three chunks exactly; an L1 big enough to keep a
-	// replica of everything.
+	// Room for A's three chunks exactly.
 	st := testStore(1, int64(3*chunk), func(o *StoreOptions) {
-		o.ChunkBytes, o.Segments, o.L1Bytes = int64(chunk), 1, int64(8*chunk)
+		o.ChunkBytes, o.Segments = int64(chunk), 1
 	})
 	v := st.View(0)
 	publishFile(t, st, v, refA, "/a", 3*chunk)
-	rep := v.Lookup(ChunkKey{Path: "/a", Index: 1}, 1) // the L1 replica of A's middle chunk
-	if rep == nil {
-		t.Fatal("/a chunk 1 not resident")
-	}
 	before := st.SharedStats().Chunks.Evictions
 	publishFile(t, st, v, refB, "/b", chunk) // one chunk over: A's chunk 0 is the victim
 	if got := st.SharedStats().Chunks.Evictions - before; got != 3 {
 		t.Fatalf("%d chunks evicted by one insert, want /a's three adjacent views together", got)
 	}
-	if !bytes.Equal(rep.Data, contentA[chunk:2*chunk]) {
-		t.Fatal("replica of a zapped chunk reads different bytes")
+	m, err := refA.Map(int64(3 * chunk))
+	if err != nil {
+		t.Fatal(err)
 	}
-	v.Release(rep)
+	view := m.Slice(int64(chunk), int64(chunk))
+	defer view.Release()
+	if !bytes.Equal(view.Bytes(), contentA[chunk:2*chunk]) {
+		t.Fatal("a zapped chunk's pages read back different bytes")
+	}
 }
 
 // TestZapRunMerges checks the coalescing itself: adjacent views of one

@@ -14,11 +14,11 @@ var ErrMapFault = errors.New("cache: fault reading a mapped file region")
 
 // MmapRef is a reference-counted mmap(2) region backing chunks of the
 // store. It extends the FileRef pattern to mappings: every holder of
-// the bytes — the FileRef the mapping is parked on, a cache chunk, an
-// L1 replica sharing the pages, an in-flight response whose writev
-// gathers them — has its own reference, so neither eviction nor the
-// death of the path entry can munmap a region out from under a write
-// in flight. The region is unmapped exactly once, when the last
+// the bytes — the FileRef the mapping is parked on, each cache chunk
+// cut from it — has its own reference, and an in-flight response whose
+// writev gathers a chunk's bytes pins that chunk, so neither eviction
+// nor the death of the path entry can munmap a region out from under a
+// write in flight. The region is unmapped exactly once, when the last
 // reference is released.
 //
 // Like the paper's Flash, a mapped region shares pages with the page
@@ -129,9 +129,10 @@ func (r *MmapRef) Slice(off, n int64) *MmapRef {
 // what keeps the process's resident size at the chunk budget while the
 // address range stays parked for the next fill. Only whole pages
 // inside the range go (a range that reaches the end of the mapping
-// includes its last, partial page). A holder that still reads the
-// bytes — an L1 replica, a response not yet written — faults them back
-// in from the page cache. The caller's reference covers the call.
+// includes its last, partial page), so a neighbouring chunk's pages
+// survive. Eviction takes only unpinned chunks, so no response reads
+// the bytes zapped; whoever reads them next faults them back in from
+// the page cache. The caller's reference covers the call.
 func (r *MmapRef) zap(lo, hi int) {
 	raw := r.root().raw
 	pg := mmapPageSize

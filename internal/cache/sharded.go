@@ -28,14 +28,6 @@ type StoreOptions struct {
 	MapBytes   int64
 	ChunkBytes int64
 
-	// L1Bytes bounds each shard's loop-private replica cache of hot
-	// chunks (the lock-free warm hit path). Zero defaults to
-	// MapBytes/(8*Shards) — one eighth of the shared tier in total,
-	// regardless of shard count. Negative means no L1: no replica is
-	// made, and every chunk lookup goes to the owner segment (and takes
-	// its lock).
-	L1Bytes int64
-
 	// Segments is the shared tier's partition count (default
 	// DefaultSegments).
 	Segments int
@@ -45,16 +37,23 @@ type StoreOptions struct {
 	OnPathEvict func(name string, e PathEntry)
 }
 
-// ShardedStore is the production Store: per-shard Views owning the v1
-// trio's loop-private caches (paths, headers, and an L1 of replicated
-// hot chunks) over a shared chunk tier of hash-partitioned,
-// mutex-guarded segments with single-flight fills. Chunk bytes live
-// once, in the segment keyed by hash(path); shards replicate only the
-// hot set into their L1s. A chunk's bytes are either a view over a
-// refcounted mapping (a Slice of FileRef.Map, then Fill.PublishMapped —
-// what disk helpers produce) or a heap buffer (Fill.Publish — proxy
-// refills, and the helpers' read fallback where a file cannot be
-// mapped); the tiers treat both alike.
+// ShardedStore is the cache layer: one object subsuming the pathname,
+// response-header, and mapped-chunk caches (the §5 trio), carved into
+// per-event-loop Views owning the loop-private path and header caches,
+// over a shared chunk tier of hash-partitioned, mutex-guarded segments
+// with single-flight fills. Each chunk has one index entry, in the
+// segment keyed by hash(path), and every view's lookups go there. A
+// chunk's bytes are either a view over a refcounted mapping (a Slice of
+// FileRef.Map, then Fill.PublishMapped — what disk helpers produce) or
+// a heap buffer (Fill.Publish — proxy refills, and the helpers' read
+// fallback where a file cannot be mapped); the segments treat both
+// alike.
+//
+// Concurrency contract: methods on ShardedStore itself are safe from
+// any goroutine. A View is owned by exactly one event loop — its
+// methods must only be called from that loop. Chunks and Fills handed
+// out by a View may cross goroutines (connection goroutines transmit
+// chunk bytes; helper goroutines publish into fills).
 type ShardedStore struct {
 	chunkSize int64
 	segments  []*segment
@@ -77,16 +76,26 @@ type segment struct {
 	fills  map[string]*Fill
 }
 
+// insert records a chunk in the segment (seg.mu held) and returns it
+// pinned, tagged with its home for Release.
+func (seg *segment) insert(key ChunkKey, data []byte, m *MmapRef, size, modTime int64) *Chunk {
+	c := seg.chunks.insert(key, data, m, size, modTime)
+	if c.home == 0 {
+		c.home = seg.tag
+	}
+	return c
+}
+
 // storeView is one event loop's facade (View implementation).
 type storeView struct {
 	store *ShardedStore
-	id    int
 	paths *PathCache
 	hdrs  *HeaderCache
-	l1    *MapCache // nil when StoreOptions.L1Bytes is negative
+	// lookups counts this loop's chunk lookups; the segments count the
+	// same lookups again, summed over every loop.
+	lookups Stats
 }
 
-var _ Store = (*ShardedStore)(nil)
 var _ View = (*storeView)(nil)
 
 // NewShardedStore builds the v2 store. A single-shard store behaves
@@ -101,39 +110,21 @@ func NewShardedStore(o StoreOptions) *ShardedStore {
 	if o.ChunkBytes <= 0 {
 		o.ChunkBytes = DefaultChunkSize
 	}
-	if o.L1Bytes == 0 {
-		// Auto-size: an eighth of the shared tier, split across shards —
-		// floored at one chunk, because a small MapBytes must shrink the
-		// L1, not silently disable it. "Off" is the negative sentinel
-		// (matching the -cache-l1-kb flag contract), never a rounding
-		// artifact.
-		o.L1Bytes = o.MapBytes / (8 * int64(o.Shards))
-		if o.L1Bytes < o.ChunkBytes {
-			o.L1Bytes = o.ChunkBytes
-		}
-	}
 	st := &ShardedStore{chunkSize: o.ChunkBytes}
 	for i := 0; i < o.Segments; i++ {
-		chunks := NewMapCache(max64(o.MapBytes/int64(o.Segments), 1), o.ChunkBytes)
-		chunks.zapOnEvict = true // the segment owns the bytes
 		st.segments = append(st.segments, &segment{
 			store:  st,
 			tag:    int32(i) + 1,
-			chunks: chunks,
+			chunks: NewMapCache(max64(o.MapBytes/int64(o.Segments), 1), o.ChunkBytes),
 			fills:  make(map[string]*Fill),
 		})
 	}
 	for i := 0; i < o.Shards; i++ {
-		v := &storeView{
+		st.views = append(st.views, &storeView{
 			store: st,
-			id:    i,
 			paths: NewPathCacheEvict(maxInt(o.PathEntries/o.Shards, 1), o.OnPathEvict),
 			hdrs:  NewHeaderCache(maxInt(o.HeaderEntries/o.Shards, 1)),
-		}
-		if o.L1Bytes >= 0 {
-			v.l1 = NewMapCache(o.L1Bytes, o.ChunkBytes)
-		}
-		st.views = append(st.views, v)
+		})
 	}
 	return st
 }
@@ -260,104 +251,48 @@ func (v *storeView) HeaderLen() int { return v.hdrs.Len() }
 
 // --- storeView: chunk tier ---
 
-// Lookup probes the loop-private L1 first (the lock-free warm path),
-// then the owner segment; a segment hit is replicated into the L1 so
-// the path stays hot and shard-local next time. A chunk recorded
+// Lookup probes the owner segment under its lock. A chunk recorded
 // under a different modTime is a miss — the caller's fill verifies the
-// file's identity. A replica of another generation is dropped on the
-// spot and the segment probed behind it: a stale replica must not
-// shadow a current segment chunk, or every request on this shard would
-// start a fill until the replica aged out.
+// file's identity.
 func (v *storeView) Lookup(key ChunkKey, modTime int64) *Chunk {
-	if v.l1 != nil {
-		if c := v.l1.Lookup(key); c != nil {
-			if c.ModTime == modTime {
-				return c
-			}
-			v.l1.detach(c)
-			v.l1.Release(c)
-		}
-	}
 	seg := v.store.segmentFor(key.Path)
 	seg.mu.Lock()
-	c := seg.chunks.Lookup(key)
-	if c != nil && c.ModTime != modTime {
-		seg.chunks.Release(c)
-		c = nil
-	}
+	c := seg.chunks.lookup(key, modTime)
 	seg.mu.Unlock()
 	if c == nil {
-		return nil
+		v.lookups.Misses++
+	} else {
+		v.lookups.Hits++
 	}
-	if v.l1 == nil {
-		return c
-	}
-	return v.replicate(seg, c, modTime)
+	return c
 }
 
-// replicate copies a segment hit into the L1 (sharing the immutable
-// byte slice — replication costs index entries, not memory), returns
-// the replica pinned, and drops the segment pin. An mmap-backed chunk
-// is shared by reference: the replica acquires its own hold on the
-// mapping, so the L1 and the segment can evict in either order
-// without unmapping pages the other still serves. A replica of another
-// generation is replaced, like a segment chunk. The generation comes
-// from the caller, who matched or wrote it under the segment lock.
-// (Key, Size, Data, ModTime and mapping are immutable once inserted,
-// and the caller's pin keeps the chunk alive.)
-func (v *storeView) replicate(seg *segment, c *Chunk, modTime int64) *Chunk {
-	m := c.mapping
-	if m != nil {
-		m.Acquire()
-	}
-	rep := v.l1.insert(c.Key, c.Data, m, c.Size, modTime)
-	rep.home = -(int32(v.id) + 1)
-	seg.mu.Lock()
-	seg.chunks.Release(c)
-	seg.mu.Unlock()
-	return rep
-}
-
-// Insert records a freshly read chunk in the owner segment (so every
-// shard can hit it) and replicates it into the L1. A resident chunk of
-// the same generation wins; one of another generation is replaced.
+// Insert records a freshly read chunk in the owner segment, where every
+// shard can hit it. A resident chunk of the same generation wins; one
+// of another generation is replaced.
 func (v *storeView) Insert(key ChunkKey, data []byte, size, modTime int64) *Chunk {
 	seg := v.store.segmentFor(key.Path)
 	seg.mu.Lock()
-	c := seg.chunks.insert(key, data, nil, size, modTime)
-	if c.home == 0 {
-		c.home = seg.tag
-	}
+	c := seg.insert(key, data, nil, size, modTime)
 	seg.mu.Unlock()
-	if v.l1 == nil {
-		return c
-	}
-	return v.replicate(seg, c, modTime)
+	return c
 }
 
-// Release unpins a chunk, dispatching on which tier owns it.
+// Release unpins a chunk in the segment that owns it.
 func (v *storeView) Release(c *Chunk) {
-	home := c.home
-	switch {
-	case home < 0:
-		v.l1.Release(c)
-	case home > 0:
-		seg := v.store.segments[home-1]
-		seg.mu.Lock()
-		seg.chunks.Release(c)
-		seg.mu.Unlock()
-	default:
+	if c.home == 0 {
 		panic("cache: Release of a chunk this store does not own")
 	}
+	seg := v.store.segments[c.home-1]
+	seg.mu.Lock()
+	seg.chunks.Release(c)
+	seg.mu.Unlock()
 }
 
 // InvalidateFile drops the chunks of path recorded under modTime from
-// this view's L1 and the owner segment, and dooms the in-flight fill
-// if it is loading that generation.
+// the owner segment, and dooms the in-flight fill if it is loading
+// that generation.
 func (v *storeView) InvalidateFile(path string, modTime int64, maxChunks int) {
-	if v.l1 != nil {
-		v.l1.InvalidateFile(path, modTime, maxChunks)
-	}
 	seg := v.store.segmentFor(path)
 	seg.mu.Lock()
 	seg.chunks.InvalidateFile(path, modTime, maxChunks)
@@ -406,9 +341,5 @@ func (v *storeView) JoinFillAt(key ChunkKey, size, modTime int64) (*Fill, bool) 
 
 // LocalStats snapshots the loop-private counters (owner loop only).
 func (v *storeView) LocalStats() ViewStats {
-	s := ViewStats{Paths: v.paths.Stats(), Headers: v.hdrs.Stats()}
-	if v.l1 != nil {
-		s.Chunks = v.l1.Stats()
-	}
-	return s
+	return ViewStats{Paths: v.paths.Stats(), Headers: v.hdrs.Stats(), Chunks: v.lookups}
 }

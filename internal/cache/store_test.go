@@ -30,46 +30,46 @@ func chunkData(b byte, n int) []byte {
 }
 
 // An insert through one view must be visible to every other view (the
-// shared tier), and a shared hit must replicate into the prober's L1
-// so the next lookup is loop-local.
+// shared tier). Each view counts its own lookups as hits and misses —
+// the per-loop lookup count a server's Stats report — while the
+// segments count every view's lookups again.
 func TestStoreCrossShardVisibilityAndReplication(t *testing.T) {
 	st := testStore(2, 1<<20)
 	v0, v1 := st.View(0), st.View(1)
 	key := ChunkKey{Path: "/a", Index: 0}
 
-	c := v0.Insert(key, chunkData('x', 100), 100, 7)
-	v0.Release(c)
+	if c := v1.Lookup(key, 7); c != nil {
+		t.Fatalf("lookup of a chunk nobody inserted hit: %v", c)
+	}
+	v0.Release(v0.Insert(key, chunkData('x', 100), 100, 7))
+	for i := 0; i < 2; i++ {
+		c := v1.Lookup(key, 7)
+		if c == nil || c.Data[0] != 'x' {
+			t.Fatalf("view 1 missed a chunk view 0 inserted: %v", c)
+		}
+		v1.Release(c)
+	}
+	if c := v1.Lookup(key, 8); c != nil { // another generation: a miss
+		t.Fatalf("lookup of another generation hit: %v", c)
+	}
 
-	// First lookup through the other view: shared-tier hit, replica
-	// made.
-	c1 := v1.Lookup(key, 7)
-	if c1 == nil || c1.Data[0] != 'x' {
-		t.Fatalf("view 1 missed a chunk view 0 inserted: %v", c1)
+	if got := v1.LocalStats().Chunks; got.Hits != 2 || got.Misses != 2 {
+		t.Fatalf("view 1 lookups = %d hits, %d misses; want 2 and 2", got.Hits, got.Misses)
 	}
-	v1.Release(c1)
-	before := v1.LocalStats().Chunks.Hits
-
-	// Second lookup: pure L1 hit — the shared tier's counters must not
-	// move.
-	sharedBefore := st.SharedStats().Chunks
-	c2 := v1.Lookup(key, 7)
-	if c2 == nil {
-		t.Fatal("L1 replica missing on second lookup")
+	if got := v0.LocalStats().Chunks; got.Hits != 0 || got.Misses != 0 {
+		t.Fatalf("view 0 lookups = %d hits, %d misses; an insert is not a lookup", got.Hits, got.Misses)
 	}
-	v1.Release(c2)
-	if got := v1.LocalStats().Chunks.Hits; got != before+1 {
-		t.Fatalf("L1 hits = %d, want %d", got, before+1)
-	}
-	if sharedAfter := st.SharedStats().Chunks; sharedAfter.Hits != sharedBefore.Hits {
-		t.Fatalf("second lookup touched the shared tier: %+v -> %+v", sharedBefore, sharedAfter)
+	if got := st.SharedStats().Chunks; got.Hits != 2 || got.Misses != 2 {
+		t.Fatalf("segment lookups = %d hits, %d misses; want the views' 2 and 2", got.Hits, got.Misses)
 	}
 }
 
 // A chunk recorded under one file generation must miss for a request
-// holding a different one.
+// holding a different one, and an insert of the new generation —
+// through any view — replaces it for every view.
 func TestStoreLookupRejectsWrongGeneration(t *testing.T) {
-	st := testStore(1, 1<<20)
-	v := st.View(0)
+	st := testStore(2, 1<<20)
+	v, v1 := st.View(0), st.View(1)
 	key := ChunkKey{Path: "/a", Index: 0}
 	v.Release(v.Insert(key, chunkData('x', 10), 10, 7))
 	if c := v.Lookup(key, 8); c != nil {
@@ -80,6 +80,16 @@ func TestStoreLookupRejectsWrongGeneration(t *testing.T) {
 	} else {
 		v.Release(c)
 	}
+
+	c := v1.Insert(key, chunkData('n', 10), 10, 8)
+	if c.Data[0] != 'n' || c.ModTime != 8 {
+		t.Fatalf("Insert of generation 8 returned %q of generation %d", c.Data[0], c.ModTime)
+	}
+	v1.Release(c)
+	if c := v.Lookup(key, 7); c != nil {
+		t.Fatalf("the replaced generation still hits: %+v", c)
+	}
+	wantChunk(t, v, "/a", 0, 8, 'n')
 }
 
 // The byte budget belongs to the store, not the shards: the same
@@ -87,7 +97,7 @@ func TestStoreLookupRejectsWrongGeneration(t *testing.T) {
 func TestStoreBudgetIndependentOfShardCount(t *testing.T) {
 	const mapBytes = 64 << 10 // 64 chunks of 1 KiB
 	for _, shards := range []int{1, 4} {
-		st := testStore(shards, mapBytes, func(o *StoreOptions) { o.L1Bytes = -1 })
+		st := testStore(shards, mapBytes)
 		v := st.View(0)
 		for i := 0; i < 128; i++ {
 			key := ChunkKey{Path: fmt.Sprintf("/f%d", i), Index: 0}
@@ -337,88 +347,11 @@ func TestGenerationFillReplacesChunk(t *testing.T) {
 	}
 }
 
-// The same through the L1: an insert of a new generation on a shard
-// whose L1 holds a replica of the old one must leave the new bytes in
-// both tiers.
-func TestGenerationInsertReplacesReplica(t *testing.T) {
-	st := testStore(2, 1<<20)
-	v0, v1 := st.View(0), st.View(1)
-	key := ChunkKey{Path: "/f", Index: 0}
-	v0.Release(v0.Insert(key, chunkData('o', 1024), 1024, 1))
-	v1.Release(v1.Lookup(key, 1)) // v1's L1 now replicates generation 1
-
-	c := v1.Insert(key, chunkData('n', 1024), 1024, 2)
-	if c.Data[0] != 'n' || c.ModTime != 2 {
-		t.Fatalf("Insert of generation 2 returned %q of generation %d", c.Data[0], c.ModTime)
-	}
-	v1.Release(c)
-	wantChunk(t, v1, "/f", 0, 2, 'n')
-	wantChunk(t, v0, "/f", 0, 2, 'n')
-}
-
-// A stale L1 replica must not shadow a current chunk in the segment: the
-// lookup drops the replica and falls through, rather than missing — and
-// starting a fill — on every request until the replica ages out.
-func TestGenerationStaleReplicaFallsThrough(t *testing.T) {
-	st := testStore(2, 1<<20)
-	v0, v1 := st.View(0), st.View(1)
-	key := ChunkKey{Path: "/f", Index: 0}
-	v0.Release(v0.Insert(key, chunkData('o', 1024), 1024, 1))
-	v1.Release(v1.Lookup(key, 1)) // v1's L1 now replicates generation 1
-	// v0 retires generation 1 — its own tiers only — and loads 2.
-	v0.InvalidateFile("/f", 1, 1)
-	fillFile(t, v0, "/f", 1, 2, 'n')
-
-	sharedHits := st.SharedStats().Chunks.Hits
-	wantChunk(t, v1, "/f", 0, 2, 'n')
-	if got := st.SharedStats().Chunks.Hits; got != sharedHits+1 {
-		t.Fatalf("shared-tier hits %d -> %d: the lookup did not reach the segment", sharedHits, got)
-	}
-	// The stale replica is gone and the current one took its place: the
-	// next lookup stays in the L1.
-	l1Hits := v1.LocalStats().Chunks.Hits
-	wantChunk(t, v1, "/f", 0, 2, 'n')
-	if got := v1.LocalStats().Chunks.Hits; got != l1Hits+1 {
-		t.Fatalf("L1 hits %d -> %d: the current generation was not replicated", l1Hits, got)
-	}
-}
-
-// Regression: auto-sized L1 must floor at one chunk. With a small
-// shared budget, MapBytes/(8*Shards) rounds below the chunk size —
-// the old code handed the L1 a zero byte budget, silently disabling
-// replica retention (auto conflated with "off"), and every warm
-// lookup went back to the shared tier's locks.
-func TestAutoL1SizeFloorsAtOneChunk(t *testing.T) {
-	// 4096/(8*4) = 128 bytes < the 1024-byte chunk.
-	st := testStore(4, 4096)
-	v := st.View(0)
-	key := ChunkKey{Path: "/a", Index: 0}
-	v.Release(v.Insert(key, chunkData('x', 1024), 1024, 1))
-	c := v.Lookup(key, 1)
-	if c == nil {
-		t.Fatal("lookup missed")
-	}
-	v.Release(c)
-	if hits := v.LocalStats().Chunks.Hits; hits != 1 {
-		t.Fatalf("L1 hits = %d, want 1 — auto-sized L1 retained nothing", hits)
-	}
-	// The explicit sentinel still disables retention.
-	st2 := testStore(4, 4096, func(o *StoreOptions) { o.L1Bytes = -1 })
-	v2 := st2.View(0)
-	v2.Release(v2.Insert(key, chunkData('x', 1024), 1024, 1))
-	if c := v2.Lookup(key, 1); c != nil {
-		v2.Release(c)
-	}
-	if hits := v2.LocalStats().Chunks.Hits; hits != 0 {
-		t.Fatalf("L1 hits with retention disabled = %d, want 0", hits)
-	}
-}
-
 // Chunks pinned by an active fill must survive eviction pressure even
 // when they blow the byte budget (the cache tolerates pinned overflow
 // and reclaims at release — here, at fill finish).
 func TestFillPinsSurviveEviction(t *testing.T) {
-	st := testStore(1, 1024, func(o *StoreOptions) { o.L1Bytes = -1 }) // one chunk of budget
+	st := testStore(1, 1024) // one chunk of budget
 	v := st.View(0)
 	f, _ := v.JoinFill("/big", 4*1024, 1)
 	for i := 0; i < 3; i++ {

@@ -5,17 +5,18 @@
 //
 //   - Config.EventLoops independent shards (default one per CPU), each
 //     an event-loop goroutine that owns a private View of the unified
-//     cache.Store: the pathname and response-header caches plus an L1
-//     of replicated hot chunks are loop-private, so — exactly as the
-//     paper argues for SPED/AMPED (§4.2) — no locks guard any
-//     per-request state on the warm path. The paper's single-process
-//     design is EventLoops=1.
+//     cache.ShardedStore: the pathname and response-header caches are
+//     loop-private, so — exactly as the paper argues for SPED/AMPED
+//     (§4.2) — no locks guard them on the warm path. The paper's
+//     single-process design is EventLoops=1.
 //
-//   - Below the L1s sits one shared chunk tier (cache architecture
-//     v2): chunk bytes live once, in a hash-partitioned owner segment
-//     keyed by hash(path), so the configured byte budget is not split
-//     (or duplicated) per shard and the working set a server holds is
-//     the same at any EventLoops. Every chunk miss has one path: it
+//   - Beside them sits one shared chunk tier (cache architecture v2):
+//     each chunk has one index entry, in a hash-partitioned owner
+//     segment keyed by hash(path), and a warm hit takes one short hold
+//     of that segment's lock to pin it and one to release it. The
+//     configured byte budget is not split (or duplicated) per shard,
+//     and the working set a server holds is the same at any
+//     EventLoops. Every chunk miss has one path: it
 //     joins the single-flight fill for its path — concurrent requests
 //     for a cold path subscribe to one in-flight fill owned by
 //     whichever shard hashes the path, and a request that meets the
@@ -190,9 +191,10 @@ type Config struct {
 	SendfileThreshold int64
 
 	// EventLoops is the number of independent AMPED shards: event-loop
-	// goroutines, each owning a private set of pathname/header/chunk
-	// caches and a private helper pool, so the paper's zero-lock
-	// invariant holds within every shard. Accepted connections are
+	// goroutines, each owning private pathname/header caches and a
+	// private helper pool, so the paper's zero-lock invariant holds for
+	// those within every shard; the chunk tier is shared across shards
+	// behind short per-segment locks. Accepted connections are
 	// distributed round-robin across shards. Default runtime.NumCPU();
 	// set 1 for the paper's single-process behaviour.
 	EventLoops int
@@ -315,11 +317,6 @@ type CacheConfig struct {
 	MapBytes int64
 	// ChunkBytes is the chunk granularity (default 64 KB).
 	ChunkBytes int64
-	// L1Bytes bounds each shard's loop-private replica cache of hot
-	// chunks — the lock-free warm hit path over the shared tier. Zero
-	// defaults to MapBytes/(8*EventLoops); negative means no L1: every
-	// chunk lookup goes to the shared tier and takes a segment lock.
-	L1Bytes int64
 }
 
 // Connection engine names for Config.ConnEngine and flashd

@@ -303,9 +303,8 @@ func testFDLifetimeUnderEviction(t *testing.T, threshold int64) {
 		EventLoops:        1,
 		SendfileThreshold: threshold,
 		Cache: CacheConfig{
-			PathEntries: 2,  // working set is 6: constant eviction
-			MapBytes:    1,  // chunks are transient: every read hits the fd
-			L1Bytes:     -1, // ... or the file's mapping: no replica outlives its response
+			PathEntries: 2, // working set is 6: constant eviction
+			MapBytes:    1, // chunks are transient: every read hits the fd or the file's mapping
 		},
 	})
 	if err != nil {

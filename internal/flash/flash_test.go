@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/httpmsg"
 )
 
@@ -555,6 +556,38 @@ func TestStatsSnapshot(t *testing.T) {
 	}
 	if st.BytesSent < 13 {
 		t.Fatalf("BytesSent = %d", st.BytesSent)
+	}
+
+	// The chunk counters the benchmark reads: MapCache minus
+	// SharedChunks is the loops' lookup count, and every lookup that
+	// missed there missed in the shared tier too. The cold request
+	// above missed once in each.
+	lookups := func(st Stats) cache.Stats {
+		l := st.MapCache.Stats
+		l.Hits -= st.SharedChunks.Hits
+		l.Misses -= st.SharedChunks.Misses
+		return l
+	}
+	if l := lookups(st); l.Misses != 1 || st.SharedChunks.Misses != 1 {
+		t.Fatalf("after a cold request: lookup misses = %d, shared misses = %d; want 1 and 1",
+			l.Misses, st.SharedChunks.Misses)
+	}
+	// N warm keep-alive requests are N lookup hits and no shared miss.
+	const n = 5
+	conn := dialRaw(t, base)
+	br := bufio.NewReader(conn)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(conn, "GET /hello.txt HTTP/1.1\r\nHost: t\r\n\r\n")
+		if resp, err := readResponse(br, "GET"); err != nil || resp.status != 200 {
+			t.Fatalf("warm request %d: %v err=%v", i, resp, err)
+		}
+	}
+	warm := waitStats(t, s, "the warm responses", func(w Stats) bool { return w.Responses == st.Responses+n })
+	if got := lookups(warm).Hits - lookups(st).Hits; got != n {
+		t.Fatalf("%d warm requests raised lookup hits by %d", n, got)
+	}
+	if warm.SharedChunks.Misses != st.SharedChunks.Misses {
+		t.Fatalf("warm requests raised shared misses %d -> %d", st.SharedChunks.Misses, warm.SharedChunks.Misses)
 	}
 }
 

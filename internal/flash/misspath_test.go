@@ -111,7 +111,7 @@ func testMissPathWaitsOutOtherGeneration(t *testing.T) {
 	now.Add(int64(2 * time.Second))
 
 	// Request B revalidates, adopts generation 2 and walks into the
-	// generation-1 fill. Its chunk lookup is the loop's second L1 miss;
+	// generation-1 fill. Its chunk lookup is the loop's second miss;
 	// the shard snapshot runs on the loop, so once it shows two misses
 	// B's walk has finished with that fill for this turn.
 	connB := dialRaw(t, base)
@@ -227,7 +227,7 @@ func testMissPathWaitsOutCompletedOtherGeneration(t *testing.T) {
 		t.Fatal("request B landed on request A's loop")
 	}
 	fmt.Fprintf(connB, "GET /gen.bin HTTP/1.0\r\n\r\n")
-	// B's chunk lookup is loop b's first L1 miss; the snapshot runs on
+	// B's chunk lookup is loop b's first miss; the snapshot runs on
 	// the loop, so once it shows the miss B is parked.
 	waitFor(t, "request B's walk", func() bool { return s.ShardStats()[b].MapCache.Misses == 1 })
 
@@ -309,7 +309,6 @@ func testMissPathRefillsAfterRetiredFill(t *testing.T) {
 		cfg.SendfileThreshold = -1
 		cfg.Cache.ChunkBytes = chunk
 		cfg.Cache.MapBytes = 1 // a chunk leaves the cache with its last pin
-		cfg.Cache.L1Bytes = -1
 	})
 	t.Cleanup(releaseLoad)
 	t.Cleanup(releaseWrite)

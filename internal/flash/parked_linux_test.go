@@ -6,8 +6,8 @@ package flash
 // mmap per file generation however often its chunks are evicted and
 // refilled, the mapping outliving its path entry for as long as a
 // response holds its bytes, eviction returning the pages (resident size
-// stays at the chunk budget), and a zapped chunk under an unwritten
-// response still arriving intact.
+// stays at the chunk budget), and a chunk under an unwritten response
+// never zapped before it is written.
 
 import (
 	"bufio"
@@ -26,12 +26,11 @@ import (
 )
 
 // transientChunks makes every chunk leave the cache the moment its last
-// pin goes: a one-byte budget and no L1 retention.
+// pin goes: a one-byte budget.
 func transientChunks(cfg *Config) {
 	cfg.EventLoops = 1
 	cfg.SendfileThreshold = -1
 	cfg.Cache.MapBytes = 1
-	cfg.Cache.L1Bytes = -1
 }
 
 // gateWrites arms flash/conn-write with a hook that holds every socket
@@ -68,7 +67,6 @@ func TestParkedMappingRefillAfterEviction(t *testing.T) {
 		cfg.EventLoops = 1
 		cfg.RevalidateInterval = -1
 		cfg.Cache.MapBytes = budget
-		cfg.Cache.L1Bytes = -1
 	})
 	want := pattern(160 << 10)
 	mustWrite(t, s.cfg.DocRoot, "refill.bin", string(want))
@@ -227,16 +225,13 @@ func TestParkedMappingTruncateThenNewGeneration(t *testing.T) {
 	})
 }
 
-// TestParkedMappingZapUnderCorkedResponse: the owner tier evicts — and
-// zaps — a chunk while committed responses that carry its bytes, through
-// an L1 replica, have not been written. The pages fault back in under
-// the writev.
+// TestParkedMappingZapUnderCorkedResponse: a chunk that committed but
+// unwritten responses carry is pinned by them, so even a one-byte
+// budget neither evicts nor zaps it before the flush; it leaves — once
+// — when the last of them has been written.
 func TestParkedMappingZapUnderCorkedResponse(t *testing.T) {
 	s, base := newTestServer(t, func(cfg *Config) {
 		transientChunks(cfg)
-		// A one-byte L1: the responses pin a replica, which leaves with
-		// them, and the owner tier's copy is free to go at once.
-		cfg.Cache.L1Bytes = 1
 		cfg.ConnEngine = ConnEngineGoroutine
 		cfg.RevalidateInterval = -1
 	})
@@ -248,15 +243,14 @@ func TestParkedMappingZapUnderCorkedResponse(t *testing.T) {
 	get := "GET /zapped.bin HTTP/1.1\r\nHost: t\r\n\r\n"
 	fmt.Fprint(conn, get+get)
 	// Both responses committed and corked: the first one's fill loaded
-	// the chunk once, the second response hit the first one's replica,
-	// and with a one-byte budget the owner tier dropped its copy as soon
-	// as the replica was made.
-	st := waitStats(t, s, "both responses committed and the chunk evicted", func(st Stats) bool {
-		return st.Responses == 2 && st.SharedChunks.BytesMapped == st.SharedChunks.BytesUnmapped
-	})
-	if st.Fills.Started != 1 || st.SharedChunks.Evictions != 1 || st.FileMaps != 1 {
-		t.Fatalf("fills=%d evictions=%d maps=%d, want one fill whose chunk was zapped once, from one mapping",
-			st.Fills.Started, st.SharedChunks.Evictions, st.FileMaps)
+	// the chunk once and the second response's lookup hit it, so it is
+	// resident, over the budget, under two pins.
+	st := waitStats(t, s, "both responses committed", func(st Stats) bool { return st.Responses == 2 })
+	if st.Fills.Started != 1 || st.FileMaps != 1 {
+		t.Fatalf("fills=%d maps=%d, want one fill from one mapping", st.Fills.Started, st.FileMaps)
+	}
+	if ev, resident := st.SharedChunks.Evictions, st.SharedChunks.BytesMapped-st.SharedChunks.BytesUnmapped; ev != 0 || resident != int64(len(want)) {
+		t.Fatalf("evictions=%d resident=%d before the flush, want 0 and the pinned chunk's %d bytes", ev, resident, len(want))
 	}
 	release()
 	br := bufio.NewReader(conn)
@@ -266,6 +260,9 @@ func TestParkedMappingZapUnderCorkedResponse(t *testing.T) {
 			t.Fatalf("response %d: %v err=%v", i, resp, err)
 		}
 	}
+	waitStats(t, s, "the chunk to leave with its last pin", func(st Stats) bool {
+		return st.SharedChunks.Evictions == 1 && st.SharedChunks.BytesMapped == st.SharedChunks.BytesUnmapped
+	})
 }
 
 // rssFile reads RssFile — resident file-backed pages, which is where
@@ -292,8 +289,8 @@ func rssFile(t *testing.T) int64 {
 // TestParkedMappingResidentSizeBounded is the test that fails if the
 // zap is lost: four chunk budgets of distinct files stream through a
 // 4 MiB-budget server, every mapping stays parked, and the process's
-// resident file pages grow by no more than the budget (plus the L1, one
-// file in flight, and slack for the test binary's own text).
+// resident file pages grow by no more than the budget (plus one file in
+// flight, and slack for the test binary's own text).
 func TestParkedMappingResidentSizeBounded(t *testing.T) {
 	const (
 		budget   = 4 << 20
@@ -336,7 +333,7 @@ func TestParkedMappingResidentSizeBounded(t *testing.T) {
 	if st.FileMaps != files || st.FileUnmaps != 0 {
 		t.Fatalf("maps=%d unmaps=%d, want all %d files mapped and parked", st.FileMaps, st.FileUnmaps, files)
 	}
-	const allowed = budget/2 + 2<<20 // the budget was full already: L1 (budget/8), a file in flight, text pages
+	const allowed = budget/2 + 2<<20 // the budget was full already: a file in flight, text pages
 	if grew > allowed {
 		t.Fatalf("RssFile grew by %d KiB while %d KiB streamed through a full %d KiB budget, want at most %d KiB",
 			grew>>10, 3*budget>>10, budget>>10, allowed>>10)

@@ -71,10 +71,11 @@ type Stats struct {
 	MapFallbacks uint64
 	PathCache    cache.Stats
 	HeaderCache  cache.Stats
-	// MapCache is the chunk-cache view: in a per-shard snapshot it is
-	// that shard's loop-private L1 replica tier; in the server-wide
-	// Stats it additionally folds in the shared segment tier, so it
-	// keeps meaning "the chunk cache" as it did in v1.
+	// MapCache counts chunk lookups: in a per-shard snapshot, every
+	// lookup that shard's loop made, as a hit or a miss; in the
+	// server-wide Stats it additionally folds in the shared segment
+	// tier's counters, so MapCache minus SharedChunks is the server's
+	// lookup count.
 	MapCache cache.MapCacheStats
 	// SharedChunks is the shared segment tier alone (chunk bytes held
 	// once for all shards); server-wide Stats only.
@@ -155,14 +156,14 @@ func (s Stats) Add(o Stats) Stats {
 }
 
 // Server is a sharded AMPED-architecture web server: Config.EventLoops
-// independent event-loop goroutines (shards), each owning a private set
-// of caches and a private helper pool, fed by acceptors that distribute
-// connections round-robin. Within a shard the paper's zero-lock
-// invariant holds exactly as in the single-process design. Create with
-// New, start with Serve or ListenAndServe, stop with Close or Shutdown.
+// independent event-loop goroutines (shards), each owning private
+// pathname and header caches and a private helper pool, beside one
+// chunk tier shared behind short per-segment locks, fed by acceptors
+// that distribute connections round-robin. Create with New, start with
+// Serve or ListenAndServe, stop with Close or Shutdown.
 type Server struct {
 	cfg    Config
-	store  cache.Store // the unified cache layer; shards hold Views of it
+	store  *cache.ShardedStore // the unified cache layer; shards hold Views of it
 	shards []*shard
 	// mapStats counts the mmap/munmap calls of every FileRef this server
 	// creates (Stats.FileMaps, Stats.FileUnmaps).
@@ -225,11 +226,11 @@ type shard struct {
 	id  int
 	cfg *Config // read-only after New
 
-	// view is this loop's facade over the server's cache.Store: the
-	// loop-private caches (paths, headers, L1 chunk replicas) plus the
-	// shared chunk tier behind them. Only this loop may call it.
+	// view is this loop's facade over the server's store: the
+	// loop-private caches (paths, headers) plus the shared chunk tier.
+	// Only this loop may call it.
 	view  cache.View
-	store cache.Store // the store's shared geometry and tiers
+	store *cache.ShardedStore // the store's shared geometry and tiers
 
 	// Event-loop-owned state (never touched by other goroutines).
 	stats    Stats
@@ -314,16 +315,15 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Loop-private path/header caches and L1 chunk replicas per shard,
-	// over one shared chunk tier whose byte budget is configured once —
-	// NOT divided by EventLoops.
+	// Loop-private path/header caches per shard, beside one shared
+	// chunk tier whose byte budget is configured once — NOT divided by
+	// EventLoops.
 	store := cache.NewShardedStore(cache.StoreOptions{
 		Shards:        cfg.EventLoops,
 		PathEntries:   cfg.Cache.PathEntries,
 		HeaderEntries: cfg.Cache.HeaderEntries,
 		MapBytes:      cfg.Cache.MapBytes,
 		ChunkBytes:    cfg.Cache.ChunkBytes,
-		L1Bytes:       cfg.Cache.L1Bytes,
 		OnPathEvict: func(_ string, e cache.PathEntry) {
 			// Drop the cache's descriptor reference; helpers or
 			// writers still reading through it hold their own, so
@@ -345,9 +345,6 @@ func New(cfg Config) (*Server, error) {
 		"Retry-After: " + strconv.Itoa(cfg.RetryAfter) + "\r\n" +
 		"Content-Length: 0\r\n" +
 		"Connection: close\r\n\r\n")
-	if f, err := os.Open(os.DevNull); err == nil {
-		s.reserve = f // spare fd for EMFILE recovery; nil is tolerated
-	}
 	if len(cfg.Upstream) > 0 {
 		pool, err := upstream.New(upstream.Config{Backends: cfg.Upstream})
 		if err != nil {
@@ -360,11 +357,11 @@ func New(cfg Config) (*Server, error) {
 	for i := 0; i < cfg.EventLoops; i++ {
 		sh, err := newShard(s, i)
 		if err != nil {
+			// Stop the shards already running the way Close does: their
+			// mailboxes are never closed.
 			for _, prev := range s.shards {
 				prev.helpers.stop()
-				close(prev.msgs)
-				<-prev.loopDone
-				close(prev.clockStop)
+				prev.stopLoop()
 			}
 			if s.ownedPool != nil {
 				s.ownedPool.Close()
@@ -373,6 +370,9 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.shards = append(s.shards, sh)
+	}
+	if f, err := os.Open(os.DevNull); err == nil {
+		s.reserve = f // spare fd for EMFILE recovery; nil is tolerated
 	}
 	return s, nil
 }
@@ -556,17 +556,16 @@ func (s *shard) snapshot() Stats {
 		ls := s.view.LocalStats()
 		out.PathCache = ls.Paths
 		out.HeaderCache = ls.Headers
-		out.MapCache = ls.Chunks
+		out.MapCache = cache.MapCacheStats{Stats: ls.Chunks}
 	})
 	return out
 }
 
 // Stats returns the server-wide counters: the sum of every shard's
 // snapshot, the shared chunk tier and fill counters from the store,
-// plus the active connection count. MapCache aggregates both chunk
-// tiers (per-shard L1s plus the shared segments) — the v1 meaning of
-// "the chunk cache" — while SharedChunks reports the shared tier
-// alone.
+// plus the active connection count. MapCache adds the shared tier's
+// counters to the shards' lookup counts, while SharedChunks reports
+// the shared tier alone.
 func (s *Server) Stats() Stats {
 	var out Stats
 	for _, sh := range s.shards {

@@ -154,7 +154,7 @@ func TestMergedStatsEqualSumOfShardStats(t *testing.T) {
 	sum.Active = merged.Active
 	// The shared chunk tier and fill counters are store-wide state the
 	// same way: merged folds the shared tier into MapCache on top of
-	// the per-shard L1s.
+	// the per-shard lookup counts.
 	sum.MapCache = sum.MapCache.Add(merged.SharedChunks)
 	sum.SharedChunks = merged.SharedChunks
 	sum.Fills = merged.Fills

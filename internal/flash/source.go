@@ -88,7 +88,7 @@ func (f *fixedSource) abort(*shard, *conn) {}
 // completes. The epoll engine, which transmits one chunk window per
 // item, is handed runs of one.
 //
-// A warm walk stays on the loop-private L1; a cold one subscribes to
+// A warm walk pins its chunks in their owner segments; a cold one subscribes to
 // the single-flight fill for the file (coalescing concurrent misses
 // into one disk pass) and streams chunks as the fill publishes them —
 // parked on a chunk that has not landed yet, the source resumes via a

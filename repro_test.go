@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestFacadeEndToEnd exercises the re-exported public API exactly as
@@ -57,7 +58,13 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("dynamic: %q", body)
 	}
 
+	// The loop counts a response once its write has completed, so a
+	// client already holding the bytes can still read the old count.
 	st := srv.Stats()
+	for deadline := time.Now().Add(5 * time.Second); st.Responses < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		st = srv.Stats()
+	}
 	if st.Responses < 2 || st.DynamicCalls != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
