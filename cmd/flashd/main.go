@@ -19,7 +19,8 @@
 // The overload knobs mirror flash.Config's admission-control layer:
 // -max-conns and -max-conns-per-ip reject excess connections with a
 // 503 + Retry-After, -shed-queue sheds new cache-miss work once the
-// helper queue passes that depth (warm hits keep serving), and
+// helper queue passes that depth (default four jobs per helper; warm
+// hits keep serving), and
 // -stale-if-error lets the proxy tier answer origin failures from
 // expired cache entries for that long past expiry. The /server-status
 // "overload" line reports the reject/shed/reap counters.
@@ -100,7 +101,7 @@ func main() {
 			"request body cap in bytes (larger bodies draw 413; 0 removes the cap)")
 		maxConns     = flag.Int("max-conns", 0, "admission cap on concurrent connections (0 = unlimited); excess conns get 503 + Retry-After")
 		maxConnsIP   = flag.Int("max-conns-per-ip", 0, "per-client-IP connection cap (0 = unlimited)")
-		shedQueue    = flag.Int("shed-queue", 0, "helper-queue depth watermark above which new cache-miss work sheds with 503 (0 = never shed)")
+		shedQueue    = flag.Int("shed-queue", 0, "helper-queue depth watermark above which new cache-miss work sheds with 503 (0 = 4 × -helpers, negative = never shed)")
 		retryAfter   = flag.Int("retry-after", 0, "Retry-After seconds advertised on overload 503s (0 = default 1)")
 		staleIfError = flag.Duration("stale-if-error", 0, "serve expired proxy entries this long past expiry when the origin fails (0 = only explicit origin stale-if-error directives; negative disables)")
 		demo         = flag.Bool("demo", false, "mount the /echo, /upload and /gen dynamic demo handlers")

@@ -15,8 +15,8 @@
 // bytes in view, and a mapping is never unmapped while any response,
 // fill subscriber, or writev gather references its bytes. A producer
 // that cannot map — a platform without mmap, a filesystem that
-// refuses, a reverse-proxy refill with no file at all — reads into a
-// heap buffer and inserts that instead; the tiers do not tell the two
+// refuses, a reverse-proxy origin body with no file at all — reads into
+// a heap buffer and inserts that instead; the tiers do not tell the two
 // apart.
 //
 // Descriptor and mapping share one lifetime, the FileRef's: both live
@@ -81,6 +81,19 @@
 // never relabelled, at insert, so bytes from two generations of a file
 // never meet in one response.
 //
+// # One record per proxied key
+//
+// A reverse-proxied key's owner segment keeps its entry (Entry) beside
+// its fill: one record under one lock, read by every view. A request
+// with no fresh entry joins the fill (JoinEntry), registered before its
+// size is known; the origin exchange announces the entry under the lock
+// (Fill.Announce) — storing it before the fill can retire, and retiring
+// another generation's chunks — wakes the requests parked on it
+// (Fill.Entry), then publishes chunks or finishes with none. A walk
+// meeting the fill before its announce waits as for another
+// generation's; a walk of a generation the entry no longer holds starts
+// no fill; invalidation drops the entry only while it is that one.
+//
 // The same data structures serve both the real Flash server (where
 // chunks hold file bytes) and the simulated architectures (where
 // chunks hold only sizes), so the Figure 11 optimization-breakdown
@@ -88,6 +101,6 @@
 //
 // The underlying caches are not safe for concurrent use — in the AMPED
 // design each View belongs to a single event-loop goroutine (§4.2).
-// Only the shared tier, reached by chunk operations and fills,
-// synchronizes (one short mutex hold per segment touch).
+// Only the shared tier, reached by chunk operations, fills and proxied
+// keys' entries, synchronizes (one short mutex hold per segment touch).
 package cache

@@ -34,69 +34,64 @@ type fillWaiter struct {
 // blocked goroutine, so the first byte goes out before the last byte
 // is read.
 //
+// A proxied key's fill is registered before its size is known; its
+// producer announces the key's entry first (Announce).
+//
 // The fill pins every chunk it publishes until it finishes, so
 // eviction pressure can never drop a chunk between publish and the
 // subscribers' reads. All state is guarded by the owner segment's
-// lock; ChunkAt/Publish/Fail are safe from any goroutine.
+// lock; every method but the identity getters is safe from any
+// goroutine.
 type Fill struct {
-	seg       *segment
-	path      string
+	seg  *segment
+	path string
+
+	// Guarded by seg.mu; the identity is only written under it (size is
+	// -1 until a proxied fill announces), so its producer reads it bare.
 	size      int64
 	modTime   int64
-	chunkSize int64
 	numChunks int
-
-	// Guarded by seg.mu.
-	state   fillState
-	err     error
-	doomed  bool // set by InvalidateFile: next Publish fails ErrFillStale
-	pins    []*Chunk
+	entry     *PathEntry // what Announce stored
+	state     fillState
+	err       error
+	doomed    bool // set by InvalidateFile: next Publish fails ErrFillStale
+	pins      []*Chunk
+	// waiters park on a chunk index, or on the announce (index -1).
 	waiters []fillWaiter
 }
 
-func newFill(seg *segment, path string, size, modTime, chunkSize int64) *Fill {
-	n := 1
-	if size > 0 {
-		n = int((size + chunkSize - 1) / chunkSize)
-	}
-	return &Fill{
-		seg:       seg,
-		path:      path,
-		size:      size,
-		modTime:   modTime,
-		chunkSize: chunkSize,
-		numChunks: n,
-	}
+func newFill(seg *segment, path string, size, modTime int64) *Fill {
+	return &Fill{seg: seg, path: path, size: size, modTime: modTime, numChunks: seg.store.NumChunks(size)}
 }
 
 // Path returns the (translated) path being filled.
 func (f *Fill) Path() string { return f.path }
 
-// Size and ModTime return the file identity the fill was started
-// under; the producer re-verifies it before every read.
+// Size and ModTime return the file identity the fill loads; the
+// producer re-verifies it before every publish. They, NumChunks and
+// ChunkRange are for the producer and for a file's fill, whose identity
+// is fixed from the start; anyone else asks Identity.
 func (f *Fill) Size() int64    { return f.size }
 func (f *Fill) ModTime() int64 { return f.modTime }
 
 // NumChunks returns how many chunks the fill will publish.
 func (f *Fill) NumChunks() int { return f.numChunks }
 
-// ChunkRange returns the byte range [off, off+n) of chunk index.
-func (f *Fill) ChunkRange(index int) (off, n int64) {
-	off = int64(index) * f.chunkSize
-	if off >= f.size {
-		return off, 0
-	}
-	n = f.chunkSize
-	if off+n > f.size {
-		n = f.size - off
-	}
-	return off, n
+// Identity returns Size, ModTime and NumChunks under the segment lock.
+func (f *Fill) Identity() (size, modTime int64, chunks int) {
+	f.seg.mu.Lock()
+	defer f.seg.mu.Unlock()
+	return f.size, f.modTime, f.numChunks
 }
+
+// ChunkRange returns the byte range [off, off+n) of chunk index.
+func (f *Fill) ChunkRange(index int) (off, n int64) { return f.seg.store.ChunkRange(f.size, index) }
 
 // ChunkAt returns the published chunk at index, pinned for the caller
 // (release through the View). pending=true means the chunk has not
 // published yet: notify will be invoked exactly once — when the chunk
-// publishes, or when the fill ends without it — and the caller calls
+// publishes, or when the fill ends without it; before a proxied fill
+// has announced its entry, when it announces — and the caller calls
 // ChunkAt again. A publish runs notify on the producer's goroutine
 // while the fill still pins the chunk — the final publish too, whose
 // fill is already done by then — so a ChunkAt made inside notify takes
@@ -118,9 +113,77 @@ func (f *Fill) ChunkAt(index int, notify func()) (c *Chunk, pending bool, err er
 	case f.state == fillDone:
 		return nil, false, nil
 	default:
+		if f.size < 0 {
+			index = -1
+		}
 		f.waiters = append(f.waiters, fillWaiter{index: index, notify: notify})
 		return nil, true, nil
 	}
+}
+
+// Entry returns the entry a proxied fill announced. pending=true means
+// it has not yet: notify will be invoked once, at the announce or the
+// failure, and the caller calls Entry again. A non-nil err means the
+// fill failed first (ErrFillStale: it ended without an entry).
+func (f *Fill) Entry(notify func()) (pe PathEntry, pending bool, err error) {
+	f.seg.mu.Lock()
+	defer f.seg.mu.Unlock()
+	switch {
+	case f.entry != nil:
+		return *f.entry, false, nil
+	case f.state == fillFailed:
+		return PathEntry{}, false, f.err
+	case f.state == fillDone:
+		return PathEntry{}, false, ErrFillStale
+	default:
+		f.waiters = append(f.waiters, fillWaiter{index: -1, notify: notify})
+		return PathEntry{}, true, nil
+	}
+}
+
+// Prior returns the key's entry, which the announce will replace: what
+// a revalidation sends validators for and stale-if-error serves.
+func (f *Fill) Prior() (PathEntry, bool) {
+	f.seg.mu.Lock()
+	defer f.seg.mu.Unlock()
+	return f.seg.entries.peek(f.path)
+}
+
+// Announce stores pe as the key's entry — retiring the chunks of the
+// one it replaces, if another generation — and wakes the subscribers
+// waiting for it. A fill without an identity takes pe's; one a walk
+// registered with an identity fails ErrFillStale instead if pe's
+// differs. body=false finishes the fill with no chunks, under the same
+// lock hold. It reports whether the entry was stored.
+func (f *Fill) Announce(pe PathEntry, body bool) bool {
+	seg := f.seg
+	var wake []func()
+	ok := false
+	seg.mu.Lock()
+	switch {
+	case f.state != fillPending:
+	case f.doomed || f.size >= 0 && (f.size != pe.Size || f.modTime != pe.ModTime):
+		wake = f.failLocked(ErrFillStale)
+	default:
+		ok = true
+		if f.size < 0 {
+			f.size, f.modTime, f.numChunks = pe.Size, pe.ModTime, seg.store.NumChunks(pe.Size)
+		}
+		if old, had := seg.entries.peek(f.path); had && (old.Size != pe.Size || old.ModTime != pe.ModTime) {
+			seg.chunks.InvalidateFile(f.path, old.ModTime, seg.store.NumChunks(old.Size))
+		}
+		f.entry = &pe
+		seg.entries.put(f.path, pe)
+		wake = f.takeWaitersLocked(-1)
+		if !body {
+			wake = append(wake, f.finishLocked()...)
+		}
+	}
+	seg.mu.Unlock()
+	for _, fn := range wake {
+		fn()
+	}
+	return ok
 }
 
 // Publish appends the next chunk's bytes (chunks land strictly in

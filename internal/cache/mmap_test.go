@@ -82,7 +82,7 @@ func TestMmapChunkLifecycleRefcounts(t *testing.T) {
 
 	// Invalidation drops the segment chunk: its hold goes, only the
 	// observer's remains — and the pages stay mapped until it releases.
-	v.InvalidateFile("/f", 7, st.NumChunks(int64(len(content))))
+	v.InvalidateFile("/f", int64(len(content)), 7)
 	if got := hold.Refs(); got != 1 {
 		t.Fatalf("refs after invalidate = %d, want 1 (observer only)", got)
 	}
@@ -161,7 +161,7 @@ func TestFillPublishMappedConsumesRef(t *testing.T) {
 
 	// Invalidate mid-fill: the next publish must fail the fill and
 	// release the incoming mapping rather than leaking it.
-	v.InvalidateFile("/f", 1, 2)
+	v.InvalidateFile("/f", 2048, 1)
 	mr2, _ := MapChunk(f, 1024, 1024)
 	hold2 := mr2.Acquire()
 	if fill.PublishMapped(mr2) {
@@ -320,7 +320,7 @@ func TestParkedMappingLifetime(t *testing.T) {
 		t.Fatal("pinned chunk unreadable after its FileRef died")
 	}
 	v.Release(c)
-	v.InvalidateFile("/f", 1, st.NumChunks(int64(size)))
+	v.InvalidateFile("/f", int64(size), 1)
 	if got := stats.Unmaps.Load(); got != 1 {
 		t.Fatalf("unmaps after the last view went = %d, want 1", got)
 	}

@@ -19,7 +19,8 @@ type StoreOptions struct {
 	Shards int
 
 	// PathEntries and HeaderEntries bound the per-loop translation and
-	// header caches, as server-wide totals.
+	// header caches, as server-wide totals. PathEntries also bounds the
+	// proxied keys' entries, split across the segments.
 	PathEntries   int
 	HeaderEntries int
 
@@ -42,12 +43,12 @@ type StoreOptions struct {
 // per-event-loop Views owning the loop-private path and header caches,
 // over a shared chunk tier of hash-partitioned, mutex-guarded segments
 // with single-flight fills. Each chunk has one index entry, in the
-// segment keyed by hash(path), and every view's lookups go there. A
-// chunk's bytes are either a view over a refcounted mapping (a Slice of
-// FileRef.Map, then Fill.PublishMapped — what disk helpers produce) or
-// a heap buffer (Fill.Publish — proxy refills, and the helpers' read
-// fallback where a file cannot be mapped); the segments treat both
-// alike.
+// segment keyed by hash(path), and every view's lookups go there; so
+// does each proxied key's entry (View.Entry). A chunk's bytes are
+// either a view over a refcounted mapping (a Slice of FileRef.Map, then
+// Fill.PublishMapped — what disk helpers produce) or a heap buffer
+// (Fill.Publish — origin bodies, and the helpers' read fallback where a
+// file cannot be mapped); the segments treat both alike.
 //
 // Concurrency contract: methods on ShardedStore itself are safe from
 // any goroutine. A View is owned by exactly one event loop — its
@@ -66,14 +67,16 @@ type ShardedStore struct {
 }
 
 // segment is one partition of the shared chunk tier: a mutex-guarded
-// MapCache plus the in-flight fills for paths hashing here.
+// MapCache plus the in-flight fills and proxied keys' entries for paths
+// hashing here.
 type segment struct {
 	store *ShardedStore
 	tag   int32 // Chunk.home value for this segment (index+1)
 
-	mu     sync.Mutex
-	chunks *MapCache
-	fills  map[string]*Fill
+	mu      sync.Mutex
+	chunks  *MapCache
+	fills   map[string]*Fill
+	entries *lru[string, PathEntry]
 }
 
 // insert records a chunk in the segment (seg.mu held) and returns it
@@ -113,10 +116,11 @@ func NewShardedStore(o StoreOptions) *ShardedStore {
 	st := &ShardedStore{chunkSize: o.ChunkBytes}
 	for i := 0; i < o.Segments; i++ {
 		st.segments = append(st.segments, &segment{
-			store:  st,
-			tag:    int32(i) + 1,
-			chunks: NewMapCache(max64(o.MapBytes/int64(o.Segments), 1), o.ChunkBytes),
-			fills:  make(map[string]*Fill),
+			store:   st,
+			tag:     int32(i) + 1,
+			chunks:  NewMapCache(max64(o.MapBytes/int64(o.Segments), 1), o.ChunkBytes),
+			fills:   make(map[string]*Fill),
+			entries: newLRU[string, PathEntry](maxInt(o.PathEntries/o.Segments, 1), nil),
 		})
 	}
 	for i := 0; i < o.Shards; i++ {
@@ -204,6 +208,7 @@ func (st *ShardedStore) SharedStats() SharedStats {
 	for _, seg := range st.segments {
 		seg.mu.Lock()
 		out.Chunks = out.Chunks.Add(seg.chunks.Stats())
+		out.Entries = out.Entries.Add(seg.entries.stats)
 		out.UsedBytes += seg.chunks.Used()
 		out.ActiveFills += len(seg.fills)
 		seg.mu.Unlock()
@@ -290,13 +295,16 @@ func (v *storeView) Release(c *Chunk) {
 }
 
 // InvalidateFile drops the chunks of path recorded under modTime from
-// the owner segment, and dooms the in-flight fill if it is loading
-// that generation.
-func (v *storeView) InvalidateFile(path string, modTime int64, maxChunks int) {
+// the owner segment, and the key's entry if it is that generation, and
+// dooms the in-flight fill if it is loading that generation.
+func (v *storeView) InvalidateFile(path string, size, modTime int64) {
 	seg := v.store.segmentFor(path)
 	seg.mu.Lock()
-	seg.chunks.InvalidateFile(path, modTime, maxChunks)
-	if f := seg.fills[path]; f != nil && f.modTime == modTime {
+	seg.chunks.InvalidateFile(path, modTime, v.store.NumChunks(size))
+	if pe, ok := seg.entries.peek(path); ok && pe.Size == size && pe.ModTime == modTime {
+		seg.entries.remove(path)
+	}
+	if f := seg.fills[path]; f != nil && f.size >= 0 && f.modTime == modTime {
 		f.doomed = true
 	}
 	seg.mu.Unlock()
@@ -315,19 +323,25 @@ func (v *storeView) JoinFill(path string, size, modTime int64) (*Fill, bool) {
 // no fill is in flight and key is resident under modTime — a fill
 // published it and retired since the lookup — no fill starts, and a
 // finished one is returned, whose ChunkAt sends the caller back to the
-// cache.
+// cache. Nor for a proxied key whose entry is another generation: the
+// fill returned has failed with ErrFillStale.
 func (v *storeView) JoinFillAt(key ChunkKey, size, modTime int64) (*Fill, bool) {
 	path := key.Path
 	seg := v.store.segmentFor(path)
 	seg.mu.Lock()
 	if f := seg.fills[path]; f != nil {
-		seg.mu.Unlock()
 		if f.size == size && f.modTime == modTime {
 			v.store.fillsJoined.Add(1)
 		}
+		seg.mu.Unlock()
 		return f, false
 	}
-	f := newFill(seg, path, size, modTime, v.store.chunkSize)
+	f := newFill(seg, path, size, modTime)
+	if pe, ok := seg.entries.peek(path); ok && (pe.Size != size || pe.ModTime != modTime) {
+		f.state, f.err = fillFailed, ErrFillStale
+		seg.mu.Unlock()
+		return f, false
+	}
 	if c := seg.chunks.chunks[key]; c != nil && c.ModTime == modTime {
 		f.state = fillDone
 		seg.mu.Unlock()
@@ -337,6 +351,33 @@ func (v *storeView) JoinFillAt(key ChunkKey, size, modTime int64) (*Fill, bool) 
 	seg.mu.Unlock()
 	v.store.fillsStarted.Add(1)
 	return f, true
+}
+
+// Entry returns a proxied key's entry from its owner segment.
+func (v *storeView) Entry(key string) (PathEntry, bool) {
+	seg := v.store.segmentFor(key)
+	seg.mu.Lock()
+	defer seg.mu.Unlock()
+	return seg.entries.get(key)
+}
+
+// JoinEntry returns key's entry when it is fresh at now; otherwise the
+// key's fill, registering one without an identity (started=true) when
+// none is in flight.
+func (v *storeView) JoinEntry(key string, now int64) (PathEntry, *Fill, bool) {
+	seg := v.store.segmentFor(key)
+	seg.mu.Lock()
+	defer seg.mu.Unlock()
+	if pe, ok := seg.entries.peek(key); ok && pe.Expires > now {
+		return pe, nil, false
+	}
+	if f := seg.fills[key]; f != nil {
+		return PathEntry{}, f, false
+	}
+	f := newFill(seg, key, -1, 0)
+	seg.fills[key] = f
+	v.store.fillsStarted.Add(1)
+	return PathEntry{}, f, true
 }
 
 // LocalStats snapshots the loop-private counters (owner loop only).

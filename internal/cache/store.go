@@ -32,13 +32,14 @@ type View interface {
 	Lookup(key ChunkKey, modTime int64) *Chunk
 	Insert(key ChunkKey, data []byte, size, modTime int64) *Chunk
 	Release(c *Chunk)
-	// InvalidateFile retires one generation of path: it drops the
-	// chunks recorded under modTime from the owner segment, and dooms
-	// the in-flight fill if it is loading that generation (its next
-	// publish fails with ErrFillStale). Chunks and a fill of any other
-	// generation survive, so a late invalidation by a reader of the
-	// stale generation cannot undo the replacement already loading.
-	InvalidateFile(path string, modTime int64, maxChunks int)
+	// InvalidateFile retires one generation (size, modTime) of path: it
+	// drops the chunks recorded under modTime from the owner segment and
+	// a proxied key's entry of that generation, and dooms the in-flight
+	// fill if it is loading that generation (its next publish fails with
+	// ErrFillStale). Chunks, an entry and a fill of any other generation
+	// survive, so a late invalidation by a reader of the stale
+	// generation cannot undo the replacement already loading.
+	InvalidateFile(path string, size, modTime int64)
 
 	// JoinFill coalesces a cold miss: it returns the in-flight fill
 	// for path, registering this caller as one more subscriber, or
@@ -53,8 +54,16 @@ type View interface {
 	// When no fill is in flight and key is resident under modTime after
 	// all — a fill published it and retired since the lookup — no fill
 	// starts: the one returned is over, and its ChunkAt sends the
-	// caller back to the cache.
+	// caller back to the cache. Nor does a proxied key whose entry is
+	// another generation by now: the fill returned failed ErrFillStale.
 	JoinFillAt(key ChunkKey, size, modTime int64) (f *Fill, started bool)
+
+	// A proxied key's record, in its owner segment: Entry returns its
+	// last announced entry. JoinEntry returns it if fresh at now (Expires
+	// > now), else the key's fill, registering one with no identity
+	// (started=true: the caller arranges the producer, which announces).
+	Entry(key string) (PathEntry, bool)
+	JoinEntry(key string, now int64) (pe PathEntry, f *Fill, started bool)
 
 	// LocalStats snapshots this view's loop-private counters.
 	LocalStats() ViewStats
@@ -76,6 +85,8 @@ type SharedStats struct {
 	Chunks MapCacheStats
 	// UsedBytes is the segment tier's current resident size.
 	UsedBytes int64
+	// Entries counts every view's lookups of proxied keys' entries.
+	Entries Stats
 	// ActiveFills counts fills currently in flight.
 	ActiveFills int
 	Fills       FillStats
@@ -83,7 +94,8 @@ type SharedStats struct {
 
 // FillStats count the single-flight fill lifecycle across the store.
 type FillStats struct {
-	// Started counts fills created (each is at most one disk pass).
+	// Started counts fills created (each is at most one disk pass, or
+	// one origin exchange of a proxied key).
 	Started uint64
 	// Joined counts requests that coalesced onto an existing fill of
 	// their own generation instead of starting one.

@@ -213,7 +213,7 @@ func TestFillPublishWakeFinish(t *testing.T) {
 		t.Fatalf("ChunkAt of the finished fill = %v, %v, %v; want all-zero", c, pending, err)
 	}
 	// Once the chunk is gone, the next cold pass starts fresh.
-	v.InvalidateFile("/f", mod, 3)
+	v.InvalidateFile("/f", size, mod)
 	if _, started := v.JoinFillAt(ChunkKey{Path: "/f", Index: 1}, size, mod); !started {
 		t.Fatal("JoinFillAt after the chunks went did not start a fill")
 	}
@@ -259,7 +259,7 @@ func TestFillDoomedByInvalidate(t *testing.T) {
 	v := st.View(0)
 	f, _ := v.JoinFill("/f", 2*1024, 1)
 	f.Publish(chunkData('a', 1024))
-	v.InvalidateFile("/f", 1, 2)
+	v.InvalidateFile("/f", 2*1024, 1)
 	if f.Publish(chunkData('b', 1024)) {
 		t.Fatal("doomed fill accepted a publish")
 	}
@@ -280,14 +280,14 @@ func TestInvalidateFileSparesOtherGenerations(t *testing.T) {
 	v := st.View(0)
 	key := ChunkKey{Path: "/f", Index: 0}
 	v.Release(v.Insert(key, chunkData('o', 1024), 1024, 1)) // generation 1, cached
-	v.InvalidateFile("/f", 1, 2)
+	v.InvalidateFile("/f", 2*1024, 1)
 	f, started := v.JoinFill("/f", 2*1024, 2) // generation 2 starts loading
 	if !started {
 		t.Fatal("JoinFill did not start")
 	}
 	f.Publish(chunkData('n', 1024))
 
-	v.InvalidateFile("/f", 1, 2) // the stale generation's second waiter
+	v.InvalidateFile("/f", 2*1024, 1) // the stale generation's second waiter
 
 	f.Publish(chunkData('n', 1024)) // the final chunk: a doomed fill would fail here
 	if _, _, err := f.ChunkAt(1, nil); err != nil {
@@ -420,4 +420,73 @@ func TestFillConcurrentReaders(t *testing.T) {
 		f.Publish(chunkData(byte(i), 1024))
 	}
 	wg.Wait()
+}
+
+// A proxied key's record: a fill registered with no identity takes the
+// one its announce carries, and both a request waiting for the entry
+// and a walk that met the fill first are woken by the announce; the
+// entry is then read by every view, answers a fresh JoinEntry without a
+// fill, and is replaced by another generation's announce, which retires
+// the old chunks. A walk of the replaced generation starts no fill, and
+// only an invalidation of the entry's own generation drops it.
+func TestEntryRecord(t *testing.T) {
+	st := testStore(2, 1<<20)
+	v0, v1 := st.View(0), st.View(1)
+	_, f, started := v0.JoinEntry("/k", 10)
+	if f == nil || !started {
+		t.Fatalf("JoinEntry of a cold key = %v, %v; want a new fill", f, started)
+	}
+	if _, f2, started := v1.JoinEntry("/k", 10); f2 != f || started {
+		t.Fatal("a second JoinEntry did not join the fill in flight")
+	}
+	woken := make(chan struct{}, 2)
+	if _, pending, _ := f.Entry(func() { woken <- struct{}{} }); !pending {
+		t.Fatal("Entry before the announce not pending")
+	}
+	if _, pending, _ := f.ChunkAt(0, func() { woken <- struct{}{} }); !pending {
+		t.Fatal("ChunkAt before the announce not pending")
+	}
+	if !f.Announce(PathEntry{Translated: "/k", Size: 2048, ModTime: 7, Expires: 100}, true) {
+		t.Fatal("Announce refused")
+	}
+	<-woken
+	<-woken
+	if pe, _, err := f.Entry(nil); err != nil || pe.ModTime != 7 {
+		t.Fatalf("Entry after the announce = %+v, %v", pe, err)
+	}
+	if size, mod, n := f.Identity(); size != 2048 || mod != 7 || n != 2 {
+		t.Fatalf("Identity = %d, %d, %d; want the announced 2048, 7, 2", size, mod, n)
+	}
+	f.Publish(chunkData('a', 1024))
+	f.Publish(chunkData('b', 1024))
+	if pe, ok := v1.Entry("/k"); !ok || pe.ModTime != 7 {
+		t.Fatal("the other view does not read the announced entry")
+	}
+	if pe, f2, _ := v1.JoinEntry("/k", 50); f2 != nil || pe.ModTime != 7 {
+		t.Fatal("a fresh entry did not answer JoinEntry without a fill")
+	}
+
+	_, f, _ = v1.JoinEntry("/k", 150) // expired: revalidate
+	if !f.Announce(PathEntry{Translated: "/k", Size: 1024, ModTime: 8, Expires: 300}, false) {
+		t.Fatal("Announce of generation 8 refused")
+	}
+	if c := v0.Lookup(ChunkKey{Path: "/k", Index: 0}, 7); c != nil {
+		t.Fatal("generation 7's chunk survived generation 8's announce")
+	}
+	if f2, started := v0.JoinFillAt(ChunkKey{Path: "/k", Index: 1}, 2048, 7); started {
+		t.Fatal("a walk of the replaced generation started a fill")
+	} else if _, _, err := f2.ChunkAt(1, nil); err != ErrFillStale {
+		t.Fatalf("the replaced generation's fill: err = %v, want ErrFillStale", err)
+	}
+	v0.InvalidateFile("/k", 2048, 7)
+	if _, ok := v1.Entry("/k"); !ok {
+		t.Fatal("generation 7's invalidation dropped generation 8's entry")
+	}
+	v0.InvalidateFile("/k", 1024, 8)
+	if _, ok := v1.Entry("/k"); ok {
+		t.Fatal("generation 8's invalidation left its entry")
+	}
+	if fs := st.SharedStats(); fs.ActiveFills != 0 || fs.Fills.Started != 2 || fs.Fills.Completed != 2 {
+		t.Fatalf("shared stats = %+v, want two completed fills", fs)
+	}
 }

@@ -392,6 +392,59 @@ func TestChaosSheddingUnderBacklog(t *testing.T) {
 	})
 }
 
+// TestChaosShedsByDefault: a Config that leaves ShedQueueDepth zero
+// still sheds, at four queued jobs per helper. One loop's eight helpers
+// are held in a disk read each; cold misses sent one at a time then
+// queue their stats until the queue is one past the default watermark,
+// and the next cold miss is a 503 + Retry-After.
+func TestChaosShedsByDefault(t *testing.T) {
+	held := make(chan struct{})
+	release := sync.OnceFunc(func() { close(held) })
+	var reading atomic.Int64
+	installDiskHook(t, func(string, int64) {
+		reading.Add(1)
+		<-held
+	})
+	s, base := newTestServer(t, func(c *Config) { c.EventLoops = 1 })
+	t.Cleanup(release) // before Close: a held helper would wedge it
+	helpers, watermark := s.cfg.NumHelpers, s.cfg.ShedQueueDepth
+	if watermark != 4*helpers {
+		t.Fatalf("default ShedQueueDepth = %d, want 4 × %d helpers", watermark, helpers)
+	}
+	get := func(i int) (*http.Response, error) {
+		c := &http.Client{}
+		defer c.CloseIdleConnections()
+		return c.Get(fmt.Sprintf("%s/backlog/f%d.txt", base, i))
+	}
+	var wg sync.WaitGroup
+	for i := 0; i <= helpers+watermark; i++ {
+		mustWrite(t, s.cfg.DocRoot, fmt.Sprintf("backlog/f%d.txt", i), "backlog\n")
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp, err := get(i); err == nil {
+				resp.Body.Close()
+			}
+		}()
+		if i < helpers {
+			waitFor(t, "a helper held in its fill", func() bool { return reading.Load() == int64(i+1) })
+		} else {
+			waitFor(t, "a queued stat", func() bool { return s.shards[0].helpers.depth() == i-helpers+1 })
+		}
+	}
+	resp, err := get(helpers + watermark + 1) // no such file: a miss all the same
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 503 || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("cold miss behind %d queued jobs: status %d, Retry-After %q; want a shed",
+			watermark+1, resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	release()
+	wg.Wait()
+}
+
 // TestChaosAcceptExhaustion injects EMFILE at accept time: the
 // acceptor burns its reserve descriptor to reset the pending
 // connection instead of spinning, counts the pressure, and keeps

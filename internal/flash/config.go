@@ -112,13 +112,14 @@
 //     Config.Upstream for the built-in mount) serves origin content
 //     through the same three caches, with internal/upstream's backend
 //     pool — keep-alive origin connections, circuit breakers, active
-//     probes, bounded retries — in place of the disk. Metadata fetches
-//     are single-flight per entry (one owner shard coalesces all
-//     shards' misses), cacheable bodies stream chunk-by-chunk into the
-//     shared tier while coalesced clients serve (the fill machinery,
-//     unchanged), stale entries revalidate with If-None-Match /
-//     If-Modified-Since, and responses the RFC 7234 freshness rules
-//     refuse relay pass-through on the dynamic pipeline.
+//     probes, bounded retries — in place of the disk. A proxied key's
+//     entry and single-flight fill are one record in its chunk segment,
+//     read and joined by every loop, so a key costs one origin exchange
+//     at a time: the fill announces the entry and streams a cacheable
+//     body into the shared tier while coalesced clients serve, stale
+//     entries revalidate with If-None-Match / If-Modified-Since, and
+//     responses the RFC 7234 freshness rules refuse relay pass-through
+//     on the dynamic pipeline.
 //
 // The three caches and the 32-byte response-header alignment are the
 // paper's §5 optimizations, always on, byte-for-byte the same data
@@ -252,8 +253,9 @@ type Config struct {
 	// immediate 503 + Retry-After instead of queueing (counted in
 	// Stats.ShedRequests), and stale-but-cached static entries are
 	// served without revalidation (Stats.ShedRevalidates). Warm cache
-	// hits are never shed. Zero disables shedding; the queue then
-	// grows without bound, as before.
+	// hits are never shed. Zero defaults to 4 × NumHelpers (four
+	// queued jobs per helper); negative disables shedding, and the queue
+	// then grows without bound.
 	ShedQueueDepth int
 
 	// RetryAfter is the hint, in seconds, sent on shed responses as
@@ -405,6 +407,9 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.NumHelpers == 0 {
 		cfg.NumHelpers = 8
+	}
+	if cfg.ShedQueueDepth == 0 {
+		cfg.ShedQueueDepth = 4 * cfg.NumHelpers
 	}
 	if cfg.ServerName == "" {
 		cfg.ServerName = httpmsg.DefaultServerName

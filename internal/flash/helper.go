@@ -22,13 +22,9 @@ const (
 	// through a single-flight cache.Fill — one sequential pass touching
 	// views of the file's mapping, as in the paper, publishing chunk
 	// after chunk no matter how many requests coalesced onto it. It is
-	// the only producer of file chunks. The job reports through the
-	// fill, not a done callback.
+	// the only producer of chunks; a proxied key's is the mount's origin
+	// exchange. The job reports through the fill, not a done callback.
 	jobFill
-	// jobProxy runs a reverse-proxy origin round trip (metadata fetch
-	// or body refill); the closure reports through its own loop posts
-	// and fills, like jobFill.
-	jobProxy
 )
 
 // fpDiskRead intercepts every chunk-sized disk load of a fill pass
@@ -60,8 +56,8 @@ type helperJob struct {
 	file *cache.FileRef
 	// fill is the jobFill target; results flow through it directly.
 	fill *cache.Fill
-	// fn is the jobProxy closure (an origin fetch).
-	fn func()
+	// origin is the mount that produces a proxied key's fill (jobFill).
+	origin *proxyHandler
 	// done is posted to the event loop with the result (nil for
 	// jobFill, whose subscribers are woken through the fill).
 	done func(helperResult)
@@ -95,8 +91,10 @@ type helperPool struct {
 	// other shards' loops; folded into Stats.HelperJobs at snapshot.
 	jobs atomic.Uint64
 	// mapFallbacks counts fill jobs that had to read because the file
-	// could not be mapped (Stats.MapFallbacks).
-	mapFallbacks atomic.Uint64
+	// could not be mapped (Stats.MapFallbacks); the proxy counters, the
+	// outcomes of this pool's origin exchanges.
+	mapFallbacks                             atomic.Uint64
+	proxyFills, proxyRevalidated, proxyStale atomic.Uint64
 
 	stopped bool
 	wg      sync.WaitGroup
@@ -171,10 +169,11 @@ func (p *helperPool) execute(job helperJob) helperResult {
 	case jobStat:
 		return statJob(job.fsPath, job.index, job.listings)
 	case jobFill:
-		p.fillJob(job)
-		return helperResult{}
-	case jobProxy:
-		job.fn()
+		if job.origin != nil {
+			job.origin.produce(p, job.fill)
+		} else {
+			p.fillJob(job)
+		}
 		return helperResult{}
 	default:
 		return helperResult{err: os.ErrInvalid, status: 500}

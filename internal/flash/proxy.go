@@ -2,9 +2,11 @@ package flash
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
@@ -13,32 +15,33 @@ import (
 )
 
 // The caching reverse-proxy tier: requests under a mounted prefix are
-// answered from the same three caches the static path uses — the
-// pathname cache holds origin metadata (validators, freshness), the
-// header cache the rendered response head, the chunk tier the body —
-// with the origin fetch taking the place of the disk. The AMPED
-// contract is unchanged: the event loop never blocks on the network;
-// origin round trips run as jobProxy closures on the owner shard's
-// helper pool, and a cacheable body streams chunk-by-chunk into a
-// cache.Fill so every coalesced client serves while the fill runs.
+// answered from the same caches the static path uses — the key's entry
+// holds origin metadata (validators, freshness), the header cache the
+// rendered response head, the chunk tier the body — with the origin
+// exchange taking the place of the disk. The AMPED contract is
+// unchanged: the event loop never blocks on the network.
 //
-// One shard owns each proxied entry (cache.OwnerShard over the cache
-// key), and ALL metadata fetches for that entry funnel through its
-// loop (ownerEnsure): N concurrent cold requests — across shards —
-// cost exactly one origin round trip. Responses the freshness rules
-// refuse to store (no-store, chunked, non-200) fall through to a
-// pass-through relay on the dynamic-handler pipeline.
+// Each proxied key has one record, in the chunk-tier segment that owns
+// its chunks: its entry and its single-flight cache.Fill, read and
+// joined there by every loop under the segment lock. A request that
+// finds no fresh entry joins the key's fill; the fill's producer — a
+// jobFill whose producer is the mount, not the disk — runs one origin
+// exchange, announces the entry it yields and streams the body into the
+// fill, so N concurrent cold requests on any loops cost one round trip
+// and serve while the body arrives. Responses the freshness rules
+// refuse to store (no-store, chunked, non-200) fail the fill with the
+// live response: one waiter relays it, the others relay their own.
 
-// proxyKeyScheme builds the pathname-cache key for a proxied target.
+// proxyKeyPrefix builds the cache-key prefix for a proxied target.
 // The NUL prefix keeps proxy entries disjoint from filesystem entries
 // (parsed request paths can never contain NUL), and the NUL separator
 // keeps distinct mounts disjoint from each other.
 func proxyKeyPrefix(prefix string) string { return "\x00proxy:" + prefix + "\x00" }
 
-// proxyHandler is one mounted upstream pool. It doubles as the
-// pathname-cache entry's File handle for proxied entries (so the chunk
-// walk can find its way back to the pool) and as the pass-through
-// Handler for requests the cache cannot serve.
+// proxyHandler is one mounted upstream pool. It doubles as the File
+// handle of proxied entries (so a chunk walk's fill finds its way back
+// to the pool) and as the pass-through Handler for requests the cache
+// cannot serve.
 type proxyHandler struct {
 	pool      *upstream.Pool
 	prefix    string
@@ -48,12 +51,6 @@ type proxyHandler struct {
 
 func (ph *proxyHandler) cacheKey(target string) string { return ph.keyPrefix + target }
 func (ph *proxyHandler) targetOf(key string) string    { return strings.TrimPrefix(key, ph.keyPrefix) }
-
-// proxyMount records one HandleProxy registration for ProxyStats.
-type proxyMount struct {
-	prefix string
-	pool   *upstream.Pool
-}
 
 // HandleProxy mounts pool as a caching reverse proxy under prefix
 // (longest prefix wins against other routes, exactly as for handlers).
@@ -68,7 +65,7 @@ func (s *Server) HandleProxy(prefix string, pool *upstream.Pool) {
 		host:      pool.Hostname(),
 	}
 	s.HandleRoute(Route{Prefix: prefix, Handler: ph})
-	s.proxyMounts = append(s.proxyMounts, proxyMount{prefix: prefix, pool: pool})
+	s.proxyMounts = append(s.proxyMounts, ph)
 }
 
 // ProxyPoolStats is one mounted pool's snapshot for status endpoints.
@@ -80,44 +77,43 @@ type ProxyPoolStats struct {
 // ProxyStats snapshots every mounted proxy pool's backend health.
 func (s *Server) ProxyStats() []ProxyPoolStats {
 	out := make([]ProxyPoolStats, 0, len(s.proxyMounts))
-	for _, m := range s.proxyMounts {
-		out = append(out, ProxyPoolStats{Prefix: m.prefix, Pool: m.pool.Stats()})
+	for _, ph := range s.proxyMounts {
+		out = append(out, ProxyPoolStats{Prefix: ph.prefix, Pool: ph.pool.Stats()})
 	}
 	return out
 }
 
 // --- loop-side request flow ---
 
-// proxyVerdict is the owner shard's answer to one metadata fetch.
-type proxyVerdict struct {
-	kind   int
-	pe     cache.PathEntry    // verdictEntry: the adopted (fresh) entry
-	status int                // verdictError: 502 or 504
-	resp   *upstream.Response // verdictStream: live origin body for one waiter
+// liveResponse fails a proxied key's fill whose origin response may
+// not be stored. The response can be relayed once: the first waiting
+// request to take it relays it (or abandons it, if its connection has
+// died), and every other relays a fetch of its own.
+type liveResponse struct {
+	resp  *upstream.Response
+	taken atomic.Bool
 }
 
-const (
-	verdictEntry = iota
-	verdictError
-	verdictStream  // uncacheable: first waiter adopts the live response
-	verdictRefetch // uncacheable: remaining waiters re-fetch pass-through
-)
+func (lr *liveResponse) Error() string { return "flash: origin response is not cacheable" }
 
-// proxyWaiter delivers a verdict back to one waiting request (it posts
-// to the waiter's own shard loop).
-type proxyWaiter func(proxyVerdict)
+func (lr *liveResponse) take() *upstream.Response {
+	if lr.taken.CompareAndSwap(false, true) {
+		return lr.resp
+	}
+	return nil
+}
 
 // handleProxy serves one GET/HEAD through the cache: a fresh entry
-// answers immediately from the shard's own caches (zero cross-shard
-// traffic — the warm path), anything else funnels through the owner
-// shard. Also the restart re-entry when a chunk walk loses its fill.
+// answers at once from the key's segment (the warm path), anything else
+// joins the key's fill. Also the restart re-entry when a chunk walk
+// loses its fill.
 func (s *shard) handleProxy(c *conn, req *httpmsg.Request, ph *proxyHandler) {
 	c.ls = loopState{req: req, status: 200}
 	key := ph.cacheKey(req.Target)
-	if pe, ok := s.view.GetPath(key); ok {
+	if pe, ok := s.view.Entry(key); ok {
 		if pe.Expires > s.clock.Load() {
 			s.stats.ProxyHits++
-			s.serveProxyEntry(c, ph, pe)
+			s.serveProxyEntry(c, pe)
 			return
 		}
 		if s.overloaded() && s.cfg.StaleIfError >= 0 && pe.StaleUntil > s.clock.Load() {
@@ -126,7 +122,7 @@ func (s *shard) handleProxy(c *conn, req *httpmsg.Request, ph *proxyHandler) {
 			// backlog that has already lost the latency battle. Serve
 			// the stale copy; a calmer moment revalidates.
 			s.stats.ShedRevalidates++
-			s.serveProxyEntry(c, ph, pe)
+			s.serveProxyEntry(c, pe)
 			return
 		}
 	} else if s.overloaded() {
@@ -135,92 +131,69 @@ func (s *shard) handleProxy(c *conn, req *httpmsg.Request, ph *proxyHandler) {
 		s.shedRequest(c, req.KeepAlive)
 		return
 	}
-	s.proxyEnsure(c, req, ph, key)
+	s.joinProxyFill(c, req, ph, key)
 }
 
-// proxyEnsure routes a miss (or stale hit) to the entry's owner shard
-// and parks the request until the verdict comes back.
-func (s *shard) proxyEnsure(c *conn, req *httpmsg.Request, ph *proxyHandler, key string) {
-	owner := s.srv.shards[cache.OwnerShard(key, len(s.srv.shards))]
-	done := proxyWaiter(func(v proxyVerdict) {
-		if !s.post(func() { s.proxyResolve(c, req, ph, key, v) }) && v.resp != nil {
-			v.resp.Abandon()
-		}
+// joinProxyFill parks a request that found no fresh entry on its key's
+// fill until the fill announces the entry, registering the fill and
+// starting its producer when none is in flight. An entry another
+// request stored since the first look answers at once.
+func (s *shard) joinProxyFill(c *conn, req *httpmsg.Request, ph *proxyHandler, key string) {
+	pe, f, started := s.view.JoinEntry(key, s.clock.Load())
+	if f == nil {
+		s.serveProxyEntry(c, pe)
+		return
+	}
+	pe, pending, err := f.Entry(func() {
+		// The announce or the failure: resume on this loop, which
+		// outlives every producer (Close stops the helpers first). If the
+		// connection died meanwhile, a live response it takes is dropped.
+		s.post(func() {
+			pe, _, err := f.Entry(nil)
+			if c.failed || c.writeDone || c.ls.src != nil || c.ls.req != req {
+				if lr, ok := err.(*liveResponse); ok && lr.take() != nil {
+					lr.resp.Abandon()
+				}
+				return
+			}
+			s.proxyAnswer(c, req, ph, pe, err)
+		})
 	})
-	if owner == s {
-		s.ownerEnsure(ph, key, done)
-		return
+	if started {
+		// Parked before the producer runs, as a walk is (chunkSource.miss).
+		s.startFill(f, cache.PathEntry{Translated: key, File: ph})
 	}
-	if !owner.post(func() { owner.ownerEnsure(ph, key, done) }) {
-		s.errorResponse(c, 503, false)
-	}
-}
-
-// ownerEnsure runs on the owner shard's loop: a concurrently resolved
-// entry answers at once, an in-flight fetch adds a waiter, and a cold
-// key dispatches exactly one origin fetch — the cross-shard analogue
-// of the chunk tier's single-flight fills, applied to metadata.
-func (s *shard) ownerEnsure(ph *proxyHandler, key string, done proxyWaiter) {
-	old, haveOld := s.view.GetPath(key)
-	if haveOld && old.Expires > s.clock.Load() {
-		done(proxyVerdict{kind: verdictEntry, pe: old})
-		return
-	}
-	if waiters, ok := s.proxyPending[key]; ok {
-		s.proxyPending[key] = append(waiters, done)
-		return
-	}
-	if s.proxyPending == nil {
-		s.proxyPending = make(map[string][]proxyWaiter)
-	}
-	s.proxyPending[key] = []proxyWaiter{done}
-	s.helpers.submit(helperJob{kind: jobProxy, fn: func() {
-		ph.fetch(s, key, old, haveOld)
-	}})
-}
-
-// resolveProxy delivers one verdict to every waiter (owner loop). A
-// live uncacheable response can only be adopted once: the first waiter
-// gets it, the rest re-fetch on their own pass-through relays.
-func (s *shard) resolveProxy(key string, v proxyVerdict) {
-	waiters := s.proxyPending[key]
-	delete(s.proxyPending, key)
-	if len(waiters) == 0 && v.resp != nil {
-		v.resp.Abandon()
-		return
-	}
-	for i, done := range waiters {
-		if v.kind == verdictStream && i > 0 {
-			done(proxyVerdict{kind: verdictRefetch})
-			continue
-		}
-		done(v)
+	if !pending {
+		s.proxyAnswer(c, req, ph, pe, err)
 	}
 }
 
-// proxyResolve resumes one parked request on its own shard once the
-// owner's verdict arrives. The connection may have died while parked;
-// a held live response must then be dropped, not leaked.
-func (s *shard) proxyResolve(c *conn, req *httpmsg.Request, ph *proxyHandler, key string, v proxyVerdict) {
-	if c.failed || c.writeDone || c.ls.src != nil || c.ls.req != req {
-		if v.resp != nil {
-			v.resp.Abandon()
-		}
-		return
-	}
-	switch v.kind {
-	case verdictEntry:
-		s.putEntry(key, v.pe) // adopt into this shard's path cache
-		s.serveProxyEntry(c, ph, v.pe)
-	case verdictError:
-		s.stats.ProxyErrors++
-		s.errorResponse(c, v.status, req.KeepAlive)
-	case verdictStream:
+// proxyAnswer answers a request from its key's fill: the entry it
+// announced, or how it failed.
+func (s *shard) proxyAnswer(c *conn, req *httpmsg.Request, ph *proxyHandler, pe cache.PathEntry, err error) {
+	lr, live := err.(*liveResponse)
+	switch {
+	case err == nil:
+		s.serveProxyEntry(c, pe)
+	case live:
 		s.stats.ProxyPassThrough++
-		s.startHandler(c, req, &responseRelay{resp: v.resp}, nil)
-	default: // verdictRefetch
-		s.stats.ProxyPassThrough++
+		if resp := lr.take(); resp != nil {
+			s.startHandler(c, req, HandlerFunc(func(w ResponseWriter, _ *Request) { relayResponse(w, resp) }), nil)
+			return
+		}
 		s.startHandler(c, req, ph, nil)
+	case errors.Is(err, cache.ErrFillStale):
+		// The fill went stale before it announced (a walk's refill met
+		// a changed origin): start over against the key's record.
+		s.handleProxy(c, req, ph)
+	default:
+		// The origin leg failed, with no stale copy to fall back on.
+		status := 502
+		if upstream.IsTimeout(err) {
+			status = 504
+		}
+		s.stats.ProxyErrors++
+		s.errorResponse(c, status, req.KeepAlive)
 	}
 }
 
@@ -230,7 +203,7 @@ func (s *shard) proxyResolve(c *conn, req *httpmsg.Request, ph *proxyHandler, ke
 // as a static file, with the entry's origin metadata in place of the
 // stat results. Range requests are not sliced on proxied entries; they
 // get the full 200.
-func (s *shard) serveProxyEntry(c *conn, ph *proxyHandler, pe cache.PathEntry) {
+func (s *shard) serveProxyEntry(c *conn, pe cache.PathEntry) {
 	req := c.ls.req
 	etag := pe.ETag
 	if etag != "" && req.IfNoneMatch != "" {
@@ -275,29 +248,10 @@ func (s *shard) serveProxyEntry(c *conn, ph *proxyHandler, pe cache.PathEntry) {
 	}
 	src := &c.chunkSrc
 	src.init(s, pe, hdr, 0, pe.Size)
-	src.proxy = ph // after init: init wholesale-resets the source
 	s.respond(c, src)
 }
 
-// adoptProxyEntry installs a freshly fetched identity on the owner
-// shard. A changed identity retires every derived cache entry of the
-// old one first — headers by their mtime mismatch, chunks and any
-// stale in-flight fill through InvalidateFile — exactly what
-// invalidateFile does for files, minus the path-entry identity check
-// (proxy entries share one File handle, so that check cannot tell old
-// from new).
-func (s *shard) adoptProxyEntry(key string, pe, old cache.PathEntry, haveOld bool) {
-	if haveOld && (old.ModTime != pe.ModTime || old.Size != pe.Size) {
-		s.view.GetHeader(key, "", -1)
-		for _, slot := range nmSlots {
-			s.view.GetHeader(key, slot, -1)
-		}
-		s.view.InvalidateFile(key, old.ModTime, s.store.NumChunks(old.Size))
-	}
-	s.putEntry(key, pe)
-}
-
-// --- helper-side origin fetches (jobProxy closures) ---
+// --- the fill's producer: one origin exchange on a helper ---
 
 // proxyStaleHoldoff is how long a stale-if-error serve refreshes the
 // entry's Expires: while the origin stays dead, each key retries it at
@@ -339,25 +293,23 @@ func staleFallback(cfg *Config, old cache.PathEntry, haveOld bool, nowNano int64
 	return pe, true
 }
 
-// resolveStale delivers a stale-if-error verdict: the stale entry is
-// re-adopted (with its holdoff Expires) and every coalesced waiter
-// serves it, byte-identical to the fresh serve it replaces.
-func (ph *proxyHandler) resolveStale(owner *shard, key string, pe cache.PathEntry) {
-	owner.post(func() {
-		owner.stats.ProxyStale++
-		owner.putEntry(key, pe)
-		owner.resolveProxy(key, proxyVerdict{kind: verdictEntry, pe: pe})
-	})
-}
-
-// fetch is the single-flight metadata fetch for one key: a GET
-// carrying the stale entry's validators, run on the owner shard's
-// helper pool. A 304 refreshes the stored entry without moving the
-// body; a storable 200 adopts a new entry and streams its body into a
-// fill (so the waiters serve while it downloads); everything else
-// resolves as an error or a pass-through stream.
-func (ph *proxyHandler) fetch(owner *shard, key string, old cache.PathEntry, haveOld bool) {
-	ureq := upstream.Request{Method: "GET", Target: ph.targetOf(key), Host: ph.host}
+// produce is the producer of every fill of a proxied key: one origin
+// exchange on a helper. A fill registered without an identity
+// revalidates the key's entry when it has one (If-None-Match /
+// If-Modified-Since), so a 304 refreshes the entry without moving the
+// body; a fill a walk registered under the entry's identity (its chunks
+// were evicted) needs bytes, so its GET is unconditional, and a body of
+// another length or Last-Modified fails it ErrFillStale, restarting the
+// walk. A storable 200 announces its entry and streams into the fill; a
+// 304, a stale-if-error serve and an empty body announce and finish;
+// an origin failure fails the fill with the exchange's error, and an
+// uncacheable response with the live response.
+func (ph *proxyHandler) produce(p *helperPool, f *cache.Fill) {
+	cfg := p.sh.cfg
+	refill := f.Size() >= 0
+	old, haveOld := f.Prior()
+	haveOld = haveOld && !refill // a refill needs the bytes, never a 304
+	ureq := upstream.Request{Method: "GET", Target: ph.targetOf(f.Path()), Host: ph.host}
 	if haveOld {
 		if old.ETag != "" {
 			ureq.Header = append(ureq.Header, [2]string{"If-None-Match", old.ETag})
@@ -367,28 +319,20 @@ func (ph *proxyHandler) fetch(owner *shard, key string, old cache.PathEntry, hav
 		}
 	}
 	resp, err := ph.pool.RoundTrip(&ureq)
-	if err != nil {
-		// Origin leg failed (dial error, breaker open, timeout): serve
-		// the stale copy when RFC 5861 allows, else surface the error.
-		if pe, ok := staleFallback(owner.cfg, old, haveOld, time.Now().UnixNano()); ok {
-			ph.resolveStale(owner, key, pe)
+	if err != nil || resp.Status >= 500 {
+		// The origin leg failed (dial error, breaker open, timeout), or
+		// the origin answered with a server failure: serve the stale copy
+		// when RFC 5861 allows, else surface a leg failure as an error.
+		if pe, ok := staleFallback(cfg, old, haveOld, time.Now().UnixNano()); ok {
+			if resp != nil {
+				resp.Close() // drain politely; the conn goes back idle
+			}
+			p.proxyStale.Add(1)
+			f.Announce(pe, false)
 			return
 		}
-		status := 502
-		if upstream.IsTimeout(err) {
-			status = 504
-		}
-		owner.post(func() {
-			owner.resolveProxy(key, proxyVerdict{kind: verdictError, status: status})
-		})
-		return
-	}
-	if resp.Status >= 500 {
-		// The origin answered, but with a server failure — the other
-		// face of "the origin leg failed" for stale-if-error purposes.
-		if pe, ok := staleFallback(owner.cfg, old, haveOld, time.Now().UnixNano()); ok {
-			resp.Close() // drain politely; the conn goes back idle
-			ph.resolveStale(owner, key, pe)
+		if err != nil {
+			f.Fail(err)
 			return
 		}
 	}
@@ -398,7 +342,8 @@ func (ph *proxyHandler) fetch(owner *shard, key string, old cache.PathEntry, hav
 	fr := upstream.EvalFreshness(resp.Head, now)
 	ttl := int64(fr.TTL)
 
-	if resp.Status == 304 && haveOld {
+	switch {
+	case resp.Status == 304 && haveOld:
 		// Revalidated: same body, refreshed lifetime. A bare 304 (no
 		// caching headers) re-derives the heuristic lifetime from the
 		// stored validator, since its age has only grown.
@@ -414,7 +359,7 @@ func (ph *proxyHandler) fetch(owner *shard, key string, old cache.PathEntry, hav
 		// Refresh the stale window too: the 304's own directive wins;
 		// a bare 304 keeps the length the stored entry had (the origin
 		// said "unchanged", and that includes its caching policy).
-		w := proxyStaleWindow(owner.cfg, fr)
+		w := proxyStaleWindow(cfg, fr)
 		if !fr.StaleIfErrorSet && old.StaleUntil > old.Expires {
 			w = old.StaleUntil - old.Expires
 		}
@@ -422,15 +367,10 @@ func (ph *proxyHandler) fetch(owner *shard, key string, old cache.PathEntry, hav
 		if w > 0 {
 			pe.StaleUntil = pe.Expires + w
 		}
-		owner.post(func() {
-			owner.stats.ProxyRevalidated++
-			owner.putEntry(key, pe)
-			owner.resolveProxy(key, proxyVerdict{kind: verdictEntry, pe: pe})
-		})
-		return
-	}
+		p.proxyRevalidated.Add(1)
+		f.Announce(pe, false)
 
-	if resp.Status == 200 && fr.Storable && resp.ContentLength >= 0 {
+	case resp.Status == 200 && fr.Storable && resp.ContentLength >= 0:
 		// The origin header views die with resp.Close; everything the
 		// entry keeps is copied here, on the helper.
 		etag, _ := resp.Head.Header("etag")
@@ -438,13 +378,16 @@ func (ph *proxyHandler) fetch(owner *shard, key string, old cache.PathEntry, hav
 		lm, _ := resp.Head.Header("last-modified")
 		etag, ct, lm = strings.Clone(etag), strings.Clone(ct), strings.Clone(lm)
 		modUnix := now.Unix()
+		if refill {
+			modUnix = f.ModTime() // without a Last-Modified, only the length can differ
+		}
 		if lm != "" {
 			if t, err := httpmsg.ParseHTTPTime(lm); err == nil {
 				modUnix = t.Unix()
 			}
 		}
 		pe := cache.PathEntry{
-			Translated:   key,
+			Translated:   f.Path(),
 			File:         ph,
 			Size:         resp.ContentLength,
 			ModTime:      modUnix,
@@ -454,88 +397,30 @@ func (ph *proxyHandler) fetch(owner *shard, key string, old cache.PathEntry, hav
 			ContentType:  ct,
 			LastModified: lm,
 		}
-		if w := proxyStaleWindow(owner.cfg, fr); w > 0 {
+		if w := proxyStaleWindow(cfg, fr); w > 0 {
 			pe.StaleUntil = pe.Expires + w
+		}
+		if !f.Announce(pe, pe.Size > 0) {
+			resp.Abandon() // a refill's origin changed: the walk restarts
+			return
+		}
+		if !refill {
+			p.proxyFills.Add(1)
 		}
 		if pe.Size == 0 {
 			resp.Close()
-			owner.post(func() {
-				owner.stats.ProxyFills++
-				owner.adoptProxyEntry(key, pe, old, haveOld)
-				owner.resolveProxy(key, proxyVerdict{kind: verdictEntry, pe: pe})
-			})
 			return
 		}
-		// Adopt the entry and register the fill on the owner loop, then
-		// stream the body into it right here: the metadata fetch IS the
-		// body fetch, so a cold storm costs one origin round trip.
-		fillCh := make(chan *cache.Fill, 1)
-		if !owner.post(func() {
-			owner.stats.ProxyFills++
-			owner.adoptProxyEntry(key, pe, old, haveOld)
-			f, started := owner.view.JoinFill(key, pe.Size, pe.ModTime)
-			if !started {
-				// A conflicting fill is in flight (stale identity, about
-				// to fail) or someone else is already producing: this
-				// response has no fill to feed.
-				f = nil
-			}
-			fillCh <- f
-			owner.resolveProxy(key, proxyVerdict{kind: verdictEntry, pe: pe})
-		}) {
-			resp.Abandon() // shutdown: nobody left to take the body
-			return
-		}
-		if f := <-fillCh; f != nil {
-			streamIntoFill(resp, f)
-		} else {
-			resp.Close()
-		}
-		return
-	}
+		streamIntoFill(resp, f)
 
-	// Uncacheable: no-store/private/no Content-Length/non-200. The
-	// first waiter adopts this live response; the rest relay their own.
-	if !owner.post(func() {
-		owner.resolveProxy(key, proxyVerdict{kind: verdictStream, resp: resp})
-	}) {
-		resp.Abandon()
-	}
-}
-
-// refill re-fetches a cached entry's body for a chunk walk whose
-// chunks were evicted (the fill producer for proxy entries, as fillJob
-// is for files). The full GET is unconditional — a fill needs bytes,
-// not a 304 — and any identity drift fails the fill ErrFillStale so
-// the walker restarts against a freshly fetched entry.
-func (ph *proxyHandler) refill(f *cache.Fill) {
-	target := ph.targetOf(f.Path())
-	resp, err := ph.pool.RoundTrip(&upstream.Request{Method: "GET", Target: target, Host: ph.host})
-	if err != nil {
-		f.Fail(err)
-		return
-	}
-	if resp.Status != 200 || resp.ContentLength != f.Size() {
+	case refill:
 		resp.Abandon()
 		f.Fail(cache.ErrFillStale)
-		return
-	}
-	if lm, ok := resp.Head.Header("last-modified"); ok {
-		if t, err := httpmsg.ParseHTTPTime(lm); err == nil && t.Unix() != f.ModTime() {
-			resp.Abandon()
-			f.Fail(cache.ErrFillStale)
-			return
-		}
-	}
-	streamIntoFill(resp, f)
-}
 
-// startProxyRefill hands a freshly registered fill for a proxied entry
-// to its producer: one jobProxy on the owner shard's helpers (the
-// proxy analogue of startFill's jobFill).
-func (s *shard) startProxyRefill(ph *proxyHandler, f *cache.Fill) {
-	owner := s.srv.shards[cache.OwnerShard(f.Path(), len(s.srv.shards))]
-	owner.helpers.submit(helperJob{kind: jobProxy, fn: func() { ph.refill(f) }})
+	default:
+		// Uncacheable: no-store/private/no Content-Length/non-200.
+		f.Fail(&liveResponse{resp: resp})
+	}
 }
 
 // streamIntoFill publishes an origin body into a fill, one chunk at a
@@ -584,7 +469,7 @@ var hopByHopResp = map[string]bool{
 
 // ServeFlash is the pass-through relay: the route dispatch lands here
 // for request shapes the cache cannot serve (non-GET/HEAD, request
-// bodies), and proxyResolve re-dispatches uncacheable misses here.
+// bodies), and proxyAnswer re-dispatches uncacheable misses here.
 // It runs on a handler goroutine, so the blocking round trip is fine.
 func (ph *proxyHandler) ServeFlash(w ResponseWriter, r *Request) {
 	ureq := upstream.Request{Method: r.Method, Target: r.Target, Host: ph.host}
@@ -619,16 +504,6 @@ func (ph *proxyHandler) ServeFlash(w ResponseWriter, r *Request) {
 		return
 	}
 	relayResponse(w, resp)
-}
-
-// responseRelay pumps a live origin response that the owner's metadata
-// fetch already holds (the first waiter of an uncacheable miss).
-type responseRelay struct {
-	resp *upstream.Response
-}
-
-func (rr *responseRelay) ServeFlash(w ResponseWriter, r *Request) {
-	relayResponse(w, rr.resp)
 }
 
 // relayResponse copies one origin response to the client through the

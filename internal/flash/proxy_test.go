@@ -1,6 +1,8 @@
 package flash
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -107,12 +109,16 @@ func (o *testOriginServer) cachedOrigin(bodyFor func(path string) []byte, cacheC
 	}
 }
 
-// newProxyServer starts a flash server with pool mounted at /up/ via
-// HandleProxy, plus a dedicated keep-alive HTTP client.
-func newProxyServer(t *testing.T, pool *upstream.Pool) (*Server, string, *http.Client) {
+// newProxyServer starts a flash server with four loops (further
+// adjusted by mutate, if any) and pool mounted at /up/ via HandleProxy,
+// plus a dedicated keep-alive HTTP client.
+func newProxyServer(t *testing.T, pool *upstream.Pool, mutate ...func(*Config)) (*Server, string, *http.Client) {
 	t.Helper()
 	srv, base := newTestServer(t, func(cfg *Config) {
 		cfg.EventLoops = 4
+		for _, fn := range mutate {
+			fn(cfg)
+		}
 	}, func(s *Server) {
 		s.HandleProxy("/up/", pool)
 	})
@@ -133,6 +139,39 @@ func testPoolFor(t *testing.T, addrs ...string) *upstream.Pool {
 	}
 	t.Cleanup(pool.Close)
 	return pool
+}
+
+// getConcurrently starts n GETs of url and returns a wait that fails
+// the test unless every one answered 200 with want.
+func getConcurrently(t *testing.T, client *http.Client, url string, n int, want []byte) (wait func()) {
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := client.Get(url)
+			if err != nil {
+				errs <- err
+				return
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				errs <- err
+			} else if resp.StatusCode != 200 || !bytes.Equal(body, want) {
+				errs <- fmt.Errorf("status %d, %d body bytes", resp.StatusCode, len(body))
+			}
+		}()
+	}
+	return func() {
+		t.Helper()
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	}
 }
 
 func clientGet(t *testing.T, client *http.Client, url string) (*http.Response, []byte) {
@@ -207,66 +246,211 @@ func TestProxyWarmHit(t *testing.T) {
 	})
 }
 
+// holdFirstExchange holds the first origin exchange at
+// upstream/read-head until the returned release runs (or the test
+// ends).
+func holdFirstExchange(t *testing.T) (release func()) {
+	hold, _, release := gateOnce(t)
+	failpoint.Arm("upstream/read-head", func(...any) error {
+		hold()
+		return nil
+	})
+	t.Cleanup(func() { failpoint.Disarm("upstream/read-head") })
+	return release
+}
+
 // TestProxyCoalescing is the counting-origin acceptance test: N
 // concurrent cold requests — spread across shards — cost exactly one
 // origin fetch, with every client serving while the fill streams. The
 // first origin exchange is held at upstream/read-head until all N
 // requests have reached the proxy, so no timing decides whether they
 // coalesce. A failure says which fetch was extra, from the proxy's own
-// counters: each metadata fetch that stores a body is a ProxyFill and
-// starts one fill, and every other fill is a body refill of a chunk
-// walk.
+// counters: every origin exchange is a fill, the ones that fetched an
+// entry count as a ProxyFill or a ProxyRevalidated, and every other
+// fill is a body refill of a chunk walk.
 func TestProxyCoalescing(t *testing.T) {
 	forEachProxyMatrix(t, func(t *testing.T) {
 		want := pattern(150 << 10)
 		origin := newTestOrigin(t, nil)
 		origin.setHandler(origin.cachedOrigin(func(string) []byte { return want }, "max-age=60"))
-		hold, _, release := gateOnce(t)
-		failpoint.Arm("upstream/read-head", func(...any) error {
-			hold()
-			return nil
-		})
-		t.Cleanup(func() { failpoint.Disarm("upstream/read-head") })
+		release := holdFirstExchange(t)
 		srv, base, client := newProxyServer(t, testPoolFor(t, origin.addr))
 		t.Cleanup(release) // before Close: a held helper would wedge it
 
 		const n = 20
-		var wg sync.WaitGroup
-		errs := make(chan error, n)
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				resp, err := client.Get(base + "/up/cold")
-				if err != nil {
-					errs <- err
-					return
-				}
-				body, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					errs <- err
-					return
-				}
-				if resp.StatusCode != 200 || string(body) != string(want) {
-					errs <- fmt.Errorf("status %d, %d body bytes", resp.StatusCode, len(body))
-				}
-			}()
-		}
+		wait := getConcurrently(t, client, base+"/up/cold", n, want)
 		waitFor(t, "every request at the proxy", func() bool { return srv.Stats().ProxyRequests == n })
 		release()
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Fatal(err)
-		}
+		wait()
 		st := srv.Stats()
-		metadata, refills := st.ProxyFills, st.Fills.Started-st.ProxyFills
+		metadata := st.ProxyFills + st.ProxyRevalidated
+		refills := st.Fills.Started - metadata
 		if f := origin.fetches.Load(); f != 1 || metadata != 1 || refills != 0 {
 			t.Fatalf("origin fetches = %d (metadata %d, body refills %d), want exactly 1 metadata fetch for %d concurrent misses",
 				f, metadata, refills, n)
 		}
 	})
+}
+
+// TestProxyEntrySharedByLoops: a key's entry lives in its segment, not
+// in a loop's path cache, so after one cold GET a new connection on
+// each of the four loops hits it — one origin fetch in all.
+func TestProxyEntrySharedByLoops(t *testing.T) {
+	forEachProxyMatrix(t, func(t *testing.T) {
+		want := pattern(150 << 10)
+		origin := newTestOrigin(t, nil)
+		origin.setHandler(origin.cachedOrigin(func(string) []byte { return want }, "max-age=60"))
+		srv, base, _ := newProxyServer(t, testPoolFor(t, origin.addr))
+		oneShot := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+
+		for i := 0; i <= srv.NumShards(); i++ { // accepts go round-robin
+			if resp, body := clientGet(t, oneShot, base+"/up/shared"); resp.StatusCode != 200 || !bytes.Equal(body, want) {
+				t.Fatalf("GET %d: status %d, %d body bytes", i, resp.StatusCode, len(body))
+			}
+		}
+		for i, ss := range srv.ShardStats() {
+			if ss.ProxyRequests == 0 {
+				t.Fatalf("loop %d saw no request", i)
+			}
+		}
+		if f, st := origin.fetches.Load(), srv.Stats(); f != 1 || st.ProxyHits != uint64(srv.NumShards()) {
+			t.Fatalf("origin fetches = %d, hits = %d; want 1 fetch and a hit on every loop", f, st.ProxyHits)
+		}
+	})
+}
+
+// TestProxyRevalidationCoalesces: an expired no-cache key wanted by 20
+// concurrent requests on four loops costs one conditional request. The
+// revalidation is held at upstream/read-head until all of them are at
+// the proxy, so every one finds its fill in flight.
+func TestProxyRevalidationCoalesces(t *testing.T) {
+	forEachProxyMatrix(t, func(t *testing.T) {
+		want := pattern(150 << 10)
+		origin := newTestOrigin(t, nil)
+		origin.setHandler(origin.cachedOrigin(func(string) []byte { return want }, "no-cache"))
+		srv, base, client := newProxyServer(t, testPoolFor(t, origin.addr))
+		if _, body := clientGet(t, client, base+"/up/doc"); !bytes.Equal(body, want) {
+			t.Fatalf("cold GET: %d body bytes", len(body))
+		}
+		time.Sleep(150 * time.Millisecond) // the coarse clock passes the entry's expiry
+		release := holdFirstExchange(t)
+
+		const n = 20
+		wait := getConcurrently(t, client, base+"/up/doc", n, want)
+		waitFor(t, "every request at the proxy", func() bool { return srv.Stats().ProxyRequests == n+1 })
+		release()
+		wait()
+		if f, nm := origin.fetches.Load(), origin.notMods.Load(); f != 1 || nm != 1 {
+			t.Fatalf("origin fetches=%d notModified=%d, want 1/1: one conditional request for %d requests", f, nm, n)
+		}
+		for i, ss := range srv.ShardStats() {
+			if ss.ProxyRequests == 0 {
+				t.Fatalf("loop %d saw no request", i)
+			}
+		}
+	})
+}
+
+// TestProxyInvalidateKeepsNewerEntry: a walk of generation 1 that fails
+// after generation 2 became the key's entry must drop generation 1 only.
+// Response S (the cold request) sends its first chunk of generation 1
+// while the origin holds back the rest of the body, and that first run
+// is held at the socket; the fill then completes and, with a one-byte
+// budget, the rest of the chunks leave the cache. The entry expires,
+// the origin changes, and HEAD R's revalidation is held at
+// upstream/read-head while S's walk resumes, misses and meets R's fill
+// before it announces. R announces generation 2; S, whose bytes are
+// gone, is cut short. A second HEAD hits generation 2: two origin
+// exchanges in all, none for S's failure. (HEADs walk no chunks, so the
+// budget costs them no refill.)
+func TestProxyInvalidateKeepsNewerEntry(t *testing.T) {
+	setConnEngine(t, ConnEngineGoroutine) // the write hold parks a conn goroutine, not a loop
+	gen1 := pattern(600 << 10)            // ten chunks
+	gen2 := bytes.Repeat([]byte("generation two\n"), 1000)
+	restOfGen1 := make(chan struct{})
+	sendRest := sync.OnceFunc(func() { close(restOfGen1) })
+	t.Cleanup(sendRest)
+	origin := newTestOrigin(t, nil)
+	serve := func(etag, lastMod, cacheControl string, body []byte) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			origin.fetches.Add(1)
+			w.Header().Set("ETag", etag)
+			w.Header().Set("Last-Modified", lastMod)
+			w.Header().Set("Cache-Control", cacheControl)
+			w.Header().Set("Content-Length", fmt.Sprint(len(body)))
+			if len(body) == len(gen1) {
+				w.Write(body[:64<<10])
+				w.(http.Flusher).Flush()
+				<-restOfGen1
+				body = body[64<<10:]
+			}
+			w.Write(body)
+		}
+	}
+	origin.setHandler(serve(`"v1"`, "Wed, 01 Jan 2020 00:00:00 GMT", "no-cache", gen1))
+	holdWrite, writing, releaseWrite := gateOnce(t)
+	failpoint.Arm(fpConnWrite.Name(), func(...any) error {
+		holdWrite()
+		return nil
+	})
+	t.Cleanup(func() { failpoint.Disarm(fpConnWrite.Name()) })
+	srv, base, client := newProxyServer(t, testPoolFor(t, origin.addr), func(cfg *Config) {
+		cfg.Cache.MapBytes = 1 // a chunk leaves the cache with its last pin
+	})
+	t.Cleanup(releaseWrite)
+
+	connS := dialRaw(t, base)
+	fmt.Fprintf(connS, "GET /up/doc HTTP/1.0\r\n\r\n")
+	<-writing // S's first run: the header and chunk 0
+	sendRest()
+	waitFor(t, "generation 1's fill", func() bool { return srv.Stats().Fills.Completed == 1 })
+	origin.setHandler(serve(`"v2"`, "Fri, 01 Jan 2021 00:00:00 GMT", "max-age=60", gen2))
+	time.Sleep(150 * time.Millisecond) // the coarse clock passes generation 1's expiry
+
+	head := func() (int64, error) {
+		resp, err := client.Head(base + "/up/doc")
+		if err != nil {
+			return 0, err
+		}
+		resp.Body.Close()
+		return resp.ContentLength, nil
+	}
+	releaseHead := holdFirstExchange(t)
+	lengthR := make(chan int64, 1)
+	go func() {
+		n, _ := head()
+		lengthR <- n
+	}()
+	waitFor(t, "R's revalidation", func() bool { return srv.Stats().Fills.Started == 2 })
+	misses := func() (n uint64) {
+		for _, ss := range srv.ShardStats() {
+			n += ss.MapCache.Misses
+		}
+		return n
+	}
+	before := misses()
+	releaseWrite()
+	waitFor(t, "S's walk to miss", func() bool { return misses() > before })
+	releaseHead()
+
+	respS, err := http.ReadResponse(bufio.NewReader(connS), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodyS, err := io.ReadAll(respS.Body)
+	if err == nil || len(bodyS) >= len(gen1) || !bytes.Equal(bodyS, gen1[:len(bodyS)]) {
+		t.Fatalf("S: %d body bytes (err %v), want generation 1's first bytes, cut short", len(bodyS), err)
+	}
+	if n := <-lengthR; n != int64(len(gen2)) {
+		t.Fatalf("R: Content-Length %d, want generation 2's %d", n, len(gen2))
+	}
+	if n, err := head(); err != nil || n != int64(len(gen2)) {
+		t.Fatalf("second HEAD: Content-Length %d (err %v), want generation 2's %d", n, err, len(gen2))
+	}
+	if f, st := origin.fetches.Load(), srv.Stats(); f != 2 || st.Fills.Started != 2 || st.ProxyHits != 1 {
+		t.Fatalf("origin fetches = %d, fills = %d, hits = %d; want 2, 2 and the second HEAD a hit",
+			f, st.Fills.Started, st.ProxyHits)
+	}
 }
 
 // TestProxyRevalidate proves the stale-hit cycle: a TTL-0 entry
@@ -475,45 +659,31 @@ func TestProxyAllBackendsDown(t *testing.T) {
 }
 
 // TestProxyUncacheableConcurrent drives concurrent misses on an
-// uncacheable target: the first waiter adopts the live response, the
-// rest relay their own fetch — everyone gets correct bytes.
+// uncacheable target into one fill: its origin exchange is held at
+// upstream/read-head until all of them are at the proxy. Its live
+// response goes to exactly one of them, and every other relays a fetch
+// of its own — one fetch per request, each with the right bytes.
 func TestProxyUncacheableConcurrent(t *testing.T) {
-	setConnEngine(t, ConnEngineGoroutine)
-	origin := newTestOrigin(t, nil)
-	origin.setHandler(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(50 * time.Millisecond)
-		origin.fetches.Add(1)
-		w.Header().Set("Cache-Control", "no-store")
-		w.Header().Set("Content-Length", "9")
-		w.Write([]byte("ephemeral"))
-	})
-	_, base, client := newProxyServer(t, testPoolFor(t, origin.addr))
+	forEachProxyMatrix(t, func(t *testing.T) {
+		origin := newTestOrigin(t, nil)
+		origin.setHandler(func(w http.ResponseWriter, r *http.Request) {
+			origin.fetches.Add(1)
+			w.Header().Set("Cache-Control", "no-store")
+			w.Header().Set("Content-Length", "9")
+			w.Write([]byte("ephemeral"))
+		})
+		release := holdFirstExchange(t)
+		srv, base, client := newProxyServer(t, testPoolFor(t, origin.addr))
+		t.Cleanup(release) // before Close: a held helper would wedge it
 
-	const n = 6
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := client.Get(base + "/up/live")
-			if err != nil {
-				errs <- err
-				return
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != 200 || string(body) != "ephemeral" {
-				errs <- fmt.Errorf("status %d body %q", resp.StatusCode, body)
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if n := origin.fetches.Load(); n < 1 {
-		t.Fatalf("origin fetches = %d", n)
-	}
+		const n = 6
+		wait := getConcurrently(t, client, base+"/up/live", n, []byte("ephemeral"))
+		waitFor(t, "every request at the proxy", func() bool { return srv.Stats().ProxyRequests == n })
+		release()
+		wait()
+		if f, st := origin.fetches.Load(), srv.Stats(); f != n || st.Fills.Started != 1 || st.ProxyPassThrough != n {
+			t.Fatalf("origin fetches = %d, fills = %d, pass-through = %d; want %d, 1 and %d",
+				f, st.Fills.Started, st.ProxyPassThrough, n, n)
+		}
+	})
 }

@@ -607,7 +607,8 @@ const rangeVariantSlot = "range"
 // descriptor — is only dropped if pe is still the cached identity: a
 // concurrent response may already have invalidated it and a fresh
 // entry (with a fresh descriptor) taken its place, which must survive,
-// as must the fresh generation's chunks and the fill loading them.
+// as must the fresh generation's chunks and the fill loading them (and
+// a proxied key's entry, kept in its segment).
 func (s *shard) invalidateFile(reqPath string, pe cache.PathEntry) {
 	if cur, ok := s.view.PeekPath(reqPath); ok && cur.File == pe.File {
 		s.view.InvalidatePath(reqPath)
@@ -619,7 +620,7 @@ func (s *shard) invalidateFile(reqPath string, pe cache.PathEntry) {
 	for _, slot := range nmSlots {
 		s.view.GetHeader(pe.Translated, slot, -1)
 	}
-	s.view.InvalidateFile(pe.Translated, pe.ModTime, s.store.NumChunks(pe.Size))
+	s.view.InvalidateFile(pe.Translated, pe.Size, pe.ModTime)
 }
 
 // putEntry records a translation, dropping the cache's reference to

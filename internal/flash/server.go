@@ -80,16 +80,17 @@ type Stats struct {
 	// SharedChunks is the shared segment tier alone (chunk bytes held
 	// once for all shards); server-wide Stats only.
 	SharedChunks cache.MapCacheStats
-	// Fills counts the single-flight fill lifecycle (server-wide).
+	// Fills counts the single-flight fill lifecycle (server-wide): one
+	// fill per disk pass, and one per origin exchange of a proxied key.
 	Fills        cache.FillStats
 	DynamicCalls uint64
 	// Reverse-proxy tier counters (zero unless HandleProxy mounted a
 	// pool): ProxyRequests counts every request routed to a proxy
 	// mount; ProxyHits the subset served from a fresh cached entry
-	// without any origin traffic; ProxyRevalidated origin 304s that
-	// refreshed an entry; ProxyFills origin bodies streamed into the
-	// cache; ProxyPassThrough requests relayed without caching;
-	// ProxyErrors 502/504 verdicts.
+	// (shared by every loop) without any origin traffic;
+	// ProxyRevalidated origin 304s that refreshed an entry; ProxyFills
+	// origin bodies fetched with a new entry; ProxyPassThrough requests
+	// relayed without caching; ProxyErrors requests answered 502/504.
 	ProxyRequests    uint64
 	ProxyHits        uint64
 	ProxyRevalidated uint64
@@ -178,7 +179,7 @@ type Server struct {
 	// proxyMounts records HandleProxy registrations (for ProxyStats);
 	// ownedPool is the pool New built from Config.Upstream, closed with
 	// the server (pools passed to HandleProxy stay caller-owned).
-	proxyMounts []proxyMount
+	proxyMounts []*proxyHandler
 	ownedPool   *upstream.Pool
 
 	nextShard atomic.Uint64 // round-robin accept distribution
@@ -239,11 +240,6 @@ type shard struct {
 	// handleExchange/rejectRequest and signalNext); the idle gauge is
 	// OpenConns minus this.
 	busyConns int
-
-	// proxyPending coalesces reverse-proxy metadata fetches for keys
-	// this shard owns: one in-flight origin round trip per key, with
-	// the waiters (possibly from other shards) parked on its verdict.
-	proxyPending map[string][]proxyWaiter
 
 	// np is the shard's epoll readiness engine (ConnEngineEpoll on
 	// Linux); nil under the portable goroutine engine.
@@ -550,6 +546,9 @@ func (s *shard) snapshot() Stats {
 		out = s.stats
 		out.HelperJobs = s.helpers.jobs.Load()
 		out.MapFallbacks = s.helpers.mapFallbacks.Load()
+		out.ProxyFills = s.helpers.proxyFills.Load()
+		out.ProxyRevalidated = s.helpers.proxyRevalidated.Load()
+		out.ProxyStale = s.helpers.proxyStale.Load()
 		if idle := out.OpenConns - s.busyConns; idle > 0 {
 			out.IdleConns = idle
 		}
@@ -564,14 +563,15 @@ func (s *shard) snapshot() Stats {
 // Stats returns the server-wide counters: the sum of every shard's
 // snapshot, the shared chunk tier and fill counters from the store,
 // plus the active connection count. MapCache adds the shared tier's
-// counters to the shards' lookup counts, while SharedChunks reports
-// the shared tier alone.
+// counters to the shards' lookup counts (SharedChunks reports the tier
+// alone), and PathCache the lookups of proxied keys' entries.
 func (s *Server) Stats() Stats {
 	var out Stats
 	for _, sh := range s.shards {
 		out = out.Add(sh.snapshot())
 	}
 	shared := s.store.SharedStats()
+	out.PathCache = out.PathCache.Add(shared.Entries)
 	out.MapCache = out.MapCache.Add(shared.Chunks)
 	out.SharedChunks = shared.Chunks
 	out.Fills = shared.Fills

@@ -109,10 +109,6 @@ type chunkSource struct {
 	ref  *cache.FileRef // the walk's pin on the entry descriptor; may be nil
 	hdr  []byte         // pending header bytes for the first item
 	fill *cache.Fill    // the fill this walk subscribed to, if any
-	// proxy marks a walk over a reverse-proxied entry (set after init,
-	// which wholesale-resets the source): misses refill from the origin
-	// pool instead of the disk, and restarts re-enter handleProxy.
-	proxy *proxyHandler
 	// gen distinguishes this walk from earlier ones on the same pooled
 	// source: a fill wake posted for a finished response must not
 	// drive the source after init re-arms it.
@@ -252,15 +248,18 @@ func (cs *chunkSource) window(s *shard, idx int) (lo, hi int64) {
 // The path has one fill at a time. When the one in flight loads another
 // generation of the file, the walk parks on its last chunk — a failure,
 // which is what a doom becomes, wakes it too — and joins again once it
-// has ended. The fill that follows runs under the walk's own identity,
-// and the producer's check after it took the bytes decides whether that
-// generation is still current; a stale walk ends in fillError.
+// has ended; a proxied key's fill that has not announced its entry is
+// another generation until it does. The fill that follows runs under
+// the walk's own identity, and the producer's check after it took the
+// bytes decides whether that generation is still current; a stale walk
+// ends in fillError.
 func (cs *chunkSource) miss(s *shard, c *conn, idx int) *cache.Chunk {
 	started := cs.joinFill(s, idx)
 	f, want := cs.fill, idx
-	other := f.Size() != cs.pe.Size || f.ModTime() != cs.pe.ModTime
+	size, modTime, chunks := f.Identity()
+	other := size != cs.pe.Size || modTime != cs.pe.ModTime
 	if other {
-		want = f.NumChunks() - 1
+		want = chunks - 1
 	}
 	gen := cs.gen
 	ch, pending, err := f.ChunkAt(want, func() {
@@ -352,20 +351,12 @@ func (cs *chunkSource) fillWake(s *shard, c *conn, gen uint32, held *cache.Chunk
 // identity (nothing has been sent); anything later can only close the
 // connection, as the stated Content-Length is unmeetable.
 func (cs *chunkSource) fillError(s *shard, c *conn, err error) {
-	pe := cs.pe
 	cs.fill = nil
-	reqPath := c.ls.req.Path
-	if cs.proxy != nil {
-		// Proxy entries key the path cache by the cache key, not the
-		// request path.
-		reqPath = pe.Translated
-	}
-	s.invalidateFile(reqPath, pe)
+	s.invalidateFile(c.ls.req.Path, cs.pe)
 	if err == cache.ErrFillStale && cs.nextChunk == cs.firstChunk &&
 		!c.inFlight && !c.failed && !c.writeDone && c.ls.src == bodySource(cs) {
-		ph := cs.proxy
 		cs.dropRef() // the restart builds its own pipeline
-		if ph != nil {
+		if ph, ok := cs.pe.File.(*proxyHandler); ok {
 			s.handleProxy(c, c.ls.req, ph)
 			return
 		}
@@ -377,25 +368,18 @@ func (cs *chunkSource) fillError(s *shard, c *conn, err error) {
 
 // startFill hands a freshly registered fill to its producer: one
 // jobFill on the helper pool of the shard that owns the path (by
-// hash), so every shard agrees on who performs the single disk pass.
+// hash), so every shard agrees on who performs the single disk pass —
+// or, for a proxied key, the single origin exchange.
 func (s *shard) startFill(f *cache.Fill, pe cache.PathEntry) {
-	if ph, ok := pe.File.(*proxyHandler); ok {
-		s.startProxyRefill(ph, f)
-		return
-	}
-	ref := entryRef(pe)
-	if ref != nil {
+	job := helperJob{kind: jobFill, fsPath: pe.Translated, fill: f}
+	job.origin, _ = pe.File.(*proxyHandler)
+	if ref := entryRef(pe); ref != nil {
 		// The producer's own descriptor pin: the fill survives path
 		// entry eviction and the end of the subscribing response.
-		ref.Acquire()
+		job.file = ref.Acquire()
 	}
 	owner := s.srv.shards[cache.OwnerShard(pe.Translated, len(s.srv.shards))]
-	owner.helpers.submit(helperJob{
-		kind:   jobFill,
-		fsPath: pe.Translated,
-		file:   ref,
-		fill:   f,
-	})
+	owner.helpers.submit(job)
 }
 
 // release unpins the item's chunks (none when the connection's FIFO
