@@ -286,11 +286,14 @@ func main() {
 			fmt.Fprintf(&b, "errors:        %d\n", st.Errors)
 			fmt.Fprintf(&b, "bytes sent:    %d (sendfile: %d, copied: %d)\n",
 				st.BytesSent, st.BytesSendfile, st.BytesCopied)
-			perResp := 0.0
-			if st.Responses > 0 {
-				perResp = float64(st.GatherWrites) / float64(st.Responses)
+			perResp := func(n uint64) float64 {
+				if st.Responses == 0 {
+					return 0
+				}
+				return float64(n) / float64(st.Responses)
 			}
-			fmt.Fprintf(&b, "gather writes: %d (%.2f socket writes per response)\n", st.GatherWrites, perResp)
+			fmt.Fprintf(&b, "gather writes: %d (%.2f socket writes per response)\n", st.GatherWrites, perResp(st.GatherWrites))
+			fmt.Fprintf(&b, "loop messages: %d (%.2f per response)\n", st.LoopMsgs, perResp(st.LoopMsgs))
 			fmt.Fprintf(&b, "helper jobs:   %d\n", st.HelperJobs)
 			fmt.Fprintf(&b, "file maps:     mmap=%d munmap=%d read-fallbacks=%d\n",
 				st.FileMaps, st.FileUnmaps, st.MapFallbacks)

@@ -17,9 +17,11 @@
 //     On top of the 1.0-era core sits an HTTP/1.1 conformance layer:
 //     default persistent connections with request pipelining (strict
 //     in-order responses: one goroutine per connection owns the socket
-//     in both directions, and the responses of a pipelined burst leave
-//     gathered into few writev calls — Stats.GatherWrites over
-//     Stats.Responses is the server-side writes-per-response),
+//     in both directions; the complete heads of a pipelined burst reach
+//     the event loop in one message and their responses leave gathered
+//     into few writev calls — Stats.LoopMsgs and Stats.GatherWrites
+//     over Stats.Responses are the server-side hand-offs and writes
+//     per response),
 //     single-range Range/If-Range requests answered 206/416 by
 //     clamping the chunk-cache walk to the byte window, strong
 //     (size, mtime) ETags with If-None-Match handling alongside

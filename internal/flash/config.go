@@ -45,9 +45,11 @@
 //     socket code: it reads and parses requests, and writes what the
 //     loop hands back, so a slow client blocks only its own goroutine.
 //     A response that is a single item — every warm small-file hit,
-//     304 and error — is settled on the loop the moment it is queued,
-//     and the responses of a pipelined burst leave gathered into one
-//     writev (conn.serve). The Linux-only epoll engine is the
+//     304 and error — is settled on the loop the moment it is queued;
+//     the complete heads of a pipelined burst reach the loop in one
+//     batch message, which the loop runs in one pass like the paper's
+//     event loop serving every ready request, and their responses leave
+//     gathered into one writev (conn.serve). The Linux-only epoll engine is the
 //     literal reading: connections are accepted with
 //     accept4(SOCK_NONBLOCK), multiplexed by a raw edge-triggered
 //     epoll loop per shard, advanced by an explicit per-connection
@@ -70,9 +72,9 @@
 //   - The steady-state request path is allocation-free: requests parse
 //     zero-copy into a per-connection recycled httpmsg.Request (views
 //     over a reusable head buffer), the carry-over read buffer shifts
-//     ring-style instead of reallocating, exchange starts, item
-//     completions and flush reports travel to the loop as typed
-//     mailbox messages rather than closures, response sources, header
+//     ring-style instead of reallocating, exchange and batch starts,
+//     item completions and flush reports travel to the loop as typed
+//     mailbox messages rather than closures, batch slots, response sources, header
 //     scratch and the gather list are pooled on the connection, entity tags and 304 headers are cached alongside
 //     200 headers, and read/write deadlines are re-armed through a
 //     per-shard coarse clock only when they drift. AllocsPerRun guard

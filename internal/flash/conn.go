@@ -69,15 +69,20 @@ func (it *writeItem) pins() int {
 }
 
 // connReply is one message from the event loop to the connection's
-// goroutine. Every post the goroutine makes — an exchange, or the
-// itemDone report of a written item — is answered by exactly one
-// reply, which the goroutine consumes before it posts again; that is
-// what keeps the loop's send on the capacity-1 channel from ever
-// blocking.
+// goroutine. Every post the goroutine makes — an exchange, a batch (or
+// its continuation), or the itemDone report of a written item — is
+// answered by exactly one reply, which the goroutine consumes before it
+// posts again; that is what keeps the loop's send on the capacity-1
+// channel from ever blocking. While a batch runs, the loop stages the
+// responses it commits on the connection's gather list instead of
+// replying (shard.commit); staged says how many it put there since its
+// last reply. They precede the reply's own item on the wire, and the
+// goroutine counts them as exchanges of the batch that are over.
 type connReply struct {
-	item writeItem // replyItem, replyCommitted
-	kind uint8
-	keep bool // replyCommitted, replyEnd: the connection persists
+	item   writeItem // replyItem, replyCommitted
+	staged int32
+	kind   uint8
+	keep   bool // replyCommitted, replyEnd: the connection persists
 }
 
 const (
@@ -114,6 +119,13 @@ const (
 // splits it) and 26.5–27.1 k / 27.6–29.3 k / 29.0–30.4 k req/s on
 // cold_zipf (four pipelined responses of up to 160 KiB each).
 const gatherCap = 512 << 10
+
+// batchCap bounds the request heads one batch post carries: the
+// complete heads a read left in the carry-over window are parsed and
+// posted to the loop together, up to this many (see conn.gatherBatch).
+// Chosen by measurement on hot_pipelined (16 requests in flight per
+// connection); the rows are in CHANGES.md.
+const batchCap = 16
 
 // loopState is the per-response state owned by the event loop. It is
 // reset at the start of every exchange; write-side state that must
@@ -155,14 +167,30 @@ type conn struct {
 	rb     []byte
 	rs, re int
 
-	// headBuf holds a copy of the current request head; the recycled
-	// request's zero-copy views point into it. Copying the head out of
-	// rb (typically well under 1 KB) is what makes the views immune to
+	// headBuf holds a copy of the current request head — of every head
+	// of the current batch, back to back; the recycled requests'
+	// zero-copy views point into it. Copying the heads out of rb
+	// (typically well under 1 KB each) is what makes the views immune to
 	// carry-over shifts and body pushbacks during the exchange.
 	headBuf []byte
 	req     httpmsg.Request // recycled across this connection's exchanges
 
+	// batch holds the plans of a pipelined burst posted in one message
+	// (msgBatch), and breqs the requests of all but its first (which is
+	// req). Both are allocated the first time the connection pipelines
+	// and reused; the goroutine fills them before the post and leaves
+	// them alone until the batch's last reply.
+	batch []exchangePlan
+	breqs []httpmsg.Request
+
 	ls loopState // loop-owned, reset per exchange
+
+	// Batch state on the loop. stageNext is set while the loop runs an
+	// exchange of a batch that another exchange follows: a response
+	// committed then is staged on the gather list rather than replied.
+	// staged counts the responses staged since the last reply.
+	stageNext bool
+	staged    int32
 
 	// Pooled response state (loop-owned): one exchange at a time runs
 	// on a connection, so each source form needs exactly one instance.
@@ -176,17 +204,22 @@ type conn struct {
 	runChunks []*cache.Chunk
 	runBodies [][]byte
 
-	// Gather state, owned by the conn goroutine. wb is the gather list:
-	// the iovecs, in wire order, of the committed responses not yet
-	// written — gatherBytes in total, gatherPins entries on the loop's
-	// pin FIFO. Their inline bytes were copied into arena (the original
-	// may alias header scratch the next exchange overwrites; a wb entry
-	// keeps pointing at the right bytes when the arena grows, because a
-	// grown arena is a new array and the old one is not written again);
-	// chunk windows are never copied — the pin FIFO keeps them alive
-	// until the flush is reported. writes counts the socket write calls
-	// made since the last report to the loop. wfailed latches the first
-	// write error; later items are reported back unwritten.
+	// Gather state, owned by the conn goroutine — except while a batch
+	// post is unanswered, when the goroutine is parked in await and the
+	// loop stages committed responses here itself (conn.stage); the
+	// post and the reply hand the list over and back. wb is the gather
+	// list: the iovecs, in wire order, of the committed responses not
+	// yet written — gatherBytes in total, gatherPins entries on the
+	// loop's pin FIFO. Their inline bytes were copied into arena (the
+	// original may alias header scratch the next exchange overwrites; a
+	// wb entry keeps pointing at the right bytes when the arena grows,
+	// because a grown arena is a new array and the old one is not
+	// written again); chunk windows are never copied — the pin FIFO
+	// keeps them alive until the flush is reported, and the iovecs are
+	// copies of the slice headers, not of the run scratch the next walk
+	// overwrites. writes counts the socket write calls made since the
+	// last report to the loop. wfailed latches the first write error;
+	// later items are reported back unwritten.
 	wb          [][]byte
 	arena       []byte
 	gatherBytes int
@@ -386,14 +419,22 @@ type exchangePlan struct {
 // the in-order guarantee HTTP/1.1 pipelining requires. A blocked write
 // blocks this goroutine and nothing else.
 //
-// Responses the loop committed whole (replyCommitted) are corked on
-// the gather list and leave in one writev when no complete next head is
-// buffered — always before the socket read that could block — when the
-// next one would take the list past gatherCap, when the connection
-// ends, or ahead of anything that is not a committed response. Nothing may overtake or
-// strand them: a handler exchange (whose 100 Continue and interim
-// responses go straight to the socket) is posted only after a flush,
-// and so is the body drain that follows one.
+// When a read leaves several complete heads in the carry-over, they go
+// to the loop together: the ones that may join a batch (gatherBatch)
+// are parsed and posted in one message, which the loop runs in order,
+// so a warm burst costs one post and one reply rather than one of each
+// per request. A head that may not join — a handler, a body, a parse
+// error — ends the batch and is taken next, on its own, as before.
+//
+// Responses the loop committed whole (replyCommitted, and the ones it
+// staged during a batch) are corked on the gather list and leave in
+// one writev when no complete next head is buffered — always before
+// the socket read that could block — when the next one would take the
+// list past gatherCap, when the connection ends, or ahead of anything
+// that is not a committed response. Nothing may overtake or strand
+// them: a handler exchange (whose 100 Continue and interim responses go
+// straight to the socket) is posted only after a flush, and so is the
+// body drain that follows one.
 //
 // Request bodies are consumed by the handler (through the plan's
 // bodyReader) while this goroutine is parked in await; whatever is
@@ -401,10 +442,10 @@ type exchangePlan struct {
 // pipelined framing intact.
 //
 // Each head is copied from the carry-over into the connection's
-// reusable head buffer and parsed zero-copy into the recycled request:
-// the views stay valid for the whole exchange because nothing touches
-// headBuf until the next head is copied in — which happens only after
-// the loop has settled the response.
+// reusable head buffer and parsed zero-copy into a recycled request:
+// the views stay valid for the whole exchange (or batch) because
+// nothing touches headBuf until the next head is copied in — which
+// happens only after the loop has settled the responses.
 func (c *conn) serve() {
 	defer func() {
 		c.nc.Close()
@@ -465,11 +506,17 @@ func (c *conn) serve() {
 		}
 
 		plan := c.planExchange(&c.req)
-		if (plan.rt != nil || plan.body != nil) && !c.flush() {
+		if n := c.gatherBatch(plan); n > 1 {
+			if !c.awaitBatch(n) {
+				return
+			}
+			continue
+		}
+		if !batchable(plan) && !c.flush() {
 			return
 		}
 		c.sh.postExchange(c, plan)
-		keep := c.await()
+		keep, _ := c.await()
 		if plan.body != nil && keep {
 			// The handler may have left body bytes on the wire; the next
 			// head cannot be parsed until they are gone.
@@ -490,6 +537,74 @@ func (c *conn) skipBlank(preamble *int) {
 	}
 	if c.rs == c.re {
 		c.rs, c.re = 0, 0
+	}
+}
+
+// batchable reports whether a plan may join a batch: only plans that
+// post without a flush — the static path and the reader's rejections,
+// which neither read a body nor write past the gather list.
+func batchable(plan exchangePlan) bool {
+	return plan.rt == nil && plan.body == nil
+}
+
+// gatherBatch collects behind first (parsed from the head just
+// consumed) the complete request heads the carry-over already holds,
+// for one post to the loop, and returns the batch's length; 1 means
+// first goes alone, as a plain exchange. A head joins while every
+// request before it keeps the connection alive and has a batchable
+// plan, it parses to a batchable plan itself, and the batch has room
+// (batchCap). The first head that does not join stays in the
+// carry-over, to be taken on its own once the batch is over.
+func (c *conn) gatherBatch(first exchangePlan) int {
+	n := 1
+	for prev := first; n < batchCap && batchable(prev) && prev.req.KeepAlive; n++ {
+		p := c.rs
+		for p < c.re && (c.rb[p] == '\r' || c.rb[p] == '\n') {
+			p++ // blank lines between requests, as skipBlank strips them
+		}
+		end := httpmsg.RequestEnd(c.rb[p:c.re])
+		if end < 0 {
+			break
+		}
+		if c.breqs == nil {
+			c.batch = make([]exchangePlan, 0, batchCap)
+			c.breqs = make([]httpmsg.Request, batchCap-1)
+		}
+		req := &c.breqs[n-1]
+		off := len(c.headBuf)
+		c.headBuf = append(c.headBuf, c.rb[p:p+end]...)
+		req.Reset()
+		if req.ParseBytes(c.headBuf[off:]) != nil {
+			c.headBuf = c.headBuf[:off]
+			break
+		}
+		if prev = c.planExchange(req); !batchable(prev) {
+			c.headBuf = c.headBuf[:off]
+			break
+		}
+		c.consume(p + end - c.rs)
+		if n == 1 {
+			c.batch = append(c.batch[:0], first)
+		}
+		c.batch = append(c.batch, prev)
+	}
+	return n
+}
+
+// awaitBatch posts the n plans in c.batch as one message and serves
+// the replies until the batch is over: its last exchange has ended, or
+// one ended the connection (later heads are never answered). An
+// exchange that ended before the batch was through — one that had to
+// wait for a helper, a fill or a write, or whose response did not fit
+// under gatherCap — leaves the rest of the batch to a continuation,
+// posted here. It reports whether the connection persists.
+func (c *conn) awaitBatch(n int) bool {
+	for done := 0; ; {
+		c.sh.postBatch(c, done)
+		keep, staged := c.await()
+		if done += staged + 1; !keep || done == n {
+			return keep
+		}
 	}
 }
 
@@ -596,24 +711,27 @@ func methodRequiresLength(method string) bool {
 
 // await serves the loop's replies to the post just made — writing the
 // items of a response the loop is still driving, corking one it has
-// committed — until the exchange is over, and reports whether the
-// connection persists.
-func (c *conn) await() bool {
+// committed — until an exchange is over. It reports whether the
+// connection persists, and how many responses the loop staged on the
+// gather list ahead of that exchange's (each the whole of an exchange
+// of the batch that is over).
+func (c *conn) await() (keep bool, staged int) {
 	for {
 		var r connReply
 		select {
 		case r = <-c.reply:
 		case <-c.done:
-			return false
+			return false, staged
 		}
+		staged += int(r.staged)
 		switch r.kind {
 		case replyCommitted:
-			return c.cork(&r.item, r.keep)
+			return c.cork(&r.item, r.keep), staged
 		case replyEnd:
 			if !r.keep {
 				c.flush() // earlier responses still leave before the close
 			}
-			return r.keep
+			return r.keep, staged
 		}
 		wrote, sfWrote, ok := c.transmit(&r.item)
 		c.sh.postItemDone(c, r.item, wrote, sfWrote, c.takeWrites(), ok)
@@ -625,17 +743,30 @@ func (c *conn) await() bool {
 // gatherCap — and flushes the list when the connection ends with this
 // response. It reports whether the connection goes on.
 func (c *conn) cork(item *writeItem, keep bool) bool {
-	n := item.wireLen()
-	if c.gatherBytes > 0 && c.gatherBytes+n > gatherCap && !c.flush() {
+	if !c.fits(item) && !c.flush() {
 		return false
 	}
-	c.wb = appendIovecs(c.wb, c.arenaCopy(item.data), item.bodies)
-	c.gatherBytes += n
-	c.gatherPins += int32(item.pins())
+	c.stage(item)
 	if !keep {
 		c.flush()
 	}
 	return keep
+}
+
+// fits reports whether item can join the gather list without taking it
+// past gatherCap (an empty list takes any one response).
+func (c *conn) fits(item *writeItem) bool {
+	return c.gatherBytes == 0 || c.gatherBytes+item.wireLen() <= gatherCap
+}
+
+// stage appends a committed response to the gather list: its inline
+// bytes copied into the arena, its chunk windows as iovecs, its pins
+// counted. The conn goroutine stages what it corks; the loop stages
+// during a batch, while the goroutine waits for the reply.
+func (c *conn) stage(item *writeItem) {
+	c.wb = appendIovecs(c.wb, c.arenaCopy(item.data), item.bodies)
+	c.gatherBytes += item.wireLen()
+	c.gatherPins += int32(item.pins())
 }
 
 // arenaCopy copies a corked response's inline bytes into the arena and

@@ -1,9 +1,11 @@
 package flash
 
-// Tests for the goroutine engine's pipelined gathering: responses the
-// loop commits whole are corked on the connection and leave in one
-// writev. What must hold is that corking is invisible on the wire —
-// for every segmentation of the request stream, across header patches,
+// Tests for the goroutine engine's pipelined gathering: the complete
+// heads of a burst reach the loop in one batch post, responses the loop
+// commits whole are staged or corked on the connection and leave in one
+// writev. What must hold is that batching and corking are invisible on
+// the wire — for every segmentation of the request stream, across
+// header patches and run scratch reuse, around exchanges that wait,
 // ahead of direct socket writes and before every kind of close — and
 // that nothing a corked response pins outlives the connection.
 
@@ -19,6 +21,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -98,6 +101,14 @@ func wreq(method, target, proto string, headers ...string) wireReq {
 // request is written — and returns every byte the server sent.
 func serialTranscript(t *testing.T, addr string, reqs []wireReq) []byte {
 	t.Helper()
+	return serialResponses(t, addr, reqs, true)
+}
+
+// serialResponses is serialTranscript for a script that need not end
+// the connection: with untilClose false it returns the bytes of the
+// responses alone.
+func serialResponses(t *testing.T, addr string, reqs []wireReq, untilClose bool) []byte {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -113,6 +124,9 @@ func serialTranscript(t *testing.T, addr string, reqs []wireReq) []byte {
 		if _, err := readResponse(br, r.method); err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
+	}
+	if !untilClose {
+		return out.Bytes()[:out.Len()-br.Buffered()]
 	}
 	if _, err := io.Copy(io.Discard, br); err != nil { // the close the script ends with
 		t.Fatal(err)
@@ -798,4 +812,276 @@ func TestGatherRunSplitsAtCap(t *testing.T) {
 	if w := after.GatherWrites - before.GatherWrites; w != 3 {
 		t.Fatalf("%d bytes left in %d socket writes, want 3 runs (gatherCap %d)", size, w, gatherCap)
 	}
+}
+
+// loopMsgDeltas warms one connection with a depth-deep pipelined burst
+// for /s4k.bin, then sends rounds more of them over it, reading every
+// response, and returns the Responses and LoopMsgs deltas of those
+// rounds. The warm-up's flush report is in before the first count; the
+// last round's may or may not be in the second.
+func loopMsgDeltas(t *testing.T, s *Server, addr string, depth, rounds int) (responses, msgs uint64) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+	burst := bytes.Repeat(wreq("GET", "/s4k.bin", "HTTP/1.1").wire, depth)
+	round := func() {
+		if _, err := conn.Write(burst); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < depth; i++ {
+			if resp, err := readResponse(br, "GET"); err != nil || resp.status != 200 {
+				t.Fatalf("response %d: %+v err=%v", i, resp, err)
+			}
+		}
+	}
+	round()
+	waitFor(t, "the warm-up flush to be reported", func() bool { return pinsOutstanding(s) == 0 })
+	before := s.Stats()
+	for r := 0; r < rounds; r++ {
+		round()
+	}
+	after := s.Stats()
+	return after.Responses - before.Responses, after.LoopMsgs - before.LoopMsgs
+}
+
+// TestGatherLoopMessages makes the loop hand-offs a server-side count.
+// A warm 16-deep burst reaches the loop in one batch post and leaves in
+// one flush report: at most 3 loop messages for 16 responses, where a
+// post per request costs at least 17. A client that waits for each
+// reply costs what it always did, an exchange and a flush report per
+// response.
+func TestGatherLoopMessages(t *testing.T) {
+	t.Run("burst", func(t *testing.T) {
+		s, addr := gatherServer(t, func(cfg *Config) { cfg.ConnEngine = ConnEngineGoroutine })
+		responses, msgs := loopMsgDeltas(t, s, addr, 16, 1)
+		if responses != 16 || msgs == 0 || msgs > 3 {
+			t.Fatalf("16-deep burst: %d responses for %d loop messages, want 16 for 1..3", responses, msgs)
+		}
+	})
+	t.Run("serial", func(t *testing.T) {
+		s, addr := gatherServer(t, func(cfg *Config) { cfg.ConnEngine = ConnEngineGoroutine })
+		responses, msgs := loopMsgDeltas(t, s, addr, 1, 8)
+		if responses != 8 || msgs < 2*8-1 || msgs > 2*8 {
+			t.Fatalf("one at a time: %d responses for %d loop messages, want 8 for 15..16", responses, msgs)
+		}
+	})
+}
+
+// burstOf concatenates a script's requests into one stream.
+func burstOf(reqs []wireReq) []byte {
+	var b []byte
+	for _, r := range reqs {
+		b = append(b, r.wire...)
+	}
+	return b
+}
+
+// holdDiskRead holds every disk read of the file named suffix until
+// the returned release is called (also on cleanup); held reports that
+// one has arrived. Install it after the last server whose reads must
+// not be held has served them: it is process-wide.
+func holdDiskRead(t *testing.T, suffix string) (held func() bool, release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	var arrived atomic.Bool
+	installDiskHook(t, func(fsPath string, off int64) {
+		if strings.HasSuffix(fsPath, suffix) {
+			arrived.Store(true)
+			<-gate
+		}
+	})
+	release = sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	return arrived.Load, release
+}
+
+// TestGatherBatchColdMiddle: a cold file in the middle of a warm burst
+// leaves the batch waiting on its fill, held at flash/disk-read; the
+// warm followers are answered after it, in order, and the stream is
+// the one-request-at-a-time transcript.
+func TestGatherBatchColdMiddle(t *testing.T) {
+	forEachConnEngine(t, func(t *testing.T) {
+		script := []wireReq{
+			wreq("GET", "/s4k.bin", "HTTP/1.1"),
+			wreq("GET", "/s512.bin", "HTTP/1.1"),
+			wreq("GET", "/s60k.bin", "HTTP/1.1"),
+			wreq("GET", "/s4k.bin", "HTTP/1.1"),
+			wreq("HEAD", "/s12k.bin", "HTTP/1.1"),
+			wreq("GET", "/s512.bin", "HTTP/1.1", "Connection: close"),
+		}
+		// The same bytes from a second server — fixed clock and file
+		// times — given the same warm-up (it picks the cached headers).
+		warm := []wireReq{
+			wreq("GET", "/s4k.bin", "HTTP/1.1"),
+			wreq("GET", "/s512.bin", "HTTP/1.1"),
+			wreq("GET", "/s12k.bin", "HTTP/1.1", "Connection: close"),
+		}
+		_, ref := gatherServer(t, nil)
+		serialTranscript(t, ref, warm)
+		want := serialTranscript(t, ref, script)
+
+		held, release := holdDiskRead(t, "s60k.bin")
+		s, addr := gatherServer(t, nil)
+		serialTranscript(t, addr, warm)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := conn.Write(burstOf(script)); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the cold file's fill to be held", held)
+		if testConnEngine == ConnEngineGoroutine {
+			waitFor(t, "the two warm responses ahead of it staged", func() bool { return pinsOutstanding(s) == 2 })
+		}
+		release()
+		got, err := io.ReadAll(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffStreams(t, "burst around a cold file", want, got)
+	})
+}
+
+// TestGatherBatchCloseMidBurst: a Connection: close request in the
+// middle of a burst ends it — nothing after it is answered.
+func TestGatherBatchCloseMidBurst(t *testing.T) {
+	forEachConnEngine(t, func(t *testing.T) {
+		script := []wireReq{
+			wreq("GET", "/s4k.bin", "HTTP/1.1"),
+			wreq("GET", "/s512.bin", "HTTP/1.1"),
+			wreq("GET", "/s4k.bin", "HTTP/1.1", "Connection: close"),
+			wreq("GET", "/s512.bin", "HTTP/1.1"),
+			wreq("GET", "/s4k.bin", "HTTP/1.1"),
+		}
+		_, addr := gatherServer(t, nil)
+		want := serialTranscript(t, addr, script[:3])
+		diffStreams(t, "burst with a close in the middle", want,
+			segmentedTranscript(t, addr, burstOf(script), nil))
+	})
+}
+
+// TestGatherBatchMixedProtocols: one batch that patches a cached header
+// into the connection's scratch (HTTP/1.0 keep-alive), overwrites that
+// scratch with the next patch, serves the cached bytes themselves
+// (HTTP/1.1), and sends runs of several chunk windows (a resident
+// three-chunk file, a 206 across a chunk boundary) through the run
+// scratch the next walk overwrites. Every response of the batch must
+// arrive byte-exact.
+func TestGatherBatchMixedProtocols(t *testing.T) {
+	forEachConnEngine(t, func(t *testing.T) {
+		_, addr := gatherServer(t, nil)
+		// Warm the files and the header cache with HTTP/1.1 keep-alive
+		// variants, so the 1.0 requests below are served from patches.
+		serialTranscript(t, addr, []wireReq{
+			wreq("GET", "/multi.bin", "HTTP/1.1"),
+			wreq("GET", "/s4k.bin", "HTTP/1.1"),
+			wreq("GET", "/s512.bin", "HTTP/1.1", "Connection: close"),
+		})
+		script := []wireReq{
+			wreq("GET", "/multi.bin", "HTTP/1.0", "Connection: keep-alive"),
+			wreq("GET", "/s4k.bin", "HTTP/1.0", "Connection: keep-alive"),
+			wreq("GET", "/s512.bin", "HTTP/1.1"),
+			wreq("GET", "/multi.bin", "HTTP/1.1", "Range: bytes=60000-70000"),
+			wreq("GET", "/s4k.bin", "HTTP/1.0", "Connection: keep-alive"),
+			wreq("GET", "/multi.bin", "HTTP/1.1", "Range: bytes=130000-140000"),
+			wreq("GET", "/s512.bin", "HTTP/1.0"),
+		}
+		want := serialTranscript(t, addr, script)
+		if n := bytes.Count(want, []byte("HTTP/1.0 200")); n != 4 {
+			t.Fatalf("serial transcript has %d HTTP/1.0 responses, want 4", n)
+		}
+		if n := bytes.Count(want, []byte(" 206 ")); n != 2 {
+			t.Fatalf("serial transcript has %d 206 responses, want 2", n)
+		}
+		diffStreams(t, "one batch", want, segmentedTranscript(t, addr, burstOf(script), nil))
+	})
+}
+
+// TestGatherBatchShutdown: Server.Shutdown while the middle exchange of
+// a batch is held at flash/disk-read. The held response ends the
+// connection when it completes; the responses staged ahead of it still
+// arrive intact, and nothing after it is answered.
+func TestGatherBatchShutdown(t *testing.T) {
+	forEachConnEngine(t, func(t *testing.T) {
+		script := []wireReq{
+			wreq("GET", "/s4k.bin", "HTTP/1.1"),
+			wreq("GET", "/s512.bin", "HTTP/1.1"),
+			wreq("GET", "/s60k.bin", "HTTP/1.1"),
+			wreq("GET", "/s4k.bin", "HTTP/1.1"),
+		}
+		warm := []wireReq{
+			wreq("GET", "/s4k.bin", "HTTP/1.1"),
+			wreq("GET", "/s512.bin", "HTTP/1.1", "Connection: close"),
+		}
+		_, ref := gatherServer(t, nil)
+		serialTranscript(t, ref, warm)
+		want := serialResponses(t, ref, script[:3], false)
+
+		held, release := holdDiskRead(t, "s60k.bin")
+		s, addr := gatherServer(t, nil)
+		serialTranscript(t, addr, warm)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := conn.Write(burstOf(script)); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the cold file's fill to be held", held)
+		shut := make(chan error, 1)
+		go func() { shut <- s.Shutdown(10 * time.Second) }()
+		sh := s.shards[0]
+		waitFor(t, "the shard to stop extending keep-alive", func() bool {
+			down := false
+			sh.call(func() { down = sh.shutdown })
+			return down
+		})
+		release()
+		got, err := io.ReadAll(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffStreams(t, "burst cut by Shutdown", want, got)
+		if err := <-shut; err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestGatherBatchMultiChunk: resident three-chunk files inside one
+// batch leave byte-exact, each as one run, and the goroutine engine
+// sends the whole burst in one socket write.
+func TestGatherBatchMultiChunk(t *testing.T) {
+	forEachConnEngine(t, func(t *testing.T) {
+		s, addr := gatherServer(t, nil)
+		script := []wireReq{
+			wreq("GET", "/s4k.bin", "HTTP/1.1"),
+			wreq("GET", "/multi.bin", "HTTP/1.1"),
+			wreq("GET", "/s512.bin", "HTTP/1.1"),
+			wreq("GET", "/multi.bin", "HTTP/1.1"),
+			wreq("GET", "/s4k.bin", "HTTP/1.1", "Connection: close"),
+		}
+		want := serialTranscript(t, addr, script) // warm: resident from here on
+		before := waitStats(t, s, "the warm-up connection to end", func(st Stats) bool { return st.OpenConns == 0 })
+		diffStreams(t, "one batch", want, segmentedTranscript(t, addr, burstOf(script), nil))
+		after := waitStats(t, s, "the connection to end", func(st Stats) bool {
+			return st.OpenConns == 0 && st.Responses == before.Responses+5
+		})
+		if f := after.Fills.Started - before.Fills.Started; f != 0 {
+			t.Errorf("%d fills for resident files", f)
+		}
+		if w := after.GatherWrites - before.GatherWrites; testConnEngine == ConnEngineGoroutine && w != 1 {
+			t.Errorf("a %d-byte burst left in %d socket writes, want 1", len(want), w)
+		}
+	})
 }

@@ -65,6 +65,38 @@ func (s *shard) handleExchange(c *conn, plan exchangePlan) {
 	s.handleRequest(c, req)
 }
 
+// runBatch runs the exchanges of c's posted batch from index i, in
+// order, for as long as each one's response is staged on the spot
+// (commit). It stops at the first exchange that replied instead — the
+// batch's last, one that ends the connection or would pass gatherCap —
+// or that has to wait for a helper, a fill or a write; the goroutine
+// posts a continuation once that exchange is over. The exchanges of
+// one run share one reading of the clock.
+func (s *shard) runBatch(c *conn, i int) {
+	if s.cfg.RevalidateInterval >= 0 {
+		s.batchNow = s.cfg.Clock().UnixNano()
+	}
+	for ; i < len(c.batch); i++ {
+		staged := c.staged
+		c.stageNext = i+1 < len(c.batch)
+		s.handleExchange(c, c.batch[i])
+		if c.staged != staged+1 {
+			break
+		}
+	}
+	c.stageNext = false
+	s.batchNow = 0
+}
+
+// now is the wall clock in unix nanos for the revalidation check: the
+// running batch's reading, or a fresh one.
+func (s *shard) now() int64 {
+	if s.batchNow != 0 {
+		return s.batchNow
+	}
+	return s.cfg.Clock().UnixNano()
+}
+
 // handleRequest runs the static-file path for one request (also the
 // re-entry point when a chunk walk detects a changed file and restarts
 // the exchange).
@@ -81,7 +113,7 @@ func (s *shard) handleRequest(c *conn, req *httpmsg.Request) {
 	// modifications are noticed within a bounded window.
 	if pe, ok := s.view.GetPath(req.Path); ok {
 		if s.cfg.RevalidateInterval < 0 ||
-			s.cfg.Clock().UnixNano()-pe.CheckedAt < int64(s.cfg.RevalidateInterval) {
+			s.now()-pe.CheckedAt < int64(s.cfg.RevalidateInterval) {
 			s.afterTranslate(c, pe)
 			return
 		}
@@ -392,20 +424,31 @@ func (s *shard) queueItem(c *conn, item writeItem) {
 		s.commit(c, item)
 	default:
 		c.inFlight = true
-		c.reply <- connReply{kind: replyItem, item: item}
+		c.reply <- connReply{kind: replyItem, item: item, staged: c.takeStaged()}
 	}
 }
 
 // commit ends an exchange at queue time: the response is this one item,
 // so nothing about it needs the loop again — the counters, the access
 // log line (with the byte count the response will carry), the busy
-// gauge and the source are settled now, and the item travels to the
-// conn goroutine together with the persistence verdict. That makes the
-// exchange two blocking hops (post, reply) instead of four. The one
-// thing that must outlive the write, the pins on the item's chunks,
-// moves to the connection's FIFO until a released message reports the
-// flush; a flush that falls short takes the byte counts back and fails
-// the connection there.
+// gauge and the source are settled now. The one thing that must
+// outlive the write, the pins on the item's chunks, moves to the
+// connection's FIFO until a released message reports the flush; a
+// flush that falls short takes the byte counts back and fails the
+// connection there.
+//
+// Alone, the item travels to the conn goroutine together with the
+// persistence verdict: the exchange is two blocking hops (post, reply)
+// instead of four. Inside a batch with an exchange still to run
+// (stageNext), a response that keeps the connection and fits under
+// gatherCap is staged on the gather list instead — its inline bytes
+// copied out before the next exchange reuses the header scratch, its
+// chunk windows out of the run scratch — and the loop goes on to the
+// next exchange (runBatch) with no hop at all. Any other response goes
+// back in a reply that counts the staged ones ahead of it; the
+// goroutine corks it, flushing first when it would pass the cap, so a
+// client that stops reading still pins at most the cap plus one
+// response.
 func (s *shard) commit(c *conn, item writeItem) {
 	n := int64(item.wireLen())
 	c.ls.bytesSent += n
@@ -421,7 +464,20 @@ func (s *shard) commit(c *conn, item writeItem) {
 		src.release(s, c, rel, true)
 	}
 	keep := s.settle(c)
-	c.reply <- connReply{kind: replyCommitted, item: item, keep: keep}
+	if c.stageNext && keep && c.fits(&item) {
+		c.stage(&item)
+		c.staged++
+		return
+	}
+	c.reply <- connReply{kind: replyCommitted, item: item, keep: keep, staged: c.takeStaged()}
+}
+
+// takeStaged returns the responses staged since the last reply, for
+// the reply about to be sent.
+func (c *conn) takeStaged() int32 {
+	n := c.staged
+	c.staged = 0
+	return n
 }
 
 // released runs when the conn goroutine reports a flush of committed
@@ -512,9 +568,11 @@ func (s *shard) finishResponse(c *conn) {
 // the parked conn goroutine; under epoll it advances the conn's state
 // machine (drain leftover body bytes, then parse the next head or park
 // idle). Both engines clear the busy gauge here — the one funnel every
-// completed or failed tracked response passes through. The send does
-// not block: a reply is already waiting only when the connection has
-// failed, and then the goroutine is leaving anyway.
+// completed or failed tracked response passes through. The reply
+// counts the responses a batch staged ahead of the exchange, so they
+// leave before a close. The send does not block: a reply is already
+// waiting only when the connection has failed, and then the goroutine
+// is leaving anyway (nothing is staged while a reply waits).
 func (s *shard) signalNext(c *conn, keep bool) {
 	s.markIdle(c)
 	if c.np != nil {
@@ -522,7 +580,8 @@ func (s *shard) signalNext(c *conn, keep bool) {
 		return
 	}
 	select {
-	case c.reply <- connReply{kind: replyEnd, keep: keep}:
+	case c.reply <- connReply{kind: replyEnd, keep: keep, staged: c.staged}:
+		c.staged = 0
 	default:
 	}
 }

@@ -143,8 +143,9 @@ func TestTruncateLargerThanDatasetKeepsAll(t *testing.T) {
 	}
 }
 
-// Property: truncation never exceeds the requested dataset size and the
-// result is always internally consistent.
+// Property: truncation never exceeds the requested dataset size — save
+// that a trace always keeps its first file, however small the target —
+// and the result is always internally consistent.
 func TestPropertyTruncateBounds(t *testing.T) {
 	base := Generate(SyntheticConfig{
 		Name: "p", NumFiles: 300, DatasetBytes: 10 << 20, ZipfAlpha: 0.7,
@@ -154,7 +155,7 @@ func TestPropertyTruncateBounds(t *testing.T) {
 	f := func(kb uint16) bool {
 		target := int64(kb)<<10 + 64
 		cut := base.Truncate(target)
-		return cut.DatasetBytes() <= target && cut.Validate() == nil
+		return (cut.DatasetBytes() <= target || len(cut.Files) == 1) && cut.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
