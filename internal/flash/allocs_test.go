@@ -178,6 +178,43 @@ func TestAllocsHandlerBudget(t *testing.T) {
 	}
 }
 
+// TestAllocsHandlerBehindBatch: a handler request pipelined behind
+// static hits costs what it costs alone. The batch the hits form stops
+// at the handler's head without planning it, so its body reader is
+// built once, when its own exchange is posted.
+func TestAllocsHandlerBehindBatch(t *testing.T) {
+	addr, stop := allocGuardServer(t, func(s *Server) {
+		s.HandleFunc("POST", "/echo", func(w ResponseWriter, r *Request) {
+			w.Header().Set("Content-Length", "2")
+			w.Write([]byte("ok"))
+		})
+	})
+	defer stop()
+
+	get := []byte("GET /f.html HTTP/1.1\r\nHost: alloc\r\n\r\n")
+	post := []byte("POST /echo HTTP/1.1\r\nHost: alloc\r\nContent-Length: 3\r\n\r\nabc")
+	alone := measureAllocs(t, addr, post, 1)
+
+	getOne := newSteadyClient(t, addr, get, 1)
+	getLen := getOne.respLen
+	getOne.close()
+	postOne := newSteadyClient(t, addr, post, 1)
+	postLen := postOne.respLen
+	postOne.close()
+
+	const depth = 4
+	c := dialSteady(t, addr, append(bytes.Repeat(get, depth), post...))
+	defer c.close()
+	c.respLen = depth*getLen + postLen
+	c.warm(t)
+	behind := testing.AllocsPerRun(200, func() { c.roundTrip(t) })
+	t.Logf("handler alone %.1f allocs, behind %d static hits %.1f", alone, depth, behind)
+	if behind > alone {
+		t.Errorf("handler behind %d static hits: %.1f allocs/burst, want at most %.1f (alone)",
+			depth, behind, alone)
+	}
+}
+
 // TestSteadyResponsesStable sanity-checks the assumption both the
 // benchmarks and the alloc guards rest on: steady-state responses for
 // one request are byte-length-stable (cached headers freeze the Date).
@@ -225,19 +262,14 @@ type steadyClient struct {
 
 func newSteadyClient(b testing.TB, addr string, req []byte, depth int) *steadyClient {
 	b.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	conn.SetDeadline(time.Now().Add(5 * time.Minute))
-	c := &steadyClient{conn: conn, req: req, buf: make([]byte, 256<<10)} // holds any one response
+	c := dialSteady(b, addr, req)
 
 	// First exchange: measure one response, scraping Content-Length and
 	// ETag from the header block.
-	if _, err := conn.Write(req); err != nil {
+	if _, err := c.conn.Write(req); err != nil {
 		b.Fatal(err)
 	}
-	one, etag, err := readOneResponse(conn, c.buf, !bytes.HasPrefix(req, []byte("HEAD ")))
+	one, etag, err := readOneResponse(c.conn, c.buf, !bytes.HasPrefix(req, []byte("HEAD ")))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -247,12 +279,26 @@ func newSteadyClient(b testing.TB, addr string, req []byte, depth int) *steadyCl
 	if err := c.readFull(c.respLen - one); err != nil {
 		b.Fatal(err)
 	}
-	// Warm every layer (caches, goroutine stacks, iovec buffers) before
-	// the measured loop.
+	c.warm(b)
+	return c
+}
+
+func dialSteady(b testing.TB, addr string, req []byte) *steadyClient {
+	b.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	conn.SetDeadline(time.Now().Add(5 * time.Minute))
+	return &steadyClient{conn: conn, req: req, buf: make([]byte, 256<<10)} // holds any one response
+}
+
+// warm runs exchanges until every layer (caches, goroutine stacks,
+// iovec buffers) is warm, before the measured loop.
+func (c *steadyClient) warm(b testing.TB) {
 	for i := 0; i < 64; i++ {
 		c.roundTrip(b)
 	}
-	return c
 }
 
 func (c *steadyClient) roundTrip(b testing.TB) {

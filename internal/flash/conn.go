@@ -552,9 +552,11 @@ func batchable(plan exchangePlan) bool {
 // for one post to the loop, and returns the batch's length; 1 means
 // first goes alone, as a plain exchange. A head joins while every
 // request before it keeps the connection alive and has a batchable
-// plan, it parses to a batchable plan itself, and the batch has room
-// (batchCap). The first head that does not join stays in the
-// carry-over, to be taken on its own once the batch is over.
+// plan, it parses and routes to no handler itself (so its plan is
+// batchable), and the batch has room (batchCap). The first head that
+// does not join stays in the carry-over, to be taken on its own once
+// the batch is over; it is never planned here, so a handler's body
+// reader is built once, when its exchange is posted.
 func (c *conn) gatherBatch(first exchangePlan) int {
 	n := 1
 	for prev := first; n < batchCap && batchable(prev) && prev.req.KeepAlive; n++ {
@@ -578,10 +580,12 @@ func (c *conn) gatherBatch(first exchangePlan) int {
 			c.headBuf = c.headBuf[:off]
 			break
 		}
-		if prev = c.planExchange(req); !batchable(prev) {
+		rt, allow := c.sh.srv.routes.match(req.Method, req.Path)
+		if rt != nil {
 			c.headBuf = c.headBuf[:off]
 			break
 		}
+		prev = c.planRoute(req, nil, allow)
 		c.consume(p + end - c.rs)
 		if n == 1 {
 			c.batch = append(c.batch[:0], first)
@@ -614,6 +618,13 @@ func (c *conn) awaitBatch(n int) bool {
 // route table is immutable once the server starts, so the lookup is
 // lock-free.
 func (c *conn) planExchange(req *httpmsg.Request) exchangePlan {
+	rt, allow := c.sh.srv.routes.match(req.Method, req.Path)
+	return c.planRoute(req, rt, allow)
+}
+
+// planRoute is planExchange once the route lookup is done: rt and
+// allow are what the router answered for req.
+func (c *conn) planRoute(req *httpmsg.Request, rt *Route, allow string) exchangePlan {
 	cfg := c.sh.cfg
 	plan := exchangePlan{req: req}
 
@@ -642,7 +653,6 @@ func (c *conn) planExchange(req *httpmsg.Request) exchangePlan {
 		expectContinue = req.ExpectsContinue()
 	}
 
-	rt, allow := c.sh.srv.routes.match(req.Method, req.Path)
 	if rt == nil {
 		if allow == "" && (req.Method == "GET" || req.Method == "HEAD") {
 			// Static path. Bodied GET/HEAD requests are refused as

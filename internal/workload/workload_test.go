@@ -152,10 +152,19 @@ func TestPropertyTruncateBounds(t *testing.T) {
 		SizeMeanBytes: 8 << 10, SizeSigma: 1.2, MinSize: 64, MaxSize: 1 << 20,
 		Requests: 5000, Seed: 11,
 	})
+	first := base.Entries[0].Path
 	f := func(kb uint16) bool {
 		target := int64(kb)<<10 + 64
 		cut := base.Truncate(target)
-		return (cut.DatasetBytes() <= target || len(cut.Files) == 1) && cut.Validate() == nil
+		if cut.Validate() != nil {
+			return false
+		}
+		if cut.DatasetBytes() <= target {
+			return true
+		}
+		// Over the target: only the trace's first file, alone and whole.
+		_, kept := cut.Files[first]
+		return len(cut.Files) == 1 && kept && cut.DatasetBytes() == base.Files[first]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
