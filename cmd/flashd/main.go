@@ -8,7 +8,6 @@
 //	flashd -root ./public [-addr :8080] [-loops N] [-helpers 8] [-status]
 //	       [-userdir-base /home -userdir-suffix public_html]
 //	       [-access-log access.log]
-//	       [-conn-engine goroutine|epoll]
 //	       [-cache-path-entries 6000] [-cache-header-entries 6000]
 //	       [-cache-map-mb 64] [-cache-chunk-kb 64]
 //	       [-sendfile-threshold 262144] [-max-body 8388608] [-demo]
@@ -85,7 +84,6 @@ func main() {
 		root       = flag.String("root", "", "document root (required)")
 		loops      = flag.Int("loops", 0, "event-loop shards (0 = one per CPU)")
 		helpers    = flag.Int("helpers", 8, "disk helper goroutines per shard")
-		connEng    = flag.String("conn-engine", "goroutine", "connection engine: goroutine (portable, 1 goroutine/conn) or epoll (Linux readiness loop, zero goroutines per idle conn)")
 		idleTO     = flag.Duration("idle-timeout", 0, "keep-alive idle timeout (0 = built-in default; idle-conn soaks raise this)")
 		cachePaths = flag.Int("cache-path-entries", 6000, "pathname cache entries (server-wide)")
 		cacheHdrs  = flag.Int("cache-header-entries", 0, "header cache entries (0 = same as -cache-path-entries)")
@@ -124,7 +122,6 @@ func main() {
 		DocRoot:     *root,
 		EventLoops:  *loops,
 		NumHelpers:  *helpers,
-		ConnEngine:  *connEng,
 		IdleTimeout: *idleTO,
 		Cache: flash.CacheConfig{
 			PathEntries:   *cachePaths,
@@ -260,10 +257,9 @@ func main() {
 			shards := srv.ShardStats()
 			if parseQuery(r.Query)["format"] == "json" {
 				js, err := json.MarshalIndent(statusJSON{
-					ConnEngine: srv.ConnEngine(),
-					Stats:      st,
-					Shards:     shards,
-					Proxy:      srv.ProxyStats(),
+					Stats:  st,
+					Shards: shards,
+					Proxy:  srv.ProxyStats(),
 				}, "", "  ")
 				if err != nil {
 					w.Header().Set("Content-Type", "text/plain")
@@ -277,7 +273,6 @@ func main() {
 			}
 			var b strings.Builder
 			fmt.Fprintf(&b, "flashd status\n=============\n")
-			fmt.Fprintf(&b, "conn engine:   %s\n", srv.ConnEngine())
 			fmt.Fprintf(&b, "accepted:      %d\n", st.Accepted)
 			fmt.Fprintf(&b, "active:        %d\n", st.Active)
 			fmt.Fprintf(&b, "open conns:    %d (idle: %d)\n", st.OpenConns, st.IdleConns)
@@ -361,10 +356,9 @@ func main() {
 
 // statusJSON is the ?format=json shape of /server-status.
 type statusJSON struct {
-	ConnEngine string                 `json:"conn_engine"`
-	Stats      flash.Stats            `json:"stats"`
-	Shards     []flash.Stats          `json:"shards"`
-	Proxy      []flash.ProxyPoolStats `json:"proxy,omitempty"`
+	Stats  flash.Stats            `json:"stats"`
+	Shards []flash.Stats          `json:"shards"`
+	Proxy  []flash.ProxyPoolStats `json:"proxy,omitempty"`
 }
 
 // parseQuery splits a raw query string into a key→value map; repeated

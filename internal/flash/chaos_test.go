@@ -25,17 +25,13 @@ import (
 // the fault lifts. CI runs it under -race with `-run 'Chaos'`, which
 // the flattened matrix labels below keep selectable.
 
-// forEachChaosMatrix runs fn once per (conn engine × chunk path)
+// forEachChaosMatrix runs fn once per (conn-engine label × chunk path)
 // combination, like forEachProxyMatrix but labeled "chaos-" so the CI
-// chaos step selects the suite while the epoll step still covers it
-// via the engine name in the label.
+// chaos step selects the suite.
 func forEachChaosMatrix(t *testing.T, fn func(t *testing.T)) {
-	for _, ce := range connEngines() {
+	for _, ce := range connEngineLabels {
 		for _, path := range chunkPaths {
 			t.Run(fmt.Sprintf("chaos-connengine=%s-engine=%s", ce, path), func(t *testing.T) {
-				prev := testConnEngine
-				testConnEngine = ce
-				defer func() { testConnEngine = prev }()
 				t.Cleanup(failpoint.DisarmAll)
 				useChunkPath(t, path)
 				fn(t)
@@ -278,7 +274,6 @@ func TestChaosOriginDeathStaleIfError(t *testing.T) {
 // real head, so the wire stays well-formed) and the stale copy masks
 // it.
 func TestChaosOrigin5xxStaleIfError(t *testing.T) {
-	setConnEngine(t, ConnEngineGoroutine)
 	t.Cleanup(failpoint.DisarmAll)
 	want := []byte("stale-but-served body\n")
 	origin := newTestOrigin(t, nil)
@@ -506,7 +501,7 @@ func TestChaosConnAllocRejects(t *testing.T) {
 
 // TestChaosSlowClientWriteFaults injects write-path failures into
 // response transmission: in-flight responses die cleanly (no hang, no
-// shard stall), and the engine serves normally once disarmed.
+// shard stall), and the server serves normally once disarmed.
 func TestChaosSlowClientWriteFaults(t *testing.T) {
 	forEachConnEngine(t, func(t *testing.T) {
 		t.Cleanup(failpoint.DisarmAll)

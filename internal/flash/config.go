@@ -39,24 +39,16 @@
 //     arrives, like the paper's helper processes notifying the server
 //     over a pipe.
 //
-//   - Two connection engines drive sockets (Config.ConnEngine). The
-//     portable default runs one goroutine per connection, parked on
-//     Go's netpoller, standing in for select-driven non-blocking
-//     socket code: it reads and parses requests, and writes what the
-//     loop hands back, so a slow client blocks only its own goroutine.
+//   - One goroutine per connection drives its socket, parked on Go's
+//     netpoller, standing in for select-driven non-blocking socket
+//     code: it reads and parses requests, and writes what the loop
+//     hands back, so a slow client blocks only its own goroutine.
 //     A response that is a single item — every warm small-file hit,
 //     304 and error — is settled on the loop the moment it is queued;
 //     the complete heads of a pipelined burst reach the loop in one
 //     batch message, which the loop runs in one pass like the paper's
 //     event loop serving every ready request, and their responses leave
-//     gathered into one writev (conn.serve). The Linux-only epoll engine is the
-//     literal reading: connections are accepted with
-//     accept4(SOCK_NONBLOCK), multiplexed by a raw edge-triggered
-//     epoll loop per shard, advanced by an explicit per-connection
-//     state machine, and timed out on a per-shard timer wheel — an
-//     idle keep-alive connection holds no goroutines at all. Both
-//     engines feed the same parser/cache/transport pipeline and are
-//     byte-identical on the wire.
+//     gathered into one writev (conn.serve).
 //
 //   - File chunks are refcounted views over mmap(2)-mapped file
 //     regions, mapped and touched by the disk helpers (the paper's
@@ -167,20 +159,6 @@ type Config struct {
 
 	// Cache groups every cache-layer knob (see CacheConfig).
 	Cache CacheConfig
-
-	// ConnEngine selects the per-connection I/O engine. The default,
-	// ConnEngineGoroutine, runs one goroutine per connection parked on
-	// Go's netpoller — portable everywhere, friendly to blocking
-	// handlers, and the one that gathers a pipelined burst's responses
-	// into few writev calls. ConnEngineEpoll (Linux only) runs
-	// a readiness-driven state machine on a raw epoll loop per shard —
-	// the paper's select()-loop heart — so an idle keep-alive
-	// connection costs an fd in an interest set plus a few hundred
-	// bytes of state, no goroutine stacks: the engine for
-	// hundreds-of-thousands-of-connections fleets. Both engines speak
-	// byte-identical HTTP (the torture and equivalence suites run on
-	// each).
-	ConnEngine string
 
 	// SendfileThreshold selects the static-body transport per response:
 	// bodies of at least this many bytes are served straight from the
@@ -323,13 +301,6 @@ type CacheConfig struct {
 	ChunkBytes int64
 }
 
-// Connection engine names for Config.ConnEngine and flashd
-// -conn-engine.
-const (
-	ConnEngineGoroutine = "goroutine"
-	ConnEngineEpoll     = "epoll"
-)
-
 // DefaultSendfileThreshold is the body size at which static responses
 // switch from the chunk-cache copy path to the sendfile transport when
 // Config.SendfileThreshold is left zero.
@@ -343,11 +314,6 @@ const DefaultMaxBodyBytes = 8 << 20
 var (
 	ErrNoDocRoot  = errors.New("flash: Config.DocRoot is required")
 	ErrBadDocRoot = errors.New("flash: Config.DocRoot is not a directory")
-	// ErrBadConnEngine reports an unknown ConnEngine name.
-	ErrBadConnEngine = errors.New(`flash: ConnEngine must be "", "goroutine", or "epoll"`)
-	// ErrConnEngineUnsupported reports ConnEngineEpoll on a platform
-	// without epoll (the goroutine engine is the portable fallback).
-	ErrConnEngineUnsupported = errors.New("flash: ConnEngine epoll is only supported on linux")
 	// ErrBadUpstreamPrefix reports an UpstreamPrefix that does not
 	// start with "/".
 	ErrBadUpstreamPrefix = errors.New(`flash: Config.UpstreamPrefix must start with "/"`)
@@ -369,17 +335,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	cfg.DocRoot = abs
 	if cfg.IndexFile == "" {
 		cfg.IndexFile = "index.html"
-	}
-	switch cfg.ConnEngine {
-	case "":
-		cfg.ConnEngine = ConnEngineGoroutine
-	case ConnEngineGoroutine:
-	case ConnEngineEpoll:
-		if !epollSupported {
-			return cfg, ErrConnEngineUnsupported
-		}
-	default:
-		return cfg, fmt.Errorf("%w (got %q)", ErrBadConnEngine, cfg.ConnEngine)
 	}
 	if cfg.Cache.PathEntries == 0 {
 		cfg.Cache.PathEntries = 6000

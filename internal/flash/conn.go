@@ -1,9 +1,11 @@
 package flash
 
 import (
+	"io"
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
@@ -12,21 +14,17 @@ import (
 )
 
 // fpConnWrite injects into response transmission (args: remote addr).
-// Under the goroutine engine a latency hook stalls the connection's
-// goroutine — a simulated slow client — while an error hook fails the
-// write. The epoll engine transmits on the shard loop, so only error
-// hooks are sensible there (a sleeping hook would stall the shard, by
-// design visible in chaos drills).
+// A latency hook stalls the connection's goroutine — a simulated slow
+// client — while an error hook fails the write.
 var fpConnWrite = failpoint.New("flash/conn-write")
 
 // writeItem is the pipeline's wire format: one unit of work handed
-// from a response's bodySource to whoever owns the socket (the
-// connection's goroutine, or the shard loop under epoll). It is
-// transmitted in order: the inline bytes (header, error body, dynamic
-// data), then the chunk windows — all gathered into a single writev,
-// the §5.5 pattern — and then, for the zero-copy transport, the
-// descriptor window [sfOff, sfOff+sfLen) shipped with sendfile(2) (or
-// the portable copy loop). Sources produce items one at a time; `last`
+// from a response's bodySource to the connection's goroutine, which
+// owns the socket. It is transmitted in order: the inline bytes
+// (header, error body, dynamic data), then the chunk windows — all
+// gathered into a single writev, the §5.5 pattern — and then, for the
+// zero-copy transport, the descriptor window [sfOff, sfOff+sfLen)
+// shipped with sendfile(2) (or the portable copy loop). Sources produce items one at a time; `last`
 // marks the response's final item. Items travel by value — through the
 // reply channel and back through the loop's typed itemDone message —
 // so the per-item traffic allocates nothing.
@@ -46,8 +44,8 @@ type writeItem struct {
 	sfOff, sfLen int64
 	last         bool // response ends after this item
 	// whole marks an item that is its response's only one (set by the
-	// source together with last): the goroutine engine commits such a
-	// response the moment it is queued (shard.commit).
+	// source together with last): the loop commits such a response the
+	// moment it is queued (shard.commit).
 	whole bool
 }
 
@@ -252,12 +250,24 @@ type conn struct {
 	// set at exchange start, cleared at commit/signalNext/teardown.
 	busy bool
 
-	// np is the connection's epoll-engine state (ConnEngineEpoll);
-	// nil under the goroutine engine. When set, reply is nil and no
-	// goroutine exists: the shard's readiness loop drives the exchange
-	// instead (netpoll_linux.go).
-	np *npConn
+	// parked is connParked while the conn goroutine waits for a request
+	// head with nothing buffered (readHead); Shutdown swaps it to
+	// connKicked and expires the read deadline (kickIdle), holding
+	// kickMu across both so the goroutine can wait for the pair.
+	parked atomic.Int32
+	kickMu sync.Mutex
 }
+
+// States of conn.parked.
+const (
+	connActive = iota
+	connParked
+	connKicked
+)
+
+// aLongTimeAgo is a read deadline that has already passed: setting it
+// ends a blocked read at once.
+var aLongTimeAgo = time.Unix(1, 0)
 
 func newConn(sh *shard, nc net.Conn) *conn {
 	return &conn{
@@ -276,10 +286,22 @@ func (c *conn) abort() {
 	c.nc.Close()
 }
 
-// closeDone closes c.done exactly once: abort (any goroutine) and the
-// epoll loop's teardown may both get there.
+// closeDone closes c.done exactly once: abort may run more than once,
+// from any goroutine.
 func (c *conn) closeDone() {
 	c.doneOnce.Do(func() { close(c.done) })
+}
+
+// kickIdle ends the read of a connection parked between requests, for
+// Shutdown: no exchange in flight, nothing unwritten (the gather list
+// is flushed before that read) and no partial head buffered. A
+// connection doing anything else is left to finish its exchange.
+func (c *conn) kickIdle() {
+	c.kickMu.Lock()
+	if c.parked.CompareAndSwap(connParked, connKicked) {
+		c.nc.SetReadDeadline(aLongTimeAgo)
+	}
+	c.kickMu.Unlock()
 }
 
 // window returns the unread carry-over bytes.
@@ -476,7 +498,7 @@ func (c *conn) serve() {
 				c.await()
 				return
 			}
-			n, err := c.nc.Read(c.fillSpace())
+			n, err := c.readHead()
 			if n > 0 {
 				c.re += n
 				c.armRead(c.sh.cfg.ReadTimeout)
@@ -526,6 +548,35 @@ func (c *conn) serve() {
 			return
 		}
 	}
+}
+
+// readHead reads more of a request head from the socket. A read with
+// nothing buffered is the one a connection parked between requests
+// waits in, and Shutdown ends it (kickIdle): the connection closes then
+// — with io.EOF, at once if Shutdown has already begun — unless bytes
+// came in with the kick, whose request is served as usual.
+func (c *conn) readHead() (int, error) {
+	if c.rs != c.re {
+		return c.nc.Read(c.fillSpace())
+	}
+	c.parked.Store(connParked)
+	if c.sh.srv.stopping.Load() {
+		return 0, io.EOF
+	}
+	n, err := c.nc.Read(c.fillSpace())
+	if c.parked.CompareAndSwap(connParked, connActive) {
+		return n, err
+	}
+	// Kicked. Wait until the expired deadline is in place, so that the
+	// deadline armed from here on is the one that stands.
+	c.kickMu.Lock()
+	c.kickMu.Unlock()
+	c.parked.Store(connActive)
+	if n == 0 {
+		return 0, io.EOF
+	}
+	c.readArm = 0 // the kick replaced the armed deadline
+	return n, nil
 }
 
 // skipBlank strips CR/LF bytes at the head of the carry-over window,

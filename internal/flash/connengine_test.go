@@ -2,52 +2,27 @@ package flash
 
 import (
 	"bufio"
+	"errors"
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
 
-// testConnEngine is the connection engine newTestServer (and the other
-// test-server constructors) pass to Config. forEachConnEngine swaps it
-// per subtest; the package default mirrors Config's default. Tests in
-// this package never run in parallel, so a plain global is safe.
-var testConnEngine = ConnEngineGoroutine
+// connEngineLabels are the conn-engine subtest labels. The server has
+// one connection driver, and both labels run it: they stay because the
+// suites' subtest names are test IDs.
+var connEngineLabels = []string{"goroutine", "epoll"}
 
-// connEngines lists the engines available on this platform.
-func connEngines() []string {
-	engines := []string{ConnEngineGoroutine}
-	if epollSupported {
-		engines = append(engines, ConnEngineEpoll)
-	}
-	return engines
-}
-
-// forEachConnEngine runs a test body once per available connection
-// engine — the conn-level mirror of forEachChunkPath. Every suite routed
-// through it asserts the engines are byte-identical on the wire: the
-// readiness state machine may never change protocol behavior.
+// forEachConnEngine runs a test body once per conn-engine label.
 func forEachConnEngine(t *testing.T, fn func(t *testing.T)) {
-	for _, engine := range connEngines() {
-		t.Run("connengine="+engine, func(t *testing.T) {
-			prev := testConnEngine
-			testConnEngine = engine
-			defer func() { testConnEngine = prev }()
-			fn(t)
-		})
+	for _, label := range connEngineLabels {
+		t.Run("connengine="+label, fn)
 	}
-}
-
-// setConnEngine forces one engine for a single test, restoring the
-// package default on cleanup.
-func setConnEngine(t *testing.T, engine string) {
-	t.Helper()
-	prev := testConnEngine
-	testConnEngine = engine
-	t.Cleanup(func() { testConnEngine = prev })
 }
 
 // getKeepAlive performs one keep-alive exchange on a raw conn, leaving
@@ -64,33 +39,8 @@ func getKeepAlive(t *testing.T, nc net.Conn, br *bufio.Reader, path string) *raw
 	return resp
 }
 
-// TestConnEngineConfig checks the ConnEngine knob's validation.
-func TestConnEngineConfig(t *testing.T) {
-	root := t.TempDir()
-	cfg, err := Config{DocRoot: root}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.ConnEngine != ConnEngineGoroutine {
-		t.Fatalf("default ConnEngine = %q, want %q", cfg.ConnEngine, ConnEngineGoroutine)
-	}
-	if _, err := (Config{DocRoot: root, ConnEngine: "threads"}).withDefaults(); err == nil {
-		t.Fatal("bad ConnEngine accepted")
-	}
-	for _, engine := range connEngines() {
-		if _, err := (Config{DocRoot: root, ConnEngine: engine}).withDefaults(); err != nil {
-			t.Fatalf("ConnEngine %q rejected: %v", engine, err)
-		}
-	}
-	if !epollSupported {
-		if _, err := (Config{DocRoot: root, ConnEngine: ConnEngineEpoll}).withDefaults(); err != ErrConnEngineUnsupported {
-			t.Fatalf("epoll off-linux: err = %v, want ErrConnEngineUnsupported", err)
-		}
-	}
-}
-
-// TestConnEngineStatsGauges checks the open/idle connection gauges both
-// engines maintain: a parked keep-alive conn shows up as open and idle,
+// TestConnEngineStatsGauges checks the open/idle connection gauges: a
+// parked keep-alive conn shows up as open and idle,
 // and closes drop the gauge back to zero.
 func TestConnEngineStatsGauges(t *testing.T) { forEachConnEngine(t, testConnEngineStatsGauges) }
 
@@ -139,28 +89,29 @@ func testConnEngineStatsGauges(t *testing.T) {
 	}
 }
 
-// TestEpollShutdownClosesIdle is the Shutdown drain fix: an idle
-// keep-alive conn on the epoll engine has no reader goroutine to see
-// the shutdown flag, so Shutdown must close it promptly (well before
-// IdleTimeout) instead of hanging until the timer wheel fires.
-func TestEpollShutdownClosesIdle(t *testing.T) {
-	if !epollSupported {
-		t.Skip("epoll engine is linux-only")
+// TestShutdownClosesIdle: keep-alive connections parked between
+// requests — nothing in flight, nothing unwritten, no partial head —
+// close as soon as Shutdown begins, rather than holding the drain
+// until their IdleTimeout or the Shutdown timeout.
+func TestShutdownClosesIdle(t *testing.T) {
+	s, base := newTestServer(t, func(cfg *Config) { cfg.EventLoops = 2 })
+	conns := make([]net.Conn, 4)
+	for i := range conns {
+		conns[i] = dialRaw(t, base)
+		getKeepAlive(t, conns[i], bufio.NewReader(conns[i]), "/hello.txt")
 	}
-	setConnEngine(t, ConnEngineEpoll)
-
-	s, base := newTestServer(t, nil)
-	nc := dialRaw(t, base)
-	getKeepAlive(t, nc, bufio.NewReader(nc), "/hello.txt")
 
 	start := time.Now()
 	done := make(chan error, 1)
 	go func() { done <- s.Shutdown(10 * time.Second) }()
 
-	// The server should close the idle conn: the next read sees EOF.
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := nc.Read(make([]byte, 1)); err == nil {
-		t.Fatal("idle conn still open after Shutdown")
+	// The server should close every idle conn: the next read sees EOF,
+	// not its deadline.
+	for _, nc := range conns {
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := nc.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("idle conn still open after Shutdown: %v", err)
+		}
 	}
 	select {
 	case err := <-done:
@@ -171,21 +122,70 @@ func TestEpollShutdownClosesIdle(t *testing.T) {
 		t.Fatal("Shutdown did not return")
 	}
 	if el := time.Since(start); el > 3*time.Second {
-		t.Fatalf("Shutdown took %v; idle epoll conns should close promptly", el)
+		t.Fatalf("Shutdown took %v; idle conns should close promptly", el)
 	}
 }
 
-// TestEpollSendfileParkClientClose races a mid-sendfile EAGAIN park
-// against a client close: a stalled receiver parks the transmit on
-// EPOLLOUT with the descriptor pinned; the client then vanishes. The
-// engine must fail the item, release the descriptor pin, and keep
-// serving other clients.
-func TestEpollSendfileParkClientClose(t *testing.T) {
-	if !epollSupported {
-		t.Skip("epoll engine is linux-only")
+// TestShutdownServesPartialHead: a connection with part of a request
+// head buffered when Shutdown begins is not idle. It stays open, and
+// once the rest of the head arrives the request is answered — with the
+// 503 every request that starts after Shutdown draws — and the
+// connection closes.
+func TestShutdownServesPartialHead(t *testing.T) {
+	s, base := newTestServer(t, nil)
+	nc := dialRaw(t, base)
+	var c *conn
+	waitFor(t, "the connection to park", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for sc := range s.conns {
+			c = sc
+		}
+		return c != nil && c.parked.Load() == connParked
+	})
+	if _, err := io.WriteString(nc, "GET /hello.txt HTTP/1.1\r\nHo"); err != nil {
+		t.Fatal(err)
 	}
-	setConnEngine(t, ConnEngineEpoll)
+	waitFor(t, "the partial head to be read", func() bool { return c.parked.Load() == connActive })
 
+	done := make(chan error, 1)
+	go func() { done <- s.Shutdown(10 * time.Second) }()
+	waitFor(t, "Shutdown to begin", s.stopping.Load)
+	nc.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if _, err := nc.Read(make([]byte, 1)); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("connection with a partial head closed by Shutdown: %v", err)
+	}
+	nc.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.WriteString(nc, "st: x\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(nc)
+	resp, err := readResponse(br, "GET")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.status != 503 || !strings.EqualFold(resp.headers["connection"], "close") {
+		t.Fatalf("response: status %d, Connection %q; want 503, close", resp.status, resp.headers["connection"])
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("after the response: %v, want EOF", err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown did not return")
+	}
+}
+
+// TestSendfileStalledClientReset: a client stops reading mid-sendfile,
+// so the transmit blocks with the descriptor pinned, and then resets
+// the connection. The server must fail the exchange, tear the
+// connection down and release the pin, and keep serving other clients
+// full bodies.
+func TestSendfileStalledClientReset(t *testing.T) {
 	s, base := newTestServer(t, func(cfg *Config) {
 		cfg.EventLoops = 1
 		cfg.SendfileThreshold = 1 // every static body ships via sendfile
@@ -193,20 +193,20 @@ func TestEpollSendfileParkClientClose(t *testing.T) {
 	addr := strings.TrimPrefix(base, "http://")
 
 	// A stalled client: request the 300 KB body, read nothing. The
-	// socket buffers fill and the transmit parks mid-sendfile.
+	// socket buffers fill and the transmit blocks mid-sendfile.
 	stalled, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tc, ok := stalled.(*net.TCPConn); ok {
-		tc.SetReadBuffer(4 << 10) // shrink the window so the park is quick
+		tc.SetReadBuffer(4 << 10) // shrink the window so the stall is quick
 	}
 	if _, err := stalled.Write([]byte("GET /big.bin HTTP/1.1\r\nHost: x\r\n\r\n")); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(300 * time.Millisecond) // let the server hit EAGAIN and park
+	time.Sleep(300 * time.Millisecond) // let the server's write block
 
-	// Slam the door: RST while the item is parked with its pin held.
+	// Slam the door: RST while the write is blocked with its pin held.
 	if tc, ok := stalled.(*net.TCPConn); ok {
 		tc.SetLinger(0)
 	}
@@ -238,48 +238,17 @@ func TestEpollSendfileParkClientClose(t *testing.T) {
 	}
 }
 
-// TestEpollIdleConnsNoGoroutines is the engine's reason to exist: a
-// fleet of idle keep-alive conns must hold no per-conn goroutines.
-func TestEpollIdleConnsNoGoroutines(t *testing.T) {
-	if !epollSupported {
-		t.Skip("epoll engine is linux-only")
-	}
-	setConnEngine(t, ConnEngineEpoll)
-
-	_, base := newTestServer(t, func(cfg *Config) { cfg.EventLoops = 2 })
-
-	before := runtime.NumGoroutine()
-	const fleet = 200
-	conns := make([]net.Conn, 0, fleet)
-	defer func() {
-		for _, nc := range conns {
-			nc.Close()
-		}
-	}()
-	for i := 0; i < fleet; i++ {
-		nc := dialRaw(t, base)
-		conns = append(conns, nc)
-		getKeepAlive(t, nc, bufio.NewReader(nc), "/hello.txt")
-	}
-	// Parked per-conn goroutines would show up here; allow slack for
-	// the runtime's own churn (helpers, timers).
-	after := runtime.NumGoroutine()
-	if grew := after - before; grew > fleet/4 {
-		t.Fatalf("goroutines grew by %d across %d idle conns; epoll conns must not hold goroutines", grew, fleet)
-	}
-}
-
-// TestIdleConnFootprint logs the per-idle-conn heap+stack cost of each
-// engine, so CI prints the comparison on every run. Informational: no
+// TestIdleConnFootprint logs the heap+stack cost of an idle keep-alive
+// connection — its goroutine's stack and buffers — so CI prints it on
+// every run, one line per conn-engine label. Informational: no
 // assertion — absolute bytes swing with the Go version's stack sizing.
 func TestIdleConnFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("footprint sampling")
 	}
 	const fleet = 500
-	for _, engine := range connEngines() {
-		t.Run("connengine="+engine, func(t *testing.T) {
-			setConnEngine(t, engine)
+	for _, label := range connEngineLabels {
+		t.Run("connengine="+label, func(t *testing.T) {
 			_, base := newTestServer(t, func(cfg *Config) { cfg.EventLoops = 1 })
 
 			var before, after runtime.MemStats
@@ -301,7 +270,7 @@ func TestIdleConnFootprint(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			perConn := (int64(after.HeapInuse+after.StackInuse) -
 				int64(before.HeapInuse+before.StackInuse)) / fleet
-			t.Logf("%s: ~%d B heap+stack per idle conn (%d conns)", engine, perConn, fleet)
+			t.Logf("%s: ~%d B heap+stack per idle conn (%d conns)", label, perConn, fleet)
 		})
 	}
 }

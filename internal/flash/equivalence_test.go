@@ -105,8 +105,7 @@ func newEquivPair(t *testing.T) (sf, cp *Server, sfBase, cpBase string) {
 		}
 	}
 	start := func(threshold int64) (*Server, string) {
-		s, err := New(Config{DocRoot: root, SendfileThreshold: threshold,
-			ConnEngine: testConnEngine})
+		s, err := New(Config{DocRoot: root, SendfileThreshold: threshold})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,7 @@ func newTestServer(t *testing.T, mutate func(*Config), register ...func(*Server)
 	mustWrite(t, root, "sub/page.html", strings.Repeat("x", 5000))
 	mustWrite(t, root, "big.bin", strings.Repeat("B", 300<<10)) // 300 KB: 5 chunks
 
-	cfg := Config{DocRoot: root, ConnEngine: testConnEngine}
+	cfg := Config{DocRoot: root}
 	if mutate != nil {
 		mutate(&cfg)
 	}

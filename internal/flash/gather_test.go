@@ -1,6 +1,6 @@
 package flash
 
-// Tests for the goroutine engine's pipelined gathering: the complete
+// Tests for the connection's pipelined gathering: the complete
 // heads of a burst reach the loop in one batch post, responses the loop
 // commits whole are staged or corked on the connection and leave in one
 // writev. What must hold is that batching and corking are invisible on
@@ -54,7 +54,6 @@ func gatherServer(t *testing.T, mutate func(*Config), register ...func(*Server))
 		DocRoot:            root,
 		EventLoops:         1,
 		RevalidateInterval: -1,
-		ConnEngine:         testConnEngine,
 		Clock:              func() time.Time { return fixed },
 	}
 	if mutate != nil {
@@ -470,7 +469,6 @@ func TestGatherStalledClientReleasesPins(t *testing.T) {
 
 func testGatherStalledClient(t *testing.T, file string, size, chunks int) {
 	s, addr := gatherServer(t, func(cfg *Config) {
-		cfg.ConnEngine = ConnEngineGoroutine
 		cfg.WriteTimeout = 300 * time.Millisecond
 	})
 	serialTranscript(t, addr, []wireReq{wreq("GET", "/"+file, "HTTP/1.1", "Connection: close")})
@@ -554,7 +552,7 @@ func TestGatherCloseWithCorkedResponses(t *testing.T) {
 			}
 		}
 	})
-	s, addr := gatherServer(t, func(cfg *Config) { cfg.ConnEngine = ConnEngineGoroutine })
+	s, addr := gatherServer(t, nil)
 	srv.Store(s)
 	// two.bin is two chunks: each corked response is a run holding two
 	// pins, and two of them fit under the cap.
@@ -639,7 +637,7 @@ func burstStats(t *testing.T, s *Server, addr string, depth, rounds int) (respon
 // for each reply costs exactly one write per response.
 func TestGatherWrites(t *testing.T) {
 	t.Run("burst", func(t *testing.T) {
-		s, addr := gatherServer(t, func(cfg *Config) { cfg.ConnEngine = ConnEngineGoroutine })
+		s, addr := gatherServer(t, nil)
 		burstStats(t, s, addr, 1, 1) // warm the caches
 		responses, writes := burstStats(t, s, addr, 16, 1)
 		if responses != 16 || writes == 0 || writes > 4 {
@@ -659,12 +657,10 @@ func TestGatherWrites(t *testing.T) {
 }
 
 // TestGatherRunWholeResponse: a resident multi-chunk file is one run —
-// one committed response, one socket write — and the bytes are the
-// same under both connection engines.
+// one committed response, one socket write.
 func TestGatherRunWholeResponse(t *testing.T) {
 	get := wreq("GET", "/multi.bin", "HTTP/1.1")
 	script := []wireReq{get, get, wreq("GET", "/multi.bin", "HTTP/1.1", "Connection: close")}
-	var streams [][]byte
 	forEachConnEngine(t, func(t *testing.T) {
 		s, addr := gatherServer(t, nil)
 		serialTranscript(t, addr, script[2:]) // warm: the file is resident from here on
@@ -673,13 +669,11 @@ func TestGatherRunWholeResponse(t *testing.T) {
 		after := waitStats(t, s, "the connection to end", func(st Stats) bool {
 			return st.OpenConns == 0 && st.Responses == before.Responses+3
 		})
-		if testConnEngine == ConnEngineGoroutine {
-			if w := after.GatherWrites - before.GatherWrites; w != 3 {
-				t.Errorf("three resident 160 KiB responses left in %d socket writes, want 3", w)
-			}
-			if f := after.Fills.Started - before.Fills.Started; f != 0 {
-				t.Errorf("%d fills for a resident file", f)
-			}
+		if w := after.GatherWrites - before.GatherWrites; w != 3 {
+			t.Errorf("three resident 160 KiB responses left in %d socket writes, want 3", w)
+		}
+		if f := after.Fills.Started - before.Fills.Started; f != 0 {
+			t.Errorf("%d fills for a resident file", f)
 		}
 		br := bufio.NewReader(bytes.NewReader(got))
 		for i := range script {
@@ -688,17 +682,13 @@ func TestGatherRunWholeResponse(t *testing.T) {
 				t.Fatalf("response %d: %v err=%v", i, resp, err)
 			}
 		}
-		streams = append(streams, got)
 	})
-	for _, other := range streams[1:] {
-		diffStreams(t, "epoll vs goroutine", streams[0], other)
-	}
 }
 
 // TestGatherRunRangeAndPatchedHeader: a 206 whose window starts inside
 // chunk 0 and ends inside chunk 2, and an HTTP/1.0 keep-alive request
 // whose header is a patched copy of the cached one, ride their runs
-// byte-exact — alone and in one pipelined burst, on both engines.
+// byte-exact — alone and in one pipelined burst.
 func TestGatherRunRangeAndPatchedHeader(t *testing.T) {
 	const lo, hi = 60000, 140000
 	script := []wireReq{
@@ -709,7 +699,6 @@ func TestGatherRunRangeAndPatchedHeader(t *testing.T) {
 		wreq("GET", "/two.bin", "HTTP/1.0"),
 	}
 	want := pattern(160 << 10)
-	var streams [][]byte
 	forEachConnEngine(t, func(t *testing.T) {
 		_, addr := gatherServer(t, nil)
 		serial := serialTranscript(t, addr, script)
@@ -731,11 +720,7 @@ func TestGatherRunRangeAndPatchedHeader(t *testing.T) {
 			stream = append(stream, r.wire...)
 		}
 		diffStreams(t, "one pipelined burst", serial, segmentedTranscript(t, addr, stream, nil))
-		streams = append(streams, serial)
 	})
-	for _, other := range streams[1:] {
-		diffStreams(t, "epoll vs goroutine", streams[0], other)
-	}
 }
 
 // TestGatherRunServeWhileFill: the first byte is not hostage to the
@@ -792,7 +777,6 @@ func TestGatherRunSplitsAtCap(t *testing.T) {
 	const chunk = 64 << 10
 	size := 2*gatherCap + 3*chunk/2 // two full runs and a ragged third
 	s, addr := gatherServer(t, func(cfg *Config) {
-		cfg.ConnEngine = ConnEngineGoroutine
 		cfg.SendfileThreshold = -1
 		if err := os.WriteFile(filepath.Join(cfg.DocRoot, "huge.bin"), pattern(size), 0o644); err != nil {
 			t.Fatal(err)
@@ -857,14 +841,14 @@ func loopMsgDeltas(t *testing.T, s *Server, addr string, depth, rounds int) (res
 // response.
 func TestGatherLoopMessages(t *testing.T) {
 	t.Run("burst", func(t *testing.T) {
-		s, addr := gatherServer(t, func(cfg *Config) { cfg.ConnEngine = ConnEngineGoroutine })
+		s, addr := gatherServer(t, nil)
 		responses, msgs := loopMsgDeltas(t, s, addr, 16, 1)
 		if responses != 16 || msgs == 0 || msgs > 3 {
 			t.Fatalf("16-deep burst: %d responses for %d loop messages, want 16 for 1..3", responses, msgs)
 		}
 	})
 	t.Run("serial", func(t *testing.T) {
-		s, addr := gatherServer(t, func(cfg *Config) { cfg.ConnEngine = ConnEngineGoroutine })
+		s, addr := gatherServer(t, nil)
 		responses, msgs := loopMsgDeltas(t, s, addr, 1, 8)
 		if responses != 8 || msgs < 2*8-1 || msgs > 2*8 {
 			t.Fatalf("one at a time: %d responses for %d loop messages, want 8 for 15..16", responses, msgs)
@@ -938,9 +922,7 @@ func TestGatherBatchColdMiddle(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitFor(t, "the cold file's fill to be held", held)
-		if testConnEngine == ConnEngineGoroutine {
-			waitFor(t, "the two warm responses ahead of it staged", func() bool { return pinsOutstanding(s) == 2 })
-		}
+		waitFor(t, "the two warm responses ahead of it staged", func() bool { return pinsOutstanding(s) == 2 })
 		release()
 		got, err := io.ReadAll(conn)
 		if err != nil {
@@ -1059,8 +1041,8 @@ func TestGatherBatchShutdown(t *testing.T) {
 }
 
 // TestGatherBatchMultiChunk: resident three-chunk files inside one
-// batch leave byte-exact, each as one run, and the goroutine engine
-// sends the whole burst in one socket write.
+// batch leave byte-exact, each as one run, and the connection sends
+// the whole burst in one socket write.
 func TestGatherBatchMultiChunk(t *testing.T) {
 	forEachConnEngine(t, func(t *testing.T) {
 		s, addr := gatherServer(t, nil)
@@ -1080,7 +1062,7 @@ func TestGatherBatchMultiChunk(t *testing.T) {
 		if f := after.Fills.Started - before.Fills.Started; f != 0 {
 			t.Errorf("%d fills for resident files", f)
 		}
-		if w := after.GatherWrites - before.GatherWrites; testConnEngine == ConnEngineGoroutine && w != 1 {
+		if w := after.GatherWrites - before.GatherWrites; w != 1 {
 			t.Errorf("a %d-byte burst left in %d socket writes, want 1", len(want), w)
 		}
 	})

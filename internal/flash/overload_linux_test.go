@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"runtime"
 	"syscall"
 	"testing"
 	"time"
@@ -22,7 +21,7 @@ func countOpenFds(t *testing.T) int {
 	return len(ents)
 }
 
-// TestOverloadFdExhaustionRecovery proves both acceptors survive real
+// TestOverloadFdExhaustionRecovery proves the acceptor survives real
 // descriptor exhaustion: RLIMIT_NOFILE drops to just above the current
 // usage, the slack burns away on /dev/null opens, and while the
 // process sits at the limit the established connection keeps serving
@@ -119,61 +118,6 @@ func TestOverloadFdExhaustionRecovery(t *testing.T) {
 			}
 			time.Sleep(20 * time.Millisecond)
 		}
-	})
-}
-
-// TestNewFailureStopsEarlierShards: when a later shard cannot be built —
-// here shard 1's epoll set or wake pipe, for want of descriptors — New
-// stops the shards it already started the way Close does and returns
-// the error. The process survives, and every goroutine New started
-// exits.
-func TestNewFailureStopsEarlierShards(t *testing.T) {
-	var orig syscall.Rlimit
-	if err := syscall.Getrlimit(syscall.RLIMIT_NOFILE, &orig); err != nil {
-		t.Skipf("getrlimit: %v", err)
-	}
-	root := t.TempDir()
-	baseline := runtime.NumGoroutine()
-	// Cap the process just above its current usage and burn the slack,
-	// then free four descriptors: shard 0's epoll set and wake pipe take
-	// three, and shard 1's cannot all be made.
-	lowered := orig
-	lowered.Cur = min(uint64(countOpenFds(t))+16, orig.Cur)
-	if err := syscall.Setrlimit(syscall.RLIMIT_NOFILE, &lowered); err != nil {
-		t.Skipf("setrlimit: %v", err)
-	}
-	var burned []*os.File
-	for {
-		f, err := os.Open(os.DevNull)
-		if err != nil {
-			break
-		}
-		burned = append(burned, f)
-	}
-	restore := func() {
-		for _, f := range burned {
-			f.Close()
-		}
-		burned = nil
-		syscall.Setrlimit(syscall.RLIMIT_NOFILE, &orig)
-	}
-	t.Cleanup(restore)
-	if len(burned) < 4 {
-		t.Skip("could not reach the descriptor limit")
-	}
-	for _, f := range burned[len(burned)-4:] {
-		f.Close()
-	}
-	burned = burned[:len(burned)-4]
-
-	s, err := New(Config{DocRoot: root, ConnEngine: ConnEngineEpoll, EventLoops: 2})
-	restore()
-	if err == nil {
-		s.Close()
-		t.Fatal("New built two epoll shards with descriptors for one")
-	}
-	waitFor(t, "the first shard's goroutines to exit", func() bool {
-		return runtime.NumGoroutine() <= baseline
 	})
 }
 

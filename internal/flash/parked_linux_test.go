@@ -124,7 +124,6 @@ func TestParkedMappingFallbackCounted(t *testing.T) {
 func TestParkedMappingOutlivesEntry(t *testing.T) {
 	s, base := newTestServer(t, func(cfg *Config) {
 		transientChunks(cfg)
-		cfg.ConnEngine = ConnEngineGoroutine
 		cfg.Cache.PathEntries = 1
 		cfg.RevalidateInterval = -1
 	})
@@ -232,7 +231,6 @@ func TestParkedMappingTruncateThenNewGeneration(t *testing.T) {
 func TestParkedMappingZapUnderCorkedResponse(t *testing.T) {
 	s, base := newTestServer(t, func(cfg *Config) {
 		transientChunks(cfg)
-		cfg.ConnEngine = ConnEngineGoroutine
 		cfg.RevalidateInterval = -1
 	})
 	want := pattern(60 << 10)
@@ -300,7 +298,6 @@ func TestParkedMappingResidentSizeBounded(t *testing.T) {
 	s, base := newTestServer(t, func(cfg *Config) {
 		cfg.EventLoops = 1
 		cfg.Cache.MapBytes = budget
-		cfg.ConnEngine = ConnEngineGoroutine
 	})
 	for i := 0; i < files; i++ {
 		mustWrite(t, s.cfg.DocRoot, fmt.Sprintf("rss/%03d.bin", i), string(pattern(fileSize+i)))

@@ -17,20 +17,17 @@ import (
 	"repro/internal/upstream"
 )
 
-// forEachProxyMatrix runs fn once per (conn engine × chunk path)
+// forEachProxyMatrix runs fn once per (conn-engine label × chunk path)
 // combination. The flattened subtest name keeps "proxy" at the second
-// level, so CI's `-run '/proxy'` race step selects exactly this suite
-// — and the engine name stays in the label, so the epoll step
-// (`/connengine=epoll`) covers it too. Origin refills publish heap
-// chunks on either chunk path, so the pair differs in nothing this
-// suite exercises; it stays only because its labels are test IDs.
+// level, so CI's `-run '/proxy'` race step selects exactly this suite.
+// Origin refills publish heap chunks on either chunk path, and both
+// conn-engine labels run the one connection driver, so the matrix
+// differs in nothing this suite exercises; it stays only because its
+// labels are test IDs.
 func forEachProxyMatrix(t *testing.T, fn func(t *testing.T)) {
-	for _, ce := range connEngines() {
+	for _, ce := range connEngineLabels {
 		for _, path := range chunkPaths {
 			t.Run(fmt.Sprintf("proxy-connengine=%s-engine=%s", ce, path), func(t *testing.T) {
-				prev := testConnEngine
-				testConnEngine = ce
-				defer func() { testConnEngine = prev }()
 				useChunkPath(t, path)
 				fn(t)
 			})
@@ -364,8 +361,7 @@ func TestProxyRevalidationCoalesces(t *testing.T) {
 // exchanges in all, none for S's failure. (HEADs walk no chunks, so the
 // budget costs them no refill.)
 func TestProxyInvalidateKeepsNewerEntry(t *testing.T) {
-	setConnEngine(t, ConnEngineGoroutine) // the write hold parks a conn goroutine, not a loop
-	gen1 := pattern(600 << 10)            // ten chunks
+	gen1 := pattern(600 << 10) // ten chunks
 	gen2 := bytes.Repeat([]byte("generation two\n"), 1000)
 	restOfGen1 := make(chan struct{})
 	sendRest := sync.OnceFunc(func() { close(restOfGen1) })
@@ -576,7 +572,6 @@ func TestProxyBreakerFailover(t *testing.T) {
 // chunked (unknown-length) responses, and methods with bodies — all
 // relayed verbatim, none cached.
 func TestProxyPassThrough(t *testing.T) {
-	setConnEngine(t, ConnEngineGoroutine)
 	origin := newTestOrigin(t, nil)
 	origin.setHandler(func(w http.ResponseWriter, r *http.Request) {
 		switch {
@@ -633,7 +628,6 @@ func TestProxyPassThrough(t *testing.T) {
 // backend dead the shed is a clean 502, counted, and the server (and
 // its static routes) stay healthy.
 func TestProxyAllBackendsDown(t *testing.T) {
-	setConnEngine(t, ConnEngineGoroutine)
 	// An address that refuses connections: bind, note the port, close.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -392,11 +392,10 @@ func (s *shard) fixPersistence(c *conn, hdr []byte, req *httpmsg.Request) []byte
 	return buf
 }
 
-// queueItem hands an item to whoever owns the socket: the shard's own
-// readiness engine under epoll; otherwise the connection's goroutine,
-// through the reply channel — the goroutine is parked on it whenever
-// an exchange is in flight and the loop sends only when no item is
-// outstanding, so this never blocks the loop. An item that is its
+// queueItem hands an item to the connection's goroutine, which owns
+// the socket, through the reply channel — the goroutine is parked on
+// it whenever an exchange is in flight and the loop sends only when no
+// item is outstanding, so this never blocks the loop. An item that is its
 // response's whole is committed here instead of being tracked. An item
 // for a connection that already failed is dropped, and the exchange
 // ended with it.
@@ -413,19 +412,12 @@ func (s *shard) queueItem(c *conn, item writeItem) {
 	if c.inFlight {
 		panic("flash: queueItem while an item is in flight")
 	}
-	switch {
-	case c.np != nil:
-		// Stage the item on the conn's netpoll state and push bytes
-		// while the socket accepts them; EAGAIN parks the conn on
-		// EPOLLOUT (netpoll_linux.go).
-		c.inFlight = true
-		s.npQueue(c, item)
-	case item.whole:
+	if item.whole {
 		s.commit(c, item)
-	default:
-		c.inFlight = true
-		c.reply <- connReply{kind: replyItem, item: item, staged: c.takeStaged()}
+		return
 	}
+	c.inFlight = true
+	c.reply <- connReply{kind: replyItem, item: item, staged: c.takeStaged()}
 }
 
 // commit ends an exchange at queue time: the response is this one item,
@@ -564,21 +556,15 @@ func (s *shard) finishResponse(c *conn) {
 	s.signalNext(c, s.settle(c))
 }
 
-// signalNext ends the exchange: under the goroutine engine it answers
-// the parked conn goroutine; under epoll it advances the conn's state
-// machine (drain leftover body bytes, then parse the next head or park
-// idle). Both engines clear the busy gauge here — the one funnel every
-// completed or failed tracked response passes through. The reply
+// signalNext ends the exchange: it answers the parked conn goroutine
+// and clears the busy gauge — the one funnel every completed or failed
+// tracked response passes through. The reply
 // counts the responses a batch staged ahead of the exchange, so they
 // leave before a close. The send does not block: a reply is already
 // waiting only when the connection has failed, and then the goroutine
 // is leaving anyway (nothing is staged while a reply waits).
 func (s *shard) signalNext(c *conn, keep bool) {
 	s.markIdle(c)
-	if c.np != nil {
-		s.npNext(c, keep)
-		return
-	}
 	select {
 	case c.reply <- connReply{kind: replyEnd, keep: keep, staged: c.staged}:
 		c.staged = 0

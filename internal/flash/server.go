@@ -48,9 +48,8 @@ type Stats struct {
 	// write, writev and each sendfile transfer — so GatherWrites over
 	// Responses is the server-side "writes per response": 1 for a
 	// client that waits for each reply, well under 1 for a pipelined
-	// burst whose responses the goroutine engine gathers. The goroutine
-	// engine counts a call the kernel splits under backpressure once;
-	// the epoll engine counts every syscall.
+	// burst whose responses the connection gathers. A call the kernel
+	// splits under backpressure counts once.
 	GatherWrites uint64
 	// LoopMsgs counts the mailbox messages the event loops dispatched:
 	// exchange posts, batch posts and their continuations, write and
@@ -62,8 +61,7 @@ type Stats struct {
 	LoopMsgs uint64
 	// OpenConns and IdleConns are point-in-time gauges of the shard's
 	// connections: open counts every adopted conn, idle the subset
-	// parked between exchanges waiting for a request head. Maintained
-	// by both connection engines (see Config.ConnEngine).
+	// parked between exchanges waiting for a request head.
 	OpenConns  int
 	IdleConns  int
 	HelperJobs uint64
@@ -204,6 +202,9 @@ type Server struct {
 	closed   bool
 	drainCh  chan struct{} // closed when the last conn unregisters during Shutdown
 	draining bool
+	// stopping is set by Shutdown: a connection that parks between
+	// requests from then on closes instead (conn.readHead).
+	stopping atomic.Bool
 
 	// reject503 is the preformatted response written to connections
 	// turned away at accept time (admission limits, fd-exhaustion
@@ -215,8 +216,7 @@ type Server struct {
 	// trick: when accept fails with EMFILE/ENFILE, closing the reserve
 	// frees exactly one fd, the pending connection is accepted and
 	// immediately closed (the peer sees a reset instead of a SYN
-	// black hole), and the reserve is re-armed. Guarded by reserveMu;
-	// both acceptors (goroutine and epoll) share it.
+	// black hole), and the reserve is re-armed. Guarded by reserveMu.
 	reserveMu sync.Mutex
 	reserve   *os.File
 
@@ -252,10 +252,6 @@ type shard struct {
 	// batchNow is the clock reading a batch run shares (runBatch); 0
 	// outside one.
 	batchNow int64
-
-	// np is the shard's epoll readiness engine (ConnEngineEpoll on
-	// Linux); nil under the portable goroutine engine.
-	np *npShard
 
 	// msgs is the loop's mailbox. It is never closed: Close posts a
 	// stop message, the loop runs what is queued behind it and exits
@@ -366,21 +362,7 @@ func New(cfg Config) (*Server, error) {
 		s.HandleProxy(cfg.UpstreamPrefix, pool)
 	}
 	for i := 0; i < cfg.EventLoops; i++ {
-		sh, err := newShard(s, i)
-		if err != nil {
-			// Stop the shards already running the way Close does: their
-			// mailboxes are never closed.
-			for _, prev := range s.shards {
-				prev.helpers.stop()
-				prev.stopLoop()
-			}
-			if s.ownedPool != nil {
-				s.ownedPool.Close()
-			}
-			store.Close()
-			return nil, err
-		}
-		s.shards = append(s.shards, sh)
+		s.shards = append(s.shards, newShard(s, i))
 	}
 	if f, err := os.Open(os.DevNull); err == nil {
 		s.reserve = f // spare fd for EMFILE recovery; nil is tolerated
@@ -388,7 +370,7 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-func newShard(srv *Server, id int) (*shard, error) {
+func newShard(srv *Server, id int) *shard {
 	cfg := &srv.cfg
 	sh := &shard{
 		srv:       srv,
@@ -400,19 +382,12 @@ func newShard(srv *Server, id int) (*shard, error) {
 		loopDone:  make(chan struct{}),
 		clockStop: make(chan struct{}),
 	}
-	if cfg.ConnEngine == ConnEngineEpoll {
-		np, err := newNpShard()
-		if err != nil {
-			return nil, err
-		}
-		sh.np = np
-	}
 	sh.retryHdr = []string{"Retry-After: " + strconv.Itoa(cfg.RetryAfter)}
 	sh.clock.Store(time.Now().UnixNano())
 	go sh.runClock()
 	sh.helpers = newHelperPool(sh, cfg.NumHelpers)
 	go sh.loop()
-	return sh, nil
+	return sh
 }
 
 // runClock refreshes the shard's coarse clock until the server closes.
@@ -432,10 +407,6 @@ func (s *shard) runClock() {
 // NumShards returns the number of event-loop shards.
 func (s *Server) NumShards() int { return len(s.shards) }
 
-// ConnEngine reports the active connection engine name
-// (ConnEngineGoroutine or ConnEngineEpoll).
-func (s *Server) ConnEngine() string { return s.cfg.ConnEngine }
-
 // String implements fmt.Stringer for debugging.
 func (s *Server) String() string {
 	return fmt.Sprintf("flash.Server{docroot=%s}", s.cfg.DocRoot)
@@ -445,10 +416,6 @@ func (s *Server) String() string {
 // shard's caches and per-request decision state. Every other goroutine
 // communicates with it by posting messages to the mailbox.
 func (s *shard) loop() {
-	if s.np != nil {
-		s.npLoop()
-		return
-	}
 	defer close(s.loopDone)
 	for !s.stopped {
 		s.dispatch(<-s.msgs)
@@ -476,8 +443,7 @@ func (s *shard) stopLoop() {
 	close(s.clockStop)
 }
 
-// dispatch runs one mailbox message on the loop (shared by both
-// engines' loop bodies).
+// dispatch runs one mailbox message on the loop.
 func (s *shard) dispatch(m loopMsg) {
 	s.stats.LoopMsgs++
 	switch m.kind {
@@ -501,9 +467,7 @@ func (s *shard) dispatch(m loopMsg) {
 // send delivers a message to the shard's event loop. It reports false
 // once the loop has exited (the message is dropped). The usual case is
 // one non-blocking channel send; a full mailbox parks the sender until
-// there is room or the loop is gone. Under the epoll engine the loop
-// may be parked in EpollWait rather than on the channel, so every send
-// also tickles the wake pipe.
+// there is room or the loop is gone.
 func (s *shard) send(m loopMsg) bool {
 	select {
 	case <-s.loopDone:
@@ -519,7 +483,6 @@ func (s *shard) send(m loopMsg) bool {
 			return false
 		}
 	}
-	s.npWake()
 	return true
 }
 
@@ -686,17 +649,6 @@ func (s *Server) Serve(l net.Listener) error {
 		l.Close()
 	}()
 
-	if s.cfg.ConnEngine == ConnEngineEpoll {
-		// The epoll engine accepts raw non-blocking fds with
-		// accept4(2) and adopts them into the shard readiness loops.
-		// Listeners it cannot take over (non-TCP: tests use net.Pipe
-		// style wrappers) fall back to the goroutine accept path below;
-		// the conn-level engines coexist safely.
-		if err, handled := s.serveEpoll(l); handled {
-			return err
-		}
-	}
-
 	for {
 		nc, err := l.Accept()
 		if err != nil {
@@ -842,31 +794,17 @@ func (s *Server) surviveFdExhaustion(l net.Listener) {
 }
 
 // reapIdle closes up to max parked idle connections across all shards
-// to free descriptors under fd or connection pressure. Selection is
-// approximate LRU: epoll shards walk their fd table closing conns
-// parked between requests (ring empty, waiting for a head), the
-// goroutine engine scans the registry for conns with no exchange in
-// flight. The shared budget is atomic, so concurrent shard passes
-// never over-reap by more than a handful.
+// to free descriptors under fd or connection pressure: it scans the
+// registry for conns with no exchange in flight. The shared budget is
+// atomic, so concurrent shard passes never over-reap by more than a
+// handful.
 func (s *Server) reapIdle(max int) {
 	budget := new(atomic.Int64)
 	budget.Store(int64(max))
-	for _, sh := range s.shards {
-		if sh.np == nil {
-			continue
-		}
-		sh := sh
-		sh.post(func() { sh.npReapIdle(budget) })
-	}
-	if s.cfg.ConnEngine == ConnEngineEpoll {
-		return
-	}
 	s.mu.Lock()
 	conns := make([]*conn, 0, len(s.conns))
 	for c := range s.conns {
-		if c.np == nil {
-			conns = append(conns, c)
-		}
+		conns = append(conns, c)
 	}
 	s.mu.Unlock()
 	for _, c := range conns {
@@ -886,10 +824,8 @@ func (s *Server) reapIdle(max int) {
 }
 
 // unregisterConn removes c from the connection registry and signals the
-// Shutdown drain waiter when the last one leaves. Called by the
-// goroutine engine's conn goroutine on exit and by the epoll engine's npClose —
-// the one funnel both engines share, so the drain channel covers epoll
-// conns too.
+// Shutdown drain waiter when the last one leaves. Called by the conn
+// goroutine on exit.
 func (s *Server) unregisterConn(c *conn) {
 	s.mu.Lock()
 	delete(s.conns, c)
@@ -968,8 +904,9 @@ func (s *Server) Close() error {
 
 // Shutdown closes listeners and stops accepting new work (in-flight
 // requests complete; new requests on surviving connections draw 503
-// and responses stop advertising keep-alive), then waits up to timeout
-// for active connections to finish before forcing them closed. The
+// and responses stop advertising keep-alive), closes the connections
+// idle between requests, then waits up to timeout for the others to
+// finish before forcing them closed. The
 // wait is event-driven: the goroutine that unregisters the last
 // connection signals a drain channel, so an early drain returns
 // immediately — with nothing left to force-close — instead of
@@ -990,21 +927,25 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	}
 	drained = s.drainCh
 	empty := len(s.conns) == 0
+	s.stopping.Store(true)
 	s.mu.Unlock()
 
 	// Stop extending keep-alive: settle consults this flag, so
-	// every connection closes after its current response. Epoll shards
-	// additionally close their idle conns right away — with no reader
-	// goroutine to notice the flag, an idle keep-alive conn would
-	// otherwise linger until its wheel deadline — while in-flight
-	// exchanges drain through the registry as usual (satisfying the
-	// drain channel via unregisterConn).
+	// every connection closes after its current response.
 	for _, sh := range s.shards {
-		sh.post(func() {
-			sh.shutdown = true
-			sh.npShutdownIdle()
-		})
+		sh.post(func() { sh.shutdown = true })
 	}
+	// Close the connections parked between requests right away, rather
+	// than letting each hold the drain until its IdleTimeout. A request
+	// whose head arrives with the kick is still answered; it is posted
+	// after the shutdown messages above, so it draws the shutdown 503
+	// and the connection closes. The rest drain through the registry as usual (satisfying
+	// the drain channel via unregisterConn).
+	s.mu.Lock()
+	for c := range s.conns {
+		c.kickIdle()
+	}
+	s.mu.Unlock()
 
 	if !empty && drained != nil {
 		select {

@@ -6,9 +6,8 @@ import (
 
 // bodySource is the unified response pipeline: every response —
 // static, dynamic, or fixed-buffer — is produced by one source, which
-// the event loop drives and the socket's owner (the connection's
-// goroutine, or the loop itself under epoll) consumes, one writeItem
-// at a time.
+// the event loop drives and the connection's goroutine, which owns the
+// socket, consumes, one writeItem at a time.
 //
 // Contract (every method runs on the event loop):
 //
@@ -25,10 +24,9 @@ import (
 //     pipeline discards it (ok reports which). The source drops the
 //     resources the item carried — chunk pins, descriptor references —
 //     and acks its producer, if any. The one exception is timing: a
-//     whole item under the goroutine engine is committed when queued
-//     (shard.commit), so release runs right there, before the bytes
-//     are written, with item.chunks nil — the pins on its chunks have
-//     moved to the connection's FIFO, which the loop unpins when the
+//     whole item is committed when queued (shard.commit), so release
+//     runs right there, before the bytes are written, with item.chunks
+//     nil — the pins on its chunks have moved to the connection's FIFO, which the loop unpins when the
 //     conn goroutine reports the flush (shard.released) or the
 //     connection ends (shard.connEnd). So a tracked item's pins are
 //     the source's to release, a whole item's never are. Everything
@@ -85,8 +83,7 @@ func (f *fixedSource) abort(*shard, *conn) {}
 // until the item is released. A run that covers the whole window is
 // the whole response and is marked so; anything shorter is a tracked
 // item, and the walk goes on from where it stopped when that item
-// completes. The epoll engine, which transmits one chunk window per
-// item, is handed runs of one.
+// completes.
 //
 // A warm walk pins its chunks in their owner segments; a cold one subscribes to
 // the single-flight fill for the file (coalescing concurrent misses
@@ -214,7 +211,7 @@ func (cs *chunkSource) walk(s *shard, c *conn, held *cache.Chunk) {
 		c.runBodies = append(c.runBodies, ch.Data[lo:hi])
 		size += hi - lo
 		idx++
-		if idx == cs.endChunk || c.np != nil {
+		if idx == cs.endChunk {
 			break
 		}
 		if lo, hi := cs.window(s, idx); size+hi-lo > gatherCap {

@@ -45,7 +45,6 @@ func zcServer(t *testing.T) (addr string) {
 		EventLoops:         1,
 		Cache:              CacheConfig{ChunkBytes: 256},
 		RevalidateInterval: -1,
-		ConnEngine:         testConnEngine,
 		Clock:              func() time.Time { return fixed },
 	})
 	if err != nil {
