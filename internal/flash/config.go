@@ -48,7 +48,9 @@
 //     the complete heads of a pipelined burst reach the loop in one
 //     batch message, which the loop runs in one pass like the paper's
 //     event loop serving every ready request, and their responses leave
-//     gathered into one writev (conn.serve).
+//     gathered into one writev (conn.serve). The goroutine outlives its
+//     connection: when one ends, it parks with its stack and read ring
+//     for the next one the acceptor admits (Server.serveConns).
 //
 //   - File chunks are refcounted views over mmap(2)-mapped file
 //     regions, mapped and touched by the disk helpers (the paper's

@@ -143,9 +143,11 @@ type loopState struct {
 // the connection and recycled across exchanges, so a warm keep-alive
 // request touches no allocator at all.
 type conn struct {
-	sh     *shard
-	nc     net.Conn
-	remote string // RemoteAddr().String(), computed once for logging
+	sh *shard
+	nc net.Conn
+	// remote is the client's address, formatted on the loop the first
+	// time an access-log line or a handler needs it (remoteAddr).
+	remote string
 	// ipKey is the remote IP under per-IP accounting (Config.
 	// MaxConnsPerIP); "" otherwise. Guarded by Server.mu with the
 	// registry.
@@ -161,7 +163,10 @@ type conn struct {
 	// conn goroutine is parked in await then), never both at once. The
 	// backing array is reused ring-style: the window shifts to the
 	// front in place when the tail runs out, and consumed-region bytes
-	// ahead of rs absorb body pushbacks without reallocating.
+	// ahead of rs absorb body pushbacks without reallocating. The
+	// connection goroutine brings the ring and takes it on to its next
+	// connection (Server.serveConns), unless ringLent (below): a body
+	// reader was built over it.
 	rb     []byte
 	rs, re int
 
@@ -217,14 +222,24 @@ type conn struct {
 	// copies of the slice headers, not of the run scratch the next walk
 	// overwrites. writes counts the socket write calls made since the
 	// last report to the loop. wfailed latches the first write error;
-	// later items are reported back unwritten.
+	// later items are reported back unwritten. wb0 is the gather list's
+	// first backing array: a response's header and body — the whole
+	// list of a connection that carries one request — gather without an
+	// allocation.
 	wb          [][]byte
+	wb0         [2][]byte
 	arena       []byte
+	bufs        net.Buffers
 	gatherBytes int
 	gatherPins  int32
-	bufs        net.Buffers
 	writes      int32
 	wfailed     bool
+	// closing marks the connection's last flush (flushLast): its report
+	// rides the connEnd message instead of one of its own, with endShort
+	// the committed bytes it did not write.
+	closing  bool
+	ringLent bool // the read ring stays with this connection (see rb)
+	endShort int64
 
 	// Armed deadlines in unix nanos, for the coarse-clock skip logic
 	// (readArm: conn/body goroutine; writeArm: conn goroutine).
@@ -270,14 +285,23 @@ const (
 var aLongTimeAgo = time.Unix(1, 0)
 
 func newConn(sh *shard, nc net.Conn) *conn {
-	return &conn{
-		sh:     sh,
-		nc:     nc,
-		remote: nc.RemoteAddr().String(),
-		reply:  make(chan connReply, 1),
-		done:   make(chan struct{}),
-		rb:     make([]byte, 4096),
+	c := &conn{
+		sh:    sh,
+		nc:    nc,
+		reply: make(chan connReply, 1),
+		done:  make(chan struct{}),
 	}
+	c.wb = c.wb0[:0]
+	return c
+}
+
+// remoteAddr returns the client's address, formatting it on first use
+// (loop context only).
+func (c *conn) remoteAddr() string {
+	if c.remote == "" {
+		c.remote = c.nc.RemoteAddr().String()
+	}
+	return c.remote
 }
 
 // abort force-closes the connection (server shutdown, idle reaping).
@@ -290,6 +314,16 @@ func (c *conn) abort() {
 // from any goroutine.
 func (c *conn) closeDone() {
 	c.doneOnce.Do(func() { close(c.done) })
+}
+
+// tornDown reports whether the connection was torn down by force.
+func (c *conn) tornDown() bool {
+	select {
+	case <-c.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // kickIdle ends the read of a connection parked between requests, for
@@ -471,7 +505,8 @@ type exchangePlan struct {
 func (c *conn) serve() {
 	defer func() {
 		c.nc.Close()
-		c.sh.post(func() { c.sh.connEnd(c) })
+		c.sh.send(loopMsg{kind: msgConnEnd, c: c, short: c.endShort,
+			writes: c.takeWrites(), ok: !c.wfailed})
 	}()
 
 	for {
@@ -756,6 +791,7 @@ func (c *conn) planRoute(req *httpmsg.Request, rt *Route, allow string) exchange
 	}
 	if hasBody || expectContinue {
 		plan.body = newBodyReader(c, kind, clen, maxBody, expectContinue)
+		c.ringLent = true
 	}
 	return plan
 }
@@ -790,7 +826,7 @@ func (c *conn) await() (keep bool, staged int) {
 			return c.cork(&r.item, r.keep), staged
 		case replyEnd:
 			if !r.keep {
-				c.flush() // earlier responses still leave before the close
+				c.flushLast() // earlier responses still leave before the close
 			}
 			return r.keep, staged
 		}
@@ -809,7 +845,7 @@ func (c *conn) cork(item *writeItem, keep bool) bool {
 	}
 	c.stage(item)
 	if !keep {
-		c.flush()
+		c.flushLast()
 	}
 	return keep
 }
@@ -861,6 +897,13 @@ func (c *conn) flush() bool {
 	return ok
 }
 
+// flushLast writes the gather list as the connection ends. Its report
+// — the pins come off in connEnd anyway — rides the connection's end.
+func (c *conn) flushLast() {
+	c.closing = true
+	c.flush()
+}
+
 // takeWrites returns the socket write calls made since the last report
 // to the loop (folded into Stats.GatherWrites there).
 func (c *conn) takeWrites() int32 {
@@ -874,8 +917,9 @@ func (c *conn) takeWrites() int32 {
 // behind them in the same writev — item's inline bytes and chunk
 // windows, then item's descriptor window by sendfile or the copy loop.
 // The flushed responses are reported to the loop in one released
-// message (it drops their pins; a shortfall against the byte counts
-// they were committed with fails the connection there), and item's own
+// message, or in the connEnd message of a closing connection (it drops
+// their pins; a shortfall against the byte counts they were committed
+// with fails the connection there), and item's own
 // byte counts are returned for its itemDone. After a write error
 // nothing more is written: items are still reported back, unwritten,
 // so their sources release what they carry. The gather list is
@@ -886,7 +930,7 @@ func (c *conn) transmit(item *writeItem) (wrote, sfWrote int64, ok bool) {
 		wb = appendIovecs(wb, item.data, item.bodies)
 	}
 	if !c.wfailed && failpoint.Armed() {
-		if err := fpConnWrite.Eval(c.remote); err != nil {
+		if err := fpConnWrite.Eval(c.nc.RemoteAddr().String()); err != nil {
 			c.wfailed = true
 		}
 	}
@@ -918,8 +962,12 @@ func (c *conn) transmit(item *writeItem) (wrote, sfWrote int64, ok bool) {
 		} else {
 			short, wrote = 0, wrote-short
 		}
-		c.sh.send(loopMsg{kind: msgReleased, c: c, n: c.gatherPins, short: short,
-			writes: c.takeWrites(), ok: !c.wfailed})
+		if c.closing {
+			c.endShort += short
+		} else {
+			c.sh.send(loopMsg{kind: msgReleased, c: c, n: c.gatherPins, short: short,
+				writes: c.takeWrites(), ok: !c.wfailed})
+		}
 		c.gatherBytes, c.gatherPins = 0, 0
 		if cap(c.arena) > gatherCap {
 			c.arena = nil // one oversized inline body must not stay allocated

@@ -838,7 +838,9 @@ func loopMsgDeltas(t *testing.T, s *Server, addr string, depth, rounds int) (res
 // one flush report: at most 3 loop messages for 16 responses, where a
 // post per request costs at least 17. A client that waits for each
 // reply costs what it always did, an exchange and a flush report per
-// response.
+// response. A connection that carries one Connection: close request
+// costs exactly two: its exchange, and its end, which carries the last
+// flush's report — admission posts nothing.
 func TestGatherLoopMessages(t *testing.T) {
 	t.Run("burst", func(t *testing.T) {
 		s, addr := gatherServer(t, nil)
@@ -852,6 +854,42 @@ func TestGatherLoopMessages(t *testing.T) {
 		responses, msgs := loopMsgDeltas(t, s, addr, 1, 8)
 		if responses != 8 || msgs < 2*8-1 || msgs > 2*8 {
 			t.Fatalf("one at a time: %d responses for %d loop messages, want 8 for 15..16", responses, msgs)
+		}
+	})
+	t.Run("churn", func(t *testing.T) {
+		const conns = 100
+		s, addr := gatherServer(t, nil)
+		get := func() {
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			nc.SetDeadline(time.Now().Add(10 * time.Second))
+			if _, err := nc.Write(wreq("GET", "/s4k.bin", "HTTP/1.1", "Connection: close").wire); err != nil {
+				t.Fatal(err)
+			}
+			br := bufio.NewReader(nc)
+			if resp, err := readResponse(br, "GET"); err != nil || resp.status != 200 {
+				t.Fatalf("response: %+v err=%v", resp, err)
+			}
+			if _, err := br.ReadByte(); err != io.EOF {
+				t.Fatalf("after the response: %v, want EOF", err)
+			}
+		}
+		ended := func() bool { st := s.Stats(); return st.OpenConns == 0 }
+		get() // warm the caches
+		waitFor(t, "the warm-up connection to end", ended)
+		before := s.Stats()
+		for i := 0; i < conns; i++ {
+			get()
+		}
+		waitFor(t, "every connection to end", ended)
+		after := s.Stats()
+		responses, msgs := after.Responses-before.Responses, after.LoopMsgs-before.LoopMsgs
+		if responses != conns || msgs != 2*conns {
+			t.Fatalf("%d connections: %d responses for %d loop messages (%.2f each), want %d for %d",
+				conns, responses, msgs, float64(msgs)/conns, conns, 2*conns)
 		}
 	})
 }

@@ -506,7 +506,7 @@ func (s *shard) startHandler(c *conn, req *httpmsg.Request, h Handler, body *bod
 	r := &Request{
 		Request:    req,
 		Body:       io.Reader(eofReader{}),
-		RemoteAddr: c.remote,
+		RemoteAddr: c.remoteAddr(),
 	}
 	if body != nil {
 		body.w = w

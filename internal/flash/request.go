@@ -541,7 +541,7 @@ func (s *shard) settle(c *conn) bool {
 	s.stats.Responses++
 	keep := ls.req != nil && ls.req.KeepAlive && !s.shutdown
 	if ls.req != nil && s.cfg.AccessLog != nil {
-		s.logAccess(c.remote, ls.req, ls.status, ls.bytesSent)
+		s.logAccess(c.remoteAddr(), ls.req, ls.status, ls.bytesSent)
 	}
 	if !keep {
 		c.writeDone = true
@@ -613,13 +613,14 @@ func (s *shard) failConn(c *conn) {
 	}
 }
 
-// connEnd runs after the conn goroutine exited: the response pipeline
-// (if one is still installed) is aborted so it drops any resources it
-// holds outside queued items, an item the goroutine never took is
-// released, and so is every pin still on the FIFO (responses it left
-// corked, or never received).
-func (s *shard) connEnd(c *conn) {
-	s.stats.OpenConns--
+// connEnd runs once the connection goroutine is done with c: the
+// response pipeline (if one is still installed) is aborted so it drops
+// any resources it holds outside queued items, an item the goroutine
+// never took is released, and so is every pin still on the FIFO
+// (responses it left corked, never received, or flushed last — that
+// flush is reported here: short and ok are its released figures).
+func (s *shard) connEnd(c *conn, short int64, ok bool) {
+	s.ended++
 	s.markIdle(c)
 	src := c.ls.src
 	if src != nil {
@@ -640,7 +641,7 @@ func (s *shard) connEnd(c *conn) {
 		default:
 		}
 	}
-	s.released(c, len(c.pins)-c.pinHead, 0, true)
+	s.released(c, len(c.pins)-c.pinHead, short, ok)
 }
 
 // rangeVariantSlot is the header-cache variant shared by all 206

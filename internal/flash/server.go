@@ -1,6 +1,7 @@
 package flash
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -53,15 +54,17 @@ type Stats struct {
 	GatherWrites uint64
 	// LoopMsgs counts the mailbox messages the event loops dispatched:
 	// exchange posts, batch posts and their continuations, write and
-	// flush reports, helper completions — every one but the snapshots
-	// that read the counters. LoopMsgs over Responses is the hand-off
-	// cost per response: about 2 for a client that waits for each reply
-	// (an exchange and a flush report), far less for a pipelined burst,
-	// whose complete heads reach the loop in one post.
+	// flush reports, connection ends, helper completions — every one but
+	// the snapshots that read the counters. LoopMsgs over Responses is
+	// the hand-off cost per response: about 2 for a client that waits
+	// for each reply (an exchange and a flush report), far less for a
+	// pipelined burst, whose complete heads reach the loop in one post,
+	// and exactly 2 for a connection that carries one request (the
+	// exchange, and the connection's end with its last flush report).
 	LoopMsgs uint64
 	// OpenConns and IdleConns are point-in-time gauges of the shard's
-	// connections: open counts every adopted conn, idle the subset
-	// parked between exchanges waiting for a request head.
+	// connections: open counts every adopted conn whose end the loop has
+	// not yet run, idle the subset with no exchange in flight.
 	OpenConns  int
 	IdleConns  int
 	HelperJobs uint64
@@ -191,6 +194,16 @@ type Server struct {
 
 	nextShard atomic.Uint64 // round-robin accept distribution
 
+	// Connection goroutines (serveConns). One serves a connection, then
+	// parks on handoff for the next one Serve admits, keeping its grown
+	// stack and read ring; Serve starts a new goroutine only when none is
+	// parked. parked counts the goroutines waiting on handoff (at most
+	// maxParkedConnGoroutines), Close closes handoff to end them, and
+	// workers counts every connection goroutine, serving or parked.
+	handoff chan *conn // unbuffered: a send succeeds only into a parked goroutine
+	parked  atomic.Int32
+	workers sync.WaitGroup
+
 	logMu sync.Mutex // serializes AccessLog writes across shards
 
 	mu        sync.Mutex // guards listeners/conns registry and closed
@@ -225,6 +238,9 @@ type Server struct {
 	fdPressure    atomic.Uint64
 	connsRejected atomic.Uint64
 
+	// wg counts the admitted connections not yet served to the end: one
+	// is added in registerConn, under mu, so that Close — which sets
+	// closed under mu and then waits — cannot miss one.
 	wg sync.WaitGroup
 }
 
@@ -241,6 +257,13 @@ type shard struct {
 	// Only this loop may call it.
 	view  cache.View
 	store *cache.ShardedStore // the store's shared geometry and tiers
+
+	// accepted counts the connections the acceptor gave this shard. It
+	// is atomic, so admission posts nothing to the loop: a snapshot
+	// reads it, and OpenConns is accepted minus ended (loop-owned, one
+	// per connEnd).
+	accepted atomic.Uint64
+	ended    uint64
 
 	// Event-loop-owned state (never touched by other goroutines).
 	stats    Stats
@@ -284,16 +307,18 @@ type shard struct {
 // everything else rides in fn.
 type loopMsg struct {
 	fn             func()       // msgFn
-	c              *conn        // msgExchange, msgBatch, msgItemDone, msgReleased
+	c              *conn        // every kind but msgFn and msgStop
 	plan           exchangePlan // msgExchange
 	item           writeItem    // msgItemDone
 	wrote, sfWrote int64        // msgItemDone
-	short          int64        // msgReleased: committed bytes the flush did not write
+	// short is, for msgReleased and msgConnEnd, the committed bytes the
+	// reported flush did not write.
+	short int64
 	// n is, for msgReleased, the pin FIFO entries of the responses
 	// flushed; for msgBatch, the index in c.batch to run from.
 	n      int32
-	writes int32 // msgItemDone, msgReleased: socket write calls since the last report
-	ok     bool  // msgItemDone, msgReleased
+	writes int32 // msgItemDone, msgReleased, msgConnEnd: socket write calls since the last report
+	ok     bool  // msgItemDone, msgReleased, msgConnEnd
 	kind   uint8
 }
 
@@ -303,6 +328,7 @@ const (
 	msgBatch
 	msgItemDone
 	msgReleased
+	msgConnEnd
 	msgStop
 )
 
@@ -343,6 +369,7 @@ func New(cfg Config) (*Server, error) {
 		store:     store,
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[*conn]struct{}),
+		handoff:   make(chan *conn),
 	}
 	if cfg.MaxConnsPerIP > 0 {
 		s.ipConns = make(map[string]int)
@@ -457,6 +484,9 @@ func (s *shard) dispatch(m loopMsg) {
 	case msgReleased:
 		s.stats.GatherWrites += uint64(m.writes)
 		s.released(m.c, int(m.n), m.short, m.ok)
+	case msgConnEnd:
+		s.stats.GatherWrites += uint64(m.writes)
+		s.connEnd(m.c, m.short, m.ok)
 	case msgStop:
 		s.stopped = true
 	default:
@@ -532,6 +562,8 @@ func (s *shard) snapshot() Stats {
 	s.call(func() {
 		s.stats.LoopMsgs-- // a snapshot does not count itself
 		out = s.stats
+		out.Accepted = s.accepted.Load()
+		out.OpenConns = int(out.Accepted - s.ended)
 		out.HelperJobs = s.helpers.jobs.Load()
 		out.MapFallbacks = s.helpers.mapFallbacks.Load()
 		out.ProxyFills = s.helpers.proxyFills.Load()
@@ -619,18 +651,30 @@ func (s *Server) HandleFunc(method, prefix string, f func(ResponseWriter, *Reque
 }
 
 // ListenAndServe listens on addr ("host:port") and serves until the
-// server is closed.
+// server is closed. The listener it builds (listen) sends no TCP
+// keep-alive probes.
 func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
+	l, err := listen(addr)
 	if err != nil {
 		return err
 	}
 	return s.Serve(l)
 }
 
+// listen builds ListenAndServe's listener. Keep-alive probes are off
+// (KeepAlive -1): every connection already runs under a deadline —
+// IdleTimeout between requests, a read or write timeout inside one —
+// so the probes would only cost a setsockopt per accepted connection.
+func listen(addr string) (net.Listener, error) {
+	lc := net.ListenConfig{KeepAlive: -1}
+	return lc.Listen(context.Background(), "tcp", addr)
+}
+
 // Serve accepts connections on l until the server is closed,
-// distributing them round-robin across the shards. l is closed when
-// Serve returns.
+// distributing them round-robin across the shards. l is used as given
+// and closed when Serve returns. Each admitted connection goes to a
+// connection goroutine parked between connections, or to a new one when
+// none is parked (serveConns).
 func (s *Server) Serve(l net.Listener) error {
 	s.started.Store(true) // freezes the route table (see HandleRoute)
 	s.mu.Lock()
@@ -691,17 +735,65 @@ func (s *Server) Serve(l net.Listener) error {
 			s.rejectConn(nc)
 			continue
 		}
-		sh.post(func() {
-			sh.stats.Accepted++
-			sh.stats.OpenConns++
-		})
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			c.serve()
-			s.unregisterConn(c)
-		}()
+		sh.accepted.Add(1)
+		select {
+		case s.handoff <- c:
+		default:
+			s.workers.Add(1)
+			go s.serveConns(c)
+		}
 	}
+}
+
+// maxParkedConnGoroutines caps the connection goroutines parked between
+// connections: past it, a goroutine whose connection ends exits.
+// Measured on a 2-CPU linux/amd64 host with go1.24: a parked goroutine
+// holds its 4 KiB read ring and a 2–8 KiB stack, so 128 keep at most
+// ~1.5 MiB after a burst — under a tenth of flashd's 19.6 MiB resident
+// size on the conn_churn workload, where 4 000 connections a second
+// (20 315 in one run) started 3 goroutines in all.
+const maxParkedConnGoroutines = 128
+
+// readRingSize is a connection's initial read ring (conn.rb).
+const readRingSize = 4 << 10
+
+// serveConns is a connection goroutine. It serves c and then, while the
+// connections it serves end without a forced teardown, parks for the
+// next one Serve admits (park), keeping its grown stack and its read
+// ring. The conn record stays with its connection: the loop, helpers
+// and fills may still hold it after the goroutine has moved on. A ring
+// lent to a request body reader is left with its connection too — the
+// handler reading through it may outlive the exchange — and the
+// goroutine takes a fresh one.
+func (s *Server) serveConns(c *conn) {
+	defer s.workers.Done()
+	var rb []byte
+	for ; c != nil; c = s.park() {
+		if rb == nil {
+			rb = make([]byte, readRingSize)
+		}
+		c.rb = rb
+		c.serve()
+		if c.ringLent {
+			rb = nil
+		}
+		s.unregisterConn(c)
+		s.wg.Done()
+		if c.tornDown() {
+			return
+		}
+	}
+}
+
+// park waits for the next connection Serve hands over. It returns nil —
+// and the goroutine exits — when maxParkedConnGoroutines are parked
+// already, or once Close has closed handoff.
+func (s *Server) park() *conn {
+	defer s.parked.Add(-1)
+	if s.parked.Add(1) > maxParkedConnGoroutines {
+		return nil
+	}
+	return <-s.handoff
 }
 
 // Admission-control errors (internal: callers reject the conn).
@@ -720,8 +812,10 @@ func connIPKey(remote string) string {
 }
 
 // registerConn admits c into the connection registry, enforcing
-// MaxConns and MaxConnsPerIP. On an admission error the caller owns
-// the socket and should reject it; on ErrServerClosed the server is
+// MaxConns and MaxConnsPerIP, and counts it on wg under the same lock
+// that Close sets closed under: a Close that begins after this returns
+// waits for c to be served. On an admission error the caller owns the
+// socket and should reject it; on ErrServerClosed the server is
 // shutting down.
 func (s *Server) registerConn(c *conn) error {
 	s.mu.Lock()
@@ -737,7 +831,7 @@ func (s *Server) registerConn(c *conn) error {
 		return errMaxConns
 	}
 	if max := s.cfg.MaxConnsPerIP; max > 0 {
-		ip := connIPKey(c.remote)
+		ip := connIPKey(c.nc.RemoteAddr().String())
 		if ip != "" {
 			if s.ipConns[ip] >= max {
 				s.mu.Unlock()
@@ -749,6 +843,7 @@ func (s *Server) registerConn(c *conn) error {
 		}
 	}
 	s.conns[c] = struct{}{}
+	s.wg.Add(1)
 	s.mu.Unlock()
 	return nil
 }
@@ -824,8 +919,8 @@ func (s *Server) reapIdle(max int) {
 }
 
 // unregisterConn removes c from the connection registry and signals the
-// Shutdown drain waiter when the last one leaves. Called by the conn
-// goroutine on exit.
+// Shutdown drain waiter when the last one leaves. Called by the
+// connection goroutine once it has served c.
 func (s *Server) unregisterConn(c *conn) {
 	s.mu.Lock()
 	delete(s.conns, c)
@@ -859,7 +954,8 @@ func (s *Server) Addr() string {
 	return ""
 }
 
-// Close immediately closes all listeners and connections.
+// Close immediately closes all listeners and connections, and ends the
+// connection goroutines parked between connections.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -876,6 +972,11 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 
 	s.wg.Wait()
+	// Every admitted connection is served, so none is waiting to be
+	// handed over, and no Serve admits one after closed: the parked
+	// goroutines can be let go.
+	close(s.handoff)
+	s.workers.Wait()
 	for _, sh := range s.shards {
 		sh.helpers.stop()
 	}
