@@ -33,9 +33,10 @@
 // file, kept for as long as the file's pathname-cache entry: evicting a
 // chunk drops its pages, not the mapping, so -cache-map-mb bounds the
 // resident bytes and -cache-path-entries the files kept mapped
-// (/server-status: "file maps:"). Replace served files by rename: an
-// in-place overwrite shows through live mappings, an in-place
-// truncation fails the fill that meets it.
+// (/server-status: "file maps:", whose zap-spans over zap-calls is how
+// many evicted stretches each page-dropping system call took). Replace
+// served files by rename: an in-place overwrite shows through live
+// mappings, an in-place truncation fails the fill that meets it.
 //
 // -upstream turns flashd into a caching reverse proxy: requests under
 // -upstream-prefix (default "/") that miss the local docroot routes are
@@ -290,8 +291,8 @@ func main() {
 			fmt.Fprintf(&b, "gather writes: %d (%.2f socket writes per response)\n", st.GatherWrites, perResp(st.GatherWrites))
 			fmt.Fprintf(&b, "loop messages: %d (%.2f per response)\n", st.LoopMsgs, perResp(st.LoopMsgs))
 			fmt.Fprintf(&b, "helper jobs:   %d\n", st.HelperJobs)
-			fmt.Fprintf(&b, "file maps:     mmap=%d munmap=%d read-fallbacks=%d\n",
-				st.FileMaps, st.FileUnmaps, st.MapFallbacks)
+			fmt.Fprintf(&b, "file maps:     mmap=%d munmap=%d read-fallbacks=%d zap-spans=%d zap-calls=%d\n",
+				st.FileMaps, st.FileUnmaps, st.MapFallbacks, st.ZapSpans, st.ZapCalls)
 			fmt.Fprintf(&b, "dynamic calls: %d\n", st.DynamicCalls)
 			fmt.Fprintf(&b, "path cache:    %.1f%% hit (%d/%d)\n",
 				100*st.PathCache.HitRate(), st.PathCache.Hits, st.PathCache.Hits+st.PathCache.Misses)

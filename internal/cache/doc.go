@@ -24,10 +24,12 @@
 // from it) does. Evicting a chunk zaps its pages (MADV_DONTNEED) and
 // keeps the address range, so a refill after eviction costs page
 // faults, not an mmap/munmap pair — §5.4's point that map/unmap is the
-// expensive part. The death of the entry closes the descriptor and
-// gives the mapping up; it unmaps when the last chunk view cut from it
-// has gone. Mapped files are thereby bounded by the path entries the
-// caches hold, mapped pages by the chunk budget.
+// expensive part. The zaps queue up and leave in batches, one
+// process_madvise per 16 spans or 1 MiB where the kernel takes it. The
+// death of the entry closes the descriptor and gives the mapping up;
+// it unmaps when the last chunk view cut from it has gone. Mapped
+// files are thereby bounded by the path entries the caches hold,
+// mapped pages by the chunk budget plus the queue's 1 MiB.
 //
 // Files are expected to be replaced by rename. An in-place overwrite
 // is visible through live mappings (the helpers check a file's

@@ -8,10 +8,18 @@ import (
 )
 
 // MapStats counts the mmap(2) and munmap(2) calls made for the files of
-// one server (FileRefs created with the same MapStats share it).
+// one server (FileRefs created with the same MapStats share it), and
+// holds the queue their evicted pages wait on to be zapped in a batch.
+// ZapSpans counts the spans eviction gave up (queued, or zapped on the
+// spot) and ZapCalls the system calls that dropped them: their ratio
+// is the batch size, 1 where the kernel cannot batch.
 type MapStats struct {
-	Maps   atomic.Uint64
-	Unmaps atomic.Uint64
+	Maps     atomic.Uint64
+	Unmaps   atomic.Uint64
+	ZapSpans atomic.Uint64
+	ZapCalls atomic.Uint64
+
+	zaps zapQueue
 }
 
 // errMapSize reports a parked mapping taken under a different file

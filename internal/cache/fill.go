@@ -179,7 +179,7 @@ func (f *Fill) Announce(pe PathEntry, body bool) bool {
 			wake = append(wake, f.finishLocked()...)
 		}
 	}
-	seg.mu.Unlock()
+	seg.unlock()
 	for _, fn := range wake {
 		fn()
 	}
@@ -231,7 +231,7 @@ func (f *Fill) publish(data []byte, m *MmapRef) bool {
 			done = true
 		}
 	}
-	seg.mu.Unlock()
+	seg.unlock()
 	if !consumed {
 		m.Release()
 	}
@@ -246,7 +246,7 @@ func (f *Fill) publish(data []byte, m *MmapRef) bool {
 			seg.chunks.Release(c)
 		}
 		f.pins = nil
-		seg.mu.Unlock()
+		seg.unlock()
 	}
 	return more
 }
@@ -260,7 +260,7 @@ func (f *Fill) Fail(err error) {
 	if f.state == fillPending {
 		wake = f.failLocked(err)
 	}
-	seg.mu.Unlock()
+	seg.unlock()
 	for _, fn := range wake {
 		fn()
 	}

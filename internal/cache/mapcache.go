@@ -89,15 +89,19 @@ type MapCache struct {
 	// OnEvict, if set, observes evictions (the simulator charges munmap
 	// costs; the real server lets the GC reclaim).
 	OnEvict func(*Chunk)
+	// zapDue names the zap queue an eviction under the owner's lock
+	// filled; the segment flushes it after unlocking (segment.unlock).
+	zapDue *MapStats
 }
 
 // zapRun coalesces the page drops of one eviction pass: views of one
 // mapping that are adjacent in it — the chunks of a file age out
-// together — leave in a single madvise call. It holds the reference of
-// the first view it took, which keeps the mapping alive until flush.
+// together — leave as a single span. It holds the reference of the
+// first view it took, which keeps the mapping alive until flush.
 type zapRun struct {
 	ref    *MmapRef
 	lo, hi int
+	due    *MapStats // a zap queue the run's spans filled
 }
 
 // extends reports whether m is a view of the run's mapping adjacent to
@@ -124,7 +128,9 @@ func (z *zapRun) add(m *MmapRef) {
 
 func (z *zapRun) flush() {
 	if z.ref != nil {
-		z.ref.zap(z.lo, z.hi)
+		if q := z.ref.zap(z.lo, z.hi); q != nil {
+			z.due = q
+		}
 		z.ref.Release()
 		z.ref = nil
 	}
@@ -299,12 +305,15 @@ func (m *MapCache) pin(c *Chunk) {
 // mapped chunk's pages are dropped with it — nothing pins the chunk, so
 // nothing reads them; the next fill faults them back in from the page
 // cache — and the pass goes on past the limit for as long as the next
-// victim is the adjacent view of the mapping being zapped: the chunks of a
-// file are released together and age out together, its first chunk
-// gone means the next request refills the file anyway, and one
-// madvise over the whole stretch costs a fraction of one per chunk
-// (measured at 4.5 us for 16 pages and 2.1 us for 48: the kernel
-// flushes short ranges from the TLB page by page).
+// victim is the adjacent view of the mapping being zapped: the chunks
+// of a file are released together and age out together, its first
+// chunk gone means the next request refills the file anyway, and one
+// span over the whole stretch costs a fraction of one per chunk
+// (BenchmarkZap: one madvise of a 76 KiB span costs 4.2-4.6 us, and
+// 1.1-1.2 us per span in a process_madvise of 16; each call pays a
+// base cost, and the kernel flushes short ranges from the TLB page by
+// page). A span that fills the zap queue is flushed by the lock
+// holder after unlocking.
 func (m *MapCache) evictOver() {
 	var zaps zapRun
 	for c := m.freeTail; c != nil; c = m.freeTail { // nil: everything is pinned; stay over limit
@@ -325,6 +334,9 @@ func (m *MapCache) evictOver() {
 		}
 	}
 	zaps.flush()
+	if zaps.due != nil {
+		m.zapDue = zaps.due
+	}
 }
 
 // InvalidateFile drops the chunks of a path recorded under modTime

@@ -14,9 +14,11 @@ func mapFileRegion(*os.File, int64, int64) (*MmapRef, error) {
 	return nil, errors.ErrUnsupported
 }
 
-// munmapRegion and zapRegion are unreachable off Linux (no ref ever
-// carries a raw region); they exist to keep the platform surface
-// identical.
+// munmapRegion, zapRegion and zapBatch are unreachable off Linux (no
+// ref ever carries a raw region); they exist to keep the platform
+// surface identical.
 func munmapRegion([]byte) {}
 
 func zapRegion([]byte) {}
+
+func zapBatch([]zapSpan) uint64 { return 0 }

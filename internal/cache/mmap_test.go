@@ -224,7 +224,16 @@ func TestTouchRecoversTruncationFault(t *testing.T) {
 
 // mappedFile writes a file of n pattern bytes and adopts it into a
 // FileRef counted in the returned MapStats.
-func mappedFile(t *testing.T, n int) (*FileRef, []byte, *MapStats) {
+func mappedFile(t testing.TB, n int) (*FileRef, []byte, *MapStats) {
+	t.Helper()
+	stats := new(MapStats)
+	ref, content := mappedFileIn(t, n, stats)
+	return ref, content, stats
+}
+
+// mappedFileIn is mappedFile counted in stats, which the FileRef shares
+// with the others of a test (one server's MapStats).
+func mappedFileIn(t testing.TB, n int, stats *MapStats) (*FileRef, []byte) {
 	t.Helper()
 	content := make([]byte, n)
 	for i := range content {
@@ -238,8 +247,7 @@ func mappedFile(t *testing.T, n int) (*FileRef, []byte, *MapStats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := new(MapStats)
-	return NewFileRef(f, stats), content, stats
+	return NewFileRef(f, stats), content
 }
 
 // publishFile streams ref's file through a fill the way a fill job

@@ -51,7 +51,7 @@ type MmapRef struct {
 	data  []byte    // the chunk's byte view within the mapping
 	off   int       // data's offset within the root's raw region
 	base  *MmapRef  // the root ref for a derived view; nil for a root
-	stats *MapStats // root only: counts the munmap; nil for a mapping no FileRef owns
+	stats *MapStats // root only: counts the munmap and queues the zaps; nil for a mapping no FileRef owns
 	refs  atomic.Int32
 }
 
@@ -100,6 +100,9 @@ func (r *MmapRef) Release() {
 	root := r.root()
 	if n := root.refs.Add(-1); n == 0 {
 		if root.raw != nil {
+			if root.stats != nil {
+				root.stats.cancelZaps(root, 0, len(root.raw))
+			}
 			munmapRegion(root.raw)
 			root.raw, root.data = nil, nil
 			if root.stats != nil {
@@ -124,25 +127,42 @@ func (r *MmapRef) Slice(off, n int64) *MmapRef {
 }
 
 // zap gives bytes [lo, hi) of the root's region back to the kernel
-// (madvise MADV_DONTNEED) without unmapping them: the eviction of a
-// chunk is a statement that its pages are cold, and dropping them is
-// what keeps the process's resident size at the chunk budget while the
-// address range stays parked for the next fill. Only whole pages
-// inside the range go (a range that reaches the end of the mapping
-// includes its last, partial page), so a neighbouring chunk's pages
-// survive. Eviction takes only unpinned chunks, so no response reads
-// the bytes zapped; whoever reads them next faults them back in from
-// the page cache. The caller's reference covers the call.
-func (r *MmapRef) zap(lo, hi int) {
-	raw := r.root().raw
+// (MADV_DONTNEED) without unmapping them: the eviction of a chunk is a
+// statement that its pages are cold, and dropping them is what keeps
+// the process's resident size at the chunk budget while the address
+// range stays parked for the next fill. Only whole pages inside the
+// range go (a range that reaches the end of the mapping includes its
+// last, partial page), so a neighbouring chunk's pages survive.
+// Eviction takes only unpinned chunks, so no response reads the bytes
+// zapped; whoever reads them next faults them back in from the page
+// cache. The caller's reference covers the call.
+//
+// A mapping a FileRef owns queues the span on its server's zap queue
+// instead, and zap returns the MapStats whose queue is due for a flush
+// — which the caller makes once it holds no segment lock. A mapping no
+// FileRef owns, or a process whose kernel cannot batch, zaps at once.
+func (r *MmapRef) zap(lo, hi int) (due *MapStats) {
+	root := r.root()
 	pg := mmapPageSize
 	lo = (lo + pg - 1) / pg * pg
-	if hi < len(raw) {
+	if hi < len(root.raw) {
 		hi = hi / pg * pg
 	}
-	if lo < hi {
-		zapRegion(raw[lo:hi])
+	if lo >= hi {
+		return nil
 	}
+	st := root.stats
+	switch {
+	case st == nil:
+		zapRegion(root.raw[lo:hi])
+	case zapEach.Load():
+		st.ZapSpans.Add(1)
+		st.ZapCalls.Add(1)
+		zapRegion(root.raw[lo:hi])
+	case st.queueZap(root, lo, hi):
+		return st
+	}
+	return nil
 }
 
 // span returns the view's byte range within its root's region.
@@ -154,7 +174,14 @@ func (r *MmapRef) span() (lo, hi int) { return r.off, r.off + len(r.data) }
 // cannot be read (the file was truncated under the mapping) raises
 // SIGBUS; with SetPanicOnFault that is a panic on this goroutine
 // rather than a dead process, recovered here into ErrMapFault.
+//
+// Queued zaps of the view's range are cancelled first, so a flush
+// never drops the pages of a chunk refilled before the queue drained.
 func (r *MmapRef) Touch() (err error) {
+	if root := r.root(); root.stats != nil {
+		lo, hi := r.span()
+		root.stats.cancelZaps(root, lo, hi)
+	}
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	defer func() {
 		if p := recover(); p != nil {

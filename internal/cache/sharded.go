@@ -89,6 +89,19 @@ func (seg *segment) insert(key ChunkKey, data []byte, m *MmapRef, size, modTime 
 	return c
 }
 
+// unlock releases seg.mu, then flushes the zap queue an eviction under
+// it filled: the batch call runs under the queue's mutex alone, never
+// a segment lock. Every hold that can evict (an insert, a release)
+// ends here.
+func (seg *segment) unlock() {
+	due := seg.chunks.zapDue
+	seg.chunks.zapDue = nil
+	seg.mu.Unlock()
+	if due != nil {
+		due.flushZaps()
+	}
+}
+
 // storeView is one event loop's facade (View implementation).
 type storeView struct {
 	store *ShardedStore
@@ -279,7 +292,7 @@ func (v *storeView) Insert(key ChunkKey, data []byte, size, modTime int64) *Chun
 	seg := v.store.segmentFor(key.Path)
 	seg.mu.Lock()
 	c := seg.insert(key, data, nil, size, modTime)
-	seg.mu.Unlock()
+	seg.unlock()
 	return c
 }
 
@@ -291,7 +304,7 @@ func (v *storeView) Release(c *Chunk) {
 	seg := v.store.segments[c.home-1]
 	seg.mu.Lock()
 	seg.chunks.Release(c)
-	seg.mu.Unlock()
+	seg.unlock()
 }
 
 // InvalidateFile drops the chunks of path recorded under modTime from

@@ -74,10 +74,15 @@ type Stats struct {
 	// path entry's descriptor, so neither moves while a working set
 	// churns through the chunk budget. MapFallbacks counts chunk and
 	// fill jobs that read their bytes because the file could not be
-	// mapped (always, off Linux).
+	// mapped (always, off Linux). ZapSpans counts the stretches of
+	// evicted chunk pages given back to the kernel and ZapCalls the
+	// system calls that dropped them: ZapSpans/ZapCalls is the zap
+	// batch size, 1 where the kernel cannot batch.
 	FileMaps     uint64
 	FileUnmaps   uint64
 	MapFallbacks uint64
+	ZapSpans     uint64
+	ZapCalls     uint64
 	PathCache    cache.Stats
 	HeaderCache  cache.Stats
 	// MapCache counts chunk lookups: in a per-shard snapshot, every
@@ -145,6 +150,8 @@ func (s Stats) Add(o Stats) Stats {
 	s.FileMaps += o.FileMaps
 	s.FileUnmaps += o.FileUnmaps
 	s.MapFallbacks += o.MapFallbacks
+	s.ZapSpans += o.ZapSpans
+	s.ZapCalls += o.ZapCalls
 	s.DynamicCalls += o.DynamicCalls
 	s.ProxyRequests += o.ProxyRequests
 	s.ProxyHits += o.ProxyHits
@@ -177,7 +184,8 @@ type Server struct {
 	store  *cache.ShardedStore // the unified cache layer; shards hold Views of it
 	shards []*shard
 	// mapStats counts the mmap/munmap calls of every FileRef this server
-	// creates (Stats.FileMaps, Stats.FileUnmaps).
+	// creates (Stats.FileMaps, Stats.FileUnmaps) and their page zaps
+	// (Stats.ZapSpans, Stats.ZapCalls), and holds their zap queue.
 	mapStats cache.MapStats
 
 	// routes is the v2 handler table. It is mutable only before the
@@ -597,6 +605,8 @@ func (s *Server) Stats() Stats {
 	out.Fills = shared.Fills
 	out.FileMaps = s.mapStats.Maps.Load()
 	out.FileUnmaps = s.mapStats.Unmaps.Load()
+	out.ZapSpans = s.mapStats.ZapSpans.Load()
+	out.ZapCalls = s.mapStats.ZapCalls.Load()
 	out.Active = s.Active()
 	out.FdPressure += s.fdPressure.Load()
 	out.ConnsRejected += s.connsRejected.Load()
