@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // These tests are the tentpole's machine-checked invariant: a
@@ -365,4 +366,17 @@ func readOneResponse(conn net.Conn, scratch []byte, hasBody bool) (int, string, 
 		total += int(cl)
 	}
 	return total, etag, nil
+}
+
+// TestConnRecordSizeClass keeps the connection record in the 1 536-byte
+// size class, where the connection set-up layout put it. Go puts an
+// 8-byte malloc header in front of a pointerful object larger than
+// 512 bytes, so a conn of more than 1 528 bytes lands in the 1 792-byte
+// class and costs every new connection 256 bytes more — a growth
+// TestAllocsConnChurn's byte bound would still let through.
+func TestConnRecordSizeClass(t *testing.T) {
+	var c conn
+	if n := unsafe.Sizeof(c); n > 1528 {
+		t.Fatalf("conn is %d B, want at most 1528 (the 1536-B size class less the 8-B malloc header)", n)
+	}
 }

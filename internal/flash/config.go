@@ -44,13 +44,16 @@
 //     code: it reads and parses requests, and writes what the loop
 //     hands back, so a slow client blocks only its own goroutine.
 //     A response that is a single item — every warm small-file hit,
-//     304 and error — is settled on the loop the moment it is queued;
-//     the complete heads of a pipelined burst reach the loop in one
-//     batch message, which the loop runs in one pass like the paper's
-//     event loop serving every ready request, and their responses leave
-//     gathered into one writev (conn.serve). The goroutine outlives its
-//     connection: when one ends, it parks with its stack and read ring
-//     for the next one the acceptor admits (Server.serveConns).
+//     304 and error — is settled on the loop the moment it is queued.
+//     Every request head reaches the loop one way: the complete heads
+//     a read brought in — one, or a whole pipelined burst, the
+//     rejection of a head that did not parse included — fill the
+//     connection's batch slots, and one batch message posts them. The
+//     loop runs them in one pass like the paper's event loop serving
+//     every ready request, and their responses leave gathered into one
+//     writev (conn.serve). The goroutine outlives its connection: when
+//     one ends, it parks with its stack and read ring for the next one
+//     the acceptor admits (Server.serveConns).
 //
 //   - File chunks are refcounted views over mmap(2)-mapped file
 //     regions, mapped and touched by the disk helpers (the paper's
@@ -66,10 +69,11 @@
 //   - The steady-state request path is allocation-free: requests parse
 //     zero-copy into a per-connection recycled httpmsg.Request (views
 //     over a reusable head buffer), the carry-over read buffer shifts
-//     ring-style instead of reallocating, exchange and batch starts,
-//     item completions and flush reports travel to the loop as typed
-//     mailbox messages rather than closures, batch slots, response sources, header
-//     scratch and the gather list are pooled on the connection, entity tags and 304 headers are cached alongside
+//     ring-style instead of reallocating, batch posts, item
+//     completions and flush reports travel to the loop as typed
+//     mailbox messages rather than closures, batch slots, response
+//     sources, header scratch and the gather list are pooled on the
+//     connection, entity tags and 304 headers are cached alongside
 //     200 headers, and read/write deadlines are re-armed through a
 //     per-shard coarse clock only when they drift. AllocsPerRun guard
 //     tests pin the budget: 0 allocs/request on warm static-hit and

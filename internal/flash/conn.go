@@ -67,8 +67,8 @@ func (it *writeItem) pins() int {
 }
 
 // connReply is one message from the event loop to the connection's
-// goroutine. Every post the goroutine makes — an exchange, a batch (or
-// its continuation), or the itemDone report of a written item — is
+// goroutine. Every post the goroutine makes — a batch (or its
+// continuation), or the itemDone report of a written item — is
 // answered by exactly one reply, which the goroutine consumes before it
 // posts again; that is what keeps the loop's send on the capacity-1
 // channel from ever blocking. While a batch runs, the loop stages the
@@ -120,7 +120,7 @@ const gatherCap = 512 << 10
 
 // batchCap bounds the request heads one batch post carries: the
 // complete heads a read left in the carry-over window are parsed and
-// posted to the loop together, up to this many (see conn.gatherBatch).
+// posted to the loop together, up to this many (see conn.takeHeads).
 // Chosen by measurement on hot_pipelined (16 requests in flight per
 // connection); the rows are in CHANGES.md.
 const batchCap = 16
@@ -156,6 +156,10 @@ type conn struct {
 	reply    chan connReply // loop → conn goroutine (see connReply)
 	done     chan struct{}  // closed on forced teardown (closeDone)
 	doneOnce sync.Once
+	// slots is how many batch slots the post in flight fills (takeHeads):
+	// set by the goroutine before the post, read by the loop (runBatch).
+	// It sits in doneOnce's padding.
+	slots int32
 
 	// rb[rs:re] is the pipelining carry-over window: bytes read past
 	// the current request head. It is owned by the conn goroutine
@@ -170,21 +174,21 @@ type conn struct {
 	rb     []byte
 	rs, re int
 
-	// headBuf holds a copy of the current request head — of every head
-	// of the current batch, back to back; the recycled requests'
-	// zero-copy views point into it. Copying the heads out of rb
-	// (typically well under 1 KB each) is what makes the views immune to
-	// carry-over shifts and body pushbacks during the exchange.
+	// headBuf holds a copy of every request head of the current batch,
+	// back to back; the recycled requests' zero-copy views point into
+	// it. Copying the heads out of rb (typically well under 1 KB each)
+	// is what makes the views immune to carry-over shifts and body
+	// pushbacks during the exchange.
 	headBuf []byte
-	req     httpmsg.Request // recycled across this connection's exchanges
 
-	// batch holds the plans of a pipelined burst posted in one message
-	// (msgBatch), and breqs the requests of all but its first (which is
-	// req). Both are allocated the first time the connection pipelines
-	// and reused; the goroutine fills them before the post and leaves
-	// them alone until the batch's last reply.
-	batch []exchangePlan
-	breqs []httpmsg.Request
+	// The batch slots: slot 0 is plan0 with its request req, recycled
+	// across this connection's exchanges; slots 1 to batchCap-1 live in
+	// more, allocated the first time the connection pipelines. The
+	// goroutine fills them (takeHeads) before the post and leaves them
+	// alone until the batch's last reply.
+	req   httpmsg.Request
+	plan0 exchangePlan
+	more  *batchSlots
 
 	ls loopState // loop-owned, reset per exchange
 
@@ -239,19 +243,20 @@ type conn struct {
 	// the committed bytes it did not write.
 	closing  bool
 	ringLent bool // the read ring stays with this connection (see rb)
+
+	// Write-side state, loop-owned but connection-scoped: a response
+	// restarted mid-exchange must still see that a write already failed
+	// or that the write side is finished.
+	inFlight  bool
+	failed    bool
+	writeDone bool // no further item will be accepted
+
 	endShort int64
 
 	// Armed deadlines in unix nanos, for the coarse-clock skip logic
 	// (readArm: conn/body goroutine; writeArm: conn goroutine).
 	readArm  int64
 	writeArm int64
-
-	// Write-side state, also loop-owned but connection-scoped: a
-	// response restarted mid-exchange must still see that a write
-	// already failed or that the write side is finished.
-	inFlight  bool
-	failed    bool
-	writeDone bool // no further item will be accepted
 
 	// pins (loop-owned) is the FIFO of what committed responses whose
 	// bytes the conn goroutine has not yet reported written still pin:
@@ -457,7 +462,9 @@ func (c *conn) unread(b []byte) {
 
 // exchangePlan is the reader's pre-computed decision for one request:
 // either a protocol-level rejection, a routed handler dispatch (with
-// its body reader), or the static path (both nil).
+// its body reader), or the static path (both nil). A plan without req
+// is the rejection of a head that never parsed or outgrew
+// MaxHeaderBytes; its answer closes the connection.
 type exchangePlan struct {
 	req    *httpmsg.Request
 	rt     *Route      // non-nil: dispatch to the v2 handler
@@ -466,21 +473,42 @@ type exchangePlan struct {
 	allow  string      // Allow header value for a 405 rejection
 }
 
+// batchSlots is batch slots 1 to batchCap-1 of a connection: their
+// plans and the recycled requests the plans point at.
+type batchSlots struct {
+	plans [batchCap - 1]exchangePlan
+	reqs  [batchCap - 1]httpmsg.Request
+}
+
+// slot returns batch slot i's plan and request, allocating slots 1 and
+// up the first time the goroutine fills one; the loop reads only slots
+// the goroutine has filled.
+func (c *conn) slot(i int) (*exchangePlan, *httpmsg.Request) {
+	if i == 0 {
+		return &c.plan0, &c.req
+	}
+	if c.more == nil {
+		c.more = new(batchSlots)
+	}
+	return &c.more.plans[i-1], &c.more.reqs[i-1]
+}
+
 // serve is the connection's goroutine, the only owner of the socket in
-// both directions: it parses a request head, hands the exchange to the
-// event loop, writes what the loop hands back (await), and goes on to
+// both directions: it reads request heads, hands them to the event
+// loop, writes what the loop hands back (awaitBatch), and goes on to
 // the next head. Bytes read beyond one request's header block are
 // kept, so a pipelined burst is consumed request by request without
 // touching the socket, and responses leave in arrival order — exactly
 // the in-order guarantee HTTP/1.1 pipelining requires. A blocked write
 // blocks this goroutine and nothing else.
 //
-// When a read leaves several complete heads in the carry-over, they go
-// to the loop together: the ones that may join a batch (gatherBatch)
-// are parsed and posted in one message, which the loop runs in order,
-// so a warm burst costs one post and one reply rather than one of each
-// per request. A head that may not join — a handler, a body, a parse
-// error — ends the batch and is taken next, on its own, as before.
+// Every head reaches the loop the same way: takeHeads fills the batch
+// slots with the complete heads the carry-over holds, as far as they
+// may join, and one message posts them, which the loop runs in order
+// (runBatch). A lone exchange is a batch of one, so a warm burst costs
+// one post and one reply rather than one of each per request. A head
+// the reader refuses — one that does not parse, or outgrows
+// MaxHeaderBytes — is a rejection plan in its slot, the batch's last.
 //
 // Responses the loop committed whole (replyCommitted, and the ones it
 // staged during a batch) are corked on the gather list and leave in
@@ -493,15 +521,9 @@ type exchangePlan struct {
 // body drain that follows one.
 //
 // Request bodies are consumed by the handler (through the plan's
-// bodyReader) while this goroutine is parked in await; whatever is
-// left unread is drained here before the next head is parsed, keeping
-// pipelined framing intact.
-//
-// Each head is copied from the carry-over into the connection's
-// reusable head buffer and parsed zero-copy into a recycled request:
-// the views stay valid for the whole exchange (or batch) because
-// nothing touches headBuf until the next head is copied in — which
-// happens only after the loop has settled the responses.
+// bodyReader) while this goroutine is parked in awaitBatch; whatever
+// is left unread is drained here before the next head is parsed,
+// keeping pipelined framing intact.
 func (c *conn) serve() {
 	defer func() {
 		c.nc.Close()
@@ -518,8 +540,9 @@ func (c *conn) serve() {
 		c.skipBlank(&preamble)
 		// Accumulate one complete request head (a terminated header
 		// block, or an HTTP/0.9 simple request) at the head of the
-		// carry-over window. When it takes the socket to get one, what
-		// is corked leaves first: the read may block.
+		// carry-over window, or stop when what is buffered has outgrown
+		// the cap. When it takes the socket, what is corked leaves
+		// first: the read may block.
 		end := httpmsg.RequestEnd(c.window())
 		if end < 0 {
 			if !c.flush() {
@@ -527,12 +550,7 @@ func (c *conn) serve() {
 			}
 			c.armRead(c.sh.cfg.IdleTimeout)
 		}
-		for end < 0 {
-			if c.re-c.rs+preamble > c.sh.cfg.MaxHeaderBytes {
-				c.sh.post(func() { c.sh.rejectRequest(c, nil, 400) })
-				c.await()
-				return
-			}
+		for end < 0 && c.re-c.rs+preamble <= c.sh.cfg.MaxHeaderBytes {
 			n, err := c.readHead()
 			if n > 0 {
 				c.re += n
@@ -544,40 +562,16 @@ func (c *conn) serve() {
 			}
 			end = httpmsg.RequestEnd(c.window())
 		}
-		// Copy the head out of the carry-over so the zero-copy views
-		// survive any buffer traffic the exchange causes, then parse
-		// into the recycled request.
-		c.headBuf = append(c.headBuf[:0], c.rb[c.rs:c.rs+end]...)
-		c.consume(end) // keep pipelined followers (or body bytes)
-		c.req.Reset()
-		if err := c.req.ParseBytes(c.headBuf); err != nil {
-			status := 400
-			if err == httpmsg.ErrTargetTooBig {
-				status = 414
-			} else if err == httpmsg.ErrUnsupported {
-				status = 501
-			}
-			c.sh.post(func() { c.sh.rejectRequest(c, nil, status) })
-			c.await()
-			return
-		}
 
-		plan := c.planExchange(&c.req)
-		if n := c.gatherBatch(plan); n > 1 {
-			if !c.awaitBatch(n) {
-				return
-			}
-			continue
-		}
-		if !batchable(plan) && !c.flush() {
+		c.takeHeads(end, preamble)
+		if !batchable(c.plan0) && !c.flush() {
 			return
 		}
-		c.sh.postExchange(c, plan)
-		keep, _ := c.await()
-		if plan.body != nil && keep {
+		keep := c.awaitBatch()
+		if body := c.plan0.body; body != nil && keep {
 			// The handler may have left body bytes on the wire; the next
 			// head cannot be parsed until they are gone.
-			keep = c.flush() && plan.body.drain()
+			keep = c.flush() && body.drain()
 		}
 		if !keep {
 			return
@@ -633,83 +627,112 @@ func batchable(plan exchangePlan) bool {
 	return plan.rt == nil && plan.body == nil
 }
 
-// gatherBatch collects behind first (parsed from the head just
-// consumed) the complete request heads the carry-over already holds,
-// for one post to the loop, and returns the batch's length; 1 means
-// first goes alone, as a plain exchange. A head joins while every
-// request before it keeps the connection alive and has a batchable
-// plan, it parses and routes to no handler itself (so its plan is
-// batchable), and the batch has room (batchCap). The first head that
-// does not join stays in the carry-over, to be taken on its own once
-// the batch is over; it is never planned here, so a handler's body
-// reader is built once, when its exchange is posted.
-func (c *conn) gatherBatch(first exchangePlan) int {
-	n := 1
-	for prev := first; n < batchCap && batchable(prev) && prev.req.KeepAlive; n++ {
-		p := c.rs
+// takeHeads fills the batch slots for one post and sets c.slots. Slot
+// 0 takes the head of length end at the front of the carry-over, which
+// preamble stripped blank-line bytes preceded (end < 0: the head is
+// incomplete and has outgrown MaxHeaderBytes). Each head is copied
+// into headBuf, parsed zero-copy into its slot's recycled request and
+// planned; the views stay valid for the whole batch because nothing
+// touches headBuf until the next takeHeads, after the loop has settled
+// the responses. A head longer than MaxHeaderBytes (its preamble
+// counted) gets a 400 plan, one that does not parse a 400, 414 or 501
+// plan — rejections without a request, which end the batch.
+//
+// A complete follower joins while every request before it keeps the
+// connection alive and has a batchable plan, and the batch has room
+// (batchCap). A follower that routes to a handler stays in the
+// carry-over unplanned, to be taken as the next batch's slot 0, so a
+// handler's body reader is built once, when its exchange is posted.
+func (c *conn) takeHeads(end, preamble int) {
+	c.headBuf = c.headBuf[:0]
+	p := c.rs
+	for n := 0; ; {
+		plan, req := c.slot(n)
+		next := exchangePlan{reject: 400}
+		if end >= 0 && end+preamble <= c.sh.cfg.MaxHeaderBytes {
+			off := len(c.headBuf)
+			c.headBuf = append(c.headBuf, c.rb[p:p+end]...)
+			req.Reset()
+			switch err := req.ParseBytes(c.headBuf[off:]); err {
+			case nil:
+				rt, allow := c.sh.srv.routes.match(req.Method, req.Path)
+				if rt != nil && n > 0 {
+					return // a handler follower waits for a batch of its own
+				}
+				next = c.planRoute(req, rt, allow)
+			case httpmsg.ErrTargetTooBig:
+				next.reject = 414
+			case httpmsg.ErrUnsupported:
+				next.reject = 501
+			}
+		}
+		if end >= 0 {
+			c.consume(p + end - c.rs)
+		}
+		*plan = next
+		n++
+		c.slots = int32(n)
+		if n == batchCap || !batchable(next) || next.req == nil || !next.req.KeepAlive {
+			return
+		}
+		p = c.rs
 		for p < c.re && (c.rb[p] == '\r' || c.rb[p] == '\n') {
 			p++ // blank lines between requests, as skipBlank strips them
 		}
-		end := httpmsg.RequestEnd(c.rb[p:c.re])
-		if end < 0 {
-			break
+		preamble = p - c.rs
+		if end = httpmsg.RequestEnd(c.rb[p:c.re]); end < 0 {
+			return
 		}
-		if c.breqs == nil {
-			c.batch = make([]exchangePlan, 0, batchCap)
-			c.breqs = make([]httpmsg.Request, batchCap-1)
-		}
-		req := &c.breqs[n-1]
-		off := len(c.headBuf)
-		c.headBuf = append(c.headBuf, c.rb[p:p+end]...)
-		req.Reset()
-		if req.ParseBytes(c.headBuf[off:]) != nil {
-			c.headBuf = c.headBuf[:off]
-			break
-		}
-		rt, allow := c.sh.srv.routes.match(req.Method, req.Path)
-		if rt != nil {
-			c.headBuf = c.headBuf[:off]
-			break
-		}
-		prev = c.planRoute(req, nil, allow)
-		c.consume(p + end - c.rs)
-		if n == 1 {
-			c.batch = append(c.batch[:0], first)
-		}
-		c.batch = append(c.batch, prev)
 	}
-	return n
 }
 
-// awaitBatch posts the n plans in c.batch as one message and serves
-// the replies until the batch is over: its last exchange has ended, or
-// one ended the connection (later heads are never answered). An
-// exchange that ended before the batch was through — one that had to
-// wait for a helper, a fill or a write, or whose response did not fit
-// under gatherCap — leaves the rest of the batch to a continuation,
-// posted here. It reports whether the connection persists.
-func (c *conn) awaitBatch(n int) bool {
+// awaitBatch posts the filled batch slots as one message and serves the
+// loop's replies — writing the items of a response the loop is still
+// driving, corking one it has committed — until the batch is over: its
+// last exchange has ended, or one ended the connection (later heads are
+// never answered). Each reply counts the responses the loop staged on
+// the gather list ahead of it, exchanges of the batch that are over.
+// An exchange that ended before the batch was through — one that had
+// to wait for a helper, a fill or a write, or whose response did not
+// fit under gatherCap — leaves the rest of the batch to a
+// continuation, posted here. It reports whether the connection
+// persists.
+func (c *conn) awaitBatch() bool {
+	c.sh.postBatch(c, 0)
 	for done := 0; ; {
-		c.sh.postBatch(c, done)
-		keep, staged := c.await()
-		if done += staged + 1; !keep || done == n {
+		var r connReply
+		select {
+		case r = <-c.reply:
+		case <-c.done:
+			return false
+		}
+		done += int(r.staged)
+		keep := r.keep
+		switch r.kind {
+		case replyItem:
+			wrote, sfWrote, ok := c.transmit(&r.item)
+			c.sh.postItemDone(c, r.item, wrote, sfWrote, c.takeWrites(), ok)
+			continue
+		case replyCommitted:
+			keep = c.cork(&r.item, keep)
+		case replyEnd:
+			if !keep {
+				c.flushLast() // earlier responses still leave before the close
+			}
+		}
+		if done++; !keep || done == int(c.slots) {
 			return keep
 		}
+		c.sh.postBatch(c, done)
 	}
 }
 
-// planExchange classifies one parsed request: body framing, Expect
-// handling, route lookup, and size limits, producing either a
-// rejection or a dispatch plan. Runs on the conn goroutine; the
-// route table is immutable once the server starts, so the lookup is
+// planRoute classifies one parsed request once the route lookup is
+// done (rt and allow are what the router answered for req): body
+// framing, Expect handling and size limits, producing either a
+// rejection or a dispatch plan. Runs on the conn goroutine; the route
+// table is immutable once the server starts, so the lookup is
 // lock-free.
-func (c *conn) planExchange(req *httpmsg.Request) exchangePlan {
-	rt, allow := c.sh.srv.routes.match(req.Method, req.Path)
-	return c.planRoute(req, rt, allow)
-}
-
-// planRoute is planExchange once the route lookup is done: rt and
-// allow are what the router answered for req.
 func (c *conn) planRoute(req *httpmsg.Request, rt *Route, allow string) exchangePlan {
 	cfg := c.sh.cfg
 	plan := exchangePlan{req: req}
@@ -804,35 +827,6 @@ func methodRequiresLength(method string) bool {
 		return true
 	}
 	return false
-}
-
-// await serves the loop's replies to the post just made — writing the
-// items of a response the loop is still driving, corking one it has
-// committed — until an exchange is over. It reports whether the
-// connection persists, and how many responses the loop staged on the
-// gather list ahead of that exchange's (each the whole of an exchange
-// of the batch that is over).
-func (c *conn) await() (keep bool, staged int) {
-	for {
-		var r connReply
-		select {
-		case r = <-c.reply:
-		case <-c.done:
-			return false, staged
-		}
-		staged += int(r.staged)
-		switch r.kind {
-		case replyCommitted:
-			return c.cork(&r.item, r.keep), staged
-		case replyEnd:
-			if !r.keep {
-				c.flushLast() // earlier responses still leave before the close
-			}
-			return r.keep, staged
-		}
-		wrote, sfWrote, ok := c.transmit(&r.item)
-		c.sh.postItemDone(c, r.item, wrote, sfWrote, c.takeWrites(), ok)
-	}
 }
 
 // cork appends a committed response to the gather list — after

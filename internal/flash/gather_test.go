@@ -359,8 +359,17 @@ func TestGatherEarlierResponsesSurviveClose(t *testing.T) {
 	t.Run("malformed-head", func(t *testing.T) {
 		forEachConnEngine(t, func(t *testing.T) {
 			_, addr := gatherServer(t, nil)
-			burst := append(bytes.Repeat(get, 3), "BAD\x01LINE / HTTP/1.1\r\n\r\n"...)
-			burstThenClose(t, addr, append(burst, get...), 3, 400)
+			for _, tc := range []struct {
+				head   string
+				status int
+			}{
+				{"BAD\x01LINE / HTTP/1.1\r\n\r\n", 400},
+				{"GET /" + strings.Repeat("t", 9<<10) + " HTTP/1.1\r\nHost: t\r\n\r\n", 414},
+				{"GET /s4k.bin HTTP/2.0\r\nHost: t\r\n\r\n", 501},
+			} {
+				burst := append(bytes.Repeat(get, 3), tc.head...)
+				burstThenClose(t, addr, append(burst, get...), 3, tc.status)
+			}
 		})
 	})
 
@@ -890,6 +899,25 @@ func TestGatherLoopMessages(t *testing.T) {
 		if responses != conns || msgs != 2*conns {
 			t.Fatalf("%d connections: %d responses for %d loop messages (%.2f each), want %d for %d",
 				conns, responses, msgs, float64(msgs)/conns, conns, 2*conns)
+		}
+	})
+	t.Run("reject", func(t *testing.T) {
+		// A head the reader refuses rides the batch post of the heads
+		// ahead of it, as its last slot: three warm GETs and a malformed
+		// head cost the post and the connection's end, which carries the
+		// last flush's report.
+		s, addr := gatherServer(t, nil)
+		get := wreq("GET", "/s4k.bin", "HTTP/1.1").wire
+		ended := func() bool { st := s.Stats(); return st.OpenConns == 0 }
+		burstThenClose(t, addr, wreq("GET", "/s4k.bin", "HTTP/1.1", "Connection: close").wire, 1, 0) // warm the caches
+		waitFor(t, "the warm-up connection to end", ended)
+		before := s.Stats()
+		burst := append(bytes.Repeat(get, 3), "BAD\x01LINE / HTTP/1.1\r\n\r\n"...)
+		burstThenClose(t, addr, burst, 3, 400)
+		waitFor(t, "the connection to end", ended)
+		after := s.Stats()
+		if responses, msgs := after.Responses-before.Responses, after.LoopMsgs-before.LoopMsgs; responses != 4 || msgs != 2 {
+			t.Fatalf("3 GETs and a malformed head: %d responses for %d loop messages, want 4 for 2", responses, msgs)
 		}
 	})
 }

@@ -14,12 +14,21 @@ import (
 // All functions in this file run on the event loop.
 
 // handleExchange starts processing one exchange from the reader's
-// pre-computed plan: protocol-level rejections first, then Host
-// enforcement, then either the v2 handler dispatch or the static path.
+// pre-computed plan: a head the reader refused outright first, then
+// Host enforcement, then protocol-level rejections, then either the v2
+// handler dispatch or the static path.
 func (s *shard) handleExchange(c *conn, plan exchangePlan) {
 	req := plan.req
 	c.ls = loopState{req: req, status: 200}
 	s.markBusy(c)
+	if req == nil {
+		// A head the reader refused: it never parsed, or it outgrew
+		// MaxHeaderBytes. Its status stands even under Shutdown, and the
+		// connection closes; the access log names the request
+		// errorResponse synthesizes, not the previous exchange's.
+		s.errorResponse(c, plan.reject, false)
+		return
+	}
 	if s.shutdown {
 		s.errorResponse(c, 503, false)
 		return
@@ -27,7 +36,7 @@ func (s *shard) handleExchange(c *conn, plan exchangePlan) {
 	if req.Major == 1 && req.Minor >= 1 && req.Host() == "" {
 		// RFC 7230 §5.4: a 1.1 request without Host gets a 400 — before
 		// any other verdict (405/411/413/417), because the MUST applies
-		// to every 1.1 request, reject-bound or not. planExchange has
+		// to every 1.1 request, reject-bound or not. planRoute has
 		// already cleared KeepAlive when an unread body makes resync
 		// impossible; a body whose drain may fail (stranded Expect,
 		// unbounded chunked) would make the reader close right after,
@@ -65,7 +74,7 @@ func (s *shard) handleExchange(c *conn, plan exchangePlan) {
 	s.handleRequest(c, req)
 }
 
-// runBatch runs the exchanges of c's posted batch from index i, in
+// runBatch runs the exchanges in c's posted batch slots from slot i, in
 // order, for as long as each one's response is staged on the spot
 // (commit). It stops at the first exchange that replied instead — the
 // batch's last, one that ends the connection or would pass gatherCap —
@@ -76,10 +85,11 @@ func (s *shard) runBatch(c *conn, i int) {
 	if s.cfg.RevalidateInterval >= 0 {
 		s.batchNow = s.cfg.Clock().UnixNano()
 	}
-	for ; i < len(c.batch); i++ {
+	for n := int(c.slots); i < n; i++ {
 		staged := c.staged
-		c.stageNext = i+1 < len(c.batch)
-		s.handleExchange(c, c.batch[i])
+		c.stageNext = i+1 < n
+		plan, _ := c.slot(i)
+		s.handleExchange(c, *plan)
 		if c.staged != staged+1 {
 			break
 		}
@@ -818,18 +828,6 @@ func headerFor(req *httpmsg.Request, hdr []byte) []byte {
 		return nil
 	}
 	return hdr
-}
-
-// rejectRequest starts a fresh error exchange for a request the reader
-// refused (parse failure, oversized header, announced body). Unlike
-// errorResponse it resets the loop state first — on a persistent
-// connection it still holds the previous exchange's request, which
-// would otherwise leak into the access log and the echoed protocol
-// version. req may be nil when the bytes never parsed.
-func (s *shard) rejectRequest(c *conn, req *httpmsg.Request, status int) {
-	c.ls = loopState{req: req}
-	s.markBusy(c)
-	s.errorResponse(c, status, false)
 }
 
 // errorResponse sends a complete error response.

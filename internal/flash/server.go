@@ -53,14 +53,14 @@ type Stats struct {
 	// splits under backpressure counts once.
 	GatherWrites uint64
 	// LoopMsgs counts the mailbox messages the event loops dispatched:
-	// exchange posts, batch posts and their continuations, write and
-	// flush reports, connection ends, helper completions — every one but
-	// the snapshots that read the counters. LoopMsgs over Responses is
-	// the hand-off cost per response: about 2 for a client that waits
-	// for each reply (an exchange and a flush report), far less for a
-	// pipelined burst, whose complete heads reach the loop in one post,
-	// and exactly 2 for a connection that carries one request (the
-	// exchange, and the connection's end with its last flush report).
+	// batch posts and their continuations, write and flush reports,
+	// connection ends, helper completions — every one but the snapshots
+	// that read the counters. LoopMsgs over Responses is the hand-off
+	// cost per response: about 2 for a client that waits for each reply
+	// (a batch of one and a flush report), far less for a pipelined
+	// burst, whose complete heads reach the loop in one post, and
+	// exactly 2 for a connection that carries one request (its post, and
+	// the connection's end with its last flush report).
 	LoopMsgs uint64
 	// OpenConns and IdleConns are point-in-time gauges of the shard's
 	// connections: open counts every adopted conn whose end the loop has
@@ -277,7 +277,7 @@ type shard struct {
 	stats    Stats
 	shutdown bool
 	// busyConns counts conns with an exchange in flight (between
-	// handleExchange/rejectRequest and signalNext); the idle gauge is
+	// handleExchange and signalNext); the idle gauge is
 	// OpenConns minus this.
 	busyConns int
 	// batchNow is the clock reading a batch run shares (runBatch); 0
@@ -309,21 +309,20 @@ type shard struct {
 }
 
 // loopMsg is one message to a shard's event loop. The per-request and
-// per-chunk kinds (exchange or batch start, write-item completion,
-// flush report) carry their arguments in value fields rather than
-// closures, so the steady-state loop traffic allocates nothing;
-// everything else rides in fn.
+// per-chunk kinds (batch post, write-item completion, flush report)
+// carry their arguments in value fields rather than closures, so the
+// steady-state loop traffic allocates nothing; everything else rides
+// in fn.
 type loopMsg struct {
-	fn             func()       // msgFn
-	c              *conn        // every kind but msgFn and msgStop
-	plan           exchangePlan // msgExchange
-	item           writeItem    // msgItemDone
-	wrote, sfWrote int64        // msgItemDone
+	fn             func()    // msgFn
+	c              *conn     // every kind but msgFn and msgStop
+	item           writeItem // msgItemDone
+	wrote, sfWrote int64     // msgItemDone
 	// short is, for msgReleased and msgConnEnd, the committed bytes the
 	// reported flush did not write.
 	short int64
 	// n is, for msgReleased, the pin FIFO entries of the responses
-	// flushed; for msgBatch, the index in c.batch to run from.
+	// flushed; for msgBatch, the batch slot to run from.
 	n      int32
 	writes int32 // msgItemDone, msgReleased, msgConnEnd: socket write calls since the last report
 	ok     bool  // msgItemDone, msgReleased, msgConnEnd
@@ -332,7 +331,6 @@ type loopMsg struct {
 
 const (
 	msgFn = iota
-	msgExchange
 	msgBatch
 	msgItemDone
 	msgReleased
@@ -482,8 +480,6 @@ func (s *shard) stopLoop() {
 func (s *shard) dispatch(m loopMsg) {
 	s.stats.LoopMsgs++
 	switch m.kind {
-	case msgExchange:
-		s.handleExchange(m.c, m.plan)
 	case msgBatch:
 		s.runBatch(m.c, int(m.n))
 	case msgItemDone:
@@ -530,13 +526,8 @@ func (s *shard) post(fn func()) bool {
 	return s.send(loopMsg{kind: msgFn, fn: fn})
 }
 
-// postExchange starts an exchange on the loop without allocating.
-func (s *shard) postExchange(c *conn, plan exchangePlan) bool {
-	return s.send(loopMsg{kind: msgExchange, c: c, plan: plan})
-}
-
-// postBatch runs c's batch on the loop from index i, without
-// allocating.
+// postBatch runs c's batch slots on the loop from slot i, without
+// allocating: every request head reaches the loop this way.
 func (s *shard) postBatch(c *conn, i int) bool {
 	return s.send(loopMsg{kind: msgBatch, c: c, n: int32(i)})
 }

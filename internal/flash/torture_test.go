@@ -366,20 +366,46 @@ func testTortureRangeAcrossChunks(t *testing.T) {
 	}
 }
 
-// TestTortureOversizedHeader asserts the 400 on a header block that
-// never terminates within MaxHeaderBytes.
+// TestTortureOversizedHeader asserts the 400 and the close on a header
+// block longer than MaxHeaderBytes: one that never terminates within
+// the cap, one that arrives whole in a single write, and one that does
+// so as a pipelined follower (after the 200 of the request ahead of it).
 func TestTortureOversizedHeader(t *testing.T) { forEachConnEngine(t, testTortureOversizedHeader) }
 
 func testTortureOversizedHeader(t *testing.T) {
-	_, base := newTestServer(t, func(c *Config) { c.MaxHeaderBytes = 1 << 10 })
-	conn := dialRaw(t, base)
-	fmt.Fprintf(conn, "GET /hello.txt HTTP/1.1\r\nHost: t\r\nX-Junk: %s\r\n", strings.Repeat("j", 4<<10))
-	resp, err := readResponse(bufio.NewReader(conn), "GET")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.status != 400 {
-		t.Fatalf("status = %d, want 400", resp.status)
+	get := "GET /hello.txt HTTP/1.1\r\nHost: t\r\n\r\n"
+	big := fmt.Sprintf("GET /hello.txt HTTP/1.1\r\nHost: t\r\nX-Junk: %s\r\n", strings.Repeat("j", 3<<10))
+	for _, tc := range []struct {
+		name, wire string
+		ahead      int // 200s before the 400
+	}{
+		{"incomplete", big, 0},
+		{"complete", big + "\r\n", 0},
+		{"complete-follower", get + big + "\r\n" + get, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, base := newTestServer(t, func(c *Config) { c.MaxHeaderBytes = 1 << 10 })
+			conn := dialRaw(t, base)
+			if _, err := io.WriteString(conn, tc.wire); err != nil {
+				t.Fatal(err)
+			}
+			br := bufio.NewReader(conn)
+			for i := 0; i < tc.ahead; i++ {
+				if resp, err := readResponse(br, "GET"); err != nil || resp.status != 200 {
+					t.Fatalf("response %d ahead of the 400: %+v err=%v", i, resp, err)
+				}
+			}
+			resp, err := readResponse(br, "GET")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.status != 400 {
+				t.Fatalf("status = %d, want 400", resp.status)
+			}
+			if b, err := br.ReadByte(); err != io.EOF {
+				t.Fatalf("after the 400: byte %q err=%v, want EOF", b, err)
+			}
+		})
 	}
 }
 
