@@ -63,8 +63,9 @@
 //
 // A cold file is read by one [Fill]: the first miss starts it
 // (JoinFill), every later miss for the same path and generation
-// subscribes to it, and the producer — a helper on the owner shard —
-// publishes chunk after chunk as the sequential disk pass lands them.
+// subscribes to it, and the producer — a helper of the shard whose miss
+// registered the fill — publishes chunk after chunk as the sequential
+// disk pass lands them.
 // Subscribers park a callback per wanted chunk (ChunkAt) and are woken
 // as their chunk publishes, so readers stream a partially-filled file
 // instead of waiting for the last byte. Published chunks are pinned

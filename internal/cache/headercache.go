@@ -29,9 +29,10 @@ type headerKey struct {
 }
 
 // HeaderCache caches response headers by translated path plus a
-// variant tag. The empty variant is the full 200 response; range
-// requests use a per-range variant (e.g. "bytes 0-99/1234") so partial
-// and full headers for one file never collide. Stale variants are
+// variant tag. The empty variant is the full 200 response; other slots
+// (the server keeps one for its 206s and one for its 304) hold the
+// other responses of the same entity, so partial, not-modified and full
+// headers for one file never collide. Stale variants are
 // self-invalidating: every hit is checked against the file's current
 // mtime and dropped on mismatch.
 type HeaderCache struct {
@@ -51,8 +52,7 @@ func (c *HeaderCache) Get(path string, modTime int64) (HeaderEntry, bool) {
 	return c.GetVariant(path, "", modTime)
 }
 
-// GetVariant is Get for a specific response variant (range-ness, 304
-// shapes).
+// GetVariant is Get for a specific response variant (range-ness, 304).
 func (c *HeaderCache) GetVariant(path, variant string, modTime int64) (HeaderEntry, bool) {
 	key := headerKey{path: path, variant: variant}
 	e, ok := c.l.get(key)

@@ -24,12 +24,16 @@ type PathEntry struct {
 	// reverse-proxy entries it is the origin's ETag verbatim.
 	ETag string
 
+	// ContentType is the Content-Type echoed to clients: derived from
+	// the file name at stat time for files, the origin's value for
+	// reverse-proxy entries.
+	ContentType string
+
 	// Reverse-proxy extras, zero for filesystem entries: Expires is the
 	// owner-clock instant the entry turns stale (a stale hit
-	// revalidates against the origin), ContentType and LastModified are
-	// the origin's header values echoed to clients.
+	// revalidates against the origin), LastModified is the origin's
+	// header value (empty when it sent none).
 	Expires      int64
-	ContentType  string
 	LastModified string
 	// StaleUntil is the owner-clock instant the entry stops being
 	// usable for RFC 5861 stale-if-error serving: between Expires and

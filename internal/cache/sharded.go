@@ -170,16 +170,6 @@ func fnv32(s string) uint32 {
 	return h
 }
 
-// OwnerShard maps a path to the shard that owns its fills: the one
-// whose helper pool runs the single-flight disk pass. Deterministic
-// across callers so every shard agrees.
-func OwnerShard(path string, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	return int(fnv32(path) % uint32(shards))
-}
-
 func (st *ShardedStore) segmentFor(path string) *segment {
 	return st.segments[fnv32(path)%uint32(len(st.segments))]
 }

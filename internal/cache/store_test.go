@@ -113,20 +113,6 @@ func TestStoreBudgetIndependentOfShardCount(t *testing.T) {
 	}
 }
 
-// OwnerShard must be deterministic and in range — every shard has to
-// agree on who runs a fill.
-func TestOwnerShardDeterministic(t *testing.T) {
-	for _, path := range []string{"/a", "/b/c.html", ""} {
-		a, b := OwnerShard(path, 4), OwnerShard(path, 4)
-		if a != b || a < 0 || a >= 4 {
-			t.Fatalf("OwnerShard(%q) unstable or out of range: %d, %d", path, a, b)
-		}
-	}
-	if OwnerShard("/a", 1) != 0 {
-		t.Fatal("single-shard owner must be 0")
-	}
-}
-
 // The fill lifecycle: one producer publishing in order, a parked
 // subscriber woken per chunk, auto-finish on the last chunk, and the
 // record retiring so a later cold pass starts fresh.

@@ -152,6 +152,27 @@ func TestAllocsHeadHit(t *testing.T) {
 	}
 }
 
+// TestAllocsProxyHit bounds a warm proxied hit — a fresh entry answered
+// from the key's segment through the file path's responder — at one
+// allocation per request: the cache key the target is joined into.
+func TestAllocsProxyHit(t *testing.T) {
+	origin := newTestOrigin(t, nil)
+	origin.setHandler(origin.cachedOrigin(func(string) []byte { return pattern(1024) }, "max-age=600"))
+	pool := testPoolFor(t, origin.addr)
+	addr, stop := allocGuardServer(t, func(s *Server) { s.HandleProxy("/up/", pool) })
+	defer stop()
+
+	get := []byte("GET /up/data HTTP/1.1\r\nHost: alloc\r\n\r\n")
+	n := measureAllocs(t, addr, get, 1)
+	t.Logf("warm proxied hit: %.2f allocs/request", n)
+	if n > 1 {
+		t.Errorf("warm proxied hit: %.2f allocs/request, want at most 1", n)
+	}
+	if f := origin.fetches.Load(); f != 1 {
+		t.Errorf("origin fetches = %d, want 1", f)
+	}
+}
+
 // handlerAllocBudget is the documented per-request allocation budget of
 // the dynamic (v2 handler) path: handler goroutine + response writer +
 // header map materialization + body reader + rendered header. Measured

@@ -16,12 +16,12 @@
 //     of that segment's lock to pin it and one to release it. The
 //     configured byte budget is not split (or duplicated) per shard,
 //     and the working set a server holds is the same at any
-//     EventLoops. Every chunk miss has one path: it
-//     joins the single-flight fill for its path — concurrent requests
-//     for a cold path subscribe to one in-flight fill owned by
-//     whichever shard hashes the path, and a request that meets the
-//     fill of another file generation waits for it to end and joins
-//     the next — and fills publish chunks as they land
+//     EventLoops. Every chunk miss has one path: it joins the
+//     single-flight fill for its path — concurrent requests for a cold
+//     path subscribe to one in-flight fill, run by the helpers of the
+//     shard whose request registered it in the path's segment, and a
+//     request that meets the fill of another file generation waits for
+//     it to end and joins the next — and fills publish chunks as they land
 //     (serve-while-fill): subscribers get a loop message per published
 //     chunk and stream the file in lockstep with the disk, first byte
 //     out before the last byte is read. A chunk of one generation is
@@ -73,9 +73,11 @@
 //     completions and flush reports travel to the loop as typed
 //     mailbox messages rather than closures, batch slots, response
 //     sources, header scratch and the gather list are pooled on the
-//     connection, entity tags and 304 headers are cached alongside
-//     200 headers, and read/write deadlines are re-armed through a
-//     per-shard coarse clock only when they drift. AllocsPerRun guard
+//     connection, entity tags are computed once per stat, each
+//     entity's one 304 header is cached beside its 200 header and
+//     patched to the request's persistence mode like it, and
+//     read/write deadlines are re-armed through a per-shard coarse
+//     clock only when they drift. AllocsPerRun guard
 //     tests pin the budget: 0 allocs/request on warm static-hit and
 //     revalidation paths.
 //
@@ -119,7 +121,9 @@
 //     body into the shared tier while coalesced clients serve, stale
 //     entries revalidate with If-None-Match / If-Modified-Since, and
 //     responses the RFC 7234 freshness rules refuse relay pass-through
-//     on the dynamic pipeline.
+//     on the dynamic pipeline. A cached key answers exactly as a file
+//     does, through the one responder — conditionals, ranges, header
+//     cache, chunk walk — with the origin's metadata in its entry.
 //
 // The three caches and the 32-byte response-header alignment are the
 // paper's §5 optimizations, always on, byte-for-byte the same data
@@ -148,9 +152,6 @@ import (
 type Config struct {
 	// DocRoot is the directory served at "/".
 	DocRoot string
-
-	// IndexFile is appended to directory requests (default "index.html").
-	IndexFile string
 
 	// EnableListings serves a generated HTML listing for directories
 	// without an index file (off by default: a 1999 server's behaviour
@@ -189,9 +190,6 @@ type Config struct {
 	// NumHelpers bounds the disk helper pool of each shard (default 8
 	// per shard).
 	NumHelpers int
-
-	// ServerName is the Server header token.
-	ServerName string
 
 	// MaxHeaderBytes bounds a request header block (default 32 KB).
 	MaxHeaderBytes int
@@ -339,9 +337,6 @@ func (cfg Config) withDefaults() (Config, error) {
 		return cfg, ErrBadDocRoot
 	}
 	cfg.DocRoot = abs
-	if cfg.IndexFile == "" {
-		cfg.IndexFile = "index.html"
-	}
 	if cfg.Cache.PathEntries == 0 {
 		cfg.Cache.PathEntries = 6000
 	}
@@ -373,9 +368,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.ShedQueueDepth == 0 {
 		cfg.ShedQueueDepth = 4 * cfg.NumHelpers
-	}
-	if cfg.ServerName == "" {
-		cfg.ServerName = httpmsg.DefaultServerName
 	}
 	if cfg.MaxHeaderBytes == 0 {
 		cfg.MaxHeaderBytes = httpmsg.MaxHeaderLen

@@ -156,7 +156,7 @@ func TestServeLargeFileSendfileDefault(t *testing.T) {
 	if resp.StatusCode != 200 || len(body) != 300<<10 {
 		t.Fatalf("status=%d len=%d", resp.StatusCode, len(body))
 	}
-	st := s.Stats()
+	st := waitStats(t, s, "1 response", func(st Stats) bool { return st.Responses == 1 })
 	if st.MapCache.Inserts != 0 {
 		t.Fatalf("MapCache.Inserts = %d, want 0 (sendfile bypasses the map cache)", st.MapCache.Inserts)
 	}
@@ -345,6 +345,46 @@ func TestUserDirTranslation(t *testing.T) {
 	resp, body := get(t, base+"/~bob/")
 	if resp.StatusCode != 200 || !bytes.Contains(body, []byte("bob")) {
 		t.Fatalf("status=%d body=%q", resp.StatusCode, body)
+	}
+}
+
+// TestUserDirTraversalBlocked: a "~user" of "." or ".." — literal or
+// %-encoded, which decodes before path cleaning — names UserDirBase or
+// its parent rather than a user, and must 404 rather than serve a file
+// from there. Each probe names a file that exists where the unchecked
+// translation would land.
+func TestUserDirTraversalBlocked(t *testing.T) {
+	for _, suffix := range []string{"", "public_html"} {
+		t.Run("suffix="+suffix, func(t *testing.T) {
+			parent := t.TempDir()
+			users := filepath.Join(parent, "users")
+			mustWriteAbs(t, filepath.Join(users, "bob", suffix, "ok.txt"), "bob")
+			mustWriteAbs(t, filepath.Join(parent, suffix, "leak.txt"), "parent")
+			mustWriteAbs(t, filepath.Join(users, suffix, "base.txt"), "base")
+			_, base := newTestServer(t, func(c *Config) {
+				c.UserDirBase = users
+				c.UserDirSuffix = suffix
+			})
+			for _, tc := range []struct {
+				target string
+				status int
+			}{
+				{"/~bob/ok.txt", 200},
+				{"/~../leak.txt", 404},
+				{"/~%2e%2e/leak.txt", 404},
+				{"/~./base.txt", 404},
+			} {
+				conn := dialRaw(t, base)
+				fmt.Fprintf(conn, "GET %s HTTP/1.0\r\n\r\n", tc.target)
+				resp, err := readResponse(bufio.NewReader(conn), "GET")
+				if err != nil {
+					t.Fatalf("GET %s: %v", tc.target, err)
+				}
+				if resp.status != tc.status {
+					t.Errorf("GET %s: status %d body %q, want %d", tc.target, resp.status, resp.body, tc.status)
+				}
+			}
+		})
 	}
 }
 

@@ -244,9 +244,10 @@ func testTorturePipelineSegmentation(t *testing.T) {
 // TestGatherPatchedHeaderAliasing: fixPersistence patches a cached
 // header into per-connection scratch that the next exchange
 // overwrites. Two HTTP/1.0 keep-alive requests for different files (two
-// patches through the same scratch) and an HTTP/1.1 request (the
-// cached bytes themselves), pipelined back to back, must arrive
-// byte-exact.
+// patches through the same scratch), two HTTP/1.0 keep-alive 304s (each
+// file's one cached 304, built for HTTP/1.1, patched the same way) and
+// HTTP/1.1 requests (the cached bytes themselves), pipelined back to
+// back, must arrive byte-exact.
 func TestGatherPatchedHeaderAliasing(t *testing.T) {
 	forEachConnEngine(t, testGatherPatchedHeaderAliasing)
 }
@@ -257,18 +258,33 @@ func testGatherPatchedHeaderAliasing(t *testing.T) {
 	// 1.0 requests below are the ones served from a patch.
 	serialTranscript(t, addr, []wireReq{
 		wreq("GET", "/s512.bin", "HTTP/1.1"),
+		wreq("GET", "/s512.bin", "HTTP/1.1", "If-None-Match: *"),
+		wreq("GET", "/s4k.bin", "HTTP/1.1", "If-None-Match: *"),
 		wreq("GET", "/s4k.bin", "HTTP/1.1", "Connection: close"),
 	})
 	reqs := []wireReq{
 		wreq("GET", "/s512.bin", "HTTP/1.0", "Connection: keep-alive"),
 		wreq("GET", "/s4k.bin", "HTTP/1.0", "Connection: keep-alive"),
+		wreq("GET", "/s512.bin", "HTTP/1.0", "Connection: keep-alive", "If-None-Match: *"),
+		wreq("GET", "/s4k.bin", "HTTP/1.0", "Connection: keep-alive", "If-None-Match: *"),
 		wreq("GET", "/s512.bin", "HTTP/1.1"),
+		wreq("GET", "/s4k.bin", "HTTP/1.1", "If-None-Match: *"),
 		wreq("HEAD", "/s4k.bin", "HTTP/1.0", "Connection: keep-alive"),
 		wreq("GET", "/s512.bin", "HTTP/1.1", "Connection: close"),
 	}
 	want := serialTranscript(t, addr, reqs)
 	if n := bytes.Count(want, []byte("HTTP/1.0 200")); n != 3 {
-		t.Fatalf("serial transcript has %d HTTP/1.0 responses, want 3", n)
+		t.Fatalf("serial transcript has %d HTTP/1.0 200s, want 3", n)
+	}
+	if n := bytes.Count(want, []byte("HTTP/1.0 304")); n != 2 {
+		t.Fatalf("serial transcript has %d HTTP/1.0 304s, want 2", n)
+	}
+	// Both shapes say keep-alive, so the patch is the header a cold
+	// server builds for the 1.0 request itself, byte for byte.
+	_, cold := gatherServer(t, nil)
+	built := serialResponses(t, cold, reqs[3:4], false)
+	if !bytes.Contains(want, built) {
+		t.Fatalf("patched 304 differs from the one built for its request:\nbuilt: %q", built)
 	}
 	var stream []byte
 	for _, r := range reqs {

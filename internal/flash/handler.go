@@ -259,7 +259,6 @@ func (w *responseWriter) assemble() {
 		Chunked:       w.chunked,
 		Date:          w.sh.cfg.Clock(),
 		KeepAlive:     w.keep,
-		ServerName:    w.sh.cfg.ServerName,
 		ExtraHeaders:  w.extraHeaders(),
 	}
 	if !w.chunked && w.declaredCL >= 0 {

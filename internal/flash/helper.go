@@ -47,8 +47,7 @@ var fpMapFile = failpoint.New("flash/map-file")
 type helperJob struct {
 	kind     jobKind
 	fsPath   string
-	index    string // index file name for directory requests (jobStat)
-	listings bool   // generate a listing when the index is missing
+	listings bool // generate a listing when the index file is missing (jobStat)
 	// file is an acquired reference to the cached descriptor for
 	// jobFill (nil = open fsPath instead). The submitter pins it; the
 	// helper releases the pin once the pass is done, so path-cache
@@ -167,7 +166,7 @@ func (p *helperPool) run() {
 func (p *helperPool) execute(job helperJob) helperResult {
 	switch job.kind {
 	case jobStat:
-		return statJob(job.fsPath, job.index, job.listings)
+		return statJob(job.fsPath, job.listings)
 	case jobFill:
 		if job.origin != nil {
 			job.origin.produce(p, job.fill)
@@ -180,10 +179,13 @@ func (p *helperPool) execute(job helperJob) helperResult {
 	}
 }
 
+// indexFile is the file a directory request resolves to.
+const indexFile = "index.html"
+
 // statJob resolves fsPath (following a directory to its index file, or
 // a generated listing when allowed), opens it, and returns its identity
 // plus the open descriptor.
-func statJob(fsPath, index string, listings bool) helperResult {
+func statJob(fsPath string, listings bool) helperResult {
 	fsPath = filepath.Clean(fsPath)
 	f, err := os.Open(fsPath)
 	if err == nil {
@@ -192,7 +194,7 @@ func statJob(fsPath, index string, listings bool) helperResult {
 		if err == nil && st.IsDir() {
 			f.Close()
 			dir := fsPath
-			fsPath = filepath.Join(fsPath, index)
+			fsPath = filepath.Join(fsPath, indexFile)
 			f, err = os.Open(fsPath)
 			if err != nil && listings {
 				res := listingJob(dir)

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"repro/internal/httpmsg"
 )
 
 // listingJob generates a directory listing on a helper goroutine (it
@@ -57,21 +55,4 @@ func listingJob(fsPath string) helperResult {
 		fsPath: fsPath,
 		data:   []byte(b.String()),
 	}
-}
-
-// serveListing sends a generated listing body. Runs on the event loop.
-func (s *shard) serveListing(c *conn, body []byte) {
-	req := c.ls.req
-	c.ls.status = 200
-	hdr := httpmsg.BuildHeader(httpmsg.ResponseMeta{
-		Status:        200,
-		Proto:         req.Proto,
-		ContentType:   "text/html",
-		ContentLength: int64(len(body)),
-		Date:          s.cfg.Clock(),
-		KeepAlive:     req.KeepAlive,
-		ServerName:    s.cfg.ServerName,
-	}, true)
-	hdr = headerFor(req, hdr)
-	s.respondFixed(c, append(append([]byte{}, hdr...), body...))
 }

@@ -15,10 +15,10 @@ import (
 )
 
 // The caching reverse-proxy tier: requests under a mounted prefix are
-// answered from the same caches the static path uses — the key's entry
-// holds origin metadata (validators, freshness), the header cache the
-// rendered response head, the chunk tier the body — with the origin
-// exchange taking the place of the disk. The AMPED contract is
+// answered from the same caches, by the same responder (afterTranslate),
+// as static files — the key's entry holds origin metadata (validators,
+// freshness), the header cache the rendered response heads, the chunk
+// tier the body — with the origin exchange taking the place of the disk. The AMPED contract is
 // unchanged: the event loop never blocks on the network.
 //
 // Each proxied key has one record, in the chunk-tier segment that owns
@@ -113,7 +113,7 @@ func (s *shard) handleProxy(c *conn, req *httpmsg.Request, ph *proxyHandler) {
 	if pe, ok := s.view.Entry(key); ok {
 		if pe.Expires > s.clock.Load() {
 			s.stats.ProxyHits++
-			s.serveProxyEntry(c, pe)
+			s.afterTranslate(c, pe)
 			return
 		}
 		if s.overloaded() && s.cfg.StaleIfError >= 0 && pe.StaleUntil > s.clock.Load() {
@@ -122,7 +122,7 @@ func (s *shard) handleProxy(c *conn, req *httpmsg.Request, ph *proxyHandler) {
 			// backlog that has already lost the latency battle. Serve
 			// the stale copy; a calmer moment revalidates.
 			s.stats.ShedRevalidates++
-			s.serveProxyEntry(c, pe)
+			s.afterTranslate(c, pe)
 			return
 		}
 	} else if s.overloaded() {
@@ -141,7 +141,7 @@ func (s *shard) handleProxy(c *conn, req *httpmsg.Request, ph *proxyHandler) {
 func (s *shard) joinProxyFill(c *conn, req *httpmsg.Request, ph *proxyHandler, key string) {
 	pe, f, started := s.view.JoinEntry(key, s.clock.Load())
 	if f == nil {
-		s.serveProxyEntry(c, pe)
+		s.afterTranslate(c, pe)
 		return
 	}
 	pe, pending, err := f.Entry(func() {
@@ -174,7 +174,7 @@ func (s *shard) proxyAnswer(c *conn, req *httpmsg.Request, ph *proxyHandler, pe 
 	lr, live := err.(*liveResponse)
 	switch {
 	case err == nil:
-		s.serveProxyEntry(c, pe)
+		s.afterTranslate(c, pe)
 	case live:
 		s.stats.ProxyPassThrough++
 		if resp := lr.take(); resp != nil {
@@ -195,60 +195,6 @@ func (s *shard) proxyAnswer(c *conn, req *httpmsg.Request, ph *proxyHandler, pe 
 		s.stats.ProxyErrors++
 		s.errorResponse(c, status, req.KeepAlive)
 	}
-}
-
-// serveProxyEntry answers from a fresh cached entry: client-side
-// conditionals first (a 304 here costs no origin traffic at all),
-// then the header cache, then the chunk walk — the same §5 machinery
-// as a static file, with the entry's origin metadata in place of the
-// stat results. Range requests are not sliced on proxied entries; they
-// get the full 200.
-func (s *shard) serveProxyEntry(c *conn, pe cache.PathEntry) {
-	req := c.ls.req
-	etag := pe.ETag
-	if etag != "" && req.IfNoneMatch != "" {
-		if httpmsg.ETagMatch(req.IfNoneMatch, etag) {
-			s.notModified(c, pe, etag)
-			return
-		}
-	} else if !req.IfModifiedSince.IsZero() && pe.LastModified != "" &&
-		pe.ModTime <= req.IfModifiedSince.Unix() {
-		s.notModified(c, pe, etag)
-		return
-	}
-
-	var hdr []byte
-	if he, ok := s.view.GetHeader(pe.Translated, "", pe.ModTime); ok &&
-		he.Size == pe.Size && he.Variant == "" {
-		hdr = he.Header
-	} else {
-		meta := httpmsg.ResponseMeta{
-			Status:        200,
-			Proto:         req.Proto,
-			ContentType:   pe.ContentType,
-			ContentLength: pe.Size,
-			Date:          s.cfg.Clock(),
-			KeepAlive:     req.KeepAlive,
-			ServerName:    s.cfg.ServerName,
-			ETag:          etag,
-		}
-		if pe.LastModified != "" {
-			meta.ModTime = time.Unix(pe.ModTime, 0)
-		}
-		hdr = httpmsg.BuildHeader(meta, true)
-		s.view.PutHeader(pe.Translated, "", cache.HeaderEntry{
-			Header: hdr, Size: pe.Size, ModTime: pe.ModTime, Variant: "",
-		})
-	}
-	hdr = headerFor(req, s.fixPersistence(c, hdr, req))
-
-	if req.Method == "HEAD" || pe.Size == 0 {
-		s.respondFixed(c, hdr)
-		return
-	}
-	src := &c.chunkSrc
-	src.init(s, pe, hdr, 0, pe.Size)
-	s.respond(c, src)
 }
 
 // --- the fill's producer: one origin exchange on a helper ---

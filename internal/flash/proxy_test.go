@@ -498,6 +498,72 @@ func TestProxyRevalidate(t *testing.T) {
 	})
 }
 
+// TestProxyRange: a proxied entry answers ranges and conditionals
+// through the file path's responder — 206 for a single range (a suffix
+// range and one inside chunk 3 included), 416 naming the length, If-Range
+// honoured with the origin's ETag and refused with another tag or with a
+// date (the origin sent no Last-Modified, so neither If-Range dates nor
+// If-Modified-Since can validate), a local 304 for If-None-Match — all
+// off one origin fetch.
+func TestProxyRange(t *testing.T) {
+	want := pattern(4<<16 - 1000) // four 64 KiB chunks, the last one short
+	n := len(want)
+	origin := newTestOrigin(t, nil)
+	origin.setHandler(origin.cachedOrigin(func(string) []byte { return want }, "max-age=60"))
+	_, base, client := newProxyServer(t, testPoolFor(t, origin.addr))
+	etag := fmt.Sprintf(`"v1-%d"`, len("/up/data")) // the origin sees the full target
+	date := time.Now().UTC().Format(http.TimeFormat)
+
+	c3 := 3<<16 + 100 // inside chunk 3
+	for _, tc := range []struct {
+		name    string
+		headers [][2]string
+		status  int
+		body    []byte
+		crange  string
+	}{
+		{"first range fills", [][2]string{{"Range", "bytes=0-99"}}, 206, want[:100], fmt.Sprintf("bytes 0-99/%d", n)},
+		{"suffix range", [][2]string{{"Range", "bytes=-100"}}, 206, want[n-100:], fmt.Sprintf("bytes %d-%d/%d", n-100, n-1, n)},
+		{"range in chunk 3", [][2]string{{"Range", fmt.Sprintf("bytes=%d-%d", c3, c3+4999)}}, 206, want[c3 : c3+5000],
+			fmt.Sprintf("bytes %d-%d/%d", c3, c3+4999, n)},
+		{"unsatisfiable", [][2]string{{"Range", fmt.Sprintf("bytes=%d-", n)}}, 416, nil, fmt.Sprintf("bytes */%d", n)},
+		{"If-Range origin ETag", [][2]string{{"Range", "bytes=10-19"}, {"If-Range", etag}}, 206, want[10:20], fmt.Sprintf("bytes 10-19/%d", n)},
+		{"If-Range other ETag", [][2]string{{"Range", "bytes=10-19"}, {"If-Range", `"other"`}}, 200, want, ""},
+		{"If-Range date", [][2]string{{"Range", "bytes=10-19"}, {"If-Range", date}}, 200, want, ""},
+		{"If-Modified-Since", [][2]string{{"If-Modified-Since", date}}, 200, want, ""},
+		{"If-None-Match", [][2]string{{"If-None-Match", etag}}, 304, nil, ""},
+	} {
+		req, _ := http.NewRequest("GET", base+"/up/data", nil)
+		for _, h := range tc.headers {
+			req.Header.Set(h[0], h[1])
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
+		}
+		if tc.body != nil && !bytes.Equal(body, tc.body) {
+			t.Fatalf("%s: %d body bytes differ from the origin's %d", tc.name, len(body), len(tc.body))
+		}
+		if got := resp.Header.Get("Content-Range"); got != tc.crange {
+			t.Fatalf("%s: Content-Range %q, want %q", tc.name, got, tc.crange)
+		}
+		if lm := resp.Header.Get("Last-Modified"); lm != "" {
+			t.Fatalf("%s: Last-Modified %q, but the origin sent none", tc.name, lm)
+		}
+	}
+	if f := origin.fetches.Load(); f != 1 {
+		t.Fatalf("origin fetches = %d, want 1", f)
+	}
+}
+
 // TestProxyBreakerFailover is the kill-a-backend acceptance test: with
 // one backend dead, every request still answers 200 off the survivor
 // (retry-on-idempotent bridges the window until the breaker opens),

@@ -156,7 +156,6 @@ func (s *shard) handleRequest(c *conn, req *httpmsg.Request) {
 	s.helpers.submit(helperJob{
 		kind:     jobStat,
 		fsPath:   fsPath,
-		index:    s.cfg.IndexFile,
 		listings: s.cfg.EnableListings,
 		done: func(res helperResult) {
 			if res.err != nil {
@@ -164,17 +163,10 @@ func (s *shard) handleRequest(c *conn, req *httpmsg.Request) {
 				return
 			}
 			if res.isListing {
-				s.serveListing(c, res.data)
+				s.respondBody(c, httpmsg.ResponseMeta{Status: 200}, res.data)
 				return
 			}
-			pe := cache.PathEntry{
-				Translated: res.fsPath,
-				File:       s.adoptFile(res.file),
-				Size:       res.size,
-				ModTime:    res.modTime,
-				CheckedAt:  s.cfg.Clock().UnixNano(),
-				ETag:       httpmsg.MakeETag(res.size, res.modTime),
-			}
+			pe := s.newEntry(res)
 			s.putEntry(req.Path, pe)
 			s.afterTranslate(c, pe)
 		},
@@ -188,7 +180,6 @@ func (s *shard) revalidateEntry(c *conn, req *httpmsg.Request, pe cache.PathEntr
 	s.helpers.submit(helperJob{
 		kind:     jobStat,
 		fsPath:   pe.Translated,
-		index:    s.cfg.IndexFile,
 		listings: s.cfg.EnableListings,
 		done: func(res helperResult) {
 			if res.err != nil {
@@ -198,7 +189,7 @@ func (s *shard) revalidateEntry(c *conn, req *httpmsg.Request, pe cache.PathEntr
 			}
 			if res.isListing {
 				s.invalidateFile(req.Path, pe)
-				s.serveListing(c, res.data)
+				s.respondBody(c, httpmsg.ResponseMeta{Status: 200}, res.data)
 				return
 			}
 			cur, live := s.view.PeekPath(req.Path)
@@ -219,22 +210,32 @@ func (s *shard) revalidateEntry(c *conn, req *httpmsg.Request, pe cache.PathEntr
 			// Retire every derived cache entry and adopt the new
 			// identity (and its descriptor).
 			s.invalidateFile(req.Path, pe)
-			fresh := cache.PathEntry{
-				Translated: res.fsPath,
-				File:       s.adoptFile(res.file),
-				Size:       res.size,
-				ModTime:    res.modTime,
-				CheckedAt:  s.cfg.Clock().UnixNano(),
-				ETag:       httpmsg.MakeETag(res.size, res.modTime),
-			}
+			fresh := s.newEntry(res)
 			s.putEntry(req.Path, fresh)
 			s.afterTranslate(c, fresh)
 		},
 	})
 }
 
+// newEntry records a stat helper's result as a path entry, adopting
+// the descriptor it opened. The entity tag and content type are derived
+// here, once per stat, so the header build reads them like a proxied
+// key's origin values.
+func (s *shard) newEntry(res helperResult) cache.PathEntry {
+	return cache.PathEntry{
+		Translated:  res.fsPath,
+		File:        s.adoptFile(res.file),
+		Size:        res.size,
+		ModTime:     res.modTime,
+		CheckedAt:   s.cfg.Clock().UnixNano(),
+		ETag:        httpmsg.MakeETag(res.size, res.modTime),
+		ContentType: httpmsg.ContentTypeFor(res.fsPath),
+	}
+}
+
 // translate maps a request path to a candidate filesystem path,
-// applying the "~user" convention. It rejects escapes from the roots.
+// applying the "~user" convention. It rejects escapes from the roots:
+// a user of "." or ".." would name UserDirBase or its parent.
 func (s *shard) translate(reqPath string) (string, bool) {
 	clean := httpmsg.CleanPath(reqPath)
 	if s.cfg.UserDirBase != "" && strings.HasPrefix(clean, "/~") {
@@ -246,7 +247,7 @@ func (s *shard) translate(reqPath string) (string, bool) {
 			user = rest[:slash]
 			tail = rest[slash:]
 		}
-		if user == "" {
+		if user == "" || user == "." || user == ".." {
 			return "", false
 		}
 		return s.cfg.UserDirBase + "/" + user + "/" + s.cfg.UserDirSuffix +
@@ -255,26 +256,30 @@ func (s *shard) translate(reqPath string) (string, bool) {
 	return s.cfg.DocRoot + clean, true
 }
 
-// afterTranslate continues once the file identity is known, ending in
-// the transport decision: HEAD and empty bodies answer with a fixed
-// buffer, bodies at or above SendfileThreshold ship zero-copy from the
-// cached descriptor, and everything else walks the chunk cache.
+// afterTranslate answers a request once its entity is known — a
+// file's path entry, or a proxied key's entry with the origin's
+// metadata in place of the stat results — ending in the transport
+// decision: HEAD and empty bodies answer with a fixed buffer, bodies at
+// or above SendfileThreshold ship zero-copy from the cached descriptor
+// (files only: a proxied entry has none), and everything else walks the
+// chunk cache.
 func (s *shard) afterTranslate(c *conn, pe cache.PathEntry) {
 	req := c.ls.req
 
 	// The entity tag is precomputed at path-entry insertion, so the
 	// per-request conditional checks never build strings.
 	etag := pe.ETag
+	lm := lastModified(pe)
 
 	// Conditional GET: If-None-Match takes precedence over
 	// If-Modified-Since (RFC 7232 §6).
 	if etag != "" && req.IfNoneMatch != "" {
 		if httpmsg.ETagMatch(req.IfNoneMatch, etag) {
-			s.notModified(c, pe, etag)
+			s.notModified(c, pe)
 			return
 		}
-	} else if !req.IfModifiedSince.IsZero() && pe.ModTime <= req.IfModifiedSince.Unix() {
-		s.notModified(c, pe, etag)
+	} else if !req.IfModifiedSince.IsZero() && !lm.IsZero() && pe.ModTime <= req.IfModifiedSince.Unix() {
+		s.notModified(c, pe)
 		return
 	}
 
@@ -283,10 +288,13 @@ func (s *shard) afterTranslate(c *conn, pe cache.PathEntry) {
 	status, off, length := 200, int64(0), pe.Size
 	contentRange := ""
 	if req.Range != nil && req.Method == "GET" &&
-		(req.IfRange == "" || httpmsg.MatchIfRange(req.IfRange, etag, pe.ModTime)) {
+		(req.IfRange == "" || httpmsg.MatchIfRange(req.IfRange, etag, lm.Unix())) {
 		o, n, ok := req.Range.Resolve(pe.Size)
 		if !ok {
-			s.rangeNotSatisfiable(c, pe.Size)
+			s.respondBody(c, httpmsg.ResponseMeta{
+				Status:       416,
+				ContentRange: fmt.Sprintf("bytes */%d", pe.Size),
+			}, httpmsg.ErrorBody(416))
 			return
 		}
 		status, off, length = 206, o, n
@@ -294,7 +302,7 @@ func (s *shard) afterTranslate(c *conn, pe cache.PathEntry) {
 	}
 	c.ls.status = status
 
-	// Response header (§5.3), cached against the file's mtime, keyed by
+	// Response header (§5.3), cached against the entity's mtime, keyed by
 	// range-ness so partial and full variants never collide. All range
 	// windows share ONE variant slot per path (hit only when the stored
 	// window matches): byte windows are client-chosen and effectively
@@ -312,12 +320,11 @@ func (s *shard) afterTranslate(c *conn, pe cache.PathEntry) {
 		hdr = httpmsg.BuildHeader(httpmsg.ResponseMeta{
 			Status:        status,
 			Proto:         req.Proto,
-			ContentType:   httpmsg.ContentTypeFor(pe.Translated),
+			ContentType:   pe.ContentType,
 			ContentLength: length,
-			ModTime:       time.Unix(pe.ModTime, 0),
+			ModTime:       lm,
 			Date:          s.cfg.Clock(),
 			KeepAlive:     req.KeepAlive,
-			ServerName:    s.cfg.ServerName,
 			ETag:          etag,
 			ContentRange:  contentRange,
 		}, true)
@@ -344,6 +351,17 @@ func (s *shard) afterTranslate(c *conn, pe cache.PathEntry) {
 	src := &c.chunkSrc
 	src.init(s, pe, hdr, off, length)
 	s.respond(c, src)
+}
+
+// lastModified is the entity's Last-Modified time: a file's mtime, a
+// proxied entry's origin value — or, for a proxied entry whose origin
+// sent none, the zero time, so If-Modified-Since yields no 304, the
+// header carries no Last-Modified and an If-Range date never matches.
+func lastModified(pe cache.PathEntry) time.Time {
+	if _, proxied := pe.File.(*proxyHandler); proxied && pe.LastModified == "" {
+		return time.Time{}
+	}
+	return time.Unix(pe.ModTime, 0)
 }
 
 // respondFixed starts a fixed-buffer response through the connection's
@@ -654,9 +672,14 @@ func (s *shard) connEnd(c *conn, short int64, ok bool) {
 	s.released(c, len(c.pins)-c.pinHead, short, ok)
 }
 
-// rangeVariantSlot is the header-cache variant shared by all 206
-// responses of one path (the entry's Variant field names the window).
-const rangeVariantSlot = "range"
+// Header-cache variant slots beside a path's 200: rangeVariantSlot is
+// shared by all 206 responses of the path (the entry's Variant field
+// names the window), notModifiedSlot holds its 304 (the Variant is the
+// entity tag it carries).
+const (
+	rangeVariantSlot = "range"
+	notModifiedSlot  = "304"
+)
 
 // invalidateFile drops every cache entry derived from one generation
 // of a file. The pathname entry — and the cache's reference to its
@@ -673,9 +696,7 @@ func (s *shard) invalidateFile(reqPath string, pe cache.PathEntry) {
 	// A mismatched mtime drops the entry — every header variant.
 	s.view.GetHeader(pe.Translated, "", -1)
 	s.view.GetHeader(pe.Translated, rangeVariantSlot, -1)
-	for _, slot := range nmSlots {
-		s.view.GetHeader(pe.Translated, slot, -1)
-	}
+	s.view.GetHeader(pe.Translated, notModifiedSlot, -1)
 	s.view.InvalidateFile(pe.Translated, pe.Size, pe.ModTime)
 }
 
@@ -731,85 +752,32 @@ func closeFile(f *os.File) {
 	}
 }
 
-// 304 header-cache variant slots, one per (proto, persistence) shape
-// so every cached form is byte-exact for its request (the entry's
-// Variant field carries the entity tag it was built with).
-const (
-	nmSlot11KA = "304:1.1:ka"
-	nmSlot11CL = "304:1.1:cl"
-	nmSlot10KA = "304:1.0:ka"
-	nmSlot10CL = "304:1.0:cl"
-)
-
-// nmSlots lists every 304 variant slot (for invalidation).
-var nmSlots = [...]string{nmSlot11KA, nmSlot11CL, nmSlot10KA, nmSlot10CL}
-
-// nmSlot picks the 304 variant slot for a request ("" when the shape
-// is not cacheable — HTTP/0.9, which cannot carry conditionals anyway).
-func nmSlot(req *httpmsg.Request) string {
-	switch {
-	case req.Proto == "HTTP/1.1" && req.KeepAlive:
-		return nmSlot11KA
-	case req.Proto == "HTTP/1.1":
-		return nmSlot11CL
-	case req.Proto == "HTTP/1.0" && req.KeepAlive:
-		return nmSlot10KA
-	case req.Proto == "HTTP/1.0":
-		return nmSlot10CL
-	}
-	return ""
-}
-
 // notModified sends a 304, echoing the entity tag a 200 would carry
-// (RFC 7232 §4.1). Like the 200 header, the rendered 304 is cached
-// against the file's identity — keyed by the request shape so each
-// variant is byte-exact — making the revalidation path allocation-free
-// on a warm cache.
-func (s *shard) notModified(c *conn, pe cache.PathEntry, etag string) {
+// (RFC 7232 §4.1). Like the 200 header, the rendered 304 is cached once
+// per entity against its identity and patched to the request's
+// persistence mode, making the revalidation path allocation-free on a
+// warm cache.
+func (s *shard) notModified(c *conn, pe cache.PathEntry) {
 	req := c.ls.req
 	c.ls.status = 304
-	slot := nmSlot(req)
-	if slot != "" {
-		if he, ok := s.view.GetHeader(pe.Translated, slot, pe.ModTime); ok &&
-			he.Size == pe.Size && he.Variant == etag {
-			s.respondFixed(c, he.Header)
-			return
-		}
-	}
-	hdr := httpmsg.BuildHeader(httpmsg.ResponseMeta{
-		Status:        304,
-		Proto:         req.Proto,
-		ContentLength: -1,
-		Date:          s.cfg.Clock(),
-		KeepAlive:     req.KeepAlive,
-		ServerName:    s.cfg.ServerName,
-		ETag:          etag,
-	}, true)
-	if slot != "" {
-		s.view.PutHeader(pe.Translated, slot, cache.HeaderEntry{
-			Header: hdr, Size: pe.Size, ModTime: pe.ModTime, Variant: etag,
+	var hdr []byte
+	if he, ok := s.view.GetHeader(pe.Translated, notModifiedSlot, pe.ModTime); ok &&
+		he.Size == pe.Size && he.Variant == pe.ETag {
+		hdr = he.Header
+	} else {
+		hdr = httpmsg.BuildHeader(httpmsg.ResponseMeta{
+			Status:        304,
+			Proto:         req.Proto,
+			ContentLength: -1,
+			Date:          s.cfg.Clock(),
+			KeepAlive:     req.KeepAlive,
+			ETag:          pe.ETag,
+		}, true)
+		s.view.PutHeader(pe.Translated, notModifiedSlot, cache.HeaderEntry{
+			Header: hdr, Size: pe.Size, ModTime: pe.ModTime, Variant: pe.ETag,
 		})
 	}
-	s.respondFixed(c, hdr)
-}
-
-// rangeNotSatisfiable sends a 416 carrying the resource's actual size
-// so the client can retry with a valid range (RFC 7233 §4.4).
-func (s *shard) rangeNotSatisfiable(c *conn, size int64) {
-	req := c.ls.req
-	c.ls.status = 416
-	body := httpmsg.ErrorBody(416)
-	hdr := httpmsg.BuildHeader(httpmsg.ResponseMeta{
-		Status:        416,
-		Proto:         responseProto(req),
-		ContentType:   "text/html",
-		ContentLength: int64(len(body)),
-		ContentRange:  fmt.Sprintf("bytes */%d", size),
-		Date:          s.cfg.Clock(),
-		KeepAlive:     req.KeepAlive,
-		ServerName:    s.cfg.ServerName,
-	}, true)
-	s.respondFixed(c, append(append([]byte{}, hdr...), body...))
+	s.respondFixed(c, headerFor(req, s.fixPersistence(c, hdr, req)))
 }
 
 // responseProto echoes the request's protocol version in responses
@@ -858,25 +826,25 @@ func (s *shard) errorResponseExtra(c *conn, status int, keepAlive bool, extra []
 	if c.ls.req == nil {
 		c.ls = loopState{req: &httpmsg.Request{Method: "GET", Target: "-", Proto: "HTTP/1.0", Major: 1}}
 	}
-	ls := &c.ls
-	ls.status = status
 	if status == 404 {
 		s.stats.NotFound++
 	}
-	body := httpmsg.ErrorBody(status)
-	hdr := httpmsg.BuildHeader(httpmsg.ResponseMeta{
-		Status:        status,
-		Proto:         responseProto(ls.req),
-		ContentType:   "text/html",
-		ContentLength: int64(len(body)),
-		Date:          s.cfg.Clock(),
-		KeepAlive:     keepAlive && status < 500,
-		ServerName:    s.cfg.ServerName,
-		ExtraHeaders:  extra,
-	}, true)
-	if ls.req != nil {
-		ls.req.KeepAlive = keepAlive && status < 500
-	}
-	hdr = headerFor(ls.req, hdr)
-	s.respondFixed(c, append(append([]byte{}, hdr...), body...))
+	c.ls.req.KeepAlive = keepAlive && status < 500
+	s.respondBody(c, httpmsg.ResponseMeta{Status: status, ExtraHeaders: extra}, httpmsg.ErrorBody(status))
+}
+
+// respondBody sends a text/html response whose body is already in
+// memory — an error page, a 416, a generated directory listing: meta's
+// status and extra fields, framed for the request, behind a freshly
+// built header.
+func (s *shard) respondBody(c *conn, meta httpmsg.ResponseMeta, body []byte) {
+	req := c.ls.req
+	c.ls.status = meta.Status
+	meta.Proto = responseProto(req)
+	meta.ContentType = "text/html"
+	meta.ContentLength = int64(len(body))
+	meta.Date = s.cfg.Clock()
+	meta.KeepAlive = req.KeepAlive
+	hdr := headerFor(req, httpmsg.BuildHeader(meta, true))
+	s.respondFixed(c, append(hdr, body...))
 }

@@ -381,7 +381,7 @@ func New(cfg Config) (*Server, error) {
 		s.ipConns = make(map[string]int)
 	}
 	s.reject503 = []byte("HTTP/1.1 503 Service Unavailable\r\n" +
-		"Server: " + cfg.ServerName + "\r\n" +
+		"Server: " + httpmsg.DefaultServerName + "\r\n" +
 		"Retry-After: " + strconv.Itoa(cfg.RetryAfter) + "\r\n" +
 		"Content-Length: 0\r\n" +
 		"Connection: close\r\n\r\n")

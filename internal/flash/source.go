@@ -364,9 +364,10 @@ func (cs *chunkSource) fillError(s *shard, c *conn, err error) {
 }
 
 // startFill hands a freshly registered fill to its producer: one
-// jobFill on the helper pool of the shard that owns the path (by
-// hash), so every shard agrees on who performs the single disk pass —
-// or, for a proxied key, the single origin exchange.
+// jobFill on this shard's helper pool — the single disk pass, or for a
+// proxied key the single origin exchange. The segment's fill registry
+// already makes it single-flight: only the caller that registered the
+// fill gets here.
 func (s *shard) startFill(f *cache.Fill, pe cache.PathEntry) {
 	job := helperJob{kind: jobFill, fsPath: pe.Translated, fill: f}
 	job.origin, _ = pe.File.(*proxyHandler)
@@ -375,8 +376,7 @@ func (s *shard) startFill(f *cache.Fill, pe cache.PathEntry) {
 		// entry eviction and the end of the subscribing response.
 		job.file = ref.Acquire()
 	}
-	owner := s.srv.shards[cache.OwnerShard(pe.Translated, len(s.srv.shards))]
-	owner.helpers.submit(job)
+	s.helpers.submit(job)
 }
 
 // release unpins the item's chunks (none when the connection's FIFO
