@@ -44,7 +44,7 @@ type bodyReader struct {
 
 	// deadline bounds the whole body transfer (Config.BodyReadTimeout):
 	// per-read deadlines alone would let a peer trickle one byte per
-	// ReadTimeout forever. Zero means unbounded.
+	// readTimeout forever. Zero means unbounded.
 	deadline time.Time
 
 	done bool

@@ -440,6 +440,74 @@ func TestChaosShedsByDefault(t *testing.T) {
 	wg.Wait()
 }
 
+// TestChaosShedKeepsConnection holds the helpers the way
+// TestChaosShedsByDefault does and asks for a cold file on a keep-alive
+// connection that has just had a warm 200: the shed 503 carries
+// Retry-After and no Connection: close, and the same connection
+// answers the next request.
+func TestChaosShedKeepsConnection(t *testing.T) {
+	held := make(chan struct{})
+	release := sync.OnceFunc(func() { close(held) })
+	var reading atomic.Int64
+	installDiskHook(t, func(fsPath string, _ int64) {
+		if strings.Contains(fsPath, "backlog") {
+			reading.Add(1)
+			<-held
+		}
+	})
+	s, base := newTestServer(t, func(c *Config) { c.EventLoops = 1 })
+	t.Cleanup(release) // before Close: a held helper would wedge it
+	helpers, watermark := s.cfg.NumHelpers, s.cfg.ShedQueueDepth
+
+	conn := dialRaw(t, base)
+	br := bufio.NewReader(conn)
+	ask := func(path string) *rawResponse {
+		t.Helper()
+		fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: x\r\n\r\n", path)
+		resp, err := readResponse(br, "GET")
+		if err != nil {
+			t.Fatalf("GET %s on the kept connection: %v", path, err)
+		}
+		return resp
+	}
+	if resp := ask("/hello.txt"); resp.status != 200 {
+		t.Fatalf("warm GET: status %d", resp.status)
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i <= helpers+watermark; i++ {
+		mustWrite(t, s.cfg.DocRoot, fmt.Sprintf("backlog/f%d.txt", i), "backlog\n")
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := &http.Client{}
+			defer c.CloseIdleConnections()
+			if resp, err := c.Get(fmt.Sprintf("%s/backlog/f%d.txt", base, i)); err == nil {
+				resp.Body.Close()
+			}
+		}()
+		if i < helpers {
+			waitFor(t, "a helper held in its fill", func() bool { return reading.Load() == int64(i+1) })
+		} else {
+			waitFor(t, "a queued stat", func() bool { return s.shards[0].helpers.depth() == i-helpers+1 })
+		}
+	}
+
+	resp := ask("/backlog/missing.txt")
+	if resp.status != 503 || resp.headers["retry-after"] == "" {
+		t.Fatalf("cold miss behind %d queued jobs: status %d, Retry-After %q; want a shed",
+			watermark+1, resp.status, resp.headers["retry-after"])
+	}
+	if strings.EqualFold(resp.headers["connection"], "close") {
+		t.Fatal("shed 503 carries Connection: close; the connection should persist")
+	}
+	if resp := ask("/hello.txt"); resp.status != 200 {
+		t.Fatalf("GET after the shed: status %d", resp.status)
+	}
+	release()
+	wg.Wait()
+}
+
 // TestChaosAcceptExhaustion injects EMFILE at accept time: the
 // acceptor burns its reserve descriptor to reset the pending
 // connection instead of spinning, counts the pressure, and keeps

@@ -301,13 +301,10 @@ func testClientAbortMidFillLeavesFillRunning(t *testing.T) {
 	}
 }
 
-// TestDisableCoalescingFallsBackToPerChunkReads keeps the name of a
-// switch that is gone: there is no per-chunk miss path left to fall
-// back to. It runs the shape that switch used to change — two loops, a
-// one-chunk file, K cold requests — in the one build there is, and
-// pins what it does: one read, through one fill that the other K-1
-// requests join.
-func TestDisableCoalescingFallsBackToPerChunkReads(t *testing.T) {
+// TestMissStormOneChunkTwoLoops sends K cold requests for a one-chunk
+// file over two loops and pins what they cost: one read, through one
+// fill that the other K-1 requests join.
+func TestMissStormOneChunkTwoLoops(t *testing.T) {
 	forEachChunkPath(t, testOneChunkStormCoalesces)
 }
 

@@ -71,9 +71,9 @@
 //     over a reusable head buffer), the carry-over read buffer shifts
 //     ring-style instead of reallocating, batch posts, item
 //     completions and flush reports travel to the loop as typed
-//     mailbox messages rather than closures, batch slots, response
-//     sources, header scratch and the gather list are pooled on the
-//     connection, entity tags are computed once per stat, each
+//     mailbox messages rather than closures, batch slots, the chunk
+//     walk's source, header scratch and the gather list are pooled on
+//     the connection, entity tags are computed once per stat, each
 //     entity's one 304 header is cached beside its 200 header and
 //     patched to the request's persistence mode like it, and
 //     read/write deadlines are re-armed through a per-shard coarse
@@ -81,8 +81,11 @@
 //     tests pin the budget: 0 allocs/request on warm static-hit and
 //     revalidation paths.
 //
-//   - Every response is produced by one bodySource — the unified
-//     pipeline the loop drives and the socket's owner consumes. Static bodies
+//   - A response of several items — a chunk walk, a handler's output
+//     stream — is produced by one bodySource, which the loop drives and
+//     the socket's owner consumes; single-item responses need none. The
+//     loop releases what every item carries (chunk pins, a descriptor
+//     reference) once the item is written or dropped. Static bodies
 //     pick a transport per response (Config.SendfileThreshold): below
 //     the threshold the chunk-cache walk with header-gathering writev,
 //     at or above it the zero-copy sendfile(2) path straight from the
@@ -144,7 +147,6 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/httpmsg"
 )
 
 // Config configures a Server. The zero value is not valid: DocRoot is
@@ -191,13 +193,10 @@ type Config struct {
 	// per shard).
 	NumHelpers int
 
-	// MaxHeaderBytes bounds a request header block (default 32 KB).
-	MaxHeaderBytes int
-
 	// BodyReadTimeout bounds the total wall-clock time one request
-	// body may take to arrive (the per-operation ReadTimeout still
-	// applies to each read, but alone it would let a peer trickle one
-	// byte per ReadTimeout forever). Zero defaults to 2 minutes;
+	// body may take to arrive (the per-read readTimeout still applies
+	// to each read, but alone it would let a peer trickle one byte per
+	// readTimeout forever). Zero defaults to 2 minutes;
 	// negative disables the aggregate bound.
 	BodyReadTimeout time.Duration
 
@@ -211,10 +210,9 @@ type Config struct {
 	MaxBodyBytes int64
 
 	// IdleTimeout closes keep-alive connections with no request
-	// (default 30s). ReadTimeout and WriteTimeout bound single I/O
-	// operations (default 30s each).
+	// (default 30s). WriteTimeout bounds a single write (default 30s);
+	// a single read is bounded by readTimeout.
 	IdleTimeout  time.Duration
-	ReadTimeout  time.Duration
 	WriteTimeout time.Duration
 
 	// MaxConns bounds concurrently open client connections across the
@@ -314,6 +312,10 @@ const DefaultSendfileThreshold = 256 << 10
 // left zero.
 const DefaultMaxBodyBytes = 8 << 20
 
+// readTimeout bounds a single read of a request head or body once its
+// first bytes are in.
+const readTimeout = 30 * time.Second
+
 // Errors returned by configuration validation.
 var (
 	ErrNoDocRoot  = errors.New("flash: Config.DocRoot is required")
@@ -369,9 +371,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.ShedQueueDepth == 0 {
 		cfg.ShedQueueDepth = 4 * cfg.NumHelpers
 	}
-	if cfg.MaxHeaderBytes == 0 {
-		cfg.MaxHeaderBytes = httpmsg.MaxHeaderLen
-	}
 	if cfg.MaxBodyBytes == 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
@@ -380,9 +379,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 30 * time.Second
-	}
-	if cfg.ReadTimeout == 0 {
-		cfg.ReadTimeout = 30 * time.Second
 	}
 	if cfg.WriteTimeout == 0 {
 		cfg.WriteTimeout = 30 * time.Second

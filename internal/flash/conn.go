@@ -19,15 +19,18 @@ import (
 var fpConnWrite = failpoint.New("flash/conn-write")
 
 // writeItem is the pipeline's wire format: one unit of work handed
-// from a response's bodySource to the connection's goroutine, which
-// owns the socket. It is transmitted in order: the inline bytes
-// (header, error body, dynamic data), then the chunk windows — all
-// gathered into a single writev, the §5.5 pattern — and then, for the
-// zero-copy transport, the descriptor window [sfOff, sfOff+sfLen)
-// shipped with sendfile(2) (or the portable copy loop). Sources produce items one at a time; `last`
-// marks the response's final item. Items travel by value — through the
-// reply channel and back through the loop's typed itemDone message —
-// so the per-item traffic allocates nothing.
+// from the loop to the connection's goroutine, which owns the socket —
+// a whole one-item response, or one item of a response's bodySource.
+// It is transmitted in order: the inline bytes (header, error body,
+// dynamic data), then the chunk windows — all gathered into a single
+// writev, the §5.5 pattern — and then, for the zero-copy transport,
+// the descriptor window [sfOff, sfOff+sfLen) shipped with sendfile(2)
+// (or the portable copy loop). `last` marks the response's final item.
+// What an item carries — chunk pins, a descriptor reference — the loop
+// releases when it is written or dropped (shard.releaseItem). Items
+// travel by value — through the reply channel and back through the
+// loop's typed itemDone message — so the per-item traffic allocates
+// nothing.
 type writeItem struct {
 	data []byte
 	// chunks is the run of consecutive pinned chunks the item carries
@@ -43,9 +46,9 @@ type writeItem struct {
 	sf           *cache.FileRef
 	sfOff, sfLen int64
 	last         bool // response ends after this item
-	// whole marks an item that is its response's only one (set by the
-	// source together with last): the loop commits such a response the
-	// moment it is queued (shard.commit).
+	// whole marks an item that is its response's only one (set together
+	// with last): the loop commits such a response the moment it is
+	// queued (shard.commit).
 	whole bool
 }
 
@@ -200,10 +203,8 @@ type conn struct {
 	staged    int32
 
 	// Pooled response state (loop-owned): one exchange at a time runs
-	// on a connection, so each source form needs exactly one instance.
-	fixedSrc fixedSource
+	// on a connection, so its chunk walk needs exactly one instance.
 	chunkSrc chunkSource
-	sfSrc    sendfileSource
 	hdrBuf   []byte // scratch for per-request header patches
 
 	// runChunks and runBodies back the chunks and bodies of the one
@@ -414,14 +415,14 @@ func (c *conn) armWrite(d time.Duration) {
 // body readers; the head parser manages the carry-over directly). A
 // non-zero cap bounds the aggregate wait: the per-read deadline never
 // extends past it, so a trickling peer cannot hold the exchange open
-// by renewing the ReadTimeout one byte at a time.
+// by renewing the readTimeout one byte at a time.
 func (c *conn) readRaw(p []byte, cap time.Time) (int, error) {
 	if c.re > c.rs {
 		n := copy(p, c.rb[c.rs:c.re])
 		c.consume(n)
 		return n, nil
 	}
-	d := time.Now().Add(c.sh.cfg.ReadTimeout)
+	d := time.Now().Add(readTimeout)
 	if !cap.IsZero() {
 		if !time.Now().Before(cap) {
 			return 0, os.ErrDeadlineExceeded
@@ -464,7 +465,7 @@ func (c *conn) unread(b []byte) {
 // either a protocol-level rejection, a routed handler dispatch (with
 // its body reader), or the static path (both nil). A plan without req
 // is the rejection of a head that never parsed or outgrew
-// MaxHeaderBytes; its answer closes the connection.
+// httpmsg.MaxHeaderLen; its answer closes the connection.
 type exchangePlan struct {
 	req    *httpmsg.Request
 	rt     *Route      // non-nil: dispatch to the v2 handler
@@ -508,7 +509,8 @@ func (c *conn) slot(i int) (*exchangePlan, *httpmsg.Request) {
 // (runBatch). A lone exchange is a batch of one, so a warm burst costs
 // one post and one reply rather than one of each per request. A head
 // the reader refuses — one that does not parse, or outgrows
-// MaxHeaderBytes — is a rejection plan in its slot, the batch's last.
+// httpmsg.MaxHeaderLen — is a rejection plan in its slot, the batch's
+// last.
 //
 // Responses the loop committed whole (replyCommitted, and the ones it
 // staged during a batch) are corked on the gather list and leave in
@@ -550,11 +552,11 @@ func (c *conn) serve() {
 			}
 			c.armRead(c.sh.cfg.IdleTimeout)
 		}
-		for end < 0 && c.re-c.rs+preamble <= c.sh.cfg.MaxHeaderBytes {
+		for end < 0 && c.re-c.rs+preamble <= httpmsg.MaxHeaderLen {
 			n, err := c.readHead()
 			if n > 0 {
 				c.re += n
-				c.armRead(c.sh.cfg.ReadTimeout)
+				c.armRead(readTimeout)
 				c.skipBlank(&preamble)
 			}
 			if err != nil {
@@ -630,13 +632,14 @@ func batchable(plan exchangePlan) bool {
 // takeHeads fills the batch slots for one post and sets c.slots. Slot
 // 0 takes the head of length end at the front of the carry-over, which
 // preamble stripped blank-line bytes preceded (end < 0: the head is
-// incomplete and has outgrown MaxHeaderBytes). Each head is copied
-// into headBuf, parsed zero-copy into its slot's recycled request and
-// planned; the views stay valid for the whole batch because nothing
-// touches headBuf until the next takeHeads, after the loop has settled
-// the responses. A head longer than MaxHeaderBytes (its preamble
-// counted) gets a 400 plan, one that does not parse a 400, 414 or 501
-// plan — rejections without a request, which end the batch.
+// incomplete and has outgrown httpmsg.MaxHeaderLen). Each head is
+// copied into headBuf, parsed zero-copy into its slot's recycled
+// request and planned; the views stay valid for the whole batch
+// because nothing touches headBuf until the next takeHeads, after the
+// loop has settled the responses. A head longer than
+// httpmsg.MaxHeaderLen (its preamble counted) gets a 400 plan, one that
+// does not parse a 400, 414 or 501 plan — rejections without a
+// request, which end the batch.
 //
 // A complete follower joins while every request before it keeps the
 // connection alive and has a batchable plan, and the batch has room
@@ -649,7 +652,7 @@ func (c *conn) takeHeads(end, preamble int) {
 	for n := 0; ; {
 		plan, req := c.slot(n)
 		next := exchangePlan{reject: 400}
-		if end >= 0 && end+preamble <= c.sh.cfg.MaxHeaderBytes {
+		if end >= 0 && end+preamble <= httpmsg.MaxHeaderLen {
 			off := len(c.headBuf)
 			c.headBuf = append(c.headBuf, c.rb[p:p+end]...)
 			req.Reset()
@@ -916,7 +919,7 @@ func (c *conn) takeWrites() int32 {
 // with fails the connection there), and item's own
 // byte counts are returned for its itemDone. After a write error
 // nothing more is written: items are still reported back, unwritten,
-// so their sources release what they carry. The gather list is
+// so the loop releases what they carry. The gather list is
 // conn-owned scratch: a steady-state flush allocates nothing.
 func (c *conn) transmit(item *writeItem) (wrote, sfWrote int64, ok bool) {
 	wb := c.wb

@@ -354,21 +354,52 @@ func testFDLifetimeUnderEviction(t *testing.T, threshold int64) {
 		t.Fatal(err)
 	}
 
-	// Quiesced: no pin may outlive its response — every cached entry
-	// holds exactly the cache's own reference, and the parked mappings
-	// (where a helper made one) exactly their entry's plus one per chunk
-	// still resident in the shared tier (the one-byte budget keeps
-	// f1.bin's one-byte tail chunk).
+	waitReleased(t, s)
+}
+
+// waitReleased waits for a quiesced one-loop server to hold no pin a
+// response took: every cached entry holds exactly the cache's own
+// descriptor reference, every resident chunk of a cached file is
+// unpinned, and the parked mappings (where a helper made one) hold
+// exactly their entry's reference plus one per chunk still resident in
+// the shared tier — a view beyond those is an evicted chunk somebody
+// still pins. The chunks are looked at only once no descriptor is held
+// beyond the cache's: until then a fill may still be releasing its
+// pins, on its helper.
+func waitReleased(t *testing.T, s *Server) {
+	t.Helper()
+	if len(s.shards) != 1 {
+		t.Fatal("waitReleased checks a one-loop server")
+	}
+	sh := s.shards[0]
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		leaked, views := 0, 0
-		s.shards[0].call(func() {
-			s.shards[0].view.EachPath(func(_ string, e cache.PathEntry) {
+		sh.call(func() {
+			sh.view.EachPath(func(_ string, e cache.PathEntry) {
 				if r := entryRef(e); r != nil {
 					if r.Refs() != 1 {
 						leaked++
 					}
 					views += max(r.MapRefs()-1, 0)
+				}
+			})
+			if leaked > 0 {
+				return
+			}
+			sh.view.EachPath(func(_ string, e cache.PathEntry) {
+				if entryRef(e) == nil {
+					return
+				}
+				for i := int64(0); i*s.store.ChunkSize() < e.Size; i++ {
+					ch := sh.view.Lookup(cache.ChunkKey{Path: e.Translated, Index: int(i)}, e.ModTime)
+					if ch == nil {
+						continue
+					}
+					if ch.Refs() != 1 { // the lookup's own pin
+						leaked++
+					}
+					sh.view.Release(ch)
 				}
 			})
 		})
@@ -380,7 +411,7 @@ func testFDLifetimeUnderEviction(t *testing.T, threshold int64) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d cached descriptors or mappings still pinned after quiesce", leaked)
+			t.Fatalf("%d cached descriptors, chunks or mappings still pinned after quiesce", leaked)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

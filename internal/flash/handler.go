@@ -464,27 +464,20 @@ const dynBufSize = 32 << 10
 // handler goroutine (the "CGI process") posts each buffer to the loop
 // as one item, then blocks until the pipeline acks it — so at most one
 // buffer is ever in flight, the paper's pipe acting as flow control.
-// The roles invert relative to the pull sources: release (and abort)
-// ack the producer over the flow-control channel, and next has nothing
-// to do because the producer pushes as acks arrive.
+// The roles invert relative to the chunk walk: the producer pushes, and
+// both methods ack it over the flow-control channel — next to go on,
+// end with the response's outcome. A producer that posts after a false
+// ack has its item dropped by queueItem, which ends the source again
+// and so acks it false once more.
 type streamSource struct {
 	ack chan bool // pipeline → producer: item done; true = keep going
 }
 
-func (st *streamSource) next(*shard, *conn) {}
+func (st *streamSource) next(s *shard, c *conn) { st.end(s, c, true) }
 
-func (st *streamSource) release(s *shard, c *conn, item writeItem, ok bool) {
+func (st *streamSource) end(_ *shard, _ *conn, ok bool) {
 	select {
 	case st.ack <- ok:
-	default:
-	}
-}
-
-func (st *streamSource) abort(s *shard, c *conn) {
-	// Unblock a producer waiting on an ack that will never come; any
-	// later items it posts are dropped (and acked false) by queueItem.
-	select {
-	case st.ack <- false:
 	default:
 	}
 }

@@ -18,12 +18,11 @@ import (
 )
 
 // forEachProxyMatrix runs fn once per (conn-engine label × chunk path)
-// combination. The flattened subtest name keeps "proxy" at the second
-// level, so CI's `-run '/proxy'` race step selects exactly this suite.
-// Origin refills publish heap chunks on either chunk path, and both
-// conn-engine labels run the one connection driver, so the matrix
-// differs in nothing this suite exercises; it stays only because its
-// labels are test IDs.
+// combination, under the TestProxy tests CI's reverse-proxy race step
+// selects. Origin refills publish heap chunks on either chunk path,
+// and both conn-engine labels run the one connection driver, so the
+// matrix differs in nothing this suite exercises; it stays only
+// because its labels are test IDs.
 func forEachProxyMatrix(t *testing.T, fn func(t *testing.T)) {
 	for _, ce := range connEngineLabels {
 		for _, path := range chunkPaths {
@@ -707,6 +706,20 @@ func TestProxyAllBackendsDown(t *testing.T) {
 		resp, _ := clientGet(t, client, fmt.Sprintf("%s/up/x-%d", base, i))
 		if resp.StatusCode != 502 {
 			t.Fatalf("GET %d: status %d, want 502", i, resp.StatusCode)
+		}
+	}
+	// A 502 is framed like any response: the connection that got one
+	// carries the next request.
+	conn := dialRaw(t, base)
+	br := bufio.NewReader(conn)
+	for i := 0; i < 2; i++ {
+		fmt.Fprintf(conn, "GET /up/kept-%d HTTP/1.1\r\nHost: x\r\n\r\n", i)
+		resp, err := readResponse(br, "GET")
+		if err != nil {
+			t.Fatalf("request %d on one connection: %v", i, err)
+		}
+		if resp.status != 502 {
+			t.Fatalf("request %d on one connection: status %d, want 502", i, resp.status)
 		}
 	}
 	if st := srv.Stats(); st.ProxyErrors == 0 {

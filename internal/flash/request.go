@@ -23,8 +23,8 @@ func (s *shard) handleExchange(c *conn, plan exchangePlan) {
 	s.markBusy(c)
 	if req == nil {
 		// A head the reader refused: it never parsed, or it outgrew
-		// MaxHeaderBytes. Its status stands even under Shutdown, and the
-		// connection closes; the access log names the request
+		// httpmsg.MaxHeaderLen. Its status stands even under Shutdown,
+		// and the connection closes; the access log names the request
 		// errorResponse synthesizes, not the previous exchange's.
 		s.errorResponse(c, plan.reject, false)
 		return
@@ -342,15 +342,18 @@ func (s *shard) afterTranslate(c *conn, pe cache.PathEntry) {
 		return
 	}
 	if s.useSendfile(length, pe) {
-		ref := entryRef(pe).Acquire() // the response's pin on the descriptor
-		src := &c.sfSrc
-		*src = sendfileSource{ref: ref, hdr: hdr, off: off, n: length}
-		s.respond(c, src)
+		// The zero-copy transport: one item, the header and then the
+		// descriptor's byte window, shipped with sendfile(2) on Linux (the
+		// portable pread+writev loop elsewhere). The item holds its own
+		// descriptor reference, so path-cache eviction cannot close the
+		// file mid-transfer.
+		s.respondItem(c, writeItem{data: hdr, sf: entryRef(pe).Acquire(), sfOff: off, sfLen: length, last: true})
 		return
 	}
 	src := &c.chunkSrc
 	src.init(s, pe, hdr, off, length)
-	s.respond(c, src)
+	c.ls.src = src
+	src.next(s, c)
 }
 
 // lastModified is the entity's Last-Modified time: a file's mtime, a
@@ -364,11 +367,10 @@ func lastModified(pe cache.PathEntry) time.Time {
 	return time.Unix(pe.ModTime, 0)
 }
 
-// respondFixed starts a fixed-buffer response through the connection's
-// pooled source.
+// respondFixed sends a response that is one pre-assembled buffer: a
+// header, plus any error, 304, 416 or listing body.
 func (s *shard) respondFixed(c *conn, data []byte) {
-	c.fixedSrc.data = data
-	s.respond(c, &c.fixedSrc)
+	s.respondItem(c, writeItem{data: data, last: true, whole: true})
 }
 
 // Wire fragments fixPersistence patches.
@@ -429,10 +431,9 @@ func (s *shard) fixPersistence(c *conn, hdr []byte, req *httpmsg.Request) []byte
 // ended with it.
 func (s *shard) queueItem(c *conn, item writeItem) {
 	if c.failed || c.writeDone {
-		// Let the source release any pins the item carries (and ack its
-		// producer, if any).
+		s.releaseItem(item)
 		if src := c.ls.src; src != nil {
-			src.release(s, c, item, false)
+			src.end(s, c, false) // acks a producer waiting on the item
 		}
 		s.signalNext(c, false)
 		return
@@ -451,8 +452,8 @@ func (s *shard) queueItem(c *conn, item writeItem) {
 // commit ends an exchange at queue time: the response is this one item,
 // so nothing about it needs the loop again — the counters, the access
 // log line (with the byte count the response will carry), the busy
-// gauge and the source are settled now. The one thing that must
-// outlive the write, the pins on the item's chunks, moves to the
+// gauge and the source, if any, are settled now. The one thing that
+// must outlive the write, the pins on the item's chunks, moves to the
 // connection's FIFO until a released message reports the flush; a
 // flush that falls short takes the byte counts back and fails the
 // connection there.
@@ -478,11 +479,6 @@ func (s *shard) commit(c *conn, item writeItem) {
 		c.pins = append(c.pins, nil) // item.pins() counts this entry
 	}
 	c.pins = append(c.pins, item.chunks...)
-	if src := c.ls.src; src != nil {
-		rel := item
-		rel.chunks = nil // the pins are the FIFO's now
-		src.release(s, c, rel, true)
-	}
 	keep := s.settle(c)
 	if c.stageNext && keep && c.fits(&item) {
 		c.stage(&item)
@@ -525,9 +521,8 @@ func (s *shard) released(c *conn, n int, short int64, ok bool) {
 }
 
 // itemDone runs after an item was transmitted (or discarded): byte
-// accounting, the source's release hook (unpinning chunks and
-// descriptors, acking producers), then either the next pull from the
-// source or the end of the response.
+// accounting, the release of what the item carried, then either the
+// next pull from the source or the end of the response.
 func (s *shard) itemDone(c *conn, item writeItem, wrote, sfWrote int64, ok bool) {
 	ls := &c.ls
 	c.inFlight = false
@@ -535,35 +530,43 @@ func (s *shard) itemDone(c *conn, item writeItem, wrote, sfWrote int64, ok bool)
 	s.stats.BytesSent += wrote
 	s.stats.BytesSendfile += sfWrote
 	s.stats.BytesCopied += wrote - sfWrote
-	src := ls.src
-	if src != nil {
-		src.release(s, c, item, ok && !c.failed)
-	}
+	s.releaseItem(item)
 	if !ok {
 		s.markFailed(c)
 	}
 
 	switch {
 	case c.failed:
-		if src != nil {
-			src.abort(s, c)
+		if ls.src != nil {
+			ls.src.end(s, c, false)
 		}
 		c.writeDone = true
 		s.signalNext(c, false)
 	case item.last:
 		s.finishResponse(c)
-	default:
-		if src != nil {
-			src.next(s, c)
-		}
+	case ls.src != nil:
+		ls.src.next(s, c)
+	}
+}
+
+// releaseItem drops what a tracked item carries — its chunk pins and
+// its descriptor reference — once the item is written or dropped. A
+// committed item's pins are the connection FIFO's instead.
+func (s *shard) releaseItem(item writeItem) {
+	for _, ch := range item.chunks {
+		s.view.Release(ch)
+	}
+	if item.sf != nil {
+		item.sf.Release()
 	}
 }
 
 // settle closes the books on a response whose last item is written or
-// committed, and returns the persistence verdict. Persistence is
-// decided by the request's (possibly downgraded) keep-alive flag: 4xx
-// responses are correctly framed, so the connection survives them — a
-// pipelined burst keeps its in-order framing across a mid-burst 404.
+// committed, ends its source, and returns the persistence verdict.
+// Persistence is decided by the request's (possibly downgraded)
+// keep-alive flag: 4xx responses are correctly framed, so the
+// connection survives them — a pipelined burst keeps its in-order
+// framing across a mid-burst 404.
 func (s *shard) settle(c *conn) bool {
 	ls := &c.ls
 	s.stats.Responses++
@@ -574,7 +577,10 @@ func (s *shard) settle(c *conn) bool {
 	if !keep {
 		c.writeDone = true
 	}
-	ls.src = nil
+	if src := ls.src; src != nil {
+		ls.src = nil
+		src.end(s, c, true)
+	}
 	s.markIdle(c)
 	return keep
 }
@@ -633,7 +639,7 @@ func (s *shard) markFailed(c *conn) {
 func (s *shard) failConn(c *conn) {
 	s.markFailed(c)
 	if src := c.ls.src; src != nil {
-		src.abort(s, c)
+		src.end(s, c, false)
 	}
 	if !c.inFlight {
 		c.writeDone = true
@@ -642,17 +648,16 @@ func (s *shard) failConn(c *conn) {
 }
 
 // connEnd runs once the connection goroutine is done with c: the
-// response pipeline (if one is still installed) is aborted so it drops
-// any resources it holds outside queued items, an item the goroutine
-// never took is released, and so is every pin still on the FIFO
-// (responses it left corked, never received, or flushed last — that
-// flush is reported here: short and ok are its released figures).
+// response's source (if one is still installed) is ended so it drops
+// what it holds outside its items, an item the goroutine never took is
+// released, and so is every pin still on the FIFO (responses it left
+// corked, never received, or flushed last — that flush is reported
+// here: short and ok are its released figures).
 func (s *shard) connEnd(c *conn, short int64, ok bool) {
 	s.ended++
 	s.markIdle(c)
-	src := c.ls.src
-	if src != nil {
-		src.abort(s, c)
+	if src := c.ls.src; src != nil {
+		src.end(s, c, false)
 	}
 	c.writeDone = true
 	if c.inFlight {
@@ -661,11 +666,7 @@ func (s *shard) connEnd(c *conn, short int64, ok bool) {
 		c.inFlight = false
 		select {
 		case r := <-c.reply:
-			if src != nil {
-				src.release(s, c, r.item, false)
-			} else if r.item.sf != nil {
-				r.item.sf.Release()
-			}
+			s.releaseItem(r.item)
 		default:
 		}
 	}
@@ -821,7 +822,11 @@ func (s *shard) shedRequest(c *conn, keepAlive bool) {
 }
 
 // errorResponseExtra sends a complete error response carrying
-// additional header lines (e.g. the Allow list of a 405).
+// additional header lines (e.g. the Allow list of a 405). It is framed
+// like any other response, so keepAlive alone decides whether the
+// connection persists: a shed 503 or an origin's 502 keeps it, and the
+// callers that must close (Shutdown, a refused head, a handler panic)
+// pass false.
 func (s *shard) errorResponseExtra(c *conn, status int, keepAlive bool, extra []string) {
 	if c.ls.req == nil {
 		c.ls = loopState{req: &httpmsg.Request{Method: "GET", Target: "-", Proto: "HTTP/1.0", Major: 1}}
@@ -829,7 +834,7 @@ func (s *shard) errorResponseExtra(c *conn, status int, keepAlive bool, extra []
 	if status == 404 {
 		s.stats.NotFound++
 	}
-	c.ls.req.KeepAlive = keepAlive && status < 500
+	c.ls.req.KeepAlive = keepAlive
 	s.respondBody(c, httpmsg.ResponseMeta{Status: status, ExtraHeaders: extra}, httpmsg.ErrorBody(status))
 }
 

@@ -4,70 +4,49 @@ import (
 	"repro/internal/cache"
 )
 
-// bodySource is the unified response pipeline: every response —
-// static, dynamic, or fixed-buffer — is produced by one source, which
-// the event loop drives and the connection's goroutine, which owns the
-// socket, consumes, one writeItem at a time.
+// bodySource produces a response whose body leaves in more than one
+// item: a chunk walk, or a handler's output stream. The event loop
+// drives it and the connection's goroutine, which owns the socket,
+// consumes its items one at a time. A response that is one item from
+// the start — a fixed buffer (header plus any error, 304, 416 or
+// listing body) or a sendfile window behind its header — needs no
+// source: it is queued as it is (respondItem).
 //
-// Contract (every method runs on the event loop):
+// Whatever an item carries — chunk pins, a descriptor reference — the
+// loop releases (shard.releaseItem) once the item is transmitted or
+// dropped, whichever source produced it. A whole item's pins move to
+// the connection's FIFO when it is committed instead (shard.commit),
+// which the loop unpins when the conn goroutine reports the flush
+// (shard.released) or the connection ends (shard.connEnd). Everything
+// else a whole item carries must be safe to drop at commit, so
+// descriptor-window (sf) items are never whole.
+//
+// Contract (both methods run on the event loop):
 //
 //   - next is invoked when the socket's owner can accept an item: once
 //     when the response starts, and again after each non-final item
 //     completes. The source must eventually hand exactly one item per
 //     invocation to shard.queueItem — synchronously or from a posted
 //     completion (a fill wake, a dynamic producer) — or end the
-//     response via shard.failConn. Push-style sources whose producer
-//     queues items on its own may treat next as a no-op. A source
-//     whose response is a single item marks it whole.
-//   - release is invoked exactly once per queued item, by the loop:
-//     from itemDone after the item was transmitted, or when the
-//     pipeline discards it (ok reports which). The source drops the
-//     resources the item carried — chunk pins, descriptor references —
-//     and acks its producer, if any. The one exception is timing: a
-//     whole item is committed when queued (shard.commit), so release
-//     runs right there, before the bytes are written, with item.chunks
-//     nil — the pins on its chunks have moved to the connection's FIFO, which the loop unpins when the
-//     conn goroutine reports the flush (shard.released) or the
-//     connection ends (shard.connEnd). So a tracked item's pins are
-//     the source's to release, a whole item's never are. Everything
-//     else an item carries must be safe to drop at commit;
-//     descriptor-window (sf) items are therefore never whole.
-//   - abort is invoked when the response dies before its final item
-//     completes (write failure, connection teardown). It may fire more
-//     than once, and connection teardown also fires it after a
-//     completed response; implementations must tolerate both. The
-//     source stops producing and drops anything still held outside
-//     queued items.
+//     response via shard.failConn. A source whose response turns out
+//     to be a single item marks it whole.
+//   - end is invoked when the response is over: with ok true once its
+//     final item is written or committed (shard.settle), with ok false
+//     when it dies first (write failure, a dropped item, connection
+//     teardown). It may fire more than once with ok false, and
+//     teardown fires it after failConn already has. The source stops
+//     producing and drops what it holds outside its items.
 type bodySource interface {
 	next(s *shard, c *conn)
-	release(s *shard, c *conn, item writeItem, ok bool)
-	abort(s *shard, c *conn)
+	end(s *shard, c *conn, ok bool)
 }
 
-// respond installs src as the connection's response pipeline and pulls
-// the first item.
-func (s *shard) respond(c *conn, src bodySource) {
-	c.ls.src = src
-	src.next(s, c)
+// respondItem sends a response that is one item from the start. It has
+// no source: the loop releases what the item carries.
+func (s *shard) respondItem(c *conn, item writeItem) {
+	c.ls.src = nil
+	s.queueItem(c, item)
 }
-
-// --- fixedSource ---
-
-// fixedSource is the fixed-buffer implementation: the whole response —
-// header plus any error/304/416/listing body — is one pre-assembled
-// buffer. It holds no resources, so release and abort have nothing to
-// do.
-type fixedSource struct {
-	data []byte
-}
-
-func (f *fixedSource) next(s *shard, c *conn) {
-	s.queueItem(c, writeItem{data: f.data, last: true, whole: true})
-}
-
-func (f *fixedSource) release(*shard, *conn, writeItem, bool) {}
-
-func (f *fixedSource) abort(*shard, *conn) {}
 
 // --- chunkSource ---
 
@@ -100,7 +79,7 @@ func (f *fixedSource) abort(*shard, *conn) {}
 // batched. The source holds one acquired reference to the entry
 // descriptor for the whole walk — a fill it starts between items must
 // not find a descriptor that eviction closed — and drops it when the
-// final item releases or the response aborts.
+// response ends.
 type chunkSource struct {
 	pe   cache.PathEntry
 	ref  *cache.FileRef // the walk's pin on the entry descriptor; may be nil
@@ -144,14 +123,6 @@ func (cs *chunkSource) init(s *shard, pe cache.PathEntry, hdr []byte, off, n int
 		nextChunk:  first,
 		rangeOff:   off,
 		rangeEnd:   off + n,
-	}
-}
-
-// dropRef releases the walk's descriptor pin (idempotent).
-func (cs *chunkSource) dropRef() {
-	if cs.ref != nil {
-		cs.ref.Release()
-		cs.ref = nil
 	}
 }
 
@@ -352,7 +323,7 @@ func (cs *chunkSource) fillError(s *shard, c *conn, err error) {
 	s.invalidateFile(c.ls.req.Path, cs.pe)
 	if err == cache.ErrFillStale && cs.nextChunk == cs.firstChunk &&
 		!c.inFlight && !c.failed && !c.writeDone && c.ls.src == bodySource(cs) {
-		cs.dropRef() // the restart builds its own pipeline
+		cs.end(s, c, false) // the restart builds its own pipeline
 		if ph, ok := cs.pe.File.(*proxyHandler); ok {
 			s.handleProxy(c, c.ls.req, ph)
 			return
@@ -379,47 +350,14 @@ func (s *shard) startFill(f *cache.Fill, pe cache.PathEntry) {
 	s.helpers.submit(job)
 }
 
-// release unpins the item's chunks (none when the connection's FIFO
-// took the pins over); the final item also ends the walk's descriptor
-// pin — a whole item starts no further fill, so dropping it at
-// commit is safe.
-func (cs *chunkSource) release(s *shard, c *conn, item writeItem, ok bool) {
-	for _, ch := range item.chunks {
-		s.view.Release(ch)
-	}
-	if item.last {
-		cs.dropRef()
+// end drops the walk's descriptor pin (idempotent): a finished walk
+// starts no further fill.
+func (cs *chunkSource) end(*shard, *conn, bool) {
+	if cs.ref != nil {
+		cs.ref.Release()
+		cs.ref = nil
 	}
 }
-
-func (cs *chunkSource) abort(*shard, *conn) { cs.dropRef() }
-
-// --- sendfileSource ---
-
-// sendfileSource is the zero-copy transport for static bodies: a
-// single item carrying the response header plus the cached
-// descriptor's byte window, which is shipped with sendfile(2) on
-// Linux — file bytes never enter userspace or the map cache — or the
-// portable pread+writev loop elsewhere. The source holds one acquired
-// descriptor reference from creation until the item's release, so
-// path-cache eviction can never close the file mid-transfer.
-type sendfileSource struct {
-	ref    *cache.FileRef // acquired by the creator, released with the item
-	hdr    []byte
-	off, n int64 // absolute body byte window [off, off+n)
-}
-
-func (ss *sendfileSource) next(s *shard, c *conn) {
-	s.queueItem(c, writeItem{data: ss.hdr, sf: ss.ref, sfOff: ss.off, sfLen: ss.n, last: true})
-}
-
-func (ss *sendfileSource) release(s *shard, c *conn, item writeItem, ok bool) {
-	if item.sf != nil {
-		item.sf.Release()
-	}
-}
-
-func (ss *sendfileSource) abort(*shard, *conn) {}
 
 // useSendfile decides the static transport for a response body of n
 // bytes: bodies at or above the threshold ship straight from the

@@ -367,14 +367,14 @@ func testTortureRangeAcrossChunks(t *testing.T) {
 }
 
 // TestTortureOversizedHeader asserts the 400 and the close on a header
-// block longer than MaxHeaderBytes: one that never terminates within
+// block longer than httpmsg.MaxHeaderLen: one that never terminates within
 // the cap, one that arrives whole in a single write, and one that does
 // so as a pipelined follower (after the 200 of the request ahead of it).
 func TestTortureOversizedHeader(t *testing.T) { forEachConnEngine(t, testTortureOversizedHeader) }
 
 func testTortureOversizedHeader(t *testing.T) {
 	get := "GET /hello.txt HTTP/1.1\r\nHost: t\r\n\r\n"
-	big := fmt.Sprintf("GET /hello.txt HTTP/1.1\r\nHost: t\r\nX-Junk: %s\r\n", strings.Repeat("j", 3<<10))
+	big := fmt.Sprintf("GET /hello.txt HTTP/1.1\r\nHost: t\r\nX-Junk: %s\r\n", strings.Repeat("j", httpmsg.MaxHeaderLen))
 	for _, tc := range []struct {
 		name, wire string
 		ahead      int // 200s before the 400
@@ -384,7 +384,7 @@ func testTortureOversizedHeader(t *testing.T) {
 		{"complete-follower", get + big + "\r\n" + get, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, base := newTestServer(t, func(c *Config) { c.MaxHeaderBytes = 1 << 10 })
+			_, base := newTestServer(t, nil)
 			conn := dialRaw(t, base)
 			if _, err := io.WriteString(conn, tc.wire); err != nil {
 				t.Fatal(err)
@@ -654,14 +654,14 @@ func testTortureDeepPipeline(t *testing.T) {
 
 // TestTortureCRLFTrickle asserts a client streaming nothing but CRLF
 // bytes cannot hold the connection open past the header cap (the
-// stripped preamble counts toward MaxHeaderBytes).
+// stripped preamble counts toward httpmsg.MaxHeaderLen).
 func TestTortureCRLFTrickle(t *testing.T) { forEachConnEngine(t, testTortureCRLFTrickle) }
 
 func testTortureCRLFTrickle(t *testing.T) {
-	_, base := newTestServer(t, func(c *Config) { c.MaxHeaderBytes = 512 })
+	_, base := newTestServer(t, nil)
 	conn := dialRaw(t, base)
-	for i := 0; i < 40; i++ {
-		if _, err := conn.Write([]byte(strings.Repeat("\r\n", 16))); err != nil {
+	for i := 0; i < 40; i++ { // 40 KiB in 1 KiB writes
+		if _, err := conn.Write([]byte(strings.Repeat("\r\n", 512))); err != nil {
 			break // server already gave up on us: also acceptable
 		}
 	}

@@ -1,6 +1,7 @@
 package flash
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -136,9 +137,9 @@ func fetchETag(t *testing.T, addr, path string) string {
 }
 
 // runScript sends the script over one connection — either one request
-// per write with a full read-to-quiet between (serial), or the whole
-// burst in a single write (pipelined) — and returns the complete
-// response stream.
+// per write, each response read by its framing before the next request
+// goes out (serial), or the whole burst in a single write (pipelined) —
+// and returns the complete response stream.
 func runScript(t *testing.T, addr string, reqs [][]byte, pipelined bool) []byte {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -162,33 +163,22 @@ func runScript(t *testing.T, addr string, reqs [][]byte, pipelined bool) []byte 
 		}
 		return out.Bytes()
 	}
-	buf := make([]byte, 64<<10)
+	// The tee keeps the raw bytes: the parsed responses only tell where
+	// each one ends.
+	br := bufio.NewReader(io.TeeReader(conn, &out))
 	for i, r := range reqs {
 		if _, err := conn.Write(r); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
-		if i == len(reqs)-1 {
-			conn.SetDeadline(time.Now().Add(30 * time.Second))
-			if _, err := io.Copy(&out, conn); err != nil {
-				t.Fatal(err)
-			}
-			break
-		}
-		// Read until the connection quiesces: a short read deadline
-		// bridges multi-item responses without swallowing the follower.
-		for {
-			conn.SetReadDeadline(time.Now().Add(150 * time.Millisecond))
-			n, err := conn.Read(buf)
-			out.Write(buf[:n])
-			if err != nil {
-				if ne, ok := err.(net.Error); ok && ne.Timeout() && out.Len() > 0 {
-					break
-				}
-				t.Fatalf("request %d: %v", i, err)
-			}
+		method, _, _ := bytes.Cut(r, []byte(" "))
+		if _, err := readResponse(br, string(method)); err != nil {
+			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	// The last request closed the connection: nothing may follow.
+	if _, err := io.Copy(io.Discard, br); err != nil {
+		t.Fatal(err)
+	}
 	return out.Bytes()
 }
 
