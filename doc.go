@@ -36,8 +36,9 @@
 //     Length or chunked framing, Expect: 100-continue answered on
 //     first read, Config.MaxBodyBytes limits with per-route
 //     overrides, unread bodies drained before the next pipelined
-//     request), and writes through a ResponseWriter whose output
-//     flows through the event loop one pipe buffer at a time. Routing
+//     request), and writes through a ResponseWriter whose goroutine
+//     puts its output on the socket itself, one pipe buffer at a time
+//     (the loop hears of the exchange when it starts and ends). Routing
 //     is method + longest-prefix with 405/Allow on method misses,
 //     registered before Serve. internal/flashhttp mounts any
 //     unmodified net/http.Handler on the same surface.

@@ -3,7 +3,7 @@
 // Flash's persistent CGI processes — so a slow handler never stalls
 // static serving, and with v2 a handler is a full peer of the server:
 // it reads the request body, sets arbitrary response headers, and
-// streams its output through the loop's flow-control pipe.
+// streams its output to the socket one pipe buffer at a time.
 //
 // The walkthrough mounts three handlers:
 //

@@ -401,3 +401,12 @@ func TestConnRecordSizeClass(t *testing.T) {
 		t.Fatalf("conn is %d B, want at most 1528 (the 1536-B size class less the 8-B malloc header)", n)
 	}
 }
+
+// TestLoopMsgSizeClass keeps a loop message within 64 bytes: every
+// shard's mailbox buffers 512 of them, and every batch post, flush
+// report and connection end is copied through it.
+func TestLoopMsgSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(loopMsg{}); n > 64 {
+		t.Fatalf("loopMsg is %d B, want at most 64", n)
+	}
+}

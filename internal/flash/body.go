@@ -96,16 +96,16 @@ func (br *bodyReader) Read(p []byte) (int, error) {
 	}
 	if br.sendContinue {
 		br.sendContinue = false
-		if br.w == nil || !br.w.started {
+		if !br.w.started {
 			// The client is (possibly) waiting for permission to send
-			// the body: grant it directly on the socket. No response
-			// bytes are in flight yet — the handler triggers this read
-			// before its first write, and every earlier response was
-			// written before this exchange began (conn.serve flushes
-			// what it has corked before it posts a bodied exchange) —
-			// so the write cannot interleave with pipeline output.
-			br.c.nc.SetWriteDeadline(time.Now().Add(br.c.sh.cfg.WriteTimeout))
-			if _, err := br.c.nc.Write(httpmsg.Continue100); err != nil {
+			// the body: grant it on the socket, through the handler's
+			// writer (a grant is armed only for a handler's reads: drain
+			// clears it first). No response bytes are out yet — the
+			// handler triggers this read before its first write — and
+			// every earlier response was written before this exchange
+			// began (conn.serve flushes what it has corked before it
+			// posts a bodied exchange).
+			if err := br.w.write(httpmsg.Continue100); err != nil {
 				br.err = err
 				return 0, err
 			}

@@ -229,13 +229,13 @@ func TestChaosOriginDeathStaleIfError(t *testing.T) {
 		// max-age=0: every hit revalidates. stale-if-error=600: origin
 		// failures inside ten minutes serve the stale copy.
 		origin.setHandler(origin.cachedOrigin(func(string) []byte { return want }, "max-age=0, stale-if-error=600"))
-		srv, base, client := newProxyServer(t, testPoolFor(t, origin.addr))
+		clock := new(advancingClock)
+		srv, base, client := newProxyServer(t, testPoolFor(t, origin.addr), clock.install)
 
 		if status, body, err := getStatus(client, base+"/up/data"); err != nil || status != 200 || string(body) != string(want) {
 			t.Fatalf("cold GET: status=%d len=%d err=%v", status, len(body), err)
 		}
-		// Let the coarse shard clock pass the entry's expiry.
-		time.Sleep(150 * time.Millisecond)
+		clock.advance(time.Second) // past the entry's expiry
 
 		// Kill both legs: fresh dials and the pool's parked idle conns
 		// (which skip the dial entirely and die at the head read).
@@ -252,13 +252,13 @@ func TestChaosOriginDeathStaleIfError(t *testing.T) {
 			t.Fatalf("ProxyStale = 0 after stale-if-error serve")
 		}
 
-		// Origin returns. The stale serve parked a ~1s retry holdoff on
+		// Origin returns. The stale serve parked a 1 s retry holdoff on
 		// the entry; after it passes, revalidation resumes and the
 		// origin sees traffic again.
 		failpoint.Disarm("upstream/dial")
 		failpoint.Disarm("upstream/read-head")
 		before := origin.fetches.Load() + origin.notMods.Load()
-		time.Sleep(1200 * time.Millisecond)
+		clock.advance(1200 * time.Millisecond)
 		if status, body, err := getStatus(client, base+"/up/data"); err != nil || status != 200 || string(body) != string(want) {
 			t.Fatalf("post-recovery GET: status=%d err=%v", status, err)
 		}
@@ -278,12 +278,13 @@ func TestChaosOrigin5xxStaleIfError(t *testing.T) {
 	want := []byte("stale-but-served body\n")
 	origin := newTestOrigin(t, nil)
 	origin.setHandler(origin.cachedOrigin(func(string) []byte { return want }, "max-age=0, stale-if-error=600"))
-	srv, base, client := newProxyServer(t, testPoolFor(t, origin.addr))
+	clock := new(advancingClock)
+	srv, base, client := newProxyServer(t, testPoolFor(t, origin.addr), clock.install)
 
 	if status, body, err := getStatus(client, base+"/up/doc"); err != nil || status != 200 || string(body) != string(want) {
 		t.Fatalf("cold GET: status=%d err=%v", status, err)
 	}
-	time.Sleep(150 * time.Millisecond)
+	clock.advance(time.Second) // past the entry's expiry
 
 	failpoint.Arm("upstream/response", func(args ...any) error {
 		*(args[0].(*int)) = 503

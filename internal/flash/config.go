@@ -81,11 +81,13 @@
 //     tests pin the budget: 0 allocs/request on warm static-hit and
 //     revalidation paths.
 //
-//   - A response of several items — a chunk walk, a handler's output
-//     stream — is produced by one bodySource, which the loop drives and
-//     the socket's owner consumes; single-item responses need none. The
-//     loop releases what every item carries (chunk pins, a descriptor
-//     reference) once the item is written or dropped. Static bodies
+//   - The loop commits every item of a static response when it queues
+//     it, and the socket's owner reports every write in one flush
+//     message, which releases what the items carried (chunk pins, a
+//     descriptor reference) and, after a chunk walk's partial run —
+//     the one response of several items — pulls the next run. A
+//     handler's goroutine writes its own response to the socket and
+//     reports once, when ServeFlash returns. Static bodies
 //     pick a transport per response (Config.SendfileThreshold): below
 //     the threshold the chunk-cache walk with header-gathering writev,
 //     at or above it the zero-copy sendfile(2) path straight from the
@@ -279,8 +281,10 @@ type Config struct {
 	// in-memory or buffered writer.
 	AccessLog io.Writer
 
-	// Clock supplies response Date headers and log timestamps
-	// (default time.Now; tests inject fixed clocks).
+	// Clock supplies response Date headers, log timestamps and the time
+	// freshness is judged by: path revalidation, and a proxied entry's
+	// expiry and stale window (default time.Now; tests inject fixed or
+	// advancing clocks).
 	Clock func() time.Time
 }
 

@@ -18,27 +18,26 @@ import (
 // client — while an error hook fails the write.
 var fpConnWrite = failpoint.New("flash/conn-write")
 
-// writeItem is the pipeline's wire format: one unit of work handed
-// from the loop to the connection's goroutine, which owns the socket —
-// a whole one-item response, or one item of a response's bodySource.
-// It is transmitted in order: the inline bytes (header, error body,
-// dynamic data), then the chunk windows — all gathered into a single
-// writev, the §5.5 pattern — and then, for the zero-copy transport,
-// the descriptor window [sfOff, sfOff+sfLen) shipped with sendfile(2)
-// (or the portable copy loop). `last` marks the response's final item.
-// What an item carries — chunk pins, a descriptor reference — the loop
-// releases when it is written or dropped (shard.releaseItem). Items
-// travel by value — through the reply channel and back through the
-// loop's typed itemDone message — so the per-item traffic allocates
-// nothing.
+// writeItem is the pipeline's wire format: one item of a response,
+// handed from the loop to the connection's goroutine, which owns the
+// socket. It is transmitted in order: the inline bytes (header, error
+// body), then the chunk windows — all gathered into a single writev,
+// the §5.5 pattern — and then, for the zero-copy transport, the
+// descriptor window [sfOff, sfOff+sfLen) shipped with sendfile(2) (or
+// the portable copy loop). `last` marks the response's final item. The
+// loop commits every item when it queues it (shard.commit): what the
+// item carries — chunk pins, a descriptor reference — stays with the
+// connection until the goroutine reports it written (shard.released).
+// Items travel by value through the reply channel, so the per-item
+// traffic allocates nothing.
 type writeItem struct {
 	data []byte
 	// chunks is the run of consecutive pinned chunks the item carries
 	// and bodies[i] the bytes of chunks[i] to transmit — a sub-slice of
 	// its Data where a Range request clamps the window. Both live in
 	// the connection's loop-written scratch (conn.runChunks/runBodies),
-	// which the source does not touch again before the item is
-	// released: whoever receives the item copies out what it keeps.
+	// which the walk does not touch again before the item is reported
+	// written: whoever receives the item copies out what it keeps.
 	chunks []*cache.Chunk
 	bodies [][]byte
 	// sf, when non-nil, is an acquired descriptor reference whose
@@ -46,9 +45,9 @@ type writeItem struct {
 	sf           *cache.FileRef
 	sfOff, sfLen int64
 	last         bool // response ends after this item
-	// whole marks an item that is its response's only one (set together
-	// with last): the loop commits such a response the moment it is
-	// queued (shard.commit).
+	// whole marks an item that is its response's only one and has no
+	// descriptor window (set together with last): the goroutine may cork
+	// it on the gather list. Every other item is written at once.
 	whole bool
 }
 
@@ -71,30 +70,29 @@ func (it *writeItem) pins() int {
 
 // connReply is one message from the event loop to the connection's
 // goroutine. Every post the goroutine makes — a batch (or its
-// continuation), or the itemDone report of a written item — is
-// answered by exactly one reply, which the goroutine consumes before it
-// posts again; that is what keeps the loop's send on the capacity-1
-// channel from ever blocking. While a batch runs, the loop stages the
-// responses it commits on the connection's gather list instead of
-// replying (shard.commit); staged says how many it put there since its
-// last reply. They precede the reply's own item on the wire, and the
-// goroutine counts them as exchanges of the batch that are over.
+// continuation), or the flush report of a run its response goes on
+// after — is answered by exactly one reply, which the goroutine
+// consumes before it posts again; that is what keeps the loop's send on
+// the capacity-1 channel from ever blocking. While a batch runs, the
+// loop stages the whole responses it commits on the connection's
+// gather list instead of replying (shard.commit); staged says how many
+// it put there since its last reply. They precede the reply's own item
+// on the wire, and the goroutine counts them as exchanges of the batch
+// that are over.
 type connReply struct {
-	item   writeItem // replyItem, replyCommitted
+	item   writeItem // replyItem
 	staged int32
 	kind   uint8
-	keep   bool // replyCommitted, replyEnd: the connection persists
+	keep   bool // the connection persists (after a last item, replyEnd)
 }
 
 const (
-	// replyItem: write the item, report itemDone, wait for the next
-	// reply.
+	// replyItem: an item the loop has committed. A whole one is corked;
+	// any other is written at once, and unless it is its response's
+	// last the goroutine waits for the reply to its flush report.
 	replyItem = iota
-	// replyCommitted: the item is the whole response and the loop has
-	// already settled the exchange; cork it and go on to the next head.
-	replyCommitted
-	// replyEnd: the exchange is over (its items, if any, were all
-	// written and reported).
+	// replyEnd: the exchange is over without a last item — it failed,
+	// or a handler's goroutine wrote the response itself.
 	replyEnd
 )
 
@@ -134,7 +132,7 @@ const batchCap = 16
 // lives on conn instead.
 type loopState struct {
 	req       *httpmsg.Request
-	src       bodySource // produces the response's items
+	src       *chunkSource // the response's chunk walk, while runs are to come
 	status    int
 	bytesSent int64
 }
@@ -142,7 +140,7 @@ type loopState struct {
 // conn is one client connection: one goroutine (the serve method) that
 // owns the socket in both directions, and loop-owned state. Everything
 // a steady-state exchange needs — read buffer, head buffer, parsed
-// request, response sources, header scratch, gather list — is owned by
+// request, chunk walk, header scratch, gather list — is owned by
 // the connection and recycled across exchanges, so a warm keep-alive
 // request touches no allocator at all.
 type conn struct {
@@ -208,7 +206,7 @@ type conn struct {
 	hdrBuf   []byte // scratch for per-request header patches
 
 	// runChunks and runBodies back the chunks and bodies of the one
-	// item the connection's chunkSource has out (see writeItem).
+	// run the connection's chunk walk has out (see writeItem).
 	runChunks []*cache.Chunk
 	runBodies [][]byte
 
@@ -239,23 +237,26 @@ type conn struct {
 	gatherPins  int32
 	writes      int32
 	wfailed     bool
-	// closing marks the connection's last flush (flushLast): its report
-	// rides the connEnd message instead of one of its own, with endShort
-	// the committed bytes it did not write.
+	// closing marks the connection's last flush (flushLast, or a last
+	// item that ends the connection): its report rides the connEnd
+	// message instead of one of its own, with endShort and endSfShort
+	// its short figures (see transmit).
 	closing  bool
 	ringLent bool // the read ring stays with this connection (see rb)
 
 	// Write-side state, loop-owned but connection-scoped: a response
 	// restarted mid-exchange must still see that a write already failed
-	// or that the write side is finished.
+	// or that the write side is finished. inFlight marks a run whose
+	// walk goes on once its flush is reported.
 	inFlight  bool
 	failed    bool
 	writeDone bool // no further item will be accepted
 
-	endShort int64
+	endShort, endSfShort int64
 
 	// Armed deadlines in unix nanos, for the coarse-clock skip logic
-	// (readArm: conn/body goroutine; writeArm: conn goroutine).
+	// (readArm: conn/body goroutine; writeArm: conn goroutine, or a
+	// handler's while it writes its response).
 	readArm  int64
 	writeArm int64
 
@@ -263,12 +264,14 @@ type conn struct {
 	// bytes the conn goroutine has not yet reported written still pin:
 	// every chunk of each response's run, or one nil entry for a
 	// response without chunks, oldest at pinHead. A released message
-	// pops from the front; connEnd drains the rest.
+	// pops from the front; connEnd drains the rest. sf is the descriptor
+	// reference of a committed sendfile window, dropped with its pins.
 	pins    []*cache.Chunk
 	pinHead int
+	sf      *cache.FileRef
 
 	// busy (loop-owned) marks an exchange in flight for the idle gauge:
-	// set at exchange start, cleared at commit/signalNext/teardown.
+	// set at exchange start, cleared at settle/signalNext/teardown.
 	busy bool
 
 	// parked is connParked while the conn goroutine waits for a request
@@ -512,15 +515,16 @@ func (c *conn) slot(i int) (*exchangePlan, *httpmsg.Request) {
 // httpmsg.MaxHeaderLen — is a rejection plan in its slot, the batch's
 // last.
 //
-// Responses the loop committed whole (replyCommitted, and the ones it
+// Whole responses (the ones the loop replies with, and the ones it
 // staged during a batch) are corked on the gather list and leave in
 // one writev when no complete next head is buffered — always before
 // the socket read that could block — when the next one would take the
-// list past gatherCap, when the connection ends, or ahead of anything
-// that is not a committed response. Nothing may overtake or strand
-// them: a handler exchange (whose 100 Continue and interim responses go
-// straight to the socket) is posted only after a flush, and so is the
-// body drain that follows one.
+// list past gatherCap, when the connection ends, or ahead of any other
+// item, which rides behind them in the same call. Nothing may overtake
+// or strand them: a handler exchange (whose goroutine writes its
+// response, 100 Continue and interim responses straight to the socket)
+// is posted only after a flush, and so is the body drain that follows
+// one.
 //
 // Request bodies are consumed by the handler (through the plan's
 // bodyReader) while this goroutine is parked in awaitBatch; whatever
@@ -530,7 +534,7 @@ func (c *conn) serve() {
 	defer func() {
 		c.nc.Close()
 		c.sh.send(loopMsg{kind: msgConnEnd, c: c, short: c.endShort,
-			writes: c.takeWrites(), ok: !c.wfailed})
+			sfShort: c.endSfShort, writes: c.takeWrites(), ok: !c.wfailed})
 	}()
 
 	for {
@@ -690,16 +694,15 @@ func (c *conn) takeHeads(end, preamble int) {
 }
 
 // awaitBatch posts the filled batch slots as one message and serves the
-// loop's replies — writing the items of a response the loop is still
-// driving, corking one it has committed — until the batch is over: its
-// last exchange has ended, or one ended the connection (later heads are
-// never answered). Each reply counts the responses the loop staged on
-// the gather list ahead of it, exchanges of the batch that are over.
-// An exchange that ended before the batch was through — one that had
-// to wait for a helper, a fill or a write, or whose response did not
-// fit under gatherCap — leaves the rest of the batch to a
-// continuation, posted here. It reports whether the connection
-// persists.
+// loop's replies — corking a whole response, writing any other item at
+// once — until the batch is over: its last exchange has ended, or one
+// ended the connection (later heads are never answered). Each reply
+// counts the responses the loop staged on the gather list ahead of it,
+// exchanges of the batch that are over. An exchange that ended before
+// the batch was through — one that had to wait for a helper, a fill or
+// a write, or whose response did not fit under gatherCap — leaves the
+// rest of the batch to a continuation, posted here. It reports whether
+// the connection persists.
 func (c *conn) awaitBatch() bool {
 	c.sh.postBatch(c, 0)
 	for done := 0; ; {
@@ -711,16 +714,22 @@ func (c *conn) awaitBatch() bool {
 		}
 		done += int(r.staged)
 		keep := r.keep
-		switch r.kind {
-		case replyItem:
-			wrote, sfWrote, ok := c.transmit(&r.item)
-			c.sh.postItemDone(c, r.item, wrote, sfWrote, c.takeWrites(), ok)
-			continue
-		case replyCommitted:
-			keep = c.cork(&r.item, keep)
-		case replyEnd:
+		switch {
+		case r.kind == replyEnd:
 			if !keep {
 				c.flushLast() // earlier responses still leave before the close
+			}
+		case r.item.whole:
+			keep = c.cork(&r.item, keep)
+		default:
+			// The report of a last item that ends the connection rides
+			// the connection's end.
+			c.closing = r.item.last && !keep
+			if !c.transmit(&r.item) {
+				return false
+			}
+			if !r.item.last {
+				continue // the loop answers the report with the next run
 			}
 		}
 		if done++; !keep || done == int(c.slots) {
@@ -890,8 +899,7 @@ func (c *conn) flush() bool {
 	if c.gatherPins == 0 {
 		return !c.wfailed
 	}
-	_, _, ok := c.transmit(nil)
-	return ok
+	return c.transmit(nil)
 }
 
 // flushLast writes the gather list as the connection ends. Its report
@@ -913,24 +921,26 @@ func (c *conn) takeWrites() int32 {
 // the event loop never does: every corked response, then — riding
 // behind them in the same writev — item's inline bytes and chunk
 // windows, then item's descriptor window by sendfile or the copy loop.
-// The flushed responses are reported to the loop in one released
-// message, or in the connEnd message of a closing connection (it drops
-// their pins; a shortfall against the byte counts they were committed
-// with fails the connection there), and item's own
-// byte counts are returned for its itemDone. After a write error
-// nothing more is written: items are still reported back, unwritten,
-// so the loop releases what they carry. The gather list is
-// conn-owned scratch: a steady-state flush allocates nothing.
-func (c *conn) transmit(item *writeItem) (wrote, sfWrote int64, ok bool) {
-	wb := c.wb
+// All of it is reported to the loop in one released message, or in the
+// connEnd message of a closing connection: the pin FIFO entries
+// written, the committed bytes left unwritten (short) and the part of
+// the descriptor window sendfile did not move (sfShort). After a write
+// error nothing more is written, and the report says so; the loop
+// releases the pins all the same. The gather list is conn-owned
+// scratch: a steady-state flush allocates nothing.
+func (c *conn) transmit(item *writeItem) bool {
+	wb, pins, want := c.wb, c.gatherPins, int64(c.gatherBytes)
 	if item != nil {
 		wb = appendIovecs(wb, item.data, item.bodies)
+		pins += int32(item.pins())
+		want += int64(item.wireLen()) + item.sfLen
 	}
 	if !c.wfailed && failpoint.Armed() {
 		if err := fpConnWrite.Eval(c.nc.RemoteAddr().String()); err != nil {
 			c.wfailed = true
 		}
 	}
+	var wrote int64
 	if !c.wfailed && len(wb) > 0 {
 		c.armWrite(c.sh.cfg.WriteTimeout)
 		c.writes++
@@ -950,38 +960,34 @@ func (c *conn) transmit(item *writeItem) (wrote, sfWrote int64, ok bool) {
 	clear(wb) // drop the chunk and arena references
 	c.wb = wb[:0]
 
-	if c.gatherPins > 0 {
-		// The corked responses come first on the wire: what was written
-		// counts against them before it counts for item.
-		short := int64(c.gatherBytes)
-		if wrote < short {
-			short, wrote = short-wrote, 0
-		} else {
-			short, wrote = 0, wrote-short
+	var sfShort int64
+	if item != nil && item.sf != nil {
+		// The header went out above; now the descriptor window —
+		// zero-copy where the platform supports it.
+		sfShort = item.sfLen
+		if !c.wfailed {
+			c.writes++
+			n, sfn, err := transportSend(c.nc, item.sf.File(),
+				item.sfOff, item.sfLen, c.sh.cfg.WriteTimeout)
+			wrote += n
+			sfShort -= sfn
+			if err != nil {
+				c.wfailed = true
+			}
 		}
-		if c.closing {
-			c.endShort += short
-		} else {
-			c.sh.send(loopMsg{kind: msgReleased, c: c, n: c.gatherPins, short: short,
-				writes: c.takeWrites(), ok: !c.wfailed})
-		}
-		c.gatherBytes, c.gatherPins = 0, 0
-		if cap(c.arena) > gatherCap {
-			c.arena = nil // one oversized inline body must not stay allocated
-		}
-		c.arena = c.arena[:0]
 	}
 
-	if item != nil && item.sf != nil && !c.wfailed {
-		// Transport item: the header went out above; now the descriptor
-		// window — zero-copy where the platform supports it.
-		c.writes++
-		n, sfn, err := transportSend(c.nc, item.sf.File(),
-			item.sfOff, item.sfLen, c.sh.cfg.WriteTimeout)
-		wrote, sfWrote = wrote+n, sfn
-		if err != nil {
-			c.wfailed = true
-		}
+	if c.closing {
+		c.endShort += want - wrote
+		c.endSfShort += sfShort
+	} else {
+		c.sh.send(loopMsg{kind: msgReleased, c: c, n: pins, short: want - wrote,
+			sfShort: sfShort, writes: c.takeWrites(), ok: !c.wfailed})
 	}
-	return wrote, sfWrote, !c.wfailed
+	c.gatherBytes, c.gatherPins = 0, 0
+	if cap(c.arena) > gatherCap {
+		c.arena = nil // one oversized inline body must not stay allocated
+	}
+	c.arena = c.arena[:0]
+	return !c.wfailed
 }

@@ -9,8 +9,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
+	"sync/atomic"
 
+	"repro/internal/failpoint"
 	"repro/internal/httpmsg"
 )
 
@@ -19,12 +20,15 @@ import (
 // and emit arbitrary headers and bodies back over the pipe. ServeFlash
 // runs on its own goroutine — the stand-in for a persistent CGI-bin
 // process — so it may block on disk, the network, the request body, or
-// long computations without stalling the shard's event loop; every
-// write it makes flows through the loop one buffer at a time with
-// per-buffer acknowledgement (the pipe acting as flow control).
+// long computations without stalling the shard's event loop. Its
+// goroutine writes the response to the socket itself, one pipe buffer
+// at a time, so a slow client throttles its handler and never the loop;
+// the loop hears of the exchange twice, when it starts the handler and
+// when ServeFlash returns.
 //
 // The ResponseWriter and the Request (including its Body) are only
-// valid until ServeFlash returns.
+// valid until ServeFlash returns: a Write after that fails with
+// ErrResponseAborted and sends nothing.
 type Handler interface {
 	ServeFlash(w ResponseWriter, r *Request)
 }
@@ -118,8 +122,9 @@ func (h Header) Del(key string) {
 }
 
 // ErrResponseAborted is returned by ResponseWriter.Write after the
-// response cannot proceed (client gone, connection failed, or more
-// bytes written than the declared Content-Length).
+// response cannot proceed (client gone, connection failed, more bytes
+// written than the declared Content-Length, or ServeFlash has
+// returned).
 var ErrResponseAborted = errors.New("flash: response aborted")
 
 // headerOwned lists response fields the server controls; handler
@@ -133,23 +138,29 @@ var headerOwned = map[string]bool{
 }
 
 // responseWriter is the ResponseWriter implementation: it runs on the
-// handler's goroutine and pushes buffers through the connection's
-// streamSource, one in flight at a time (the §5.6 pipe). All fields
-// are owned by the handler goroutine; the loop and the conn goroutine
-// see only the posted items.
+// handler's goroutine and writes the socket itself (write). While a
+// handler runs, the connection's goroutine waits for the exchange's end
+// with nothing corked — conn.serve flushes before it posts a handler
+// exchange, and a handler head is always a batch of one — so these
+// writes cannot interleave with other output. All fields are owned by
+// the handler goroutine; when ServeFlash returns, one message carries
+// the outcome to the loop (finish).
 type responseWriter struct {
 	sh  *shard
 	c   *conn
 	req *httpmsg.Request
-	src *streamSource
 
 	hdr         Header
 	status      int
 	wroteHeader bool   // WriteHeader called; header frozen
-	started     bool   // first bytes queued toward the wire
-	finished    bool   // final item queued
+	started     bool   // first response bytes written
 	pendingHdr  []byte // assembled header awaiting the first flush
 	buf         []byte // coalesced body bytes awaiting a flush
+	sent        int64  // bytes written to the socket
+	writes      int32  // socket write calls
+	// done is set once ServeFlash has returned: a later Write would
+	// land in the next exchange's bytes.
+	done atomic.Bool
 
 	chunked    bool
 	keep       bool
@@ -164,9 +175,9 @@ type responseWriter struct {
 	err error
 }
 
-func newResponseWriter(s *shard, c *conn, req *httpmsg.Request, src *streamSource) *responseWriter {
+func newResponseWriter(s *shard, c *conn, req *httpmsg.Request) *responseWriter {
 	return &responseWriter{
-		sh: s, c: c, req: req, src: src,
+		sh: s, c: c, req: req,
 		hdr:        make(Header),
 		declaredCL: -1,
 	}
@@ -199,11 +210,7 @@ func (w *responseWriter) WriteHeader(status int) {
 }
 
 // writeInterim sends a 1xx response ahead of the real one. Only legal
-// before any final-response bytes: every earlier response is on the
-// wire (conn.serve flushes before it posts a handler exchange) and
-// this one has queued nothing, so the direct socket write cannot
-// interleave with pipeline output (same argument as the automatic 100
-// Continue).
+// before any final-response bytes.
 func (w *responseWriter) writeInterim(status int) {
 	if w.started || w.req.Major != 1 || w.req.Minor < 1 {
 		return
@@ -219,8 +226,7 @@ func (w *responseWriter) writeInterim(status int) {
 		b.WriteString("\r\n")
 	}
 	b.WriteString("\r\n")
-	w.c.nc.SetWriteDeadline(time.Now().Add(w.sh.cfg.WriteTimeout))
-	w.c.nc.Write([]byte(b.String()))
+	w.write([]byte(b.String()))
 	if w.body != nil && status == 100 {
 		w.body.sendContinue = false // the grant has been given explicitly
 	}
@@ -296,6 +302,9 @@ func (w *responseWriter) extraHeaders() []string {
 
 // Write implements ResponseWriter.
 func (w *responseWriter) Write(p []byte) (int, error) {
+	if w.done.Load() {
+		return 0, ErrResponseAborted
+	}
 	if w.err != nil {
 		return 0, w.err
 	}
@@ -304,26 +313,25 @@ func (w *responseWriter) Write(p []byte) (int, error) {
 	}
 	if w.declaredCL >= 0 && w.written+int64(len(p)) > w.declaredCL {
 		// More bytes than promised: the framing is already committed,
-		// so the only honest signal is a hard stop.
-		w.fail()
-		return 0, ErrResponseAborted
+		// so the only honest signal is a hard stop — the exchange ends
+		// failed, closing the connection.
+		w.err = ErrResponseAborted
+		return 0, w.err
 	}
 	w.written += int64(len(p))
 	if w.noBody {
 		return len(p), nil // counted, never sent
 	}
 	// Ship at most one pipe buffer at a time: a single huge Write must
-	// not pile the whole response into memory or defeat the per-buffer
-	// flow control (a slow client throttles its handler every
-	// dynBufSize bytes). The copy into buf exists for chunked framing
-	// (AppendChunk prefixes and suffixes the span anyway) and for
-	// sub-buffer coalescing; identity-framed full windows post slices
-	// of p directly — safe, because send blocks until the item has
-	// been transmitted, so p is pinned only until Write returns.
+	// not pile the whole response into memory (a slow client throttles
+	// its handler every dynBufSize bytes). The copy into buf exists for
+	// chunked framing (AppendChunk prefixes and suffixes the span
+	// anyway) and for sub-buffer coalescing; identity-framed full
+	// windows are written straight from p.
 	total := len(p)
 	for len(p) > 0 {
 		if !w.chunked && w.pendingHdr == nil && len(w.buf) == 0 && len(p) >= dynBufSize {
-			if !w.send(p[:dynBufSize], false) {
+			if !w.send(p[:dynBufSize]) {
 				w.err = ErrResponseAborted
 				return total - len(p), w.err
 			}
@@ -349,7 +357,7 @@ func (w *responseWriter) Write(p []byte) (int, error) {
 
 // Flush implements ResponseWriter.
 func (w *responseWriter) Flush() {
-	if w.err != nil || w.finished {
+	if w.done.Load() || w.err != nil {
 		return
 	}
 	if !w.wroteHeader {
@@ -360,8 +368,8 @@ func (w *responseWriter) Flush() {
 	}
 }
 
-// flushBuf ships the pending header plus buffered body bytes as one
-// pipeline item; last marks the response's final item.
+// flushBuf writes the pending header plus buffered body bytes as one
+// buffer; last closes a chunked body with its final chunk.
 func (w *responseWriter) flushBuf(last bool) bool {
 	out := w.pendingHdr
 	w.pendingHdr = nil
@@ -376,125 +384,115 @@ func (w *responseWriter) flushBuf(last bool) bool {
 	if last && w.chunked {
 		out = append(out, httpmsg.FinalChunk...)
 	}
-	if !w.send(out, last) {
+	if len(out) == 0 {
+		return true // an identity body whose last bytes are already out
+	}
+	return w.send(out)
+}
+
+// send writes one buffer of the response. It reports false when the
+// response cannot continue.
+func (w *responseWriter) send(data []byte) bool {
+	w.started = true
+	if w.write(data) != nil {
 		w.err = ErrResponseAborted
 		return false
 	}
 	return true
 }
 
-// send posts one item to the loop and blocks until the pipeline acks
-// it — at most one buffer in flight, the paper's pipe acting as flow
-// control. Reports false when the response cannot continue.
-func (w *responseWriter) send(data []byte, last bool) bool {
-	w.started = true
-	keep, status, req, c := w.keep, w.status, w.req, w.c
-	w.sh.post(func() {
-		req.KeepAlive = keep // settle decides persistence from this
-		c.ls.status = status
-		c.ls.req = req
-		w.sh.queueItem(c, writeItem{data: data, last: last})
-	})
-	select {
-	case ok := <-w.src.ack:
-		return ok
-	case <-c.done:
-		return false
+// write is the handler goroutine's one way to the socket — response
+// buffers, interim responses, the automatic 100 Continue — under
+// WriteTimeout and the flash/conn-write failpoint, like the
+// connection's own writes (conn.transmit). The call and its bytes are
+// counted for the exchange's end.
+func (w *responseWriter) write(p []byte) error {
+	c := w.c
+	if failpoint.Armed() {
+		if err := fpConnWrite.Eval(c.nc.RemoteAddr().String()); err != nil {
+			return err
+		}
 	}
+	c.armWrite(w.sh.cfg.WriteTimeout)
+	w.writes++
+	n, err := c.nc.Write(p)
+	w.sent += int64(n)
+	return err
 }
 
-// finish completes the response after ServeFlash returns: it sends the
-// header if the handler never wrote anything, flushes remaining bytes,
-// and closes the framing. A Content-Length mismatch aborts the
-// connection so the truncation is visible to the client.
+// finish completes the response after ServeFlash returns — it sends
+// the header if the handler never wrote anything, flushes remaining
+// bytes and closes the framing; a Content-Length mismatch fails it
+// instead, so the truncation is visible to the client — and ends the
+// exchange: one message carries the status, the persistence verdict,
+// the bytes and the write calls to the loop (shard.handlerDone).
 func (w *responseWriter) finish() {
-	if w.err != nil || w.finished {
-		return
+	// Before the last bytes go out: a client that has read them must find
+	// a later Write refused.
+	w.done.Store(true)
+	if w.err == nil {
+		if !w.wroteHeader {
+			w.WriteHeader(200)
+		}
+		if w.declaredCL >= 0 && !w.noBody && w.written != w.declaredCL {
+			w.err = ErrResponseAborted
+		} else {
+			if w.pendingHdr != nil && w.keep && w.body != nil && w.body.mayCloseOnDrain() {
+				// The reader may close rather than finish draining this
+				// body — it already errored (overflow, truncation, bad
+				// framing), the handler answered without granting the
+				// client's 100-continue, or an unread chunked body could
+				// overflow its cap mid-drain — so the header, still
+				// unsent, must not promise keep-alive (RFC 7230 §6.6).
+				w.forceClose = true
+				w.assemble()
+			}
+			w.flushBuf(true)
+		}
 	}
-	if !w.wroteHeader {
-		w.WriteHeader(200)
-	}
-	if w.declaredCL >= 0 && !w.noBody && w.written != w.declaredCL {
-		w.fail()
-		return
-	}
-	if w.pendingHdr != nil && w.keep && w.body != nil && w.body.mayCloseOnDrain() {
-		// The reader may close rather than finish draining this body —
-		// it already errored (overflow, truncation, bad framing), the
-		// handler answered without granting the client's 100-continue,
-		// or an unread chunked body could overflow its cap mid-drain —
-		// so the header, still unsent, must not promise keep-alive
-		// (RFC 7230 §6.6).
-		w.forceClose = true
-		w.assemble()
-	}
-	w.finished = true
-	w.flushBuf(true)
+	s, c := w.sh, w.c
+	status, keep, sent, writes, ok := w.status, w.keep, w.sent, w.writes, w.err == nil
+	s.post(func() { s.handlerDone(c, status, keep, sent, writes, ok) })
 }
 
-// fail aborts the exchange: the connection is torn down (mid-stream
-// the promised framing can no longer be honored).
-func (w *responseWriter) fail() {
-	if w.err != nil {
+// handlerDone settles a handler's exchange on the loop once ServeFlash
+// has returned: the bytes and write calls its goroutine made are
+// counted, and a response written whole completes like any other
+// (settle); a failed one — or one whose connection ended meanwhile —
+// ends the exchange and the connection.
+func (s *shard) handlerDone(c *conn, status int, keep bool, sent int64, writes int32, ok bool) {
+	s.stats.GatherWrites += uint64(writes)
+	s.stats.BytesSent += sent
+	s.stats.BytesCopied += sent
+	c.ls.bytesSent += sent
+	if !ok {
+		s.markFailed(c)
+	}
+	if c.failed || c.writeDone {
+		c.writeDone = true
+		s.signalNext(c, false)
 		return
 	}
-	w.err = ErrResponseAborted
-	c := w.c
-	w.sh.post(func() { w.sh.failConn(c) })
-}
-
-// hijackError routes the exchange to the loop's fixed error responder
-// (the panic recovery's 500). Only legal before any response bytes
-// started.
-func (w *responseWriter) hijackError(status int) {
-	if w.err != nil || w.started {
-		w.fail()
-		return
-	}
-	w.err = ErrResponseAborted
-	c := w.c
-	w.sh.post(func() { w.sh.errorResponse(c, status, false) })
+	c.ls.status = status
+	c.ls.req.KeepAlive = keep // settle decides persistence from this
+	s.signalNext(c, s.settle(c))
 }
 
 // dynBufSize is the pipe buffer between a dynamic producer and the
-// connection writer.
+// socket.
 const dynBufSize = 32 << 10
-
-// streamSource is the handler-output implementation of bodySource: the
-// handler goroutine (the "CGI process") posts each buffer to the loop
-// as one item, then blocks until the pipeline acks it — so at most one
-// buffer is ever in flight, the paper's pipe acting as flow control.
-// The roles invert relative to the chunk walk: the producer pushes, and
-// both methods ack it over the flow-control channel — next to go on,
-// end with the response's outcome. A producer that posts after a false
-// ack has its item dropped by queueItem, which ends the source again
-// and so acks it false once more.
-type streamSource struct {
-	ack chan bool // pipeline → producer: item done; true = keep going
-}
-
-func (st *streamSource) next(s *shard, c *conn) { st.end(s, c, true) }
-
-func (st *streamSource) end(_ *shard, _ *conn, ok bool) {
-	select {
-	case st.ack <- ok:
-	default:
-	}
-}
 
 // startHandler launches a v2 handler for one exchange. Runs on the
 // event loop; the handler itself runs on a fresh goroutine (the "CGI
-// process") whose output streams through a streamSource.
+// process"), which writes the response itself.
 func (s *shard) startHandler(c *conn, req *httpmsg.Request, h Handler, body *bodyReader) {
 	s.stats.DynamicCalls++
 	// Handlers (and the net/http bridge) see the familiar Headers map;
 	// the zero-copy inline fields are deep-copied into it here, part of
 	// the dynamic path's documented allocation budget.
 	req.MaterializeHeaders()
-	src := &streamSource{ack: make(chan bool, 1)}
-	c.ls.src = src
 
-	w := newResponseWriter(s, c, req, src)
+	w := newResponseWriter(s, c, req)
 	r := &Request{
 		Request:    req,
 		Body:       io.Reader(eofReader{}),
@@ -516,8 +514,12 @@ func (s *shard) startHandler(c *conn, req *httpmsg.Request, h Handler, body *bod
 				// trace, or the handler bug is undiagnosable.
 				log.Printf("flash: panic serving %s %s from %s: %v\n%s",
 					req.Method, req.Path, r.RemoteAddr, p, debug.Stack())
-				w.hijackError(500)
-				return
+				if w.err == nil && !w.started {
+					w.done.Store(true)
+					s.post(func() { s.errorResponse(c, 500, false) })
+					return
+				}
+				w.err = ErrResponseAborted
 			}
 			w.finish()
 		}()

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -276,8 +277,9 @@ func TestHandlerFlushStreamsEarly(t *testing.T) {
 }
 
 // TestHandlerLargeSingleWriteBounded asserts one huge Write is shipped
-// as pipe-buffer-sized chunks, preserving the per-buffer flow control
-// (and bounding the response's memory) instead of one giant item.
+// as pipe-buffer-sized chunks — a slow client throttles its handler
+// every buffer, and the response's memory stays bounded — instead of
+// one giant write.
 func TestHandlerLargeSingleWriteBounded(t *testing.T) {
 	const n = 200 << 10
 	_, base := newTestServer(t, nil, func(s *Server) {
@@ -442,4 +444,140 @@ func TestShutdownTimeoutForcesClose(t *testing.T) {
 	if d := time.Since(start); d < 150*time.Millisecond || d > 5*time.Second {
 		t.Fatalf("forced shutdown took %v, want ~200ms", d)
 	}
+}
+
+// TestHandlerOwnWrites covers a handler's goroutine writing its response
+// to the socket itself, with the loop hearing of the exchange only when
+// it starts and when ServeFlash returns.
+func TestHandlerOwnWrites(t *testing.T) {
+	t.Run("stalled-client", func(t *testing.T) {
+		// A handler blocked on a client that stopped reading holds up
+		// nothing but itself: warm static GETs on another connection
+		// keep answering. The client's reset fails the blocked Write,
+		// the handler returns, and nothing stays pinned.
+		long := pattern(8 << 20)
+		var written atomic.Int64
+		werr := make(chan error, 1)
+		s, base := newTestServer(t, func(c *Config) { c.EventLoops = 1 }, func(s *Server) {
+			s.HandleFunc("GET", "/stream", func(w ResponseWriter, _ *Request) {
+				for p := long; len(p) > 0; p = p[dynBufSize:] {
+					if _, err := w.Write(p[:dynBufSize]); err != nil {
+						werr <- err
+						return
+					}
+					written.Add(dynBufSize)
+				}
+				werr <- nil
+			})
+		})
+		mustWrite(t, s.cfg.DocRoot, "one.bin", string(pattern(100<<10)))
+		other := dialRaw(t, base)
+		defer other.Close()
+		obr := bufio.NewReader(other)
+		getOne := func() time.Duration {
+			start := time.Now()
+			fmt.Fprintf(other, "GET /one.bin HTTP/1.1\r\nHost: t\r\n\r\n")
+			resp, err := readResponse(obr, "GET")
+			if err != nil || resp.status != 200 || !bytes.Equal(resp.body, pattern(100<<10)) {
+				t.Fatalf("static GET beside the stalled handler: %+v err=%v", resp.status, err)
+			}
+			return time.Since(start)
+		}
+		getOne() // warm
+
+		stalled := dialRaw(t, base)
+		stalled.(*net.TCPConn).SetReadBuffer(16 << 10)
+		fmt.Fprintf(stalled, "GET /stream HTTP/1.1\r\nHost: t\r\n\r\n")
+		// Wait until the handler is blocked: its progress stops.
+		last, still := int64(-1), 0
+		waitFor(t, "the handler to block on the stalled client", func() bool {
+			if n := written.Load(); n > 0 && n == last {
+				still++
+			} else {
+				last, still = n, 0
+			}
+			return still >= 10
+		})
+		if written.Load() == int64(len(long)) {
+			t.Fatal("the whole stream fit in the socket buffers; the handler never blocked")
+		}
+		for i := 0; i < 20; i++ {
+			if d := getOne(); d > 100*time.Millisecond {
+				t.Fatalf("static GET %d took %v beside a stalled handler", i, d)
+			}
+		}
+		stalled.(*net.TCPConn).SetLinger(0)
+		stalled.Close()
+		select {
+		case err := <-werr:
+			if err == nil {
+				t.Fatal("the handler's Write succeeded after the client reset")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the handler's Write did not return after the client reset")
+		}
+		waitReleased(t, s)
+	})
+
+	t.Run("write-after-return", func(t *testing.T) {
+		// A ResponseWriter kept past ServeFlash writes nothing: its bytes
+		// would land in the next exchange on the connection.
+		kept := make(chan ResponseWriter, 1)
+		_, base := newTestServer(t, nil, func(s *Server) {
+			s.HandleFunc("GET", "/keep", func(w ResponseWriter, _ *Request) {
+				io.WriteString(w, "chunked reply") // no Content-Length: chunked
+				kept <- w
+			})
+		})
+		conn := dialRaw(t, base)
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		fmt.Fprintf(conn, "GET /keep HTTP/1.1\r\nHost: t\r\n\r\n")
+		resp, err := readResponse(br, "GET")
+		if err != nil || resp.status != 200 || string(resp.body) != "chunked reply" {
+			t.Fatalf("handler response: %+v err=%v", resp, err)
+		}
+		w := <-kept
+		if n, err := w.Write([]byte("late bytes")); n != 0 || err != ErrResponseAborted {
+			t.Fatalf("Write after ServeFlash returned: %d, %v; want 0, ErrResponseAborted", n, err)
+		}
+		w.Flush()
+		fmt.Fprintf(conn, "GET /hello.txt HTTP/1.1\r\nHost: t\r\n\r\n")
+		resp, err = readResponse(br, "GET")
+		if err != nil || resp.status != 200 || string(resp.body) != "hello, world\n" {
+			t.Fatalf("next response on the connection: %+v err=%v", resp, err)
+		}
+	})
+
+	t.Run("loop-messages", func(t *testing.T) {
+		// A 1 MiB response costs the loop its exchange's post and its
+		// end, whatever the number of socket writes.
+		body := pattern(1 << 20)
+		s, base := newTestServer(t, func(c *Config) { c.EventLoops = 1 }, func(s *Server) {
+			s.HandleFunc("GET", "/mib", func(w ResponseWriter, _ *Request) {
+				w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+				w.Write(body)
+			})
+		})
+		conn := dialRaw(t, base)
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		get := func() {
+			fmt.Fprintf(conn, "GET /mib HTTP/1.1\r\nHost: t\r\n\r\n")
+			resp, err := readResponse(br, "GET")
+			if err != nil || resp.status != 200 || !bytes.Equal(resp.body, body) {
+				t.Fatalf("1 MiB handler response: status %d, %d body bytes, err=%v", resp.status, len(resp.body), err)
+			}
+		}
+		get() // warm
+		before := waitStats(t, s, "the warm-up exchange to end", func(st Stats) bool { return st.Responses == 1 })
+		get()
+		after := waitStats(t, s, "the exchange to end", func(st Stats) bool { return st.Responses == 2 })
+		if msgs := after.LoopMsgs - before.LoopMsgs; msgs != 2 {
+			t.Fatalf("a 1 MiB handler response cost %d loop messages, want 2", msgs)
+		}
+		if w := after.GatherWrites - before.GatherWrites; w != 32 {
+			t.Fatalf("a 1 MiB handler response took %d socket writes, want 32 (32 KiB each, the header in the first)", w)
+		}
+	})
 }

@@ -111,12 +111,12 @@ func (s *shard) handleProxy(c *conn, req *httpmsg.Request, ph *proxyHandler) {
 	c.ls = loopState{req: req, status: 200}
 	key := ph.cacheKey(req.Target)
 	if pe, ok := s.view.Entry(key); ok {
-		if pe.Expires > s.clock.Load() {
+		if pe.Expires > s.now() {
 			s.stats.ProxyHits++
 			s.afterTranslate(c, pe)
 			return
 		}
-		if s.overloaded() && s.cfg.StaleIfError >= 0 && pe.StaleUntil > s.clock.Load() {
+		if s.overloaded() && s.cfg.StaleIfError >= 0 && pe.StaleUntil > s.now() {
 			// Degrade under pressure: the entry is expired but inside
 			// its stale window, and the origin leg would join a helper
 			// backlog that has already lost the latency battle. Serve
@@ -139,7 +139,7 @@ func (s *shard) handleProxy(c *conn, req *httpmsg.Request, ph *proxyHandler) {
 // starting its producer when none is in flight. An entry another
 // request stored since the first look answers at once.
 func (s *shard) joinProxyFill(c *conn, req *httpmsg.Request, ph *proxyHandler, key string) {
-	pe, f, started := s.view.JoinEntry(key, s.clock.Load())
+	pe, f, started := s.view.JoinEntry(key, s.now())
 	if f == nil {
 		s.afterTranslate(c, pe)
 		return
@@ -269,7 +269,7 @@ func (ph *proxyHandler) produce(p *helperPool, f *cache.Fill) {
 		// The origin leg failed (dial error, breaker open, timeout), or
 		// the origin answered with a server failure: serve the stale copy
 		// when RFC 5861 allows, else surface a leg failure as an error.
-		if pe, ok := staleFallback(cfg, old, haveOld, time.Now().UnixNano()); ok {
+		if pe, ok := staleFallback(cfg, old, haveOld, cfg.Clock().UnixNano()); ok {
 			if resp != nil {
 				resp.Close() // drain politely; the conn goes back idle
 			}
@@ -283,7 +283,7 @@ func (ph *proxyHandler) produce(p *helperPool, f *cache.Fill) {
 		}
 	}
 
-	now := time.Now()
+	now := cfg.Clock()
 	nowNano := now.UnixNano()
 	fr := upstream.EvalFreshness(resp.Head, now)
 	ttl := int64(fr.TTL)
@@ -483,7 +483,7 @@ func relayResponse(w ResponseWriter, resp *upstream.Response) {
 		if err != nil {
 			resp.Abandon()
 			if rw, ok := w.(*responseWriter); ok {
-				rw.fail()
+				rw.err = ErrResponseAborted // the exchange ends failed
 			}
 			return
 		}

@@ -123,6 +123,20 @@ func newProxyServer(t *testing.T, pool *upstream.Pool, mutate ...func(*Config)) 
 	return srv, base, client
 }
 
+// advancingClock is a Config.Clock that runs with the wall clock plus
+// a skew the test advances: an entry's expiry or a stale-serve holdoff
+// passes without a sleep.
+type advancingClock struct{ skew atomic.Int64 }
+
+func (ck *advancingClock) now() time.Time {
+	return time.Now().Add(time.Duration(ck.skew.Load()))
+}
+
+func (ck *advancingClock) advance(d time.Duration) { ck.skew.Add(int64(d)) }
+
+// install makes ck the server's clock (a newProxyServer mutator).
+func (ck *advancingClock) install(cfg *Config) { cfg.Clock = ck.now }
+
 func testPoolFor(t *testing.T, addrs ...string) *upstream.Pool {
 	t.Helper()
 	pool, err := upstream.New(upstream.Config{
@@ -324,11 +338,12 @@ func TestProxyRevalidationCoalesces(t *testing.T) {
 		want := pattern(150 << 10)
 		origin := newTestOrigin(t, nil)
 		origin.setHandler(origin.cachedOrigin(func(string) []byte { return want }, "no-cache"))
-		srv, base, client := newProxyServer(t, testPoolFor(t, origin.addr))
+		clock := new(advancingClock)
+		srv, base, client := newProxyServer(t, testPoolFor(t, origin.addr), clock.install)
 		if _, body := clientGet(t, client, base+"/up/doc"); !bytes.Equal(body, want) {
 			t.Fatalf("cold GET: %d body bytes", len(body))
 		}
-		time.Sleep(150 * time.Millisecond) // the coarse clock passes the entry's expiry
+		clock.advance(time.Second) // past the entry's expiry
 		release := holdFirstExchange(t)
 
 		const n = 20
@@ -389,7 +404,8 @@ func TestProxyInvalidateKeepsNewerEntry(t *testing.T) {
 		return nil
 	})
 	t.Cleanup(func() { failpoint.Disarm(fpConnWrite.Name()) })
-	srv, base, client := newProxyServer(t, testPoolFor(t, origin.addr), func(cfg *Config) {
+	clock := new(advancingClock)
+	srv, base, client := newProxyServer(t, testPoolFor(t, origin.addr), clock.install, func(cfg *Config) {
 		cfg.Cache.MapBytes = 1 // a chunk leaves the cache with its last pin
 	})
 	t.Cleanup(releaseWrite)
@@ -400,7 +416,7 @@ func TestProxyInvalidateKeepsNewerEntry(t *testing.T) {
 	sendRest()
 	waitFor(t, "generation 1's fill", func() bool { return srv.Stats().Fills.Completed == 1 })
 	origin.setHandler(serve(`"v2"`, "Fri, 01 Jan 2021 00:00:00 GMT", "max-age=60", gen2))
-	time.Sleep(150 * time.Millisecond) // the coarse clock passes generation 1's expiry
+	clock.advance(time.Second) // past generation 1's expiry
 
 	head := func() (int64, error) {
 		resp, err := client.Head(base + "/up/doc")
@@ -457,14 +473,13 @@ func TestProxyRevalidate(t *testing.T) {
 		origin := newTestOrigin(t, nil)
 		// no-cache: storable, but every hit revalidates.
 		origin.setHandler(origin.cachedOrigin(func(string) []byte { return v1 }, "no-cache"))
-		srv, base, client := newProxyServer(t, testPoolFor(t, origin.addr))
+		clock := new(advancingClock)
+		srv, base, client := newProxyServer(t, testPoolFor(t, origin.addr), clock.install)
 
 		if _, body := clientGet(t, client, base+"/up/doc"); string(body) != string(v1) {
 			t.Fatalf("cold GET: %q", body)
 		}
-		// The coarse shard clock (100ms tick) must pass the entry's
-		// expiry before the next request sees it as stale.
-		time.Sleep(150 * time.Millisecond)
+		clock.advance(time.Second) // past the entry's expiry
 		if _, body := clientGet(t, client, base+"/up/doc"); string(body) != string(v1) {
 			t.Fatalf("revalidated GET: %q", body)
 		}
@@ -490,7 +505,7 @@ func TestProxyRevalidate(t *testing.T) {
 			w.Header().Set("Content-Length", fmt.Sprint(len(v2)))
 			w.Write(v2)
 		})
-		time.Sleep(150 * time.Millisecond)
+		clock.advance(time.Second)
 		if _, body := clientGet(t, client, base+"/up/doc"); string(body) != string(v2) {
 			t.Fatalf("post-change GET: %d bytes, want %d", len(body), len(v2))
 		}

@@ -15,15 +15,18 @@ import (
 // checks that the end released everything the response held: no
 // descriptor reference, chunk pin or mapping view outlives it
 // (waitReleased), and a handler's goroutine has returned. The shapes
-// are the ones the loop ends differently: fixed buffers (a HEAD and a
-// 304, no source), a chunk walk of one run (committed whole), a walk of
-// several runs past gatherCap, a sendfile window (one tracked item, no
-// source) and a handler's output stream.
+// are the ones that end differently: fixed buffers (a HEAD and a 304,
+// corked whole), a chunk walk of one run (corked whole), a walk of
+// several runs past gatherCap (each written at once, its flush report
+// pulling the next), a sendfile window (one item written at once) and a
+// stream a handler's goroutine writes itself.
 //
 // The long shapes are 8 MiB, past what the socket buffers hold (Linux
 // caps a send buffer at 4 MiB by default, and the client shrinks its
 // receive buffer), so the reset meets a response that is still being
-// written: its write fails, and the server counts the error.
+// written: its write fails, and the server counts the error. Either
+// way the byte counters agree: BytesSent is BytesSendfile plus
+// BytesCopied.
 func TestResponseEndReleases(t *testing.T) {
 	oneRun := pattern(100 << 10)
 	long := pattern(8 << 20) // sixteen gatherCap runs
@@ -118,10 +121,13 @@ func TestResponseEndReleases(t *testing.T) {
 					return returned.Load() == started.Load()
 				})
 				waitReleased(t, s)
-				if reset && tc.cut {
-					if st := s.Stats(); st.Errors == 0 {
-						t.Fatal("the reset did not cut the response short (no failed write counted)")
-					}
+				st := s.Stats()
+				if reset && tc.cut && st.Errors == 0 {
+					t.Fatal("the reset did not cut the response short (no failed write counted)")
+				}
+				if st.BytesSent != st.BytesSendfile+st.BytesCopied {
+					t.Fatalf("BytesSent %d != BytesSendfile %d + BytesCopied %d",
+						st.BytesSent, st.BytesSendfile, st.BytesCopied)
 				}
 			})
 		}

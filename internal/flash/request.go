@@ -98,8 +98,9 @@ func (s *shard) runBatch(c *conn, i int) {
 	s.batchNow = 0
 }
 
-// now is the wall clock in unix nanos for the revalidation check: the
-// running batch's reading, or a fresh one.
+// now is the wall clock (Config.Clock) in unix nanos that freshness is
+// judged by — path revalidation, a proxied entry's expiry and stale
+// window: the running batch's reading, or a fresh one.
 func (s *shard) now() int64 {
 	if s.batchNow != 0 {
 		return s.batchNow
@@ -347,7 +348,7 @@ func (s *shard) afterTranslate(c *conn, pe cache.PathEntry) {
 		// portable pread+writev loop elsewhere). The item holds its own
 		// descriptor reference, so path-cache eviction cannot close the
 		// file mid-transfer.
-		s.respondItem(c, writeItem{data: hdr, sf: entryRef(pe).Acquire(), sfOff: off, sfLen: length, last: true})
+		s.commit(c, writeItem{data: hdr, sf: entryRef(pe).Acquire(), sfOff: off, sfLen: length, last: true})
 		return
 	}
 	src := &c.chunkSrc
@@ -370,7 +371,7 @@ func lastModified(pe cache.PathEntry) time.Time {
 // respondFixed sends a response that is one pre-assembled buffer: a
 // header, plus any error, 304, 416 or listing body.
 func (s *shard) respondFixed(c *conn, data []byte) {
-	s.respondItem(c, writeItem{data: data, last: true, whole: true})
+	s.commit(c, writeItem{data: data, last: true, whole: true})
 }
 
 // Wire fragments fixPersistence patches.
@@ -422,70 +423,71 @@ func (s *shard) fixPersistence(c *conn, hdr []byte, req *httpmsg.Request) []byte
 	return buf
 }
 
-// queueItem hands an item to the connection's goroutine, which owns
-// the socket, through the reply channel — the goroutine is parked on
-// it whenever an exchange is in flight and the loop sends only when no
-// item is outstanding, so this never blocks the loop. An item that is its
-// response's whole is committed here instead of being tracked. An item
-// for a connection that already failed is dropped, and the exchange
-// ended with it.
-func (s *shard) queueItem(c *conn, item writeItem) {
+// commit hands an item to the connection's goroutine, which owns the
+// socket, and settles on the spot what the loop knows of it: its bytes
+// are counted (a descriptor window as sendfile's, which the flush
+// report corrects), and at the response's last item the counters, the
+// access log line, the busy gauge and the walk are settled — nothing
+// about the response needs the loop again. What must outlive the write
+// — the pins on the item's chunks, a sendfile window's descriptor
+// reference — moves to the connection until a released message reports
+// the flush; a flush that falls short takes the byte counts back and
+// fails the connection there. A run its walk goes on after stays in
+// flight until then: the report pulls the next one.
+//
+// The item travels to the conn goroutine in one reply, with the
+// persistence verdict after a last item — except inside a batch with an
+// exchange still to run (stageNext), where a whole response that keeps
+// the connection and fits under gatherCap is staged on the gather list
+// instead: its inline bytes copied out before the next exchange reuses
+// the header scratch, its chunk windows out of the run scratch — and
+// the loop goes on to the next exchange (runBatch) with no hop at all.
+// The reply counts the staged responses ahead of its item; the
+// goroutine corks a whole response, flushing first when it would pass
+// the cap, and writes any other item at once, so a client that stops
+// reading still pins at most the cap plus one response.
+//
+// An item for a connection that already failed is dropped instead —
+// what it carries is released — and the exchange ended with it.
+func (s *shard) commit(c *conn, item writeItem) {
 	if c.failed || c.writeDone {
-		s.releaseItem(item)
-		if src := c.ls.src; src != nil {
-			src.end(s, c, false) // acks a producer waiting on the item
+		for _, ch := range item.chunks {
+			s.view.Release(ch)
 		}
+		if item.sf != nil {
+			item.sf.Release()
+		}
+		s.dropSource(c)
 		s.signalNext(c, false)
 		return
 	}
 	if c.inFlight {
-		panic("flash: queueItem while an item is in flight")
+		panic("flash: commit while a run is in flight")
 	}
-	if item.whole {
-		s.commit(c, item)
-		return
-	}
-	c.inFlight = true
-	c.reply <- connReply{kind: replyItem, item: item, staged: c.takeStaged()}
-}
-
-// commit ends an exchange at queue time: the response is this one item,
-// so nothing about it needs the loop again — the counters, the access
-// log line (with the byte count the response will carry), the busy
-// gauge and the source, if any, are settled now. The one thing that
-// must outlive the write, the pins on the item's chunks, moves to the
-// connection's FIFO until a released message reports the flush; a
-// flush that falls short takes the byte counts back and fails the
-// connection there.
-//
-// Alone, the item travels to the conn goroutine together with the
-// persistence verdict: the exchange is two blocking hops (post, reply)
-// instead of four. Inside a batch with an exchange still to run
-// (stageNext), a response that keeps the connection and fits under
-// gatherCap is staged on the gather list instead — its inline bytes
-// copied out before the next exchange reuses the header scratch, its
-// chunk windows out of the run scratch — and the loop goes on to the
-// next exchange (runBatch) with no hop at all. Any other response goes
-// back in a reply that counts the staged ones ahead of it; the
-// goroutine corks it, flushing first when it would pass the cap, so a
-// client that stops reading still pins at most the cap plus one
-// response.
-func (s *shard) commit(c *conn, item writeItem) {
 	n := int64(item.wireLen())
-	c.ls.bytesSent += n
-	s.stats.BytesSent += n
+	c.ls.bytesSent += n + item.sfLen
+	s.stats.BytesSent += n + item.sfLen
 	s.stats.BytesCopied += n
+	s.stats.BytesSendfile += item.sfLen
 	if len(item.chunks) == 0 {
 		c.pins = append(c.pins, nil) // item.pins() counts this entry
 	}
 	c.pins = append(c.pins, item.chunks...)
-	keep := s.settle(c)
-	if c.stageNext && keep && c.fits(&item) {
+	if item.sf != nil {
+		c.sf = item.sf
+	}
+	keep := false
+	if item.last {
+		keep = s.settle(c)
+	} else {
+		c.inFlight = true
+	}
+	if item.whole && c.stageNext && keep && c.fits(&item) {
 		c.stage(&item)
 		c.staged++
 		return
 	}
-	c.reply <- connReply{kind: replyCommitted, item: item, keep: keep, staged: c.takeStaged()}
+	c.reply <- connReply{kind: replyItem, item: item, keep: keep, staged: c.takeStaged()}
 }
 
 // takeStaged returns the responses staged since the last reply, for
@@ -497,11 +499,16 @@ func (c *conn) takeStaged() int32 {
 }
 
 // released runs when the conn goroutine reports a flush of committed
-// responses holding n FIFO entries between them: their pins come off,
-// oldest first. A flush that fell short of the committed byte counts
-// (ok false) gives the missing bytes back and fails the connection,
-// which its goroutine is already leaving.
-func (s *shard) released(c *conn, n int, short int64, ok bool) {
+// items holding n FIFO entries between them: their pins come off,
+// oldest first, and so does a sendfile window's descriptor reference.
+// The byte counters take back what the flush did not do: short, the
+// committed bytes it left unwritten, and sfShort, the part of a
+// descriptor window sendfile did not move (the copy fallback's bytes
+// count as copied). A flush that failed (ok false) fails the
+// connection, which its goroutine is already leaving. A run in flight
+// was in the flush: its walk goes on — or, on a failed connection,
+// ends.
+func (s *shard) released(c *conn, n int, short, sfShort int64, ok bool) {
 	for ; n > 0 && c.pinHead < len(c.pins); n-- {
 		if ch := c.pins[c.pinHead]; ch != nil {
 			s.view.Release(ch)
@@ -512,61 +519,34 @@ func (s *shard) released(c *conn, n int, short int64, ok bool) {
 	if c.pinHead == len(c.pins) {
 		c.pins, c.pinHead = c.pins[:0], 0
 	}
+	if c.sf != nil {
+		c.sf.Release()
+		c.sf = nil
+	}
+	s.stats.BytesSent -= short
+	s.stats.BytesSendfile -= sfShort
+	s.stats.BytesCopied -= short - sfShort
 	if !ok {
-		s.stats.BytesSent -= short
-		s.stats.BytesCopied -= short
 		s.markFailed(c)
 		c.writeDone = true
 	}
-}
-
-// itemDone runs after an item was transmitted (or discarded): byte
-// accounting, the release of what the item carried, then either the
-// next pull from the source or the end of the response.
-func (s *shard) itemDone(c *conn, item writeItem, wrote, sfWrote int64, ok bool) {
-	ls := &c.ls
+	if !c.inFlight {
+		return
+	}
 	c.inFlight = false
-	ls.bytesSent += wrote
-	s.stats.BytesSent += wrote
-	s.stats.BytesSendfile += sfWrote
-	s.stats.BytesCopied += wrote - sfWrote
-	s.releaseItem(item)
-	if !ok {
-		s.markFailed(c)
-	}
-
-	switch {
-	case c.failed:
-		if ls.src != nil {
-			ls.src.end(s, c, false)
-		}
-		c.writeDone = true
+	if c.failed || c.writeDone {
+		s.dropSource(c)
 		s.signalNext(c, false)
-	case item.last:
-		s.finishResponse(c)
-	case ls.src != nil:
-		ls.src.next(s, c)
+		return
 	}
+	c.ls.src.next(s, c)
 }
 
-// releaseItem drops what a tracked item carries — its chunk pins and
-// its descriptor reference — once the item is written or dropped. A
-// committed item's pins are the connection FIFO's instead.
-func (s *shard) releaseItem(item writeItem) {
-	for _, ch := range item.chunks {
-		s.view.Release(ch)
-	}
-	if item.sf != nil {
-		item.sf.Release()
-	}
-}
-
-// settle closes the books on a response whose last item is written or
-// committed, ends its source, and returns the persistence verdict.
-// Persistence is decided by the request's (possibly downgraded)
-// keep-alive flag: 4xx responses are correctly framed, so the
-// connection survives them — a pipelined burst keeps its in-order
-// framing across a mid-burst 404.
+// settle closes the books on a response whose last item is committed,
+// ends its walk, and returns the persistence verdict. Persistence is
+// decided by the request's (possibly downgraded) keep-alive flag: 4xx
+// responses are correctly framed, so the connection survives them — a
+// pipelined burst keeps its in-order framing across a mid-burst 404.
 func (s *shard) settle(c *conn) bool {
 	ls := &c.ls
 	s.stats.Responses++
@@ -577,26 +557,28 @@ func (s *shard) settle(c *conn) bool {
 	if !keep {
 		c.writeDone = true
 	}
-	if src := ls.src; src != nil {
-		ls.src = nil
-		src.end(s, c, true)
-	}
+	s.dropSource(c)
 	s.markIdle(c)
 	return keep
 }
 
-// finishResponse completes an exchange whose items the loop tracked.
-func (s *shard) finishResponse(c *conn) {
-	s.signalNext(c, s.settle(c))
+// dropSource ends the response's chunk walk, if one is installed: a
+// finished or failed walk starts no further fill and drops its
+// descriptor pin.
+func (s *shard) dropSource(c *conn) {
+	if cs := c.ls.src; cs != nil {
+		c.ls.src = nil
+		cs.end()
+	}
 }
 
-// signalNext ends the exchange: it answers the parked conn goroutine
-// and clears the busy gauge — the one funnel every completed or failed
-// tracked response passes through. The reply
-// counts the responses a batch staged ahead of the exchange, so they
-// leave before a close. The send does not block: a reply is already
-// waiting only when the connection has failed, and then the goroutine
-// is leaving anyway (nothing is staged while a reply waits).
+// signalNext ends an exchange that has no last item to carry the
+// verdict — a failed one, or a handler's: it answers the parked conn
+// goroutine and clears the busy gauge. The reply counts the responses a
+// batch staged ahead of the exchange, so they leave before a close.
+// The send does not block: a reply is already waiting only when the
+// connection has failed, and then the goroutine is leaving anyway
+// (nothing is staged while a reply waits).
 func (s *shard) signalNext(c *conn, keep bool) {
 	s.markIdle(c)
 	select {
@@ -634,13 +616,11 @@ func (s *shard) markFailed(c *conn) {
 }
 
 // failConn aborts a connection mid-response (Content-Length already
-// committed, so the only correct signal is a close). With an item in
-// flight, its itemDone ends the exchange.
+// committed, so the only correct signal is a close). With a run in
+// flight, its flush report ends the exchange.
 func (s *shard) failConn(c *conn) {
 	s.markFailed(c)
-	if src := c.ls.src; src != nil {
-		src.end(s, c, false)
-	}
+	s.dropSource(c)
 	if !c.inFlight {
 		c.writeDone = true
 		s.signalNext(c, false)
@@ -648,29 +628,17 @@ func (s *shard) failConn(c *conn) {
 }
 
 // connEnd runs once the connection goroutine is done with c: the
-// response's source (if one is still installed) is ended so it drops
-// what it holds outside its items, an item the goroutine never took is
-// released, and so is every pin still on the FIFO (responses it left
-// corked, never received, or flushed last — that flush is reported
-// here: short and ok are its released figures).
-func (s *shard) connEnd(c *conn, short int64, ok bool) {
+// response's walk (if one is still installed) is ended so it drops what
+// it holds, and so is every pin still with the connection (responses
+// it left corked, never received, or flushed last — that flush is
+// reported here: short, sfShort and ok are its released figures).
+func (s *shard) connEnd(c *conn, short, sfShort int64, ok bool) {
 	s.ended++
 	s.markIdle(c)
-	if src := c.ls.src; src != nil {
-		src.end(s, c, false)
-	}
+	s.dropSource(c)
 	c.writeDone = true
-	if c.inFlight {
-		// Every item the goroutine takes is reported before it exits, so
-		// this one is still in the channel (nothing else fits beside it).
-		c.inFlight = false
-		select {
-		case r := <-c.reply:
-			s.releaseItem(r.item)
-		default:
-		}
-	}
-	s.released(c, len(c.pins)-c.pinHead, short, ok)
+	c.inFlight = false
+	s.released(c, len(c.pins)-c.pinHead, short, sfShort, ok)
 }
 
 // Header-cache variant slots beside a path's 200: rangeVariantSlot is

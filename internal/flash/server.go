@@ -42,25 +42,30 @@ type Stats struct {
 	// BytesSendfile and BytesCopied split BytesSent by transport: bytes
 	// the kernel moved with sendfile(2) versus bytes copied through
 	// userspace (headers, chunk-cache bodies, dynamic output, and the
-	// portable fallback on platforms without sendfile).
+	// portable fallback on platforms without sendfile). A static
+	// response's bytes are counted when the loop commits them and
+	// corrected by the flush report (a short write, the copy fallback),
+	// so BytesSent is BytesSendfile plus BytesCopied at every snapshot.
 	BytesSendfile int64
 	BytesCopied   int64
 	// GatherWrites counts the socket write calls issued for responses —
-	// write, writev and each sendfile transfer — so GatherWrites over
+	// write, writev and each sendfile transfer, a handler goroutine's
+	// own writes (interim responses included) — so GatherWrites over
 	// Responses is the server-side "writes per response": 1 for a
 	// client that waits for each reply, well under 1 for a pipelined
 	// burst whose responses the connection gathers. A call the kernel
 	// splits under backpressure counts once.
 	GatherWrites uint64
 	// LoopMsgs counts the mailbox messages the event loops dispatched:
-	// batch posts and their continuations, write and flush reports,
+	// batch posts and their continuations, flush reports, handler ends,
 	// connection ends, helper completions — every one but the snapshots
 	// that read the counters. LoopMsgs over Responses is the hand-off
 	// cost per response: about 2 for a client that waits for each reply
-	// (a batch of one and a flush report), far less for a pipelined
+	// (a batch of one and a flush report, or a handler's post and its
+	// end, whatever the response's size), far less for a pipelined
 	// burst, whose complete heads reach the loop in one post, and
-	// exactly 2 for a connection that carries one request (its post, and
-	// the connection's end with its last flush report).
+	// exactly 2 for a connection that carries one static request (its
+	// post, and the connection's end with its last flush report).
 	LoopMsgs uint64
 	// OpenConns and IdleConns are point-in-time gauges of the shard's
 	// connections: open counts every adopted conn whose end the loop has
@@ -277,8 +282,8 @@ type shard struct {
 	stats    Stats
 	shutdown bool
 	// busyConns counts conns with an exchange in flight (between
-	// handleExchange and signalNext); the idle gauge is
-	// OpenConns minus this.
+	// handleExchange and its end: settle, or signalNext); the idle
+	// gauge is OpenConns minus this.
 	busyConns int
 	// batchNow is the clock reading a batch run shares (runBatch); 0
 	// outside one.
@@ -303,36 +308,34 @@ type shard struct {
 	// ticker goroutine every coarseTick. Deadline arming on the request
 	// hot path reads it instead of calling time.Now per I/O operation
 	// (see conn.armRead), trading up to deadlineSlack of timeout
-	// precision for two fewer vDSO calls per request.
+	// precision for two fewer vDSO calls per request; it is for nothing
+	// else (freshness reads Config.Clock: shard.now).
 	clock     atomic.Int64
 	clockStop chan struct{}
 }
 
-// loopMsg is one message to a shard's event loop. The per-request and
-// per-chunk kinds (batch post, write-item completion, flush report)
-// carry their arguments in value fields rather than closures, so the
-// steady-state loop traffic allocates nothing; everything else rides
-// in fn.
+// loopMsg is one message to a shard's event loop. The per-request
+// kinds (batch post, flush report, connection end) carry their
+// arguments in value fields rather than closures, so the steady-state
+// loop traffic allocates nothing; everything else rides in fn.
 type loopMsg struct {
-	fn             func()    // msgFn
-	c              *conn     // every kind but msgFn and msgStop
-	item           writeItem // msgItemDone
-	wrote, sfWrote int64     // msgItemDone
-	// short is, for msgReleased and msgConnEnd, the committed bytes the
-	// reported flush did not write.
-	short int64
-	// n is, for msgReleased, the pin FIFO entries of the responses
-	// flushed; for msgBatch, the batch slot to run from.
+	fn func() // msgFn
+	c  *conn  // every kind but msgFn and msgStop
+	// short and sfShort are, for msgReleased and msgConnEnd, the
+	// committed bytes the reported flush did not write and the part of
+	// its descriptor window sendfile did not move (see conn.transmit).
+	short, sfShort int64
+	// n is, for msgReleased, the pin FIFO entries of the items flushed;
+	// for msgBatch, the batch slot to run from.
 	n      int32
-	writes int32 // msgItemDone, msgReleased, msgConnEnd: socket write calls since the last report
-	ok     bool  // msgItemDone, msgReleased, msgConnEnd
+	writes int32 // msgReleased, msgConnEnd: socket write calls since the last report
+	ok     bool  // msgReleased, msgConnEnd
 	kind   uint8
 }
 
 const (
 	msgFn = iota
 	msgBatch
-	msgItemDone
 	msgReleased
 	msgConnEnd
 	msgStop
@@ -482,15 +485,12 @@ func (s *shard) dispatch(m loopMsg) {
 	switch m.kind {
 	case msgBatch:
 		s.runBatch(m.c, int(m.n))
-	case msgItemDone:
-		s.stats.GatherWrites += uint64(m.writes)
-		s.itemDone(m.c, m.item, m.wrote, m.sfWrote, m.ok)
 	case msgReleased:
 		s.stats.GatherWrites += uint64(m.writes)
-		s.released(m.c, int(m.n), m.short, m.ok)
+		s.released(m.c, int(m.n), m.short, m.sfShort, m.ok)
 	case msgConnEnd:
 		s.stats.GatherWrites += uint64(m.writes)
-		s.connEnd(m.c, m.short, m.ok)
+		s.connEnd(m.c, m.short, m.sfShort, m.ok)
 	case msgStop:
 		s.stopped = true
 	default:
@@ -530,13 +530,6 @@ func (s *shard) post(fn func()) bool {
 // allocating: every request head reaches the loop this way.
 func (s *shard) postBatch(c *conn, i int) bool {
 	return s.send(loopMsg{kind: msgBatch, c: c, n: int32(i)})
-}
-
-// postItemDone reports a transmitted (or discarded) write item to the
-// loop without allocating.
-func (s *shard) postItemDone(c *conn, item writeItem, wrote, sfWrote int64, writes int32, ok bool) bool {
-	return s.send(loopMsg{kind: msgItemDone, c: c, item: item,
-		wrote: wrote, sfWrote: sfWrote, writes: writes, ok: ok})
 }
 
 // call runs fn on the shard's loop and waits for it (for Stats and

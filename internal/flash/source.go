@@ -4,52 +4,6 @@ import (
 	"repro/internal/cache"
 )
 
-// bodySource produces a response whose body leaves in more than one
-// item: a chunk walk, or a handler's output stream. The event loop
-// drives it and the connection's goroutine, which owns the socket,
-// consumes its items one at a time. A response that is one item from
-// the start — a fixed buffer (header plus any error, 304, 416 or
-// listing body) or a sendfile window behind its header — needs no
-// source: it is queued as it is (respondItem).
-//
-// Whatever an item carries — chunk pins, a descriptor reference — the
-// loop releases (shard.releaseItem) once the item is transmitted or
-// dropped, whichever source produced it. A whole item's pins move to
-// the connection's FIFO when it is committed instead (shard.commit),
-// which the loop unpins when the conn goroutine reports the flush
-// (shard.released) or the connection ends (shard.connEnd). Everything
-// else a whole item carries must be safe to drop at commit, so
-// descriptor-window (sf) items are never whole.
-//
-// Contract (both methods run on the event loop):
-//
-//   - next is invoked when the socket's owner can accept an item: once
-//     when the response starts, and again after each non-final item
-//     completes. The source must eventually hand exactly one item per
-//     invocation to shard.queueItem — synchronously or from a posted
-//     completion (a fill wake, a dynamic producer) — or end the
-//     response via shard.failConn. A source whose response turns out
-//     to be a single item marks it whole.
-//   - end is invoked when the response is over: with ok true once its
-//     final item is written or committed (shard.settle), with ok false
-//     when it dies first (write failure, a dropped item, connection
-//     teardown). It may fire more than once with ok false, and
-//     teardown fires it after failConn already has. The source stops
-//     producing and drops what it holds outside its items.
-type bodySource interface {
-	next(s *shard, c *conn)
-	end(s *shard, c *conn, ok bool)
-}
-
-// respondItem sends a response that is one item from the start. It has
-// no source: the loop releases what the item carries.
-func (s *shard) respondItem(c *conn, item writeItem) {
-	c.ls.src = nil
-	s.queueItem(c, item)
-}
-
-// --- chunkSource ---
-
 // chunkSource is the copy transport for static bodies: it walks the
 // chunk tier of the cache store (§5.4) across the response's byte
 // window and hands it over in runs. A run is the stretch of
@@ -59,10 +13,11 @@ func (s *shard) respondItem(c *conn, item writeItem) {
 // missing or still loading, or before its bytes would pass gatherCap.
 // One run is one writeItem: the header (on the first) and every chunk
 // window leave in a single writev (§5.5), and every chunk stays pinned
-// until the item is released. A run that covers the whole window is
-// the whole response and is marked so; anything shorter is a tracked
-// item, and the walk goes on from where it stopped when that item
-// completes.
+// until the run is reported written. A run that covers the whole window
+// is the whole response and is marked so; anything shorter is written
+// at once, and the walk goes on from where it stopped when the run's
+// flush report comes back (shard.released) — the walk is the one
+// response the loop drives past its first item.
 //
 // A warm walk pins its chunks in their owner segments; a cold one subscribes to
 // the single-flight fill for the file (coalescing concurrent misses
@@ -126,6 +81,8 @@ func (cs *chunkSource) init(s *shard, pe cache.PathEntry, hdr []byte, off, n int
 	}
 }
 
+// next collects and queues the walk's next run: its first, or the one
+// after a run whose flush was reported.
 func (cs *chunkSource) next(s *shard, c *conn) { cs.walk(s, c, nil) }
 
 // walk collects the run that starts at nextChunk into the connection's
@@ -195,7 +152,7 @@ func (cs *chunkSource) walk(s *shard, c *conn, held *cache.Chunk) {
 		item.whole = item.last
 	}
 	cs.nextChunk = idx
-	s.queueItem(c, item)
+	s.commit(c, item)
 }
 
 // window returns the part of chunk idx the response transmits, as
@@ -304,7 +261,7 @@ func (cs *chunkSource) joinFill(s *shard, idx int) bool {
 // generation, source identity, and connection state checks drop stale
 // ones, and their pin with them.
 func (cs *chunkSource) fillWake(s *shard, c *conn, gen uint32, held *cache.Chunk) {
-	if cs.gen != gen || c.ls.src != bodySource(cs) ||
+	if cs.gen != gen || c.ls.src != cs ||
 		c.failed || c.writeDone || c.inFlight {
 		if held != nil {
 			s.view.Release(held)
@@ -322,8 +279,8 @@ func (cs *chunkSource) fillError(s *shard, c *conn, err error) {
 	cs.fill = nil
 	s.invalidateFile(c.ls.req.Path, cs.pe)
 	if err == cache.ErrFillStale && cs.nextChunk == cs.firstChunk &&
-		!c.inFlight && !c.failed && !c.writeDone && c.ls.src == bodySource(cs) {
-		cs.end(s, c, false) // the restart builds its own pipeline
+		!c.inFlight && !c.failed && !c.writeDone && c.ls.src == cs {
+		s.dropSource(c) // the restart builds its own walk
 		if ph, ok := cs.pe.File.(*proxyHandler); ok {
 			s.handleProxy(c, c.ls.req, ph)
 			return
@@ -352,7 +309,7 @@ func (s *shard) startFill(f *cache.Fill, pe cache.PathEntry) {
 
 // end drops the walk's descriptor pin (idempotent): a finished walk
 // starts no further fill.
-func (cs *chunkSource) end(*shard, *conn, bool) {
+func (cs *chunkSource) end() {
 	if cs.ref != nil {
 		cs.ref.Release()
 		cs.ref = nil

@@ -4,7 +4,7 @@
 // a workload source for the AMPED core. The bridge is intentionally
 // thin — the handler still runs on its own goroutine (the paper's
 // §5.6 CGI process), its reads stream from the request bodyReader, and
-// its writes flow through the event loop one pipe buffer at a time.
+// its writes go to the socket one pipe buffer at a time.
 package flashhttp
 
 import (
