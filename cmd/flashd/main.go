@@ -58,6 +58,10 @@
 //	              (payload size), delay=DUR (pre-response sleep, e.g.
 //	              5ms), ttl=SECS (Cache-Control max-age), cc=VAL (raw
 //	              Cache-Control override, e.g. no-store)
+//
+// SIGINT or SIGTERM drains the server: flashd stops accepting, closes
+// idle connections, lets requests in flight finish for up to 5 s,
+// flushes the access log and exits 0.
 package main
 
 import (
@@ -335,14 +339,17 @@ func main() {
 		})
 	}
 
-	// Graceful shutdown on SIGINT/SIGTERM.
+	// Graceful shutdown on SIGINT/SIGTERM: main returns — flushing the
+	// access log — once Shutdown has drained the connections and stopped
+	// the loops.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	stopped := make(chan struct{})
 	go func() {
 		<-sig
 		log.Println("flashd: shutting down")
 		srv.Shutdown(5 * time.Second)
-		os.Exit(0)
+		close(stopped)
 	}()
 
 	log.Printf("flashd: serving %s on %s (%d shards, %d helpers each)",
@@ -350,9 +357,11 @@ func main() {
 	if len(cfg.Upstream) > 0 {
 		log.Printf("flashd: proxying %s to %s", cfg.UpstreamPrefix, strings.Join(cfg.Upstream, ", "))
 	}
-	if err := srv.ListenAndServe(*addr); err != nil && err != flash.ErrServerClosed {
+	if err := srv.ListenAndServe(*addr); err != flash.ErrServerClosed {
 		log.Fatalf("flashd: %v", err)
 	}
+	<-stopped
+	log.Println("flashd: stopped")
 }
 
 // statusJSON is the ?format=json shape of /server-status.

@@ -67,11 +67,10 @@
 //     loop, a gathered 16-deep pipelined burst included —
 //     zero-copy request parsing into a recycled per-connection
 //     Request, pooled response sources, typed loop messages instead
-//     of closures, cached entity tags and 304 headers, and
-//     coarse-clock deadline arming. AllocsPerRun guard tests (the CI
-//     alloc-guard job) enforce the invariant; see README "Performance"
-//     for the per-path budgets and bench/README.md for the benchmark
-//     every measured claim rests on.
+//     of closures, and cached entity tags and 304 headers.
+//     AllocsPerRun guard tests (the CI alloc-guard job) enforce the
+//     invariant; see README "Performance" for the per-path budgets and
+//     bench/README.md for the benchmark every measured claim rests on.
 //
 //   - A deterministic simulation of the paper's 1999 testbed
 //     (internal/sim*, internal/arch, internal/experiments) that rebuilds
@@ -125,7 +124,7 @@ type Header = flash.Header
 // and an optional per-route body cap (see flash.Route).
 type Route = flash.Route
 
-// ErrServerClosed is returned by Serve after Close or Shutdown.
+// ErrServerClosed is returned by Serve once Shutdown or Close has begun.
 var ErrServerClosed = flash.ErrServerClosed
 
 // New creates a Flash server from cfg.

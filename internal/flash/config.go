@@ -73,13 +73,11 @@
 //     completions and flush reports travel to the loop as typed
 //     mailbox messages rather than closures, batch slots, the chunk
 //     walk's source, header scratch and the gather list are pooled on
-//     the connection, entity tags are computed once per stat, each
+//     the connection, entity tags are computed once per stat, and each
 //     entity's one 304 header is cached beside its 200 header and
-//     patched to the request's persistence mode like it, and
-//     read/write deadlines are re-armed through a per-shard coarse
-//     clock only when they drift. AllocsPerRun guard
-//     tests pin the budget: 0 allocs/request on warm static-hit and
-//     revalidation paths.
+//     patched to the request's persistence mode like it. AllocsPerRun
+//     guard tests pin the budget: 0 allocs/request on warm static-hit
+//     and revalidation paths.
 //
 //   - The loop commits every item of a static response when it queues
 //     it, and the socket's owner reports every write in one flush
@@ -212,8 +210,10 @@ type Config struct {
 	MaxBodyBytes int64
 
 	// IdleTimeout closes keep-alive connections with no request
-	// (default 30s). WriteTimeout bounds a single write (default 30s);
-	// a single read is bounded by readTimeout.
+	// (default 30s), counted from the end of the previous response.
+	// WriteTimeout bounds a single write (default 30s); a single read
+	// is bounded by readTimeout. Each deadline is set from time.Now
+	// when its wait begins, so it fires on time, never early.
 	IdleTimeout  time.Duration
 	WriteTimeout time.Duration
 

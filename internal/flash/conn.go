@@ -254,12 +254,6 @@ type conn struct {
 
 	endShort, endSfShort int64
 
-	// Armed deadlines in unix nanos, for the coarse-clock skip logic
-	// (readArm: conn/body goroutine; writeArm: conn goroutine, or a
-	// handler's while it writes its response).
-	readArm  int64
-	writeArm int64
-
 	// pins (loop-owned) is the FIFO of what committed responses whose
 	// bytes the conn goroutine has not yet reported written still pin:
 	// every chunk of each response's run, or one nil entry for a
@@ -377,41 +371,14 @@ func (c *conn) fillSpace() []byte {
 	return c.rb[c.re:]
 }
 
-// armRead arms the read deadline d from now. Long timeouts go through
-// the shard's coarse clock and skip the SetReadDeadline syscall while
-// the armed deadline is within deadlineSlack of the ideal one (so a
-// keep-alive burst arms the deadline once, not once per read); short
-// timeouts keep exact time.Now semantics.
+// armRead arms the read deadline d from now.
 func (c *conn) armRead(d time.Duration) {
-	if d < coarseMinTimeout {
-		dl := time.Now().Add(d)
-		c.readArm = dl.UnixNano()
-		c.nc.SetReadDeadline(dl)
-		return
-	}
-	want := c.sh.clock.Load() + int64(d)
-	// Skip the syscall only while the armed deadline is later than the
-	// ideal one by at most deadlineSlack: deadlines may fire early by
-	// that much, never late (a shorter timeout always re-arms).
-	if diff := want - c.readArm; diff > int64(deadlineSlack) || diff < 0 {
-		c.readArm = want
-		c.nc.SetReadDeadline(time.Unix(0, want))
-	}
+	c.nc.SetReadDeadline(time.Now().Add(d))
 }
 
-// armWrite is armRead for the write deadline.
+// armWrite arms the write deadline d from now.
 func (c *conn) armWrite(d time.Duration) {
-	if d < coarseMinTimeout {
-		dl := time.Now().Add(d)
-		c.writeArm = dl.UnixNano()
-		c.nc.SetWriteDeadline(dl)
-		return
-	}
-	want := c.sh.clock.Load() + int64(d)
-	if diff := want - c.writeArm; diff > int64(deadlineSlack) || diff < 0 {
-		c.writeArm = want
-		c.nc.SetWriteDeadline(time.Unix(0, want))
-	}
+	c.nc.SetWriteDeadline(time.Now().Add(d))
 }
 
 // readRaw fills p from the carry-over buffer, then the socket (used by
@@ -434,7 +401,6 @@ func (c *conn) readRaw(p []byte, cap time.Time) (int, error) {
 			d = cap
 		}
 	}
-	c.readArm = d.UnixNano()
 	c.nc.SetReadDeadline(d)
 	return c.nc.Read(p)
 }
@@ -548,7 +514,9 @@ func (c *conn) serve() {
 		// block, or an HTTP/0.9 simple request) at the head of the
 		// carry-over window, or stop when what is buffered has outgrown
 		// the cap. When it takes the socket, what is corked leaves
-		// first: the read may block.
+		// first: the read may block. The first read waits up to
+		// IdleTimeout, each one after a read that left the head
+		// incomplete up to readTimeout.
 		end := httpmsg.RequestEnd(c.window())
 		if end < 0 {
 			if !c.flush() {
@@ -560,13 +528,14 @@ func (c *conn) serve() {
 			n, err := c.readHead()
 			if n > 0 {
 				c.re += n
-				c.armRead(readTimeout)
 				c.skipBlank(&preamble)
 			}
 			if err != nil {
 				return // EOF or timeout between requests
 			}
-			end = httpmsg.RequestEnd(c.window())
+			if end = httpmsg.RequestEnd(c.window()); end < 0 && n > 0 {
+				c.armRead(readTimeout)
+			}
 		}
 
 		c.takeHeads(end, preamble)
@@ -610,7 +579,6 @@ func (c *conn) readHead() (int, error) {
 	if n == 0 {
 		return 0, io.EOF
 	}
-	c.readArm = 0 // the kick replaced the armed deadline
 	return n, nil
 }
 

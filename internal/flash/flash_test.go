@@ -256,6 +256,48 @@ func TestKeepAliveReusesConnection(t *testing.T) {
 	}
 }
 
+// TestIdleTimeout: every request on a keep-alive connection pushes the
+// idle deadline forward — one that asks every 3/8 of IdleTimeout stays
+// open for five timeouts — and once it falls silent the server closes
+// it after IdleTimeout, not sooner and not much later.
+func TestIdleTimeout(t *testing.T) {
+	t.Parallel()
+	const idle = 300 * time.Millisecond
+	_, base := newTestServer(t, func(cfg *Config) {
+		cfg.EventLoops = 1
+		cfg.IdleTimeout = idle
+	})
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	ask := func() {
+		t.Helper()
+		fmt.Fprintf(conn, "GET /hello.txt HTTP/1.1\r\nHost: t\r\n\r\n")
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("keep-alive request: %v", err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	for start := time.Now(); time.Since(start) < 5*idle; {
+		ask()
+		time.Sleep(idle * 3 / 8)
+	}
+	ask()
+	quiet := time.Now()
+	conn.SetReadDeadline(quiet.Add(10 * idle))
+	if n, err := br.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("idle connection: read %d bytes, err %v; want the server's close", n, err)
+	}
+	if d := time.Since(quiet); d < idle-20*time.Millisecond || d > 3*idle {
+		t.Fatalf("idle connection closed after %v, want %v (at most %v)", d, idle, 3*idle)
+	}
+}
+
 func TestHTTP10ClosesByDefault(t *testing.T) {
 	_, base := newTestServer(t, nil)
 	addr := strings.TrimPrefix(base, "http://")

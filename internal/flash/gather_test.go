@@ -412,13 +412,13 @@ func TestGatherEarlierResponsesSurviveClose(t *testing.T) {
 	t.Run("shutdown-503", func(t *testing.T) {
 		forEachConnEngine(t, func(t *testing.T) {
 			// The access log is written on the loop when a response is
-			// settled: its second line flips the shard into shutdown, so
+			// settled: its second line sets the server's stop signal, so
 			// the burst's third request is the one that draws the 503.
 			var srv atomic.Pointer[Server]
 			lines := 0
 			logw := writerFunc(func(p []byte) (int, error) {
 				if lines++; lines == 2 {
-					srv.Load().shards[0].shutdown = true
+					srv.Load().stopping.Store(true)
 				}
 				return len(p), nil
 			})
@@ -1104,12 +1104,7 @@ func TestGatherBatchShutdown(t *testing.T) {
 		waitFor(t, "the cold file's fill to be held", held)
 		shut := make(chan error, 1)
 		go func() { shut <- s.Shutdown(10 * time.Second) }()
-		sh := s.shards[0]
-		waitFor(t, "the shard to stop extending keep-alive", func() bool {
-			down := false
-			sh.call(func() { down = sh.shutdown })
-			return down
-		})
+		waitFor(t, "the shard to stop extending keep-alive", s.stopping.Load)
 		release()
 		got, err := io.ReadAll(conn)
 		if err != nil {

@@ -358,8 +358,8 @@ func TestHandlerBodylessStatusSuppressesWrites(t *testing.T) {
 }
 
 // TestShutdownDrainSignalsEarly asserts Shutdown returns as soon as
-// the last connection finishes — signalled by the drain channel, not a
-// poll — and well before the timeout.
+// the last connection finishes — it waits on the admitted-connection
+// count, not a poll — and well before the timeout.
 func TestShutdownDrainSignalsEarly(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{}, 1)
@@ -390,8 +390,8 @@ func TestShutdownDrainSignalsEarly(t *testing.T) {
 		elapsed.Store(int64(time.Since(start)))
 		done <- err
 	}()
-	// Give Shutdown time to park on the drain channel, then let the
-	// handler finish.
+	// Give Shutdown time to start its wait, then let the handler
+	// finish.
 	time.Sleep(100 * time.Millisecond)
 	close(release)
 
@@ -408,6 +408,72 @@ func TestShutdownDrainSignalsEarly(t *testing.T) {
 	}
 	if d := time.Duration(elapsed.Load()); d > 3*time.Second {
 		t.Fatalf("Shutdown took %v; the drain signal should have fired in milliseconds", d)
+	}
+}
+
+// TestShutdownServeReturnsErrServerClosed: once Shutdown has begun,
+// Serve returns ErrServerClosed — not the accept error of the listener
+// Shutdown closed — and a Serve called during the drain returns it at
+// once, while the request in flight still gets its answer.
+func TestShutdownServeReturnsErrServerClosed(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	s, err := New(Config{DocRoot: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.HandleFunc("GET", "/slow", func(w ResponseWriter, r *Request) {
+		entered <- struct{}{}
+		time.Sleep(300 * time.Millisecond)
+		io.WriteString(w, "done")
+	})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(l) }()
+	t.Cleanup(func() { s.Close() })
+
+	type answer struct {
+		status int
+		body   string
+		err    error
+	}
+	got := make(chan answer, 1)
+	go func() {
+		resp, err := http.Get("http://" + l.Addr().String() + "/slow")
+		if err != nil {
+			got <- answer{err: err}
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		got <- answer{resp.StatusCode, string(body), err}
+	}()
+	<-entered
+
+	shut := make(chan error, 1)
+	go func() { shut <- s.Shutdown(5 * time.Second) }()
+	select {
+	case err := <-served:
+		if err != ErrServerClosed {
+			t.Fatalf("Serve during Shutdown returned %v, want ErrServerClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve did not return after Shutdown began")
+	}
+	l2, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Serve(l2); err != ErrServerClosed {
+		t.Fatalf("Serve called during Shutdown returned %v, want ErrServerClosed", err)
+	}
+	if a := <-got; a.err != nil || a.status != 200 || a.body != "done" {
+		t.Fatalf("in-flight request: status %d body %q err %v, want 200 \"done\"", a.status, a.body, a.err)
+	}
+	if err := <-shut; err != nil {
+		t.Fatal(err)
 	}
 }
 

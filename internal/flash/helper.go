@@ -48,10 +48,10 @@ type helperJob struct {
 	kind     jobKind
 	fsPath   string
 	listings bool // generate a listing when the index file is missing (jobStat)
-	// file is an acquired reference to the cached descriptor for
-	// jobFill (nil = open fsPath instead). The submitter pins it; the
-	// helper releases the pin once the pass is done, so path-cache
-	// eviction can never close the descriptor under the load.
+	// file is an acquired reference to the path entry's descriptor for
+	// a file's jobFill. The submitter pins it; the helper releases the
+	// pin once the pass is done, so path-cache eviction can never close
+	// the descriptor under the load.
 	file *cache.FileRef
 	// fill is the jobFill target; results flow through it directly.
 	fill *cache.Fill
@@ -164,19 +164,15 @@ func (p *helperPool) run() {
 
 // execute performs the blocking work on the helper's own goroutine.
 func (p *helperPool) execute(job helperJob) helperResult {
-	switch job.kind {
-	case jobStat:
+	switch {
+	case job.kind == jobStat:
 		return statJob(job.fsPath, job.listings)
-	case jobFill:
-		if job.origin != nil {
-			job.origin.produce(p, job.fill)
-		} else {
-			p.fillJob(job)
-		}
-		return helperResult{}
+	case job.origin != nil:
+		job.origin.produce(p, job.fill)
 	default:
-		return helperResult{err: os.ErrInvalid, status: 500}
+		p.fillJob(job)
 	}
+	return helperResult{}
 }
 
 // indexFile is the file a directory request resolves to.
@@ -224,22 +220,6 @@ func statJob(fsPath string, listings bool) helperResult {
 		status = 403
 	}
 	return helperResult{err: err, status: status}
-}
-
-// openRef returns an acquired reference to the job's file: the cached
-// descriptor the submitter pinned, or — the cache had none — a private
-// one opened here, which lives (with anything mapped through it) until
-// the job and the chunks it produced let go. Either way the caller
-// releases it when the load is done.
-func (p *helperPool) openRef(fsPath string, ref *cache.FileRef) (*cache.FileRef, error) {
-	if ref != nil {
-		return ref, nil
-	}
-	f, err := os.Open(fsPath)
-	if err != nil {
-		return nil, err
-	}
-	return cache.NewFileRef(f, &p.sh.srv.mapStats), nil
 }
 
 // mapping returns the file's parked whole-file mapping for a disk
@@ -292,14 +272,11 @@ func checkIdentity(f *os.File, size, modTime int64) error {
 // nothing else. A touch that faults — the file was truncated under the
 // mapping — fails the fill. PublishMapped consumes each view's
 // reference on every branch. A file that cannot be mapped is read
-// chunk by chunk into heap buffers instead.
+// chunk by chunk into heap buffers instead. The pass reads through the
+// path entry's descriptor, pinned by the submitter (job.file), and
+// releases that pin when it is done.
 func (p *helperPool) fillJob(job helperJob) {
-	fill := job.fill
-	ref, err := p.openRef(job.fsPath, job.file)
-	if err != nil {
-		fill.Fail(err)
-		return
-	}
+	fill, ref := job.fill, job.file
 	defer ref.Release()
 	f := ref.File()
 	mapping := p.mapping(job.fsPath, ref, fill.Size())
@@ -313,6 +290,7 @@ func (p *helperPool) fillJob(job helperJob) {
 		}
 		var sub *cache.MmapRef
 		var buf []byte
+		var err error
 		if mapping != nil {
 			sub = mapping.Slice(off, n)
 			err = sub.Touch()

@@ -29,7 +29,7 @@ func (s *shard) handleExchange(c *conn, plan exchangePlan) {
 		s.errorResponse(c, plan.reject, false)
 		return
 	}
-	if s.shutdown {
+	if s.srv.stopping.Load() {
 		s.errorResponse(c, 503, false)
 		return
 	}
@@ -550,7 +550,7 @@ func (s *shard) released(c *conn, n int, short, sfShort int64, ok bool) {
 func (s *shard) settle(c *conn) bool {
 	ls := &c.ls
 	s.stats.Responses++
-	keep := ls.req != nil && ls.req.KeepAlive && !s.shutdown
+	keep := ls.req != nil && ls.req.KeepAlive && !s.srv.stopping.Load()
 	if ls.req != nil && s.cfg.AccessLog != nil {
 		s.logAccess(c.remoteAddr(), ls.req, ls.status, ls.bytesSent)
 	}

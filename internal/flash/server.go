@@ -224,12 +224,13 @@ type Server struct {
 	conns     map[*conn]struct{}
 	// ipConns counts open connections per remote IP (maintained only
 	// when MaxConnsPerIP is set). Guarded by mu with the registry.
-	ipConns  map[string]int
-	closed   bool
-	drainCh  chan struct{} // closed when the last conn unregisters during Shutdown
-	draining bool
-	// stopping is set by Shutdown: a connection that parks between
-	// requests from then on closes instead (conn.readHead).
+	ipConns map[string]int
+	closed  bool // set by Close
+	// stopping is the server's one stop signal, set under mu by Shutdown
+	// or Close: Serve returns ErrServerClosed and admits no connection,
+	// the loops answer new requests 503 and stop extending keep-alive,
+	// and a connection that parks between requests closes instead
+	// (conn.readHead).
 	stopping atomic.Bool
 
 	// reject503 is the preformatted response written to connections
@@ -279,8 +280,7 @@ type shard struct {
 	ended    uint64
 
 	// Event-loop-owned state (never touched by other goroutines).
-	stats    Stats
-	shutdown bool
+	stats Stats
 	// busyConns counts conns with an exchange in flight (between
 	// handleExchange and its end: settle, or signalNext); the idle
 	// gauge is OpenConns minus this.
@@ -303,15 +303,6 @@ type shard struct {
 	// retryHdr is the preformatted Retry-After extra-header line for
 	// shed 503s (built once from Config.RetryAfter).
 	retryHdr []string
-
-	// clock is the shard's coarse wall clock: unix nanos, refreshed by a
-	// ticker goroutine every coarseTick. Deadline arming on the request
-	// hot path reads it instead of calling time.Now per I/O operation
-	// (see conn.armRead), trading up to deadlineSlack of timeout
-	// precision for two fewer vDSO calls per request; it is for nothing
-	// else (freshness reads Config.Clock: shard.now).
-	clock     atomic.Int64
-	clockStop chan struct{}
 }
 
 // loopMsg is one message to a shard's event loop. The per-request
@@ -339,16 +330,6 @@ const (
 	msgReleased
 	msgConnEnd
 	msgStop
-)
-
-// Coarse-clock parameters. Timeouts shorter than coarseMinTimeout are
-// armed precisely with time.Now (tests and aggressive configs keep
-// exact semantics); longer ones tolerate firing up to deadlineSlack
-// early in exchange for skipping the per-read SetReadDeadline churn.
-const (
-	coarseTick       = 100 * time.Millisecond
-	deadlineSlack    = 500 * time.Millisecond
-	coarseMinTimeout = 2 * time.Second
 )
 
 // New creates a server from cfg.
@@ -409,35 +390,18 @@ func New(cfg Config) (*Server, error) {
 func newShard(srv *Server, id int) *shard {
 	cfg := &srv.cfg
 	sh := &shard{
-		srv:       srv,
-		id:        id,
-		cfg:       cfg,
-		store:     srv.store,
-		view:      srv.store.View(id),
-		msgs:      make(chan loopMsg, 512),
-		loopDone:  make(chan struct{}),
-		clockStop: make(chan struct{}),
+		srv:      srv,
+		id:       id,
+		cfg:      cfg,
+		store:    srv.store,
+		view:     srv.store.View(id),
+		msgs:     make(chan loopMsg, 512),
+		loopDone: make(chan struct{}),
 	}
 	sh.retryHdr = []string{"Retry-After: " + strconv.Itoa(cfg.RetryAfter)}
-	sh.clock.Store(time.Now().UnixNano())
-	go sh.runClock()
 	sh.helpers = newHelperPool(sh, cfg.NumHelpers)
 	go sh.loop()
 	return sh
-}
-
-// runClock refreshes the shard's coarse clock until the server closes.
-func (s *shard) runClock() {
-	t := time.NewTicker(coarseTick)
-	defer t.Stop()
-	for {
-		select {
-		case now := <-t.C:
-			s.clock.Store(now.UnixNano())
-		case <-s.clockStop:
-			return
-		}
-	}
 }
 
 // NumShards returns the number of event-loop shards.
@@ -476,7 +440,6 @@ func (s *shard) drainMsgs() {
 func (s *shard) stopLoop() {
 	s.send(loopMsg{kind: msgStop})
 	<-s.loopDone
-	close(s.clockStop)
 }
 
 // dispatch runs one mailbox message on the loop.
@@ -664,15 +627,16 @@ func listen(addr string) (net.Listener, error) {
 	return lc.Listen(context.Background(), "tcp", addr)
 }
 
-// Serve accepts connections on l until the server is closed,
-// distributing them round-robin across the shards. l is used as given
-// and closed when Serve returns. Each admitted connection goes to a
-// connection goroutine parked between connections, or to a new one when
-// none is parked (serveConns).
+// Serve accepts connections on l, distributing them round-robin across
+// the shards, until Shutdown or Close begins; it then returns
+// ErrServerClosed. l is used as given and closed when Serve returns.
+// Each admitted connection goes to a connection goroutine parked
+// between connections, or to a new one when none is parked
+// (serveConns).
 func (s *Server) Serve(l net.Listener) error {
 	s.started.Store(true) // freezes the route table (see HandleRoute)
 	s.mu.Lock()
-	if s.closed {
+	if s.stopping.Load() {
 		s.mu.Unlock()
 		l.Close()
 		return ErrServerClosed
@@ -690,10 +654,7 @@ func (s *Server) Serve(l net.Listener) error {
 	for {
 		nc, err := l.Accept()
 		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
+			if s.stopping.Load() {
 				return ErrServerClosed
 			}
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
@@ -807,13 +768,13 @@ func connIPKey(remote string) string {
 
 // registerConn admits c into the connection registry, enforcing
 // MaxConns and MaxConnsPerIP, and counts it on wg under the same lock
-// that Close sets closed under: a Close that begins after this returns
-// waits for c to be served. On an admission error the caller owns the
-// socket and should reject it; on ErrServerClosed the server is
-// shutting down.
+// that Shutdown and Close set stopping under: one that begins after
+// this returns waits for c to be served, and none is added once they
+// wait. On an admission error the caller owns the socket and should
+// reject it; on ErrServerClosed the server is stopping.
 func (s *Server) registerConn(c *conn) error {
 	s.mu.Lock()
-	if s.closed {
+	if s.stopping.Load() {
 		s.mu.Unlock()
 		return ErrServerClosed
 	}
@@ -912,8 +873,7 @@ func (s *Server) reapIdle(max int) {
 	}
 }
 
-// unregisterConn removes c from the connection registry and signals the
-// Shutdown drain waiter when the last one leaves. Called by the
+// unregisterConn removes c from the connection registry. Called by the
 // connection goroutine once it has served c.
 func (s *Server) unregisterConn(c *conn) {
 	s.mu.Lock()
@@ -926,16 +886,11 @@ func (s *Server) unregisterConn(c *conn) {
 		}
 		c.ipKey = ""
 	}
-	if s.draining && len(s.conns) == 0 {
-		// Last connection out during Shutdown: wake the drain waiter
-		// instead of leaving it to poll.
-		s.draining = false
-		close(s.drainCh)
-	}
 	s.mu.Unlock()
 }
 
-// ErrServerClosed is returned by Serve after Close or Shutdown.
+// ErrServerClosed is returned by Serve once Shutdown or Close has
+// begun.
 var ErrServerClosed = fmt.Errorf("flash: server closed")
 
 // Addr returns the address of one active listener, or "".
@@ -957,6 +912,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.stopping.Store(true)
 	for l := range s.listeners {
 		l.Close()
 	}
@@ -967,7 +923,7 @@ func (s *Server) Close() error {
 
 	s.wg.Wait()
 	// Every admitted connection is served, so none is waiting to be
-	// handed over, and no Serve admits one after closed: the parked
+	// handed over, and no Serve admits one after stopping: the parked
 	// goroutines can be let go.
 	close(s.handoff)
 	s.workers.Wait()
@@ -997,56 +953,38 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// Shutdown closes listeners and stops accepting new work (in-flight
-// requests complete; new requests on surviving connections draw 503
-// and responses stop advertising keep-alive), closes the connections
-// idle between requests, then waits up to timeout for the others to
-// finish before forcing them closed. The
-// wait is event-driven: the goroutine that unregisters the last
-// connection signals a drain channel, so an early drain returns
-// immediately — with nothing left to force-close — instead of
-// sleep-polling the registry.
+// Shutdown stops the server gracefully. It sets the stop signal
+// (stopping) — Serve returns ErrServerClosed, in-flight requests
+// complete, new requests on surviving connections draw 503 and
+// responses stop advertising keep-alive — closes the listeners and the
+// connections idle between requests, then waits up to timeout for the
+// admitted connections to be served before Close forces the rest.
 func (s *Server) Shutdown(timeout time.Duration) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil
 	}
+	s.stopping.Store(true)
 	for l := range s.listeners {
 		l.Close()
 	}
-	var drained chan struct{}
-	if len(s.conns) > 0 && !s.draining {
-		s.draining = true
-		s.drainCh = make(chan struct{})
-	}
-	drained = s.drainCh
-	empty := len(s.conns) == 0
-	s.stopping.Store(true)
-	s.mu.Unlock()
-
-	// Stop extending keep-alive: settle consults this flag, so
-	// every connection closes after its current response.
-	for _, sh := range s.shards {
-		sh.post(func() { sh.shutdown = true })
-	}
-	// Close the connections parked between requests right away, rather
-	// than letting each hold the drain until its IdleTimeout. A request
-	// whose head arrives with the kick is still answered; it is posted
-	// after the shutdown messages above, so it draws the shutdown 503
-	// and the connection closes. The rest drain through the registry as usual (satisfying
-	// the drain channel via unregisterConn).
-	s.mu.Lock()
+	// A request whose head arrives with the kick is still answered: the
+	// loop reads stopping, so it draws the 503 and the connection closes.
 	for c := range s.conns {
 		c.kickIdle()
 	}
 	s.mu.Unlock()
 
-	if !empty && drained != nil {
-		select {
-		case <-drained:
-		case <-time.After(timeout):
-		}
+	// registerConn adds nothing to wg from here on.
+	drained := make(chan struct{})
+	go func() {
+		s.wg.Wait()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(timeout):
 	}
 	return s.Close()
 }
