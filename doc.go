@@ -24,11 +24,14 @@
 //     per response),
 //     single-range Range/If-Range requests answered 206/416 by
 //     clamping the chunk-cache walk to the byte window, strong
-//     (size, mtime) ETags with If-None-Match handling alongside
-//     If-Modified-Since, and chunked transfer-encoding for dynamic
+//     (size, mtime) ETags with If-Match and If-Unmodified-Since (412)
+//     and If-None-Match and If-Modified-Since (304) handling, and
+//     chunked transfer-encoding for dynamic
 //     handlers so 1.1 responses persist without a pre-known
 //     Content-Length. A raw-socket torture suite and parser fuzzing
-//     (FuzzParseRequest) lock the behaviour down.
+//     against the net/http oracle (FuzzParseRequest, FuzzParseResponse)
+//     lock the behaviour down; requests and origin responses share one
+//     header-field parser.
 //
 //     Dynamic content goes through the Handler v2 API — the full-peer
 //     analogue of the paper's §5.6 CGI processes: a Handler runs on

@@ -87,6 +87,24 @@ func TestAllocsStaticHit(t *testing.T) {
 	}
 }
 
+// TestAllocsManyFields holds a request with more distinct fields than
+// the parser keeps inline to the same bar: the overflow slice is the
+// connection's recycled request's, so a warm hit allocates nothing.
+func TestAllocsManyFields(t *testing.T) {
+	addr, stop := allocGuardServer(t, nil)
+	defer stop()
+
+	var b strings.Builder
+	b.WriteString("GET /f.html HTTP/1.1\r\nHost: alloc\r\n")
+	for i := 0; i < 19; i++ {
+		fmt.Fprintf(&b, "X-Field-%d: value %d\r\n", i, i)
+	}
+	b.WriteString("\r\n")
+	if n := measureAllocs(t, addr, []byte(b.String()), 1); n > 0 {
+		t.Errorf("static cache hit with 20 fields: %.2f allocs/request, want 0", n)
+	}
+}
+
 // TestAllocsPipelinedBurst holds the gathered path to the same bar: a
 // warm 16-deep burst — committed on the loop, corked on the connection,
 // flushed in a few writev calls — allocates nothing, because the

@@ -488,7 +488,7 @@ const dynBufSize = 32 << 10
 func (s *shard) startHandler(c *conn, req *httpmsg.Request, h Handler, body *bodyReader) {
 	s.stats.DynamicCalls++
 	// Handlers (and the net/http bridge) see the familiar Headers map;
-	// the zero-copy inline fields are deep-copied into it here, part of
+	// the zero-copy field views are deep-copied into it here, part of
 	// the dynamic path's documented allocation budget.
 	req.MaterializeHeaders()
 

@@ -546,6 +546,10 @@ func TestProxyRange(t *testing.T) {
 		{"If-Range date", [][2]string{{"Range", "bytes=10-19"}, {"If-Range", date}}, 200, want, ""},
 		{"If-Modified-Since", [][2]string{{"If-Modified-Since", date}}, 200, want, ""},
 		{"If-None-Match", [][2]string{{"If-None-Match", etag}}, 304, nil, ""},
+		{"If-Match other ETag", [][2]string{{"Range", "bytes=10-19"}, {"If-Match", `"other"`}}, 412, nil, ""},
+		{"If-Match origin ETag", [][2]string{{"If-Match", etag}}, 200, want, ""},
+		// The origin sent no Last-Modified, so there is nothing to compare.
+		{"If-Unmodified-Since", [][2]string{{"If-Unmodified-Since", "Tue, 01 Jun 1999 00:00:00 GMT"}}, 200, want, ""},
 	} {
 		req, _ := http.NewRequest("GET", base+"/up/data", nil)
 		for _, h := range tc.headers {
@@ -575,6 +579,76 @@ func TestProxyRange(t *testing.T) {
 	}
 	if f := origin.fetches.Load(); f != 1 {
 		t.Fatalf("origin fetches = %d, want 1", f)
+	}
+}
+
+// rawOrigin serves resp, byte for byte, to every request head on every
+// connection: an origin head net/http would never write.
+func rawOrigin(t *testing.T, resp string) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	t.Cleanup(func() {
+		l.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+			go func() {
+				br := bufio.NewReader(c)
+				for {
+					line, err := br.ReadString('\n')
+					if err != nil {
+						return
+					}
+					if line == "\r\n" {
+						io.WriteString(c, resp)
+					}
+				}
+			}()
+		}
+	}()
+	return l.Addr().String()
+}
+
+// TestProxyOriginFieldRules asserts the response side of RFC 9112
+// §5.1–5.2: whitespace between an origin's field name and its colon is
+// removed, so "Content-Length : 5" still frames its body, while an
+// obs-fold line makes the head malformed — a 502, counted.
+func TestProxyOriginFieldRules(t *testing.T) {
+	for _, tc := range []struct {
+		name, head string
+		status     int
+		body       string
+	}{
+		{"whitespace before colon", "HTTP/1.1 200 OK\r\nContent-Length : 5\r\n", 200, "hello"},
+		{"obs-fold", "HTTP/1.1 200 OK\r\nContent-Length: 5\r\nX-A: a\r\n X-B: b\r\n", 502, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, base, client := newProxyServer(t, testPoolFor(t, rawOrigin(t, tc.head+"\r\nhello")))
+			resp, body := clientGet(t, client, base+"/up/x")
+			if resp.StatusCode != tc.status || (tc.body != "" && string(body) != tc.body) {
+				t.Fatalf("status %d body %q, want %d %q", resp.StatusCode, body, tc.status, tc.body)
+			}
+			if errs := srv.Stats().ProxyErrors; (tc.status == 502) != (errs > 0) {
+				t.Fatalf("ProxyErrors = %d after a %d", errs, tc.status)
+			}
+		})
 	}
 }
 

@@ -272,8 +272,17 @@ func (s *shard) afterTranslate(c *conn, pe cache.PathEntry) {
 	etag := pe.ETag
 	lm := lastModified(pe)
 
+	// Preconditions first (RFC 9110 §13.2.2): If-Match, or else an
+	// If-Unmodified-Since the entity has been modified since, fails 412.
+	if (req.IfMatch != "" && !httpmsg.MatchIfMatch(req.IfMatch, etag)) ||
+		(req.IfMatch == "" && !req.IfUnmodifiedSince.IsZero() && !lm.IsZero() &&
+			pe.ModTime > req.IfUnmodifiedSince.Unix()) {
+		s.respondBody(c, httpmsg.ResponseMeta{Status: 412}, httpmsg.ErrorBody(412))
+		return
+	}
+
 	// Conditional GET: If-None-Match takes precedence over
-	// If-Modified-Since (RFC 7232 §6).
+	// If-Modified-Since (RFC 9110 §13.2.2).
 	if etag != "" && req.IfNoneMatch != "" {
 		if httpmsg.ETagMatch(req.IfNoneMatch, etag) {
 			s.notModified(c, pe)
@@ -819,5 +828,8 @@ func (s *shard) respondBody(c *conn, meta httpmsg.ResponseMeta, body []byte) {
 	meta.Date = s.cfg.Clock()
 	meta.KeepAlive = req.KeepAlive
 	hdr := headerFor(req, httpmsg.BuildHeader(meta, true))
+	if req.Method == "HEAD" {
+		body = nil // a GET's length, none of its bytes (RFC 9110 §9.3.2)
+	}
 	s.respondFixed(c, append(hdr, body...))
 }

@@ -864,3 +864,75 @@ func testTortureSendfilePrematureClose(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestTortureFieldSmuggling asserts the request side of RFC 9112
+// §5.1–5.2 at the socket: whitespace before a colon and an obs-fold
+// line each draw 400 and a close, so a framing field hidden by either
+// never frames a body that a front end reading the same bytes would
+// frame differently (net/http's server answers both 400).
+func TestTortureFieldSmuggling(t *testing.T) { forEachConnEngine(t, testTortureFieldSmuggling) }
+
+func testTortureFieldSmuggling(t *testing.T) {
+	_, base := newTestServer(t, nil, echoRoute)
+	for _, head := range []string{
+		"POST /echo HTTP/1.1\r\nHost: t\r\nTransfer-Encoding : chunked\r\n\r\n",
+		"POST /echo HTTP/1.1\r\nHost: t\r\nX-Pad: a\r\n Transfer-Encoding: chunked\r\n\r\n",
+	} {
+		conn := dialRaw(t, base)
+		fmt.Fprintf(conn, "%s5\r\nhello\r\n0\r\n\r\n", head)
+		resp, err := readResponse(bufio.NewReader(conn), "POST")
+		if err != nil {
+			t.Fatalf("%q: %v", head, err)
+		}
+		if resp.status != 400 || resp.headers["connection"] != "close" {
+			t.Fatalf("%q: status %d, connection %q; want 400 and close",
+				head, resp.status, resp.headers["connection"])
+		}
+	}
+}
+
+// TestTorturePreconditions asserts RFC 9110 §13.2.2's order on one
+// keep-alive connection: If-Match (strong comparison), or else
+// If-Unmodified-Since, is evaluated before If-None-Match and Range, and
+// a failed precondition is a 412 — framed for HEAD without its body, so
+// the next response on the connection stays intact.
+func TestTorturePreconditions(t *testing.T) { forEachConnEngine(t, testTorturePreconditions) }
+
+func testTorturePreconditions(t *testing.T) {
+	s, base := newTestServer(t, nil)
+	etag := fileETag(t, s, "hello.txt")
+	st, err := os.Stat(filepath.Join(s.cfg.DocRoot, "hello.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := httpmsg.FormatHTTPTime(st.ModTime())
+	stale := httpmsg.FormatHTTPTime(st.ModTime().Add(-time.Hour))
+	conn := dialRaw(t, base)
+	br := bufio.NewReader(conn)
+	for _, tc := range []struct {
+		method, fields string
+		status         int
+	}{
+		{"GET", "If-Unmodified-Since: " + stale, 412},
+		{"HEAD", "If-Unmodified-Since: " + stale, 412},
+		{"GET", `If-Match: "nope"`, 412},
+		{"GET", "If-Match: \"nope\"\r\nRange: bytes=0-4", 412},
+		{"GET", "If-Match: W/" + etag, 412}, // a weak tag never matches strongly
+		{"GET", "If-Match: *", 200},
+		{"GET", `If-Match: "nope", ` + etag, 200},
+		{"GET", "If-Unmodified-Since: " + current, 200},
+		{"GET", "If-Unmodified-Since: yesterday", 200},
+		{"GET", "If-Match: " + etag + "\r\nIf-Unmodified-Since: " + stale, 200},
+		{"GET", "If-Match: " + etag + "\r\nIf-None-Match: " + etag, 304},
+		{"GET", "If-Match: " + etag + "\r\nRange: bytes=0-4", 206},
+	} {
+		fmt.Fprintf(conn, "%s /hello.txt HTTP/1.1\r\nHost: t\r\n%s\r\n\r\n", tc.method, tc.fields)
+		resp, err := readResponse(br, tc.method)
+		if err != nil {
+			t.Fatalf("%s with %q: %v", tc.method, tc.fields, err)
+		}
+		if resp.status != tc.status {
+			t.Fatalf("%s with %q: status %d, want %d", tc.method, tc.fields, resp.status, tc.status)
+		}
+	}
+}

@@ -48,28 +48,7 @@ var (
 // ErrAmbiguousFraming, and an unparseable Content-Length yields
 // ErrMalformed (both 400).
 func (r *Request) BodyFraming() (BodyKind, int64, error) {
-	te, hasTE := r.Header("transfer-encoding")
-	cl, hasCL := r.Header("content-length")
-	if hasTE {
-		if hasCL {
-			return BodyNone, 0, ErrAmbiguousFraming
-		}
-		if !strings.EqualFold(strings.TrimSpace(te), "chunked") {
-			return BodyNone, 0, ErrBadTransferEncoding
-		}
-		return BodyChunked, -1, nil
-	}
-	if hasCL {
-		n, err := ParseContentLength(cl)
-		if err != nil {
-			return BodyNone, 0, ErrMalformed
-		}
-		if n == 0 {
-			return BodyNone, 0, nil
-		}
-		return BodyLength, n, nil
-	}
-	return BodyNone, 0, nil
+	return r.framing(BodyNone)
 }
 
 // ExpectsContinue reports whether the request asks for a 100 Continue

@@ -8,9 +8,9 @@ import (
 
 func parseReq(t *testing.T, raw string) *Request {
 	t.Helper()
-	r, err := ParseRequest([]byte(raw))
+	r, err := parseRequest([]byte(raw))
 	if err != nil {
-		t.Fatalf("ParseRequest: %v", err)
+		t.Fatalf("ParseBytes: %v", err)
 	}
 	return r
 }

@@ -1,185 +1,67 @@
 package httpmsg
 
 import (
-	"bytes"
 	"strconv"
 	"strings"
 )
 
 // This file is the client side of the protocol stack: parsing response
 // heads read FROM an origin server, used by the reverse-proxy tier
-// (internal/upstream). It mirrors the request parser's two modes:
-// ParseResponse allocates an owned Response, while Reset+ParseBytes
-// recycles one Response per upstream connection with header fields as
-// zero-copy views over the caller's buffer.
+// (internal/upstream). A Response embeds the request's header-field
+// block, so origin heads obey the same field rules, with the one
+// difference RFC 9112 §5.1 asks of a proxy: whitespace between a field
+// name and its colon is removed rather than refused. Each upstream
+// connection recycles one Response through Reset+ParseBytes.
 
 // Response is a parsed HTTP response head (status line + headers).
-//
-// In the zero-copy parse mode (Reset+ParseBytes) Reason and the inline
-// header storage behind Header are views over the buffer given to
-// ParseBytes: they are valid only until that buffer is modified or the
-// Response is parsed again. Headers is nil in that mode; use Header for
-// lookups that work in both modes.
+// Reason and the header fields behind Header are views over the buffer
+// given to ParseBytes: they are valid only until that buffer is
+// modified or the Response is parsed again.
 type Response struct {
-	Proto   string // "HTTP/1.0" or "HTTP/1.1"
-	Major   int
-	Minor   int
-	Status  int
-	Reason  string            // reason phrase, may be empty
-	Headers map[string]string // keys lower-cased; nil in zero-copy mode
+	Proto  string // "HTTP/1.0" or "HTTP/1.1"
+	Major  int
+	Minor  int
+	Status int
+	Reason string // reason phrase, may be empty
 
-	// Inline header storage for the zero-copy parse mode (same shape as
-	// Request's): nh fields in hk/hv, keys lower-cased in place inside
-	// the parse buffer.
-	nh int
-	hk [maxInlineHeaders]string
-	hv [maxInlineHeaders]string
-}
-
-// ParseResponse parses a complete response head: a status line plus a
-// header block including the terminating blank line. The returned
-// Response owns all of its storage (the allocating mode).
-func ParseResponse(buf []byte) (*Response, error) {
-	r := &Response{}
-	if err := parseResponseMapMode(r, buf); err != nil {
-		return nil, err
-	}
-	return r, nil
+	fieldBlock
 }
 
 // Reset re-arms a Response for the next ParseBytes, dropping every
 // field and view from the previous parse.
 func (r *Response) Reset() {
-	for i := 0; i < r.nh; i++ {
-		r.hk[i], r.hv[i] = "", ""
-	}
-	r.nh = 0
-	r.Proto, r.Reason = "", ""
-	r.Major, r.Minor, r.Status = 0, 0, 0
-	r.Headers = nil
+	more := r.recycle()
+	*r = Response{}
+	r.more = more
 }
 
-// ParseBytes parses a complete response head into r without
-// allocating: the reason phrase and header fields become views over
-// buf, with header keys lower-cased IN PLACE inside buf (the caller
-// owns the buffer and must treat it as mutated). Responses the fast
-// path cannot represent exactly — more than maxInlineHeaders fields,
-// duplicate field names, non-ASCII field names — spill to the
-// allocating map mode with semantics identical to ParseResponse.
+// ParseBytes parses a complete response head into r: the reason phrase
+// and header fields become views over buf, with field names lower-cased
+// IN PLACE inside buf (the caller owns the buffer and must treat it as
+// mutated). An obs-fold line is ErrMalformed, which a proxy answers 502
+// (RFC 9112 §5.2).
 //
 // Call Reset before re-parsing into the same Response. On error the
 // Response's contents are unspecified.
 func (r *Response) ParseBytes(buf []byte) error {
-	end := HeaderEnd(buf)
-	if end < 0 {
-		if len(buf) > MaxHeaderLen {
-			return ErrHeaderTooBig
-		}
-		return ErrIncomplete
+	head, err := completeHead(buf, HeaderEnd(buf))
+	if err != nil {
+		return err
 	}
-	head := buf[:end]
-
 	line, i := nextLine(head, 0)
 	if err := r.parseStatusLine(bview(line)); err != nil {
 		return err
 	}
-	for i < len(head) {
-		line, i = nextLine(head, i)
-		if len(line) == 0 {
-			break
-		}
-		if bytesHasCtl(line) {
-			// Bare CR, NUL, and friends inside a header line: the same
-			// smuggling vectors the request parser refuses — a proxy
-			// must not launder them toward its clients.
-			return ErrMalformed
-		}
-		colon := bytes.IndexByte(line, ':')
-		if colon <= 0 {
-			return ErrMalformed
-		}
-		key := bytes.TrimSpace(line[:colon])
-		if !asciiOnly(key) {
-			// Non-ASCII field names lower-case differently under full
-			// Unicode folding; delegate rather than diverge.
-			return parseResponseMapMode(r, buf)
-		}
-		lowerInPlace(key)
-		val := bytes.TrimSpace(line[colon+1:])
-		if r.nh == maxInlineHeaders || r.hasInline(key) {
-			// Inline array full, or a duplicate name the map mode would
-			// join with ", ": spill. (Keys already lower-cased in place
-			// re-lower harmlessly.)
-			return parseResponseMapMode(r, buf)
-		}
-		r.hk[r.nh] = bview(key)
-		r.hv[r.nh] = bview(val)
-		r.nh++
-	}
-	return nil
-}
-
-// hasInline reports whether a lower-cased key is already stored inline.
-func (r *Response) hasInline(key []byte) bool {
-	for i := 0; i < r.nh; i++ {
-		if r.hk[i] == bview(key) {
-			return true
-		}
-	}
-	return false
-}
-
-// parseResponseMapMode is the allocating parser shared by ParseResponse
-// and the ParseBytes spill path: every field is an owned string and
-// headers live in the Headers map (duplicate names joined with ", ").
-func parseResponseMapMode(r *Response, buf []byte) error {
-	end := HeaderEnd(buf)
-	if end < 0 {
-		if len(buf) > MaxHeaderLen {
-			return ErrHeaderTooBig
-		}
-		return ErrIncomplete
-	}
-	lines := splitLines(string(buf[:end]))
-	if len(lines) == 0 {
-		return ErrMalformed
-	}
-	for i := 0; i < r.nh; i++ { // drop inline fields from a bailed fast parse
-		r.hk[i], r.hv[i] = "", ""
-	}
-	r.nh = 0
-	r.Headers = make(map[string]string)
-	if err := r.parseStatusLine(lines[0]); err != nil {
-		return err
-	}
-	r.Reason = strings.Clone(r.Reason)
-	for _, ln := range lines[1:] {
-		if ln == "" {
-			break
-		}
-		if hasCtl(ln) {
-			return ErrMalformed
-		}
-		colon := strings.IndexByte(ln, ':')
-		if colon <= 0 {
-			return ErrMalformed
-		}
-		key := strings.ToLower(strings.TrimSpace(ln[:colon]))
-		val := strings.TrimSpace(ln[colon+1:])
-		if prev, ok := r.Headers[key]; ok {
-			r.Headers[key] = prev + ", " + val
-		} else {
-			r.Headers[key] = val
-		}
-	}
-	return nil
+	return r.parseFields(head, i, true)
 }
 
 // parseStatusLine parses "HTTP/1.x NNN reason". The reason phrase is
 // optional and may contain spaces; a missing one parses as "".
 func (r *Response) parseStatusLine(line string) error {
-	if hasCtl(line) || !asciiOnly([]byte(line)) {
-		return ErrMalformed
+	for i := 0; i < len(line); i++ {
+		if c := line[i]; (c < 0x20 && c != '\t') || c >= 0x7f {
+			return ErrMalformed // a control or non-ASCII byte
+		}
 	}
 	sp := strings.IndexByte(line, ' ')
 	if sp < 0 {
@@ -198,7 +80,7 @@ func (r *Response) parseStatusLine(line string) error {
 	if sp = strings.IndexByte(rest, ' '); sp >= 0 {
 		code, r.Reason = rest[:sp], rest[sp+1:]
 	}
-	// RFC 7230 §3.1.2: exactly three digits.
+	// RFC 9112 §4: exactly three digits.
 	if len(code) != 3 {
 		return ErrMalformed
 	}
@@ -210,50 +92,11 @@ func (r *Response) parseStatusLine(line string) error {
 	return nil
 }
 
-// Header returns the value of a header field by its lower-case name,
-// working in both parse modes (inline views or the map).
-func (r *Response) Header(key string) (string, bool) {
-	for i := 0; i < r.nh; i++ {
-		if r.hk[i] == key {
-			return r.hv[i], true
-		}
-	}
-	if r.Headers != nil {
-		v, ok := r.Headers[key]
-		return v, ok
-	}
-	return "", false
-}
-
-// NumHeaders returns the number of distinct header fields.
-func (r *Response) NumHeaders() int {
-	if r.nh > 0 {
-		return r.nh
-	}
-	return len(r.Headers)
-}
-
-// EachHeader visits every header field as (lower-cased name, value).
-func (r *Response) EachHeader(fn func(key, value string)) {
-	for i := 0; i < r.nh; i++ {
-		fn(r.hk[i], r.hv[i])
-	}
-	if r.nh == 0 {
-		for k, v := range r.Headers {
-			fn(k, v)
-		}
-	}
-}
-
 // KeepAlive reports whether the origin connection may be reused after
 // this response, applying the HTTP defaulting rules (1.1 defaults on
 // unless "Connection: close"; 1.0 requires "keep-alive").
 func (r *Response) KeepAlive() bool {
-	conn, _ := r.Header("connection")
-	if r.Minor >= 1 {
-		return !asciiContainsFold(conn, "close")
-	}
-	return asciiContainsFold(conn, "keep-alive")
+	return r.keepAlive(r.Major, r.Minor)
 }
 
 // BodyFraming inspects the response head and reports how the bytes
@@ -262,7 +105,7 @@ func (r *Response) KeepAlive() bool {
 // count), absent, or — the response-only case — extending to the
 // connection's close (BodyUntilClose, n = -1). Responses to HEAD and
 // 1xx/204/304 responses never carry a body regardless of their framing
-// headers (RFC 7230 §3.3.3). Transfer-Encoding other than a lone
+// headers (RFC 9112 §6.3). Transfer-Encoding other than a lone
 // "chunked" yields ErrBadTransferEncoding; Transfer-Encoding combined
 // with Content-Length is refused as ErrAmbiguousFraming (the strict
 // reading — a proxy must not guess at framing); an unparseable
@@ -271,26 +114,5 @@ func (r *Response) BodyFraming(reqMethod string) (BodyKind, int64, error) {
 	if reqMethod == "HEAD" || r.Status < 200 || r.Status == 204 || r.Status == 304 {
 		return BodyNone, 0, nil
 	}
-	te, hasTE := r.Header("transfer-encoding")
-	cl, hasCL := r.Header("content-length")
-	if hasTE {
-		if hasCL {
-			return BodyNone, 0, ErrAmbiguousFraming
-		}
-		if !strings.EqualFold(strings.TrimSpace(te), "chunked") {
-			return BodyNone, 0, ErrBadTransferEncoding
-		}
-		return BodyChunked, -1, nil
-	}
-	if hasCL {
-		n, err := ParseContentLength(cl)
-		if err != nil {
-			return BodyNone, 0, ErrMalformed
-		}
-		if n == 0 {
-			return BodyNone, 0, nil
-		}
-		return BodyLength, n, nil
-	}
-	return BodyUntilClose, -1, nil
+	return r.framing(BodyUntilClose)
 }

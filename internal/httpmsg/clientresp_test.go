@@ -1,10 +1,23 @@
 package httpmsg
 
 import (
+	"bufio"
+	"bytes"
+	"net/http"
 	"reflect"
 	"strings"
 	"testing"
 )
+
+// parseResponse parses a private copy of raw (ParseBytes lower-cases
+// field names in place) into a fresh Response.
+func parseResponse(raw []byte) (*Response, error) {
+	r := new(Response)
+	if err := r.ParseBytes(bytes.Clone(raw)); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
 
 func TestParseResponseBasic(t *testing.T) {
 	raw := []byte("HTTP/1.1 200 OK\r\n" +
@@ -12,7 +25,7 @@ func TestParseResponseBasic(t *testing.T) {
 		"Content-Type: text/html\r\n" +
 		"Content-Length: 42\r\n" +
 		"\r\n")
-	r, err := ParseResponse(raw)
+	r, err := parseResponse(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +71,7 @@ func TestParseResponseStatusLines(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r, err := ParseResponse([]byte(tc.head))
+			r, err := parseResponse([]byte(tc.head))
 			if err != tc.err {
 				t.Fatalf("err = %v, want %v", err, tc.err)
 			}
@@ -88,7 +101,7 @@ func TestParseResponseErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ParseResponse([]byte(tc.head)); err != tc.err {
+			if _, err := parseResponse([]byte(tc.head)); err != tc.err {
 				t.Fatalf("err = %v, want %v", err, tc.err)
 			}
 			var zc Response
@@ -101,30 +114,22 @@ func TestParseResponseErrors(t *testing.T) {
 
 func TestParseResponseDuplicateHeadersJoin(t *testing.T) {
 	raw := []byte("HTTP/1.1 200 OK\r\nSet-Thing: a\r\nset-thing: b\r\n\r\n")
-	r, err := ParseResponse(raw)
+	r, err := parseResponse(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := r.Header("set-thing"); v != "a, b" {
 		t.Fatalf("joined value = %q", v)
 	}
-	// Zero-copy mode spills to the map on duplicates and must agree.
-	var zc Response
-	if err := zc.ParseBytes(append([]byte(nil), raw...)); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := zc.Header("set-thing"); v != "a, b" {
-		t.Fatalf("zero-copy joined value = %q", v)
-	}
-	if zc.nh != 0 {
-		t.Fatalf("spilled parse left %d inline fields", zc.nh)
+	if r.NumHeaders() != 1 {
+		t.Fatalf("NumHeaders = %d, want the repeated name stored once", r.NumHeaders())
 	}
 }
 
 func TestParseResponseInlineSpill(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("HTTP/1.1 200 OK\r\n")
-	for i := 0; i < maxInlineHeaders+2; i++ {
+	for i := 0; i < maxInlineFields+2; i++ {
 		b.WriteString("X-H")
 		b.WriteByte(byte('a' + i))
 		b.WriteString(": v\r\n")
@@ -134,8 +139,8 @@ func TestParseResponseInlineSpill(t *testing.T) {
 	if err := zc.ParseBytes([]byte(b.String())); err != nil {
 		t.Fatal(err)
 	}
-	if zc.NumHeaders() != maxInlineHeaders+2 {
-		t.Fatalf("NumHeaders = %d, want %d", zc.NumHeaders(), maxInlineHeaders+2)
+	if zc.NumHeaders() != maxInlineFields+2 {
+		t.Fatalf("NumHeaders = %d, want %d", zc.NumHeaders(), maxInlineFields+2)
 	}
 	if v, ok := zc.Header("x-ha"); !ok || v != "v" {
 		t.Fatalf("x-ha = %q, %v", v, ok)
@@ -173,7 +178,7 @@ func TestResponseKeepAlive(t *testing.T) {
 		{"HTTP/1.0 200 OK\r\nConnection: close\r\n\r\n", false},
 	}
 	for _, tc := range cases {
-		r, err := ParseResponse([]byte(tc.head))
+		r, err := parseResponse([]byte(tc.head))
 		if err != nil {
 			t.Fatalf("%q: %v", tc.head, err)
 		}
@@ -208,7 +213,7 @@ func TestResponseBodyFraming(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r, err := ParseResponse([]byte(tc.head))
+			r, err := parseResponse([]byte(tc.head))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,8 +226,8 @@ func TestResponseBodyFraming(t *testing.T) {
 	}
 }
 
-// compareResponses asserts the two parse modes produced the same
-// message: proto, status, reason, and the full header set.
+// compareResponses asserts two parses produced the same message:
+// proto, status, reason, and the full header set.
 func compareResponses(t *testing.T, a, b *Response, label string) {
 	t.Helper()
 	if a.Proto != b.Proto || a.Major != b.Major || a.Minor != b.Minor ||
@@ -258,6 +263,8 @@ func FuzzParseResponse(f *testing.F) {
 		// Split/odd header shapes.
 		"HTTP/1.1 200 OK\r\nX:\r\n\r\n",
 		"HTTP/1.1 200 OK\r\nX:   padded   \r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Length : 5\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nX-A: a\r\n X-B: b\r\n\r\n", // obs-fold
 		// Malformed shapes.
 		"HTTP/2.0 200 OK\r\n\r\n",
 		"200 OK\r\n\r\n",
@@ -274,52 +281,37 @@ func FuzzParseResponse(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		resp, err := ParseResponse(data)
+		resp, err := parseResponse(data)
 
-		// The zero-copy reusable mode must agree with the allocating
-		// mode on every input — same error, same message. ParseBytes
-		// mutates its buffer (in-place key lowering), so it gets a
-		// private copy.
-		var reused Response
-		buf := append([]byte(nil), data...)
-		zerr := reused.ParseBytes(buf)
-		if (err == nil) != (zerr == nil) || (err != nil && err != zerr) {
-			t.Fatalf("parse modes disagree on error: map=%v zero-copy=%v", err, zerr)
+		// Determinism: parsing the same bytes twice agrees.
+		again, err2 := parseResponse(data)
+		if err != err2 || (err == nil && !reflect.DeepEqual(resp, again)) {
+			t.Fatalf("non-deterministic parse: %v vs %v", err, err2)
 		}
-		if err == nil {
-			compareResponses(t, resp, &reused, "zero-copy vs map")
-
-			// Reset and re-parse a mutated head into the SAME Response;
-			// the result must equal a fresh parse of the mutated head,
-			// with no residue from the first parse.
-			data2 := append([]byte(nil), data...)
-			for i, c := range data2 {
-				if c == 'a' {
-					data2[i] = 'z'
-				}
-			}
-			fresh, ferr := ParseResponse(data2)
-			reused.Reset()
-			rerr := reused.ParseBytes(data2)
-			if (ferr == nil) != (rerr == nil) || (ferr != nil && ferr != rerr) {
-				t.Fatalf("reused parse error diverges: fresh=%v reused=%v", ferr, rerr)
-			}
-			if ferr == nil {
-				compareResponses(t, fresh, &reused, "reused after Reset vs fresh")
-			}
-		}
-
 		if err != nil {
-			if resp != nil {
-				t.Fatal("non-nil response alongside error")
-			}
 			return
 		}
 
-		// Determinism: parsing the same bytes twice agrees.
-		again, err2 := ParseResponse(data)
-		if err2 != nil || !reflect.DeepEqual(resp, again) {
-			t.Fatalf("non-deterministic parse: %v", err2)
+		// Reset and re-parse a mutated head into the SAME Response; the
+		// result must equal a fresh parse of the mutated head, with no
+		// residue from the first parse.
+		reused := again
+		data2 := bytes.ReplaceAll(data, []byte("a"), []byte("z"))
+		fresh, ferr := parseResponse(data2)
+		reused.Reset()
+		if rerr := reused.ParseBytes(data2); rerr != ferr {
+			t.Fatalf("reused parse error diverges: fresh=%v reused=%v", ferr, rerr)
+		}
+		if ferr == nil {
+			compareResponses(t, fresh, reused, "reused after Reset vs fresh")
+		}
+
+		if hresp, herr := http.ReadResponse(bufio.NewReader(bytes.NewReader(data)), nil); herr == nil {
+			if resp.Proto != hresp.Proto || resp.Status != hresp.StatusCode {
+				t.Fatalf("status line %q %d, net/http reads %q %d",
+					resp.Proto, resp.Status, hresp.Proto, hresp.StatusCode)
+			}
+			compareWithOracle(t, &resp.fieldBlock, hresp.Header)
 		}
 
 		// Accepted response ⇒ a complete header block exists.

@@ -1,6 +1,8 @@
 package httpmsg
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -88,6 +90,29 @@ func TestETagMatch(t *testing.T) {
 	}
 }
 
+func TestMatchIfMatch(t *testing.T) {
+	etag := MakeETag(1234, 5678)
+	for _, tc := range []struct {
+		header, etag string
+		want         bool
+	}{
+		{etag, etag, true},
+		{`"other", ` + etag, etag, true},
+		{" " + etag + " ", etag, true},
+		{"*", etag, true},
+		{"*", "", true}, // any current entity, tagged or not
+		{"W/" + etag, etag, false},
+		{etag, "W/" + etag, false}, // a weak entity tag never matches strongly
+		{`"other"`, etag, false},
+		{"", "", false},
+		{",", "", false},
+	} {
+		if got := MatchIfMatch(tc.header, tc.etag); got != tc.want {
+			t.Errorf("MatchIfMatch(%q, %q) = %v, want %v", tc.header, tc.etag, got, tc.want)
+		}
+	}
+}
+
 func TestMatchIfRange(t *testing.T) {
 	etag := MakeETag(13, 1000)
 	lm := time.Unix(1000, 0)
@@ -153,7 +178,7 @@ func TestBuildHeaderChunkedAndRange(t *testing.T) {
 }
 
 func TestParseRequestValidators(t *testing.T) {
-	req, err := ParseRequest([]byte("GET /f HTTP/1.1\r\nHost: h\r\n" +
+	req, err := parseRequest([]byte("GET /f HTTP/1.1\r\nHost: h\r\n" +
 		"Range: bytes=1-2\r\nIf-None-Match: \"x\"\r\nIf-Range: \"y\"\r\n\r\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +191,7 @@ func TestParseRequestValidators(t *testing.T) {
 	}
 
 	// Malformed Range is ignored, not an error.
-	req, err = ParseRequest([]byte("GET /f HTTP/1.0\r\nRange: bytes=9-3\r\n\r\n"))
+	req, err = parseRequest([]byte("GET /f HTTP/1.0\r\nRange: bytes=9-3\r\n\r\n"))
 	if err != nil || req.Range != nil {
 		t.Fatalf("malformed range: req.Range=%+v err=%v", req.Range, err)
 	}
@@ -180,8 +205,182 @@ func TestParseRequestRejectsSmuggling(t *testing.T) {
 		"GE\x00T / HTTP/1.0\r\n\r\n",           // NUL in request line
 	}
 	for _, s := range bad {
-		if _, err := ParseRequest([]byte(s)); err == nil {
-			t.Errorf("ParseRequest(%q) accepted a smuggling vector", s)
+		if _, err := parseRequest([]byte(s)); err == nil {
+			t.Errorf("parseRequest(%q) accepted a smuggling vector", s)
 		}
+	}
+}
+
+// TestFieldLineRules pins the one field-line parser's rules (RFC 9112
+// §5, RFC 9110 §5.6.2–5.6.3) for both message kinds: a name is a
+// token, OWS is SP and HTAB only, an obs-fold line is malformed, and
+// whitespace before a colon is malformed in a request but removed in a
+// response.
+func TestFieldLineRules(t *testing.T) {
+	for _, tc := range []struct {
+		name, fields string
+		reqErr       error // the request parse's error
+		respErr      error // the response parse's error
+		key, value   string
+	}{
+		{"token name", "X-A.b~1: v", nil, nil, "x-a.b~1", "v"},
+		{"name with @", "X@Y: v", ErrMalformed, ErrMalformed, "", ""},
+		{"non-ASCII name", "Ünï: v", ErrMalformed, ErrMalformed, "", ""},
+		{"OWS is SP and HTAB", "X:\t v \t", nil, nil, "x", "v"},
+		{"NBSP is not OWS", "X: \u00a0v\u00a0", nil, nil, "x", "\u00a0v\u00a0"},
+		{"whitespace before colon", "Content-Length : 5", ErrMalformed, nil, "content-length", "5"},
+		{"tab before colon", "X\t: v", ErrMalformed, nil, "x", "v"},
+		{"obs-fold", "X: a\r\n b: c", ErrMalformed, ErrMalformed, "", ""},
+		{"obs-fold with tab", "X: a\r\n\tb", ErrMalformed, ErrMalformed, "", ""},
+		{"repeated name joined", "X: a\r\nx: b", nil, nil, "x", "a, b"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req, err := parseRequest([]byte("GET / HTTP/1.1\r\n" + tc.fields + "\r\n\r\n"))
+			if err != tc.reqErr {
+				t.Fatalf("request: err = %v, want %v", err, tc.reqErr)
+			}
+			if err == nil {
+				if v, ok := req.Header(tc.key); !ok || v != tc.value {
+					t.Fatalf("request: %q = %q (present=%v), want %q", tc.key, v, ok, tc.value)
+				}
+			}
+			resp, err := parseResponse([]byte("HTTP/1.1 200 OK\r\n" + tc.fields + "\r\n\r\n"))
+			if err != tc.respErr {
+				t.Fatalf("response: err = %v, want %v", err, tc.respErr)
+			}
+			if err == nil {
+				if v, ok := resp.Header(tc.key); !ok || v != tc.value {
+					t.Fatalf("response: %q = %q (present=%v), want %q", tc.key, v, ok, tc.value)
+				}
+			}
+		})
+	}
+}
+
+// TestFieldLineLimit: a head may carry maxFieldLines field lines, and
+// one more is too big — however few distinct names they spell.
+func TestFieldLineLimit(t *testing.T) {
+	head := func(lines int) []byte {
+		var b strings.Builder
+		b.WriteString("GET / HTTP/1.1\r\n")
+		for i := 0; i < lines; i++ {
+			fmt.Fprintf(&b, "X-%d: v\r\n", i%3)
+		}
+		return []byte(b.String() + "\r\n")
+	}
+	r, err := parseRequest(head(maxFieldLines))
+	if err != nil || r.NumHeaders() != 3 {
+		t.Fatalf("%d lines: err %v, %d fields", maxFieldLines, err, r.NumHeaders())
+	}
+	if _, err := parseRequest(head(maxFieldLines + 1)); err != ErrHeaderTooBig {
+		t.Fatalf("%d lines: err = %v, want ErrHeaderTooBig", maxFieldLines+1, err)
+	}
+}
+
+// TestFieldOverflowRecycled: fields past the inline array land in the
+// overflow slice, which Reset empties but keeps.
+func TestFieldOverflowRecycled(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("GET / HTTP/1.1\r\n")
+	for i := 0; i < maxInlineFields+4; i++ {
+		fmt.Fprintf(&b, "X-%d: %d\r\n", i, i)
+	}
+	raw := []byte(b.String() + "\r\n")
+	var r Request
+	buf := bytes.Clone(raw)
+	if err := r.ParseBytes(buf); err != nil {
+		t.Fatal(err)
+	}
+	if r.NumHeaders() != maxInlineFields+4 {
+		t.Fatalf("NumHeaders = %d", r.NumHeaders())
+	}
+	if v, ok := r.Header("x-19"); !ok || v != "19" {
+		t.Fatalf("x-19 = %q, %v", v, ok)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		copy(buf, raw)
+		r.Reset()
+		if err := r.ParseBytes(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("recycled parse of %d fields: %.1f allocs, want 0", maxInlineFields+4, n)
+	}
+}
+
+// TestRequestEndAllocs: probing a partial head for its end — done on
+// every read that leaves one incomplete — allocates nothing.
+func TestRequestEndAllocs(t *testing.T) {
+	partial := []byte("GET /index.html HTTP/1.1\r\nHost: example.com\r\nAccept: */*\r\n")
+	if n := testing.AllocsPerRun(100, func() {
+		if RequestEnd(partial) >= 0 {
+			t.Fatal("partial head reported complete")
+		}
+	}); n != 0 {
+		t.Fatalf("RequestEnd on a partial head: %.1f allocs, want 0", n)
+	}
+}
+
+// TestHeaderEndFirstBlankLine: the head ends at its first blank line,
+// whichever line-ending style spells it, so a bare-LF head followed by
+// a CRLF one is two heads — the line parser's view, and net/http's.
+func TestHeaderEndFirstBlankLine(t *testing.T) {
+	first := "GET / HTTP/1.1\nHost: h\n\n"
+	buf := []byte(first + "GET /x HTTP/1.1\r\nHost: h\r\n\r\n")
+	if got := RequestEnd(buf); got != len(first) {
+		t.Fatalf("RequestEnd = %d, want %d", got, len(first))
+	}
+	head := "HTTP/1.1 200 OK\r\nX: y\n\r\n"
+	if got := HeaderEnd([]byte(head + "body")); got != len(head) {
+		t.Fatalf("HeaderEnd over LF then CRLF = %d, want %d", got, len(head))
+	}
+}
+
+// TestContentLengthDigitsOnly: Content-Length is 1*DIGIT (RFC 9110
+// §8.6); a sign or a repeated, joined value is malformed framing.
+func TestContentLengthDigitsOnly(t *testing.T) {
+	for _, v := range []string{"+5", "-5", "5, 5", "0x5", ""} {
+		r, err := parseRequest([]byte("POST / HTTP/1.1\r\nContent-Length: " + v + "\r\n\r\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := r.BodyFraming(); err != ErrMalformed {
+			t.Errorf("Content-Length %q: framing err = %v, want ErrMalformed", v, err)
+		}
+	}
+}
+
+// TestParsedRequestOutlivesBuffer: the protocol is a constant, and
+// MaterializeHeaders copies every other view, so rewriting the parse
+// buffer afterwards changes nothing the Request reports.
+func TestParsedRequestOutlivesBuffer(t *testing.T) {
+	buf := []byte("GET /a?q HTTP/1.1\r\nHost: h\r\nIf-Match: \"x\"\r\nX: y\r\nx: z\r\n\r\n")
+	var r Request
+	if err := r.ParseBytes(buf); err != nil {
+		t.Fatal(err)
+	}
+	r.MaterializeHeaders()
+	for i := range buf {
+		buf[i] = '#'
+	}
+	if r.Proto != "HTTP/1.1" || r.Method != "GET" || r.Target != "/a?q" || r.IfMatch != `"x"` {
+		t.Fatalf("request line views changed: %q %q %q %q", r.Method, r.Target, r.Proto, r.IfMatch)
+	}
+	if v, _ := r.Header("x"); v != "y, z" || r.Headers["host"] != "h" || len(r.Headers) != 3 {
+		t.Fatalf("fields changed: x=%q map=%v", v, r.Headers)
+	}
+}
+
+func TestParseRequestPreconditions(t *testing.T) {
+	req, err := parseRequest([]byte("GET /f HTTP/1.1\r\nHost: h\r\nIf-Match: \"a\", \"b\"\r\n" +
+		"If-Unmodified-Since: Sun, 06 Nov 1994 08:49:37 GMT\r\n\r\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.IfMatch != `"a", "b"` {
+		t.Fatalf("IfMatch = %q", req.IfMatch)
+	}
+	if want := time.Date(1994, 11, 6, 8, 49, 37, 0, time.UTC); !req.IfUnmodifiedSince.Equal(want) {
+		t.Fatalf("IfUnmodifiedSince = %v, want %v", req.IfUnmodifiedSince, want)
 	}
 }

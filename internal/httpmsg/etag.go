@@ -14,24 +14,41 @@ func MakeETag(size, modTime int64) string {
 }
 
 // ETagMatch reports whether an If-None-Match header value matches the
-// given entity tag, using the weak comparison RFC 7232 §3.2 prescribes
-// (a "W/" prefix on either side is ignored).
+// given entity tag, using the weak comparison RFC 9110 §8.8.3.2
+// prescribes (a "W/" prefix on either side is ignored).
 func ETagMatch(headerVal, etag string) bool {
-	headerVal = strings.TrimSpace(headerVal)
-	if headerVal == "*" {
+	if strings.TrimSpace(headerVal) == "*" {
 		return etag != ""
 	}
-	target := weakTrim(etag)
+	return listHasETag(headerVal, weakTrim(etag), true)
+}
+
+// MatchIfMatch reports whether an If-Match header value matches the
+// given entity tag, using the strong comparison RFC 9110 §13.1.1
+// prescribes: "*" matches any current entity, and a weak tag on either
+// side never matches.
+func MatchIfMatch(headerVal, etag string) bool {
+	if strings.TrimSpace(headerVal) == "*" {
+		return true
+	}
+	return etag != "" && !strings.HasPrefix(etag, "W/") && listHasETag(headerVal, etag, false)
+}
+
+// listHasETag reports whether the comma-separated list holds target,
+// each candidate trimmed and, under the weak comparison, stripped of
+// its weakness prefix. It walks the list without splitting it into a
+// fresh slice: the 304-revalidation hot path must stay allocation-free.
+func listHasETag(list, target string, weak bool) bool {
 	for {
-		// Walk the comma-separated candidates without splitting into a
-		// fresh slice: this runs on the 304-revalidation hot path, which
-		// must stay allocation-free.
-		i := strings.IndexByte(headerVal, ',')
-		cand := headerVal
+		cand := list
+		i := strings.IndexByte(list, ',')
 		if i >= 0 {
-			cand, headerVal = headerVal[:i], headerVal[i+1:]
+			cand, list = list[:i], list[i+1:]
 		}
-		if weakTrim(cand) == target {
+		if cand = strings.TrimSpace(cand); weak {
+			cand = weakTrim(cand)
+		}
+		if cand == target {
 			return true
 		}
 		if i < 0 {

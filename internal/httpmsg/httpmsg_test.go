@@ -10,8 +10,18 @@ import (
 
 // --- Request parsing ---
 
+// parseRequest parses a private copy of raw (ParseBytes lower-cases
+// field names in place) into a fresh Request.
+func parseRequest(raw []byte) (*Request, error) {
+	r := new(Request)
+	if err := r.ParseBytes(bytes.Clone(raw)); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
 func TestParseSimpleGet(t *testing.T) {
-	r, err := ParseRequest([]byte("GET /index.html HTTP/1.0\r\nHost: example.com\r\n\r\n"))
+	r, err := parseRequest([]byte("GET /index.html HTTP/1.0\r\nHost: example.com\r\n\r\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +37,7 @@ func TestParseSimpleGet(t *testing.T) {
 }
 
 func TestParseHTTP11DefaultsKeepAlive(t *testing.T) {
-	r, err := ParseRequest([]byte("GET / HTTP/1.1\r\nHost: h\r\n\r\n"))
+	r, err := parseRequest([]byte("GET / HTTP/1.1\r\nHost: h\r\n\r\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +47,7 @@ func TestParseHTTP11DefaultsKeepAlive(t *testing.T) {
 }
 
 func TestParseConnectionClose(t *testing.T) {
-	r, err := ParseRequest([]byte("GET / HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n"))
+	r, err := parseRequest([]byte("GET / HTTP/1.1\r\nHost: h\r\nConnection: close\r\n\r\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +57,7 @@ func TestParseConnectionClose(t *testing.T) {
 }
 
 func TestParseHTTP10KeepAlive(t *testing.T) {
-	r, err := ParseRequest([]byte("GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"))
+	r, err := parseRequest([]byte("GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +67,7 @@ func TestParseHTTP10KeepAlive(t *testing.T) {
 }
 
 func TestParseQueryString(t *testing.T) {
-	r, err := ParseRequest([]byte("GET /cgi-bin/search?q=flash+server HTTP/1.0\r\n\r\n"))
+	r, err := parseRequest([]byte("GET /cgi-bin/search?q=flash+server HTTP/1.0\r\n\r\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +77,7 @@ func TestParseQueryString(t *testing.T) {
 }
 
 func TestParsePercentEscapes(t *testing.T) {
-	r, err := ParseRequest([]byte("GET /a%20b/c%2ehtml HTTP/1.0\r\n\r\n"))
+	r, err := parseRequest([]byte("GET /a%20b/c%2ehtml HTTP/1.0\r\n\r\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,16 +87,16 @@ func TestParsePercentEscapes(t *testing.T) {
 }
 
 func TestParseBadEscape(t *testing.T) {
-	if _, err := ParseRequest([]byte("GET /a%zz HTTP/1.0\r\n\r\n")); err == nil {
+	if _, err := parseRequest([]byte("GET /a%zz HTTP/1.0\r\n\r\n")); err == nil {
 		t.Fatal("bad escape accepted")
 	}
-	if _, err := ParseRequest([]byte("GET /a% HTTP/1.0\r\n\r\n")); err == nil {
+	if _, err := parseRequest([]byte("GET /a% HTTP/1.0\r\n\r\n")); err == nil {
 		t.Fatal("truncated escape accepted")
 	}
 }
 
 func TestParseIncomplete(t *testing.T) {
-	if _, err := ParseRequest([]byte("GET / HTTP/1.0\r\nHost: h\r\n")); err != ErrIncomplete {
+	if _, err := parseRequest([]byte("GET / HTTP/1.0\r\nHost: h\r\n")); err != ErrIncomplete {
 		t.Fatalf("err = %v, want ErrIncomplete", err)
 	}
 }
@@ -98,20 +108,20 @@ func TestParseMalformed(t *testing.T) {
 		"GET / HTTP/1.0 extra junk\r\n\r\n",
 		"GET / HTTP/1.0\r\nNoColonHeader\r\n\r\n",
 	} {
-		if _, err := ParseRequest([]byte(in)); err == nil {
+		if _, err := parseRequest([]byte(in)); err == nil {
 			t.Errorf("accepted malformed request %q", in)
 		}
 	}
 }
 
 func TestParseUnsupportedVersion(t *testing.T) {
-	if _, err := ParseRequest([]byte("GET / HTTP/2.0\r\n\r\n")); err != ErrUnsupported {
+	if _, err := parseRequest([]byte("GET / HTTP/2.0\r\n\r\n")); err != ErrUnsupported {
 		t.Fatalf("err = %v, want ErrUnsupported", err)
 	}
 }
 
 func TestParseHTTP09(t *testing.T) {
-	r, err := ParseRequest([]byte("GET /doc.html\r\n\r\n"))
+	r, err := parseRequest([]byte("GET /doc.html\r\n\r\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +131,7 @@ func TestParseHTTP09(t *testing.T) {
 }
 
 func TestParseLFOnlyLineEndings(t *testing.T) {
-	r, err := ParseRequest([]byte("GET /x HTTP/1.0\nHost: h\n\n"))
+	r, err := parseRequest([]byte("GET /x HTTP/1.0\nHost: h\n\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,17 +141,17 @@ func TestParseLFOnlyLineEndings(t *testing.T) {
 }
 
 func TestParseDuplicateHeadersJoined(t *testing.T) {
-	r, err := ParseRequest([]byte("GET / HTTP/1.0\r\nAccept: a\r\nAccept: b\r\n\r\n"))
+	r, err := parseRequest([]byte("GET / HTTP/1.0\r\nAccept: a\r\nAccept: b\r\n\r\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Headers["accept"] != "a, b" {
-		t.Fatalf("accept = %q", r.Headers["accept"])
+	if v, _ := r.Header("accept"); v != "a, b" {
+		t.Fatalf("accept = %q", v)
 	}
 }
 
 func TestParseIfModifiedSince(t *testing.T) {
-	r, err := ParseRequest([]byte("GET / HTTP/1.0\r\nIf-Modified-Since: Sun, 06 Nov 1994 08:49:37 GMT\r\n\r\n"))
+	r, err := parseRequest([]byte("GET / HTTP/1.0\r\nIf-Modified-Since: Sun, 06 Nov 1994 08:49:37 GMT\r\n\r\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +163,7 @@ func TestParseIfModifiedSince(t *testing.T) {
 
 func TestTargetTooLong(t *testing.T) {
 	target := "/" + strings.Repeat("a", MaxTargetLen)
-	if _, err := ParseRequest([]byte("GET " + target + " HTTP/1.0\r\n\r\n")); err != ErrTargetTooBig {
+	if _, err := parseRequest([]byte("GET " + target + " HTTP/1.0\r\n\r\n")); err != ErrTargetTooBig {
 		t.Fatalf("err = %v, want ErrTargetTooBig", err)
 	}
 }
@@ -334,6 +344,9 @@ func TestErrorBody(t *testing.T) {
 func TestHTTPTimeRoundTrip(t *testing.T) {
 	orig := time.Date(1999, 6, 9, 12, 30, 45, 0, time.UTC)
 	s := FormatHTTPTime(orig)
+	if s != "Wed, 09 Jun 1999 12:30:45 GMT" {
+		t.Fatalf("FormatHTTPTime = %q, want an IMF-fixdate", s)
+	}
 	got, err := ParseHTTPTime(s)
 	if err != nil {
 		t.Fatal(err)
@@ -432,9 +445,13 @@ func TestWireSize(t *testing.T) {
 
 func BenchmarkParseRequest(b *testing.B) {
 	req := []byte("GET /class/elec520/index.html HTTP/1.1\r\nHost: ece.rice.edu\r\nUser-Agent: bench\r\nAccept: */*\r\n\r\n")
-	b.ResetTimer()
+	buf := make([]byte, len(req))
+	var r Request
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ParseRequest(req); err != nil {
+		copy(buf, req)
+		r.Reset()
+		if err := r.ParseBytes(buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,14 +7,15 @@
 // the paper's server predates and does not use a framework, and the
 // simulator shares the header-size and alignment math.
 //
-// Requests can be parsed in two modes. ParseRequest allocates a fresh
-// Request with an owned header map — the convenient form for tools and
-// tests. The server's hot path instead recycles one Request per
-// connection through Reset+ParseBytes: the zero-copy mode stores
-// method, target, and header fields as views over the caller's buffer
-// (headers in a small inline array scanned linearly, spilling to a map
-// only for unusual requests), so a steady-state parse performs no heap
-// allocations at all.
+// One parser serves both message kinds: Request and Response embed the
+// same header-field block, so a request read from a client and a
+// response read from an origin obey one set of field rules (RFC 9112
+// §5: token names, SP/HTAB as the only OWS, no obs-fold) and share one
+// lookup, framing and persistence implementation. The server recycles
+// one message per connection through Reset+ParseBytes: method, target
+// and fields are views over the caller's buffer (16 fields inline, an
+// overflow slice kept across Reset beyond that), so a steady-state
+// parse performs no heap allocations at all.
 package httpmsg
 
 import (
@@ -24,54 +25,46 @@ import (
 	"strconv"
 	"strings"
 	"time"
-	"unsafe"
 )
 
-// maxInlineHeaders is the inline header capacity of the zero-copy parse
-// mode; requests with more fields (or duplicate field names) spill to
-// the allocating map form.
-const maxInlineHeaders = 16
-
-// Request is a parsed HTTP request.
+// Request is a parsed HTTP request, recycled per connection through
+// Reset+ParseBytes.
 //
-// In the zero-copy parse mode (Reset+ParseBytes) the string fields —
-// Method, Target, Path, Query, IfNoneMatch, IfRange, and the inline
-// header storage behind Header — are views over the buffer given to
-// ParseBytes: they are valid only until that buffer is modified or the
-// Request is parsed again. Headers is nil in that mode unless
-// MaterializeHeaders is called; use Header for lookups that work in
-// both modes.
+// The string fields — Method, Target, Path, Query, IfNoneMatch,
+// IfMatch, IfRange, and the header fields behind Header — are views
+// over the buffer given to ParseBytes: they are valid only until that
+// buffer is modified or the Request is parsed again.
+// MaterializeHeaders turns them into owned copies and fills Headers.
 type Request struct {
 	Method  string
 	Target  string // raw request target (path + optional query)
 	Path    string // decoded, cleaned path component
 	Query   string // raw query string (after '?')
-	Proto   string // "HTTP/1.0" or "HTTP/1.1"
+	Proto   string // "HTTP/0.9", "HTTP/1.0" or "HTTP/1.1"
 	Major   int
 	Minor   int
-	Headers map[string]string // keys lower-cased; nil in zero-copy mode
+	Headers map[string]string // owned copy of the fields; nil until MaterializeHeaders
 
 	// KeepAlive is the effective persistence after applying HTTP
 	// defaulting rules (1.1 defaults on, 1.0 requires the header).
 	KeepAlive bool
-	// IfModifiedSince is the parsed conditional time, zero if absent
-	// or unparseable.
-	IfModifiedSince time.Time
+	// IfModifiedSince and IfUnmodifiedSince are the parsed conditional
+	// times, zero if absent or unparseable.
+	IfModifiedSince   time.Time
+	IfUnmodifiedSince time.Time
 	// IfNoneMatch is the raw If-None-Match header value ("" if absent).
-	// When present it takes precedence over IfModifiedSince (RFC 7232).
+	// When present it takes precedence over IfModifiedSince (RFC 9110
+	// §13.2.2), as IfMatch does over IfUnmodifiedSince.
 	IfNoneMatch string
+	// IfMatch is the raw If-Match header value ("" if absent).
+	IfMatch string
 	// IfRange is the raw If-Range header value ("" if absent).
 	IfRange string
 	// Range is the parsed single byte range, nil when the header is
 	// absent or should be ignored (malformed, multi-range).
 	Range *ByteRange
 
-	// Inline header storage for the zero-copy parse mode: nh fields in
-	// hk/hv, keys lower-cased in place inside the parse buffer. The
-	// allocating mode leaves nh zero and uses Headers instead.
-	nh int
-	hk [maxInlineHeaders]string
-	hv [maxInlineHeaders]string
+	fieldBlock
 }
 
 // Errors returned by the parser.
@@ -89,16 +82,23 @@ const MaxTargetLen = 8 << 10
 // MaxHeaderLen bounds the total header block.
 const MaxHeaderLen = 32 << 10
 
-// HeaderEnd returns the index just past the CRLFCRLF (or LFLF) header
-// terminator in buf, or -1 if the header block is not yet complete.
+// HeaderEnd returns the index just past the blank line (CRLF or a bare
+// LF) that ends the header block in buf — the first one, the line
+// parser's own end — or -1 if the block is not yet complete.
 func HeaderEnd(buf []byte) int {
-	if i := bytes.Index(buf, []byte("\r\n\r\n")); i >= 0 {
-		return i + 4
+	for i := 0; ; {
+		j := bytes.IndexByte(buf[i:], '\n')
+		if j < 0 {
+			return -1
+		}
+		i += j + 1
+		if i < len(buf) && buf[i] == '\n' {
+			return i + 1
+		}
+		if i+1 < len(buf) && buf[i] == '\r' && buf[i+1] == '\n' {
+			return i + 2
+		}
 	}
-	if i := bytes.Index(buf, []byte("\n\n")); i >= 0 {
-		return i + 2
-	}
-	return -1
 }
 
 // SimpleRequestEnd returns the index just past a complete HTTP/0.9
@@ -110,8 +110,8 @@ func SimpleRequestEnd(buf []byte) int {
 	if i < 0 {
 		return -1
 	}
-	f := strings.Fields(strings.TrimRight(string(buf[:i]), "\r"))
-	if len(f) != 2 || f[0] != "GET" {
+	f, n := requestLineFields(bytes.TrimRight(buf[:i], "\r"))
+	if n != 2 || string(f[0]) != "GET" {
 		return -1
 	}
 	return i + 1
@@ -126,380 +126,119 @@ func RequestEnd(buf []byte) int {
 	return SimpleRequestEnd(buf)
 }
 
-// ParseRequest parses a complete request head: a header block including
-// the terminating blank line, or an HTTP/0.9 simple request (a lone
-// "GET /path" line, which has no headers to terminate). The returned
-// Request owns all of its storage (the allocating mode).
-func ParseRequest(buf []byte) (*Request, error) {
-	r := &Request{}
-	if err := parseMapMode(r, buf); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // Reset re-arms a Request for the next ParseBytes, dropping every field
 // and view from the previous parse.
 func (r *Request) Reset() {
-	for i := 0; i < r.nh; i++ {
-		r.hk[i], r.hv[i] = "", ""
-	}
-	r.nh = 0
-	r.Method, r.Target, r.Path, r.Query, r.Proto = "", "", "", "", ""
-	r.Major, r.Minor = 0, 0
-	r.Headers = nil
-	r.KeepAlive = false
-	r.IfModifiedSince = time.Time{}
-	r.IfNoneMatch, r.IfRange = "", ""
-	r.Range = nil
+	more := r.recycle()
+	*r = Request{}
+	r.more = more
 }
 
-// ParseBytes parses a complete request head into r without allocating:
-// string fields become views over buf, and header fields are stored in
-// the inline array with their keys lower-cased IN PLACE inside buf (the
-// caller owns the buffer and must treat it as mutated). Requests the
-// fast path cannot represent exactly — more than maxInlineHeaders
-// fields, duplicate field names, non-ASCII bytes in the request line or
-// a field name, %-escaped or non-canonical paths — spill to the
-// allocating map mode with semantics identical to ParseRequest.
+// ParseBytes parses a complete request head — a header block including
+// the terminating blank line, or an HTTP/0.9 simple request (a lone
+// "GET /path" line) — into r. String fields become views over buf, and
+// field names are lower-cased IN PLACE inside buf (the caller owns the
+// buffer and must treat it as mutated). A steady-state parse allocates
+// nothing; a repeated field name, a %-escaped or non-canonical path
+// and a Range header may.
 //
 // Call Reset before re-parsing into the same Request. On error the
 // Request's contents are unspecified.
 func (r *Request) ParseBytes(buf []byte) error {
-	end := RequestEnd(buf)
-	if end < 0 {
-		if len(buf) > MaxHeaderLen {
-			return ErrHeaderTooBig
-		}
-		return ErrIncomplete
+	head, err := completeHead(buf, RequestEnd(buf))
+	if err != nil {
+		return err
 	}
-	head := buf[:end]
-
-	// Tolerate a blank-line preamble before the request line (RFC 7230
-	// §3.5: robust servers ignore at least one stray CRLF).
-	i := 0
+	// Tolerate a blank-line preamble before the request line (RFC 9112
+	// §2.2: robust servers ignore at least one stray CRLF).
 	var line []byte
-	for {
-		if i >= len(head) {
+	i := 0
+	for len(line) == 0 {
+		if i == len(head) {
 			return ErrMalformed
 		}
 		line, i = nextLine(head, i)
-		if len(line) > 0 {
-			break
-		}
 	}
-	if !asciiOnly(line) {
-		// Unicode whitespace in the request line splits differently in
-		// the map mode's strings.Fields; delegate rather than diverge.
-		return parseMapMode(r, buf)
-	}
-	if err := r.parseRequestLineBytes(line); err != nil {
+	if err := r.parseRequestLine(line); err != nil {
 		return err
 	}
-	for i < len(head) {
-		line, i = nextLine(head, i)
-		if len(line) == 0 {
-			break
-		}
-		if bytesHasCtl(line) {
-			// Bare CR, NUL, and friends inside a header line are
-			// request-smuggling vectors.
-			return ErrMalformed
-		}
-		colon := bytes.IndexByte(line, ':')
-		if colon <= 0 {
-			return ErrMalformed
-		}
-		key := bytes.TrimSpace(line[:colon])
-		if !asciiOnly(key) {
-			// Non-ASCII field names lower-case differently under full
-			// Unicode folding; delegate rather than diverge.
-			return parseMapMode(r, buf)
-		}
-		lowerInPlace(key)
-		val := bytes.TrimSpace(line[colon+1:])
-		if r.nh == maxInlineHeaders || r.hasInline(key) {
-			// Inline array full, or a duplicate name that the map mode
-			// would join with ", ": spill. (Keys already lower-cased in
-			// place re-lower harmlessly.)
-			return parseMapMode(r, buf)
-		}
-		r.hk[r.nh] = bview(key)
-		r.hv[r.nh] = bview(val)
-		r.nh++
+	if err := r.parseFields(head, i, false); err != nil {
+		return err
 	}
 	r.applyDefaults()
 	return nil
 }
 
-// hasInline reports whether a lower-cased key is already stored inline.
-func (r *Request) hasInline(key []byte) bool {
-	for i := 0; i < r.nh; i++ {
-		if r.hk[i] == bview(key) {
-			return true
-		}
-	}
-	return false
-}
-
-// Header returns the value of a header field by its lower-case name,
-// working in both parse modes (inline views or the map).
-func (r *Request) Header(key string) (string, bool) {
-	for i := 0; i < r.nh; i++ {
-		if r.hk[i] == key {
-			return r.hv[i], true
-		}
-	}
-	if r.Headers != nil {
-		v, ok := r.Headers[key]
-		return v, ok
-	}
-	return "", false
-}
-
-// NumHeaders returns the number of distinct header fields.
-func (r *Request) NumHeaders() int {
-	if r.nh > 0 {
-		return r.nh
-	}
-	return len(r.Headers)
-}
-
-// EachHeader visits every header field as (lower-cased name, value).
-func (r *Request) EachHeader(fn func(key, value string)) {
-	for i := 0; i < r.nh; i++ {
-		fn(r.hk[i], r.hv[i])
-	}
-	if r.nh == 0 {
-		for k, v := range r.Headers {
-			fn(k, v)
-		}
-	}
-}
-
-// MaterializeHeaders converts a zero-copy Request into one that owns
-// ALL of its storage: inline header views become an owned Headers map
-// and every scalar view field is deep-copied. Consumers of the map
-// form — the v2 handler surface and the net/http bridge — idiomatically
-// treat request strings as immutable (net/http's are), so none of them
-// may alias the recycled head buffer, which is rewritten by the next
-// request on the connection. A no-op in map mode.
+// MaterializeHeaders makes the Request own ALL of its storage: every
+// field view and scalar view becomes a copy, and Headers maps each
+// lower-cased name to its value. Consumers of the map form — the v2
+// handler surface and the net/http bridge — idiomatically treat request
+// strings as immutable (net/http's are), so none of them may alias the
+// recycled head buffer, which is rewritten by the next request on the
+// connection.
 func (r *Request) MaterializeHeaders() {
-	zeroCopy := r.Headers == nil
-	if zeroCopy {
-		r.Headers = make(map[string]string, r.nh)
-	}
-	for i := 0; i < r.nh; i++ {
-		r.Headers[strings.Clone(r.hk[i])] = strings.Clone(r.hv[i])
-		r.hk[i], r.hv[i] = "", ""
-	}
-	if zeroCopy {
-		// Scalar fields are views in zero-copy mode (Proto is always a
-		// constant); in map mode they already own their bytes.
-		r.Method = strings.Clone(r.Method)
-		r.Target = strings.Clone(r.Target)
-		r.Path = strings.Clone(r.Path)
-		r.Query = strings.Clone(r.Query)
-		r.IfNoneMatch = strings.Clone(r.IfNoneMatch)
-		r.IfRange = strings.Clone(r.IfRange)
-	}
-	r.nh = 0
+	r.own()
+	r.Headers = make(map[string]string, r.NumHeaders())
+	r.EachHeader(func(name, value string) { r.Headers[name] = value })
+	r.Method = strings.Clone(r.Method)
+	r.Target = strings.Clone(r.Target)
+	r.Path = strings.Clone(r.Path)
+	r.Query = strings.Clone(r.Query)
+	r.IfNoneMatch = strings.Clone(r.IfNoneMatch)
+	r.IfMatch = strings.Clone(r.IfMatch)
+	r.IfRange = strings.Clone(r.IfRange)
 }
 
-// parseMapMode is the allocating parser shared by ParseRequest and the
-// ParseBytes spill path: every field is an owned string and headers
-// live in the Headers map (duplicate names joined with ", ").
-func parseMapMode(r *Request, buf []byte) error {
-	end := RequestEnd(buf)
-	if end < 0 {
-		if len(buf) > MaxHeaderLen {
-			return ErrHeaderTooBig
-		}
-		return ErrIncomplete
-	}
-	block := string(buf[:end])
-	lines := splitLines(block)
-	if len(lines) == 0 {
-		return ErrMalformed
-	}
-
-	// Tolerate a blank-line preamble before the request line (RFC 7230
-	// §3.5: robust servers ignore at least one stray CRLF).
-	for len(lines) > 0 && lines[0] == "" {
-		lines = lines[1:]
-	}
-	if len(lines) == 0 {
-		return ErrMalformed
-	}
-
-	for i := 0; i < r.nh; i++ { // drop any inline fields from a bailed fast parse
-		r.hk[i], r.hv[i] = "", ""
-	}
-	r.nh = 0
-	r.Headers = make(map[string]string)
-	if err := r.parseRequestLine(lines[0]); err != nil {
-		return err
-	}
-	for _, ln := range lines[1:] {
-		if ln == "" {
-			break
-		}
-		if hasCtl(ln) {
-			// Bare CR, NUL, and friends inside a header line are
-			// request-smuggling vectors.
-			return ErrMalformed
-		}
-		colon := strings.IndexByte(ln, ':')
-		if colon <= 0 {
-			return ErrMalformed
-		}
-		key := strings.ToLower(strings.TrimSpace(ln[:colon]))
-		val := strings.TrimSpace(ln[colon+1:])
-		if prev, ok := r.Headers[key]; ok {
-			r.Headers[key] = prev + ", " + val
-		} else {
-			r.Headers[key] = val
-		}
-	}
-	r.applyDefaults()
-	return nil
-}
-
-// nextLine returns the line starting at i (one trailing CR stripped, as
-// the CRLF→LF normalization of the map mode does) and the index of the
-// following line.
-func nextLine(head []byte, i int) (line []byte, next int) {
-	j := bytes.IndexByte(head[i:], '\n')
-	if j < 0 {
-		return head[i:], len(head)
-	}
-	line = head[i : i+j]
-	if len(line) > 0 && line[len(line)-1] == '\r' {
-		line = line[:len(line)-1]
-	}
-	return line, i + j + 1
-}
-
-// bview returns a string view sharing b's bytes (no copy). The result
-// is valid only while b's backing array is unmodified.
-func bview(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	return unsafe.String(unsafe.SliceData(b), len(b))
-}
-
-// asciiOnly reports whether b contains no byte ≥ 0x80.
-func asciiOnly(b []byte) bool {
-	for _, c := range b {
-		if c >= 0x80 {
-			return false
-		}
-	}
-	return true
-}
-
-// lowerInPlace ASCII-lower-cases b in place.
-func lowerInPlace(b []byte) {
-	for i, c := range b {
-		if 'A' <= c && c <= 'Z' {
-			b[i] = c + 32
-		}
-	}
-}
-
-// hasCtl reports whether s contains a control byte (except HTAB, legal
-// in header field values) — none belong anywhere in a request head.
-func hasCtl(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if (s[i] < 0x20 && s[i] != '\t') || s[i] == 0x7f {
-			return true
-		}
-	}
-	return false
-}
-
-// bytesHasCtl is hasCtl over a byte slice (no conversion).
-func bytesHasCtl(b []byte) bool {
-	for i := 0; i < len(b); i++ {
-		if (b[i] < 0x20 && b[i] != '\t') || b[i] == 0x7f {
-			return true
-		}
-	}
-	return false
-}
-
-func (r *Request) parseRequestLine(line string) error {
-	if hasCtl(line) {
-		return ErrMalformed
-	}
-	parts := strings.Fields(line)
-	switch len(parts) {
-	case 3:
-		r.Method, r.Target, r.Proto = parts[0], parts[1], parts[2]
-	case 2:
-		// HTTP/0.9 simple request: "GET /path".
-		r.Method, r.Target, r.Proto = parts[0], parts[1], "HTTP/0.9"
-	default:
-		return ErrMalformed
-	}
-	return r.finishRequestLine()
-}
-
-// parseRequestLineBytes is the zero-copy request-line parser: fields
-// split on ASCII whitespace runs (the line is known ASCII-only, so this
-// agrees exactly with strings.Fields), stored as views.
-func (r *Request) parseRequestLineBytes(line []byte) error {
-	if bytesHasCtl(line) {
-		return ErrMalformed
-	}
-	var fields [4][]byte
-	n := 0
+// requestLineFields splits a request line on runs of SP and HTAB into
+// at most three fields; n counts them, and is 4 when there are more.
+func requestLineFields(line []byte) (f [3][]byte, n int) {
 	for i := 0; i < len(line); {
-		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
+		if line[i] == ' ' || line[i] == '\t' {
 			i++
+			continue
 		}
-		if i == len(line) {
-			break
+		if n == len(f) {
+			return f, n + 1
 		}
 		j := i
 		for j < len(line) && line[j] != ' ' && line[j] != '\t' {
 			j++
 		}
-		if n == len(fields) {
-			return ErrMalformed // more fields than any request line allows
-		}
-		fields[n] = line[i:j]
+		f[n] = line[i:j]
 		n++
 		i = j
 	}
+	return f, n
+}
+
+// parseRequestLine parses "METHOD target HTTP/1.x", or an HTTP/0.9
+// "GET /path". The method and target stay views, the protocol becomes
+// one of its constants, and the path is decoded and cleaned — a view
+// too in the common case of an escape-free, already-canonical path.
+func (r *Request) parseRequestLine(line []byte) error {
+	if bytesHasCtl(line) {
+		return ErrMalformed
+	}
+	f, n := requestLineFields(line)
+	proto := "HTTP/0.9"
 	switch n {
 	case 3:
-		r.Method, r.Target, r.Proto = bview(fields[0]), bview(fields[1]), bview(fields[2])
+		proto = bview(f[2])
 	case 2:
-		// HTTP/0.9 simple request: "GET /path".
-		r.Method, r.Target, r.Proto = bview(fields[0]), bview(fields[1]), "HTTP/0.9"
 	default:
 		return ErrMalformed
 	}
-	return r.finishRequestLine()
-}
-
-// finishRequestLine applies the mode-independent request-line rules:
-// target length, protocol version, query split, and path decoding. The
-// common case — an escape-free, already-canonical path — stays a view;
-// anything needing decode or cleanup takes the allocating path.
-func (r *Request) finishRequestLine() error {
+	r.Method, r.Target = bview(f[0]), bview(f[1])
 	if len(r.Target) > MaxTargetLen {
 		return ErrTargetTooBig
 	}
-	switch r.Proto {
+	switch proto {
 	case "HTTP/0.9":
-		r.Major, r.Minor = 0, 9
+		r.Proto, r.Major, r.Minor = "HTTP/0.9", 0, 9
 	case "HTTP/1.0":
-		r.Major, r.Minor = 1, 0
+		r.Proto, r.Major, r.Minor = "HTTP/1.0", 1, 0
 	case "HTTP/1.1":
-		r.Major, r.Minor = 1, 1
+		r.Proto, r.Major, r.Minor = "HTTP/1.1", 1, 1
 	default:
 		return ErrUnsupported
 	}
@@ -546,51 +285,26 @@ func pathIsCanonical(p string) bool {
 	return true
 }
 
+// applyDefaults derives persistence and the conditional and range
+// fields in one pass over the fields.
 func (r *Request) applyDefaults() {
-	conn, _ := r.Header("connection")
-	switch {
-	case r.Major == 1 && r.Minor >= 1:
-		r.KeepAlive = !asciiContainsFold(conn, "close")
-	case r.Major == 1:
-		r.KeepAlive = asciiContainsFold(conn, "keep-alive")
-	default:
-		r.KeepAlive = false
-	}
-	if ims, ok := r.Header("if-modified-since"); ok {
-		if t, err := ParseHTTPTime(ims); err == nil {
-			r.IfModifiedSince = t
+	r.KeepAlive = r.keepAlive(r.Major, r.Minor)
+	r.EachHeader(func(name, value string) {
+		switch name {
+		case "if-modified-since":
+			r.IfModifiedSince, _ = ParseHTTPTime(value)
+		case "if-unmodified-since":
+			r.IfUnmodifiedSince, _ = ParseHTTPTime(value)
+		case "if-none-match":
+			r.IfNoneMatch = value
+		case "if-match":
+			r.IfMatch = value
+		case "if-range":
+			r.IfRange = value
+		case "range":
+			r.Range = ParseRange(value)
 		}
-	}
-	r.IfNoneMatch, _ = r.Header("if-none-match")
-	r.IfRange, _ = r.Header("if-range")
-	if rg, ok := r.Header("range"); ok {
-		r.Range = ParseRange(rg)
-	}
-}
-
-// asciiContainsFold reports whether s contains sub under ASCII case
-// folding. sub must already be lower-case ASCII.
-func asciiContainsFold(s, sub string) bool {
-	n := len(sub)
-	if n == 0 {
-		return true
-	}
-	for i := 0; i+n <= len(s); i++ {
-		j := 0
-		for ; j < n; j++ {
-			c := s[i+j]
-			if 'A' <= c && c <= 'Z' {
-				c += 32
-			}
-			if c != sub[j] {
-				break
-			}
-		}
-		if j == n {
-			return true
-		}
-	}
-	return false
+	})
 }
 
 // Host returns the Host header (empty for HTTP/1.0 requests without one).
@@ -604,11 +318,6 @@ func (r *Request) Host() string {
 func WireSize(method, target string) int {
 	return len(method) + 1 + len(target) + len(" HTTP/1.0\r\n") +
 		len("Host: client.example.com\r\nUser-Agent: flashclient/1.0\r\n\r\n")
-}
-
-func splitLines(block string) []string {
-	block = strings.ReplaceAll(block, "\r\n", "\n")
-	return strings.Split(block, "\n")
 }
 
 // unescapePath decodes %xx escapes.
@@ -692,21 +401,26 @@ func ParseHTTPTime(s string) (time.Time, error) {
 	return time.Time{}, fmt.Errorf("httpmsg: unparseable time %q", s)
 }
 
-// FormatHTTPTime formats t in the preferred RFC 1123 GMT form.
+// httpDate is IMF-fixdate (RFC 9110 §5.6.7), the one date form an
+// HTTP/1.1 sender generates: RFC 1123 with the zone spelled "GMT".
+const httpDate = "Mon, 02 Jan 2006 15:04:05 GMT"
+
+// FormatHTTPTime formats t as an IMF-fixdate.
 func FormatHTTPTime(t time.Time) string {
-	return t.UTC().Format(time.RFC1123)
+	return t.UTC().Format(httpDate)
 }
 
-// AppendHTTPTime appends t in the preferred RFC 1123 GMT form.
+// AppendHTTPTime appends t as an IMF-fixdate.
 func AppendHTTPTime(dst []byte, t time.Time) []byte {
-	return t.UTC().AppendFormat(dst, time.RFC1123)
+	return t.UTC().AppendFormat(dst, httpDate)
 }
 
-// ParseContentLength parses a Content-Length header value.
+// ParseContentLength parses a Content-Length header value: digits only
+// (RFC 9110 §8.6), so a sign is as malformed as a letter.
 func ParseContentLength(v string) (int64, error) {
-	n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-	if err != nil || n < 0 {
+	n, err := strconv.ParseUint(strings.TrimSpace(v), 10, 63)
+	if err != nil {
 		return 0, ErrMalformed
 	}
-	return n, nil
+	return int64(n), nil
 }

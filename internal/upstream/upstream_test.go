@@ -446,8 +446,8 @@ func TestHeadHasNoBody(t *testing.T) {
 
 func parseResp(t *testing.T, head string) *httpmsg.Response {
 	t.Helper()
-	r, err := httpmsg.ParseResponse([]byte(head))
-	if err != nil {
+	r := new(httpmsg.Response)
+	if err := r.ParseBytes([]byte(head)); err != nil {
 		t.Fatal(err)
 	}
 	return r
