@@ -7,35 +7,52 @@
 // fill registry. [View] is one event-loop shard's handle onto the
 // store; every per-request operation (path lookup, header lookup,
 // chunk pin/release, fill subscription) goes through the shard's own
-// View. Its chunk tier is the paper's mapped-file cache: a
-// served file is mapped once, whole, by the first disk helper that
-// needs its bytes, and the mapping is parked on the file's [FileRef]
-// ([FileRef.Map]); chunks are refcounted views of it ([MmapRef.Slice])
-// that the helpers touch and hand to the store, the budget counts the
-// bytes in view, and a mapping is never unmapped while any response,
-// fill subscriber, or writev gather references its bytes. A producer
-// that cannot map — a platform without mmap, a filesystem that
-// refuses, a reverse-proxy origin body with no file at all — reads into
-// a heap buffer and inserts that instead; the tiers do not tell the two
-// apart.
+// View. Its chunk tier is the paper's mapped-file cache, whose chunks
+// are of three kinds, fixed at insert, that the tiers do not tell
+// apart — the LRU, the budget, pins, fills and generation checks treat
+// them alike:
+//
+//   - A mapped chunk, for a file of one chunk: the file is mapped once,
+//     whole, by the first disk helper that needs its bytes, and the
+//     mapping is parked on the file's [FileRef] ([FileRef.Map]); the
+//     chunk is a refcounted view of it ([MmapRef.Slice]) that the helper
+//     touches and hands to the store (Fill.PublishMapped), and a mapping
+//     is never unmapped while any response, fill subscriber, or writev
+//     gather references its bytes.
+//   - A window chunk, for every chunk of a file of several: an acquired
+//     FileRef (the descriptor its fill read), a file offset and a size,
+//     and no bytes (Fill.PublishWindow). The helper only makes the
+//     window resident in the page cache — mincore over the parked
+//     mapping ([MmapRef.Resident]), which faults nothing in, and a pread
+//     into its own scratch buffer if pages are missing — and the server
+//     sends it by sendfile(2) from the descriptor. The process never
+//     maps a window's bytes in, touches them or zaps them.
+//   - A heap chunk: a producer that cannot map a file of one chunk — a
+//     platform without mmap, a filesystem that refuses — or that has no
+//     file at all, a reverse-proxy origin body, reads into a heap buffer
+//     and publishes that (Fill.Publish).
 //
 // Descriptor and mapping share one lifetime, the FileRef's: both live
-// as long as the path entry (or anything that acquired a reference
-// from it) does. Evicting a chunk zaps its pages (MADV_DONTNEED) and
-// keeps the address range, so a refill after eviction costs page
-// faults, not an mmap/munmap pair — §5.4's point that map/unmap is the
-// expensive part. The zaps queue up and leave in batches, one
+// as long as the path entry, or anything that acquired a reference from
+// it — a response, a fill, a window chunk — does. Evicting a mapped
+// chunk zaps its pages (MADV_DONTNEED) and keeps the address range, so
+// a refill after eviction costs page faults, not an mmap/munmap pair —
+// §5.4's point that map/unmap is the expensive part; evicting a window
+// chunk drops its descriptor reference. The zaps queue up and leave in batches, one
 // process_madvise per 16 spans or 1 MiB where the kernel takes it. The
 // death of the entry closes the descriptor and gives the mapping up;
-// it unmaps when the last chunk view cut from it has gone. Mapped
-// files are thereby bounded by the path entries the caches hold,
-// mapped pages by the chunk budget plus the queue's 1 MiB.
+// it unmaps when the last chunk view cut from it has gone. Open and
+// mapped files are thereby bounded by the path entries the caches hold
+// plus the files with window chunks resident, mapped pages by the chunk
+// budget plus the queue's 1 MiB.
 //
 // Files are expected to be replaced by rename. An in-place overwrite
-// is visible through live mappings (the helpers check a file's
-// identity after they took a chunk's bytes, so a rewrite they can see
-// fails the fill); an in-place truncation fails the fill that touches
-// the missing pages ([ErrMapFault]).
+// is visible through live mappings and cached windows (the helpers
+// check a file's identity after they made a chunk's bytes resident, so
+// a rewrite they can see fails the fill); an in-place truncation fails
+// the fill that touches or reads the missing pages ([ErrMapFault], or a
+// short read), and a cached window sent past the new end of file comes
+// up short.
 //
 // The underlying structures are the paper's three caches:
 //
@@ -44,8 +61,9 @@
 //     eviction can never close or unmap a file under an in-flight read
 //   - [HeaderCache]: precomputed HTTP response headers, invalidated
 //     when the underlying file changes
-//   - [MapCache]: file chunks with reference counting and a lazy-unmap
-//     LRU free list
+//   - [MapCache]: file chunks — mapped views, descriptor windows or
+//     heap bytes — with reference counting and a lazy-unmap LRU free
+//     list
 //
 // # One chunk index
 //

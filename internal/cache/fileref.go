@@ -27,12 +27,13 @@ type MapStats struct {
 var errMapSize = errors.New("cache: parked mapping has a different size")
 
 // FileRef is a reference-counted open file shared between the pathname
-// cache and in-flight readers: helper goroutines mapping or pread'ing
-// chunks through it, and writer goroutines feeding it to sendfile(2).
-// It mirrors Chunk.refs for descriptors — the cache holds one
-// reference for as long as the entry lives, and every concurrent user
-// acquires its own, so eviction or invalidation can never close a
-// descriptor out from under a read in flight.
+// cache, in-flight readers — helper goroutines mapping or pread'ing
+// chunks through it, and writer goroutines feeding it to sendfile(2) —
+// and the window chunks read through it. It mirrors Chunk.refs for
+// descriptors — the cache holds one reference for as long as the entry
+// lives, each window chunk one for as long as the chunk is cached, and
+// every concurrent user acquires its own, so eviction or invalidation
+// can never close a descriptor out from under a read in flight.
 //
 // The descriptor and the file's mapping share this one lifetime. The
 // first disk helper that needs the bytes maps the whole file (Map) and
@@ -42,8 +43,9 @@ var errMapSize = errors.New("cache: parked mapping has a different size")
 // part. Evicting a chunk only drops its pages (MapCache zaps them);
 // the mapping goes with the descriptor, when the last reference is
 // released, and is unmapped once the chunk views cut from it have gone
-// too. How many files stay mapped is therefore bounded by how many
-// path entries the caches hold, plus what responses in flight pin.
+// too. How many files stay open and mapped is therefore bounded by how
+// many path entries the caches hold, plus the files whose window chunks
+// are cached, plus what responses in flight pin.
 //
 // Unlike Chunk.refs (owned by a single event loop), the count is
 // atomic: releases happen on helper and writer goroutines, not just

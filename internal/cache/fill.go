@@ -194,20 +194,33 @@ func (f *Fill) Announce(pe PathEntry, body bool) bool {
 // reports whether the producer should keep going — false after the
 // final chunk, a doomed fill (ErrFillStale is delivered to the
 // subscribers), or a fill already ended.
-func (f *Fill) Publish(data []byte) bool { return f.publish(data, nil) }
+func (f *Fill) Publish(data []byte) bool {
+	return f.publish(backing{data: data}, int64(len(data)))
+}
 
 // PublishMapped is Publish for a mapped chunk: the published chunk
 // adopts m's reference. On every branch that does not insert — a fill
 // already ended, doomed, or overrun — the reference is released here,
 // so the producer's contract is identical to Publish: hand the
 // mapping over and forget it.
-func (f *Fill) PublishMapped(m *MmapRef) bool { return f.publish(m.Bytes(), m) }
+func (f *Fill) PublishMapped(m *MmapRef) bool {
+	return f.publish(backing{data: m.Bytes(), mapping: m}, int64(len(m.Bytes())))
+}
 
-func (f *Fill) publish(data []byte, m *MmapRef) bool {
+// PublishWindow is Publish for a window chunk: bytes [off, off+n) of
+// the file behind ref, which the producer made resident in the page
+// cache. The chunk adopts the reference ref carries (the producer
+// acquires one per chunk); like PublishMapped's, it is released here
+// on every branch that does not insert.
+func (f *Fill) PublishWindow(ref *FileRef, off, n int64) bool {
+	return f.publish(backing{file: ref, off: off}, n)
+}
+
+func (f *Fill) publish(b backing, size int64) bool {
 	seg := f.seg
 	var wake []func()
 	more, done := false, false
-	consumed := m == nil
+	consumed := false
 	seg.mu.Lock()
 	switch {
 	case f.state != fillPending:
@@ -220,9 +233,9 @@ func (f *Fill) publish(data []byte, m *MmapRef) bool {
 		// size.
 	default:
 		idx := len(f.pins)
-		// insert consumes m on both branches (adopted by a new chunk, or
+		// insert consumes b on both branches (adopted by a new chunk, or
 		// released on a merge).
-		c := seg.insert(ChunkKey{Path: f.path, Index: idx}, data, m, int64(len(data)), f.modTime)
+		c := seg.insert(ChunkKey{Path: f.path, Index: idx}, b, size, f.modTime)
 		consumed = true
 		f.pins = append(f.pins, c)
 		wake = f.takeWaitersLocked(idx)
@@ -233,7 +246,7 @@ func (f *Fill) publish(data []byte, m *MmapRef) bool {
 	}
 	seg.unlock()
 	if !consumed {
-		m.Release()
+		b.release()
 	}
 	for _, fn := range wake {
 		fn()

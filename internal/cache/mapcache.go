@@ -9,11 +9,14 @@ type ChunkKey struct {
 	Index int
 }
 
-// Chunk is a cached file mapping. In the real server Data holds the
-// file bytes, immutable once inserted: a view over a refcounted mmap
-// region (see mapping) or, where the producer read instead of mapping,
-// a heap buffer (the garbage collector plays the role of munmap). In
-// the simulator Data is nil and only Size is used.
+// Chunk is a cached file mapping. In the real server a chunk is one of
+// three kinds, fixed at insert: Data holds the file bytes — a view over
+// a refcounted mmap region (see mapping) or, where the producer read
+// instead of mapping, a heap buffer (the garbage collector plays the
+// role of munmap) — or the chunk is a window: File and Off name bytes
+// [Off, Off+Size) of an open file, Data is nil, and the bytes leave by
+// sendfile(2) from the descriptor, never read through a mapping. In the
+// simulator Data is nil and only Size is used.
 type Chunk struct {
 	Key  ChunkKey
 	Data []byte
@@ -23,6 +26,12 @@ type Chunk struct {
 	// record it so lookups can reject chunks from a different generation
 	// of the file; bare MapCache users leave it zero.
 	ModTime int64
+	// File, when non-nil, makes the chunk a window: the descriptor the
+	// fill read it through, of which the chunk holds one reference until
+	// the cache discards it for good, and Off the window's file offset.
+	// Immutable once inserted, like Data.
+	File *FileRef
+	Off  int64
 
 	refs int
 	// home names the ShardedStore segment that owns the chunk (seg+1),
@@ -42,14 +51,33 @@ type Chunk struct {
 	mapping *MmapRef
 }
 
-// dropMapping releases the chunk's backing mapping, if any, once the
-// cache discards the chunk for good (eviction, invalidation, or the
-// dead-chunk release). Heap chunks have none; this is a no-op.
-func (c *Chunk) dropMapping() {
-	if c.mapping != nil {
-		c.mapping.Release()
-		c.mapping = nil
+// backing is what a producer hands the cache for one chunk: heap bytes,
+// a mapped view (mapping, whose bytes data is), or a descriptor window
+// (file, off). The references it carries pass to the chunk.
+type backing struct {
+	data    []byte
+	mapping *MmapRef
+	file    *FileRef
+	off     int64
+}
+
+// release drops the references of a backing no chunk adopted.
+func (b backing) release() {
+	if b.mapping != nil {
+		b.mapping.Release()
 	}
+	if b.file != nil {
+		b.file.Release()
+	}
+}
+
+// drop releases what backs the chunk — its mapping view or its window's
+// descriptor reference — once the cache discards the chunk for good
+// (eviction, invalidation, or the dead-chunk release). Heap chunks hold
+// neither; this is a no-op.
+func (c *Chunk) drop() {
+	backing{mapping: c.mapping, file: c.File}.release()
+	c.mapping, c.File = nil, nil
 }
 
 // Refs returns the current pin count (for tests and introspection).
@@ -92,48 +120,6 @@ type MapCache struct {
 	// zapDue names the zap queue an eviction under the owner's lock
 	// filled; the segment flushes it after unlocking (segment.unlock).
 	zapDue *MapStats
-}
-
-// zapRun coalesces the page drops of one eviction pass: views of one
-// mapping that are adjacent in it — the chunks of a file age out
-// together — leave as a single span. It holds the reference of the
-// first view it took, which keeps the mapping alive until flush.
-type zapRun struct {
-	ref    *MmapRef
-	lo, hi int
-	due    *MapStats // a zap queue the run's spans filled
-}
-
-// extends reports whether m is a view of the run's mapping adjacent to
-// what the run already covers.
-func (z *zapRun) extends(m *MmapRef) bool {
-	if z.ref == nil || m == nil || z.ref.root() != m.root() {
-		return false
-	}
-	lo, hi := m.span()
-	return lo == z.hi || hi == z.lo
-}
-
-// add takes over the evicted chunk's mapping reference m.
-func (z *zapRun) add(m *MmapRef) {
-	lo, hi := m.span()
-	if z.extends(m) {
-		z.lo, z.hi = min(z.lo, lo), max(z.hi, hi)
-		m.Release()
-		return
-	}
-	z.flush()
-	z.ref, z.lo, z.hi = m, lo, hi
-}
-
-func (z *zapRun) flush() {
-	if z.ref != nil {
-		if q := z.ref.zap(z.lo, z.hi); q != nil {
-			z.due = q
-		}
-		z.ref.Release()
-		z.ref = nil
-	}
 }
 
 // freePush links c at the head of the free list.
@@ -240,28 +226,26 @@ func (m *MapCache) Contains(key ChunkKey) bool {
 // pinned instead (merged concurrent loads). Inactive chunks are evicted
 // as needed to respect the byte limit.
 func (m *MapCache) Insert(key ChunkKey, data []byte, size int64) *Chunk {
-	return m.insert(key, data, nil, size, 0)
+	return m.insert(key, backing{data: data}, size, 0)
 }
 
 // insert is Insert under a file generation, for the tiers of a store.
 // A resident chunk of the same generation wins (a merged concurrent
-// load: the incoming buffer is dropped, the incoming view released). A
-// resident chunk of another generation is detached and replaced — never
-// retagged, which would serve its bytes as the new generation's. mr,
-// when non-nil, is a view of a mapping that backs data; the new chunk
-// adopts its reference.
-func (m *MapCache) insert(key ChunkKey, data []byte, mr *MmapRef, size, modTime int64) *Chunk {
+// load: the incoming buffer is dropped, the incoming references
+// released). A resident chunk of another generation is detached and
+// replaced — never retagged, which would serve its bytes as the new
+// generation's. The new chunk adopts b's references.
+func (m *MapCache) insert(key ChunkKey, b backing, size, modTime int64) *Chunk {
 	if c, ok := m.chunks[key]; ok {
 		if c.ModTime == modTime {
 			m.pin(c)
-			if mr != nil {
-				mr.Release()
-			}
+			b.release()
 			return c
 		}
 		m.detach(c)
 	}
-	c := &Chunk{Key: key, Data: data, Size: size, ModTime: modTime, mapping: mr, refs: 1}
+	c := &Chunk{Key: key, Data: b.data, Size: size, ModTime: modTime,
+		File: b.file, Off: b.off, mapping: b.mapping, refs: 1}
 	m.chunks[key] = c
 	m.used += size
 	m.stats.Inserts++
@@ -286,7 +270,7 @@ func (m *MapCache) Release(c *Chunk) {
 		if m.OnEvict != nil {
 			m.OnEvict(c)
 		}
-		c.dropMapping()
+		c.drop()
 		return
 	}
 	m.freePush(c)
@@ -302,24 +286,18 @@ func (m *MapCache) pin(c *Chunk) {
 }
 
 // evictOver discards LRU inactive chunks until within the limit. A
-// mapped chunk's pages are dropped with it — nothing pins the chunk, so
-// nothing reads them; the next fill faults them back in from the page
-// cache — and the pass goes on past the limit for as long as the next
-// victim is the adjacent view of the mapping being zapped: the chunks
-// of a file are released together and age out together, its first
-// chunk gone means the next request refills the file anyway, and one
-// span over the whole stretch costs a fraction of one per chunk
-// (BenchmarkZap: one madvise of a 76 KiB span costs 4.2-4.6 us, and
-// 1.1-1.2 us per span in a process_madvise of 16; each call pays a
-// base cost, and the kernel flushes short ranges from the TLB page by
-// page). A span that fills the zap queue is flushed by the lock
-// holder after unlocking.
+// window chunk takes its descriptor reference with it and has no pages
+// to drop. A mapped chunk's pages are dropped with it — nothing pins
+// the chunk, so nothing reads them; the next fill faults them back in
+// from the page cache. The server maps the chunk of a one-chunk file
+// only, so each eviction is one span of its own mapping; the zap queue
+// batches the spans (BenchmarkZap: one madvise of a 76 KiB span costs
+// 4.2-4.6 us, and 1.1-1.2 us per span in a process_madvise of 16; each
+// call pays a base cost, and the kernel flushes short ranges from the
+// TLB page by page). A span that fills the zap queue is flushed by the
+// lock holder after unlocking.
 func (m *MapCache) evictOver() {
-	var zaps zapRun
-	for c := m.freeTail; c != nil; c = m.freeTail { // nil: everything is pinned; stay over limit
-		if m.used <= m.limit && !zaps.extends(c.mapping) {
-			break
-		}
+	for c := m.freeTail; c != nil && m.used > m.limit; c = m.freeTail { // nil: everything is pinned; stay over limit
 		m.freeRemove(c)
 		delete(m.chunks, c.Key)
 		m.used -= c.Size
@@ -328,14 +306,12 @@ func (m *MapCache) evictOver() {
 		if m.OnEvict != nil {
 			m.OnEvict(c)
 		}
-		if c.mapping != nil {
-			zaps.add(c.mapping)
-			c.mapping = nil
+		if mr := c.mapping; mr != nil {
+			if q := mr.zap(mr.span()); q != nil {
+				m.zapDue = q
+			}
 		}
-	}
-	zaps.flush()
-	if zaps.due != nil {
-		m.zapDue = zaps.due
+		c.drop()
 	}
 }
 
@@ -369,7 +345,7 @@ func (m *MapCache) detach(c *Chunk) {
 	if m.OnEvict != nil {
 		m.OnEvict(c)
 	}
-	c.dropMapping()
+	c.drop()
 }
 
 // Used returns the total bytes currently mapped.

@@ -43,6 +43,30 @@ func munmapRegion(raw []byte) {
 	_ = syscall.Munmap(raw)
 }
 
+// residentRegion reports whether every page of b, which starts on a
+// page boundary inside a live mapping, is in the page cache: mincore(2)
+// over it, 64 pages per call into a stack vector.
+func residentRegion(b []byte) bool {
+	var vec [64]byte
+	span := len(vec) * mmapPageSize
+	for len(b) > 0 {
+		part := b[:min(len(b), span)]
+		b = b[len(part):]
+		pages := (len(part) + mmapPageSize - 1) / mmapPageSize
+		_, _, errno := syscall.Syscall(syscall.SYS_MINCORE,
+			uintptr(unsafe.Pointer(&part[0])), uintptr(len(part)), uintptr(unsafe.Pointer(&vec[0])))
+		if errno != 0 {
+			return false
+		}
+		for _, v := range vec[:pages] {
+			if v&1 == 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // zapRegion drops the pages of b, a page-aligned piece of a live
 // mapping, leaving the address range mapped.
 func zapRegion(b []byte) {

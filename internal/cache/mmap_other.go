@@ -14,10 +14,12 @@ func mapFileRegion(*os.File, int64, int64) (*MmapRef, error) {
 	return nil, errors.ErrUnsupported
 }
 
-// munmapRegion, zapRegion and zapBatch are unreachable off Linux (no
-// ref ever carries a raw region); they exist to keep the platform
-// surface identical.
+// munmapRegion, residentRegion, zapRegion and zapBatch are unreachable
+// off Linux (no ref ever carries a raw region); they exist to keep the
+// platform surface identical.
 func munmapRegion([]byte) {}
+
+func residentRegion([]byte) bool { return false }
 
 func zapRegion([]byte) {}
 

@@ -347,15 +347,15 @@ func TestParkedMappingSizeMismatch(t *testing.T) {
 	}
 }
 
-// TestEvictionZapsAdjacentViewsTogether: when the LRU victim's
-// neighbours on the free list are the adjacent views of the same
-// mapping, they leave in the same pass (one madvise for the file), and
-// the zapped bytes read back intact through a fresh view of the parked
-// mapping.
-func TestEvictionZapsAdjacentViewsTogether(t *testing.T) {
+// TestEvictionZapsEachView: an insert one chunk over the budget evicts
+// one victim, the LRU view — alone, though its neighbours on the free
+// list are the adjacent views of the same mapping — and queues its one
+// span; the zapped bytes read back intact through a fresh view of the
+// parked mapping.
+func TestEvictionZapsEachView(t *testing.T) {
 	pg := os.Getpagesize()
 	chunk := 4 * pg
-	refA, contentA, _ := mappedFile(t, 3*chunk)
+	refA, contentA, statsA := mappedFile(t, 3*chunk)
 	refB, _, _ := mappedFile(t, chunk)
 	defer refA.Release()
 	defer refB.Release()
@@ -365,51 +365,26 @@ func TestEvictionZapsAdjacentViewsTogether(t *testing.T) {
 	})
 	v := st.View(0)
 	publishFile(t, st, v, refA, "/a", 3*chunk)
-	before := st.SharedStats().Chunks.Evictions
+	before, spans := st.SharedStats().Chunks.Evictions, statsA.ZapSpans.Load()
 	publishFile(t, st, v, refB, "/b", chunk) // one chunk over: A's chunk 0 is the victim
-	if got := st.SharedStats().Chunks.Evictions - before; got != 3 {
-		t.Fatalf("%d chunks evicted by one insert, want /a's three adjacent views together", got)
+	if got := st.SharedStats().Chunks.Evictions - before; got != 1 {
+		t.Fatalf("%d chunks evicted by one insert one chunk over the budget, want 1", got)
+	}
+	if got := statsA.ZapSpans.Load() - spans; got != 1 {
+		t.Fatalf("%d spans of /a zapped, want the victim's one", got)
+	}
+	if c := v.Lookup(ChunkKey{Path: "/a", Index: 1}, 1); c == nil {
+		t.Fatal("/a's chunk 1 went with the victim")
+	} else {
+		v.Release(c)
 	}
 	m, err := refA.Map(int64(3 * chunk))
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := m.Slice(int64(chunk), int64(chunk))
+	view := m.Slice(0, int64(chunk))
 	defer view.Release()
-	if !bytes.Equal(view.Bytes(), contentA[chunk:2*chunk]) {
+	if !bytes.Equal(view.Bytes(), contentA[:chunk]) {
 		t.Fatal("a zapped chunk's pages read back different bytes")
-	}
-}
-
-// TestZapRunMerges checks the coalescing itself: adjacent views of one
-// mapping extend the run in either direction, anything else starts a
-// new one.
-func TestZapRunMerges(t *testing.T) {
-	pg := os.Getpagesize()
-	ref, _, _ := mappedFile(t, 8*pg)
-	other, _, _ := mappedFile(t, 8*pg)
-	defer ref.Release()
-	defer other.Release()
-	m, _ := ref.Map(int64(8 * pg))
-	o, _ := other.Map(int64(8 * pg))
-	var z zapRun
-	z.add(m.Slice(int64(2*pg), int64(pg)))
-	z.add(m.Slice(int64(3*pg), int64(pg))) // after
-	z.add(m.Slice(int64(pg), int64(pg)))   // before
-	if z.lo != pg || z.hi != 4*pg {
-		t.Fatalf("run covers [%d,%d), want [%d,%d)", z.lo, z.hi, pg, 4*pg)
-	}
-	gap := m.Slice(int64(6*pg), int64(pg))
-	if z.extends(gap) {
-		t.Fatal("a view with a gap before it extended the run")
-	}
-	gap.Release()
-	z.add(o.Slice(int64(4*pg), int64(pg))) // same offsets, another mapping
-	if z.lo != 4*pg || z.hi != 5*pg || z.ref.root() != o.root() {
-		t.Fatal("a view of another mapping did not start a new run")
-	}
-	z.flush()
-	if got := ref.MapRefs(); got != 1 {
-		t.Fatalf("mapping refs after flush = %d, want only the FileRef's", got)
 	}
 }

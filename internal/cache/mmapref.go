@@ -199,6 +199,27 @@ func (r *MmapRef) Touch() (err error) {
 	return nil
 }
 
+// Resident reports whether every page behind bytes [off, off+n) of the
+// view is in the page cache, by mincore(2): it faults nothing in and
+// reads no byte, so a disk helper can tell whether a window chunk's
+// bytes are there to be sent without making the process map them — the
+// paper's mincore test (§5.7), made where a miss would be read. A
+// range the kernel will not report on, and every range off Linux,
+// reads as not resident, which sends the caller to read the bytes.
+// Linux reports every page of a file this process could not open for
+// writing as resident: the check then costs nothing and the send may
+// wait for the disk on the connection's goroutine — never an event
+// loop. The caller's reference covers the call.
+func (r *MmapRef) Resident(off, n int64) bool {
+	root := r.root()
+	lo, hi := r.off+int(off), r.off+int(off+n)
+	if root.raw == nil || lo < 0 || hi > len(root.raw) || lo >= hi {
+		return false
+	}
+	lo = lo / mmapPageSize * mmapPageSize
+	return residentRegion(root.raw[lo:hi])
+}
+
 // MapChunk maps [off, off+n) of f read-only and returns it holding one
 // reference. The mapping is lazy: nothing is read until the bytes are
 // touched (MmapRef.Touch, on a disk helper — never an event loop). An

@@ -44,11 +44,13 @@ type StoreOptions struct {
 // over a shared chunk tier of hash-partitioned, mutex-guarded segments
 // with single-flight fills. Each chunk has one index entry, in the
 // segment keyed by hash(path), and every view's lookups go there; so
-// does each proxied key's entry (View.Entry). A chunk's bytes are
-// either a view over a refcounted mapping (a Slice of FileRef.Map, then
-// Fill.PublishMapped — what disk helpers produce) or a heap buffer
-// (Fill.Publish — origin bodies, and the helpers' read fallback where a
-// file cannot be mapped); the segments treat both alike.
+// does each proxied key's entry (View.Entry). A chunk's bytes are a
+// view over a refcounted mapping (a Slice of FileRef.Map, then
+// Fill.PublishMapped — what disk helpers produce for a file of one
+// chunk), a heap buffer (Fill.Publish — origin bodies, and the helpers'
+// read fallback where such a file cannot be mapped), or a window of the
+// file's descriptor (Fill.PublishWindow — every chunk of a file of
+// several); the segments treat all three alike.
 //
 // Concurrency contract: methods on ShardedStore itself are safe from
 // any goroutine. A View is owned by exactly one event loop — its
@@ -81,8 +83,8 @@ type segment struct {
 
 // insert records a chunk in the segment (seg.mu held) and returns it
 // pinned, tagged with its home for Release.
-func (seg *segment) insert(key ChunkKey, data []byte, m *MmapRef, size, modTime int64) *Chunk {
-	c := seg.chunks.insert(key, data, m, size, modTime)
+func (seg *segment) insert(key ChunkKey, b backing, size, modTime int64) *Chunk {
+	c := seg.chunks.insert(key, b, size, modTime)
 	if c.home == 0 {
 		c.home = seg.tag
 	}
@@ -281,7 +283,7 @@ func (v *storeView) Lookup(key ChunkKey, modTime int64) *Chunk {
 func (v *storeView) Insert(key ChunkKey, data []byte, size, modTime int64) *Chunk {
 	seg := v.store.segmentFor(key.Path)
 	seg.mu.Lock()
-	c := seg.insert(key, data, nil, size, modTime)
+	c := seg.insert(key, backing{data: data}, size, modTime)
 	seg.unlock()
 	return c
 }

@@ -9,16 +9,15 @@ import (
 // spans or this many bytes, whichever comes first.
 const (
 	// zapQueueSpans: BenchmarkZap on a 2-vCPU x86-64 VM (Xeon, Linux
-	// 6.18) puts one madvise of a 76 KiB span (19 pages, cold_zipf's
-	// mean eviction run) at 4.2-4.6 us, and a process_madvise flush at
-	// 1.46 us per span for 4 spans, 1.12-1.24 us for 16 and 1.04-1.09
-	// us for 64: past 16 the base cost is spent and what is left is
-	// the per-page work.
+	// 6.18) puts one madvise of a 76 KiB span (19 pages) at 4.2-4.6
+	// us, and a process_madvise flush at 1.46 us per span for 4 spans,
+	// 1.12-1.24 us for 16 and 1.04-1.09 us for 64: past 16 the base
+	// cost is spent and what is left is the per-page work.
 	zapQueueSpans = 16
 	// zapQueueBytes bounds the evicted pages the queue keeps resident:
-	// 1 MiB is +1.2 % on cold_zipf's 84 MiB server RSS, and caps a
-	// batch of whole-file spans (cold_zipf files reach 160 KiB) at a
-	// handful of files.
+	// 1 MiB is +3 % on cold_zipf's 30 MiB server RSS. The server maps
+	// files of one chunk only, so with the default 64 KiB chunk the
+	// span cap comes first; the bytes cap holds for larger chunks.
 	zapQueueBytes = 1 << 20
 )
 

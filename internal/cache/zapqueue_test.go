@@ -290,7 +290,7 @@ func TestZapQueueConcurrent(t *testing.T) {
 }
 
 // BenchmarkZap measures what dropping one 76 KiB span of evicted pages
-// (19 pages, cold_zipf's mean eviction run) costs: one madvise per
+// (19 pages) costs: one madvise per
 // span, against one process_madvise over a queue of 1, 4, 16 or 64
 // spans, each span in a file of its own. ns/span times the zap alone,
 // not the touch that faults the pages back in between rounds.

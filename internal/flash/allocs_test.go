@@ -29,22 +29,28 @@ import (
 
 // allocGuardServer starts a single-shard server tuned for steady-state
 // measurement: revalidation off (the hit path, not the stat helper, is
-// under test) and no access log.
-func allocGuardServer(t testing.TB, register func(*Server)) (addr string, stop func()) {
+// under test) and no access log. mutate, if given, adjusts the config.
+func allocGuardServer(t testing.TB, register func(*Server), mutate ...func(*Config)) (addr string, stop func()) {
 	t.Helper()
 	root := t.TempDir()
 	if err := os.WriteFile(filepath.Join(root, "f.html"),
 		bytes.Repeat([]byte("x"), 1024), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(root, "multi.bin"), pattern(160<<10), 0o644); err != nil {
-		t.Fatal(err)
+	for name, size := range map[string]int{"multi.bin": 160 << 10, "large.bin": 200 << 10} {
+		if err := os.WriteFile(filepath.Join(root, name), pattern(size), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	s, err := New(Config{
+	cfg := Config{
 		DocRoot:            root,
 		EventLoops:         1,
 		RevalidateInterval: -1,
-	})
+	}
+	for _, m := range mutate {
+		m(&cfg)
+	}
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +127,10 @@ func TestAllocsPipelinedBurst(t *testing.T) {
 	}
 }
 
-// TestAllocsMultiChunkHit: a warm three-chunk response is one run — its
-// chunks and windows travel in connection-owned scratch, its pins on
-// the connection's FIFO — and allocates nothing, serial or pipelined.
+// TestAllocsMultiChunkHit: a warm three-chunk response is one run of
+// window chunks — its chunks travel in connection-owned scratch, its
+// pins on the connection's FIFO, its body through the connection's
+// sendfile transport — and allocates nothing, serial or pipelined.
 func TestAllocsMultiChunkHit(t *testing.T) {
 	addr, stop := allocGuardServer(t, nil)
 	defer stop()
@@ -135,6 +142,20 @@ func TestAllocsMultiChunkHit(t *testing.T) {
 	const depth = 4
 	if n := measureAllocs(t, addr, bytes.Repeat(get, depth), depth); n > 0 {
 		t.Errorf("pipelined three-chunk cache hit: %.2f allocs/burst of %d, want 0", n, depth)
+	}
+}
+
+// TestAllocsSendfileHit: a warm response above SendfileThreshold — its
+// header by writev, its body by sendfile from the cached descriptor —
+// allocates nothing: the RawConn, the callback RawConn.Write runs and
+// the callback's arguments are the connection's, made once.
+func TestAllocsSendfileHit(t *testing.T) {
+	addr, stop := allocGuardServer(t, nil, func(cfg *Config) { cfg.SendfileThreshold = 128 << 10 })
+	defer stop()
+
+	get := []byte("GET /large.bin HTTP/1.1\r\nHost: alloc\r\n\r\n")
+	if n := measureAllocs(t, addr, get, 1); n > 0 {
+		t.Errorf("sendfile hit: %.2f allocs/request, want 0", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package flash
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -152,17 +153,25 @@ func TestChaosDiskFaultsDuringLoad(t *testing.T) {
 	})
 }
 
-// TestChaosTruncateUnderLiveMapping defines the corner mmap-backed
-// chunks open: a file truncated in place while a fill holds it mapped.
-// The pages past the new EOF raise SIGBUS when the helper touches
-// them; that must fail the fill — never the process. Reader A streams
-// chunk 0 of a fill gated before chunk 1 (the gate sits after the
-// chunk's identity check, so only the touch can notice), reader B
-// parks on chunk 3, the file is truncated to zero under the mapping
-// and the gate released: the fill fails, A is cut short, B is cut or
-// restarted against the empty file — no stale bytes either way — and
-// the same server process then answers the next requests 200.
+// TestChaosTruncateUnderLiveMapping defines the corners a file
+// truncated in place opens, for a file of several chunks, which the
+// cache holds as windows of its descriptor: truncated while a fill
+// holds it mapped, and truncated under windows already cached.
 func TestChaosTruncateUnderLiveMapping(t *testing.T) {
+	t.Run("fill", testTruncateUnderFill)
+	t.Run("cached-window", testTruncateUnderCachedWindow)
+}
+
+// testTruncateUnderFill: the pages past the new EOF are not there to
+// be found resident, and the helper's read of them comes up short;
+// that must fail the fill — never the process. Reader A streams chunk
+// 0 of a fill gated before chunk 1 (the gate sits after the chunk's
+// identity check, so only the load can notice), reader B parks on
+// chunk 3, the file is truncated to zero under the mapping and the gate
+// released: the fill fails, A is cut short, B is cut or restarted
+// against the empty file — no stale bytes either way — and the same
+// server process then answers the next requests 200.
+func testTruncateUnderFill(t *testing.T) {
 	const (
 		chunk  = 8192
 		chunks = 4
@@ -215,6 +224,65 @@ func TestChaosTruncateUnderLiveMapping(t *testing.T) {
 	}
 	if resp, body := get(t, base+"/trunc.bin"); resp.StatusCode != 200 || len(body) != 0 {
 		t.Fatalf("after the fault: /trunc.bin status=%d with %d bytes, want an empty 200", resp.StatusCode, len(body))
+	}
+}
+
+// testTruncateUnderCachedWindow: every window of a four-chunk file is
+// cached, then the file is truncated in place to a chunk and a bit,
+// which nothing revalidates. The next response's header promises the
+// old length; its sendfile comes up short at the new EOF, so the
+// connection is closed after exactly the bytes the file still has — a
+// keep-alive request included — and counted as an error. The byte
+// counters hold what was sent, the process does not panic, and it goes
+// on serving.
+func testTruncateUnderCachedWindow(t *testing.T) {
+	const (
+		chunk  = 8192
+		chunks = 4
+		kept   = chunk + 100
+	)
+	s, base := newTestServer(t, func(cfg *Config) {
+		cfg.EventLoops = 1
+		cfg.SendfileThreshold = -1
+		cfg.RevalidateInterval = -1
+		cfg.Cache.ChunkBytes = chunk
+	})
+	content := pattern(chunk * chunks)
+	mustWrite(t, s.cfg.DocRoot, "trunc.bin", string(content))
+	if resp, body := get(t, base+"/trunc.bin"); resp.StatusCode != 200 || !bytes.Equal(body, content) {
+		t.Fatalf("warm-up: status %d, %d body bytes", resp.StatusCode, len(body))
+	}
+	before := waitStats(t, s, "the warm-up to be settled", func(st Stats) bool { return st.Responses == 1 })
+	if err := os.Truncate(filepath.Join(s.cfg.DocRoot, "trunc.bin"), kept); err != nil {
+		t.Fatal(err)
+	}
+
+	conn := dialRaw(t, base)
+	fmt.Fprintf(conn, "GET /trunc.bin HTTP/1.1\r\nHost: t\r\n\r\n")
+	got, _ := io.ReadAll(conn) // to the close; an error is the cut itself
+	head := bytes.Index(got, []byte("\r\n\r\n")) + 4
+	if head < 4 || !bytes.HasPrefix(got, []byte("HTTP/1.1 200")) ||
+		!bytes.Contains(got[:head], []byte(fmt.Sprintf("Content-Length: %d", chunk*chunks))) {
+		t.Fatalf("response head %q", got[:max(head, 0)])
+	}
+	if body := got[head:]; !bytes.Equal(body, content[:kept]) {
+		t.Fatalf("body: %d bytes, want the %d the truncated file still has", len(body), kept)
+	}
+	after := waitStats(t, s, "the cut connection to be counted", func(st Stats) bool {
+		return st.Errors == before.Errors+1
+	})
+	if sent := after.BytesSent - before.BytesSent; sent != int64(len(got)) {
+		t.Fatalf("BytesSent grew by %d, the client read %d", sent, len(got))
+	}
+	if sf := after.BytesSendfile - before.BytesSendfile; sendfileSupported && sf != kept {
+		t.Fatalf("BytesSendfile grew by %d, want the %d bytes sendfile moved", sf, kept)
+	}
+	if after.BytesSent != after.BytesSendfile+after.BytesCopied {
+		t.Fatalf("BytesSent %d != BytesSendfile %d + BytesCopied %d",
+			after.BytesSent, after.BytesSendfile, after.BytesCopied)
+	}
+	if resp, body := get(t, base+"/hello.txt"); resp.StatusCode != 200 || string(body) != "hello, world\n" {
+		t.Fatalf("after the cut: /hello.txt status=%d body=%q", resp.StatusCode, body)
 	}
 }
 

@@ -55,16 +55,20 @@
 //     one ends, it parks with its stack and read ring for the next one
 //     the acceptor admits (Server.serveConns).
 //
-//   - File chunks are refcounted views over mmap(2)-mapped file
-//     regions, mapped and touched by the disk helpers (the paper's
-//     "mmap + touch"): cache eviction drops the cache's reference
-//     while in-flight writers keep theirs, and the region is unmapped
-//     when the last one lets go. Where a file cannot be mapped — a
-//     platform without mmap, a filesystem that refuses — the helper
-//     reads it into a heap buffer instead and the garbage collector
-//     plays the role of munmap. Files are expected to be replaced by
-//     rename: an in-place overwrite is visible through live mappings,
-//     an in-place truncation fails the fill that runs into it.
+//   - The chunk of a file of one chunk is a refcounted view over the
+//     file's mmap(2)-mapped region, mapped and touched by the disk
+//     helpers (the paper's "mmap + touch"): cache eviction drops the
+//     cache's reference while in-flight writers keep theirs, and the
+//     region is unmapped when the last one lets go. Where such a file
+//     cannot be mapped — a platform without mmap, a filesystem that
+//     refuses — the helper reads it into a heap buffer instead and the
+//     garbage collector plays the role of munmap. Every chunk of a file
+//     of several is a window of the file's descriptor: the helper makes
+//     it resident (mincore, and a pread where pages are missing), and
+//     it leaves by sendfile(2), never mapped in. Files are expected to
+//     be replaced by rename: an in-place overwrite is visible through
+//     live mappings and cached windows, an in-place truncation fails
+//     the fill that runs into it or cuts short the response that does.
 //
 //   - The steady-state request path is allocation-free: requests parse
 //     zero-copy into a per-connection recycled httpmsg.Request (views
@@ -87,10 +91,11 @@
 //     handler's goroutine writes its own response to the socket and
 //     reports once, when ServeFlash returns. Static bodies
 //     pick a transport per response (Config.SendfileThreshold): below
-//     the threshold the chunk-cache walk with header-gathering writev,
-//     at or above it the zero-copy sendfile(2) path straight from the
-//     pathname cache's refcounted descriptor (portable copy fallback
-//     off Linux). Descriptors are refcounted (cache.FileRef), so
+//     the threshold the chunk-cache walk — header-gathering writev for
+//     a file of one chunk, header by writev and body by sendfile(2) for
+//     the window chunks of a file of several — at or above it the
+//     zero-copy sendfile(2) path straight from the pathname cache's
+//     refcounted descriptor (portable copy fallback off Linux). Descriptors are refcounted (cache.FileRef), so
 //     eviction never closes a file under an in-flight pread or
 //     sendfile.
 //
@@ -172,11 +177,11 @@ type Config struct {
 	// SendfileThreshold selects the static-body transport per response:
 	// bodies of at least this many bytes are served straight from the
 	// cached descriptor — zero-copy sendfile(2) on Linux, a portable
-	// pread+write loop elsewhere — skipping the mapped-chunk cache so
-	// large files are not double-buffered in it. Smaller bodies walk
-	// the chunk cache, which stays faster for small hot files (bytes
-	// cached in memory, header gathered with the first chunk into one
-	// writev). Zero defaults to DefaultSendfileThreshold (256 KiB);
+	// pread+write loop elsewhere — skipping the chunk cache and its
+	// fills. Smaller bodies walk the chunk cache, which stays faster for
+	// small hot files (bytes cached in memory, header gathered with the
+	// chunk into one writev; a file of several chunks sends its windows
+	// by sendfile too). Zero defaults to DefaultSendfileThreshold (256 KiB);
 	// negative disables the sendfile transport entirely.
 	SendfileThreshold int64
 

@@ -24,20 +24,24 @@ var fpConnWrite = failpoint.New("flash/conn-write")
 // body), then the chunk windows — all gathered into a single writev,
 // the §5.5 pattern — and then, for the zero-copy transport, the
 // descriptor window [sfOff, sfOff+sfLen) shipped with sendfile(2) (or
-// the portable copy loop). `last` marks the response's final item. The
-// loop commits every item when it queues it (shard.commit): what the
-// item carries — chunk pins, a descriptor reference — stays with the
-// connection until the goroutine reports it written (shard.released).
-// Items travel by value through the reply channel, so the per-item
-// traffic allocates nothing.
+// the portable copy loop). A descriptor window is a whole body above
+// SendfileThreshold, or a run of window chunks, whose pins the item
+// carries in chunks with no bytes in bodies. `last` marks the
+// response's final item. The loop commits every item when it queues it
+// (shard.commit): what the item carries — chunk pins, a descriptor
+// reference — stays with the connection until the goroutine reports it
+// written (shard.released). Items travel by value through the reply
+// channel, so the per-item traffic allocates nothing.
 type writeItem struct {
 	data []byte
 	// chunks is the run of consecutive pinned chunks the item carries
 	// and bodies[i] the bytes of chunks[i] to transmit — a sub-slice of
-	// its Data where a Range request clamps the window. Both live in
-	// the connection's loop-written scratch (conn.runChunks/runBodies),
-	// which the walk does not touch again before the item is reported
-	// written: whoever receives the item copies out what it keeps.
+	// its Data where a Range request clamps the window; a run of window
+	// chunks has no bodies, its bytes are the item's descriptor window.
+	// Both live in the connection's loop-written scratch
+	// (conn.runChunks/runBodies), which the walk does not touch again
+	// before the item is reported written: whoever receives the item
+	// copies out what it keeps.
 	chunks []*cache.Chunk
 	bodies [][]byte
 	// sf, when non-nil, is an acquired descriptor reference whose
@@ -101,7 +105,8 @@ const (
 // (chunkSource.walk), and a response that would take a connection's
 // gather list past it flushes the list first. A pipelined burst
 // therefore leaves in calls of at most this size (plus one response's
-// header bytes).
+// header bytes). A run of window chunks is cut at the cap too, into one
+// sendfile per run, for the sake of the pin bound below.
 //
 // It also bounds what a client that stops reading can keep pinned: the
 // corked list (at most the cap) plus the one response committed behind
@@ -263,6 +268,9 @@ type conn struct {
 	pins    []*cache.Chunk
 	pinHead int
 	sf      *cache.FileRef
+	// sender is the conn goroutine's descriptor transport, made the
+	// first time an item carries a descriptor window and reused after.
+	sender *fileSender
 
 	// busy (loop-owned) marks an exchange in flight for the idle gauge:
 	// set at exchange start, cleared at settle/signalNext/teardown.
@@ -935,7 +943,10 @@ func (c *conn) transmit(item *writeItem) bool {
 		sfShort = item.sfLen
 		if !c.wfailed {
 			c.writes++
-			n, sfn, err := transportSend(c.nc, item.sf.File(),
+			if c.sender == nil {
+				c.sender = newFileSender(c.nc)
+			}
+			n, sfn, err := c.sender.send(item.sf.File(),
 				item.sfOff, item.sfLen, c.sh.cfg.WriteTimeout)
 			wrote += n
 			sfShort -= sfn

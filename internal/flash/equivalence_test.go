@@ -20,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -269,7 +270,10 @@ func testTransportEquivalencePipelined(t *testing.T) {
 // mid-sendfile on a writer (sendfile transport). With refcounted
 // descriptors every response must still complete byte-perfect; before
 // the fix, eviction closed descriptors under concurrent reads. Run
-// with -race.
+// with -race. A window chunk is one more holder of its descriptor:
+// window-outlives-entry checks that it keeps the descriptor open past
+// its path entry's eviction, and that the descriptor closes when the
+// last such chunk goes.
 func TestFDLifetimeUnderEviction(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -283,6 +287,73 @@ func TestFDLifetimeUnderEviction(t *testing.T) {
 				testFDLifetimeUnderEviction(t, tc.threshold)
 			})
 		})
+	}
+	t.Run("window-outlives-entry", func(t *testing.T) {
+		forEachChunkPath(t, testWindowOutlivesEntry)
+	})
+}
+
+// testWindowOutlivesEntry: a three-chunk file is cached as three
+// windows of the descriptor its fill read, each holding a reference.
+// A one-entry pathname cache then evicts its entry: the entry's
+// reference goes, the windows' stay, and the descriptor is open. The
+// file's next request translates afresh — a new descriptor — and is
+// answered from the cached windows through the old one, with no fill.
+// Dropping the windows closes it.
+func testWindowOutlivesEntry(t *testing.T) {
+	const chunks = 3
+	want := pattern(chunks * 64 << 10)
+	s, base := newTestServer(t, func(cfg *Config) {
+		cfg.EventLoops = 1
+		cfg.RevalidateInterval = -1
+		cfg.SendfileThreshold = -1
+		cfg.Cache.PathEntries = 1
+	})
+	mustWrite(t, s.cfg.DocRoot, "win.bin", string(want))
+	fetch := func(path string) {
+		t.Helper()
+		body, err := rawGet(strings.TrimPrefix(base, "http://"), path)
+		if err != nil || (path == "/win.bin" && !bytes.Equal(body, want)) {
+			t.Fatalf("GET %s: %d bytes, %v", path, len(body), err)
+		}
+	}
+	sh := s.shards[0]
+	entry := func() (pe cache.PathEntry, ok bool) {
+		sh.call(func() { pe, ok = sh.view.PeekPath("/win.bin") })
+		return pe, ok
+	}
+
+	fetch("/win.bin")
+	pe, _ := entry()
+	ref := entryRef(pe)
+	waitFor(t, "the entry's and the three windows' references", func() bool { return ref.Refs() == 1+chunks })
+
+	fetch("/hello.txt") // evicts win.bin's entry
+	if _, ok := entry(); ok {
+		t.Fatal("win.bin's path entry survived a one-entry cache")
+	}
+	waitFor(t, "the entry's reference to go", func() bool { return ref.Refs() == chunks })
+	if _, err := ref.File().Stat(); err != nil {
+		t.Fatalf("descriptor held by the windows: %v", err)
+	}
+
+	fills := s.Stats().Fills.Started
+	fetch("/win.bin")
+	if f := s.Stats().Fills.Started - fills; f != 0 {
+		t.Fatalf("%d fills for a file whose windows are cached", f)
+	}
+	fresh, _ := entry()
+	if entryRef(fresh) == ref {
+		t.Fatal("the new translation reuses the evicted entry's descriptor")
+	}
+	waitFor(t, "the response's references to go", func() bool { return ref.Refs() == chunks })
+
+	sh.call(func() { sh.view.InvalidateFile(pe.Translated, pe.Size, pe.ModTime) })
+	if n := ref.Refs(); n != 0 {
+		t.Fatalf("descriptor refs = %d with every window dropped, want 0", n)
+	}
+	if _, err := ref.File().Stat(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("descriptor after the last window went: %v, want closed", err)
 	}
 }
 
@@ -358,14 +429,15 @@ func testFDLifetimeUnderEviction(t *testing.T, threshold int64) {
 }
 
 // waitReleased waits for a quiesced one-loop server to hold no pin a
-// response took: every cached entry holds exactly the cache's own
-// descriptor reference, every resident chunk of a cached file is
-// unpinned, and the parked mappings (where a helper made one) hold
-// exactly their entry's reference plus one per chunk still resident in
-// the shared tier — a view beyond those is an evicted chunk somebody
-// still pins. The chunks are looked at only once no descriptor is held
-// beyond the cache's: until then a fill may still be releasing its
-// pins, on its helper.
+// response took: every cached entry's descriptor holds exactly the
+// cache's own reference plus one per resident window chunk read
+// through it, every resident chunk of a cached file is unpinned, and
+// the parked mappings (where a helper made one) hold exactly their
+// entry's reference plus one per chunk still resident in the shared
+// tier — a view beyond those is an evicted chunk somebody still pins.
+// The pins are looked at only once no descriptor is held beyond the
+// cache's and the windows': until then a fill may still be releasing
+// its pins, on its helper.
 func waitReleased(t *testing.T, s *Server) {
 	t.Helper()
 	if len(s.shards) != 1 {
@@ -373,12 +445,28 @@ func waitReleased(t *testing.T, s *Server) {
 	}
 	sh := s.shards[0]
 	deadline := time.Now().Add(2 * time.Second)
+	// eachChunk visits the resident chunks of a cached file, pinned for
+	// the call.
+	eachChunk := func(e cache.PathEntry, fn func(*cache.Chunk)) {
+		for i := int64(0); i*s.store.ChunkSize() < e.Size; i++ {
+			if ch := sh.view.Lookup(cache.ChunkKey{Path: e.Translated, Index: int(i)}, e.ModTime); ch != nil {
+				fn(ch)
+				sh.view.Release(ch)
+			}
+		}
+	}
 	for {
 		leaked, views := 0, 0
 		sh.call(func() {
 			sh.view.EachPath(func(_ string, e cache.PathEntry) {
 				if r := entryRef(e); r != nil {
-					if r.Refs() != 1 {
+					windows := 0
+					eachChunk(e, func(ch *cache.Chunk) {
+						if ch.File == r {
+							windows++
+						}
+					})
+					if r.Refs() != 1+windows {
 						leaked++
 					}
 					views += max(r.MapRefs()-1, 0)
@@ -391,16 +479,11 @@ func waitReleased(t *testing.T, s *Server) {
 				if entryRef(e) == nil {
 					return
 				}
-				for i := int64(0); i*s.store.ChunkSize() < e.Size; i++ {
-					ch := sh.view.Lookup(cache.ChunkKey{Path: e.Translated, Index: int(i)}, e.ModTime)
-					if ch == nil {
-						continue
-					}
+				eachChunk(e, func(ch *cache.Chunk) {
 					if ch.Refs() != 1 { // the lookup's own pin
 						leaked++
 					}
-					sh.view.Release(ch)
-				}
+				})
 			})
 		})
 		shared := s.store.SharedStats().Chunks

@@ -120,9 +120,10 @@ func TestServeIndexFile(t *testing.T) {
 }
 
 func TestServeLargeFileMultiChunk(t *testing.T) {
-	// Pin the copy transport: this test exercises the multi-chunk
-	// cache walk, which the sendfile threshold would otherwise bypass
-	// for a 300 KB file.
+	// Disable the sendfile threshold: this test exercises the
+	// multi-chunk cache walk, which the threshold would otherwise bypass
+	// for a 300 KB file. The walk's chunks are windows, whose bytes
+	// leave by sendfile from the descriptor all the same.
 	s, base := newTestServer(t, func(c *Config) { c.SendfileThreshold = -1 })
 	resp, body := get(t, base+"/big.bin")
 	if resp.StatusCode != 200 {
@@ -140,8 +141,12 @@ func TestServeLargeFileMultiChunk(t *testing.T) {
 	if st.MapCache.Inserts < 5 {
 		t.Fatalf("MapCache.Inserts = %d, want >= 5 chunks", st.MapCache.Inserts)
 	}
-	if st.BytesSendfile != 0 {
-		t.Fatalf("BytesSendfile = %d with the transport disabled", st.BytesSendfile)
+	if want := int64(300 << 10); !sendfileSupported {
+		if st.BytesSendfile != 0 {
+			t.Fatalf("BytesSendfile = %d without a sendfile transport", st.BytesSendfile)
+		}
+	} else if st.BytesSendfile != want {
+		t.Fatalf("BytesSendfile = %d, want every body byte of the window chunks (%d)", st.BytesSendfile, want)
 	}
 }
 

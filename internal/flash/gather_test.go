@@ -479,7 +479,9 @@ func chunkAt(t *testing.T, s *Server, rel string, idx int) *cache.Chunk {
 // keep pinned no more than gatherCap's bound — what is corked plus the
 // one response committed behind it — WriteTimeout must close it, and
 // every chunk pin of every run and the descriptor reference must come
-// back.
+// back. A multi-chunk file's responses are window runs, written at
+// once rather than corked, and each of its resident window chunks
+// keeps a descriptor reference of its own.
 func TestGatherStalledClientReleasesPins(t *testing.T) {
 	for _, tc := range []struct {
 		file         string
@@ -550,8 +552,12 @@ func testGatherStalledClient(t *testing.T, file string, size, chunks int) {
 			}
 			sh.view.Release(c)
 		}
-		if r := entryRef(pe); r == nil || r.Refs() != 1 {
-			t.Errorf("descriptor refs = %v, want only the cache's own", r)
+		want := 1 // the cache's own
+		if chunks > 1 {
+			want += chunks // and one per resident window chunk
+		}
+		if r := entryRef(pe); r == nil || r.Refs() != want {
+			t.Errorf("descriptor refs = %v, want %d", r, want)
 		}
 	})
 }
@@ -579,13 +585,14 @@ func TestGatherCloseWithCorkedResponses(t *testing.T) {
 	})
 	s, addr := gatherServer(t, nil)
 	srv.Store(s)
-	// two.bin is two chunks: each corked response is a run holding two
-	// pins, and two of them fit under the cap.
-	serialTranscript(t, addr, []wireReq{wreq("GET", "/two.bin", "HTTP/1.1", "Connection: close")})
-	chs := []*cache.Chunk{chunkAt(t, s, "two.bin", 0), chunkAt(t, s, "two.bin", 1)}
+	// s60k.bin is one chunk of mapped bytes: each corked response holds
+	// its pin, and two of them fit under the cap. (A multi-chunk file's
+	// window runs are written at once, never corked.)
+	serialTranscript(t, addr, []wireReq{wreq("GET", "/s60k.bin", "HTTP/1.1", "Connection: close")})
+	chs := []*cache.Chunk{chunkAt(t, s, "s60k.bin", 0)}
 	var ref *cache.FileRef
 	s.shards[0].call(func() {
-		pe, _ := s.shards[0].view.PeekPath("/two.bin")
+		pe, _ := s.shards[0].view.PeekPath("/s60k.bin")
 		ref = entryRef(pe)
 	})
 
@@ -594,13 +601,13 @@ func TestGatherCloseWithCorkedResponses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	burst := bytes.Repeat(wreq("GET", "/two.bin", "HTTP/1.1").wire, 2)
+	burst := bytes.Repeat(wreq("GET", "/s60k.bin", "HTTP/1.1").wire, 2)
 	burst = append(burst, wreq("GET", "/s12k.bin", "HTTP/1.1").wire...)
 	if _, err := conn.Write(burst); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "two two-chunk responses corked behind the gated miss", func() bool {
-		return pinsOutstanding(s) == 4
+	waitFor(t, "two responses corked behind the gated miss", func() bool {
+		return pinsOutstanding(s) == 2
 	})
 	s.shards[0].call(func() {
 		for i, ch := range chs {
@@ -681,8 +688,9 @@ func TestGatherWrites(t *testing.T) {
 	})
 }
 
-// TestGatherRunWholeResponse: a resident multi-chunk file is one run —
-// one committed response, one socket write.
+// TestGatherRunWholeResponse: a resident multi-chunk file is one run of
+// window chunks — one committed response, whose header leaves in one
+// writev and whose body in one sendfile.
 func TestGatherRunWholeResponse(t *testing.T) {
 	get := wreq("GET", "/multi.bin", "HTTP/1.1")
 	script := []wireReq{get, get, wreq("GET", "/multi.bin", "HTTP/1.1", "Connection: close")}
@@ -694,8 +702,11 @@ func TestGatherRunWholeResponse(t *testing.T) {
 		after := waitStats(t, s, "the connection to end", func(st Stats) bool {
 			return st.OpenConns == 0 && st.Responses == before.Responses+3
 		})
-		if w := after.GatherWrites - before.GatherWrites; w != 3 {
-			t.Errorf("three resident 160 KiB responses left in %d socket writes, want 3", w)
+		if w := after.GatherWrites - before.GatherWrites; w != 6 {
+			t.Errorf("three resident 160 KiB responses left in %d socket writes, want 6 (a writev and a sendfile each)", w)
+		}
+		if sf := after.BytesSendfile - before.BytesSendfile; sendfileSupported && sf != 3*160<<10 {
+			t.Errorf("sendfile moved %d bytes, want every body byte (%d)", sf, 3*160<<10)
 		}
 		if f := after.Fills.Started - before.Fills.Started; f != 0 {
 			t.Errorf("%d fills for a resident file", f)
@@ -796,8 +807,8 @@ func TestGatherRunServeWhileFill(t *testing.T) {
 }
 
 // TestGatherRunSplitsAtCap: a response larger than gatherCap leaves in
-// runs of at most the cap — in order, byte-exact, one socket write per
-// run.
+// runs of at most the cap — in order, byte-exact: the header in one
+// writev, and each run's window in one sendfile.
 func TestGatherRunSplitsAtCap(t *testing.T) {
 	const chunk = 64 << 10
 	size := 2*gatherCap + 3*chunk/2 // two full runs and a ragged third
@@ -818,8 +829,11 @@ func TestGatherRunSplitsAtCap(t *testing.T) {
 	if err != nil || resp.status != 200 || !bytes.Equal(resp.body, pattern(size)) {
 		t.Fatalf("response: %v err=%v", resp, err)
 	}
-	if w := after.GatherWrites - before.GatherWrites; w != 3 {
-		t.Fatalf("%d bytes left in %d socket writes, want 3 runs (gatherCap %d)", size, w, gatherCap)
+	if w := after.GatherWrites - before.GatherWrites; w != 4 {
+		t.Fatalf("%d bytes left in %d socket writes, want a writev and 3 runs' sendfiles (gatherCap %d)", size, w, gatherCap)
+	}
+	if sf := after.BytesSendfile - before.BytesSendfile; sendfileSupported && sf != int64(size) {
+		t.Fatalf("sendfile moved %d bytes, want every body byte (%d)", sf, size)
 	}
 }
 
@@ -1118,8 +1132,9 @@ func TestGatherBatchShutdown(t *testing.T) {
 }
 
 // TestGatherBatchMultiChunk: resident three-chunk files inside one
-// batch leave byte-exact, each as one run, and the connection sends
-// the whole burst in one socket write.
+// batch leave byte-exact, each as one run: the responses corked ahead
+// of it ride the writev of its header, and its body leaves in one
+// sendfile — three writevs and two sendfiles for the burst.
 func TestGatherBatchMultiChunk(t *testing.T) {
 	forEachConnEngine(t, func(t *testing.T) {
 		s, addr := gatherServer(t, nil)
@@ -1139,8 +1154,11 @@ func TestGatherBatchMultiChunk(t *testing.T) {
 		if f := after.Fills.Started - before.Fills.Started; f != 0 {
 			t.Errorf("%d fills for resident files", f)
 		}
-		if w := after.GatherWrites - before.GatherWrites; w != 1 {
-			t.Errorf("a %d-byte burst left in %d socket writes, want 1", len(want), w)
+		if w := after.GatherWrites - before.GatherWrites; w != 5 {
+			t.Errorf("a %d-byte burst left in %d socket writes, want 5 (3 writevs, 2 sendfiles)", len(want), w)
+		}
+		if sf := after.BytesSendfile - before.BytesSendfile; sendfileSupported && sf != 2*160<<10 {
+			t.Errorf("sendfile moved %d bytes, want the two multi-chunk bodies (%d)", sf, 2*160<<10)
 		}
 	})
 }

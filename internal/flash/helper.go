@@ -18,11 +18,15 @@ const (
 	// jobStat resolves a path: stat, directory/index handling,
 	// permission checks — the pathname translation helper of §5.2.
 	jobStat jobKind = iota
+	// jobRevalidate re-checks a cached translation: a stat of the
+	// translated path, and the full jobStat only when the file there is
+	// no longer the entry's (revalidateJob).
+	jobRevalidate
 	// jobFill is the disk-read helper of §3.4: it streams an entire file
-	// through a single-flight cache.Fill — one sequential pass touching
-	// views of the file's mapping, as in the paper, publishing chunk
-	// after chunk no matter how many requests coalesced onto it. It is
-	// the only producer of chunks; a proxied key's is the mount's origin
+	// through a single-flight cache.Fill — one sequential pass making
+	// each chunk resident, as in the paper, publishing chunk after chunk
+	// no matter how many requests coalesced onto it. It is the only
+	// producer of chunks; a proxied key's is the mount's origin
 	// exchange. The job reports through the fill, not a done callback.
 	jobFill
 )
@@ -48,6 +52,8 @@ type helperJob struct {
 	kind     jobKind
 	fsPath   string
 	listings bool // generate a listing when the index file is missing (jobStat)
+	// size and modTime are the identity a jobRevalidate expects to find.
+	size, modTime int64
 	// file is an acquired reference to the path entry's descriptor for
 	// a file's jobFill. The submitter pins it; the helper releases the
 	// pin once the pass is done, so path-cache eviction can never close
@@ -139,6 +145,7 @@ func (p *helperPool) stop() {
 
 func (p *helperPool) run() {
 	defer p.wg.Done()
+	var scratch []byte // this helper's read buffer for window chunks (fillJob)
 	for {
 		p.mu.Lock()
 		for len(p.q) == 0 && !p.stopped {
@@ -152,7 +159,7 @@ func (p *helperPool) run() {
 		p.q = p.q[1:]
 		p.mu.Unlock()
 
-		res := p.execute(job)
+		res := p.execute(job, &scratch)
 		if job.done != nil {
 			// Completion notification to the server process, as over
 			// the paper's IPC pipe. (Fill jobs notify through the fill
@@ -162,15 +169,18 @@ func (p *helperPool) run() {
 	}
 }
 
-// execute performs the blocking work on the helper's own goroutine.
-func (p *helperPool) execute(job helperJob) helperResult {
+// execute performs the blocking work on the helper's own goroutine;
+// scratch is the helper's read buffer.
+func (p *helperPool) execute(job helperJob, scratch *[]byte) helperResult {
 	switch {
 	case job.kind == jobStat:
 		return statJob(job.fsPath, job.listings)
+	case job.kind == jobRevalidate:
+		return revalidateJob(job.fsPath, job.size, job.modTime, job.listings)
 	case job.origin != nil:
 		job.origin.produce(p, job.fill)
 	default:
-		p.fillJob(job)
+		p.fillJob(job, scratch)
 	}
 	return helperResult{}
 }
@@ -222,6 +232,22 @@ func statJob(fsPath string, listings bool) helperResult {
 	return helperResult{err: err, status: status}
 }
 
+// revalidateJob re-checks a translation whose entry is past its
+// revalidation interval. One stat of the translated path settles the
+// common case: the regular file there still has the entry's identity
+// (size, modTime), and the result says so with no descriptor — the
+// entry keeps the one it has, and nothing is opened or closed. Anything
+// else — another identity, a path gone or no longer a regular file —
+// takes the full statJob, whose result carries what the entry serves
+// next.
+func revalidateJob(fsPath string, size, modTime int64, listings bool) helperResult {
+	if st, err := os.Stat(fsPath); err == nil && st.Mode().IsRegular() &&
+		st.Size() == size && st.ModTime().Unix() == modTime {
+		return helperResult{fsPath: fsPath, size: size, modTime: modTime}
+	}
+	return statJob(fsPath, listings)
+}
+
 // mapping returns the file's parked whole-file mapping for a disk
 // helper to slice. nil means the file cannot be mapped here — no mmap
 // on this platform, a filesystem that refuses, the process out of map
@@ -239,16 +265,17 @@ func (p *helperPool) mapping(fsPath string, ref *cache.FileRef, size int64) *cac
 
 // checkIdentity returns cache.ErrFillStale unless f still is the file
 // generation (size, modTime) a fill was started under. The producer
-// asks after it has touched or read a chunk's bytes and before it
+// asks after it has made a chunk's bytes resident and before it
 // publishes them: a rewrite that lands between the two then fails the
 // fill instead of putting new-generation bytes under the old tag,
-// which a check made before the bytes were taken cannot promise.
+// which a check made before the bytes were taken cannot promise. One
+// fstat per chunk, into the stack (fileIdentity).
 func checkIdentity(f *os.File, size, modTime int64) error {
-	st, err := f.Stat()
+	sz, mt, err := fileIdentity(f)
 	if err != nil {
 		return err
 	}
-	if st.ModTime().Unix() != modTime || st.Size() != size {
+	if mt != modTime || sz != size {
 		return cache.ErrFillStale
 	}
 	return nil
@@ -259,27 +286,39 @@ func checkIdentity(f *os.File, size, modTime int64) error {
 // inserts it pinned into the shared tier and wakes the parked
 // subscribers) — serve-while-fill, the paper's helper process married
 // to the PackageReader append-and-wake idiom. Identity is re-checked
-// for every chunk, after its bytes were touched or read and before
-// they are published, so a file swapped or rewritten mid-fill fails
-// the fill (ErrFillStale) instead of publishing bytes from two
+// for every chunk, after its bytes were made resident and before they
+// are published, so a file swapped or rewritten mid-fill fails the
+// fill (ErrFillStale) instead of publishing bytes from two
 // generations.
 //
-// The producer owns no mapping. It slices the one parked on the file's
-// FileRef — mapped by whichever helper needed it first, kept for as
-// long as the descriptor — and publishes each chunk as a refcounted
-// view of it, touched just before it goes out so the faults land here
-// on the helper: a refill after eviction costs the page faults and
-// nothing else. A touch that faults — the file was truncated under the
-// mapping — fails the fill. PublishMapped consumes each view's
-// reference on every branch. A file that cannot be mapped is read
-// chunk by chunk into heap buffers instead. The pass reads through the
-// path entry's descriptor, pinned by the submitter (job.file), and
-// releases that pin when it is done.
-func (p *helperPool) fillJob(job helperJob) {
+// A file of several chunks is published as window chunks: the bytes
+// stay in the page cache and leave by sendfile(2) from the descriptor,
+// so the process never maps them in, touches them or zaps them. The
+// helper's job is the paper's: make them resident. mincore over the
+// parked mapping says whether they are (it faults nothing in); if not,
+// or if the file has no mapping, the helper preads the window into its
+// scratch buffer, which leaves the pages in the page cache, and drops
+// the copy.
+//
+// A file of one chunk keeps mapped bytes, which a warm hit gathers
+// with its header into one writev. The producer owns no mapping. It
+// slices the one parked on the file's FileRef — mapped by whichever
+// helper needed it first, kept for as long as the descriptor — and
+// publishes the chunk as a refcounted view of it, touched just before
+// it goes out so the faults land here on the helper: a refill after
+// eviction costs the page faults and nothing else. A touch that faults
+// — the file was truncated under the mapping — fails the fill.
+// PublishMapped consumes the view's reference on every branch. A file
+// that cannot be mapped is read into a heap buffer instead. The pass
+// reads through the path entry's descriptor, pinned by the submitter
+// (job.file), and releases that pin when it is done; each window chunk
+// holds a reference of its own.
+func (p *helperPool) fillJob(job helperJob, scratch *[]byte) {
 	fill, ref := job.fill, job.file
 	defer ref.Release()
 	f := ref.File()
 	mapping := p.mapping(job.fsPath, ref, fill.Size())
+	windows := fill.NumChunks() > 1
 	for i := 0; i < fill.NumChunks(); i++ {
 		off, n := fill.ChunkRange(i)
 		if failpoint.Armed() {
@@ -291,10 +330,18 @@ func (p *helperPool) fillJob(job helperJob) {
 		var sub *cache.MmapRef
 		var buf []byte
 		var err error
-		if mapping != nil {
+		switch {
+		case windows:
+			if mapping == nil || !mapping.Resident(off, n) {
+				if int64(len(*scratch)) < n {
+					*scratch = make([]byte, n)
+				}
+				_, err = f.ReadAt((*scratch)[:n], off)
+			}
+		case mapping != nil:
 			sub = mapping.Slice(off, n)
 			err = sub.Touch()
-		} else {
+		default:
 			buf = make([]byte, n)
 			_, err = io.ReadFull(io.NewSectionReader(f, off, n), buf)
 		}
@@ -308,11 +355,16 @@ func (p *helperPool) fillJob(job helperJob) {
 			fill.Fail(err)
 			return
 		}
-		if sub != nil {
-			if !fill.PublishMapped(sub) {
-				return
-			}
-		} else if !fill.Publish(buf) {
+		var more bool
+		switch {
+		case windows:
+			more = fill.PublishWindow(ref.Acquire(), off, n)
+		case sub != nil:
+			more = fill.PublishMapped(sub)
+		default:
+			more = fill.Publish(buf)
+		}
+		if !more {
 			return
 		}
 	}

@@ -288,11 +288,13 @@ func rssFile(t *testing.T) int64 {
 // zap is lost: four chunk budgets of distinct files stream through a
 // 4 MiB-budget server, every mapping stays parked, and the process's
 // resident file pages grow by no more than the budget (plus one file in
-// flight, and slack for the test binary's own text).
+// flight, and slack for the test binary's own text). The files are of
+// one chunk each, whose bytes are mapped: a file of several is sent
+// from its descriptor and never mapped in (TestWindowChunksNeitherMapNorZap).
 func TestParkedMappingResidentSizeBounded(t *testing.T) {
 	const (
 		budget   = 4 << 20
-		fileSize = 128 << 10
+		fileSize = 60 << 10
 		files    = 4 * budget / fileSize
 	)
 	s, base := newTestServer(t, func(cfg *Config) {

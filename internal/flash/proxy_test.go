@@ -652,6 +652,34 @@ func TestProxyOriginFieldRules(t *testing.T) {
 	}
 }
 
+// TestProxySetCookieLines: an origin's repeated Set-Cookie lines reach
+// the client one line each (RFC 9110 §5.3 forbids combining them), so
+// net/http's client reads two cookies, not one whose value swallowed
+// the second.
+func TestProxySetCookieLines(t *testing.T) {
+	origin := newTestOrigin(t, nil)
+	origin.setHandler(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Cache-Control", "no-store")
+		w.Header().Add("Set-Cookie", "a=1; Path=/")
+		w.Header().Add("Set-Cookie", "b=2")
+		w.Header().Set("Content-Length", "2")
+		w.Write([]byte("ok"))
+	})
+	_, base, client := newProxyServer(t, testPoolFor(t, origin.addr))
+	resp, body := clientGet(t, client, base+"/up/login")
+	if resp.StatusCode != 200 || string(body) != "ok" {
+		t.Fatalf("status %d body %q", resp.StatusCode, body)
+	}
+	if lines := resp.Header.Values("Set-Cookie"); len(lines) != 2 || lines[0] != "a=1; Path=/" || lines[1] != "b=2" {
+		t.Fatalf("Set-Cookie lines = %q, want the origin's two", lines)
+	}
+	cookies := resp.Cookies()
+	if len(cookies) != 2 || cookies[0].Name != "a" || cookies[0].Value != "1" ||
+		cookies[1].Name != "b" || cookies[1].Value != "2" {
+		t.Fatalf("client read cookies %v, want a=1 and b=2", cookies)
+	}
+}
+
 // TestProxyBreakerFailover is the kill-a-backend acceptance test: with
 // one backend dead, every request still answers 200 off the survivor
 // (retry-on-idempotent bridges the window until the breaker opens),

@@ -16,10 +16,12 @@ import (
 // descriptor reference, chunk pin or mapping view outlives it
 // (waitReleased), and a handler's goroutine has returned. The shapes
 // are the ones that end differently: fixed buffers (a HEAD and a 304,
-// corked whole), a chunk walk of one run (corked whole), a walk of
-// several runs past gatherCap (each written at once, its flush report
-// pulling the next), a sendfile window (one item written at once) and a
-// stream a handler's goroutine writes itself.
+// corked whole), a chunk walk of one run of mapped bytes (a one-chunk
+// file, corked whole), a walk of one run of window chunks (a header
+// writev and a sendfile, written at once), a walk of several window
+// runs past gatherCap (each written at once, its flush report pulling
+// the next), a sendfile window past SendfileThreshold (one item written
+// at once) and a stream a handler's goroutine writes itself.
 //
 // The long shapes are 8 MiB, past what the socket buffers hold (Linux
 // caps a send buffer at 4 MiB by default, and the client shrinks its
@@ -28,8 +30,9 @@ import (
 // way the byte counters agree: BytesSent is BytesSendfile plus
 // BytesCopied.
 func TestResponseEndReleases(t *testing.T) {
-	oneRun := pattern(100 << 10)
-	long := pattern(8 << 20) // sixteen gatherCap runs
+	oneRun := pattern(60 << 10)     // one chunk
+	windowRun := pattern(100 << 10) // two window chunks
+	long := pattern(8 << 20)        // sixteen gatherCap runs
 	for _, tc := range []struct {
 		name      string
 		threshold int64 // Config.SendfileThreshold
@@ -42,6 +45,7 @@ func TestResponseEndReleases(t *testing.T) {
 		{"fixed", -1, false, []string{"HEAD /one.bin", "GET /one.bin\r\nIf-None-Match: *"},
 			[]rawResponse{{status: 200}, {status: 304}}},
 		{"one-run", -1, false, []string{"GET /one.bin"}, []rawResponse{{status: 200, body: oneRun}}},
+		{"window-run", -1, false, []string{"GET /window.bin"}, []rawResponse{{status: 200, body: windowRun}}},
 		{"multi-run", -1, true, []string{"GET /long.bin"}, []rawResponse{{status: 200, body: long}}},
 		{"sendfile", 1, true, []string{"GET /long.bin"}, []rawResponse{{status: 200, body: long}}},
 		{"stream", -1, true, []string{"GET /stream"}, []rawResponse{{status: 200, body: long}}},
@@ -68,10 +72,11 @@ func TestResponseEndReleases(t *testing.T) {
 					})
 				})
 				mustWrite(t, s.cfg.DocRoot, "one.bin", string(oneRun))
+				mustWrite(t, s.cfg.DocRoot, "window.bin", string(windowRun))
 				mustWrite(t, s.cfg.DocRoot, "long.bin", string(long))
 				// Warm: a one-run response is a walk whose chunks are all
 				// there.
-				for _, path := range []string{"/one.bin", "/long.bin"} {
+				for _, path := range []string{"/one.bin", "/window.bin", "/long.bin"} {
 					if body, err := rawGet(strings.TrimPrefix(base, "http://"), path); err != nil || len(body) == 0 {
 						t.Fatalf("warm-up GET %s: %d bytes, %v", path, len(body), err)
 					}

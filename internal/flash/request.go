@@ -174,14 +174,17 @@ func (s *shard) handleRequest(c *conn, req *httpmsg.Request) {
 	})
 }
 
-// revalidateEntry re-stats a stale pathname-cache entry on a helper,
-// then either refreshes the entry's check time (unchanged file) or
-// retires every derived cache entry and adopts the new identity.
+// revalidateEntry re-checks a stale pathname-cache entry on a helper
+// (revalidateJob), then either refreshes the entry's check time
+// (unchanged file) or retires every derived cache entry and adopts the
+// new identity.
 func (s *shard) revalidateEntry(c *conn, req *httpmsg.Request, pe cache.PathEntry) {
 	s.helpers.submit(helperJob{
-		kind:     jobStat,
+		kind:     jobRevalidate,
 		fsPath:   pe.Translated,
 		listings: s.cfg.EnableListings,
+		size:     pe.Size,
+		modTime:  pe.ModTime,
 		done: func(res helperResult) {
 			if res.err != nil {
 				s.invalidateFile(req.Path, pe)
@@ -197,12 +200,21 @@ func (s *shard) revalidateEntry(c *conn, req *httpmsg.Request, pe cache.PathEntr
 			if res.modTime == pe.ModTime && res.size == pe.Size &&
 				res.fsPath == pe.Translated && live && cur.File == pe.File {
 				// Unchanged, and the entry (with its descriptor) is
-				// still the cached one: keep it, drop the freshly
-				// opened duplicate, just bump the check time.
+				// still the cached one: keep it, drop a freshly opened
+				// duplicate if the helper had to open one, just bump the
+				// check time.
 				closeFile(res.file)
 				pe.CheckedAt = s.cfg.Clock().UnixNano()
 				s.putEntry(req.Path, pe)
 				s.afterTranslate(c, pe)
+				return
+			}
+			if res.file == nil {
+				// Unchanged, but the entry was evicted or replaced while
+				// the stat was in flight, and the helper opened nothing:
+				// the old descriptor may already be released and must not
+				// be re-adopted. Translate afresh.
+				s.handleRequest(c, req)
 				return
 			}
 			// Changed — or the entry was evicted/replaced while the
@@ -577,7 +589,7 @@ func (s *shard) settle(c *conn) bool {
 func (s *shard) dropSource(c *conn) {
 	if cs := c.ls.src; cs != nil {
 		c.ls.src = nil
-		cs.end()
+		cs.end(s)
 	}
 }
 

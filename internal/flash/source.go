@@ -4,20 +4,22 @@ import (
 	"repro/internal/cache"
 )
 
-// chunkSource is the copy transport for static bodies: it walks the
-// chunk tier of the cache store (§5.4) across the response's byte
+// chunkSource is the chunk-tier transport for static bodies: it walks
+// the chunk tier of the cache store (§5.4) across the response's byte
 // window and hands it over in runs. A run is the stretch of
 // consecutive chunks, from the walk's position, that are there without
 // waiting — cache hits, and chunks the walk's fill has already
 // published — cut off at the window's end, at the first chunk that is
 // missing or still loading, or before its bytes would pass gatherCap.
-// One run is one writeItem: the header (on the first) and every chunk
-// window leave in a single writev (§5.5), and every chunk stays pinned
-// until the run is reported written. A run that covers the whole window
-// is the whole response and is marked so; anything shorter is written
-// at once, and the walk goes on from where it stopped when the run's
-// flush report comes back (shard.released) — the walk is the one
-// response the loop drives past its first item.
+// One run is one writeItem: for chunks that hold bytes, the header (on
+// the first) and every chunk window leave in a single writev (§5.5);
+// for window chunks, the header by writev and the run's file range by
+// one sendfile. Every chunk stays pinned until the run is reported
+// written. A run of bytes that covers the whole window is the whole
+// response and is marked so; anything else is written at once, and the
+// walk goes on from where it stopped when the run's flush report comes
+// back (shard.released) — the walk is the one response the loop drives
+// past its first item.
 //
 // A warm walk pins its chunks in their owner segments; a cold one subscribes to
 // the single-flight fill for the file (coalescing concurrent misses
@@ -53,8 +55,10 @@ type chunkSource struct {
 	// missed notes that the lookup of nextChunk already missed — the
 	// previous run ended there, or the walk is about to join a fresh
 	// fill — so the walk resumes at the fill rather than counting the
-	// same lookup twice.
+	// same lookup twice. carry is nextChunk, pinned, when the previous
+	// run ended at it because it did not match the run (see walk).
 	missed bool
+	carry  *cache.Chunk
 }
 
 // init re-arms the walker for the byte window [off, off+n). Chunk
@@ -90,13 +94,23 @@ func (cs *chunkSource) next(s *shard, c *conn) { cs.walk(s, c, nil) }
 // pinned by the fill wake that resumed the walk. The visit still looks
 // the chunk up, so the hit accounting is the same however the walk got
 // here; held stands in only if the lookup misses.
+//
+// A run is of one kind: chunks whose bytes it gathers, or window chunks
+// read through one descriptor, which leave as the item's descriptor
+// window — header by writev, body by one sendfile. A chunk that does
+// not match the run's first (another descriptor of the same file,
+// filled by another loop's fill) ends the run and, already looked up
+// and pinned, is carried to the next.
 func (cs *chunkSource) walk(s *shard, c *conn, held *cache.Chunk) {
 	c.runChunks, c.runBodies = c.runChunks[:0], c.runBodies[:0]
-	size := int64(0)
+	size, sfOff := int64(0), int64(0)
 	idx := cs.nextChunk
 	for {
 		var ch *cache.Chunk
-		if !cs.missed {
+		switch {
+		case cs.carry != nil:
+			ch, cs.carry = cs.carry, nil
+		case !cs.missed:
 			// "mincore says resident": send directly.
 			ch = s.view.Lookup(cache.ChunkKey{Path: cs.pe.Translated, Index: idx}, cs.pe.ModTime)
 		}
@@ -125,7 +139,11 @@ func (cs *chunkSource) walk(s *shard, c *conn, held *cache.Chunk) {
 			}
 		}
 		lo, hi := cs.window(s, idx)
-		if hi > int64(len(ch.Data)) {
+		have := int64(len(ch.Data))
+		if ch.File != nil {
+			have = ch.Size
+		}
+		if hi > have {
 			// The chunk no longer covers the promised window (file shrank
 			// between identity checks): the response cannot be completed.
 			s.view.Release(ch)
@@ -135,8 +153,17 @@ func (cs *chunkSource) walk(s *shard, c *conn, held *cache.Chunk) {
 			s.failConn(c)
 			return
 		}
+		if len(c.runChunks) > 0 && ch.File != c.runChunks[0].File {
+			cs.carry = ch
+			break
+		}
 		c.runChunks = append(c.runChunks, ch)
-		c.runBodies = append(c.runBodies, ch.Data[lo:hi])
+		switch {
+		case ch.File == nil:
+			c.runBodies = append(c.runBodies, ch.Data[lo:hi])
+		case len(c.runChunks) == 1:
+			sfOff = ch.Off + lo
+		}
 		size += hi - lo
 		idx++
 		if idx == cs.endChunk {
@@ -147,9 +174,13 @@ func (cs *chunkSource) walk(s *shard, c *conn, held *cache.Chunk) {
 		}
 	}
 	item := writeItem{chunks: c.runChunks, bodies: c.runBodies, last: idx == cs.endChunk}
+	if f := c.runChunks[0].File; f != nil {
+		// The item's own descriptor reference, released with its pins.
+		item.sf, item.sfOff, item.sfLen = f.Acquire(), sfOff, size
+	}
 	if cs.nextChunk == cs.firstChunk {
 		item.data = cs.hdr
-		item.whole = item.last
+		item.whole = item.last && item.sf == nil
 	}
 	cs.nextChunk = idx
 	s.commit(c, item)
@@ -307,12 +338,16 @@ func (s *shard) startFill(f *cache.Fill, pe cache.PathEntry) {
 	s.helpers.submit(job)
 }
 
-// end drops the walk's descriptor pin (idempotent): a finished walk
-// starts no further fill.
-func (cs *chunkSource) end() {
+// end drops the walk's descriptor pin and a carried chunk's pin
+// (idempotent): a finished walk starts no further fill.
+func (cs *chunkSource) end(s *shard) {
 	if cs.ref != nil {
 		cs.ref.Release()
 		cs.ref = nil
+	}
+	if cs.carry != nil {
+		s.view.Release(cs.carry)
+		cs.carry = nil
 	}
 }
 
@@ -322,7 +357,9 @@ func (cs *chunkSource) end() {
 // cache); smaller bodies — or a disabled threshold, or an entry with
 // no cached descriptor — walk the chunk cache, which stays the right
 // call for small hot files (bytes cached in memory, header merged with
-// the first chunk into one writev).
+// the chunk into one writev) and keeps the chunk tier's fills and hit
+// accounting for files of several chunks, whose windows leave by
+// sendfile too.
 func (s *shard) useSendfile(n int64, pe cache.PathEntry) bool {
 	return s.cfg.SendfileThreshold > 0 && n >= s.cfg.SendfileThreshold &&
 		entryRef(pe) != nil

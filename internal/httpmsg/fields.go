@@ -53,7 +53,9 @@ var tokenLower = func() (t [256]byte) {
 // a name and its colon is malformed in a request and removed in a
 // response, as §5.1 asks of a proxy. A repeated name has its values
 // joined with ", " (the one case that allocates), so a second
-// Content-Length fails framing instead of overriding the first.
+// Content-Length fails framing instead of overriding the first — except
+// Set-Cookie, whose lines RFC 9110 §5.3 forbids combining: each stays a
+// field of its own.
 func (b *fieldBlock) parseFields(head []byte, i int, response bool) error {
 	for lines := 0; i < len(head); lines++ {
 		var line []byte
@@ -76,7 +78,7 @@ func (b *fieldBlock) parseFields(head []byte, i int, response bool) error {
 			return ErrMalformed
 		}
 		name, value := bview(line[:k]), bview(bytes.Trim(rest[1:], " \t"))
-		if f := b.lookup(name); f != nil {
+		if f := b.lookup(name); f != nil && name != "set-cookie" {
 			f.value += ", " + value
 		} else if b.n < len(b.inline) {
 			b.inline[b.n] = field{name, value}
@@ -111,7 +113,8 @@ func (b *fieldBlock) lookup(name string) *field {
 }
 
 // Header returns the value of a header field by its lower-case name;
-// a repeated field's values come joined with ", ".
+// a repeated field's values come joined with ", ", and of Set-Cookie's
+// lines the first.
 func (b *fieldBlock) Header(name string) (string, bool) {
 	if f := b.lookup(name); f != nil {
 		return f.value, true
@@ -119,11 +122,13 @@ func (b *fieldBlock) Header(name string) (string, bool) {
 	return "", false
 }
 
-// NumHeaders returns the number of distinct header fields.
+// NumHeaders returns the number of header fields: one per distinct
+// name, and one per Set-Cookie line.
 func (b *fieldBlock) NumHeaders() int { return b.n + len(b.more) }
 
 // EachHeader visits every header field as (lower-cased name, value),
-// in the order the names first appeared.
+// in the order the names first appeared — each Set-Cookie line in its
+// own place.
 func (b *fieldBlock) EachHeader(fn func(name, value string)) {
 	for _, f := range b.inline[:b.n] {
 		fn(f.name, f.value)

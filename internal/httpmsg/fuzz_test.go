@@ -158,7 +158,8 @@ var oracleMayDiffer = map[string]bool{"connection": true, "trailer": true, "cach
 
 // compareWithOracle asserts that a parsed field block holds the fields
 // net/http read from the same head: names lower-cased, a repeated
-// name's values joined with ", ". A head where net/http read a name
+// name's values joined with ", " — Set-Cookie's lines kept apart, one
+// field each, in order, as net/http keeps them. A head where net/http read a name
 // that is not a token is skipped: only whitespace before a colon gets
 // one past this parser, in a response, where RFC 9112 §5.1 has a proxy
 // remove it while net/http's client keeps it in the name (its server
@@ -174,8 +175,17 @@ func compareWithOracle(t *testing.T, got *fieldBlock, want http.Header) {
 		}
 		oracle[strings.ToLower(k)] = strings.Join(vv, ", ")
 	}
+	var cookies []string
+	got.EachHeader(func(k, v string) {
+		if k == "set-cookie" {
+			cookies = append(cookies, v)
+		}
+	})
 	for k, v := range oracle {
 		gv, ok := got.Header(k)
+		if k == "set-cookie" {
+			gv = strings.Join(cookies, ", ")
+		}
 		switch {
 		case oracleRewrites[k] || (!ok && oracleMayDiffer[k]):
 		case !ok || gv != v:
