@@ -29,14 +29,25 @@
 // cache size), and every chunk lookup goes to the one shared segment
 // that indexes the chunk (the "map cache:" line of /server-status).
 // Every chunk miss joins its file's single-flight fill (the "fills:"
-// line); there is no other miss path to select. Cached file chunks are views of one mmap(2) mapping per
-// file, kept for as long as the file's pathname-cache entry: evicting a
-// chunk drops its pages, not the mapping, so -cache-map-mb bounds the
-// resident bytes and -cache-path-entries the files kept mapped
-// (/server-status: "file maps:", whose zap-spans over zap-calls is how
-// many evicted stretches each page-dropping system call took). Replace
-// served files by rename: an in-place overwrite shows through live
-// mappings, an in-place truncation fails the fill that meets it.
+// line); there is no other miss path to select. A file of one chunk is
+// cached as the bytes of its mmap(2) mapping, one per file, and every
+// chunk of a file of several as a window of its descriptor, sent by
+// sendfile. Either kind holds the file's descriptor, and the mapping
+// goes with the descriptor: a file stays open and mapped while its
+// pathname-cache entry or any chunk of it is cached. Evicting a chunk
+// drops its pages, not the mapping, so -cache-map-mb bounds the
+// resident bytes, and -cache-path-entries plus the chunks that fit in
+// it bound the files kept open and mapped (/server-status: "file
+// maps:", whose zap-spans over zap-calls is how many evicted stretches
+// each page-dropping system call took). Replace served files by
+// rename: an in-place overwrite shows through live mappings, an
+// in-place truncation fails the fill that meets it.
+//
+// -sendfile-threshold N sends a body of at least N bytes straight from
+// the file's descriptor, skipping the chunk cache; smaller bodies walk
+// it. 0 sends every body through the chunk cache, which does not turn
+// sendfile off: on Linux a body of several chunks still leaves by
+// sendfile, from its window chunks.
 //
 // -upstream turns flashd into a caching reverse proxy: requests under
 // -upstream-prefix (default "/") that miss the local docroot routes are
@@ -99,7 +110,7 @@ func main() {
 		accessLog  = flag.String("access-log", "", "Common Log Format access log file")
 		status     = flag.Bool("status", false, "serve live statistics at /server-status")
 		sfThresh   = flag.Int64("sendfile-threshold", flash.DefaultSendfileThreshold,
-			"minimum body bytes for the zero-copy sendfile transport (0 disables)")
+			"minimum body bytes sent straight from the file's descriptor, skipping the chunk cache (0 = never skip; multi-chunk bodies still leave by sendfile)")
 		maxBody = flag.Int64("max-body", flash.DefaultMaxBodyBytes,
 			"request body cap in bytes (larger bodies draw 413; 0 removes the cap)")
 		maxConns     = flag.Int("max-conns", 0, "admission cap on concurrent connections (0 = unlimited); excess conns get 503 + Retry-After")
@@ -145,8 +156,9 @@ func main() {
 		StaleIfError:      *staleIfError,
 	}
 	if *sfThresh == 0 {
-		// The flag's "0 = off" maps to the config's negative sentinel
-		// (a zero Config field means "use the default threshold").
+		// The flag's "0 = never skip the chunk cache" maps to the
+		// config's negative sentinel (a zero Config field means "use the
+		// default threshold").
 		cfg.SendfileThreshold = -1
 	}
 	if *maxBody == 0 {

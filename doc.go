@@ -47,22 +47,28 @@
 //     unmodified net/http.Handler on the same surface.
 //
 //     The response data path is one body-source pipeline with two
-//     static transports, chosen per response by
-//     Config.SendfileThreshold: small bodies walk the mapped-chunk
-//     cache and leave in a header-gathering writev (§5.5), while large
-//     bodies ship zero-copy from the pathname cache's refcounted file
-//     descriptor via sendfile(2) on Linux — never entering userspace
-//     or double-buffering in the map cache — with a portable
-//     pread+write fallback on other platforms. Cached chunks are the
-//     paper's mapped files: refcounted views over mmap(2) regions that
-//     the disk helpers map and touch, unmapped when the last response
-//     lets go (a helper that cannot map a file reads it instead), so
-//     served files should be replaced by rename. Every chunk miss joins
-//     the one single-flight fill of its file; nothing else reads file
-//     bytes into the cache. Stats.BytesSendfile
-//     and Stats.BytesCopied split the traffic by transport, and a
-//     byte-for-byte equivalence suite holds the two to identical wire
-//     output.
+//     static paths, chosen per response by Config.SendfileThreshold. A
+//     body at or above the threshold skips the chunk cache: it ships
+//     from the pathname cache's refcounted file descriptor, with no
+//     fill and no chunk held in memory. A smaller body walks the chunk
+//     cache. A file of one chunk is the paper's mapped file — bytes of
+//     an mmap(2) mapping that the disk helpers map and touch, gathered
+//     with the header into one writev (§5.5) — and every chunk of a
+//     file of several is a window of the descriptor, sent after a
+//     header writev. Bytes that leave from a descriptor, on either
+//     path, go by sendfile(2) on Linux — never entering userspace —
+//     with a portable pread+write fallback on other platforms, so a
+//     negative threshold, which sends every body through the chunk
+//     cache, does not turn sendfile off. Each cached chunk of a file
+//     holds the file's refcounted descriptor, and its mapping is
+//     unmapped when the descriptor closes, after the last chunk,
+//     response and path entry let go (a helper that cannot map a file
+//     reads it instead); served files should be replaced by rename.
+//     Every chunk miss joins the one single-flight fill of its file;
+//     nothing else reads file bytes into the cache.
+//     Stats.BytesSendfile and Stats.BytesCopied split the traffic by
+//     how it left, and a byte-for-byte equivalence suite holds the two
+//     paths to identical wire output.
 //
 //     The steady-state hot path is allocation-free: a warm keep-alive
 //     static cache hit (and a 304 revalidation) performs zero heap

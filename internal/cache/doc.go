@@ -15,36 +15,37 @@
 //   - A mapped chunk, for a file of one chunk: the file is mapped once,
 //     whole, by the first disk helper that needs its bytes, and the
 //     mapping is parked on the file's [FileRef] ([FileRef.Map]); the
-//     chunk is a refcounted view of it ([MmapRef.Slice]) that the helper
-//     touches and hands to the store (Fill.PublishMapped), and a mapping
-//     is never unmapped while any response, fill subscriber, or writev
-//     gather references its bytes.
-//   - A window chunk, for every chunk of a file of several: an acquired
-//     FileRef (the descriptor its fill read), a file offset and a size,
-//     and no bytes (Fill.PublishWindow). The helper only makes the
-//     window resident in the page cache — mincore over the parked
-//     mapping ([MmapRef.Resident]), which faults nothing in, and a pread
-//     into its own scratch buffer if pages are missing — and the server
-//     sends it by sendfile(2) from the descriptor. The process never
-//     maps a window's bytes in, touches them or zaps them.
+//     chunk's Data is the mapping's bytes, which the helper touches
+//     ([FileRef.Touch]) and hands to the store (Fill.PublishFile with
+//     bytes).
+//   - A window chunk, for every chunk of a file of several: a file
+//     offset and a size, and no bytes (Fill.PublishFile without
+//     bytes). The helper only makes the window resident in the page
+//     cache — mincore over the parked mapping ([FileRef.Resident]),
+//     which faults nothing in, and a pread into its own scratch buffer
+//     if pages are missing — and the server sends it by sendfile(2)
+//     from the descriptor. The process never maps a window's bytes in,
+//     touches them or zaps them.
 //   - A heap chunk: a producer that cannot map a file of one chunk — a
 //     platform without mmap, a filesystem that refuses — or that has no
 //     file at all, a reverse-proxy origin body, reads into a heap buffer
 //     and publishes that (Fill.Publish).
 //
-// Descriptor and mapping share one lifetime, the FileRef's: both live
-// as long as the path entry, or anything that acquired a reference from
-// it — a response, a fill, a window chunk — does. Evicting a mapped
-// chunk zaps its pages (MADV_DONTNEED) and keeps the address range, so
-// a refill after eviction costs page faults, not an mmap/munmap pair —
-// §5.4's point that map/unmap is the expensive part; evicting a window
-// chunk drops its descriptor reference. The zaps queue up and leave in batches, one
+// A file's descriptor and its mapping have one lifetime and one count,
+// the FileRef's: the path entry holds a reference, so does each mapped
+// or window chunk of the file while it is cached, and so does anything
+// that acquired one — a response, a fill. Evicting a mapped chunk zaps
+// its pages (MADV_DONTNEED) and keeps the address range, so a refill
+// after eviction costs page faults, not an mmap/munmap pair — §5.4's
+// point that map/unmap is the expensive part; evicting either kind
+// drops its reference. The zaps queue up and leave in batches, one
 // process_madvise per 16 spans or 1 MiB where the kernel takes it. The
-// death of the entry closes the descriptor and gives the mapping up;
-// it unmaps when the last chunk view cut from it has gone. Open and
-// mapped files are thereby bounded by the path entries the caches hold
-// plus the files with window chunks resident, mapped pages by the chunk
-// budget plus the queue's 1 MiB.
+// last reference to go cancels the file's queued zaps, unmaps the
+// mapping and closes the descriptor, so no response, fill subscriber
+// or writev gather can lose the bytes it reads. Open and mapped files
+// are thereby bounded by the path entries the caches hold plus the
+// files with chunks resident, mapped pages by the chunk budget plus
+// the queue's 1 MiB.
 //
 // Files are expected to be replaced by rename. An in-place overwrite
 // is visible through live mappings and cached windows (the helpers
@@ -61,7 +62,7 @@
 //     eviction can never close or unmap a file under an in-flight read
 //   - [HeaderCache]: precomputed HTTP response headers, invalidated
 //     when the underlying file changes
-//   - [MapCache]: file chunks — mapped views, descriptor windows or
+//   - [MapCache]: file chunks — mapped bytes, descriptor windows or
 //     heap bytes — with reference counting and a lazy-unmap LRU free
 //     list
 //

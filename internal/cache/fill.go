@@ -198,22 +198,16 @@ func (f *Fill) Publish(data []byte) bool {
 	return f.publish(backing{data: data}, int64(len(data)))
 }
 
-// PublishMapped is Publish for a mapped chunk: the published chunk
-// adopts m's reference. On every branch that does not insert — a fill
-// already ended, doomed, or overrun — the reference is released here,
-// so the producer's contract is identical to Publish: hand the
-// mapping over and forget it.
-func (f *Fill) PublishMapped(m *MmapRef) bool {
-	return f.publish(backing{data: m.Bytes(), mapping: m}, int64(len(m.Bytes())))
-}
-
-// PublishWindow is Publish for a window chunk: bytes [off, off+n) of
-// the file behind ref, which the producer made resident in the page
-// cache. The chunk adopts the reference ref carries (the producer
-// acquires one per chunk); like PublishMapped's, it is released here
-// on every branch that does not insert.
-func (f *Fill) PublishWindow(ref *FileRef, off, n int64) bool {
-	return f.publish(backing{file: ref, off: off}, n)
+// PublishFile is Publish for bytes [off, off+n) of the file behind ref,
+// which the producer made resident: with data — those bytes of the
+// file's parked mapping (FileRef.Map) — the chunk is mapped; with none
+// it is a window, sent from the descriptor. The chunk adopts the
+// reference ref carries (the producer acquires one per chunk). On
+// every branch that does not insert — a fill already ended, doomed, or
+// overrun — the reference is released here, so the producer's contract
+// is identical to Publish: hand it over and forget it.
+func (f *Fill) PublishFile(ref *FileRef, off, n int64, data []byte) bool {
+	return f.publish(backing{data: data, file: ref, off: off}, n)
 }
 
 func (f *Fill) publish(b backing, size int64) bool {

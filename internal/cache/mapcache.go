@@ -10,12 +10,14 @@ type ChunkKey struct {
 }
 
 // Chunk is a cached file mapping. In the real server a chunk is one of
-// three kinds, fixed at insert: Data holds the file bytes — a view over
-// a refcounted mmap region (see mapping) or, where the producer read
-// instead of mapping, a heap buffer (the garbage collector plays the
-// role of munmap) — or the chunk is a window: File and Off name bytes
-// [Off, Off+Size) of an open file, Data is nil, and the bytes leave by
-// sendfile(2) from the descriptor, never read through a mapping. In the
+// three kinds, fixed at insert. A mapped chunk's Data is bytes [Off,
+// Off+Size) of the file's parked mapping, and a window chunk has no
+// Data: its bytes stay in the page cache and leave by sendfile(2) from
+// the descriptor, never read through a mapping. Either holds one
+// reference to its file's FileRef (File), which keeps the descriptor
+// open and the mapping mapped for as long as the chunk is cached. A
+// heap chunk's Data is a buffer a producer read into, and it holds no
+// file (the garbage collector plays the role of munmap). In the
 // simulator Data is nil and only Size is used.
 type Chunk struct {
 	Key  ChunkKey
@@ -26,10 +28,10 @@ type Chunk struct {
 	// record it so lookups can reject chunks from a different generation
 	// of the file; bare MapCache users leave it zero.
 	ModTime int64
-	// File, when non-nil, makes the chunk a window: the descriptor the
-	// fill read it through, of which the chunk holds one reference until
-	// the cache discards it for good, and Off the window's file offset.
-	// Immutable once inserted, like Data.
+	// File, when non-nil, is the file a mapped or window chunk was read
+	// through, of which the chunk holds one reference until the cache
+	// discards it for good — never while the chunk is pinned — and Off
+	// the chunk's file offset. Immutable once inserted, like Data.
 	File *FileRef
 	Off  int64
 
@@ -44,40 +46,30 @@ type Chunk struct {
 	prev, next *Chunk
 	onFree     bool
 	dead       bool // detached by InvalidateFile while pinned
-	// mapping, when non-nil, owns the chunk's backing mmap region: Data
-	// is a view into it, and the chunk holds one reference, released
-	// only when the cache discards the chunk for good — never while the
-	// chunk is pinned. Immutable once inserted, like Data.
-	mapping *MmapRef
 }
 
-// backing is what a producer hands the cache for one chunk: heap bytes,
-// a mapped view (mapping, whose bytes data is), or a descriptor window
-// (file, off). The references it carries pass to the chunk.
+// backing is what a producer hands the cache for one chunk: heap bytes
+// (data alone), mapped bytes of a file (data, file, off) or a window of
+// it (file, off). The file reference it carries passes to the chunk.
 type backing struct {
-	data    []byte
-	mapping *MmapRef
-	file    *FileRef
-	off     int64
+	data []byte
+	file *FileRef
+	off  int64
 }
 
-// release drops the references of a backing no chunk adopted.
+// release drops the reference of a backing no chunk adopted.
 func (b backing) release() {
-	if b.mapping != nil {
-		b.mapping.Release()
-	}
 	if b.file != nil {
 		b.file.Release()
 	}
 }
 
-// drop releases what backs the chunk — its mapping view or its window's
-// descriptor reference — once the cache discards the chunk for good
-// (eviction, invalidation, or the dead-chunk release). Heap chunks hold
-// neither; this is a no-op.
+// drop releases the chunk's file reference once the cache discards the
+// chunk for good (eviction, invalidation, or the dead-chunk release).
+// Heap chunks hold none; this is a no-op.
 func (c *Chunk) drop() {
-	backing{mapping: c.mapping, file: c.File}.release()
-	c.mapping, c.File = nil, nil
+	backing{file: c.File}.release()
+	c.File = nil
 }
 
 // Refs returns the current pin count (for tests and introspection).
@@ -245,7 +237,7 @@ func (m *MapCache) insert(key ChunkKey, b backing, size, modTime int64) *Chunk {
 		m.detach(c)
 	}
 	c := &Chunk{Key: key, Data: b.data, Size: size, ModTime: modTime,
-		File: b.file, Off: b.off, mapping: b.mapping, refs: 1}
+		File: b.file, Off: b.off, refs: 1}
 	m.chunks[key] = c
 	m.used += size
 	m.stats.Inserts++
@@ -286,16 +278,16 @@ func (m *MapCache) pin(c *Chunk) {
 }
 
 // evictOver discards LRU inactive chunks until within the limit. A
-// window chunk takes its descriptor reference with it and has no pages
-// to drop. A mapped chunk's pages are dropped with it — nothing pins
+// window chunk takes its file reference with it and has no pages to
+// drop. A mapped chunk's pages are dropped with it — nothing pins
 // the chunk, so nothing reads them; the next fill faults them back in
 // from the page cache. The server maps the chunk of a one-chunk file
-// only, so each eviction is one span of its own mapping; the zap queue
-// batches the spans (BenchmarkZap: one madvise of a 76 KiB span costs
-// 4.2-4.6 us, and 1.1-1.2 us per span in a process_madvise of 16; each
-// call pays a base cost, and the kernel flushes short ranges from the
-// TLB page by page). A span that fills the zap queue is flushed by the
-// lock holder after unlocking.
+// only, so each eviction zaps one span, its file's whole mapping; the
+// zap queue batches the spans (BenchmarkZap: one madvise of a 76 KiB
+// span costs 4.2-4.6 us, and 1.1-1.2 us per span in a process_madvise
+// of 16; each call pays a base cost, and the kernel flushes short
+// ranges from the TLB page by page). A span that fills the zap queue is
+// flushed by the lock holder after unlocking.
 func (m *MapCache) evictOver() {
 	for c := m.freeTail; c != nil && m.used > m.limit; c = m.freeTail { // nil: everything is pinned; stay over limit
 		m.freeRemove(c)
@@ -306,8 +298,8 @@ func (m *MapCache) evictOver() {
 		if m.OnEvict != nil {
 			m.OnEvict(c)
 		}
-		if mr := c.mapping; mr != nil {
-			if q := mr.zap(mr.span()); q != nil {
+		if c.File != nil && c.Data != nil {
+			if q := c.File.zap(int(c.Off), int(c.Off+c.Size)); q != nil {
 				m.zapDue = q
 			}
 		}
@@ -331,7 +323,7 @@ func (m *MapCache) InvalidateFile(path string, modTime int64, maxChunks int) {
 
 // detach removes c from the index and the byte accounting. An
 // inactive chunk is dropped on the spot; a pinned one is marked dead
-// and dropped (mapping and all) when its last holder releases it.
+// and dropped (file reference and all) when its last holder lets go.
 func (m *MapCache) detach(c *Chunk) {
 	delete(m.chunks, c.Key)
 	m.used -= c.Size

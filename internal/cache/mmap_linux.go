@@ -17,24 +17,14 @@ const (
 	sysProcessMadvise = 440
 )
 
-// mapFileRegion maps [off, off+n) of f read-only and shared. mmap
-// requires a page-aligned offset, so the mapping starts at the
-// containing page boundary and the returned ref's view skips the slack
-// (zero for a whole-file mapping). The mapping is lazy on purpose:
-// serve-while-fill publishes chunk after chunk, and an eager
-// whole-file read would hold the first byte hostage to the last. The
-// paper's helpers do "mmap + touch"; the touch is the producer's, per
-// chunk, just before it publishes (MmapRef.Touch).
-func mapFileRegion(f *os.File, off, n int64) (*MmapRef, error) {
-	pg := int64(os.Getpagesize())
-	aligned := off - off%pg
-	raw, err := syscall.Mmap(int(f.Fd()), aligned, int(n+(off-aligned)),
-		syscall.PROT_READ, syscall.MAP_SHARED)
-	if err != nil {
-		return nil, err
-	}
-	slack := int(off - aligned)
-	return newMmapRef(raw, raw[slack:slack+int(n)], slack), nil
+// mapFile maps the first n bytes of f read-only and shared, from offset
+// 0. The mapping is lazy on purpose: serve-while-fill publishes chunk
+// after chunk, and an eager whole-file read would hold the first byte
+// hostage to the last. The paper's helpers do "mmap + touch"; the touch
+// is the producer's, per chunk, just before it publishes
+// (FileRef.Touch).
+func mapFile(f *os.File, n int64) ([]byte, error) {
+	return syscall.Mmap(int(f.Fd()), 0, int(n), syscall.PROT_READ, syscall.MAP_SHARED)
 }
 
 // munmapRegion drops a mapping for good (its page-table entries go

@@ -7,15 +7,15 @@ import (
 	"os"
 )
 
-// mapFileRegion reports that this platform has no mmap support, which
-// sends every producer down its read path (heap chunks via Insert and
+// mapFile reports that this platform has no mmap support, which sends
+// every producer down its read path (heap chunks via Insert and
 // Fill.Publish) — the sendfile split, mirrored.
-func mapFileRegion(*os.File, int64, int64) (*MmapRef, error) {
+func mapFile(*os.File, int64) ([]byte, error) {
 	return nil, errors.ErrUnsupported
 }
 
 // munmapRegion, residentRegion, zapRegion and zapBatch are unreachable
-// off Linux (no ref ever carries a raw region); they exist to keep the
+// off Linux (no FileRef ever holds a mapping); they exist to keep the
 // platform surface identical.
 func munmapRegion([]byte) {}
 

@@ -44,13 +44,13 @@ type StoreOptions struct {
 // over a shared chunk tier of hash-partitioned, mutex-guarded segments
 // with single-flight fills. Each chunk has one index entry, in the
 // segment keyed by hash(path), and every view's lookups go there; so
-// does each proxied key's entry (View.Entry). A chunk's bytes are a
-// view over a refcounted mapping (a Slice of FileRef.Map, then
-// Fill.PublishMapped — what disk helpers produce for a file of one
-// chunk), a heap buffer (Fill.Publish — origin bodies, and the helpers'
-// read fallback where such a file cannot be mapped), or a window of the
-// file's descriptor (Fill.PublishWindow — every chunk of a file of
-// several); the segments treat all three alike.
+// does each proxied key's entry (View.Entry). A chunk is the bytes of a
+// file's parked mapping (Fill.PublishFile with bytes — what disk
+// helpers produce for a file of one chunk), a window of the file's
+// descriptor (Fill.PublishFile without — every chunk of a file of
+// several), either holding a reference to the file's FileRef, or a heap
+// buffer (Fill.Publish — origin bodies, and the helpers' read fallback
+// where a file cannot be mapped); the segments treat all three alike.
 //
 // Concurrency contract: methods on ShardedStore itself are safe from
 // any goroutine. A View is owned by exactly one event loop — its

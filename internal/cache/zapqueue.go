@@ -27,16 +27,16 @@ const (
 // process's lifetime; tests set it to force the fallback.
 var zapEach atomic.Bool
 
-// zapSpan is a page-aligned range [lo, hi) of a root's mapping whose
-// pages an eviction gave up. It holds no reference: the root's final
+// zapSpan is a page-aligned range [lo, hi) of a file's mapping whose
+// pages an eviction gave up. It holds no reference: the FileRef's final
 // Release removes its spans before the munmap.
 type zapSpan struct {
-	root   *MmapRef
+	file   *FileRef
 	lo, hi int
 }
 
-// bytes returns the span's bytes within its root's mapping.
-func (s zapSpan) bytes() []byte { return s.root.raw[s.lo:s.hi] }
+// bytes returns the span's bytes within its file's mapping.
+func (s zapSpan) bytes() []byte { return s.file.mapping[s.lo:s.hi] }
 
 // zapQueue holds the evicted spans of one server's mappings (it lives
 // in the MapStats every FileRef of the server shares) until a batch is
@@ -48,13 +48,14 @@ type zapQueue struct {
 	bytes int
 }
 
-// queueZap appends [lo, hi) of root to the queue and reports whether
-// the queue is due for a flush. The caller holds a reference to root.
-func (s *MapStats) queueZap(root *MmapRef, lo, hi int) (due bool) {
+// queueZap appends [lo, hi) of file's mapping to the queue and reports
+// whether the queue is due for a flush. The caller holds a reference to
+// file.
+func (s *MapStats) queueZap(file *FileRef, lo, hi int) (due bool) {
 	s.ZapSpans.Add(1)
 	q := &s.zaps
 	q.mu.Lock()
-	q.spans = append(q.spans, zapSpan{root, lo, hi})
+	q.spans = append(q.spans, zapSpan{file, lo, hi})
 	q.bytes += hi - lo
 	due = q.due()
 	q.mu.Unlock()
@@ -83,15 +84,14 @@ func (s *MapStats) flushZapsLocked() {
 	q.spans, q.bytes = q.spans[:0], 0
 }
 
-// cancelZaps removes every queued span of root that overlaps [lo, hi):
-// a refill about to fault those pages back in, or the munmap about to
-// retire the range.
-func (s *MapStats) cancelZaps(root *MmapRef, lo, hi int) {
+// cancelZaps removes every queued span of file's mapping: a refill
+// about to fault its pages back in, or the munmap about to retire it.
+func (s *MapStats) cancelZaps(file *FileRef) {
 	q := &s.zaps
 	q.mu.Lock()
 	kept := q.spans[:0]
 	for _, z := range q.spans {
-		if z.root == root && z.lo < hi && lo < z.hi {
+		if z.file == file {
 			q.bytes -= z.hi - z.lo
 			continue
 		}

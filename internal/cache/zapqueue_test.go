@@ -46,12 +46,12 @@ func drainZaps(stats *MapStats) {
 }
 
 // queuedSpans returns how many spans stats' queue holds, and how many
-// of them belong to root.
-func queuedSpans(stats *MapStats, root *MmapRef) (all, of int) {
+// of them belong to file.
+func queuedSpans(stats *MapStats, file *FileRef) (all, of int) {
 	stats.zaps.mu.Lock()
 	defer stats.zaps.mu.Unlock()
 	for _, z := range stats.zaps.spans {
-		if z.root == root {
+		if z.file == file {
 			of++
 		}
 	}
@@ -101,7 +101,7 @@ func TestZapQueueBatches(t *testing.T) {
 			stats := new(MapStats)
 			const files = 40
 			size := 3 * chunk
-			maps := make([]*MmapRef, files)
+			maps := make([][]byte, files)
 			for i := range maps {
 				ref, _ := mappedFileIn(t, size, stats)
 				defer ref.Release()
@@ -124,7 +124,7 @@ func TestZapQueueBatches(t *testing.T) {
 			}
 			// Only the last file can still hold chunks in two chunks of budget.
 			for i, m := range maps[:files-1] {
-				if n := countResident(t, m.Bytes()); n != 0 {
+				if n := countResident(t, m); n != 0 {
 					t.Fatalf("file %d: %d pages still mapped in after its chunks were evicted and zapped", i, n)
 				}
 			}
@@ -145,15 +145,14 @@ func TestZapQueueRefillKeepsPages(t *testing.T) {
 	refX, _ := mappedFileIn(t, size, stats)
 	defer refF.Release()
 	defer refX.Release()
-	mapF, _ := refF.Map(int64(size))
 
 	publishFile(t, st, v, refF, "/f", size)
 	publishFile(t, st, v, refX, "/x", size) // evicts F: its span is queued
-	if _, of := queuedSpans(stats, mapF); of == 0 || stats.ZapCalls.Load() != 0 {
+	if _, of := queuedSpans(stats, refF); of == 0 || stats.ZapCalls.Load() != 0 {
 		t.Fatalf("F's eviction: %d spans of F queued, %d zap calls; want queued and not flushed", of, stats.ZapCalls.Load())
 	}
 	publishFile(t, st, v, refF, "/f", size) // refill: F's spans cancelled, X's queued
-	if _, of := queuedSpans(stats, mapF); of != 0 {
+	if _, of := queuedSpans(stats, refF); of != 0 {
 		t.Fatalf("%d spans of F still queued after its refill touched it", of)
 	}
 	// Hold F's chunks, as a response would, and push single-chunk
@@ -173,16 +172,17 @@ func TestZapQueueRefillKeepsPages(t *testing.T) {
 		defer ref.Release()
 		publishFile(t, st, v, ref, fmt.Sprintf("/g%d", i), chunk)
 	}
-	if n, all := countResident(t, mapF.Bytes()), size/os.Getpagesize(); n != all {
+	mapF, _ := refF.Map(int64(size))
+	if n, all := countResident(t, mapF), size/os.Getpagesize(); n != all {
 		t.Fatalf("%d of F's %d live pages mapped in after the flush, want all", n, all)
 	}
-	if !bytes.Equal(mapF.Bytes(), contentF) {
+	if !bytes.Equal(mapF, contentF) {
 		t.Fatal("F's live pages read back different bytes")
 	}
 }
 
-// TestZapQueueUnmap: a root whose last view goes while its spans are
-// queued unmaps at once, its spans leave the queue with it, and the
+// TestZapQueueUnmap: a file whose last reference goes while its spans
+// are queued unmaps at once, its spans leave the queue with it, and the
 // next flush — naming only live ranges — is one call with a full count.
 func TestZapQueueUnmap(t *testing.T) {
 	skipUnlessBatching(t)
@@ -191,7 +191,7 @@ func TestZapQueueUnmap(t *testing.T) {
 	stats := new(MapStats)
 	size := 2 * chunk
 	var refs [3]*FileRef
-	var maps [3]*MmapRef
+	var maps [3][]byte
 	for i := range refs {
 		refs[i], _ = mappedFileIn(t, size, stats)
 		// Every file is mapped before any is unmapped, so no mapping
@@ -203,22 +203,22 @@ func TestZapQueueUnmap(t *testing.T) {
 	publishFile(t, st, v, refs[0], "/a", size)
 	publishFile(t, st, v, refs[1], "/b", size) // evicts A
 	publishFile(t, st, v, refs[2], "/c", size) // evicts B
-	all, ofA := queuedSpans(stats, maps[0])
+	all, ofA := queuedSpans(stats, refs[0])
 	if ofA == 0 || all == ofA || stats.ZapCalls.Load() != 0 {
 		t.Fatalf("queue holds %d spans, %d of A, after %d calls; want A's and B's, unflushed", all, ofA, stats.ZapCalls.Load())
 	}
-	refs[0].Release() // A's last reference: no chunk view holds it
+	refs[0].Release() // A's last reference: no chunk of it is cached
 	if got := stats.Unmaps.Load(); got != 1 {
 		t.Fatalf("unmaps = %d after A's last reference went, want 1 at once", got)
 	}
-	if _, ofA := queuedSpans(stats, maps[0]); ofA != 0 {
+	if _, ofA := queuedSpans(stats, refs[0]); ofA != 0 {
 		t.Fatalf("%d spans of the unmapped A still queued", ofA)
 	}
 	drainZaps(stats)
 	if got := stats.ZapCalls.Load(); got != 1 {
 		t.Fatalf("the flush made %d calls, want 1 (a short count re-zaps span by span)", got)
 	}
-	if n := countResident(t, maps[1].Bytes()); n != 0 {
+	if n := countResident(t, maps[1]); n != 0 {
 		t.Fatalf("%d of B's pages mapped in after the flush", n)
 	}
 }
@@ -226,7 +226,7 @@ func TestZapQueueUnmap(t *testing.T) {
 // TestZapQueueConcurrent: loops on four views stream the same files
 // under their own paths through one small budget, so evictions queue
 // spans of a mapping while another loop's fill touches (and cancels)
-// views of it and flushes run on whichever goroutine filled the queue.
+// them and flushes run on whichever goroutine filled the queue.
 // Every chunk read back holds its file's bytes.
 func TestZapQueueConcurrent(t *testing.T) {
 	const views, files, rounds = 4, 6, 40
@@ -259,14 +259,13 @@ func TestZapQueueConcurrent(t *testing.T) {
 				}
 				if fill, started := v.JoinFill(path, int64(size), 1); started {
 					for i := 0; i < fill.NumChunks(); i++ {
-						sub := m.Slice(fill.ChunkRange(i))
-						if err := sub.Touch(); err != nil {
-							sub.Release()
+						off, n := fill.ChunkRange(i)
+						if err := refs[k].Touch(off, n); err != nil {
 							fill.Fail(err)
 							t.Error(err)
 							return
 						}
-						fill.PublishMapped(sub)
+						fill.PublishFile(refs[k].Acquire(), off, n, m[off:off+n])
 					}
 				}
 				for i := 0; i < st.NumChunks(int64(size)); i++ {
@@ -299,18 +298,18 @@ func BenchmarkZap(b *testing.B) {
 	pg := os.Getpagesize()
 	span := 19 * pg
 	stats := new(MapStats)
-	maps := make([]*MmapRef, spans)
-	for i := range maps {
+	refs := make([]*FileRef, spans)
+	for i := range refs {
 		ref, _ := mappedFileIn(b, span, stats)
 		b.Cleanup(ref.Release)
-		var err error
-		if maps[i], err = ref.Map(int64(span)); err != nil {
+		if _, err := ref.Map(int64(span)); err != nil {
 			b.Fatal(err)
 		}
+		refs[i] = ref
 	}
 	touch := func(n int) {
-		for _, m := range maps[:n] {
-			if err := m.Touch(); err != nil {
+		for _, r := range refs[:n] {
+			if err := r.Touch(0, int64(span)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -318,12 +317,12 @@ func BenchmarkZap(b *testing.B) {
 	b.Run("each", func(b *testing.B) {
 		var zapping time.Duration
 		for i := 0; i < b.N; i++ {
-			m := maps[i%spans]
-			if err := m.Touch(); err != nil {
+			r := refs[i%spans]
+			if err := r.Touch(0, int64(span)); err != nil {
 				b.Fatal(err)
 			}
 			start := time.Now()
-			zapRegion(m.raw)
+			zapRegion(r.mapping)
 			zapping += time.Since(start)
 		}
 		b.ReportMetric(float64(zapping.Nanoseconds())/float64(b.N), "ns/span")
@@ -335,8 +334,8 @@ func BenchmarkZap(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				touch(n)
 				start := time.Now()
-				for _, m := range maps[:n] {
-					stats.queueZap(m, 0, len(m.raw))
+				for _, r := range refs[:n] {
+					stats.queueZap(r, 0, span)
 				}
 				drainZaps(stats)
 				zapping += time.Since(start)

@@ -55,17 +55,20 @@
 //     one ends, it parks with its stack and read ring for the next one
 //     the acceptor admits (Server.serveConns).
 //
-//   - The chunk of a file of one chunk is a refcounted view over the
-//     file's mmap(2)-mapped region, mapped and touched by the disk
-//     helpers (the paper's "mmap + touch"): cache eviction drops the
-//     cache's reference while in-flight writers keep theirs, and the
-//     region is unmapped when the last one lets go. Where such a file
+//   - The chunk of a file of one chunk is the bytes of the file's
+//     mmap(2) mapping, mapped and touched by the disk helpers (the
+//     paper's "mmap + touch") and parked on the file's refcounted
+//     descriptor (cache.FileRef). Every chunk of a file of several is
+//     a window of that descriptor: the helper makes it resident
+//     (mincore, and a pread where pages are missing), and it leaves by
+//     sendfile(2), never mapped in. Either kind holds one reference to
+//     the FileRef while it is cached, as the path entry and in-flight
+//     writers hold theirs: cache eviction drops the chunk's (and zaps
+//     a mapped chunk's pages), and descriptor and mapping go together
+//     when the last reference lets go. Where a file of one chunk
 //     cannot be mapped — a platform without mmap, a filesystem that
 //     refuses — the helper reads it into a heap buffer instead and the
-//     garbage collector plays the role of munmap. Every chunk of a file
-//     of several is a window of the file's descriptor: the helper makes
-//     it resident (mincore, and a pread where pages are missing), and
-//     it leaves by sendfile(2), never mapped in. Files are expected to
+//     garbage collector plays the role of munmap. Files are expected to
 //     be replaced by rename: an in-place overwrite is visible through
 //     live mappings and cached windows, an in-place truncation fails
 //     the fill that runs into it or cuts short the response that does.
@@ -90,14 +93,14 @@
 //     the one response of several items — pulls the next run. A
 //     handler's goroutine writes its own response to the socket and
 //     reports once, when ServeFlash returns. Static bodies
-//     pick a transport per response (Config.SendfileThreshold): below
+//     pick a path per response (Config.SendfileThreshold): below
 //     the threshold the chunk-cache walk — header-gathering writev for
 //     a file of one chunk, header by writev and body by sendfile(2) for
-//     the window chunks of a file of several — at or above it the
-//     zero-copy sendfile(2) path straight from the pathname cache's
-//     refcounted descriptor (portable copy fallback off Linux). Descriptors are refcounted (cache.FileRef), so
-//     eviction never closes a file under an in-flight pread or
-//     sendfile.
+//     the window chunks of a file of several — at or above it
+//     sendfile(2) straight from the pathname cache's descriptor,
+//     skipping the chunk cache (portable copy fallback off Linux for
+//     both). Descriptors are refcounted (cache.FileRef), so eviction
+//     never closes a file under an in-flight pread or sendfile.
 //
 //   - An overload-control layer keeps the loops alive when resources
 //     run out rather than letting the kernel pick a failure mode: both
@@ -174,15 +177,18 @@ type Config struct {
 	// Cache groups every cache-layer knob (see CacheConfig).
 	Cache CacheConfig
 
-	// SendfileThreshold selects the static-body transport per response:
-	// bodies of at least this many bytes are served straight from the
-	// cached descriptor — zero-copy sendfile(2) on Linux, a portable
-	// pread+write loop elsewhere — skipping the chunk cache and its
-	// fills. Smaller bodies walk the chunk cache, which stays faster for
-	// small hot files (bytes cached in memory, header gathered with the
-	// chunk into one writev; a file of several chunks sends its windows
-	// by sendfile too). Zero defaults to DefaultSendfileThreshold (256 KiB);
-	// negative disables the sendfile transport entirely.
+	// SendfileThreshold splits static bodies between two paths by size.
+	// A body of at least this many bytes skips the chunk cache: it is
+	// sent straight from the path entry's descriptor, with no fill and
+	// no chunk pinned. A smaller body walks the chunk cache, which stays
+	// faster for small hot files: a file of one chunk has its bytes
+	// cached in memory and gathered with the header into one writev,
+	// and the window chunks of a file of several leave from their
+	// descriptor after a header writev. Bytes sent from a descriptor,
+	// on either path, move by sendfile(2) on Linux and by a portable
+	// pread+write loop elsewhere. Zero means DefaultSendfileThreshold
+	// (256 KiB). A negative value sends every body through the chunk
+	// cache; a body of several chunks still leaves by sendfile.
 	SendfileThreshold int64
 
 	// EventLoops is the number of independent AMPED shards: event-loop

@@ -1,13 +1,16 @@
 package flash
 
-// The transport equivalence suite: the sendfile transport and the
-// chunk-cache copy transport must be indistinguishable on the wire.
-// One docroot is served through two servers — SendfileThreshold=1
-// (every non-empty static body ships via sendfile) and
-// SendfileThreshold=-1 (transport disabled, every body walks the chunk
-// cache) — and the same request scripts are replayed against both,
-// asserting identical status lines, identical headers (modulo Date),
-// and byte-identical bodies. Run under -race in CI.
+// The transport equivalence suite: the path that sends a body straight
+// from the file's descriptor and the chunk-cache walk must be
+// indistinguishable on the wire. One docroot is served through two
+// servers — SendfileThreshold=1 (every non-empty static body skips the
+// chunk cache and ships from the descriptor) and SendfileThreshold=-1
+// (every body walks the chunk cache: a one-chunk body gathered with its
+// header into one writev, a multi-chunk body sent from its window
+// chunks, by sendfile on Linux) — and the same request scripts are
+// replayed against both, asserting identical status lines, identical
+// headers (modulo Date), and byte-identical bodies. Run under -race in
+// CI.
 
 import (
 	"bufio"
@@ -430,14 +433,13 @@ func testFDLifetimeUnderEviction(t *testing.T, threshold int64) {
 
 // waitReleased waits for a quiesced one-loop server to hold no pin a
 // response took: every cached entry's descriptor holds exactly the
-// cache's own reference plus one per resident window chunk read
-// through it, every resident chunk of a cached file is unpinned, and
-// the parked mappings (where a helper made one) hold exactly their
-// entry's reference plus one per chunk still resident in the shared
-// tier — a view beyond those is an evicted chunk somebody still pins.
-// The pins are looked at only once no descriptor is held beyond the
-// cache's and the windows': until then a fill may still be releasing
-// its pins, on its helper.
+// cache's own reference plus one per resident chunk read through it,
+// mapped or window — a reference beyond those is a response's, or a
+// chunk's that was invalidated while somebody pinned it — and every
+// resident chunk of a
+// cached file is unpinned. The pins are looked at only once no
+// descriptor is held beyond the cache's and the chunks': until then a
+// fill may still be releasing its pins, on its helper.
 func waitReleased(t *testing.T, s *Server) {
 	t.Helper()
 	if len(s.shards) != 1 {
@@ -456,20 +458,19 @@ func waitReleased(t *testing.T, s *Server) {
 		}
 	}
 	for {
-		leaked, views := 0, 0
+		leaked := 0
 		sh.call(func() {
 			sh.view.EachPath(func(_ string, e cache.PathEntry) {
 				if r := entryRef(e); r != nil {
-					windows := 0
+					held := 0
 					eachChunk(e, func(ch *cache.Chunk) {
 						if ch.File == r {
-							windows++
+							held++
 						}
 					})
-					if r.Refs() != 1+windows {
+					if r.Refs() != 1+held {
 						leaked++
 					}
-					views += max(r.MapRefs()-1, 0)
 				}
 			})
 			if leaked > 0 {
@@ -486,15 +487,11 @@ func waitReleased(t *testing.T, s *Server) {
 				})
 			})
 		})
-		shared := s.store.SharedStats().Chunks
-		if resident := int(shared.Inserts - shared.Evictions); views > resident {
-			leaked += views - resident
-		}
 		if leaked == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d cached descriptors, chunks or mappings still pinned after quiesce", leaked)
+			t.Fatalf("%d cached descriptors or chunks still pinned after quiesce", leaked)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -146,10 +146,10 @@ func testDoomedFillWakesParkedRangeReader(t *testing.T) {
 // under the old tag. Checked after the load, the fill fails stale, the
 // request (nothing sent yet) restarts against the new identity, and
 // the body is new-generation from the first byte to the last — on the
-// mapped path, where the rewrite shows through the live mapping, and
-// on the read path alike. (The coalesce= labels name a switch between
-// the fill and a per-chunk loader that no longer exists; both run the
-// fill, the one producer.)
+// mapped path, where the helper checks each window with mincore over
+// the live mapping, and on the read path alike. (The coalesce= labels
+// name a switch between the fill and a per-chunk loader that no longer
+// exists; both run the fill, the one producer.)
 func TestFillIdentityAfterTouch(t *testing.T) {
 	forEachChunkPath(t, func(t *testing.T) {
 		for _, label := range []string{"coalesce=true", "coalesce=false"} {

@@ -552,12 +552,11 @@ func testGatherStalledClient(t *testing.T, file string, size, chunks int) {
 			}
 			sh.view.Release(c)
 		}
-		want := 1 // the cache's own
-		if chunks > 1 {
-			want += chunks // and one per resident window chunk
-		}
-		if r := entryRef(pe); r == nil || r.Refs() != want {
-			t.Errorf("descriptor refs = %v, want %d", r, want)
+		want := 1 + chunks // the cache's own and one per resident chunk
+		if r := entryRef(pe); r == nil {
+			t.Error("no cached descriptor")
+		} else if r.Refs() != want {
+			t.Errorf("descriptor refs = %d, want %d", r.Refs(), want)
 		}
 	})
 }
@@ -622,8 +621,8 @@ func TestGatherCloseWithCorkedResponses(t *testing.T) {
 			t.Fatalf("chunk %d still pinned %d times after Close", i, refs)
 		}
 	}
-	if refs := ref.Refs(); refs != 0 {
-		t.Fatalf("descriptor refs = %d after Close, want 0", refs)
+	if refs := ref.Refs(); refs != 1 {
+		t.Fatalf("descriptor refs = %d after Close, want 1 (the cached chunk's own)", refs)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if b, _ := io.ReadAll(conn); len(b) != 0 {

@@ -249,11 +249,11 @@ func revalidateJob(fsPath string, size, modTime int64, listings bool) helperResu
 }
 
 // mapping returns the file's parked whole-file mapping for a disk
-// helper to slice. nil means the file cannot be mapped here — no mmap
-// on this platform, a filesystem that refuses, the process out of map
-// slots — and this job reads its bytes instead (counted in
-// Stats.MapFallbacks; never an error to the client).
-func (p *helperPool) mapping(fsPath string, ref *cache.FileRef, size int64) *cache.MmapRef {
+// helper to touch or to check with mincore. nil means the file cannot
+// be mapped here — no mmap on this platform, a filesystem that refuses,
+// the process out of map slots — and this job reads its bytes instead
+// (counted in Stats.MapFallbacks; never an error to the client).
+func (p *helperPool) mapping(fsPath string, ref *cache.FileRef, size int64) []byte {
 	if !failpoint.Armed() || fpMapFile.Eval(fsPath) == nil {
 		if m, err := ref.Map(size); err == nil {
 			return m
@@ -302,17 +302,16 @@ func checkIdentity(f *os.File, size, modTime int64) error {
 //
 // A file of one chunk keeps mapped bytes, which a warm hit gathers
 // with its header into one writev. The producer owns no mapping. It
-// slices the one parked on the file's FileRef — mapped by whichever
-// helper needed it first, kept for as long as the descriptor — and
-// publishes the chunk as a refcounted view of it, touched just before
-// it goes out so the faults land here on the helper: a refill after
-// eviction costs the page faults and nothing else. A touch that faults
-// — the file was truncated under the mapping — fails the fill.
-// PublishMapped consumes the view's reference on every branch. A file
-// that cannot be mapped is read into a heap buffer instead. The pass
-// reads through the path entry's descriptor, pinned by the submitter
-// (job.file), and releases that pin when it is done; each window chunk
-// holds a reference of its own.
+// uses the one parked on the file's FileRef — mapped by whichever
+// helper needed it first, kept for as long as the descriptor — touched
+// just before the chunk goes out so the faults land here on the
+// helper: a refill after eviction costs the page faults and nothing
+// else. A touch that faults — the file was truncated under the mapping
+// — fails the fill. A file that cannot be mapped is read into a heap
+// buffer instead. The pass reads through the path entry's descriptor,
+// pinned by the submitter (job.file), and releases that pin when it is
+// done; each mapped or window chunk holds a reference of its own
+// (PublishFile consumes it on every branch).
 func (p *helperPool) fillJob(job helperJob, scratch *[]byte) {
 	fill, ref := job.fill, job.file
 	defer ref.Release()
@@ -327,20 +326,19 @@ func (p *helperPool) fillJob(job helperJob, scratch *[]byte) {
 				return
 			}
 		}
-		var sub *cache.MmapRef
-		var buf []byte
+		var data, buf []byte
 		var err error
 		switch {
 		case windows:
-			if mapping == nil || !mapping.Resident(off, n) {
+			if mapping == nil || !ref.Resident(off, n) {
 				if int64(len(*scratch)) < n {
 					*scratch = make([]byte, n)
 				}
 				_, err = f.ReadAt((*scratch)[:n], off)
 			}
 		case mapping != nil:
-			sub = mapping.Slice(off, n)
-			err = sub.Touch()
+			data = mapping[off : off+n]
+			err = ref.Touch(off, n)
 		default:
 			buf = make([]byte, n)
 			_, err = io.ReadFull(io.NewSectionReader(f, off, n), buf)
@@ -349,20 +347,14 @@ func (p *helperPool) fillJob(job helperJob, scratch *[]byte) {
 			err = checkIdentity(f, fill.Size(), fill.ModTime())
 		}
 		if err != nil {
-			if sub != nil {
-				sub.Release()
-			}
 			fill.Fail(err)
 			return
 		}
 		var more bool
-		switch {
-		case windows:
-			more = fill.PublishWindow(ref.Acquire(), off, n)
-		case sub != nil:
-			more = fill.PublishMapped(sub)
-		default:
+		if buf != nil {
 			more = fill.Publish(buf)
+		} else {
+			more = fill.PublishFile(ref.Acquire(), off, n, data)
 		}
 		if !more {
 			return

@@ -118,9 +118,9 @@ func TestParkedMappingFallbackCounted(t *testing.T) {
 
 // TestParkedMappingOutlivesEntry: a response is committed and held
 // before its write while the path entry it came from is evicted. The
-// descriptor closes — the last FileRef reference is gone — but the
-// mapping stays until the response's pin is released, the bytes arrive
-// intact, and then it is unmapped, once.
+// pinned chunk holds the file's last reference, so descriptor and
+// mapping stay until the response's pin is released, the bytes arrive
+// intact, and then the chunk leaves and the mapping is unmapped, once.
 func TestParkedMappingOutlivesEntry(t *testing.T) {
 	s, base := newTestServer(t, func(cfg *Config) {
 		transientChunks(cfg)
@@ -143,10 +143,7 @@ func TestParkedMappingOutlivesEntry(t *testing.T) {
 	if ref == nil {
 		t.Fatal("no cached descriptor for /held.bin")
 	}
-	waitFor(t, "the helpers' descriptor pins to go", func() bool { return ref.Refs() == 1 })
-	if refs := ref.MapRefs(); refs != 2 {
-		t.Fatalf("mapping refs = %d with the response committed, want the FileRef's and the pinned chunk's", refs)
-	}
+	waitFor(t, "the helpers' descriptor pins to go", func() bool { return ref.Refs() == 2 })
 
 	// A second path evicts the entry (PathEntries is 1). Its own response
 	// is held by the same gate; only its translation matters here.
@@ -157,8 +154,8 @@ func TestParkedMappingOutlivesEntry(t *testing.T) {
 		sh.call(func() { _, ok := sh.view.PeekPath("/held.bin"); gone = !ok })
 		return gone
 	})
-	if refs := ref.Refs(); refs != 0 {
-		t.Fatalf("descriptor refs = %d after its entry was evicted, want 0", refs)
+	if refs := ref.Refs(); refs != 1 {
+		t.Fatalf("descriptor refs = %d after its entry was evicted, want 1 (the pinned chunk's)", refs)
 	}
 	if st := s.Stats(); st.FileUnmaps != 0 {
 		t.Fatalf("%d mappings unmapped under a response that still holds one", st.FileUnmaps)
@@ -169,9 +166,12 @@ func TestParkedMappingOutlivesEntry(t *testing.T) {
 	if err != nil || resp.status != 200 || !bytes.Equal(resp.body, want) {
 		t.Fatalf("held response: %v err=%v", resp, err)
 	}
-	waitStats(t, s, "the mapping to be unmapped once its last view went", func(st Stats) bool {
+	waitStats(t, s, "the mapping to be unmapped once its chunk went", func(st Stats) bool {
 		return st.FileUnmaps >= 1
 	})
+	if refs := ref.Refs(); refs != 0 {
+		t.Fatalf("descriptor refs = %d after the chunk left, want 0", refs)
+	}
 }
 
 // TestParkedMappingTruncateThenNewGeneration: a file is truncated under

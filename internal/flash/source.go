@@ -139,11 +139,7 @@ func (cs *chunkSource) walk(s *shard, c *conn, held *cache.Chunk) {
 			}
 		}
 		lo, hi := cs.window(s, idx)
-		have := int64(len(ch.Data))
-		if ch.File != nil {
-			have = ch.Size
-		}
-		if hi > have {
+		if hi > ch.Size {
 			// The chunk no longer covers the promised window (file shrank
 			// between identity checks): the response cannot be completed.
 			s.view.Release(ch)
@@ -153,13 +149,13 @@ func (cs *chunkSource) walk(s *shard, c *conn, held *cache.Chunk) {
 			s.failConn(c)
 			return
 		}
-		if len(c.runChunks) > 0 && ch.File != c.runChunks[0].File {
+		if len(c.runChunks) > 0 && !sameRun(c.runChunks[0], ch) {
 			cs.carry = ch
 			break
 		}
 		c.runChunks = append(c.runChunks, ch)
 		switch {
-		case ch.File == nil:
+		case ch.Data != nil:
 			c.runBodies = append(c.runBodies, ch.Data[lo:hi])
 		case len(c.runChunks) == 1:
 			sfOff = ch.Off + lo
@@ -174,9 +170,9 @@ func (cs *chunkSource) walk(s *shard, c *conn, held *cache.Chunk) {
 		}
 	}
 	item := writeItem{chunks: c.runChunks, bodies: c.runBodies, last: idx == cs.endChunk}
-	if f := c.runChunks[0].File; f != nil {
+	if first := c.runChunks[0]; first.Data == nil {
 		// The item's own descriptor reference, released with its pins.
-		item.sf, item.sfOff, item.sfLen = f.Acquire(), sfOff, size
+		item.sf, item.sfOff, item.sfLen = first.File.Acquire(), sfOff, size
 	}
 	if cs.nextChunk == cs.firstChunk {
 		item.data = cs.hdr
@@ -184,6 +180,17 @@ func (cs *chunkSource) walk(s *shard, c *conn, held *cache.Chunk) {
 	}
 	cs.nextChunk = idx
 	s.commit(c, item)
+}
+
+// sameRun reports whether ch may join a run that starts with first:
+// chunks with bytes gather into one writev whoever mapped or read them,
+// and window chunks — which have no Data — leave by one sendfile, so
+// theirs must be one descriptor.
+func sameRun(first, ch *cache.Chunk) bool {
+	if first.Data != nil || ch.Data != nil {
+		return first.Data != nil && ch.Data != nil
+	}
+	return first.File == ch.File
 }
 
 // window returns the part of chunk idx the response transmits, as
@@ -351,15 +358,15 @@ func (cs *chunkSource) end(s *shard) {
 	}
 }
 
-// useSendfile decides the static transport for a response body of n
-// bytes: bodies at or above the threshold ship straight from the
-// cached descriptor (no double-buffering of large files in the map
-// cache); smaller bodies — or a disabled threshold, or an entry with
-// no cached descriptor — walk the chunk cache, which stays the right
-// call for small hot files (bytes cached in memory, header merged with
-// the chunk into one writev) and keeps the chunk tier's fills and hit
-// accounting for files of several chunks, whose windows leave by
-// sendfile too.
+// useSendfile decides whether a response body of n bytes skips the
+// chunk cache: at or above a positive threshold it ships straight from
+// the cached descriptor (no double-buffering of large files in the
+// chunk tier, no fill). Smaller bodies — every body under a negative
+// threshold, and an entry with no cached descriptor — walk the chunk
+// cache, which stays the right call for small hot files (bytes cached
+// in memory, header merged with the chunk into one writev) and keeps
+// the chunk tier's fills and hit accounting for files of several
+// chunks, whose windows leave by sendfile too.
 func (s *shard) useSendfile(n int64, pe cache.PathEntry) bool {
 	return s.cfg.SendfileThreshold > 0 && n >= s.cfg.SendfileThreshold &&
 		entryRef(pe) != nil

@@ -104,9 +104,9 @@ func TestWindowRunsBreakAtDescriptor(t *testing.T) {
 			t.Error("a fill was in flight for a file nobody requested")
 			return
 		}
-		f.PublishWindow(a.Acquire(), 0, chunk)
-		f.PublishWindow(b.Acquire(), chunk, chunk)
-		f.PublishWindow(a.Acquire(), 2*chunk, size-2*chunk)
+		f.PublishFile(a.Acquire(), 0, chunk, nil)
+		f.PublishFile(b.Acquire(), chunk, chunk, nil)
+		f.PublishFile(a.Acquire(), 2*chunk, size-2*chunk, nil)
 	})
 	if a.Refs() != 3 || b.Refs() != 2 {
 		t.Fatalf("descriptor refs A=%d B=%d, want 3 and 2 (the creator's and one per window)", a.Refs(), b.Refs())
